@@ -46,72 +46,5 @@ int main(int argc, char** argv) {
   benchutil::claim("median gain from exploration", "(not quantified)",
                    stats::median(saved));
 
-  // --- Guided search A/B: successive halving vs the exhaustive sweep ---
-  // Identity gate (the bench's exit code): every exploration-eligible
-  // cell must produce the same placement and the same measured numbers
-  // under both modes.  Alongside it, the two headline ratios: the
-  // deterministic noisy-trial reduction and the explore-phase
-  // wall-clock speedup (fresh harness per rep so warm caches don't
-  // mask the win).
-  const auto suite = kernels::all_benchmarks(args.scale);
-  constexpr int kReps = 3;
-  bool identical = true;
-  double sec_exhaustive = 0, sec_halving = 0;
-  long long trials = 0, pruned = 0;
-  int cells = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    runtime::Harness hx(machine::a64fx(), 42);
-    hx.set_placement_search({runtime::SearchMode::Exhaustive, 0});
-    runtime::Harness hh(machine::a64fx(), 42);
-    hh.set_placement_search({runtime::SearchMode::Halving, 0});
-    for (const auto& b : suite) {
-      if (!b.traits.explore_placements || b.traits.single_core) continue;
-      if (b.kernel.meta().parallel == ir::ParallelModel::Serial) continue;
-      runtime::RunMetrics mx;
-      runtime::RunMetrics mh;
-      const auto rx = hx.run(fj, b, &mx);
-      const auto rh = hh.run(fj, b, &mh);
-      sec_exhaustive += mx.explore_seconds;
-      sec_halving += mh.explore_seconds;
-      if (rep == 0) {
-        ++cells;
-        trials += mh.search_survivor_trials;
-        pruned += mh.search_candidates_pruned;
-        if (!(rx.placement == rh.placement) ||
-            rx.best_seconds != rh.best_seconds ||
-            rx.median_seconds != rh.median_seconds || rx.cv != rh.cv ||
-            rx.status != rh.status) {
-          identical = false;
-          std::printf("IDENTITY MISMATCH %s: %dx%d vs %dx%d\n",
-                      b.name().c_str(), rx.placement.ranks,
-                      rx.placement.threads, rh.placement.ranks,
-                      rh.placement.threads);
-        }
-      }
-    }
-  }
-  // Exhaustive runs 3 noisy trials for every candidate halving pruned.
-  const double trial_reduction =
-      trials > 0
-          ? static_cast<double>(trials + 3 * pruned) / static_cast<double>(trials)
-          : 1.0;
-  const double search_speedup =
-      sec_halving > 0 ? sec_exhaustive / sec_halving : 1.0;
-
-  std::printf("\nGuided search A/B (halving vs exhaustive, %d cells):\n",
-              cells);
-  std::printf("  identical tables: %s\n", identical ? "yes" : "NO");
-  benchutil::claim("noisy-trial reduction", ">= 2x", trial_reduction);
-  benchutil::claim("explore-phase speedup", "(not quantified)",
-                   search_speedup);
-
-  std::printf(
-      "\n{\"bench\":\"placement\",\"scale\":%g,\"cells\":%d,"
-      "\"search_identical\":%s,\"exhaustive_explore_seconds\":%.4f,"
-      "\"halving_explore_seconds\":%.4f,\"search_speedup\":%.4f,"
-      "\"search_survivor_trials\":%lld,\"search_candidates_pruned\":%lld,"
-      "\"search_trial_reduction\":%.4f}\n",
-      args.scale, cells, identical ? "true" : "false", sec_exhaustive,
-      sec_halving, search_speedup, trials, pruned, trial_reduction);
-  return identical ? 0 : 1;
+  return 0;
 }

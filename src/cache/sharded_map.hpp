@@ -182,13 +182,19 @@ class ShardedMap final : public CacheBase {
     std::shared_ptr<const V> value;
     std::uint64_t evicted = 0;  ///< values dropped by the budget sweep
     bool inserted = false;
+    /// A racing publish got there first.  The lookup this publish
+    /// completes now counts as a hit, in stats() and for the caller.
+    bool lost_race = false;
   };
 
   /// Publish `value` for (fp, key) under the current epoch, accounting
-  /// `bytes` against the budget.  First insertion wins races (the pure
-  /// functions behind every cache make racing values identical); a
-  /// stale-epoch or evicted slot is refreshed in place.  Runs the
-  /// deterministic budget sweep on its shard before returning.
+  /// `bytes` against the budget; completes a lookup whose find() missed.
+  /// First insertion wins races (the pure functions behind every cache
+  /// make racing values identical), and the loser's miss is recounted
+  /// as a hit — the hit a later-scheduled lookup would have seen — so
+  /// misses equal inserted entries at any worker count.  A stale-epoch
+  /// or evicted slot is refreshed in place.  Runs the deterministic
+  /// budget sweep on its shard before returning.
   Published publish(std::uint64_t fp, const K& key,
                     std::shared_ptr<const V> value, std::size_t bytes) {
     Published out;
@@ -216,7 +222,10 @@ class ShardedMap final : public CacheBase {
     } else if (auto existing = node->value.load(std::memory_order_acquire);
                existing != nullptr) {
       if (node->epoch.load(std::memory_order_acquire) == now) {
+        misses_.fetch_sub(1, std::memory_order_relaxed);
+        hits_.fetch_add(1, std::memory_order_relaxed);
         out.value = std::move(existing);  // lost the race; first wins
+        out.lost_race = true;
         return out;
       }
       drop_value_locked(s, *node);  // stale epoch: reclaim, then refresh

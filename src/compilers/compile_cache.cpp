@@ -117,7 +117,7 @@ CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
       std::make_shared<const CompileOutcome>(compile(spec, source, cctx));
   const std::size_t bytes = approx_bytes(*outcome);
   auto published = map_->publish(fp, key, std::move(outcome), bytes);
-  return {std::move(published.value), false, published.evicted};
+  return {std::move(published.value), published.lost_race, published.evicted};
 }
 
 void CompileCache::clear() {

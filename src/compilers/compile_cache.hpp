@@ -22,7 +22,8 @@
 // Thread-safe: get_or_compile may be called concurrently from engine
 // workers.  Two workers racing on the same missing key both compile (the
 // function is pure, the results identical) and the first insertion wins;
-// both count as misses.
+// the loser counts as a hit, so misses equal cached outcomes at any
+// worker count.
 
 #include <cstdint>
 #include <memory>

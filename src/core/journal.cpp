@@ -91,11 +91,10 @@ std::string Journal::encode(const JournalEntry& e) {
 std::optional<JournalEntry> Journal::decode(const std::string& line) {
   if (line.empty() || line.front() != '{' || line.back() != '}')
     return std::nullopt;
-  // Version gate: v1 lines carry no tag (pre-provenance journals resume
-  // cleanly — every lookup ignores unknown/absent fields); lines from a
-  // *newer* format than this build are rejected rather than half-parsed.
-  if (const auto v = get_num(line, "v"); v && *v > kJournalFormatVersion)
-    return std::nullopt;
+  // Version gate: only this build's format resumes.  Untagged v1 and v2
+  // lines hold measurements drawn with an older noise generator, and
+  // newer lines would be half-parsed; all of them are skipped.
+  if (get_num(line, "v") != kJournalFormatVersion) return std::nullopt;
   const auto key_hex = get_str(line, "key");
   const auto benchmark = get_str(line, "benchmark");
   const auto compiler = get_str(line, "compiler");

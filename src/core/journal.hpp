@@ -37,10 +37,13 @@ struct JournalEntry {
 /// JSONL format version written by encode().  History:
 ///   1 — (untagged) measurement fields only
 ///   2 — adds "v" tag + optional "decisions" provenance field
-/// decode() ignores unknown fields (lookups are by key), so v1 files
-/// resume cleanly under a v2 build; lines tagged *newer* than this
-/// build's version are skipped instead of half-parsed.
-inline constexpr int kJournalFormatVersion = 2;
+///   3 — same fields; values come from the counter-based noise
+///       generator (runtime::noise_sample), so v1/v2 measurements are
+///       not this build's numbers
+/// decode() accepts exactly this version: untagged, older and newer
+/// lines are skipped, so a journal or shard directory written under
+/// another noise generator never resumes into a table of this one.
+inline constexpr int kJournalFormatVersion = 3;
 
 class Journal {
  public:

@@ -22,7 +22,6 @@ Study::Study(StudyOptions opt)
   harness_.set_memoize_estimates(opt_.memoize_estimates);
   harness_.set_memoize_analyses(opt_.memoize_analyses);
   harness_.set_batch_evaluate(opt_.batch_evaluate);
-  harness_.set_placement_search({opt_.placement_search, opt_.search_keep});
 }
 
 report::Table Study::run_suite(
@@ -168,31 +167,6 @@ report::Table Study::run_suite(
                             .worker = worker,
                             .count = static_cast<std::uint64_t>(sweep.configs),
                             .attempt = sweep.filled});
-          }
-          // Guided placement search: one SearchRound event per halving
-          // round (frontier in `count`, pruned in `attempt`) plus a
-          // per-cell PlacementSearch summary.  None are emitted under
-          // --placement-search=exhaustive.
-          for (const auto& round : metrics.search_rounds) {
-            sink->on_event({.kind = exec::EventKind::SearchRound,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .count = static_cast<std::uint64_t>(round.frontier),
-                            .attempt = round.pruned});
-          }
-          if (metrics.search_survivor_trials > 0) {
-            sink->on_event({.kind = exec::EventKind::PlacementSearch,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .count = static_cast<std::uint64_t>(
-                                metrics.search_survivor_trials),
-                            .attempt = metrics.search_candidates_pruned});
           }
           if (metrics.analysis_cache_invalidations > 0) {
             sink->on_event({.kind = exec::EventKind::CacheInvalidate,

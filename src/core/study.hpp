@@ -71,19 +71,6 @@ struct StudyOptions {
   /// benchmarking (`bench_perf_model`) and the byte-identity tests.
   /// Only effective with memoize_estimates on.
   bool batch_evaluate = true;
-  /// Explore-phase placement search (`--placement-search=`).  Halving
-  /// (the default) scores every candidate placement noise-free and runs
-  /// the 3-trial noisy measurement only on the successive-halving
-  /// survivors; `exhaustive` keeps the paper's full sweep.  Tables are
-  /// byte-identical either way — at any --jobs/--procs, cache on/off,
-  /// faults on/off (the A/B identity tests) — because survivors keep
-  /// their original-index noise streams; see runtime/search.hpp.
-  runtime::SearchMode placement_search = runtime::SearchMode::Halving;
-  /// Halving frontier floor (`--search-keep=K`, K >= 1; 0 derives
-  /// max(2, ceil(N/8)) from the candidate-list size).  The floor only
-  /// ever widens the frontier — the unprunable noise band is never cut
-  /// below — so no K trades identity away.
-  int search_keep = 0;
   /// Memoize in-pipeline analyses (dependence graphs, stmt stats, nest
   /// structure) in the compile pipeline's analysis::Manager.  Off
   /// (`--no-analysis-cache`) recomputes on every query — tables,

@@ -79,12 +79,6 @@ obs::CellTelemetry cell_telemetry(std::uint64_t key, int gen, int pid,
     t.estimate_sweep_filled += static_cast<std::uint64_t>(sweep.filled);
     t.sweep_configs.push_back(static_cast<double>(sweep.configs));
   }
-  t.search_candidates_pruned =
-      static_cast<std::uint64_t>(m.search_candidates_pruned);
-  t.search_survivor_trials =
-      static_cast<std::uint64_t>(m.search_survivor_trials);
-  for (const auto& round : m.search_rounds)
-    t.search_round_frontiers.push_back(static_cast<double>(round.frontier));
   t.compile_seconds = m.compile_seconds;
   t.explore_seconds = m.explore_seconds;
   t.measure_seconds = m.measure_seconds;
@@ -156,7 +150,8 @@ int worker_main(const std::string& lease_path,
             // unwinding, flushing stdio, or completing the lease.
             std::FILE* f = std::fopen(shard_path.c_str(), "a");
             if (f != nullptr) {
-              std::fputs("{\"v\":2,\"key\":\"00", f);
+              std::fprintf(f, "{\"v\":%d,\"key\":\"00",
+                           core::kJournalFormatVersion);
               std::fflush(f);
             }
             exec::hard_exit(139);

@@ -42,12 +42,6 @@ enum class EventKind : std::uint8_t {
   EstimateSweep,  ///< one batched estimate-sweep call while evaluating
                   ///< the cell (count = configs scored, attempt = cache
                   ///< entries the batch filled, i.e. its misses)
-  SearchRound,  ///< one halving round of the guided placement search
-                ///< (count = candidates entering the round, attempt =
-                ///< candidates the round's cut removed)
-  PlacementSearch,  ///< per-cell guided-search summary (count = noisy
-                    ///< survivor trials run, attempt = candidates pruned
-                    ///< across all rounds); absent under exhaustive search
   // -- multi-process lifecycle (src/distrib/ supervisor) --------------
   WorkerSpawned,    ///< supervisor forked a worker process (worker =
                     ///< spawn index, count = pid)
@@ -71,8 +65,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::CacheEvict: return "cache-evict";
     case EventKind::CellPhase: return "cell-phase";
     case EventKind::EstimateSweep: return "estimate-sweep";
-    case EventKind::SearchRound: return "search-round";
-    case EventKind::PlacementSearch: return "placement-search";
     case EventKind::WorkerSpawned: return "worker-spawned";
     case EventKind::WorkerExited: return "worker-exited";
     case EventKind::WorkerRespawned: return "worker-respawned";
@@ -232,23 +224,6 @@ class StreamSink final : public EventSink {
         if (level_ < LogLevel::Debug) return;
         n = std::snprintf(buf, sizeof buf,
                           "  [w%d] %-18s x %-10s sweep x%llu (%d filled)\n",
-                          e.worker, e.benchmark.c_str(), e.compiler.c_str(),
-                          static_cast<unsigned long long>(e.count), e.attempt);
-        break;
-      case EventKind::SearchRound:
-        if (level_ < LogLevel::Debug) return;
-        n = std::snprintf(buf, sizeof buf,
-                          "  [w%d] %-18s x %-10s search round %llu -> %llu\n",
-                          e.worker, e.benchmark.c_str(), e.compiler.c_str(),
-                          static_cast<unsigned long long>(e.count),
-                          static_cast<unsigned long long>(e.count) -
-                              static_cast<unsigned long long>(e.attempt));
-        break;
-      case EventKind::PlacementSearch:
-        if (level_ < LogLevel::Debug) return;
-        n = std::snprintf(buf, sizeof buf,
-                          "  [w%d] %-18s x %-10s search: %llu trials, %d "
-                          "candidates pruned\n",
                           e.worker, e.benchmark.c_str(), e.compiler.c_str(),
                           static_cast<unsigned long long>(e.count), e.attempt);
         break;

@@ -148,15 +148,6 @@ Registry Aggregator::merged_registry() const {
     }
     for (const double v : c.sweep_configs)
       out.histograms["estimate_sweep_configs"].add(v);
-    // Guided placement search: mirror MetricsSink's SearchRound /
-    // PlacementSearch folding so merged counters equal the
-    // single-process registry's on clean runs.
-    out.counters["search_rounds"] +=
-        static_cast<std::uint64_t>(c.search_round_frontiers.size());
-    for (const double v : c.search_round_frontiers)
-      out.histograms["search_round_frontier"].add(v);
-    out.counters["search_survivor_trials"] += c.search_survivor_trials;
-    out.counters["search_candidates_pruned"] += c.search_candidates_pruned;
     if (c.cache_evictions > 0)
       out.counters["tier_cache_evictions"] += c.cache_evictions;
     out.histograms["cell_wall_seconds"].add(c.wall_seconds);

@@ -145,23 +145,6 @@ void MetricsSink::on_event(const exec::Event& e) {
           static_cast<std::uint64_t>(e.attempt);
       histograms["estimate_sweep_configs"].add(static_cast<double>(e.count));
       break;
-    // Guided placement search: one SearchRound per halving round (count
-    // = frontier entering, attempt = pruned) and one PlacementSearch
-    // summary per cell (count = survivor trials, attempt = total
-    // pruned).  Deterministic per cell, so the merged multi-process
-    // registry folds to the same totals (obs::Aggregator mirrors this).
-    case exec::EventKind::SearchRound:
-      counters["search_rounds"] += 1;
-      histograms["search_round_frontier"].add(static_cast<double>(e.count));
-      break;
-    case exec::EventKind::PlacementSearch:
-      counters["search_survivor_trials"] += e.count;
-      // Guarded so the counter key set matches the merged registry's
-      // (Aggregator erases never-incremented counters).
-      if (e.attempt > 0)
-        counters["search_candidates_pruned"] +=
-            static_cast<std::uint64_t>(e.attempt);
-      break;
     // Multi-process lifecycle: spawn/exit counts plus the two headline
     // crash-isolation counters, worker_respawns and cells_released.
     case exec::EventKind::WorkerSpawned:

@@ -125,10 +125,6 @@ class MetricsSink final : public exec::EventSink {
   /// estimate_sweep_calls and estimate_sweep_batched_fills
   /// (EstimateSweep batches; configs per sweep land in the
   /// estimate_sweep_configs histogram),
-  /// search_rounds, search_survivor_trials and search_candidates_pruned
-  /// (SearchRound/PlacementSearch events of the guided placement
-  /// search; round frontiers land in the search_round_frontier
-  /// histogram),
   /// tier_cache_evictions (CacheEvict batches), and — after
   /// fold_cache_stats — cache_<name>_{hits,misses,evictions,entries,
   /// bytes} per registered tier cache.

@@ -77,9 +77,7 @@ std::string encode_cell(const CellTelemetry& c) {
                   {"invalidations", c.analysis_cache_invalidations},
                   {"evictions", c.cache_evictions},
                   {"sweep_calls", c.estimate_sweep_calls},
-                  {"sweep_filled", c.estimate_sweep_filled},
-                  {"search_pruned", c.search_candidates_pruned},
-                  {"search_trials", c.search_survivor_trials}};
+                  {"sweep_filled", c.estimate_sweep_filled}};
   for (const auto& f : counters) {
     out += ",";
     field_u64(out, f.key, f.v);
@@ -89,15 +87,6 @@ std::string encode_cell(const CellTelemetry& c) {
     for (std::size_t i = 0; i < c.sweep_configs.size(); ++i) {
       std::snprintf(buf, sizeof buf, "%s%.17g", i == 0 ? "" : ",",
                     c.sweep_configs[i]);
-      out += buf;
-    }
-    out += "]";
-  }
-  if (!c.search_round_frontiers.empty()) {
-    out += ",\"search_rounds\":[";
-    for (std::size_t i = 0; i < c.search_round_frontiers.size(); ++i) {
-      std::snprintf(buf, sizeof buf, "%s%.17g", i == 0 ? "" : ",",
-                    c.search_round_frontiers[i]);
       out += buf;
     }
     out += "]";
@@ -172,9 +161,6 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
   // explore path existed (or with it disabled) simply lack the fields.
   c.estimate_sweep_calls = get_u64(line, "sweep_calls").value_or(0);
   c.estimate_sweep_filled = get_u64(line, "sweep_filled").value_or(0);
-  // Guided-search telemetry is optional for the same reason.
-  c.search_candidates_pruned = get_u64(line, "search_pruned").value_or(0);
-  c.search_survivor_trials = get_u64(line, "search_trials").value_or(0);
   c.compile_seconds = get_num(line, "compile_seconds").value_or(0);
   c.explore_seconds = get_num(line, "explore_seconds").value_or(0);
   c.measure_seconds = get_num(line, "measure_seconds").value_or(0);
@@ -196,8 +182,6 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
     return *p == ']';  // false = torn line
   };
   if (!parse_array("sweep_configs", &c.sweep_configs)) return std::nullopt;
-  if (!parse_array("search_rounds", &c.search_round_frontiers))
-    return std::nullopt;
   if (!parse_array("backoffs", &c.backoffs)) return std::nullopt;
   return c;
 }

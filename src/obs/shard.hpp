@@ -75,13 +75,6 @@ struct CellTelemetry {
   /// Configs scored per sweep, in call order (feeds the
   /// estimate_sweep_configs histogram).
   std::vector<double> sweep_configs;
-  /// Guided placement search (0/empty under exhaustive search and in
-  /// pre-search shards, which decode fine without the fields).
-  std::uint64_t search_candidates_pruned = 0;
-  std::uint64_t search_survivor_trials = 0;
-  /// Frontier entering each halving round, in round order (feeds the
-  /// search_round_frontier histogram and the search_rounds counter).
-  std::vector<double> search_round_frontiers;
   double compile_seconds = 0;
   double explore_seconds = 0;
   double measure_seconds = 0;

@@ -56,7 +56,7 @@ EstimateCache::PlanResult EstimateCache::get_or_analyze(
   const std::size_t bytes = approx_bytes(*plan);
   // Losing the publish race keeps the first-inserted plan.
   auto published = plans_->publish(fp, fp, std::move(plan), bytes);
-  return {std::move(published.value), false, published.evicted};
+  return {std::move(published.value), published.lost_race, published.evicted};
 }
 
 EstimateCache::EvalResult EstimateCache::get_or_evaluate(
@@ -70,7 +70,7 @@ EstimateCache::EvalResult EstimateCache::get_or_evaluate(
       evaluate(plan, cfg, prof, want_detail));
   const std::size_t bytes = approx_bytes(*result);
   auto published = evals_->publish(fp, key, std::move(result), bytes);
-  return {std::move(published.value), false, published.evicted};
+  return {std::move(published.value), published.lost_race, published.evicted};
 }
 
 EstimateCache::SweepResult EstimateCache::get_or_evaluate_sweep(
@@ -126,7 +126,7 @@ EstimateCache::SweepResult EstimateCache::get_or_evaluate_sweep(
       const std::size_t bytes = approx_bytes(*result);
       auto published = evals_->publish(fps[i], keys[i], std::move(result), bytes);
       out.results[i] = std::move(published.value);
-      ++out.misses;
+      ++(published.lost_race ? out.hits : out.misses);
       out.evicted += published.evicted;
     }
     for (const auto& [dup, lead] : miss_dups) {

@@ -24,7 +24,8 @@
 //
 // Thread-safe: calls may race from engine workers.  A miss computes
 // outside any lock (the functions are pure, racing results identical)
-// and the first insertion wins; both racers count as misses.
+// and the first insertion wins; the loser counts as a hit, so misses
+// equal cached entries at any worker count.
 
 #include <cstdint>
 #include <memory>

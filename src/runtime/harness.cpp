@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
-#include <random>
 #include <thread>
 
 #include "cache/fingerprint.hpp"
@@ -245,13 +243,24 @@ double Harness::model_time(const compilers::CompilerSpec& spec,
 double noise_sample(std::uint64_t seed, std::uint64_t stream, double t,
                     double cv) {
   if (cv <= 0 || !std::isfinite(t)) return t;
-  // Fresh engine per sample — the documented single-draw-stream contract
-  // (see harness.hpp): a sample depends only on (seed, stream, t, cv).
-  std::mt19937_64 rng(cache::mix64(seed ^ stream));
-  std::normal_distribution<double> n(0.0, 1.0);
+  // Counter-based draw (Salmon et al., SC'11) — the documented
+  // single-draw-stream contract (see harness.hpp): the key and its two
+  // splitmix64 successors depend only on (seed, stream), so a sample
+  // depends only on (seed, stream, t, cv).
+  const std::uint64_t k = cache::mix64(seed ^ stream);
+  const std::uint64_t w1 = cache::mix64(k);
+  const std::uint64_t w2 = cache::mix64(k + 0x9e3779b97f4a7c15ULL);
+  // Top 53 bits as doubles: u1 in (0, 1] keeps the log finite, u2 in
+  // [0, 1).
+  constexpr double kTwoToMinus53 = 0x1p-53;
+  const double u1 = static_cast<double>((w1 >> 11) + 1) * kTwoToMinus53;
+  const double u2 = static_cast<double>(w2 >> 11) * kTwoToMinus53;
+  // Box-Muller: one standard normal from the two uniforms.
+  constexpr double kTwoPi = 6.283185307179586476925286766559;
+  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
   // Lognormal multiplicative noise; sigma chosen so the sample CV ~ cv.
   const double sigma = std::sqrt(std::log1p(cv * cv));
-  return t * std::exp(sigma * n(rng));
+  return t * std::exp(sigma * z);
 }
 
 double Harness::noisy(double t, double cv, std::uint64_t stream) const {
@@ -364,7 +373,7 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
 
   const std::uint64_t base = cell_stream(bench.name(), spec.name);
 
-  // ---- exploration phase: 3 trials per surviving placement ----
+  // ---- exploration phase: 3 trials per candidate placement ----
   const auto placements =
       candidate_placements(bench.traits, bench.kernel.meta().parallel);
   if (placements.empty()) {
@@ -398,58 +407,12 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
           obs::scoped(ctx.tracer, "evaluate:sweep", bench.name(), spec.name);
       sweep_times = times_of(cell, placements, metrics);
     }
-    // Guided search: under --placement-search=halving the noisy trials
-    // run only for the plan's survivors.  The schedule needs every model
-    // score up front; the batch path has them already, and the scalar
-    // path hoists the same time_of calls the exhaustive loop would make
-    // (same order, so cache hit/miss counters stay sequential-identical).
-    const bool halving = search_.options().mode == SearchMode::Halving;
-    if (halving && !batched) {
-      sweep_times.resize(placements.size());
-      for (std::size_t pi = 0; pi < placements.size(); ++pi) {
-        ctx.checkpoint();
-        sweep_times[pi] = time_of(cell, placements[pi], metrics);
-      }
-    }
-    SearchPlan splan;
-    if (halving) {
-      splan = search_.plan(sweep_times, bench.traits.noise_cv);
-      for (const auto& r : splan.rounds) {
-        // Structural trace marker, one per halving round.
-        const auto round_span =
-            obs::scoped(ctx.tracer, "search:round", bench.name(), spec.name);
-        (void)r;
-      }
-      if (metrics != nullptr) {
-        metrics->search_rounds.insert(metrics->search_rounds.end(),
-                                      splan.rounds.begin(),
-                                      splan.rounds.end());
-        metrics->search_candidates_pruned += splan.pruned();
-        metrics->search_survivor_trials +=
-            static_cast<int>(splan.survivors.size()) * 3;
-      }
-    } else {
-      splan.survivors.resize(placements.size());
-      std::iota(splan.survivors.begin(), splan.survivors.end(),
-                std::size_t{0});
-    }
-    const bool scored = batched || halving;  // sweep_times filled above
     double best_trial = std::numeric_limits<double>::infinity();
-    for (std::size_t si = 0; si < splan.survivors.size(); ++si) {
-      const std::size_t pi = splan.survivors[si];
+    for (std::size_t pi = 0; pi < placements.size(); ++pi) {
       ctx.checkpoint();  // cooperative cancellation per exploration point
       const double t =
-          scored ? sweep_times[pi] : time_of(cell, placements[pi], metrics);
-      if (si == 0) {
-        // Fallback before any trial lands; the first sample always wins
-        // the strict-< against infinity, so this is defensive only.
-        best_p = placements[pi];
-        t_best = t;
-      }
+          batched ? sweep_times[pi] : time_of(cell, placements[pi], metrics);
       for (int trial = 0; trial < 3; ++trial) {
-        // The survivor's ORIGINAL index keys the noise stream, so these
-        // draws are a subsequence of the exhaustive loop's draws — the
-        // byte-identity guarantee (runtime/search.hpp).
         const double sample =
             noisy(t, bench.traits.noise_cv, base ^ (pi * 8191 + trial));
         if (sample < best_trial) {

@@ -34,7 +34,6 @@
 #include "perf/perf_model.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/outcome.hpp"
-#include "runtime/search.hpp"
 
 namespace a64fxcc::runtime {
 
@@ -48,14 +47,15 @@ namespace a64fxcc::runtime {
 /// `cv`, drawn from the stream identified by (seed, stream).
 ///
 /// Seeding contract (deliberate, relied on by the engine's any-order
-/// parallelism and asserted by test_runtime): every sample comes from a
-/// FRESH mt19937_64 seeded with hash_mix(seed ^ stream) — each (seed,
-/// stream) pair is an independent single-draw stream, so a sample is a
-/// pure function of (seed, stream, t, cv) with no draw-order state.
-/// Equal streams give bit-equal samples by design; distinct streams are
-/// decorrelated by the hash mixing.  This is why the harness derives a
-/// distinct substream id per (cell, phase, trial) rather than drawing a
-/// sequence from one generator.
+/// parallelism and asserted by test_runtime): a sample is counter-based
+/// — the key mix64(seed ^ stream) is hashed into two uniform words that
+/// one Box-Muller transform turns into a standard normal — so each
+/// (seed, stream) pair is an independent single-draw stream and a
+/// sample is a pure function of (seed, stream, t, cv) with no
+/// draw-order state.  Equal streams give bit-equal samples by design;
+/// distinct streams are decorrelated by the hash mixing.  This is why
+/// the harness derives a distinct substream id per (cell, phase, trial)
+/// rather than drawing a sequence from one generator.
 [[nodiscard]] double noise_sample(std::uint64_t seed, std::uint64_t stream,
                                   double t, double cv);
 
@@ -138,15 +138,6 @@ struct RunMetrics {
     int filled = 0;
   };
   std::vector<SweepSample> estimate_sweeps;
-  /// Guided placement search (`--placement-search=halving`): the halving
-  /// rounds this evaluation executed, plus the cell's pruning totals.
-  /// Empty/zero under exhaustive search.  Like the cache counters these
-  /// are a pure function of the cell's model scores — deterministic
-  /// across schedulings and process topologies — and feed the
-  /// SearchRound / PlacementSearch events.
-  std::vector<SearchRound> search_rounds;
-  int search_candidates_pruned = 0;  ///< candidates denied noisy trials
-  int search_survivor_trials = 0;    ///< noisy explore trials actually run
 };
 
 class Harness {
@@ -255,19 +246,6 @@ class Harness {
     return batch_evaluate_;
   }
 
-  /// Configure the explore-phase placement search (default exhaustive —
-  /// the paper's full 3-trials-per-candidate sweep).  Halving prunes the
-  /// noisy-trial frontier using the noise-free model scores while
-  /// keeping the chosen placement — and therefore the study table —
-  /// byte-identical; see runtime/search.hpp for the schedule and the
-  /// index-preserving identity argument.
-  void set_placement_search(PlacementSearch::Options opt) noexcept {
-    search_ = PlacementSearch(opt);
-  }
-  [[nodiscard]] const PlacementSearch& placement_search() const noexcept {
-    return search_;
-  }
-
   /// Toggle in-pipeline analysis memoization (default on).  Off makes
   /// the compile pipeline's analysis::Manager recompute dependence
   /// graphs / stmt stats / nest structure on every query — the
@@ -339,7 +317,6 @@ class Harness {
   bool memoize_estimates_ = true;
   bool memoize_analyses_ = true;
   bool batch_evaluate_ = true;
-  PlacementSearch search_;             ///< explore-phase pruning schedule
   cache::Service* service_ = nullptr;  ///< shared tier (may be null)
   /// Memoized compile() outcomes; mutable because memoization does not
   /// change observable results (compile() is pure).

@@ -61,15 +61,22 @@ TEST(ShardedMap, MissThenPublishThenHit) {
 
 TEST(ShardedMap, FirstInsertionWinsRepublish) {
   TestMap m("t");
+  // Two racing lookups both miss before either publishes.
+  EXPECT_EQ(m.find(7, 7), nullptr);
+  EXPECT_EQ(m.find(7, 7), nullptr);
   const auto first = m.publish(7, 7, val(1), 8);
   const auto second = m.publish(7, 7, val(2), 8);
   EXPECT_TRUE(first.inserted);
+  EXPECT_FALSE(first.lost_race);
   EXPECT_FALSE(second.inserted);
+  EXPECT_TRUE(second.lost_race);
   // The loser is handed the resident (first) value, so racing callers
-  // agree on one object.
+  // agree on one object, and its lookup is recounted as a hit.
   EXPECT_EQ(*second.value, 1);
   EXPECT_EQ(m.stats().entries, 1u);
   EXPECT_EQ(m.stats().bytes, 8u);
+  EXPECT_EQ(m.stats().misses, 1u);
+  EXPECT_EQ(m.stats().hits, 1u);
 }
 
 TEST(ShardedMap, EpochBumpInvalidatesWithoutClear) {
@@ -166,6 +173,10 @@ TEST(ShardedMap, ConcurrentPublishAndFindAgreeOnOneValue) {
   for (auto& t : ts) t.join();
   EXPECT_EQ(disagreements.load(), 0);
   EXPECT_EQ(m.stats().entries, kKeys);
+  // Lost publish races count as hits: one miss per key, however the
+  // threads interleaved.
+  EXPECT_EQ(m.stats().misses, kKeys);
+  EXPECT_EQ(m.stats().hits + m.stats().misses, kThreads * 200 * kKeys);
 }
 
 // ---- Service mechanics ----

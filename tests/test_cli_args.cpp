@@ -1,6 +1,6 @@
 // Strict CLI value parsing (core/args.hpp): the helpers behind --jobs,
-// --procs, --retries, --deadline, --scale, --lease-deadline, and the
-// --placement-search mode keyword.  The old atoi/atof path turned
+// --procs, --retries, --deadline, --scale and --lease-deadline.  The
+// old atoi/atof path turned
 // "--jobs=all" into jobs=0 silently; these must parse the whole string
 // or reject it.
 
@@ -10,14 +10,11 @@
 #include <string>
 
 #include "core/args.hpp"
-#include "runtime/search.hpp"
 
 namespace {
 
 using a64fxcc::core::args::parse_double;
 using a64fxcc::core::args::parse_int;
-using a64fxcc::runtime::parse_search_mode;
-using a64fxcc::runtime::SearchMode;
 
 TEST(ParseInt, AcceptsWholeBase10Integers) {
   EXPECT_EQ(parse_int("0"), 0);
@@ -57,33 +54,6 @@ TEST(ParseDouble, RejectsEmptyGarbageInfAndNan) {
   EXPECT_FALSE(parse_double("inf").has_value());  // parses, but not finite
   EXPECT_FALSE(parse_double("nan").has_value());
   EXPECT_FALSE(parse_double("1e999").has_value());  // overflows to inf
-}
-
-TEST(ParseSearchMode, AcceptsExactlyTheTwoModes) {
-  EXPECT_EQ(parse_search_mode("exhaustive"), SearchMode::Exhaustive);
-  EXPECT_EQ(parse_search_mode("halving"), SearchMode::Halving);
-}
-
-TEST(ParseSearchMode, RejectsTyposCaseAndDecorations) {
-  // Strict contract: a typo must reject (CLI exits 1), never fall back
-  // to either mode silently.
-  EXPECT_FALSE(parse_search_mode("").has_value());
-  EXPECT_FALSE(parse_search_mode("banana").has_value());
-  EXPECT_FALSE(parse_search_mode("Halving").has_value());
-  EXPECT_FALSE(parse_search_mode("EXHAUSTIVE").has_value());
-  EXPECT_FALSE(parse_search_mode("halving ").has_value());
-  EXPECT_FALSE(parse_search_mode(" halving").has_value());
-  EXPECT_FALSE(parse_search_mode("halv").has_value());
-  EXPECT_FALSE(parse_search_mode("exhaustive|halving").has_value());
-}
-
-// --search-keep uses parse_int + the CLI's >= 1 guard; the boundary
-// values the guard must separate parse unambiguously.
-TEST(ParseSearchKeep, BoundaryValuesParseForTheGuard) {
-  EXPECT_EQ(parse_int("1"), 1);
-  EXPECT_EQ(parse_int("0"), 0);    // parses; CLI rejects with exit 1
-  EXPECT_EQ(parse_int("-3"), -3);  // parses; CLI rejects with exit 1
-  EXPECT_FALSE(parse_int("two").has_value());
 }
 
 }  // namespace

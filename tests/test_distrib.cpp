@@ -7,13 +7,17 @@
 // real SIGKILL, and for injected crash faults, and across --procs and
 // --jobs combinations.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/file.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -329,7 +333,7 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
 
 TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
   // The acceptance criterion, with a real SIGKILL: a watcher thread
-  // reads leases.jsonl until a worker pid appears, kill -9s it
+  // reads leases.jsonl until a worker holds a live lease, kill -9s it
   // mid-cell, and the supervisor re-leases + respawns its way to a
   // table byte-identical to the clean single-process run.
   const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
@@ -344,17 +348,33 @@ TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
   std::atomic<bool> stop{false};
   std::thread killer([&] {
     while (!stop.load() && !killed.load()) {
-      std::ifstream f(lease_path);
-      std::string line;
-      while (std::getline(f, line)) {
-        const auto rec = distrib::LeaseQueue::decode(line);
-        if (!rec || rec->op != distrib::LeaseRecord::Op::Lease) continue;
-        if (rec->owner == self || rec->owner <= 0) continue;
-        if (exec::kill_process(rec->owner)) {
-          killed.store(true);
-          break;
+      // Read and kill under the log's flock: no worker can complete or
+      // take a lease meanwhile, so the victim dies holding the cell it
+      // was evaluating (a worker idle between batches, or waiting for
+      // the last cells, holds none and would leave nothing to release).
+      const int fd = ::open(lease_path.c_str(), O_RDONLY);
+      if (fd >= 0 && ::flock(fd, LOCK_EX) == 0) {
+        std::map<std::uint64_t, int> holder;  // cell key -> lease owner
+        std::ifstream f(lease_path);
+        std::string line;
+        while (std::getline(f, line)) {
+          const auto rec = distrib::LeaseQueue::decode(line);
+          if (!rec) continue;
+          if (rec->op == distrib::LeaseRecord::Op::Lease)
+            holder[rec->key] = rec->owner;
+          else
+            holder.erase(rec->key);
         }
+        for (const auto& [key, owner] : holder) {
+          if (owner == self || owner <= 0) continue;
+          if (exec::kill_process(owner)) {
+            killed.store(true);
+            break;
+          }
+        }
+        ::flock(fd, LOCK_UN);
       }
+      if (fd >= 0) ::close(fd);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -409,12 +429,64 @@ TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
             suite.size() * 5);
 }
 
+TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
+  // A shard directory whose lines carry the previous format version
+  // (measured with the previous noise generator) must not restore a
+  // single cell: every done cell reopens, and the table equals a fresh
+  // run's.
+  const auto suite = small_suite();
+  const auto base = small_options();
+  const std::string dir = fresh_dir("resume_v2");
+  report::Table fresh;
+  {
+    distrib::SupervisorOptions sopt;
+    sopt.study = base;
+    sopt.procs = 2;
+    sopt.shard_dir = dir;
+    distrib::Supervisor sup(std::move(sopt));
+    fresh = sup.run_suite(suite);
+  }
+  char cur[16];
+  std::snprintf(cur, sizeof cur, "{\"v\":%d,", core::kJournalFormatVersion);
+  std::size_t rewritten = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    const std::string name = f.path().filename().string();
+    if (name.rfind("shard-", 0) != 0) continue;
+    std::ifstream in(f.path());
+    std::ostringstream out;
+    std::string line;
+    while (std::getline(in, line)) {
+      ASSERT_EQ(line.rfind(cur, 0), 0u) << line;
+      out << "{\"v\":2," << line.substr(std::strlen(cur)) << "\n";
+      ++rewritten;
+    }
+    in.close();
+    std::ofstream(f.path(), std::ios::trunc) << out.str();
+  }
+  const std::size_t cells = suite.size() * base.compilers.size();
+  ASSERT_EQ(rewritten, cells);
+
+  distrib::SupervisorOptions sopt;
+  sopt.study = base;
+  sopt.procs = 2;
+  sopt.shard_dir = dir;
+  distrib::Supervisor sup(std::move(sopt));
+  const auto t = sup.run_suite(suite);
+  EXPECT_EQ(sup.stats().resumed_cells, 0u);
+  EXPECT_EQ(sup.stats().reopened_cells, cells);
+  EXPECT_EQ(sup.stats().reduce.missing, 0u);
+  EXPECT_EQ(report::render_csv(t), report::render_csv(fresh));
+  EXPECT_EQ(report::render_csv(t),
+            report::render_csv(clean_single_process(base, suite)));
+}
+
 // ---- reducer ---------------------------------------------------------------
 
 TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
-  // One merge over: a v2 shard with a torn tail, a v1 (untagged) shard,
-  // an empty shard, and a duplicate key across files (last shard wins,
-  // in sorted filename order).
+  // One merge over: a current-format shard with a torn tail, a shard of
+  // older-format lines (v1 untagged, v2 tagged — skipped, their noise
+  // is not this build's), an empty shard, and a duplicate key across
+  // files (last shard wins, in sorted filename order).
   const std::string dir = fresh_dir("mixed_merge");
   std::filesystem::create_directories(dir);
   core::JournalEntry a;
@@ -429,9 +501,12 @@ TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
     f << core::Journal::encode(a).substr(0, 25);  // torn tail
   }
   {
-    // v1 line: no "v" tag, no decisions — still merges.
+    // v1 line (no "v" tag) and v2 line: both skipped by the version gate.
     std::ofstream f(dir + "/shard-0001.jsonl");
     f << "{\"key\":\"0000000000000002\",\"benchmark\":\"k2\","
+         "\"compiler\":\"LLVM\",\"status\":\"crash\","
+         "\"diagnostic\":\"legacy\"}\n";
+    f << "{\"v\":2,\"key\":\"0000000000000003\",\"benchmark\":\"k3\","
          "\"compiler\":\"LLVM\",\"status\":\"crash\","
          "\"diagnostic\":\"legacy\"}\n";
   }
@@ -449,14 +524,14 @@ TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
 
   core::Journal j;
   distrib::ReduceStats stats;
-  EXPECT_EQ(distrib::Reducer::load_shards(dir, j, &stats), 2u);
+  EXPECT_EQ(distrib::Reducer::load_shards(dir, j, &stats), 1u);
   EXPECT_EQ(stats.shards, 4u);
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.duplicates, 1u);
   ASSERT_NE(j.find(1), nullptr);
   EXPECT_EQ(j.find(1)->diagnostic, "from shard-0003, wins");
-  ASSERT_NE(j.find(2), nullptr);
-  EXPECT_EQ(j.find(2)->diagnostic, "legacy");
+  EXPECT_EQ(j.find(2), nullptr);
+  EXPECT_EQ(j.find(3), nullptr);
 }
 
 TEST(Reducer, MissingCellsSurfaceAsCrashedNotBlank) {
@@ -625,17 +700,33 @@ TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
   std::atomic<bool> stop{false};
   std::thread killer([&] {
     while (!stop.load() && !killed.load()) {
-      std::ifstream f(lease_path);
-      std::string line;
-      while (std::getline(f, line)) {
-        const auto rec = distrib::LeaseQueue::decode(line);
-        if (!rec || rec->op != distrib::LeaseRecord::Op::Lease) continue;
-        if (rec->owner == self || rec->owner <= 0) continue;
-        if (exec::kill_process(rec->owner)) {
-          killed.store(true);
-          break;
+      // Read and kill under the log's flock: no worker can complete or
+      // take a lease meanwhile, so the victim dies holding the cell it
+      // was evaluating (a worker idle between batches, or waiting for
+      // the last cells, holds none and would leave nothing to release).
+      const int fd = ::open(lease_path.c_str(), O_RDONLY);
+      if (fd >= 0 && ::flock(fd, LOCK_EX) == 0) {
+        std::map<std::uint64_t, int> holder;  // cell key -> lease owner
+        std::ifstream f(lease_path);
+        std::string line;
+        while (std::getline(f, line)) {
+          const auto rec = distrib::LeaseQueue::decode(line);
+          if (!rec) continue;
+          if (rec->op == distrib::LeaseRecord::Op::Lease)
+            holder[rec->key] = rec->owner;
+          else
+            holder.erase(rec->key);
         }
+        for (const auto& [key, owner] : holder) {
+          if (owner == self || owner <= 0) continue;
+          if (exec::kill_process(owner)) {
+            killed.store(true);
+            break;
+          }
+        }
+        ::flock(fd, LOCK_UN);
       }
+      if (fd >= 0) ::close(fd);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

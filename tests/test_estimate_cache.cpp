@@ -6,21 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/study.hpp"
-#include "distrib/supervisor.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "report/figure2.hpp"
-#include "runtime/search.hpp"
 
 namespace {
 
 using namespace a64fxcc;
-using runtime::SearchMode;
 
 // Mixed suite covering the hot paths: MPI rank x thread exploration
 // grids + FJtrad library references (top500), one-CMG exploration
@@ -37,16 +32,12 @@ std::vector<kernels::Benchmark> mixed_suite() {
 }
 
 report::Table run_table(int jobs, bool memoize, const char* faults,
-                        bool batch = true,
-                        SearchMode search = SearchMode::Halving,
-                        int keep = 0) {
+                        bool batch = true) {
   core::StudyOptions opt;
   opt.scale = 0.05;
   opt.jobs = jobs;
   opt.memoize_estimates = memoize;
   opt.batch_evaluate = batch;
-  opt.placement_search = search;
-  opt.search_keep = keep;
   if (faults != nullptr) {
     const auto plan = runtime::FaultPlan::parse(faults);
     EXPECT_TRUE(plan.has_value());
@@ -166,170 +157,6 @@ TEST(BatchEvaluateMetrics, ScalarPathEmitsNoSweepTelemetry) {
   core::Study(std::move(opt)).run_suite(kernels::top500_suite(0.05));
   EXPECT_EQ(metrics.counter("estimate_sweep_calls"), 0u);
   EXPECT_EQ(metrics.counter("estimate_sweep_batched_fills"), 0u);
-}
-
-TEST(PlacementSearchIdentity, TablesByteIdenticalHalvingVsExhaustive) {
-  // The headline A/B of the guided placement search: successive halving
-  // must not move a single output byte relative to the exhaustive
-  // explore sweep, at any worker count, batched or scalar, cache on or
-  // off.
-  const auto reference =
-      run_table(1, true, nullptr, /*batch=*/true, SearchMode::Exhaustive);
-  const std::string ref_csv = report::render_csv(reference);
-  const std::string ref_json = report::render_json(reference);
-  for (const int jobs : {1, 2, 8}) {
-    for (const bool batch : {true, false}) {
-      const auto t =
-          run_table(jobs, true, nullptr, batch, SearchMode::Halving);
-      EXPECT_EQ(report::render_csv(t), ref_csv)
-          << "jobs=" << jobs << " batch=" << batch;
-      EXPECT_EQ(report::render_json(t), ref_json)
-          << "jobs=" << jobs << " batch=" << batch;
-    }
-  }
-  // Cache-off scalar path: halving hoists the very time_of calls the
-  // exhaustive loop would make, so identity must survive without any
-  // memoization either.
-  const auto cold =
-      run_table(2, false, nullptr, /*batch=*/false, SearchMode::Halving);
-  EXPECT_EQ(report::render_csv(cold), ref_csv);
-}
-
-TEST(PlacementSearchIdentity, TablesByteIdenticalUnderFaultInjection) {
-  // Retried cells replay the explore phase; the halving schedule and
-  // the noise streams must survive partial evaluation unchanged.
-  const char* kFaults = "compile:0.2,runtime:0.2";
-  const auto reference =
-      run_table(1, true, kFaults, /*batch=*/true, SearchMode::Exhaustive);
-  const std::string ref_csv = report::render_csv(reference);
-  for (const int jobs : {1, 2, 8}) {
-    const auto t =
-        run_table(jobs, true, kFaults, /*batch=*/true, SearchMode::Halving);
-    EXPECT_EQ(report::render_csv(t), ref_csv) << "jobs=" << jobs;
-  }
-}
-
-TEST(PlacementSearchIdentity, SearchKeepPreservesIdentity) {
-  // --search-keep only moves the halving floor; the unprunable noise
-  // band still protects every candidate that could win, so even the
-  // most aggressive keep=1 — and a keep far beyond any candidate list —
-  // must reproduce the exhaustive table byte for byte.
-  const auto reference =
-      run_table(1, true, nullptr, /*batch=*/true, SearchMode::Exhaustive);
-  const std::string ref_csv = report::render_csv(reference);
-  for (const int keep : {1, 1000}) {
-    const auto t = run_table(2, true, nullptr, /*batch=*/true,
-                             SearchMode::Halving, keep);
-    EXPECT_EQ(report::render_csv(t), ref_csv) << "keep=" << keep;
-  }
-}
-
-TEST(PlacementSearchIdentity, TablesByteIdenticalUnderProcs) {
-  // Multi-process A/B: a 3-worker supervisor run under halving must
-  // produce the exhaustive single-process table, and the telemetry
-  // shards must merge into exactly the counters the in-process sink
-  // folded (same key set, same values, same frontier histogram).
-  auto suite = kernels::microkernel_suite(0.05);
-  if (suite.size() > 6)
-    suite.erase(suite.begin() + 6, suite.end());
-  auto fiber = kernels::fiber_suite(0.05);
-  for (std::size_t i = 0; i < 3 && i < fiber.size(); ++i)
-    suite.push_back(std::move(fiber[i]));
-
-  core::StudyOptions base;
-  base.scale = 0.05;
-  base.jobs = 1;
-  base.placement_search = SearchMode::Exhaustive;
-  const std::string ref_csv =
-      report::render_csv(core::Study(base).run_suite(suite));
-
-  obs::MetricsSink sink;
-  core::StudyOptions inproc = base;
-  inproc.placement_search = SearchMode::Halving;
-  inproc.sink = &sink;
-  const std::string halving_csv =
-      report::render_csv(core::Study(inproc).run_suite(suite));
-  EXPECT_EQ(halving_csv, ref_csv);
-  const obs::Registry local = sink.snapshot();
-
-  const std::string dir =
-      testing::TempDir() + "a64fxcc_search_procs";
-  std::filesystem::remove_all(dir);
-  distrib::SupervisorOptions sopt;
-  sopt.study = base;
-  sopt.study.placement_search = SearchMode::Halving;
-  sopt.procs = 3;
-  sopt.telemetry = true;
-  sopt.shard_dir = dir;
-  distrib::Supervisor sup(std::move(sopt));
-  const auto t = sup.run_suite(suite);
-  EXPECT_EQ(report::render_csv(t), ref_csv);
-
-  obs::Aggregator agg;
-  ASSERT_TRUE(sup.load_telemetry(agg));
-  const obs::Registry merged = agg.merged_registry();
-  for (const char* name : {"search_rounds", "search_survivor_trials",
-                           "search_candidates_pruned"}) {
-    EXPECT_GT(local.counter(name), 0u) << name;
-    EXPECT_EQ(merged.counter(name), local.counter(name)) << name;
-  }
-  const auto lh = local.histograms.find("search_round_frontier");
-  const auto mh = merged.histograms.find("search_round_frontier");
-  ASSERT_NE(lh, local.histograms.end());
-  ASSERT_NE(mh, merged.histograms.end());
-  EXPECT_EQ(mh->second.count, lh->second.count);
-  EXPECT_EQ(mh->second.sum, lh->second.sum);
-  EXPECT_EQ(mh->second.min, lh->second.min);
-  EXPECT_EQ(mh->second.max, lh->second.max);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PlacementSearchMetrics, SearchCountersAreSchedulingIndependent) {
-  // The halving schedule is a pure function of each cell's model
-  // estimates, never of worker scheduling: every search counter must be
-  // bit-equal across 1/2/8 workers.  The pruning must also clear the
-  // >= 2x acceptance bar: trials saved (3 per pruned candidate) must at
-  // least match the trials still run.
-  struct Counts {
-    std::uint64_t rounds, trials, pruned;
-  };
-  const auto counters_at = [](int jobs) {
-    obs::MetricsSink metrics;
-    core::StudyOptions opt;
-    opt.scale = 0.05;
-    opt.jobs = jobs;
-    opt.sink = &metrics;
-    core::Study(std::move(opt)).run_suite(mixed_suite());
-    return Counts{metrics.counter("search_rounds"),
-                  metrics.counter("search_survivor_trials"),
-                  metrics.counter("search_candidates_pruned")};
-  };
-  const auto ref = counters_at(1);
-  EXPECT_GT(ref.rounds, 0u);
-  EXPECT_GT(ref.trials, 0u);
-  EXPECT_GT(ref.pruned, 0u);
-  // >= 2x fewer noisy explore trials than exhaustive would run:
-  // exhaustive = trials + 3 * pruned, so 3 * pruned >= trials.
-  EXPECT_GE(3 * ref.pruned, ref.trials);
-  for (const int jobs : {2, 8}) {
-    const auto c = counters_at(jobs);
-    EXPECT_EQ(c.rounds, ref.rounds) << "jobs=" << jobs;
-    EXPECT_EQ(c.trials, ref.trials) << "jobs=" << jobs;
-    EXPECT_EQ(c.pruned, ref.pruned) << "jobs=" << jobs;
-  }
-}
-
-TEST(PlacementSearchMetrics, ExhaustiveModeEmitsNoSearchTelemetry) {
-  obs::MetricsSink metrics;
-  core::StudyOptions opt;
-  opt.scale = 0.05;
-  opt.jobs = 2;
-  opt.placement_search = SearchMode::Exhaustive;
-  opt.sink = &metrics;
-  core::Study(std::move(opt)).run_suite(kernels::top500_suite(0.05));
-  EXPECT_EQ(metrics.counter("search_rounds"), 0u);
-  EXPECT_EQ(metrics.counter("search_survivor_trials"), 0u);
-  EXPECT_EQ(metrics.counter("search_candidates_pruned"), 0u);
 }
 
 TEST(EstimateCacheMetrics, StudyCountsPlanAndEstimateCacheTraffic) {

@@ -490,19 +490,19 @@ TEST(Journal, DecisionsFieldRoundTrips) {
   EXPECT_TRUE(core::Journal::decode(line)->run.decisions.empty());
 }
 
-TEST(Journal, UntaggedPreProvenanceLinesStillDecode) {
-  // A v1 journal line (written before the "v" tag existed) must resume
-  // cleanly: same fields, no version tag, no decisions.
+TEST(Journal, OlderFormatVersionsAreSkipped) {
+  // v1 (untagged) and v2 lines were measured with an older noise
+  // generator: well-formed as they are, they must not decode, so they
+  // can never resume into a table of this build.
   const std::string v1 =
       "{\"key\":\"000000000000000b\",\"benchmark\":\"atax\","
       "\"compiler\":\"Arm\",\"status\":\"crash\",\"diagnostic\":\"old\"}";
-  const auto e = core::Journal::decode(v1);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->key, 11u);
-  EXPECT_EQ(e->run.benchmark, "atax");
-  EXPECT_EQ(e->run.status, runtime::CellStatus::Crashed);
-  EXPECT_EQ(e->run.diagnostic, "old");
-  EXPECT_TRUE(e->run.decisions.empty());
+  EXPECT_FALSE(core::Journal::decode(v1).has_value());
+  const std::string v2 = "{\"v\":2," + v1.substr(1);
+  EXPECT_FALSE(core::Journal::decode(v2).has_value());
+  char tag[16];
+  std::snprintf(tag, sizeof tag, "{\"v\":%d,", core::kJournalFormatVersion);
+  EXPECT_TRUE(core::Journal::decode(tag + v1.substr(1)).has_value());
 }
 
 TEST(Journal, FutureFormatVersionsAreRejectedNotHalfParsed) {
@@ -521,7 +521,7 @@ TEST(Journal, FutureFormatVersionsAreRejectedNotHalfParsed) {
   EXPECT_FALSE(core::Journal::decode(line).has_value());
 }
 
-TEST(Journal, ResumesFromPreProvenanceJournalFile) {
+TEST(Journal, OlderFormatJournalFileResumesNothing) {
   const std::string path = testing::TempDir() + "a64fxcc_journal_v1.jsonl";
   std::remove(path.c_str());
   {
@@ -529,12 +529,14 @@ TEST(Journal, ResumesFromPreProvenanceJournalFile) {
     f << "{\"key\":\"0000000000000015\",\"benchmark\":\"bicg\","
          "\"compiler\":\"GNU\",\"status\":\"runtime error\","
          "\"diagnostic\":\"legacy\"}\n";
+    f << "{\"v\":2,\"key\":\"0000000000000016\",\"benchmark\":\"bicg\","
+         "\"compiler\":\"LLVM\",\"status\":\"runtime error\","
+         "\"diagnostic\":\"legacy\"}\n";
   }
   core::Journal j;
-  EXPECT_EQ(j.load(path), 1u);
-  ASSERT_NE(j.find(0x15), nullptr);
-  EXPECT_EQ(j.find(0x15)->diagnostic, "legacy");
-  EXPECT_TRUE(j.find(0x15)->decisions.empty());
+  EXPECT_EQ(j.load(path), 0u);
+  EXPECT_EQ(j.find(0x15), nullptr);
+  EXPECT_EQ(j.find(0x16), nullptr);
   std::remove(path.c_str());
 }
 

@@ -603,6 +603,16 @@ TEST(Shard, CellRecordRoundTrips) {
   ASSERT_EQ(d->backoffs.size(), 2u);
   EXPECT_DOUBLE_EQ(d->backoffs[1], 0.125);
   EXPECT_EQ(d->retries(), 2u);  // attempt 3 counted from gen 1
+  // Shards written while the placement search existed carry its fields;
+  // they are ignored, and the rest of the line decodes as before.
+  const std::string older =
+      line.substr(0, line.size() - 1) +
+      ",\"search_pruned\":4,\"search_trials\":12,\"search_rounds\":[8,4]}";
+  const auto o = obs::decode_cell(older);
+  ASSERT_TRUE(o.has_value());
+  EXPECT_EQ(o->key, c.key);
+  EXPECT_EQ(o->cache_evictions, c.cache_evictions);
+  EXPECT_EQ(o->backoffs, d->backoffs);
 }
 
 TEST(Shard, SpanRecordRoundTripsWithAndWithoutArgs) {

@@ -161,27 +161,6 @@ bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
   // A/B switch for the batched placement-sweep evaluation (tables are
   // bit-identical either way; see DESIGN.md "Batched placement sweeps").
   if (has_flag(argc, argv, "--no-batch-evaluate")) opt.batch_evaluate = false;
-  // Guided placement search: halving (the default) vs the paper's
-  // exhaustive sweep.  Strict values — a typo must reject, never fall
-  // back silently (see DESIGN.md "Guided placement search").
-  if (const char* v = arg_value(argc, argv, "--placement-search=")) {
-    const auto mode = runtime::parse_search_mode(v);
-    if (!mode) {
-      std::fprintf(stderr,
-                   "unknown --placement-search '%s' "
-                   "(expected exhaustive or halving)\n",
-                   v);
-      return false;
-    }
-    opt.placement_search = *mode;
-  }
-  if (!int_flag(argc, argv, "--search-keep=", &opt.search_keep))
-    return false;
-  if (arg_value(argc, argv, "--search-keep=") != nullptr &&
-      opt.search_keep <= 0) {
-    std::fprintf(stderr, "--search-keep must be >= 1\n");
-    return false;
-  }
   // Byte budget for the unified cache tier.  Eviction under any budget
   // is deterministic (fingerprint-ordered), so tables are byte-identical
   // whether the tier is tight or unbounded — the knob trades memory for
@@ -704,7 +683,6 @@ void usage() {
       "                [--inject-faults=compile:P,runtime:P,hang:P,crash:P]\n"
       "                [--no-estimate-cache] [--no-analysis-cache]\n"
       "                [--no-batch-evaluate]\n"
-      "                [--placement-search=exhaustive|halving] [--search-keep=K]\n"
       "                [--cache-budget=N[K|M|G]] [--cache-stats]\n"
       "                                   # --cache-budget caps the unified\n"
       "                                   # cache tier (0/absent = unbounded);\n"
@@ -719,15 +697,6 @@ void usage() {
       "                                   # placements one-by-one instead of\n"
       "                                   # one batched sweep per cell (A/B\n"
       "                                   # only; identical tables)\n"
-      "                                   # --placement-search picks the\n"
-      "                                   # explore strategy: halving (default)\n"
-      "                                   # runs noisy trials only on the\n"
-      "                                   # successive-halving survivors of the\n"
-      "                                   # model-score ranking; exhaustive\n"
-      "                                   # sweeps every candidate.  Tables are\n"
-      "                                   # byte-identical either way;\n"
-      "                                   # --search-keep=K (>=1) widens the\n"
-      "                                   # survivor floor\n"
       "                                   # --jobs absent = all hardware\n"
       "                                   # threads, --jobs=1 = serial; output\n"
       "                                   # is bit-identical for any N\n"
@@ -756,7 +725,6 @@ void usage() {
       "                  [--resume=PATH] [--journal=PATH] [--inject-faults=SPEC]\n"
       "                  [--no-estimate-cache] [--no-analysis-cache]\n"
       "                  [--no-batch-evaluate]\n"
-      "                  [--placement-search=exhaustive|halving] [--search-keep=K]\n"
       "                  [--cache-budget=N[K|M|G]] [--cache-stats]\n"
       "                  [--log-level=L] [--trace=PATH] [--metrics=PATH]\n"
       "  explain <benchmark> [compiler] [--no-analysis-cache]\n"

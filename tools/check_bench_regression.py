@@ -2,7 +2,7 @@
 """Bench-regression gate: fail if a throughput metric dropped too far.
 
 Usage:
-  check_bench_regression.py BASELINE.json CURRENT.json KEY[=TOL] [KEY[=TOL]...]
+  check_bench_regression.py BASELINE.json CURRENT.json KEY [KEY...]
       [--tolerance=0.2]
 
 Each KEY names a numeric throughput field in both JSON objects (e.g.
@@ -11,10 +11,6 @@ when current < baseline * (1 - tolerance) for any key — a drop beyond
 the tolerance below the committed baseline.  Improvements and small
 regressions pass.  Missing keys fail loudly rather than silently
 passing.
-
-A key may carry its own tolerance as KEY=TOL, overriding --tolerance:
-deterministic ratios (search_trial_reduction) gate tightly while
-wall-clock ones (search_speedup) stay generous in the same invocation.
 """
 
 import json
@@ -40,19 +36,17 @@ def main(argv):
         current = json.load(f)
 
     failed = False
-    for spec in keys:
-        key, _, tol = spec.partition("=")
-        key_tolerance = float(tol) if tol else tolerance
+    for key in keys:
         if key not in baseline or key not in current:
             print(f"FAIL {key}: missing from "
                   f"{baseline_path if key not in baseline else current_path}")
             failed = True
             continue
         base, cur = float(baseline[key]), float(current[key])
-        floor = base * (1.0 - key_tolerance)
+        floor = base * (1.0 - tolerance)
         verdict = "FAIL" if cur < floor else "ok"
         print(f"{verdict:4s} {key}: current {cur:.1f} vs baseline {base:.1f} "
-              f"(floor {floor:.1f}, tolerance {key_tolerance:.0%})")
+              f"(floor {floor:.1f}, tolerance {tolerance:.0%})")
         if cur < floor:
             failed = True
     return 1 if failed else 0
