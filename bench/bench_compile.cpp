@@ -1,24 +1,18 @@
 // bench_compile — throughput of the compile pipeline hot path.
 //
 // Three measurements, emitted human-readable and as one JSON line
-// (stdout) so future PRs can track the perf trajectory:
-//   1. pipelines-compiled/second with the analysis::Manager recomputing
-//      every query (--no-analysis-cache) vs memoizing with
-//      preserved-analyses invalidation, over all five paper compilers x
-//      the full kernel suite — plus an outcome-identity check (status,
-//      log, transformed IR, decisions, analysis counters) between the
-//      two modes;
-//   2. full-study wall time with analysis memoization off vs on,
-//      repeated for a stable ratio, plus the table bit-identity check;
-//   3. the analysis cache hit/miss/invalidation totals of the memoized
-//      sweep — how much analysis work the pipeline actually shares.
-//
-//   4. a warm-tier worker sweep (1,2,4,8,16,32,48 workers over one
+// (stdout) so the perf trajectory can be tracked across commits:
+//   1. pipelines-compiled/second of compile() — the analysis::Manager
+//      memoizing with preserved-analyses invalidation — over all five
+//      paper compilers x the full kernel suite;
+//   2. the analysis cache hit/miss/invalidation totals of that sweep —
+//      how much analysis work the pipeline actually shares;
+//   3. a warm-tier worker sweep (1,2,4,8,16,32,48 workers over one
 //      shared cache::Service): cells/second when nearly every compile
 //      lookup is a cache hit — the scaling curve of the tier's
 //      lock-free read path, emitted as "worker_sweep" in the JSON line.
 //
-// Usage: bench_compile [--scale=f] [--jobs=N] [--reps=N]
+// Usage: bench_compile [--scale=f] [--reps=N]
 
 #include <chrono>
 #include <cstdio>
@@ -28,7 +22,6 @@
 
 #include "bench_common.hpp"
 #include "cache/service.hpp"
-#include "ir/printer.hpp"
 
 namespace {
 
@@ -37,47 +30,6 @@ using namespace a64fxcc;
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-bool same_outcome(const compilers::CompileOutcome& a,
-                  const compilers::CompileOutcome& b) {
-  if (a.status != b.status || a.log != b.log ||
-      a.time_multiplier != b.time_multiplier ||
-      a.diagnostic != b.diagnostic ||
-      !(a.analysis_cache == b.analysis_cache))
-    return false;
-  if (a.decisions.size() != b.decisions.size()) return false;
-  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-    const auto& da = a.decisions[i];
-    const auto& db = b.decisions[i];
-    if (da.pass != db.pass || da.fired != db.fired || da.detail != db.detail ||
-        da.analysis_hits != db.analysis_hits ||
-        da.analysis_misses != db.analysis_misses)
-      return false;
-  }
-  if (a.ok() != b.ok()) return false;
-  if (a.ok() && ir::to_string(*a.kernel) != ir::to_string(*b.kernel))
-    return false;
-  return true;
-}
-
-bool identical(const report::Table& a, const report::Table& b) {
-  if (a.compilers != b.compilers || a.rows.size() != b.rows.size())
-    return false;
-  for (std::size_t r = 0; r < a.rows.size(); ++r) {
-    if (a.rows[r].cells.size() != b.rows[r].cells.size()) return false;
-    for (std::size_t c = 0; c < a.rows[r].cells.size(); ++c) {
-      const auto& ca = a.rows[r].cells[c];
-      const auto& cb = b.rows[r].cells[c];
-      if (!(ca.benchmark == cb.benchmark && ca.status == cb.status &&
-            ca.best_seconds == cb.best_seconds &&
-            ca.median_seconds == cb.median_seconds && ca.cv == cb.cv &&
-            ca.placement == cb.placement && ca.gflops == cb.gflops &&
-            ca.mem_gbs == cb.mem_gbs && ca.decisions == cb.decisions))
-        return false;
-    }
-  }
-  return true;
 }
 
 std::vector<kernels::Benchmark> study_suite(double scale) {
@@ -109,32 +61,12 @@ double warm_study_seconds(double scale, int jobs, int reps,
   return best;
 }
 
-double run_study_seconds(double scale, int jobs, int reps, bool memoize,
-                         report::Table* last) {
-  double total = 0;
-  for (int r = 0; r < reps; ++r) {
-    core::StudyOptions opt;
-    opt.scale = scale;
-    opt.jobs = jobs;
-    opt.memoize_analyses = memoize;
-    const core::Study study(std::move(opt));
-    const auto suite = study_suite(scale);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto table = study.run_suite(suite);
-    total += seconds_since(t0);
-    if (last != nullptr) *last = std::move(table);
-  }
-  return total;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto args = benchutil::parse(argc, argv);
-  int jobs = 4;
   int reps = 5;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) jobs = std::atoi(argv[i] + 7);
     if (std::strncmp(argv[i], "--reps=", 7) == 0) reps = std::atoi(argv[i] + 7);
   }
   if (reps < 1) reps = 1;
@@ -142,7 +74,7 @@ int main(int argc, char** argv) {
   std::printf("== Compile pipeline hot path (all suites, scale %g) ==\n",
               args.scale);
 
-  // ---- 1. pipelines/sec: analysis cache off vs on ----
+  // ---- 1. pipelines/sec ----
   // Real workload shape: every (compiler x kernel) pair of the study,
   // compiled straight through compile() (no CompileCache — this measures
   // the pipeline itself, not outcome sharing).
@@ -150,31 +82,14 @@ int main(int argc, char** argv) {
   const auto specs = compilers::paper_compilers();
   const std::size_t pipelines = suite.size() * specs.size();
 
-  compilers::CompileContext ctx_off;
-  ctx_off.memoize_analyses = false;
-  compilers::CompileContext ctx_on;  // memoize_analyses = true
-  // The memoized mode gets a cross-compile seed store, exactly as the
-  // study's CompileCache wires one up: the five specs of each kernel
-  // share their initial dependence/stats/nest computations.
-  analysis::SeedStore seeds;
-  ctx_on.analysis_seeds = &seeds;
-
-  // Identity first (outside the timed loops): both modes must agree on
-  // everything the study and `explain` consume.
-  bool outcomes_same = true;
+  // Analysis traffic first (outside the timed loop).
   analysis::ManagerCounters totals;
   for (const auto& bench : suite) {
     for (const auto& spec : specs) {
-      const auto off = compilers::compile(spec, bench.kernel, ctx_off);
-      const auto on = compilers::compile(spec, bench.kernel, ctx_on);
-      if (!same_outcome(off, on)) {
-        outcomes_same = false;
-        std::printf("  OUTCOME MISMATCH: %s x %s\n", bench.name().c_str(),
-                    spec.name.c_str());
-      }
-      totals.hits += on.analysis_cache.hits;
-      totals.misses += on.analysis_cache.misses;
-      totals.invalidations += on.analysis_cache.invalidations;
+      const auto out = compilers::compile(spec, bench.kernel);
+      totals.hits += out.analysis_cache.hits;
+      totals.misses += out.analysis_cache.misses;
+      totals.invalidations += out.analysis_cache.invalidations;
     }
   }
 
@@ -182,50 +97,21 @@ int main(int argc, char** argv) {
   // sweeps every pipeline once; the minimum rep time is the noise-free
   // estimate of the sweep cost.
   double acc = 0;  // defeat dead-code elimination
-  double t_off_pipe = 0, t_on_pipe = 0;
+  double t_pipe = 0;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& bench : suite)
       for (const auto& spec : specs)
-        acc += compilers::compile(spec, bench.kernel, ctx_off).time_multiplier;
+        acc += compilers::compile(spec, bench.kernel).time_multiplier;
     const double t = seconds_since(t0);
-    if (r == 0 || t < t_off_pipe) t_off_pipe = t;
+    if (r == 0 || t < t_pipe) t_pipe = t;
   }
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const auto& bench : suite)
-      for (const auto& spec : specs)
-        acc += compilers::compile(spec, bench.kernel, ctx_on).time_multiplier;
-    const double t = seconds_since(t0);
-    if (r == 0 || t < t_on_pipe) t_on_pipe = t;
-  }
+  const double pps = static_cast<double>(pipelines) / t_pipe;
+  std::printf("  %8.0f pipelines/s  (best of %d sweeps of %zu pipelines;"
+              " %.3fs)\n",
+              pps, reps, pipelines, t_pipe);
 
-  const double total_pipes = static_cast<double>(pipelines);
-  const double off_pps = total_pipes / t_off_pipe;
-  const double on_pps = total_pipes / t_on_pipe;
-  std::printf("  cache off: %8.0f pipelines/s  (best of %d sweeps of %zu"
-              " pipelines; %.3fs)\n",
-              off_pps, reps, pipelines, t_off_pipe);
-  std::printf("  cache on:  %8.0f pipelines/s  (preserved-analyses"
-              " invalidation)\n",
-              on_pps);
-  std::printf("  pipeline speedup: %.2fx   outcome-identical: %s\n",
-              on_pps / off_pps,
-              outcomes_same ? "yes" : "NO — DETERMINISM BROKEN");
-
-  // ---- 2. full-study wall time: analysis cache off vs on ----
-  report::Table table_off, table_on;
-  const double t_off =
-      run_study_seconds(args.scale, jobs, reps, false, &table_off);
-  const double t_on =
-      run_study_seconds(args.scale, jobs, reps, true, &table_on);
-  const bool same = identical(table_off, table_on) && outcomes_same;
-  std::printf("  study wall (x%d): %.3fs uncached, %.3fs cached (%.2fx)"
-              "  bit-identical: %s\n",
-              reps, t_off, t_on, t_off / t_on,
-              same ? "yes" : "NO — DETERMINISM BROKEN");
-
-  // ---- 3. analysis cache traffic of the memoized sweep ----
+  // ---- 2. analysis cache traffic of the sweep ----
   const double total_q = static_cast<double>(totals.hits + totals.misses);
   const double hit_rate =
       total_q > 0 ? static_cast<double>(totals.hits) / total_q : 0.0;
@@ -234,7 +120,7 @@ int main(int argc, char** argv) {
               totals.hits, totals.misses, totals.invalidations,
               100.0 * hit_rate);
 
-  // ---- 4. warm-tier worker sweep ----
+  // ---- 3. warm-tier worker sweep ----
   // One cache::Service shared by every run: the first study fills it,
   // the sweep then measures cells/second per worker count with (nearly)
   // every compile lookup a hit — the tier's lock-free read path under
@@ -255,23 +141,18 @@ int main(int argc, char** argv) {
   }
   sweep_json += "]";
 
-  benchutil::claim("compile.pipeline_speedup", ">=2x", on_pps / off_pps);
   benchutil::claim("compile.analysis_cache_hit_rate", ">0", hit_rate);
 
   // Machine-readable trajectory line (one JSON object, stdout).  `acc`
   // is folded in as a checksum so the compiler cannot elide the loops.
   std::printf(
-      "\n{\"bench\":\"compile\",\"scale\":%g,\"jobs\":%d,\"reps\":%d,"
-      "\"pipelines\":%zu,\"uncached_pipelines_per_sec\":%.1f,"
-      "\"cached_pipelines_per_sec\":%.1f,\"pipeline_speedup\":%.4f,"
-      "\"study_seconds_uncached\":%.4f,\"study_seconds_cached\":%.4f,"
-      "\"study_speedup\":%.4f,\"identical\":%s,"
+      "\n{\"bench\":\"compile\",\"scale\":%g,\"reps\":%d,"
+      "\"pipelines\":%zu,\"cached_pipelines_per_sec\":%.1f,"
       "\"analysis_cache_hits\":%d,\"analysis_cache_misses\":%d,"
       "\"analysis_cache_invalidations\":%d,\"analysis_cache_hit_rate\":%.4f,"
       "\"worker_sweep\":%s,\"checksum\":%.6g}\n",
-      args.scale, jobs, reps, pipelines, off_pps, on_pps, on_pps / off_pps,
-      t_off, t_on, t_off / t_on, same ? "true" : "false", totals.hits,
-      totals.misses, totals.invalidations, hit_rate, sweep_json.c_str(), acc);
+      args.scale, reps, pipelines, pps, totals.hits, totals.misses,
+      totals.invalidations, hit_rate, sweep_json.c_str(), acc);
 
-  return same ? 0 : 1;
+  return 0;
 }

@@ -1,22 +1,15 @@
 // bench_perf_model — throughput of the performance-model hot path.
 //
 // Three measurements, emitted human-readable and as one JSON line
-// (stdout) so future PRs can track the perf trajectory:
+// (stdout) so the perf trajectory can be tracked across commits:
 //   1. placements-evaluated/second of the pre-split path (one full
 //      perf::estimate per placement) vs the plan/evaluate split
 //      (perf::analyze once per kernel, perf::evaluate per placement),
 //      over the explore-heavy suites' real placement grids and compiled
-//      kernels — and the batched SoA sweep (one detail-less
-//      evaluate_sweep per cell, placement list shared per benchmark) vs
-//      the per-config path it replaced (make_config + full evaluate per
-//      placement), gated on bitwise identity;
-//   2. full-study wall time with the EstimateCache disabled vs enabled
-//      (the --no-estimate-cache A/B), repeated to get a stable ratio,
-//      plus a bit-identity check between the two tables;
-//   3. the estimate/plan cache hit rates of the cached study — how much
-//      of the explore/measure/reference work is actually shared.
-//
-//   4. a warm-tier worker sweep (1,2,4,8,16,32,48 workers over one
+//      kernels;
+//   2. the estimate/plan cache hit rates of one study — how much of the
+//      explore/measure/reference work is actually shared;
+//   3. a warm-tier worker sweep (1,2,4,8,16,32,48 workers over one
 //      shared cache::Service): cells/second when nearly every lookup is
 //      a cache hit — the scaling curve of the tier's lock-free read
 //      path, emitted as "worker_sweep" in the JSON line.
@@ -47,46 +40,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct EvalPoint {
   std::shared_ptr<const compilers::CompileOutcome> out;
   std::vector<perf::ExecConfig> cfgs;
-  std::vector<std::pair<int, int>> placements;  ///< (ranks, threads)
 };
-
-bool identical(const perf::PerfResult& a, const perf::PerfResult& b) {
-  if (!(a.seconds == b.seconds && a.total_flops == b.total_flops &&
-        a.mem_bytes == b.mem_bytes &&
-        a.runtime_overhead_s == b.runtime_overhead_s && a.joules == b.joules &&
-        a.bottleneck == b.bottleneck && a.detail.size() == b.detail.size()))
-    return false;
-  for (std::size_t i = 0; i < a.detail.size(); ++i) {
-    const auto& da = a.detail[i];
-    const auto& db = b.detail[i];
-    if (!(da.loop_var == db.loop_var && da.seconds == db.seconds &&
-          da.comp_s == db.comp_s && da.l2_s == db.l2_s &&
-          da.mem_s == db.mem_s && da.lat_s == db.lat_s &&
-          da.flops == db.flops && da.mem_bytes == db.mem_bytes &&
-          da.bottleneck == db.bottleneck))
-      return false;
-  }
-  return true;
-}
-
-bool identical(const report::Table& a, const report::Table& b) {
-  if (a.compilers != b.compilers || a.rows.size() != b.rows.size())
-    return false;
-  for (std::size_t r = 0; r < a.rows.size(); ++r) {
-    if (a.rows[r].cells.size() != b.rows[r].cells.size()) return false;
-    for (std::size_t c = 0; c < a.rows[r].cells.size(); ++c) {
-      const auto& ca = a.rows[r].cells[c];
-      const auto& cb = b.rows[r].cells[c];
-      if (!(ca.benchmark == cb.benchmark && ca.status == cb.status &&
-            ca.best_seconds == cb.best_seconds &&
-            ca.median_seconds == cb.median_seconds && ca.cv == cb.cv &&
-            ca.placement == cb.placement && ca.gflops == cb.gflops &&
-            ca.mem_gbs == cb.mem_gbs))
-        return false;
-    }
-  }
-  return true;
-}
 
 std::vector<kernels::Benchmark> explore_suite(double scale) {
   auto suite = kernels::top500_suite(scale);
@@ -114,24 +68,6 @@ double warm_study_seconds(double scale, int jobs, int reps,
     if (r == 0 || t < best) best = t;
   }
   return best;
-}
-
-double run_study_seconds(double scale, int jobs, int reps, bool memoize,
-                         report::Table* last) {
-  double total = 0;
-  for (int r = 0; r < reps; ++r) {
-    core::StudyOptions opt;
-    opt.scale = scale;
-    opt.jobs = jobs;
-    opt.memoize_estimates = memoize;
-    const core::Study study(std::move(opt));
-    const auto suite = explore_suite(scale);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto table = study.run_suite(suite);
-    total += seconds_since(t0);
-    if (last != nullptr) *last = std::move(table);
-  }
-  return total;
 }
 
 }  // namespace
@@ -164,10 +100,8 @@ int main(int argc, char** argv) {
       pt.out = std::make_shared<compilers::CompileOutcome>(
           compilers::compile(spec, bench.kernel));
       if (!pt.out->ok()) continue;
-      for (const auto& p : placements) {
+      for (const auto& p : placements)
         pt.cfgs.push_back(perf::make_config(p.ranks, p.threads, m));
-        pt.placements.emplace_back(p.ranks, p.threads);
-      }
       evals += pt.cfgs.size();
       points.push_back(std::move(pt));
     }
@@ -202,97 +136,7 @@ int main(int argc, char** argv) {
               split_eps);
   std::printf("  hot-path speedup: %.2fx\n", split_eps / legacy_eps);
 
-  // ---- 1b. batched SoA sweep vs the per-config scoring path ----
-  // The harness workload this PR batched: score every candidate
-  // placement of every (benchmark x compiler) cell.  The scalar
-  // baseline is the path evaluate_sweep replaced — rebuild the
-  // ExecConfig and run one full-detail evaluate per placement.  The
-  // batched side is the explore loop's shape today: the placement list
-  // is built once per benchmark (all compiler cells share it — which is
-  // also what makes the sweep's config-fill memo hit), and each cell is
-  // scored by one detail-less evaluate_sweep call.  Bitwise identity of
-  // every result field — full-detail sweep vs scalar, and detail-less
-  // scalars vs full-detail — gates the exit code alongside the study
-  // A/B below.
-  std::vector<perf::KernelPlan> plans;
-  plans.reserve(points.size());
-  for (const auto& pt : points)
-    plans.push_back(perf::analyze(*pt.out->kernel, m));
-
-  // Interleaved best-of-rounds: both paths sampled alternately so OS
-  // noise hits them alike, and the minimum round is the signal.
-  double t_scalar = 0, t_sweep = 0;
-  for (int r = 0; r < eval_reps; ++r) {
-    const auto t0_scalar = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < points.size(); ++i)
-      for (const auto& [ranks, threads] : points[i].placements) {
-        const auto cfg = perf::make_config(ranks, threads, m);
-        acc += perf::evaluate(plans[i], cfg, points[i].out->profile).seconds;
-      }
-    const double dt_scalar = seconds_since(t0_scalar);
-    if (r == 0 || dt_scalar < t_scalar) t_scalar = dt_scalar;
-
-    const auto t0_sweep = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < points.size(); ++i)
-      for (const auto& res :
-           perf::evaluate_sweep(plans[i], points[i].cfgs,
-                                points[i].out->profile, /*want_detail=*/false))
-        acc += res.seconds;
-    const double dt_sweep = seconds_since(t0_sweep);
-    if (r == 0 || dt_sweep < t_sweep) t_sweep = dt_sweep;
-  }
-
-  bool sweep_same = true;
-  for (std::size_t i = 0; i < points.size() && sweep_same; ++i) {
-    const auto full = perf::evaluate_sweep(plans[i], points[i].cfgs,
-                                           points[i].out->profile);
-    const auto score =
-        perf::evaluate_sweep(plans[i], points[i].cfgs, points[i].out->profile,
-                             /*want_detail=*/false);
-    for (std::size_t j = 0; j < full.size(); ++j) {
-      // Full-detail sweep == scalar evaluate, field for field...
-      if (!identical(full[j], perf::evaluate(plans[i], points[i].cfgs[j],
-                                             points[i].out->profile))) {
-        sweep_same = false;
-        break;
-      }
-      // ...and the scoring mode matches on every scalar field with an
-      // empty breakdown.
-      const auto& s = score[j];
-      if (!(s.seconds == full[j].seconds &&
-            s.total_flops == full[j].total_flops &&
-            s.mem_bytes == full[j].mem_bytes &&
-            s.runtime_overhead_s == full[j].runtime_overhead_s &&
-            s.joules == full[j].joules &&
-            s.bottleneck == full[j].bottleneck && s.detail.empty())) {
-        sweep_same = false;
-        break;
-      }
-    }
-  }
-
-  const double scalar_eps = static_cast<double>(evals) / t_scalar;
-  const double sweep_eps = static_cast<double>(evals) / t_sweep;
-  std::printf("  per-config path: %8.0f placements/s  (make_config + evaluate"
-              " per placement)\n",
-              scalar_eps);
-  std::printf("  batched sweep:   %8.0f placements/s  (%.2fx)  bit-identical:"
-              " %s\n",
-              sweep_eps, sweep_eps / scalar_eps,
-              sweep_same ? "yes" : "NO — DETERMINISM BROKEN");
-
-  // ---- 2. full-study wall time: cache off vs on ----
-  report::Table table_off, table_on;
-  const double t_off =
-      run_study_seconds(args.scale, jobs, reps, false, &table_off);
-  const double t_on = run_study_seconds(args.scale, jobs, reps, true, &table_on);
-  const bool same = identical(table_off, table_on);
-  std::printf("  study wall (x%d): %.3fs uncached, %.3fs cached (%.2fx)"
-              "  bit-identical: %s\n",
-              reps, t_off, t_on, t_off / t_on,
-              same ? "yes" : "NO — DETERMINISM BROKEN");
-
-  // ---- 3. cache hit rates of one cached study ----
+  // ---- 2. cache hit rates of one study ----
   core::StudyOptions opt;
   opt.scale = args.scale;
   opt.jobs = jobs;
@@ -308,7 +152,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ps.hits),
       static_cast<unsigned long long>(ps.misses));
 
-  // ---- 4. warm-tier worker sweep ----
+  // ---- 3. warm-tier worker sweep ----
   // One cache::Service shared by every run: the first study fills it,
   // the sweep then measures cells/second per worker count with (nearly)
   // every compile/plan/estimate lookup a hit — the tier's lock-free
@@ -330,8 +174,6 @@ int main(int argc, char** argv) {
   sweep_json += "]";
 
   benchutil::claim("perf_model.hot_path_speedup", ">=2x", split_eps / legacy_eps);
-  benchutil::claim("perf_model.sweep_speedup", ">=3x", sweep_eps / scalar_eps);
-  benchutil::claim("perf_model.study_speedup", ">=2x", t_off / t_on);
   benchutil::claim("perf_model.estimate_cache_hit_rate", ">0", es.hit_rate());
 
   // Machine-readable trajectory line (one JSON object, stdout).  `acc`
@@ -340,20 +182,14 @@ int main(int argc, char** argv) {
       "\n{\"bench\":\"perf_model\",\"scale\":%g,\"jobs\":%d,\"reps\":%d,"
       "\"placements\":%zu,\"legacy_evals_per_sec\":%.1f,"
       "\"split_evals_per_sec\":%.1f,\"hot_path_speedup\":%.4f,"
-      "\"scalar_evals_per_sec\":%.1f,\"sweep_evals_per_sec\":%.1f,"
-      "\"sweep_speedup\":%.4f,\"batch_identical\":%s,"
-      "\"study_seconds_uncached\":%.4f,\"study_seconds_cached\":%.4f,"
-      "\"study_speedup\":%.4f,\"identical\":%s,"
       "\"estimate_cache_hits\":%llu,\"estimate_cache_misses\":%llu,"
       "\"estimate_cache_hit_rate\":%.4f,\"plan_cache_hits\":%llu,"
       "\"plan_cache_misses\":%llu,\"worker_sweep\":%s,\"checksum\":%.6g}\n",
       args.scale, jobs, reps, evals, legacy_eps, split_eps,
-      split_eps / legacy_eps, scalar_eps, sweep_eps, sweep_eps / scalar_eps,
-      sweep_same ? "true" : "false", t_off, t_on, t_off / t_on,
-      same ? "true" : "false", static_cast<unsigned long long>(es.hits),
+      split_eps / legacy_eps, static_cast<unsigned long long>(es.hits),
       static_cast<unsigned long long>(es.misses), es.hit_rate(),
       static_cast<unsigned long long>(ps.hits),
       static_cast<unsigned long long>(ps.misses), sweep_json.c_str(), acc);
 
-  return (same && sweep_same) ? 0 : 1;
+  return 0;
 }

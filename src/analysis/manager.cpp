@@ -6,37 +6,15 @@ Manager::Manager(ir::Kernel& k, Options opt)
     : k_(k), opt_(std::move(opt)), fp_(ir::fingerprint(k)) {}
 
 bool Manager::must_compute(bool valid) {
-  if (valid) {
-    ++counters_.hits;
-    // A/B mode: count the hit exactly as the memoizing path would (so
-    // provenance is byte-identical), but recompute the result anyway.
-    return !opt_.memoize;
-  }
-  ++counters_.misses;
-  return true;
-}
-
-const TreeIndex& Manager::tree_index() {
-  if (!tindex_valid_ || tindex_fp_ != fp_) {
-    tindex_ = TreeIndex::build(k_);
-    tindex_fp_ = fp_;
-    tindex_valid_ = true;
-  }
-  return tindex_;
+  ++(valid ? counters_.hits : counters_.misses);
+  return !valid;
 }
 
 const std::vector<Dependence>& Manager::dependences() {
   if (must_compute(deps_.valid)) {
-    const bool was_miss = !deps_.valid;
-    const auto sp = was_miss ? obs::scoped(opt_.tracer, "analysis:deps",
-                                           opt_.benchmark, opt_.compiler)
-                             : obs::Span{};
-    if (!use_seeds() ||
-        !opt_.seeds->seed_dependences(fp_, tree_index(), deps_.value)) {
-      deps_.value = analyze_dependences(k_);
-      if (use_seeds())
-        opt_.seeds->publish_dependences(fp_, tree_index(), deps_.value);
-    }
+    const auto sp = obs::scoped(opt_.tracer, "analysis:deps", opt_.benchmark,
+                                opt_.compiler);
+    deps_.value = analyze_dependences(k_);
     deps_.valid = true;
   }
   return deps_.value;
@@ -44,16 +22,9 @@ const std::vector<Dependence>& Manager::dependences() {
 
 const std::vector<StmtStats>& Manager::stmt_stats() {
   if (must_compute(stats_.valid)) {
-    const bool was_miss = !stats_.valid;
-    const auto sp = was_miss ? obs::scoped(opt_.tracer, "analysis:stats",
-                                           opt_.benchmark, opt_.compiler)
-                             : obs::Span{};
-    if (!use_seeds() ||
-        !opt_.seeds->seed_stmt_stats(fp_, tree_index(), stats_.value)) {
-      stats_.value = collect_stmt_stats(k_);
-      if (use_seeds())
-        opt_.seeds->publish_stmt_stats(fp_, tree_index(), stats_.value);
-    }
+    const auto sp = obs::scoped(opt_.tracer, "analysis:stats", opt_.benchmark,
+                                opt_.compiler);
+    stats_.value = collect_stmt_stats(k_);
     stats_.valid = true;
   }
   return stats_.value;
@@ -61,16 +32,9 @@ const std::vector<StmtStats>& Manager::stmt_stats() {
 
 const std::vector<PerfectNest>& Manager::nests() {
   if (must_compute(nests_.valid)) {
-    const bool was_miss = !nests_.valid;
-    const auto sp = was_miss ? obs::scoped(opt_.tracer, "analysis:nests",
-                                           opt_.benchmark, opt_.compiler)
-                             : obs::Span{};
-    if (!use_seeds() ||
-        !opt_.seeds->seed_nests(fp_, tree_index(), nests_.value)) {
-      nests_.value = collect_perfect_nests(k_);
-      if (use_seeds())
-        opt_.seeds->publish_nests(fp_, tree_index(), nests_.value);
-    }
+    const auto sp = obs::scoped(opt_.tracer, "analysis:nests", opt_.benchmark,
+                                opt_.compiler);
+    nests_.value = collect_perfect_nests(k_);
     nests_.valid = true;
   }
   return nests_.value;

@@ -23,12 +23,9 @@
 // tree must call invalidate() before the next analysis query (the
 // in-pass self-invalidation you see in interchange/tile/fuse).
 //
-// Determinism contract: hit/miss/invalidation counters are maintained
-// identically whether memoization is enabled or not — with memoize=false
-// a "hit" simply recomputes the result instead of reusing it.  Counters
-// are thus a pure function of the pipeline's query sequence, so decision
-// provenance and explain output stay byte-identical under
-// --no-analysis-cache.
+// Determinism contract: hit/miss/invalidation counters are a pure
+// function of the pipeline's query sequence, so decision provenance and
+// explain output are too.
 
 #include <cstdint>
 #include <string>
@@ -37,7 +34,6 @@
 #include "analysis/access.hpp"
 #include "analysis/dependence.hpp"
 #include "analysis/nest.hpp"
-#include "analysis/seed.hpp"
 #include "ir/fingerprint.hpp"
 #include "obs/trace.hpp"
 
@@ -105,13 +101,6 @@ struct ManagerCounters {
 class Manager {
  public:
   struct Options {
-    bool memoize = true;        ///< false: recompute on hit (A/B mode)
-    /// Optional cross-compile store: misses first try a rebased snapshot
-    /// from a structurally identical kernel before computing fresh (and
-    /// publish fresh results for later compiles).  A seeded fill yields
-    /// bit-identical values and counters, so attaching a store never
-    /// changes outputs.  Ignored when memoize is false.
-    SeedStore* seeds = nullptr;
     obs::Tracer* tracer = nullptr;
     std::string benchmark;      ///< span attribution (kernel name)
     std::string compiler;       ///< span attribution (compiler label)
@@ -145,7 +134,6 @@ class Manager {
   [[nodiscard]] const ManagerCounters& counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] bool memoize() const noexcept { return opt_.memoize; }
 
  private:
   template <typename T>
@@ -154,18 +142,9 @@ class Manager {
     bool valid = false;
   };
 
-  /// Shared hit/miss bookkeeping: returns true when the caller must
-  /// (re)compute into the slot — on a miss, or on a hit with
-  /// memoization disabled (identical counters either way).
+  /// Shared hit/miss bookkeeping: returns true on a miss, when the
+  /// caller must compute into the slot.
   bool must_compute(bool valid);
-
-  /// Seeding enabled for this Manager?
-  [[nodiscard]] bool use_seeds() const noexcept {
-    return opt_.memoize && opt_.seeds != nullptr;
-  }
-  /// The kernel's pointer<->position map, rebuilt when the tree changed
-  /// (fingerprint moved) since it was last built.
-  const TreeIndex& tree_index();
 
   ir::Kernel& k_;
   Options opt_;
@@ -174,9 +153,6 @@ class Manager {
   Slot<std::vector<Dependence>> deps_;
   Slot<std::vector<StmtStats>> stats_;
   Slot<std::vector<PerfectNest>> nests_;
-  TreeIndex tindex_;
-  std::uint64_t tindex_fp_ = 0;
-  bool tindex_valid_ = false;
 };
 
 }  // namespace a64fxcc::analysis

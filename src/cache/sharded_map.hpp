@@ -1,7 +1,7 @@
 #pragma once
 // The unified cache tier: a fingerprint-sharded, budgeted, epoch-aware
-// concurrent map — the one implementation behind compilers::CompileCache,
-// perf::EstimateCache and analysis::SeedStore.
+// concurrent map — the one implementation behind compilers::CompileCache
+// and perf::EstimateCache.
 //
 // Why one tier.  The study is embarrassingly parallel across
 // (benchmark x compiler) cells, but the three memoization layers used to

@@ -84,8 +84,7 @@ CompileCache::CompileCache()
     : owned_(std::make_unique<Map>("compile")), map_(owned_.get()) {}
 
 CompileCache::CompileCache(cache::Service& svc)
-    : map_(&svc.get_or_create<Key, CompileOutcome>("compile", /*weight=*/4)),
-      seeds_(svc) {}
+    : map_(&svc.get_or_create<Key, CompileOutcome>("compile", /*weight=*/4)) {}
 
 CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
                                                   const ir::Kernel& source,
@@ -107,22 +106,13 @@ CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
     return {std::move(found), true, 0};
   // Compile outside any lock: other workers keep making progress, and a
   // rare duplicate compile of the same pure function is harmless.
-  // Compiles funnel through this cache's seed store (unless the caller
-  // brought one) so structurally identical kernels — the five specs of a
-  // benchmark — share their initial analyses.
-  CompileContext cctx = ctx;
-  if (cctx.memoize_analyses && cctx.analysis_seeds == nullptr)
-    cctx.analysis_seeds = &seeds_;
   auto outcome =
-      std::make_shared<const CompileOutcome>(compile(spec, source, cctx));
+      std::make_shared<const CompileOutcome>(compile(spec, source, ctx));
   const std::size_t bytes = approx_bytes(*outcome);
   auto published = map_->publish(fp, key, std::move(outcome), bytes);
   return {std::move(published.value), published.lost_race, published.evicted};
 }
 
-void CompileCache::clear() {
-  map_->drop_values();
-  seeds_.clear();
-}
+void CompileCache::clear() { map_->drop_values(); }
 
 }  // namespace a64fxcc::compilers

@@ -12,12 +12,11 @@
 // (the SSL2 library share of HPL-class benchmarks) a one-time cost per
 // table instead of a per-cell one.
 //
-// Storage is a cache::ShardedMap named "compile" (plus the seed store's
-// "analysis_seeds"): hits are mutex-free, entries respect the tier
-// budget with deterministic fingerprint-ordered eviction, and
-// Service::bump_epoch invalidates without a stop-the-world clear.  An
-// evicted entry merely re-runs the pure compile() — outcomes, tables
-// and provenance stay byte-identical.
+// Storage is a cache::ShardedMap named "compile": hits are mutex-free,
+// entries respect the tier budget with deterministic fingerprint-ordered
+// eviction, and Service::bump_epoch invalidates without a stop-the-world
+// clear.  An evicted entry merely re-runs the pure compile() — outcomes,
+// tables and provenance stay byte-identical.
 //
 // Thread-safe: get_or_compile may be called concurrently from engine
 // workers.  Two workers racing on the same missing key both compile (the
@@ -28,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "analysis/seed.hpp"
 #include "cache/service.hpp"
 #include "compilers/compiler_model.hpp"
 
@@ -47,9 +45,8 @@ class CompileCache {
   /// Standalone: a private unbounded map (tests, ad-hoc tools).
   CompileCache();
   /// Tier-backed: registered on `svc` as "compile" (weight 4 — compiled
-  /// kernels dominate the tier's bytes) with its seed store as
-  /// "analysis_seeds".  Shares warm entries with every other CompileCache
-  /// attached to the same Service.
+  /// kernels dominate the tier's bytes).  Shares warm entries with every
+  /// other CompileCache attached to the same Service.
   explicit CompileCache(cache::Service& svc);
 
   struct Result {
@@ -66,16 +63,16 @@ class CompileCache {
                                       bool apply_quirks = true);
 
   /// Same, with per-call compile controls.  Only ctx.apply_quirks is part
-  /// of the key: memoize_analyses/tracer never change the outcome (see
-  /// CompileContext), so cache sharing across those settings is sound.
+  /// of the key: the tracer never changes the outcome (see
+  /// CompileContext), so cache sharing across tracers is sound.
   [[nodiscard]] Result get_or_compile(const CompilerSpec& spec,
                                       const ir::Kernel& source,
                                       const CompileContext& ctx);
 
   [[nodiscard]] CacheStats stats() const noexcept { return map_->stats(); }
   [[nodiscard]] std::size_t size() const { return map_->size(); }
-  /// Drop every cached outcome and analysis seed (epoch-safe; counters
-  /// and warm-sharing identity survive).
+  /// Drop every cached outcome (epoch-safe; counters and warm-sharing
+  /// identity survive).
   void clear();
 
  private:
@@ -91,9 +88,6 @@ class CompileCache {
 
   std::unique_ptr<Map> owned_;  ///< standalone mode only
   Map* map_;
-  /// Shared across this cache's compiles so the five specs of one
-  /// benchmark pay each initial analysis once (see CompileContext).
-  analysis::SeedStore seeds_;
 };
 
 }  // namespace a64fxcc::compilers

@@ -198,9 +198,7 @@ CompileOutcome compile(const CompilerSpec& spec, const Kernel& source,
   // One Manager for the whole pipeline: the clone's node pointers are
   // private to this compile, so cached graphs can be handed from pass to
   // pass until a fired transform invalidates them.
-  analysis::Manager am(k, {.memoize = ctx.memoize_analyses,
-                           .seeds = ctx.analysis_seeds,
-                           .tracer = ctx.tracer,
+  analysis::Manager am(k, {.tracer = ctx.tracer,
                            .benchmark = source.name(),
                            .compiler = effective->name});
   run_pipeline(*effective, am, out);

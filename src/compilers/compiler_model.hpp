@@ -117,30 +117,18 @@ struct CompileOutcome {
   /// Pure function of (spec, kernel, quirks): cached with the outcome.
   std::vector<passes::Decision> decisions;
   /// Analysis-manager traffic of the pipeline run that produced this
-  /// outcome.  Counters are maintained identically with memoization
-  /// disabled (see analysis::Manager), so this too is a pure function of
-  /// (spec, kernel, quirks) and caches with the outcome.
+  /// outcome: a pure function of (spec, kernel, quirks) (see
+  /// analysis::Manager), so it caches with the outcome.
   analysis::ManagerCounters analysis_cache;
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::Ok; }
 };
 
-/// Per-call knobs for compile() that are not part of the compiled
-/// function's identity: quirk application changes the outcome (and is
-/// part of the CompileCache key); analysis memoization and tracing are
-/// observability/A-B controls that never change it.
+/// Per-call knobs for compile(): quirk application changes the outcome
+/// (and is part of the CompileCache key); tracing is an observability
+/// control that never changes it.
 struct CompileContext {
   bool apply_quirks = true;
-  /// False: the pipeline's analysis::Manager recomputes on every query
-  /// (the --no-analysis-cache A/B).  Outcomes are byte-identical.
-  bool memoize_analyses = true;
-  /// Optional cross-compile analysis store: initial dependence/stats/nest
-  /// results are shared between pipelines compiling structurally
-  /// identical kernels (the five specs of one benchmark).  Outcome- and
-  /// counter-neutral (see analysis::SeedStore); used only when
-  /// memoize_analyses is true.  CompileCache injects its own store when
-  /// none is given.
-  analysis::SeedStore* analysis_seeds = nullptr;
   /// Receives "analysis:*" spans for analysis cache misses.  May be null.
   obs::Tracer* tracer = nullptr;
 };

@@ -19,9 +19,6 @@ Study::Study(StudyOptions opt)
   // for one explicitly.
   if (opt_.cache_service != nullptr && opt_.cache_budget_bytes > 0)
     opt_.cache_service->set_budget(opt_.cache_budget_bytes);
-  harness_.set_memoize_estimates(opt_.memoize_estimates);
-  harness_.set_memoize_analyses(opt_.memoize_analyses);
-  harness_.set_batch_evaluate(opt_.batch_evaluate);
 }
 
 report::Table Study::run_suite(
@@ -154,19 +151,6 @@ report::Table Study::run_suite(
                                   static_cast<std::uint64_t>(cache.misses),
                               .detail = cache.kind});
             }
-          }
-          // One EstimateSweep event per batched sweep: configs scored in
-          // `count`, entries the batch filled in `attempt` (none are
-          // emitted on the --no-batch-evaluate scalar path).
-          for (const auto& sweep : metrics.estimate_sweeps) {
-            sink->on_event({.kind = exec::EventKind::EstimateSweep,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .count = static_cast<std::uint64_t>(sweep.configs),
-                            .attempt = sweep.filled});
           }
           if (metrics.analysis_cache_invalidations > 0) {
             sink->on_event({.kind = exec::EventKind::CacheInvalidate,

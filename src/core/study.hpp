@@ -57,27 +57,6 @@ struct StudyOptions {
   obs::Tracer* tracer = nullptr;
   /// Apply the paper-documented quirk DB (off for the ablation bench).
   bool apply_quirks = true;
-  /// Memoize performance-model plans/evaluations in the harness's
-  /// EstimateCache (see perf/estimate_cache.hpp).  Off switches the
-  /// harness back to one full perf::estimate per placement — tables are
-  /// bit-identical either way; the toggle exists for A/B benchmarking
-  /// (`bench_perf_model`) and the byte-identity tests.
-  bool memoize_estimates = true;
-  /// Batch-evaluate the exploration sweep: score every candidate
-  /// placement of a cell in one perf::evaluate_sweep call through the
-  /// estimate cache's sweep API.  Off (`--no-batch-evaluate`) keeps the
-  /// per-placement loop — tables are byte-identical either way at any
-  /// --jobs/--procs, faults on/off; the toggle exists for A/B
-  /// benchmarking (`bench_perf_model`) and the byte-identity tests.
-  /// Only effective with memoize_estimates on.
-  bool batch_evaluate = true;
-  /// Memoize in-pipeline analyses (dependence graphs, stmt stats, nest
-  /// structure) in the compile pipeline's analysis::Manager.  Off
-  /// (`--no-analysis-cache`) recomputes on every query — tables,
-  /// journals and provenance are byte-identical either way; the toggle
-  /// exists for A/B benchmarking (`bench_compile`) and the
-  /// byte-identity tests.
-  bool memoize_analyses = true;
   /// Extra evaluation attempts after a failed one (0 = no retries).
   /// Retries are deterministic: the fault schedule and the backoff
   /// jitter are pure functions of (seed, benchmark, compiler, attempt),
@@ -103,7 +82,7 @@ struct StudyOptions {
   bool fail_fast = false;
   /// Shared cache tier (non-owning; must outlive the Study).  Null lets
   /// the Study own a private cache::Service — pass one to share warm
-  /// compile/plan/estimate/analysis-seed entries across several studies
+  /// compile/plan/estimate entries across several studies
   /// (the study-as-a-service setup), and to bump_epoch/inspect them
   /// from outside.
   cache::Service* cache_service = nullptr;

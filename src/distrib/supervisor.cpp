@@ -74,11 +74,6 @@ obs::CellTelemetry cell_telemetry(std::uint64_t key, int gen, int pid,
   t.analysis_cache_invalidations =
       static_cast<std::uint64_t>(m.analysis_cache_invalidations);
   t.cache_evictions = static_cast<std::uint64_t>(m.cache_evictions);
-  for (const auto& sweep : m.estimate_sweeps) {
-    t.estimate_sweep_calls += 1;
-    t.estimate_sweep_filled += static_cast<std::uint64_t>(sweep.filled);
-    t.sweep_configs.push_back(static_cast<double>(sweep.configs));
-  }
   t.compile_seconds = m.compile_seconds;
   t.explore_seconds = m.explore_seconds;
   t.measure_seconds = m.measure_seconds;

@@ -39,9 +39,6 @@ enum class EventKind : std::uint8_t {
   CellPhase,    ///< one phase of the cell finished (detail = phase name,
                 ///< wall_seconds = duration); diagnostics-only, emitted
                 ///< before the cell's terminal event
-  EstimateSweep,  ///< one batched estimate-sweep call while evaluating
-                  ///< the cell (count = configs scored, attempt = cache
-                  ///< entries the batch filled, i.e. its misses)
   // -- multi-process lifecycle (src/distrib/ supervisor) --------------
   WorkerSpawned,    ///< supervisor forked a worker process (worker =
                     ///< spawn index, count = pid)
@@ -64,7 +61,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::CacheInvalidate: return "cache-invalidate";
     case EventKind::CacheEvict: return "cache-evict";
     case EventKind::CellPhase: return "cell-phase";
-    case EventKind::EstimateSweep: return "estimate-sweep";
     case EventKind::WorkerSpawned: return "worker-spawned";
     case EventKind::WorkerExited: return "worker-exited";
     case EventKind::WorkerRespawned: return "worker-respawned";
@@ -219,13 +215,6 @@ class StreamSink final : public EventSink {
                           e.worker, to_string(e.kind),
                           static_cast<unsigned long long>(e.count),
                           e.detail.c_str());
-        break;
-      case EventKind::EstimateSweep:
-        if (level_ < LogLevel::Debug) return;
-        n = std::snprintf(buf, sizeof buf,
-                          "  [w%d] %-18s x %-10s sweep x%llu (%d filled)\n",
-                          e.worker, e.benchmark.c_str(), e.compiler.c_str(),
-                          static_cast<unsigned long long>(e.count), e.attempt);
         break;
       case EventKind::CacheHit:
       case EventKind::CacheMiss:

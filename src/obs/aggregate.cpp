@@ -142,12 +142,6 @@ Registry Aggregator::merged_registry() const {
     if (c.analysis_cache_invalidations > 0)
       out.counters["analysis_cache_invalidations"] +=
           c.analysis_cache_invalidations;
-    if (c.estimate_sweep_calls > 0) {
-      out.counters["estimate_sweep_calls"] += c.estimate_sweep_calls;
-      out.counters["estimate_sweep_batched_fills"] += c.estimate_sweep_filled;
-    }
-    for (const double v : c.sweep_configs)
-      out.histograms["estimate_sweep_configs"].add(v);
     if (c.cache_evictions > 0)
       out.counters["tier_cache_evictions"] += c.cache_evictions;
     out.histograms["cell_wall_seconds"].add(c.wall_seconds);

@@ -137,14 +137,6 @@ void MetricsSink::on_event(const exec::Event& e) {
     case exec::EventKind::CellPhase:
       histograms["phase_" + e.detail + "_seconds"].add(e.wall_seconds);
       break;
-    // One batched estimate sweep: count carries the configs scored,
-    // attempt the entries the batch filled (see exec::EventKind).
-    case exec::EventKind::EstimateSweep:
-      counters["estimate_sweep_calls"] += 1;
-      counters["estimate_sweep_batched_fills"] +=
-          static_cast<std::uint64_t>(e.attempt);
-      histograms["estimate_sweep_configs"].add(static_cast<double>(e.count));
-      break;
     // Multi-process lifecycle: spawn/exit counts plus the two headline
     // crash-isolation counters, worker_respawns and cells_released.
     case exec::EventKind::WorkerSpawned:

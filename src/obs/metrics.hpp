@@ -122,9 +122,6 @@ class MetricsSink final : public exec::EventSink {
   /// cells_runtime_error, cells_timeout, cells_crashed, retries,
   /// {compile,plan,estimate}_cache_hits and _misses (cache events key
   /// by their `detail` cache kind; empty detail counts as compile),
-  /// estimate_sweep_calls and estimate_sweep_batched_fills
-  /// (EstimateSweep batches; configs per sweep land in the
-  /// estimate_sweep_configs histogram),
   /// tier_cache_evictions (CacheEvict batches), and — after
   /// fold_cache_stats — cache_<name>_{hits,misses,evictions,entries,
   /// bytes} per registered tier cache.

@@ -75,21 +75,10 @@ std::string encode_cell(const CellTelemetry& c) {
                   {"analysis_hits", c.analysis_cache_hits},
                   {"analysis_misses", c.analysis_cache_misses},
                   {"invalidations", c.analysis_cache_invalidations},
-                  {"evictions", c.cache_evictions},
-                  {"sweep_calls", c.estimate_sweep_calls},
-                  {"sweep_filled", c.estimate_sweep_filled}};
+                  {"evictions", c.cache_evictions}};
   for (const auto& f : counters) {
     out += ",";
     field_u64(out, f.key, f.v);
-  }
-  if (!c.sweep_configs.empty()) {
-    out += ",\"sweep_configs\":[";
-    for (std::size_t i = 0; i < c.sweep_configs.size(); ++i) {
-      std::snprintf(buf, sizeof buf, "%s%.17g", i == 0 ? "" : ",",
-                    c.sweep_configs[i]);
-      out += buf;
-    }
-    out += "]";
   }
   out += ",";
   field_num(out, "compile_seconds", c.compile_seconds);
@@ -157,14 +146,12 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
     if (!v) return std::nullopt;
     *f.v = *v;
   }
-  // Sweep telemetry is optional: shards written before the batched
-  // explore path existed (or with it disabled) simply lack the fields.
-  c.estimate_sweep_calls = get_u64(line, "sweep_calls").value_or(0);
-  c.estimate_sweep_filled = get_u64(line, "sweep_filled").value_or(0);
+  // Fields of deleted layers (the search_* and sweep_* counters of older
+  // shards) are ignored.
   c.compile_seconds = get_num(line, "compile_seconds").value_or(0);
   c.explore_seconds = get_num(line, "explore_seconds").value_or(0);
   c.measure_seconds = get_num(line, "measure_seconds").value_or(0);
-  // Trailing number arrays share one torn-tail-safe parse.
+  // The trailing number array gets a torn-tail-safe parse.
   const auto parse_array = [&line](const char* key,
                                    std::vector<double>* out) -> bool {
     const std::string needle = std::string("\"") + key + "\":[";
@@ -181,7 +168,6 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
     }
     return *p == ']';  // false = torn line
   };
-  if (!parse_array("sweep_configs", &c.sweep_configs)) return std::nullopt;
   if (!parse_array("backoffs", &c.backoffs)) return std::nullopt;
   return c;
 }

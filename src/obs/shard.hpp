@@ -67,14 +67,6 @@ struct CellTelemetry {
   std::uint64_t analysis_cache_misses = 0;
   std::uint64_t analysis_cache_invalidations = 0;
   std::uint64_t cache_evictions = 0;
-  /// Batched estimate-sweep telemetry (0/empty on the
-  /// --no-batch-evaluate scalar path and in pre-sweep shards, which
-  /// decode fine without the fields).
-  std::uint64_t estimate_sweep_calls = 0;
-  std::uint64_t estimate_sweep_filled = 0;  ///< entries batches filled
-  /// Configs scored per sweep, in call order (feeds the
-  /// estimate_sweep_configs histogram).
-  std::vector<double> sweep_configs;
   double compile_seconds = 0;
   double explore_seconds = 0;
   double measure_seconds = 0;

@@ -29,8 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "cache/service.hpp"
 #include "perf/plan.hpp"
@@ -63,38 +61,14 @@ class EstimateCache {
   [[nodiscard]] PlanResult get_or_analyze(const ir::Kernel& k,
                                           const machine::Machine& m);
 
-  /// The memoized evaluate(*plan, cfg, prof, want_detail), evaluating on
-  /// first use.  `plan` must stay alive for the call (the cache keeps no
-  /// reference to it beyond its fingerprint).  The detail mode is part
-  /// of the cache key: detail-less entries (placement scoring) and
-  /// detailed entries coexist and never answer each other's lookups,
-  /// even across caches sharing one cache::Service tier.
+  /// The memoized evaluate(plan, cfg, prof, /*want_detail=*/false),
+  /// evaluating on first use: the scalar fields placement scoring and run
+  /// characterization read, without the per-statement breakdown.  `plan`
+  /// must stay alive for the call (the cache keeps no reference to it
+  /// beyond its fingerprint).
   [[nodiscard]] EvalResult get_or_evaluate(const KernelPlan& plan,
                                            const ExecConfig& cfg,
-                                           const CodegenProfile& prof = {},
-                                           bool want_detail = true);
-
-  struct SweepResult {
-    /// One entry per input config, in input order; entry i is the same
-    /// value get_or_evaluate(plan, cfgs[i], prof) returns.
-    std::vector<std::shared_ptr<const PerfResult>> results;
-    int hits = 0;    ///< configs answered from the cache
-    int misses = 0;  ///< configs batch-evaluated and published
-    std::uint64_t evicted = 0;
-  };
-
-  /// Sweep-granular get_or_evaluate: probe every config's entry under
-  /// the existing (plan, config) fingerprints (each fingerprint computed
-  /// once per sweep), batch-evaluate only the misses in ONE
-  /// perf::evaluate_sweep call, and publish each filled result under its
-  /// own key.  Warm-cache behavior and counters match the equivalent
-  /// sequence of get_or_evaluate calls exactly: hits + misses ==
-  /// cfgs.size(), a config repeated within one sweep counts one miss for
-  /// the first occurrence and hits for the rest, and every returned
-  /// value is the first-published one (publish races included).
-  [[nodiscard]] SweepResult get_or_evaluate_sweep(
-      const KernelPlan& plan, std::span<const ExecConfig> cfgs,
-      const CodegenProfile& prof = {}, bool want_detail = true);
+                                           const CodegenProfile& prof = {});
 
   /// Plan-memoization counters (analyze calls saved).
   [[nodiscard]] EstimateCacheStats plan_stats() const noexcept {
@@ -114,7 +88,6 @@ class EstimateCache {
   struct Key {
     std::uint64_t plan = 0;
     std::uint64_t cfg = 0;
-    bool detail = true;  ///< evaluate() mode the entry was computed in
     friend bool operator==(const Key&, const Key&) = default;
   };
   using PlanMap = cache::ShardedMap<std::uint64_t, KernelPlan>;

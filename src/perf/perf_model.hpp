@@ -77,10 +77,9 @@ struct StmtBreakdown {
 inline constexpr std::size_t kDetailInline = 4;
 
 struct PerfResult {
-  /// User-provided so value-initialization (vector<PerfResult>(n) in
-  /// evaluate_sweep) runs the member initializers instead of first
-  /// zero-filling the whole object — the inline detail buffer is raw
-  /// storage, and memsetting it dominated the cost of a batched sweep.
+  /// User-provided so value-initialization (PerfResult{}) runs the
+  /// member initializers instead of first zero-filling the whole object:
+  /// the inline detail buffer is raw storage that needs no memset.
   PerfResult() noexcept {}
 
   double seconds = 0;

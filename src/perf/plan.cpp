@@ -69,42 +69,6 @@ double traffic_lines(const AccessPlan& ap, const StmtPlan& sp, double capacity,
   return lines;
 }
 
-/// traffic_lines with the capacity-independent products hoisted out of
-/// the per-capacity replay: `fp_line[l]` holds ap.footprint[l] * line,
-/// `tl_line` holds ap.tensor_lines * line (both computed once per access
-/// per sweep), and cap01 / capk hold 0.1 / kResidencyShare times the
-/// capacity (computed once per distinct L2 share).  Every comparison and
-/// multiplication runs on the value the scalar expression produces, so
-/// the result is bit-identical to traffic_lines(ap, sp, capacity, line).
-double traffic_lines_hoisted(const AccessPlan& ap, const StmtPlan& sp,
-                             const double* fp_line, double capk, double line) {
-  const std::size_t d = ap.footprint.size() - 1;
-  std::size_t l_eff = d;
-  for (std::size_t l = 0; l <= d; ++l) {
-    if (fp_line[l] <= capk) {
-      l_eff = l;
-      break;
-    }
-  }
-
-  double lines = ap.footprint[l_eff];
-  std::ptrdiff_t innermost_varying = -1;
-  for (std::size_t dd = 0; dd < l_eff; ++dd) {
-    const bool varies = ap.varies[dd] != 0;
-    const bool resident_below = fp_line[dd + 1] <= capk;
-    if (varies || !resident_below) {
-      lines *= sp.trip[dd];
-      if (varies) innermost_varying = static_cast<std::ptrdiff_t>(dd);
-    }
-  }
-  if (innermost_varying >= 0 && ap.affine) {
-    const double sb =
-        ap.depth_stride_bytes[static_cast<std::size_t>(innermost_varying)];
-    if (sb > 0 && sb < line) lines *= sb / line;  // (4)
-  }
-  return lines;
-}
-
 }  // namespace
 
 std::uint64_t plan_fingerprint(const Kernel& k, const Machine& m) {
@@ -503,641 +467,6 @@ PerfResult evaluate(const KernelPlan& plan, const ExecConfig& cfg,
     result.joules = node_w * result.seconds;
   }
   return result;
-}
-
-namespace {
-
-/// Reusable per-thread scratch for evaluate_sweep.  Capacities persist
-/// across calls, so a steady-state sweep allocates nothing beyond its
-/// results.  No values leak between calls: every array is resized and
-/// fully written for the current sweep before it is read — except the
-/// config-derived fill (SoA arrays, distinct-value tables, log2 memos,
-/// packed indices), which is keyed on the raw config fields and carried
-/// over verbatim when the sweep's config list repeats.
-struct SweepScratch {
-  // ---- fill-memo key: the inputs the config-derived state depends on --
-  std::vector<std::uint64_t> prev_cfgs;  ///< cfg_fill_key per config
-  double prev_l2_bytes = -1;  ///< feeds the per-thread L2 share
-  double prev_mem_bw = -1;    ///< feeds the mem-denominator groups
-  // ---- per-config SoA (size n) ----
-  std::vector<int> workers, threads, ranks;
-  std::vector<char> numa;
-  std::vector<double> total_seconds;
-  std::vector<std::size_t> cap_of, w_of, t_of, r_of, d_of, g_of;
-  std::vector<std::uint64_t> packed;  ///< stmt-loop indices, one word
-  // ---- distinct-value tables ----
-  std::vector<double> caps;       ///< distinct per-thread L2 shares
-  std::vector<double> cap01_c;    ///< 0.1 * caps[c] (replay threshold 1)
-  std::vector<double> capk_c;     ///< kResidencyShare * caps[c]
-  std::vector<int> wvals;         ///< distinct total_workers()
-  std::vector<int> tvals;         ///< distinct threads
-  std::vector<int> rvals;         ///< distinct ranks
-  std::vector<int> dvals;         ///< distinct domains_used
-  std::vector<double> gdenom;     ///< distinct ((mem_bw*dom)*numa_eff)
-  std::vector<std::size_t> gcap;  ///< cap index of each mem group
-  std::vector<std::size_t> pair_c, pair_k;  ///< distinct (share, workers)
-  std::vector<double> imb_t, l2t_t, l2r_r;  ///< log2-derived memos
-  // ---- per-statement scratch, indexed by the tables ----
-  std::vector<double> fp_line;  ///< footprint[l] * line of one access
-  std::vector<double> mem_lines_c, nonpf_mem_c, nonpf_l2_c, mem_bytes_c;
-  std::vector<double> lat_c, sec_c;      // serial-statement path
-  std::vector<std::uint8_t> bneck_c;     // serial-statement path
-  std::vector<int> p_w;
-  std::vector<double> comp_w, l2core_w, l2dom_d, mem_g;
-  std::vector<double> lat_p, cl_p;  ///< per-pair latency / compute+latency
-  // ---- per-config tail memos, indexed by the same tables ----
-  std::vector<double> omp_t;  ///< OMP fork/barrier product per threads value
-  std::vector<double> mpi_r;  ///< MPI sync+injection term per ranks value
-  std::vector<double> pow_w;  ///< busy/idle power prefix per workers value
-  // ---- detail-less mode: online dominant-bottleneck tracking ----
-  std::vector<double> worst;            ///< costliest stmt seconds so far
-  std::vector<std::uint8_t> bneck_i;    ///< its label, as a kBneckLabel index
-  std::vector<double> mem_bytes_sum_c;  ///< running per-share mem bytes
-};
-
-SweepScratch& sweep_scratch() {
-  thread_local SweepScratch s;
-  return s;
-}
-
-/// Bottleneck labels by SweepScratch::bneck_i index; slot 0 is the
-/// untouched default ("" — a plan with no statements).
-constexpr std::string_view kBneckLabel[5] = {"", "latency", "core", "L2",
-                                             "mem"};
-
-/// One-word fill-memo key of a config: every raw field the sweep's
-/// config-derived fill reads, packed into 15-bit lanes so the repeat
-/// check is one compare per config.  A field too wide for its lane
-/// returns the sentinel, which never matches (such lists simply skip
-/// the memo — no real placement grid has 32768-rank configs).
-constexpr std::uint64_t kNoFillKey = ~0ULL;
-std::uint64_t cfg_fill_key(const ExecConfig& c) noexcept {
-  const auto r = static_cast<std::uint64_t>(static_cast<unsigned>(c.ranks));
-  const auto t = static_cast<std::uint64_t>(static_cast<unsigned>(c.threads));
-  const auto d = static_cast<std::uint64_t>(
-      static_cast<unsigned>(c.threads_per_domain));
-  const auto g =
-      static_cast<std::uint64_t>(static_cast<unsigned>(c.domains_used));
-  if ((r | t | d | g) & ~0x7fffULL) return kNoFillKey;
-  return r | (t << 15) | (d << 30) | (g << 45) |
-         (c.numa_spanning ? 1ULL << 60 : 0);
-}
-
-/// Index of `v` in `vals`, appending on first sight.  Linear scan: the
-/// tables hold a handful of distinct placement-derived values.
-template <class T>
-std::size_t intern(std::vector<T>& vals, T v) {
-  std::size_t k = 0;
-  while (k < vals.size() && vals[k] != v) ++k;
-  if (k == vals.size()) vals.push_back(v);
-  return k;
-}
-
-}  // namespace
-
-std::vector<PerfResult> evaluate_sweep(const KernelPlan& plan,
-                                       std::span<const ExecConfig> cfgs,
-                                       const CodegenProfile& prof,
-                                       bool want_detail) {
-  const std::size_t n = cfgs.size();
-  std::vector<PerfResult> results(n);
-  if (n == 0) return results;
-  if (n == 1) {
-    // Nothing to amortize over one config: the scalar path is the same
-    // arithmetic without the SoA setup.  Scratch is left untouched, so
-    // a surrounding multi-config sweep's fill memo survives.
-    results[0] = evaluate(plan, cfgs[0], prof, want_detail);
-    return results;
-  }
-  const Machine& m = plan.machine;
-  const double hz = m.cycles_per_second();
-  const double line = static_cast<double>(m.line_bytes);
-  const std::size_t ns = plan.stmts.size();
-
-  SweepScratch& ws = sweep_scratch();
-
-  // ---- per-config SoA state, filled once per sweep --------------------
-  // Every quantity evaluate() derives from the ExecConfig alone is
-  // hoisted here, and config-derived values are interned into
-  // distinct-value tables so each downstream expression runs once per
-  // distinct value instead of once per config.  Each hoist reproduces
-  // the scalar path's expression on the same values (parenthesized
-  // subexpressions or left-association prefixes), so results stay
-  // bitwise identical.
-  const double mem_bw = m.mem_bw_gbs_domain * 1e9;
-  const double l2_dom_bw = m.l2_bw_gbs_domain * 1e9;
-  // The fill below is a pure function of the raw config fields plus
-  // m.l2_bytes (per-thread L2 share) and m.mem_bw_gbs_domain (group
-  // denominators).  Sweep callers repeat config lists heavily — the
-  // harness scores the main and library-reference plans of a cell
-  // against the SAME placement list, and every cell sharing a traits
-  // class reuses that list across the table — so carry the whole fill
-  // over when the key matches and skip the interning entirely.
-  const bool fill_hit = ws.prev_cfgs.size() == n &&
-                        ws.prev_l2_bytes == m.l2_bytes &&
-                        ws.prev_mem_bw == m.mem_bw_gbs_domain &&
-                        [&]() noexcept {
-                          for (std::size_t i = 0; i < n; ++i) {
-                            const std::uint64_t k = cfg_fill_key(cfgs[i]);
-                            if (k == kNoFillKey || k != ws.prev_cfgs[i])
-                              return false;
-                          }
-                          return true;
-                        }();
-  if (!fill_hit) {
-    ws.workers.resize(n);
-    ws.threads.resize(n);
-    ws.ranks.resize(n);
-    ws.numa.resize(n);
-    ws.cap_of.resize(n);
-    ws.w_of.resize(n);
-    ws.t_of.resize(n);
-    ws.r_of.resize(n);
-    ws.d_of.resize(n);
-    ws.g_of.resize(n);
-    ws.packed.resize(n);
-    ws.caps.clear();
-    ws.wvals.clear();
-    ws.tvals.clear();
-    ws.rvals.clear();
-    ws.dvals.clear();
-    ws.gdenom.clear();
-    ws.gcap.clear();
-    ws.pair_c.clear();
-    ws.pair_k.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const ExecConfig& cfg = cfgs[i];
-      ws.workers[i] = cfg.total_workers();
-      ws.threads[i] = cfg.threads;
-      ws.ranks[i] = cfg.ranks;
-      ws.numa[i] = cfg.numa_spanning ? 1 : 0;
-      // The per-thread L2 share is the only channel through which a
-      // config reaches the residency replay; dedupe it so traffic_lines
-      // runs once per (access, distinct share) instead of per config.
-      const double cap = m.l2_bytes / std::max(1, cfg.threads_per_domain);
-      ws.cap_of[i] = intern(ws.caps, cap);
-      ws.w_of[i] = intern(ws.wvals, ws.workers[i]);
-      ws.t_of[i] = intern(ws.tvals, cfg.threads);
-      ws.r_of[i] = intern(ws.rvals, cfg.ranks);
-      ws.d_of[i] = intern(ws.dvals, cfg.domains_used);
-      // Memory-bandwidth denominator group: distinct (L2 share,
-      // domains_used, numa_eff) triple.  The denominator matches the
-      // scalar ((mem_bw * domains) * numa_eff) association exactly.
-      const double numa_eff = cfg.numa_spanning ? 0.7 : 1.0;
-      const double denom = mem_bw * cfg.domains_used * numa_eff;
-      std::size_t g = 0;
-      while (g < ws.gdenom.size() &&
-             !(ws.gdenom[g] == denom && ws.gcap[g] == ws.cap_of[i]))
-        ++g;
-      if (g == ws.gdenom.size()) {
-        ws.gdenom.push_back(denom);
-        ws.gcap.push_back(ws.cap_of[i]);
-      }
-      ws.g_of[i] = g;
-      // Distinct (L2 share, workers) pair: indexes the per-statement
-      // latency memo — the only P-divided, share-dependent term.
-      std::size_t pc = 0;
-      while (pc < ws.pair_c.size() && !(ws.pair_c[pc] == ws.cap_of[i] &&
-                                        ws.pair_k[pc] == ws.w_of[i]))
-        ++pc;
-      if (pc == ws.pair_c.size()) {
-        ws.pair_c.push_back(ws.cap_of[i]);
-        ws.pair_k.push_back(ws.w_of[i]);
-      }
-      // One word of stmt-loop indices: 10-bit fields hold every distinct
-      // count a real sweep produces (guarded below).
-      ws.packed[i] = static_cast<std::uint64_t>(pc) |
-                     (static_cast<std::uint64_t>(ws.w_of[i]) << 10) |
-                     (static_cast<std::uint64_t>(ws.d_of[i]) << 20) |
-                     (static_cast<std::uint64_t>(ws.g_of[i]) << 30) |
-                     (static_cast<std::uint64_t>(ws.t_of[i]) << 40) |
-                     (cfg.threads > 1 ? (1ULL << 50) : 0);
-    }
-    // Residency-replay thresholds, once per distinct share (the scalar
-    // path recomputes both products per access per comparison).
-    ws.cap01_c.resize(ws.caps.size());
-    ws.capk_c.resize(ws.caps.size());
-    for (std::size_t c = 0; c < ws.caps.size(); ++c) {
-      ws.cap01_c[c] = 0.1 * ws.caps[c];
-      ws.capk_c[c] = kResidencyShare * ws.caps[c];
-    }
-    // log2 is the costliest per-config scalar op: compute it per
-    // distinct threads/ranks value.  Each expression mirrors the scalar
-    // path's.
-    ws.imb_t.resize(ws.tvals.size());
-    ws.l2t_t.resize(ws.tvals.size());
-    for (std::size_t k = 0; k < ws.tvals.size(); ++k) {
-      ws.imb_t[k] = 1.0 + 0.015 * std::log2(static_cast<double>(ws.tvals[k]));
-      ws.l2t_t[k] = std::log2(std::max(2, ws.tvals[k]));
-    }
-    ws.l2r_r.resize(ws.rvals.size());
-    for (std::size_t k = 0; k < ws.rvals.size(); ++k)
-      ws.l2r_r[k] = std::log2(std::max(2, ws.rvals[k]));
-    // Publish the memo key last: a future sweep hits only on a list
-    // whose fill completed.  A sentinel key (field too wide to pack)
-    // poisons the list — it compares unequal to everything, so such
-    // lists never reuse a fill.
-    ws.prev_l2_bytes = m.l2_bytes;
-    ws.prev_mem_bw = m.mem_bw_gbs_domain;
-    ws.prev_cfgs.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      ws.prev_cfgs[i] = cfg_fill_key(cfgs[i]);
-  }
-  const std::size_t ncaps = ws.caps.size();
-  const std::size_t nw = ws.wvals.size();
-  const std::size_t nd = ws.dvals.size();
-  const std::size_t ng = ws.gdenom.size();
-  const std::size_t npairs = ws.pair_c.size();
-  if (npairs > 1023 || ws.tvals.size() > 1023 || nw > 1023 || nd > 1023 ||
-      ng > 1023) {
-    // A sweep with >1023 distinct values per table overflows the packed
-    // index fields; no real placement grid comes close.  Fall back to
-    // the scalar path — bit-identical by contract.
-    ws.prev_cfgs.clear();  // the packed words were truncated; don't reuse
-    for (std::size_t i = 0; i < n; ++i)
-      results[i] = evaluate(plan, cfgs[i], prof, want_detail);
-    return results;
-  }
-  if (want_detail)
-    for (std::size_t i = 0; i < n; ++i) results[i].detail.reserve(ns);
-
-  ws.total_seconds.assign(n, 0.0);
-  ws.mem_lines_c.resize(ncaps);
-  ws.nonpf_mem_c.resize(ncaps);
-  ws.nonpf_l2_c.resize(ncaps);
-  ws.mem_bytes_c.resize(ncaps);
-  // Per-statement memo tables, sized once per sweep (their lengths are
-  // sweep constants; every entry is rewritten per statement before use).
-  ws.lat_c.resize(ncaps);
-  ws.sec_c.resize(ncaps);
-  ws.bneck_c.resize(ncaps);
-  ws.mem_g.resize(ncaps > ng ? ncaps : ng);  // serial/parallel views
-  ws.p_w.resize(nw);
-  ws.comp_w.resize(nw);
-  ws.l2core_w.resize(nw);
-  ws.l2dom_d.resize(nd);
-  ws.lat_p.resize(npairs);
-  ws.cl_p.resize(npairs);
-  // Detail-less mode: flops are placement-invariant and mem bytes depend
-  // on the config only through its L2 share, so the per-result sums
-  // collapse to one scalar and one per-share accumulator (same addend
-  // sequence per config as the scalar path's statement loop).  The
-  // dominant bottleneck is tracked online instead of scanned off detail.
-  double flops_sum = 0;
-  if (!want_detail) {
-    ws.worst.assign(n, -1.0);
-    ws.bneck_i.assign(n, 0);
-    ws.mem_bytes_sum_c.assign(ncaps, 0.0);
-  }
-
-  for (const StmtPlan& sp : plan.stmts) {
-    // ---- placement-invariant hoists (identical expressions to the
-    // scalar path on identical values — bitwise-equal results) ---------
-    const int w_marked = sp.vector_width;
-    const double W =
-        w_marked > 1
-            ? std::max(1.0, 1.0 + (w_marked - 1) * prof.vec_efficiency)
-            : 1.0;
-    const int unroll_f = sp.unroll;
-    const bool pipelined = sp.pipelined;
-    const bool sw_prefetch = sp.sw_prefetch;
-
-    double gather_elems = 0;
-    double stream_bytes_iter = 0;
-    int scalar_accesses = 0;
-    for (const AccessPlan& ap : sp.accesses) {
-      switch (ap.kind) {
-        case PatternKind::Invariant: break;
-        case PatternKind::Unit:
-          stream_bytes_iter += ap.elem_size;
-          ++scalar_accesses;
-          break;
-        case PatternKind::Strided:
-          if (W > 1)
-            gather_elems += 1;
-          else {
-            stream_bytes_iter += ap.elem_size;
-            ++scalar_accesses;
-          }
-          break;
-        case PatternKind::Indirect:
-          gather_elems += 1;
-          break;
-      }
-    }
-
-    double cyc_comp = 0;
-    if (W > 1) {
-      cyc_comp += sp.ops.flops / (static_cast<double>(m.fma_pipes) * W);
-      cyc_comp += sp.ops.divs *
-                  std::max(m.vec_div_cycles_lane, m.scalar_div_cycles / W);
-      cyc_comp += sp.ops.specials *
-                  std::max(m.special_cycles / 4.0, m.special_cycles / W);
-    } else {
-      cyc_comp += sp.ops.flops / m.scalar_fp_per_cycle;
-      cyc_comp += sp.ops.divs * m.scalar_div_cycles;
-      cyc_comp += sp.ops.specials * m.special_cycles;
-    }
-    cyc_comp += sp.ops.int_ops / m.scalar_int_per_cycle;
-
-    double cyc_l1 = W > 1 ? stream_bytes_iter / m.l1_bw_bytes_cycle
-                          : scalar_accesses * 0.5;
-    cyc_l1 += gather_elems * m.gather_cycles_elem;
-
-    double cyc_ovh =
-        m.loop_overhead_cycles / (static_cast<double>(unroll_f) * W);
-    if (pipelined) cyc_ovh *= 0.5;
-    if (pipelined) cyc_comp *= 0.8;
-
-    const double cyc_per_iter =
-        (cyc_comp + cyc_l1 + cyc_ovh) * prof.core_factor;
-
-    // L1->L2 traffic is the sum of the per-access l1_lines — entirely
-    // placement-invariant (the scalar path re-sums it per config).
-    double l2_lines = 0;
-    for (const AccessPlan& ap : sp.accesses) l2_lines += ap.l1_lines;
-    const double l2_bytes_total = l2_lines * line;
-    const double stmt_flops = sp.ops.total() * sp.iters;
-
-    // ---- residency replay, once per distinct L2 share -----------------
-    // Access order stays outermost so each share's accumulators see the
-    // same add sequence as the scalar per-config loop.
-    for (std::size_t c = 0; c < ncaps; ++c)
-      ws.mem_lines_c[c] = ws.nonpf_mem_c[c] = ws.nonpf_l2_c[c] = 0;
-    for (const AccessPlan& ap : sp.accesses) {
-      const double t1 = ap.l1_lines;
-      const bool large_stride = ap.stride_bytes >= m.prefetch_max_stride_bytes;
-      double one_minus_eff = 1.0;  // Strided exposed-latency fraction
-      if (ap.kind == PatternKind::Strided) {
-        double eff;
-        if (!large_stride) {
-          eff = sw_prefetch ? 0.97
-                            : (m.hw_prefetch_strided ? m.hw_prefetch_efficiency
-                                                     : 0.0);
-        } else {
-          eff = sw_prefetch ? 0.35 : 0.0;
-        }
-        one_minus_eff = 1.0 - eff;
-      }
-      // Capacity-independent product of the tiny-tensor threshold; the
-      // footprint products are filled lazily on the first share that
-      // does not early-out (the scalar path never computes them then).
-      const double tl_line = ap.tensor_lines * line;
-      bool fp_filled = false;
-      for (std::size_t c = 0; c < ncaps; ++c) {
-        double t2;
-        if (tl_line <= ws.cap01_c[c]) {
-          t2 = ap.tensor_lines;  // traffic_lines case (1)
-        } else {
-          if (!fp_filled) {
-            const std::size_t nfp = ap.footprint.size();
-            ws.fp_line.resize(nfp);
-            for (std::size_t l = 0; l < nfp; ++l)
-              ws.fp_line[l] = ap.footprint[l] * line;
-            fp_filled = true;
-          }
-          t2 = traffic_lines_hoisted(ap, sp, ws.fp_line.data(), ws.capk_c[c],
-                                     line);
-        }
-        const double tm = std::min(t1, t2);
-        ws.mem_lines_c[c] += tm;
-        if (ap.kind == PatternKind::Indirect) {
-          ws.nonpf_mem_c[c] += tm;
-          ws.nonpf_l2_c[c] += std::max(0.0, t1 - tm);
-        } else if (ap.kind == PatternKind::Strided) {
-          ws.nonpf_mem_c[c] += tm * one_minus_eff;
-          ws.nonpf_l2_c[c] += std::max(0.0, t1 - tm) * one_minus_eff;
-        }
-      }
-    }
-    for (std::size_t c = 0; c < ncaps; ++c)
-      ws.mem_bytes_c[c] = ws.mem_lines_c[c] * line;
-
-    // Literal machine subexpressions of the scalar formulas (each is a
-    // parenthesized factor there, so lifting preserves association).
-    const double l2_core_denom = m.l2_bw_bytes_cycle_core * hz;
-    const double mem_lat_s = m.mem_latency_ns * 1e-9;
-    const double l2_lat_s = m.l2_latency_ns * 1e-9;
-    const double mlp_eff = m.mlp * (1.0 + (W - 1.0) * 0.25);
-
-    if (!sp.has_parallel) {
-      // ---- serial statement: the whole breakdown depends on the
-      // config only through the L2 share (P = 1, domains_used = 1,
-      // numa_eff = 1.0 in the scalar path) — compute one breakdown per
-      // distinct share, then stamp it into every config's detail.
-      const int P = 1;
-      const double iters_per_worker = sp.iters / P;
-      const double comp_s = cyc_per_iter * iters_per_worker / hz;
-      const double t_l2_core = (l2_bytes_total / P) / l2_core_denom;
-      const double t_l2_dom = l2_bytes_total / (l2_dom_bw * 1);
-      const double l2_s = std::max(t_l2_core, t_l2_dom);
-      for (std::size_t c = 0; c < ncaps; ++c) {
-        const double mem_s = ws.mem_bytes_c[c] / (mem_bw * 1 * 1.0);
-        const double lat_s = (ws.nonpf_mem_c[c] / P) * mem_lat_s / mlp_eff +
-                             (ws.nonpf_l2_c[c] / P) * l2_lat_s / mlp_eff;
-        ws.mem_g[c] = mem_s;
-        ws.lat_c[c] = lat_s;
-        ws.sec_c[c] = std::max({comp_s + lat_s, l2_s, mem_s});
-        const double mx = std::max({comp_s, l2_s, mem_s, lat_s});
-        ws.bneck_c[c] = mx == lat_s ? 1 : mx == comp_s ? 2 : mx == l2_s ? 3 : 4;
-      }
-      if (want_detail) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t c = ws.cap_of[i];
-          StmtBreakdown& b = results[i].detail.emplace_back();
-          b.loop_var = sp.loop_var;
-          b.comp_s = comp_s;
-          b.l2_s = l2_s;
-          b.mem_s = ws.mem_g[c];
-          b.lat_s = ws.lat_c[c];
-          b.flops = stmt_flops;
-          b.mem_bytes = ws.mem_bytes_c[c];
-          b.seconds = ws.sec_c[c];
-          b.bottleneck = kBneckLabel[ws.bneck_c[c]];
-          ws.total_seconds[i] += b.seconds;
-          results[i].total_flops += b.flops;
-          results[i].mem_bytes += b.mem_bytes;
-        }
-      } else {
-        flops_sum += stmt_flops;
-        for (std::size_t c = 0; c < ncaps; ++c)
-          ws.mem_bytes_sum_c[c] += ws.mem_bytes_c[c];
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t c = ws.cap_of[i];
-          const double sec = ws.sec_c[c];
-          ws.total_seconds[i] += sec;
-          if (sec > ws.worst[i]) {
-            ws.worst[i] = sec;
-            ws.bneck_i[i] = ws.bneck_c[c];
-          }
-        }
-      }
-      continue;
-    }
-
-    // ---- parallel statement: memoize every P-, domain- and
-    // share-dependent term per distinct value ---------------------------
-    const int par_cap = static_cast<int>(std::floor(sp.par_trip));
-    for (std::size_t k = 0; k < nw; ++k) {
-      const int P = std::max(1, std::min(ws.wvals[k], par_cap));
-      ws.p_w[k] = P;
-      const double iters_per_worker = sp.iters / P;
-      ws.comp_w[k] = cyc_per_iter * iters_per_worker / hz;
-      ws.l2core_w[k] = (l2_bytes_total / P) / l2_core_denom;
-    }
-    for (std::size_t k = 0; k < nd; ++k)
-      ws.l2dom_d[k] = l2_bytes_total / (l2_dom_bw * ws.dvals[k]);
-    for (std::size_t g = 0; g < ng; ++g)
-      ws.mem_g[g] = ws.mem_bytes_c[ws.gcap[g]] / ws.gdenom[g];
-    // Latency and compute+latency per distinct (share, workers) pair —
-    // the pair count tracks the distinct shares (workers correlate with
-    // them), so the P divisions run ~once per share, not per config.
-    for (std::size_t p = 0; p < npairs; ++p) {
-      const std::size_t c = ws.pair_c[p];
-      const std::size_t k = ws.pair_k[p];
-      const double nm = ws.nonpf_mem_c[c];
-      const double nl = ws.nonpf_l2_c[c];
-      double lat;
-      if (nm == 0.0 && nl == 0.0) {
-        // (0/P)*lat/mlp + (0/P)*lat/mlp is exactly +0.0.
-        lat = 0.0;
-      } else {
-        const int P = ws.p_w[k];
-        lat = (nm / P) * mem_lat_s / mlp_eff + (nl / P) * l2_lat_s / mlp_eff;
-      }
-      ws.lat_p[p] = lat;
-      ws.cl_p[p] = ws.comp_w[k] + lat;
-    }
-
-    // ---- per-config reduction (branch-light: every branch left is on
-    // an SoA-loaded predicate; all divides and log2s are memoized) -----
-    if (want_detail) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t c = ws.cap_of[i];
-        const std::size_t k = ws.w_of[i];
-        StmtBreakdown& b = results[i].detail.emplace_back();
-        b.loop_var = sp.loop_var;
-        b.comp_s = ws.comp_w[k];
-        b.l2_s = std::max(ws.l2core_w[k], ws.l2dom_d[ws.d_of[i]]);
-        b.mem_s = ws.mem_g[ws.g_of[i]];
-        const double nm = ws.nonpf_mem_c[c];
-        const double nl = ws.nonpf_l2_c[c];
-        if (nm == 0.0 && nl == 0.0) {
-          // (0/P)*lat/mlp + (0/P)*lat/mlp is exactly +0.0.
-          b.lat_s = 0.0;
-        } else {
-          const int P = ws.p_w[k];
-          b.lat_s = (nm / P) * mem_lat_s / mlp_eff +
-                    (nl / P) * l2_lat_s / mlp_eff;
-        }
-        b.flops = stmt_flops;
-        b.mem_bytes = ws.mem_bytes_c[c];
-        b.seconds = std::max({b.comp_s + b.lat_s, b.l2_s, b.mem_s});
-        if (ws.threads[i] > 1) b.seconds *= ws.imb_t[ws.t_of[i]];
-        const double mx = std::max({b.comp_s, b.l2_s, b.mem_s, b.lat_s});
-        b.bottleneck = mx == b.lat_s    ? "latency"
-                       : mx == b.comp_s ? "core"
-                       : mx == b.l2_s   ? "L2"
-                                        : "mem";
-        ws.total_seconds[i] += b.seconds;
-        results[i].total_flops += b.flops;
-        results[i].mem_bytes += b.mem_bytes;
-      }
-    } else {
-      flops_sum += stmt_flops;
-      for (std::size_t c = 0; c < ncaps; ++c)
-        ws.mem_bytes_sum_c[c] += ws.mem_bytes_c[c];
-      // Scoring-mode inner loop: one packed-index word per config, five
-      // L1-resident memo loads, two maxes, no divisions.  cl_p carries
-      // the scalar path's comp_s + lat_s sum computed on the identical
-      // operands, so `sec` is bit-identical to the detailed b.seconds.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t pk = ws.packed[i];
-        const double cl = ws.cl_p[pk & 1023];
-        const double l2_s = std::max(ws.l2core_w[(pk >> 10) & 1023],
-                                     ws.l2dom_d[(pk >> 20) & 1023]);
-        const double mem_s = ws.mem_g[(pk >> 30) & 1023];
-        double sec = std::max({cl, l2_s, mem_s});
-        if (pk & (1ULL << 50)) sec *= ws.imb_t[(pk >> 40) & 1023];
-        ws.total_seconds[i] += sec;
-        if (sec > ws.worst[i]) {
-          ws.worst[i] = sec;
-          const double comp_s = ws.comp_w[(pk >> 10) & 1023];
-          const double lat_s = ws.lat_p[pk & 1023];
-          const double mx = std::max({comp_s, l2_s, mem_s, lat_s});
-          ws.bneck_i[i] =
-              mx == lat_s ? 1 : mx == comp_s ? 2 : mx == l2_s ? 3 : 4;
-        }
-      }
-    }
-  }
-
-  // ---- per-config tails: runtime overheads, energy, bottleneck --------
-  // Same expressions as the scalar blocks; the execs-derived prefixes
-  // are left-association prefixes of the scalar chains and the log2
-  // factors come from the distinct-value memos above.
-  const double omp_pre = plan.parallel_execs *
-                         (m.omp_barrier_us + m.omp_fork_us * 0.1) * 1e-6;
-  const double mpi_pre = plan.parallel_execs * 1e-6;
-  const bool is_mpi = plan.parallel == ir::ParallelModel::MpiOpenMP;
-  const int total_cores = m.total_cores();
-  // The overhead products and the placement half of the power sum vary
-  // only with one distinct-value table each — finish them there (each is
-  // the scalar chain's own association on identical operands).
-  ws.omp_t.resize(ws.tvals.size());
-  for (std::size_t k = 0; k < ws.tvals.size(); ++k)
-    ws.omp_t[k] = omp_pre * ws.l2t_t[k] * prof.barrier_factor;
-  ws.mpi_r.resize(ws.rvals.size());
-  for (std::size_t k = 0; k < ws.rvals.size(); ++k)
-    ws.mpi_r[k] = mpi_pre * (m.mpi_latency_us * ws.l2r_r[k] +
-                             0.2 * ws.rvals[k]);
-  ws.pow_w.resize(nw);
-  for (std::size_t k = 0; k < nw; ++k) {
-    const int busy = std::min(ws.wvals[k], total_cores);
-    ws.pow_w[k] = m.watts_base + busy * m.watts_core_active +
-                  (total_cores - busy) * m.watts_core_idle;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    PerfResult& result = results[i];
-    if (!want_detail) {
-      // Same addend sequences as the detail path's += chains: flops once
-      // per statement, mem bytes once per statement for this share.
-      result.total_flops = flops_sum;
-      result.mem_bytes = ws.mem_bytes_sum_c[ws.cap_of[i]];
-      result.bottleneck = kBneckLabel[ws.bneck_i[i]];
-    }
-
-    double overhead = 0;
-    if (ws.workers[i] > 1) {
-      if (ws.threads[i] > 1) {
-        double omp = ws.omp_t[ws.t_of[i]];
-        if (ws.numa[i] != 0) omp *= 1.5;  // cross-CMG barriers
-        overhead += omp;
-      }
-      if (ws.ranks[i] > 1 && is_mpi) overhead += ws.mpi_r[ws.r_of[i]];
-    }
-    result.runtime_overhead_s = overhead;
-    result.seconds = ws.total_seconds[i] + overhead;
-
-    {
-      const double node_w =
-          ws.pow_w[ws.w_of[i]] +
-          (result.seconds > 0 ? result.mem_bytes / result.seconds / 1e9 : 0.0) *
-              m.watts_per_gbs * 1e0;
-      result.joules = node_w * result.seconds;
-    }
-    if (want_detail) {
-      // Dominant bottleneck = that of the costliest statement.
-      double worst = -1;
-      for (const auto& d : result.detail) {
-        if (d.seconds > worst) {
-          worst = d.seconds;
-          result.bottleneck = d.bottleneck;
-        }
-      }
-    }
-  }
-  return results;
 }
 
 }  // namespace a64fxcc::perf

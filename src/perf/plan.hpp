@@ -29,7 +29,6 @@
 // the concrete per-thread L2 share of a placement.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -120,35 +119,6 @@ struct KernelPlan {
                                   const ExecConfig& cfg,
                                   const CodegenProfile& prof = {},
                                   bool want_detail = true);
-
-/// Batched evaluate over a whole placement sweep: one result per config,
-/// results[i] bit-identical to evaluate(plan, cfgs[i], prof).
-///
-/// The loop nest is transposed from config-major to statement-major so
-/// every placement-invariant quantity of a StmtPlan (access
-/// classification, gather/stream byte tallies, compute-cycle terms,
-/// L1->L2 line traffic) is computed once per sweep instead of once per
-/// config, and the per-config state lives in structure-of-arrays form
-/// (worker counts, domains, imbalance factors, per-thread L2 shares) so
-/// the inner per-config reduction is branch-light.  The capacity-driven
-/// residency replay collapses further: traffic_lines depends on the
-/// config only through its per-thread L2 share, so it runs once per
-/// (access, distinct share) — a 40-config sweep typically has <= 8
-/// distinct shares.
-///
-/// Bitwise identity is a hard invariant, not a tolerance: hoisting only
-/// lifts subexpressions that the scalar path computes by the identical
-/// expression on identical values, and no floating-point sum or product
-/// is re-associated across config-dependent terms (asserted field-for-
-/// field across suites x compilers x machines by test_perf_plan).
-///
-/// `want_detail` mirrors evaluate(): false skips the per-statement
-/// breakdown (scalar fields stay bit-identical, `detail` stays empty)
-/// and drops the dominant per-result materialization cost — the mode
-/// the harness scores placement sweeps in.
-[[nodiscard]] std::vector<PerfResult> evaluate_sweep(
-    const KernelPlan& plan, std::span<const ExecConfig> cfgs,
-    const CodegenProfile& prof = {}, bool want_detail = true);
 
 /// Stable fingerprint of (kernel IR + bound parameters + metadata,
 /// machine model) — what analyze() stores into KernelPlan::fingerprint.

@@ -3,8 +3,8 @@
 //
 // A study evaluates millions of (plan, placement) points, and every
 // PerfResult used to carry one heap allocation for its per-statement
-// breakdown — a malloc/free pair that dominated the cost of an
-// evaluation once the arithmetic was hoisted into the batched sweep.
+// breakdown — a malloc/free pair that dominated the cost of a cheap
+// evaluation.
 // Kernels in every suite have a handful of statements, so the first N
 // elements live inline in the object; only deeper kernels spill to the
 // heap and pay the old allocation.

@@ -30,14 +30,11 @@ std::vector<std::string> pass_order(const std::vector<ExplainEntry>& entries) {
 
 std::vector<ExplainEntry> explain_benchmark(
     const ir::Kernel& kernel,
-    const std::vector<compilers::CompilerSpec>& specs,
-    bool memoize_analyses) {
-  compilers::CompileContext ctx;
-  ctx.memoize_analyses = memoize_analyses;
+    const std::vector<compilers::CompilerSpec>& specs) {
   std::vector<ExplainEntry> out;
   out.reserve(specs.size());
   for (const auto& spec : specs) {
-    const auto o = compilers::compile(spec, kernel, ctx);
+    const auto o = compilers::compile(spec, kernel);
     out.push_back({spec.name, o.status, o.diagnostic, o.decisions});
   }
   return out;

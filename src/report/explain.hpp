@@ -24,13 +24,10 @@ struct ExplainEntry {
 
 /// Compile `kernel` under each spec and collect its decision log.
 /// Deterministic (compile() is pure), and cheap: outcomes come from the
-/// same pure function the study memoizes.  `memoize_analyses=false` is
-/// the `--no-analysis-cache` A/B; output is byte-identical either way
-/// (the analysis::Manager counter-identity contract).
+/// same pure function the study memoizes.
 [[nodiscard]] std::vector<ExplainEntry> explain_benchmark(
     const ir::Kernel& kernel,
-    const std::vector<compilers::CompilerSpec>& specs,
-    bool memoize_analyses = true);
+    const std::vector<compilers::CompilerSpec>& specs);
 
 /// Human-readable decision diff: a summary line per compiler, then one
 /// block per pass with every compiler's fired/blocked verdict aligned —

@@ -93,7 +93,6 @@ std::shared_ptr<const compilers::CompileOutcome> Harness::compile_cached(
     RunMetrics* metrics, obs::Tracer* tracer) const {
   compilers::CompileContext cctx;
   cctx.apply_quirks = apply_quirks_;
-  cctx.memoize_analyses = memoize_analyses_;
   cctx.tracer = tracer;
   auto [outcome, hit, evicted] = cache_.get_or_compile(spec, kernel, cctx);
   if (metrics != nullptr) {
@@ -129,11 +128,7 @@ std::shared_ptr<const perf::KernelPlan> Harness::plan_cached(
 std::shared_ptr<const perf::PerfResult> Harness::evaluate_cached(
     const perf::KernelPlan& plan, const perf::ExecConfig& cfg,
     const perf::CodegenProfile& prof, RunMetrics* metrics) const {
-  // Placement scoring and run characterization read only the scalar
-  // PerfResult fields (seconds, bottleneck, flops, bytes) — skip the
-  // per-statement breakdown; the scalars are bit-identical either way.
-  auto [result, hit, evicted] =
-      ecache_.get_or_evaluate(plan, cfg, prof, /*want_detail=*/false);
+  auto [result, hit, evicted] = ecache_.get_or_evaluate(plan, cfg, prof);
   if (metrics != nullptr) {
     metrics->cache_evictions += static_cast<int>(evicted);
     if (hit)
@@ -145,7 +140,6 @@ std::shared_ptr<const perf::PerfResult> Harness::evaluate_cached(
 }
 
 void Harness::attach_plans(CompiledCell& cell, RunMetrics* metrics) const {
-  if (!memoize_estimates_) return;
   if (cell.out != nullptr && cell.out->ok())
     cell.plan = plan_cached(*cell.out->kernel, metrics);
   if (cell.library_fraction > 0 && cell.ref != nullptr && cell.ref->ok())
@@ -157,72 +151,15 @@ double Harness::time_of(const CompiledCell& cell, Placement p,
   const compilers::CompileOutcome& out = *cell.out;
   if (!out.ok()) return std::numeric_limits<double>::infinity();
   const auto cfg = perf::make_config(p.ranks, p.threads, machine_);
-  // The memoized path evaluates the reused plan; the legacy path redoes
-  // the full analysis per call.  Bit-identical by the plan/evaluate
-  // contract (perf/plan.hpp) — only the work differs.
-  double t;
-  if (cell.plan != nullptr) {
-    t = evaluate_cached(*cell.plan, cfg, out.profile, metrics)->seconds *
-        out.time_multiplier;
-  } else {
-    t = perf::estimate(*out.kernel, machine_, cfg, out.profile).seconds *
-        out.time_multiplier;
-  }
-  if (cell.library_fraction > 0 && cell.ref != nullptr && cell.ref->ok()) {
+  double t = evaluate_cached(*cell.plan, cfg, out.profile, metrics)->seconds *
+             out.time_multiplier;
+  if (cell.ref_plan != nullptr) {
     const double t_ref =
-        cell.ref_plan != nullptr
-            ? evaluate_cached(*cell.ref_plan, cfg, cell.ref->profile, metrics)
-                  ->seconds
-            : perf::estimate(*cell.ref->kernel, machine_, cfg,
-                             cell.ref->profile)
-                  .seconds;
+        evaluate_cached(*cell.ref_plan, cfg, cell.ref->profile, metrics)
+            ->seconds;
     t += t_ref * cell.library_fraction / (1.0 - cell.library_fraction);
   }
   return t;
-}
-
-std::vector<double> Harness::times_of(const CompiledCell& cell,
-                                      const std::vector<Placement>& ps,
-                                      RunMetrics* metrics) const {
-  const compilers::CompileOutcome& out = *cell.out;
-  if (!out.ok())
-    return std::vector<double>(ps.size(),
-                               std::numeric_limits<double>::infinity());
-  // One ExecConfig per placement, built once and shared by the main and
-  // reference sweeps (the scalar loop rebuilds it per time_of call).
-  std::vector<perf::ExecConfig> cfgs;
-  cfgs.reserve(ps.size());
-  for (const Placement& p : ps)
-    cfgs.push_back(perf::make_config(p.ranks, p.threads, machine_));
-
-  const auto record = [metrics,
-                       &cfgs](const perf::EstimateCache::SweepResult& s) {
-    if (metrics == nullptr) return;
-    metrics->estimate_cache_hits += s.hits;
-    metrics->estimate_cache_misses += s.misses;
-    metrics->cache_evictions += static_cast<int>(s.evicted);
-    metrics->estimate_sweeps.push_back(
-        {static_cast<int>(cfgs.size()), s.misses});
-  };
-
-  auto sweep = ecache_.get_or_evaluate_sweep(*cell.plan, cfgs, out.profile,
-                                             /*want_detail=*/false);
-  record(sweep);
-  std::vector<double> times(ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i)
-    times[i] = sweep.results[i]->seconds * out.time_multiplier;
-  if (cell.library_fraction > 0 && cell.ref != nullptr && cell.ref->ok() &&
-      cell.ref_plan != nullptr) {
-    auto ref_sweep = ecache_.get_or_evaluate_sweep(
-        *cell.ref_plan, cfgs, cell.ref->profile, /*want_detail=*/false);
-    record(ref_sweep);
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      const double t_ref = ref_sweep.results[i]->seconds;
-      times[i] +=
-          t_ref * cell.library_fraction / (1.0 - cell.library_fraction);
-    }
-  }
-  return times;
 }
 
 double Harness::model_time(const compilers::CompilerSpec& spec,
@@ -366,7 +303,7 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
   cell.out = out.get();
   cell.ref = refp;
   cell.library_fraction = bench.traits.library_fraction;
-  if (memoize_estimates_) {
+  {
     const auto span = obs::scoped(ctx.tracer, "plan", bench.name(), spec.name);
     attach_plans(cell, metrics);
   }
@@ -394,24 +331,10 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
         obs::scoped(ctx.tracer, "explore", bench.name(), spec.name);
     const PhaseClock clock(metrics != nullptr ? &metrics->explore_seconds
                                               : nullptr);
-    // Batch path: score the whole candidate sweep in one statement-major
-    // evaluate_sweep call through the cache's sweep API.  Bit-identical
-    // to the per-placement loop below (asserted by test_estimate_cache's
-    // A/B tables); cell.plan implies memoization is on and the compile
-    // succeeded.
-    std::vector<double> sweep_times;
-    const bool batched = batch_evaluate_ && cell.plan != nullptr;
-    if (batched) {
-      ctx.checkpoint();
-      const auto sweep_span =
-          obs::scoped(ctx.tracer, "evaluate:sweep", bench.name(), spec.name);
-      sweep_times = times_of(cell, placements, metrics);
-    }
     double best_trial = std::numeric_limits<double>::infinity();
     for (std::size_t pi = 0; pi < placements.size(); ++pi) {
       ctx.checkpoint();  // cooperative cancellation per exploration point
-      const double t =
-          batched ? sweep_times[pi] : time_of(cell, placements[pi], metrics);
+      const double t = time_of(cell, placements[pi], metrics);
       for (int trial = 0; trial < 3; ++trial) {
         const double sample =
             noisy(t, bench.traits.noise_cv, base ^ (pi * 8191 + trial));
@@ -469,22 +392,18 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
   m.cv = stats::cv(samples);
 
   // Characterize the best run via the noise-free model.  The explore
-  // loop already evaluated this (plan, placement) pair, so the memoized
-  // path is a guaranteed cache hit.
+  // loop already evaluated this (plan, placement) pair, so this is a
+  // guaranteed cache hit.
   const auto cfg = perf::make_config(best_p.ranks, best_p.threads, machine_);
-  std::shared_ptr<const perf::PerfResult> cached;
-  perf::PerfResult direct;
-  if (cell.plan != nullptr) {
+  std::shared_ptr<const perf::PerfResult> pr;
+  {
     const auto span =
         obs::scoped(ctx.tracer, "evaluate", bench.name(), spec.name);
-    cached = evaluate_cached(*cell.plan, cfg, out->profile, metrics);
-  } else {
-    direct = perf::estimate(*out->kernel, machine_, cfg, out->profile);
+    pr = evaluate_cached(*cell.plan, cfg, out->profile, metrics);
   }
-  const perf::PerfResult& pr = cached != nullptr ? *cached : direct;
-  m.bottleneck = std::string(pr.bottleneck);
-  m.gflops = pr.total_flops / m.best_seconds / 1e9;
-  m.mem_gbs = pr.mem_bytes / m.best_seconds / 1e9;
+  m.bottleneck = std::string(pr->bottleneck);
+  m.gflops = pr->total_flops / m.best_seconds / 1e9;
+  m.mem_gbs = pr->mem_bytes / m.best_seconds / 1e9;
   return m;
 }
 

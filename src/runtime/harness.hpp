@@ -116,9 +116,8 @@ struct RunMetrics {
   int estimate_cache_hits = 0;   ///< perf::evaluate results reused
   int estimate_cache_misses = 0; ///< perf::evaluate actually ran
   // In-pipeline analysis::Manager traffic, accumulated on compile-cache
-  // misses only (a compile-cache hit does no analysis work).  Counters
-  // are maintained identically with memoization off (see
-  // analysis::Manager), so these are deterministic per cell.
+  // misses only (a compile-cache hit does no analysis work), so these
+  // are deterministic per cell.
   int analysis_cache_hits = 0;
   int analysis_cache_misses = 0;
   int analysis_cache_invalidations = 0;
@@ -129,15 +128,6 @@ struct RunMetrics {
   double compile_seconds = 0;  ///< compile + reference compile
   double explore_seconds = 0;  ///< placement exploration trials
   double measure_seconds = 0;  ///< 10-run performance phase
-  /// One batched estimate-sweep call (the batch-evaluate explore path):
-  /// how many configs it scored and how many entries the batch actually
-  /// filled (= its cache misses).  Deterministic per cell, like the
-  /// hit/miss counters above; feeds EstimateSweep events.
-  struct SweepSample {
-    int configs = 0;
-    int filled = 0;
-  };
-  std::vector<SweepSample> estimate_sweeps;
 };
 
 class Harness {
@@ -225,37 +215,6 @@ class Harness {
     return ecache_;
   }
 
-  /// Toggle plan/estimate memoization (default on).  Off switches
-  /// time_of back to one full perf::estimate per placement — the
-  /// pre-split hot path, kept for A/B benchmarking and the byte-identity
-  /// tests.  Results are bit-identical either way.
-  void set_memoize_estimates(bool on) noexcept { memoize_estimates_ = on; }
-  [[nodiscard]] bool memoize_estimates() const noexcept {
-    return memoize_estimates_;
-  }
-
-  /// Toggle batched sweep evaluation (default on).  On, the exploration
-  /// phase scores every candidate placement of a cell in one
-  /// perf::evaluate_sweep call through the estimate cache's sweep API;
-  /// off (`--no-batch-evaluate`) keeps the per-placement time_of loop.
-  /// Tables are byte-identical either way — the A/B exists for the
-  /// identity tests and bench_perf_model.  Requires estimate
-  /// memoization; with memoization off the scalar loop runs regardless.
-  void set_batch_evaluate(bool on) noexcept { batch_evaluate_ = on; }
-  [[nodiscard]] bool batch_evaluate() const noexcept {
-    return batch_evaluate_;
-  }
-
-  /// Toggle in-pipeline analysis memoization (default on).  Off makes
-  /// the compile pipeline's analysis::Manager recompute dependence
-  /// graphs / stmt stats / nest structure on every query — the
-  /// `--no-analysis-cache` A/B.  Outcomes, decisions, and all counters
-  /// are byte-identical either way.
-  void set_memoize_analyses(bool on) noexcept { memoize_analyses_ = on; }
-  [[nodiscard]] bool memoize_analyses() const noexcept {
-    return memoize_analyses_;
-  }
-
   /// The shared cache tier this harness registered on (null standalone).
   [[nodiscard]] cache::Service* cache_service() const noexcept {
     return service_;
@@ -273,8 +232,8 @@ class Harness {
 
  private:
   /// Everything time_of needs for one compiled cell: the compile
-  /// outcome(s) plus their memoized plans (null when memoization is off
-  /// or a compile failed — time_of then falls back to perf::estimate).
+  /// outcome(s) plus their memoized plans (null when the compile
+  /// failed; ref_plan is set only for library cells).
   struct CompiledCell {
     const compilers::CompileOutcome* out = nullptr;
     const compilers::CompileOutcome* ref = nullptr;  ///< FJtrad library ref
@@ -283,28 +242,17 @@ class Harness {
     std::shared_ptr<const perf::KernelPlan> ref_plan;
   };
 
-  /// Attach the memoized plans to a compiled cell (no-op with
-  /// memoization off).
+  /// Attach the memoized plans to a compiled cell.
   void attach_plans(CompiledCell& cell, RunMetrics* metrics) const;
 
   /// Model time of one placement of a compiled cell, including the
   /// compiler-independent vendor-library component (derived from the
-  /// FJtrad reference).  Memoized via the estimate cache when enabled.
+  /// FJtrad reference).  Memoized via the estimate cache.
   [[nodiscard]] double time_of(const CompiledCell& cell, Placement p,
                                RunMetrics* metrics) const;
 
-  /// Batched time_of over a whole placement sweep: every ExecConfig is
-  /// built once, the main plan (and the FJtrad reference plan, for
-  /// library cells) is scored through EstimateCache::get_or_evaluate_
-  /// sweep, and entry i is bit-identical to time_of(cell, ps[i]).
-  /// Requires cell.plan (the explore loop falls back to time_of
-  /// otherwise).
-  [[nodiscard]] std::vector<double> times_of(const CompiledCell& cell,
-                                             const std::vector<Placement>& ps,
-                                             RunMetrics* metrics) const;
-
   /// Memoized evaluate of a plan at one configuration (counts into
-  /// `metrics`); assumes memoize_estimates_.
+  /// `metrics`).
   [[nodiscard]] std::shared_ptr<const perf::PerfResult> evaluate_cached(
       const perf::KernelPlan& plan, const perf::ExecConfig& cfg,
       const perf::CodegenProfile& prof, RunMetrics* metrics) const;
@@ -314,9 +262,6 @@ class Harness {
   machine::Machine machine_;
   std::uint64_t seed_;
   bool apply_quirks_ = true;
-  bool memoize_estimates_ = true;
-  bool memoize_analyses_ = true;
-  bool batch_evaluate_ = true;
   cache::Service* service_ = nullptr;  ///< shared tier (may be null)
   /// Memoized compile() outcomes; mutable because memoization does not
   /// change observable results (compile() is pure).

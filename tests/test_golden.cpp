@@ -9,16 +9,24 @@
 // to the noise generator, the performance model, the compilers or the
 // kernels can move a number without a visible diff.  Re-baselining is deliberate: rerun the command above
 // into the file (see tests/golden/README.md) and commit the diff.
+//
+// The same runs also pin the study's work counters (compiles, plans,
+// evaluations, analyses, cell outcomes): a change that adds or drops a
+// memo layer, or a cache that stops paying, shows up here even when
+// the table stays the same.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/study.hpp"
 #include "kernels/benchmark.hpp"
+#include "obs/metrics.hpp"
 #include "report/figure2.hpp"
 
 namespace {
@@ -53,9 +61,11 @@ TEST(GoldenTable, PaperScaleStudyMatchesAtOneAndFourWorkers) {
   ASSERT_FALSE(golden.empty()) << "missing " A64FXCC_GOLDEN_DIR;
   const auto suite = kernels::all_benchmarks(1.0);
   for (const int jobs : {1, 4}) {
+    obs::MetricsSink metrics;
     core::StudyOptions opt;
     opt.scale = 1.0;
     opt.jobs = jobs;
+    opt.sink = &metrics;
     const report::Table t = core::Study(std::move(opt)).run_suite(suite);
     const auto s = core::summarize(t);
     char summary[128];
@@ -67,6 +77,20 @@ TEST(GoldenTable, PaperScaleStudyMatchesAtOneAndFourWorkers) {
         << "jobs=" << jobs << " differs from the golden table at "
         << first_difference(csv, golden)
         << "\nre-baseline only on purpose: see tests/golden/README.md";
+
+    // Seed-42 work counters; racing cache publishes count the loser as a
+    // hit, so they hold at any worker count.
+    const std::pair<const char*, std::uint64_t> expected[] = {
+        {"compile_cache_misses", 540},   {"compile_cache_hits", 15},
+        {"plan_cache_misses", 356},      {"plan_cache_hits", 190},
+        {"estimate_cache_misses", 2778}, {"estimate_cache_hits", 1904},
+        {"analysis_cache_hits", 1854},   {"analysis_cache_misses", 1311},
+        {"analysis_cache_invalidations", 51},
+        {"cells_ok", 531},               {"cells_compile_error", 3},
+        {"cells_runtime_error", 6},
+    };
+    for (const auto& [name, want] : expected)
+      EXPECT_EQ(metrics.counter(name), want) << "jobs=" << jobs << " " << name;
   }
 }
 

@@ -1,8 +1,7 @@
-// Integration tests: the figure-level claims of the paper, asserted at a
-// reduced problem scale so they run in CI time.  These are the
-// regression net for the calibration — if a model change breaks the
-// *shape* of a reproduced result, it fails here before it reaches the
-// bench binaries.
+// Integration tests: the figure-level claims of the paper, asserted at
+// paper scale.  These are the regression net for the calibration — if a
+// model change breaks the *shape* of a reproduced result, it fails here
+// before it reaches the bench binaries.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,7 @@ namespace {
 
 using namespace a64fxcc;
 
-constexpr double kScale = 0.2;
+constexpr double kScale = 1.0;
 
 const report::Table& micro_table() {
   static const report::Table t = [] {

@@ -613,6 +613,18 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(o->key, c.key);
   EXPECT_EQ(o->cache_evictions, c.cache_evictions);
   EXPECT_EQ(o->backoffs, d->backoffs);
+  // Likewise the batched estimate sweep's counters and config list, at
+  // the position its encoder wrote them.
+  std::string swept = line;
+  swept.insert(swept.find("\"compile_seconds\""),
+               "\"sweep_calls\":2,\"sweep_filled\":5,"
+               "\"sweep_configs\":[40,40],");
+  const auto w = obs::decode_cell(swept);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->key, c.key);
+  EXPECT_EQ(w->cache_evictions, c.cache_evictions);
+  EXPECT_DOUBLE_EQ(w->compile_seconds, c.compile_seconds);
+  EXPECT_EQ(w->backoffs, d->backoffs);
 }
 
 TEST(Shard, SpanRecordRoundTripsWithAndWithoutArgs) {

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -105,35 +104,11 @@ TEST(PlanEvaluate, MatchesEstimateOnOtherMachines) {
   }
 }
 
-// ---- batched sweep exactness -----------------------------------------------
-
-TEST(SweepEvaluate, MatchesEvaluateAcrossSuitesAndMachines) {
-  // The SoA sweep is a pure transposition of the scalar loop, so
-  // evaluate_sweep(plan, cfgs)[i] must equal evaluate(plan, cfgs[i])
-  // bitwise — and a one-element sweep must equal the scalar call — for
-  // every suite on every machine model.
-  for (const auto& m : {machine::a64fx(), machine::a64fx_fx700(),
-                        machine::thunderx2(), machine::xeon_cascadelake()}) {
-    const auto cfgs = probe_configs(m);
-    for (const auto& bench : kernels::all_benchmarks(0.05)) {
-      const auto plan = perf::analyze(bench.kernel, m);
-      const auto sweep = perf::evaluate_sweep(plan, cfgs);
-      ASSERT_EQ(sweep.size(), cfgs.size());
-      for (std::size_t i = 0; i < cfgs.size(); ++i)
-        expect_bitwise(sweep[i], perf::evaluate(plan, cfgs[i]),
-                       m.name + "/" + bench.name());
-      const auto single = perf::evaluate_sweep(plan, std::span(&cfgs[0], 1));
-      ASSERT_EQ(single.size(), 1u);
-      expect_bitwise(single[0], perf::evaluate(plan, cfgs[0]),
-                     m.name + "/" + bench.name() + "/single");
-    }
-  }
-}
-
-TEST(SweepEvaluate, MatchesEvaluateOnCompiledKernelsAndProfiles) {
-  // Compiled kernels + non-default profiles hit the annotation-driven
-  // terms (vector width, unroll, prefetch) the sweep hoists per
-  // statement.
+TEST(PlanEvaluate, ScoringModeMatchesDetailScalars) {
+  // want_detail=false is the mode the estimate cache scores placements
+  // in: every scalar field must stay bit-identical to the detailed
+  // result — the study's placement choices and table numbers ride on
+  // them — with the per-statement breakdown simply absent.
   const auto m = machine::a64fx();
   const auto cfgs = probe_configs(m);
   for (const auto& bench : kernels::all_benchmarks(0.05)) {
@@ -141,63 +116,21 @@ TEST(SweepEvaluate, MatchesEvaluateOnCompiledKernelsAndProfiles) {
       const auto out = compilers::compile(spec, bench.kernel);
       if (!out.ok()) continue;
       const auto plan = perf::analyze(*out.kernel, m);
-      const auto sweep = perf::evaluate_sweep(plan, cfgs, out.profile);
-      ASSERT_EQ(sweep.size(), cfgs.size());
-      for (std::size_t i = 0; i < cfgs.size(); ++i)
-        expect_bitwise(sweep[i], perf::evaluate(plan, cfgs[i], out.profile),
-                       bench.name() + "/" + spec.name);
-    }
-  }
-}
-
-TEST(SweepEvaluate, ScoringModeMatchesDetailScalars) {
-  // want_detail=false is the harness's placement-scoring mode: every
-  // scalar field must stay bit-identical to the detailed result — the
-  // study's placement choices and table numbers ride on them — with the
-  // per-statement breakdown simply absent, for the scalar and batched
-  // paths alike.
-  const auto m = machine::a64fx();
-  const auto cfgs = probe_configs(m);
-  for (const auto& bench : kernels::all_benchmarks(0.05)) {
-    for (const auto& spec : compilers::paper_compilers()) {
-      const auto out = compilers::compile(spec, bench.kernel);
-      if (!out.ok()) continue;
-      const auto plan = perf::analyze(*out.kernel, m);
-      const auto sweep =
-          perf::evaluate_sweep(plan, cfgs, out.profile, /*want_detail=*/false);
-      ASSERT_EQ(sweep.size(), cfgs.size());
-      for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        const auto full = perf::evaluate(plan, cfgs[i], out.profile);
+      for (const auto& cfg : cfgs) {
+        const auto full = perf::evaluate(plan, cfg, out.profile);
         const auto score =
-            perf::evaluate(plan, cfgs[i], out.profile, /*want_detail=*/false);
+            perf::evaluate(plan, cfg, out.profile, /*want_detail=*/false);
         const std::string what = bench.name() + "/" + spec.name;
-        for (const auto* s : {&score, &sweep[i]}) {
-          EXPECT_EQ(s->seconds, full.seconds) << what;
-          EXPECT_EQ(s->total_flops, full.total_flops) << what;
-          EXPECT_EQ(s->mem_bytes, full.mem_bytes) << what;
-          EXPECT_EQ(s->runtime_overhead_s, full.runtime_overhead_s) << what;
-          EXPECT_EQ(s->joules, full.joules) << what;
-          EXPECT_EQ(s->bottleneck, full.bottleneck) << what;
-          EXPECT_TRUE(s->detail.empty()) << what;
-        }
+        EXPECT_EQ(score.seconds, full.seconds) << what;
+        EXPECT_EQ(score.total_flops, full.total_flops) << what;
+        EXPECT_EQ(score.mem_bytes, full.mem_bytes) << what;
+        EXPECT_EQ(score.runtime_overhead_s, full.runtime_overhead_s) << what;
+        EXPECT_EQ(score.joules, full.joules) << what;
+        EXPECT_EQ(score.bottleneck, full.bottleneck) << what;
+        EXPECT_TRUE(score.detail.empty()) << what;
       }
     }
   }
-}
-
-TEST(SweepEvaluate, EmptyAndDuplicateSweeps) {
-  const auto m = machine::a64fx();
-  const auto suite = kernels::microkernel_suite(0.05);
-  const auto plan = perf::analyze(suite[0].kernel, m);
-  EXPECT_TRUE(perf::evaluate_sweep(plan, {}).empty());
-  // A repeated config shares the distinct-l2-cap slot; every occurrence
-  // must still produce the full scalar result.
-  const auto c = perf::make_config(4, 12, m);
-  const std::vector<perf::ExecConfig> dup = {c, c, c};
-  const auto sweep = perf::evaluate_sweep(plan, dup);
-  ASSERT_EQ(sweep.size(), 3u);
-  for (const auto& r : sweep)
-    expect_bitwise(r, perf::evaluate(plan, c), "dup");
 }
 
 // ---- fingerprints ----------------------------------------------------------
@@ -269,84 +202,13 @@ TEST(EstimateCache, MemoizesEvaluationsPerConfig) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 2u);
 
-  // The memoized result is the evaluation, bitwise.
-  expect_bitwise(*e1.result, perf::estimate(suite[0].kernel, m, c1), "cached");
+  // The memoized result is the detail-less evaluation, bitwise.
+  expect_bitwise(*e1.result, perf::evaluate(*plan, c1, {}, false), "cached");
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.plan_count(), 0u);
   EXPECT_TRUE(cache.get_or_evaluate(*plan, c1).hit == false);
-}
-
-TEST(EstimateCache, SweepMixedHitsAndMissesMatchSequential) {
-  const auto m = machine::a64fx();
-  const auto suite = kernels::microkernel_suite(0.05);
-  perf::EstimateCache cache;
-  const auto plan = cache.get_or_analyze(suite[0].kernel, m).plan;
-  const auto cfgs = probe_configs(m);
-
-  // Pre-warm the even-indexed configs through the scalar path.
-  std::vector<const perf::PerfResult*> warmed;
-  for (std::size_t i = 0; i < cfgs.size(); i += 2)
-    warmed.push_back(cache.get_or_evaluate(*plan, cfgs[i]).result.get());
-
-  // Sweep over every config plus a duplicate of a cold one: on the
-  // sequential path the first occurrence misses and the repeat hits, so
-  // the batched counters must say the same.
-  std::vector<perf::ExecConfig> sweep_cfgs(cfgs.begin(), cfgs.end());
-  sweep_cfgs.push_back(cfgs[1]);
-  const auto s = cache.get_or_evaluate_sweep(*plan, sweep_cfgs);
-  ASSERT_EQ(s.results.size(), sweep_cfgs.size());
-  EXPECT_EQ(s.hits + s.misses, static_cast<int>(sweep_cfgs.size()));
-  EXPECT_EQ(s.misses, 3);  // odd-indexed configs were cold
-  EXPECT_EQ(s.hits, 4);    // three warm entries + the duplicate
-
-  // Memoized entries come back pointer-identical (no recompute)...
-  for (std::size_t i = 0, w = 0; i < cfgs.size(); i += 2, ++w)
-    EXPECT_EQ(s.results[i].get(), warmed[w]);
-  // ...the duplicate resolves to the entry its lead occurrence filled...
-  EXPECT_EQ(s.results.back().get(), s.results[1].get());
-  // ...and every entry — hit or batch-filled — is the scalar evaluation.
-  for (std::size_t i = 0; i < sweep_cfgs.size(); ++i)
-    expect_bitwise(*s.results[i], perf::evaluate(*plan, sweep_cfgs[i]),
-                   "sweep entry " + std::to_string(i));
-
-  // Re-sweeping is pure hits against the same entries.
-  const auto s2 = cache.get_or_evaluate_sweep(*plan, sweep_cfgs);
-  EXPECT_EQ(s2.misses, 0);
-  EXPECT_EQ(s2.hits, static_cast<int>(sweep_cfgs.size()));
-  for (std::size_t i = 0; i < sweep_cfgs.size(); ++i)
-    EXPECT_EQ(s2.results[i].get(), s.results[i].get());
-}
-
-TEST(EstimateCache, DetailModesCoexistWithoutAliasing) {
-  // The detail mode is part of the cache key: a detail-less entry
-  // (placement scoring) must never answer a detailed lookup of the same
-  // (plan, config, profile) or vice versa — a scoring pass would
-  // otherwise poison the characterization pass's breakdowns.
-  const auto m = machine::a64fx();
-  const auto suite = kernels::microkernel_suite(0.05);
-  perf::EstimateCache cache;
-  const auto plan = cache.get_or_analyze(suite[0].kernel, m).plan;
-  const auto cfg = perf::make_config(4, 12, m);
-
-  const auto lite = cache.get_or_evaluate(*plan, cfg, {}, false);
-  EXPECT_FALSE(lite.hit);
-  EXPECT_TRUE(lite.result->detail.empty());
-  // Detailed lookup of the same key: a distinct entry, with breakdown.
-  const auto full = cache.get_or_evaluate(*plan, cfg, {}, true);
-  EXPECT_FALSE(full.hit);
-  EXPECT_NE(full.result.get(), lite.result.get());
-  EXPECT_FALSE(full.result->detail.empty());
-  EXPECT_EQ(cache.size(), 2u);
-  // Scalar fields agree; repeats hit their own mode's entry.
-  EXPECT_EQ(lite.result->seconds, full.result->seconds);
-  EXPECT_EQ(lite.result->joules, full.result->joules);
-  EXPECT_EQ(cache.get_or_evaluate(*plan, cfg, {}, false).result.get(),
-            lite.result.get());
-  EXPECT_EQ(cache.get_or_evaluate(*plan, cfg, {}, true).result.get(),
-            full.result.get());
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(EstimateCache, ConcurrentAccessKeepsOneEntry) {

@@ -152,15 +152,6 @@ bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
     return false;
   }
   if (has_flag(argc, argv, "--fail-fast")) opt.fail_fast = true;
-  // A/B switch for the perf-model memoization (tables are bit-identical
-  // either way; see DESIGN.md "Plan/evaluate split").
-  if (has_flag(argc, argv, "--no-estimate-cache")) opt.memoize_estimates = false;
-  // Likewise for the in-pipeline analysis memoization (see DESIGN.md
-  // "Analysis manager").
-  if (has_flag(argc, argv, "--no-analysis-cache")) opt.memoize_analyses = false;
-  // A/B switch for the batched placement-sweep evaluation (tables are
-  // bit-identical either way; see DESIGN.md "Batched placement sweeps").
-  if (has_flag(argc, argv, "--no-batch-evaluate")) opt.batch_evaluate = false;
   // Byte budget for the unified cache tier.  Eviction under any budget
   // is deterministic (fingerprint-ordered), so tables are byte-identical
   // whether the tier is tight or unbounded — the knob trades memory for
@@ -568,9 +559,7 @@ int cmd_emit(const std::string& name, const std::string& compiler_name) {
   return 1;
 }
 
-int cmd_explain(const std::string& name, const std::string& compiler_name,
-                int argc, char** argv) {
-  const bool memoize = !has_flag(argc, argv, "--no-analysis-cache");
+int cmd_explain(const std::string& name, const std::string& compiler_name) {
   for (const auto& b : kernels::all_benchmarks(0.25)) {
     if (b.name() != name) continue;
     std::vector<compilers::CompilerSpec> specs;
@@ -582,7 +571,7 @@ int cmd_explain(const std::string& name, const std::string& compiler_name,
       std::fprintf(stderr, "unknown compiler '%s'\n", compiler_name.c_str());
       return 1;
     }
-    const auto entries = report::explain_benchmark(b.kernel, specs, memoize);
+    const auto entries = report::explain_benchmark(b.kernel, specs);
     std::fputs(report::render_explain(name, entries).c_str(), stdout);
     return 0;
   }
@@ -681,8 +670,6 @@ void usage() {
       "                [--retries=N] [--deadline=SECONDS] [--fail-fast]\n"
       "                [--resume=PATH] [--journal=PATH]\n"
       "                [--inject-faults=compile:P,runtime:P,hang:P,crash:P]\n"
-      "                [--no-estimate-cache] [--no-analysis-cache]\n"
-      "                [--no-batch-evaluate]\n"
       "                [--cache-budget=N[K|M|G]] [--cache-stats]\n"
       "                                   # --cache-budget caps the unified\n"
       "                                   # cache tier (0/absent = unbounded);\n"
@@ -690,13 +677,6 @@ void usage() {
       "                                   # identical at any budget\n"
       "                                   # --cache-stats prints the per-cache\n"
       "                                   # hit/miss/evict table to stderr\n"
-      "                                   # disable perf-model / in-pipeline\n"
-      "                                   # analysis memoization (A/B only;\n"
-      "                                   # identical tables)\n"
-      "                                   # --no-batch-evaluate scores explore\n"
-      "                                   # placements one-by-one instead of\n"
-      "                                   # one batched sweep per cell (A/B\n"
-      "                                   # only; identical tables)\n"
       "                                   # --jobs absent = all hardware\n"
       "                                   # threads, --jobs=1 = serial; output\n"
       "                                   # is bit-identical for any N\n"
@@ -723,11 +703,9 @@ void usage() {
       "  run <benchmark> [--scale=f] [--jobs=N] [--retries=N] [--deadline=s]\n"
       "                  [--procs=N] [--shard-dir=DIR] [--lease-deadline=s]\n"
       "                  [--resume=PATH] [--journal=PATH] [--inject-faults=SPEC]\n"
-      "                  [--no-estimate-cache] [--no-analysis-cache]\n"
-      "                  [--no-batch-evaluate]\n"
       "                  [--cache-budget=N[K|M|G]] [--cache-stats]\n"
       "                  [--log-level=L] [--trace=PATH] [--metrics=PATH]\n"
-      "  explain <benchmark> [compiler] [--no-analysis-cache]\n"
+      "  explain <benchmark> [compiler]\n"
       "                                   # pass-decision provenance diff:\n"
       "                                   # which pass fired/was blocked, and\n"
       "                                   # why, per compiler (plus per-pass\n"
@@ -763,7 +741,7 @@ int main(int argc, char** argv) {
   if (cmd == "list") return cmd_list(a2);
   if (cmd == "table") return cmd_table(a2, argc, argv);
   if (cmd == "run") return cmd_run(a2, argc, argv);
-  if (cmd == "explain") return cmd_explain(a2, a3, argc, argv);
+  if (cmd == "explain") return cmd_explain(a2, a3);
   if (cmd == "status") return cmd_status(argc, argv);
   if (cmd == "obs" && a2 == "report") return cmd_obs_report(argc, argv);
   if (cmd == "show") return cmd_show(a2, a3);
