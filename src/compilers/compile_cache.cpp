@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "ir/fingerprint.hpp"
 #include "ir/printer.hpp"
 
 namespace a64fxcc::compilers {
@@ -14,13 +15,13 @@ using cache::mix64;
 /// Deterministic byte estimate of one outcome — a pure function of the
 /// value's content (eviction decisions depend on it, so it must never
 /// read allocator capacities or addresses).  The kernel clone dominates;
-/// its printed form is a stable proxy for the node-tree size.
-std::size_t approx_bytes(const CompileOutcome& o) {
+/// its printed form `printed` is a stable proxy for the node-tree size.
+std::size_t approx_bytes(const CompileOutcome& o, std::string_view printed) {
   std::size_t b = sizeof(CompileOutcome);
   b += o.diagnostic.size() + o.log.size();
   for (const auto& d : o.decisions)
     b += sizeof(d) + d.pass.size() + d.detail.size();
-  if (o.kernel.has_value()) b += 256 + 4 * ir::to_string(*o.kernel).size();
+  if (o.kernel.has_value()) b += 256 + 4 * printed.size();
   return b;
 }
 
@@ -60,22 +61,6 @@ std::uint64_t fingerprint(const CompilerSpec& s) {
   return h.h;
 }
 
-std::uint64_t fingerprint(const ir::Kernel& k) {
-  Hasher h;
-  h.add(k.name());
-  h.add(static_cast<std::uint64_t>(k.meta().language));
-  h.add(static_cast<std::uint64_t>(k.meta().parallel));
-  h.add(k.meta().suite);
-  // Bound parameter values capture the problem scale even where the
-  // printed IR shows only symbolic bounds.
-  for (const auto& p : k.params()) {
-    h.add(p.name);
-    h.add(static_cast<std::uint64_t>(p.value));
-  }
-  h.add(ir::to_string(k));
-  return h.h;
-}
-
 std::uint64_t CompileCache::route(const Key& k) noexcept {
   return mix64(k.spec ^ mix64(k.kernel ^ static_cast<std::uint64_t>(k.quirks)));
 }
@@ -88,28 +73,34 @@ CompileCache::CompileCache(cache::Service& svc)
 
 CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
                                                   const ir::Kernel& source,
+                                                  std::uint64_t source_fp,
                                                   bool apply_quirks) {
   CompileContext ctx;
   ctx.apply_quirks = apply_quirks;
-  return get_or_compile(spec, source, ctx);
+  return get_or_compile(spec, source, source_fp, ctx);
 }
 
 CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
                                                   const ir::Kernel& source,
+                                                  std::uint64_t source_fp,
                                                   const CompileContext& ctx) {
-  // Qualified: ADL would also find ir::fingerprint (the structural,
-  // annotation-blind hash); the cache keys on the printed-IR one.
-  const Key key{fingerprint(spec), compilers::fingerprint(source),
-                ctx.apply_quirks};
+  const Key key{fingerprint(spec), source_fp, ctx.apply_quirks};
   const std::uint64_t fp = route(key);
   if (auto found = map_->find(fp, key); found != nullptr)
     return {std::move(found), true, 0};
   // Compile outside any lock: other workers keep making progress, and a
   // rare duplicate compile of the same pure function is harmless.
-  auto outcome =
-      std::make_shared<const CompileOutcome>(compile(spec, source, ctx));
-  const std::size_t bytes = approx_bytes(*outcome);
-  auto published = map_->publish(fp, key, std::move(outcome), bytes);
+  CompileOutcome fresh = compile(spec, source, ctx);
+  // One print serves both the byte estimate and the fingerprint the
+  // outcome carries to every later plan-cache lookup.
+  std::string printed;
+  if (fresh.kernel.has_value()) {
+    printed = ir::to_string(*fresh.kernel);
+    fresh.kernel_fingerprint = ir::content_fingerprint(*fresh.kernel, printed);
+  }
+  const std::size_t bytes = approx_bytes(fresh, printed);
+  auto published = map_->publish(
+      fp, key, std::make_shared<const CompileOutcome>(std::move(fresh)), bytes);
   return {std::move(published.value), published.lost_race, published.evicted};
 }
 

@@ -4,13 +4,22 @@
 // compile() is a pure function of (spec, kernel, apply_quirks), so its
 // result can be shared freely: the cache hands out shared_ptr<const
 // CompileOutcome> and concurrent readers never mutate it.  The kernel
-// half of the key hashes the *printed* IR plus the bound parameter
-// values, so two kernels share an entry only when the compiler would see
-// identical input — same structure and same problem scale.  This is what
-// lets the placement-exploration and performance phases stop re-deriving
-// the same optimized nest, and what makes the FJtrad reference compile
-// (the SSL2 library share of HPL-class benchmarks) a one-time cost per
-// table instead of a per-cell one.
+// half of the key is the source's ir::content_fingerprint (printed IR
+// plus bound parameter values and metadata), so two kernels share an
+// entry only when the compiler would see identical input — same
+// structure and same problem scale.  Callers pass that fingerprint in
+// (kernels::Benchmark computes it once at construction): a lookup reads
+// a stored 64-bit value instead of printing the source.  This is what
+// lets the placement-exploration and performance phases stop
+// re-deriving the same optimized nest, and what makes the FJtrad
+// reference compile (the SSL2 library share of HPL-class benchmarks) a
+// one-time cost per table instead of a per-cell one.
+//
+// The miss path prints the optimized kernel once, for the byte estimate,
+// and fingerprints that same text into CompileOutcome::
+// kernel_fingerprint, so plan-cache lookups downstream never print it
+// either.  compile() itself stays fingerprint-free: a bare compile
+// leaves the field 0.
 //
 // Storage is a cache::ShardedMap named "compile": hits are mutex-free,
 // entries respect the tier budget with deterministic fingerprint-ordered
@@ -32,11 +41,9 @@
 
 namespace a64fxcc::compilers {
 
-/// Stable fingerprint of every pipeline/codegen knob of a spec.
+/// Stable fingerprint of every pipeline/codegen knob of a spec.  (The
+/// kernel half of a compile key is ir::content_fingerprint.)
 [[nodiscard]] std::uint64_t fingerprint(const CompilerSpec& spec);
-/// Stable fingerprint of a kernel as a compiler input: printed IR,
-/// bound parameter values, language/parallel metadata.
-[[nodiscard]] std::uint64_t fingerprint(const ir::Kernel& k);
 
 using CacheStats = cache::Stats;
 
@@ -57,9 +64,10 @@ class CompileCache {
   };
 
   /// The memoized outcome for (spec, source, apply_quirks), compiling on
-  /// first use.
+  /// first use.  `source_fp` must be ir::content_fingerprint(source).
   [[nodiscard]] Result get_or_compile(const CompilerSpec& spec,
                                       const ir::Kernel& source,
+                                      std::uint64_t source_fp,
                                       bool apply_quirks = true);
 
   /// Same, with per-call compile controls.  Only ctx.apply_quirks is part
@@ -67,6 +75,7 @@ class CompileCache {
   /// CompileContext), so cache sharing across tracers is sound.
   [[nodiscard]] Result get_or_compile(const CompilerSpec& spec,
                                       const ir::Kernel& source,
+                                      std::uint64_t source_fp,
                                       const CompileContext& ctx);
 
   [[nodiscard]] CacheStats stats() const noexcept { return map_->stats(); }

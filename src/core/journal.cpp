@@ -5,27 +5,13 @@
 #include <cstring>
 #include <fstream>
 
+#include "cache/fingerprint.hpp"
 #include "exec/jsonio.hpp"
+#include "ir/fingerprint.hpp"
 
 namespace a64fxcc::core {
 
 namespace {
-
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_str(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // The line codec lives in exec/jsonio.hpp, shared with the lease queue
 // and the telemetry shards: one escaping convention across every
@@ -39,11 +25,17 @@ using exec::jsonio::get_str;
 
 std::uint64_t Journal::cell_key(std::uint64_t seed,
                                 const compilers::CompilerSpec& spec,
-                                const ir::Kernel& kernel, bool apply_quirks) {
-  std::uint64_t h = mix(seed);
-  h ^= mix(compilers::fingerprint(spec) ^ hash_str(spec.name));
-  h ^= mix(compilers::fingerprint(kernel) + (apply_quirks ? 1 : 0));
+                                std::uint64_t kernel_fp, bool apply_quirks) {
+  std::uint64_t h = cache::mix64(seed);
+  h ^= cache::mix64(compilers::fingerprint(spec) ^ cache::fnv1a(spec.name));
+  h ^= cache::mix64(kernel_fp + (apply_quirks ? 1 : 0));
   return h;
+}
+
+std::uint64_t Journal::cell_key(std::uint64_t seed,
+                                const compilers::CompilerSpec& spec,
+                                const ir::Kernel& kernel, bool apply_quirks) {
+  return cell_key(seed, spec, ir::content_fingerprint(kernel), apply_quirks);
 }
 
 std::string Journal::encode(const JournalEntry& e) {

@@ -53,8 +53,16 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   /// Stable identity of one cell evaluation, built from the
-  /// CompileCache fingerprints of the compiler spec and the kernel (IR
-  /// + bound parameters) plus the study seed and quirk mode.
+  /// CompileCache fingerprints of the compiler spec and the kernel
+  /// (`kernel_fp` = ir::content_fingerprint: IR + bound parameters +
+  /// metadata) plus the study seed and quirk mode.  Persisted in every
+  /// journal, shard and lease log, so its values must never drift.
+  /// Study paths pass kernels::Benchmark::fingerprint().
+  [[nodiscard]] static std::uint64_t cell_key(std::uint64_t seed,
+                                              const compilers::CompilerSpec& spec,
+                                              std::uint64_t kernel_fp,
+                                              bool apply_quirks);
+  /// Same key, fingerprinting `kernel` first (one print).
   [[nodiscard]] static std::uint64_t cell_key(std::uint64_t seed,
                                               const compilers::CompilerSpec& spec,
                                               const ir::Kernel& kernel,

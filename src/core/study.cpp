@@ -67,7 +67,7 @@ report::Table Study::run_suite(
         // it without touching the harness.  Failed entries re-evaluate.
         const std::uint64_t key =
             opt_.journal != nullptr
-                ? Journal::cell_key(opt_.seed, spec, bench.kernel,
+                ? Journal::cell_key(opt_.seed, spec, bench.fingerprint(),
                                     opt_.apply_quirks)
                 : 0;
         if (opt_.journal != nullptr) {

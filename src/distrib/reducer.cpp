@@ -51,7 +51,7 @@ report::Table Reducer::merge(const std::string& dir,
   for (std::size_t r = 0; r < suite.size(); ++r) {
     for (std::size_t c = 0; c < opt.compilers.size(); ++c) {
       const std::uint64_t key = core::Journal::cell_key(
-          opt.seed, opt.compilers[c], suite[r].kernel, opt.apply_quirks);
+          opt.seed, opt.compilers[c], suite[r].fingerprint(), opt.apply_quirks);
       if (const runtime::MeasuredRun* run = j.find(key)) {
         t.rows[r].cells[c] = *run;
       } else {

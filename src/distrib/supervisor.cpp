@@ -202,7 +202,8 @@ report::Table Supervisor::run_suite(
   keys.reserve(suite.size() * cols);
   for (const auto& bench : suite)
     for (const auto& spec : sopt.compilers)
-      keys.push_back(core::Journal::cell_key(sopt.seed, spec, bench.kernel,
+      keys.push_back(core::Journal::cell_key(sopt.seed, spec,
+                                             bench.fingerprint(),
                                              sopt.apply_quirks));
 
   LeaseQueue queue(lease_path, keys);

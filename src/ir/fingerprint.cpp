@@ -3,6 +3,7 @@
 #include <string>
 
 #include "cache/fingerprint.hpp"
+#include "ir/printer.hpp"
 
 namespace a64fxcc::ir {
 
@@ -137,6 +138,28 @@ std::uint64_t fingerprint(const Kernel& k) {
   h.add(kListEnd);
   for (const auto& r : k.roots()) add_node(h, *r);
   h.add(kListEnd);
+  return h.h;
+}
+
+std::uint64_t content_fingerprint(const Kernel& k) {
+  return content_fingerprint(k, to_string(k));
+}
+
+std::uint64_t content_fingerprint(const Kernel& k, std::string_view printed) {
+  // Default seed and field order are those of the compile cache's
+  // historical kernel fingerprint: journal keys persist across builds.
+  Hasher h;
+  h.add(k.name());
+  h.add(static_cast<std::uint64_t>(k.meta().language));
+  h.add(static_cast<std::uint64_t>(k.meta().parallel));
+  h.add(k.meta().suite);
+  // Bound parameter values capture the problem scale even where the
+  // printed IR shows only symbolic bounds.
+  for (const auto& p : k.params()) {
+    h.add(p.name);
+    h.add(static_cast<std::uint64_t>(p.value));
+  }
+  h.add(printed);
   return h.h;
 }
 

@@ -16,9 +16,11 @@
 // the benchmark's dominant loop structure, language, operation mix and
 // memory behaviour.  DESIGN.md documents this substitution.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "ir/fingerprint.hpp"
 #include "ir/kernel.hpp"
 
 namespace a64fxcc::kernels {
@@ -43,14 +45,28 @@ struct BenchmarkTraits {
   double library_fraction = 0.0;
 };
 
+/// A benchmark's kernel is fixed once the benchmark is constructed: the
+/// constructor fingerprints it (one print), and every compile-cache,
+/// journal and lease key of a study reads that stored value.  Adjust
+/// `traits` freely (the suites do); never mutate `kernel` in place —
+/// build a new Benchmark instead.
 struct Benchmark {
   ir::Kernel kernel;
   BenchmarkTraits traits;
 
   Benchmark(ir::Kernel k, BenchmarkTraits t)
-      : kernel(std::move(k)), traits(t) {}
+      : kernel(std::move(k)),
+        traits(t),
+        fingerprint_(ir::content_fingerprint(kernel)) {}
   [[nodiscard]] const std::string& name() const { return kernel.name(); }
   [[nodiscard]] const std::string& suite() const { return kernel.meta().suite; }
+  /// ir::content_fingerprint(kernel), computed at construction.
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept {
+    return fingerprint_;
+  }
+
+ private:
+  std::uint64_t fingerprint_;
 };
 
 // ---- suites ----------------------------------------------------------------

@@ -42,11 +42,11 @@ EstimateCache::EstimateCache(cache::Service& svc)
       evals_(&svc.get_or_create<Key, PerfResult>("estimates", /*weight=*/1)) {}
 
 EstimateCache::PlanResult EstimateCache::get_or_analyze(
-    const ir::Kernel& k, const machine::Machine& m) {
-  const std::uint64_t fp = plan_fingerprint(k, m);
+    const ir::Kernel& k, std::uint64_t kernel_fp, const machine::Machine& m) {
+  const std::uint64_t fp = plan_fingerprint(kernel_fp, m);
   if (auto found = plans_->find(fp, fp); found != nullptr)
     return {std::move(found), true, 0};
-  auto plan = std::make_shared<const KernelPlan>(analyze(k, m));
+  auto plan = std::make_shared<const KernelPlan>(analyze(k, m, fp));
   const std::size_t bytes = approx_bytes(*plan);
   // Losing the publish race keeps the first-inserted plan.
   auto published = plans_->publish(fp, fp, std::move(plan), bytes);

@@ -5,11 +5,16 @@
 // Both halves of the plan/evaluate split are pure functions, so their
 // results can be shared freely as shared_ptr<const T>:
 //
-//   get_or_analyze(kernel, machine)  memoizes perf::analyze per
-//     (kernel IR + bound params + metadata, machine) fingerprint — one
-//     plan per compiled cell, shared by every placement evaluated
-//     against it.  The FJtrad library-reference kernel of HPL-class
-//     benchmarks hits here across every compiler row of a table.
+//   get_or_analyze(kernel, kernel_fp, machine)  memoizes perf::analyze
+//     per plan_fingerprint(kernel_fp, machine), where kernel_fp is the
+//     kernel's ir::content_fingerprint (IR + bound params + metadata).
+//     The caller passes that fingerprint in — the harness reads it off
+//     the CompileOutcome the compile cache published — so a lookup
+//     never prints the kernel, and a miss hands its key to analyze()
+//     instead of fingerprinting again.  One plan per compiled cell,
+//     shared by every placement evaluated against it.  The FJtrad
+//     library-reference kernel of HPL-class benchmarks hits here across
+//     every compiler row of a table.
 //
 //   get_or_evaluate(plan, cfg, prof) memoizes perf::evaluate per
 //     (plan fingerprint, placement + codegen-profile fingerprint) — the
@@ -57,8 +62,10 @@ class EstimateCache {
     std::uint64_t evicted = 0;
   };
 
-  /// The memoized analyze(k, m), analyzing on first use.
+  /// The memoized analyze(k, m), analyzing on first use.  `kernel_fp`
+  /// must be ir::content_fingerprint(k).
   [[nodiscard]] PlanResult get_or_analyze(const ir::Kernel& k,
+                                          std::uint64_t kernel_fp,
                                           const machine::Machine& m);
 
   /// The memoized evaluate(plan, cfg, prof, /*want_detail=*/false),

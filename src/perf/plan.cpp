@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "cache/fingerprint.hpp"
-#include "ir/printer.hpp"
+#include "ir/fingerprint.hpp"
 
 namespace a64fxcc::perf {
 
@@ -71,23 +71,15 @@ double traffic_lines(const AccessPlan& ap, const StmtPlan& sp, double capacity,
 
 }  // namespace
 
-std::uint64_t plan_fingerprint(const Kernel& k, const Machine& m) {
+std::uint64_t plan_fingerprint(std::uint64_t kernel_fp, const Machine& m) {
   // The explicit seed keeps the perf-input fingerprint *domain* disjoint
   // from the compiler-input one (cache::Hasher's default): the same
-  // kernel must never collide across the two key spaces.  Values are
-  // bit-identical to the pre-consolidation private Hasher.
+  // kernel must never collide across the two key spaces.
   cache::Hasher h(0x9d0f1a2b3c4d5e6fULL);
-  // Kernel as a perf-model input: printed IR + bound parameter values +
-  // metadata (the same identity CompileCache uses for compiler inputs).
-  h.add(k.name());
-  h.add(static_cast<std::uint64_t>(k.meta().language));
-  h.add(static_cast<std::uint64_t>(k.meta().parallel));
-  h.add(k.meta().suite);
-  for (const auto& p : k.params()) {
-    h.add(p.name);
-    h.add(static_cast<std::uint64_t>(p.value));
-  }
-  h.add(ir::to_string(k));
+  // Kernel as a perf-model input: its content fingerprint (printed IR +
+  // bound parameter values + metadata), the identity CompileCache uses
+  // for compiler inputs.
+  h.add(kernel_fp);
   // Machine model: every field the estimator reads.
   h.add(m.name);
   h.add(m.clock_ghz);
@@ -141,10 +133,15 @@ std::uint64_t config_fingerprint(const ExecConfig& cfg,
 }
 
 KernelPlan analyze(const Kernel& k, const Machine& m) {
+  return analyze(k, m, plan_fingerprint(ir::content_fingerprint(k), m));
+}
+
+KernelPlan analyze(const Kernel& k, const Machine& m,
+                   std::uint64_t fingerprint) {
   KernelPlan plan;
   plan.machine = m;
   plan.parallel = k.meta().parallel;
-  plan.fingerprint = plan_fingerprint(k, m);
+  plan.fingerprint = fingerprint;
   const double line = static_cast<double>(m.line_bytes);
 
   const auto stats = analysis::collect_stmt_stats(k);

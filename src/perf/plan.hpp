@@ -94,15 +94,23 @@ struct KernelPlan {
   double parallel_execs = 0;
   std::vector<StmtPlan> stmts;
   /// Stable identity of (kernel IR + bound parameters, machine) — the
-  /// EstimateCache key half contributed by this plan.
+  /// EstimateCache key half contributed by this plan (plan_fingerprint).
   std::uint64_t fingerprint = 0;
 };
 
 /// Build the placement-invariant plan: one pass of statement collection,
 /// access classification and footprint/trip analysis per (kernel,
-/// machine).  This is the expensive half of the old estimate().
+/// machine).  This is the expensive half of the old estimate().  Prints
+/// `k` once to fingerprint it.
 [[nodiscard]] KernelPlan analyze(const ir::Kernel& k,
                                  const machine::Machine& m);
+
+/// Same plan, with its fingerprint precomputed: `fingerprint` must be
+/// plan_fingerprint(ir::content_fingerprint(k), m).  EstimateCache's
+/// miss path passes its key here, so no lookup prints the kernel.
+[[nodiscard]] KernelPlan analyze(const ir::Kernel& k,
+                                 const machine::Machine& m,
+                                 std::uint64_t fingerprint);
 
 /// Reduce a plan to a PerfResult for one execution configuration.  Cheap:
 /// arithmetic over the plan's tables only — no IR traversal, no
@@ -120,9 +128,11 @@ struct KernelPlan {
                                   const CodegenProfile& prof = {},
                                   bool want_detail = true);
 
-/// Stable fingerprint of (kernel IR + bound parameters + metadata,
-/// machine model) — what analyze() stores into KernelPlan::fingerprint.
-[[nodiscard]] std::uint64_t plan_fingerprint(const ir::Kernel& k,
+/// Stable fingerprint of (kernel, machine model) — what analyze() stores
+/// into KernelPlan::fingerprint.  `kernel_fp` is the kernel's
+/// ir::content_fingerprint (IR + bound parameters + metadata).  Never
+/// persisted, so its values may change between builds.
+[[nodiscard]] std::uint64_t plan_fingerprint(std::uint64_t kernel_fp,
                                              const machine::Machine& m);
 
 /// Stable fingerprint of one evaluation configuration (placement-derived

@@ -89,12 +89,13 @@ std::vector<Placement> Harness::candidate_placements(
 }
 
 std::shared_ptr<const compilers::CompileOutcome> Harness::compile_cached(
-    const compilers::CompilerSpec& spec, const ir::Kernel& kernel,
+    const compilers::CompilerSpec& spec, const kernels::Benchmark& bench,
     RunMetrics* metrics, obs::Tracer* tracer) const {
   compilers::CompileContext cctx;
   cctx.apply_quirks = apply_quirks_;
   cctx.tracer = tracer;
-  auto [outcome, hit, evicted] = cache_.get_or_compile(spec, kernel, cctx);
+  auto [outcome, hit, evicted] =
+      cache_.get_or_compile(spec, bench.kernel, bench.fingerprint(), cctx);
   if (metrics != nullptr) {
     metrics->cache_evictions += static_cast<int>(evicted);
     if (hit) {
@@ -113,8 +114,9 @@ std::shared_ptr<const compilers::CompileOutcome> Harness::compile_cached(
 }
 
 std::shared_ptr<const perf::KernelPlan> Harness::plan_cached(
-    const ir::Kernel& kernel, RunMetrics* metrics) const {
-  auto [plan, hit, evicted] = ecache_.get_or_analyze(kernel, machine_);
+    const compilers::CompileOutcome& out, RunMetrics* metrics) const {
+  auto [plan, hit, evicted] =
+      ecache_.get_or_analyze(*out.kernel, out.kernel_fingerprint, machine_);
   if (metrics != nullptr) {
     metrics->cache_evictions += static_cast<int>(evicted);
     if (hit)
@@ -141,9 +143,9 @@ std::shared_ptr<const perf::PerfResult> Harness::evaluate_cached(
 
 void Harness::attach_plans(CompiledCell& cell, RunMetrics* metrics) const {
   if (cell.out != nullptr && cell.out->ok())
-    cell.plan = plan_cached(*cell.out->kernel, metrics);
+    cell.plan = plan_cached(*cell.out, metrics);
   if (cell.library_fraction > 0 && cell.ref != nullptr && cell.ref->ok())
-    cell.ref_plan = plan_cached(*cell.ref->kernel, metrics);
+    cell.ref_plan = plan_cached(*cell.ref, metrics);
 }
 
 double Harness::time_of(const CompiledCell& cell, Placement p,
@@ -164,13 +166,13 @@ double Harness::time_of(const CompiledCell& cell, Placement p,
 
 double Harness::model_time(const compilers::CompilerSpec& spec,
                            const kernels::Benchmark& bench, Placement p) const {
-  const auto out = compile_cached(spec, bench.kernel);
+  const auto out = compile_cached(spec, bench);
   std::shared_ptr<const compilers::CompileOutcome> ref;
   CompiledCell cell;
   cell.out = out.get();
   cell.library_fraction = bench.traits.library_fraction;
   if (bench.traits.library_fraction > 0) {
-    ref = compile_cached(compilers::fjtrad(), bench.kernel);
+    ref = compile_cached(compilers::fjtrad(), bench);
     cell.ref = ref.get();
   }
   attach_plans(cell, nullptr);
@@ -282,7 +284,7 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
         obs::scoped(ctx.tracer, "compile", bench.name(), spec.name);
     const PhaseClock clock(metrics != nullptr ? &metrics->compile_seconds
                                               : nullptr);
-    out = compile_cached(spec, bench.kernel, metrics, ctx.tracer);
+    out = compile_cached(spec, bench, metrics, ctx.tracer);
     m.decisions = compilers::decision_summary(out->decisions);
     m.status = cell_status(out->status);
     if (!out->ok()) {
@@ -292,8 +294,7 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
     // Library-heavy benchmarks need the FJtrad reference for the SSL2
     // part.
     if (bench.traits.library_fraction > 0) {
-      ref = compile_cached(compilers::fjtrad(), bench.kernel, metrics,
-                           ctx.tracer);
+      ref = compile_cached(compilers::fjtrad(), bench, metrics, ctx.tracer);
       refp = ref.get();
     }
   }

@@ -192,18 +192,22 @@ class Harness {
                                   const kernels::Benchmark& bench,
                                   Placement p) const;
 
-  /// Memoized compile of `kernel` under `spec` (shared, immutable).
-  /// `tracer` (may be null) receives the pipeline's "analysis:*" spans
-  /// when the call actually compiles.
+  /// Memoized compile of `bench`'s kernel under `spec` (shared,
+  /// immutable), keyed by the benchmark's stored fingerprint.  `tracer`
+  /// (may be null) receives the pipeline's "analysis:*" spans when the
+  /// call actually compiles.
   [[nodiscard]] std::shared_ptr<const compilers::CompileOutcome>
-  compile_cached(const compilers::CompilerSpec& spec, const ir::Kernel& kernel,
+  compile_cached(const compilers::CompilerSpec& spec,
+                 const kernels::Benchmark& bench,
                  RunMetrics* metrics = nullptr,
                  obs::Tracer* tracer = nullptr) const;
 
-  /// Memoized perf::analyze of `kernel` on this harness's machine
-  /// (shared, immutable).
+  /// Memoized perf::analyze of an ok outcome's kernel on this harness's
+  /// machine (shared, immutable), keyed by the kernel fingerprint the
+  /// outcome carries — so `out` must come from compile_cached.
   [[nodiscard]] std::shared_ptr<const perf::KernelPlan> plan_cached(
-      const ir::Kernel& kernel, RunMetrics* metrics = nullptr) const;
+      const compilers::CompileOutcome& out,
+      RunMetrics* metrics = nullptr) const;
 
   /// Memoization statistics of the harness-owned compile cache.
   [[nodiscard]] const compilers::CompileCache& compile_cache() const noexcept {

@@ -1,10 +1,14 @@
 // Estimate memoization at the study level: the explore, measure and
 // library-reference lookups of a study go through the harness's
-// EstimateCache, and every evaluation either hits or populates it.
+// EstimateCache, and every evaluation either hits or populates it.  The
+// harness keys those lookups by fingerprints carried on its inputs, which
+// must match fresh ones.
 
 #include <gtest/gtest.h>
 
 #include "core/study.hpp"
+#include "ir/fingerprint.hpp"
+#include "perf/plan.hpp"
 
 namespace {
 
@@ -28,6 +32,31 @@ TEST(EstimateCacheMetrics, StudyCountsPlanAndEstimateCacheTraffic) {
   EXPECT_GT(ecache.stats().hits, 0u);
   // Every evaluation either hit or populated the cache.
   EXPECT_EQ(ecache.stats().misses, ecache.size());
+}
+
+TEST(CarriedFingerprints, OutcomesAndPlanKeysMatchFreshFingerprints) {
+  // The study path prints no kernel to key a lookup: compiles key by
+  // Benchmark::fingerprint, plans by the fingerprint the compile cache
+  // stored on the outcome.  Each carried value must equal a fresh
+  // content_fingerprint, and the harness's plan key must equal the one
+  // the kernel-taking oracle path perf::analyze(k, m) computes.
+  const runtime::Harness h(machine::a64fx());
+  const auto suite = kernels::all_benchmarks(1.0);
+  std::size_t ok = 0;
+  for (const auto& bench : suite) {
+    for (const auto& spec : compilers::paper_compilers()) {
+      const auto out = h.compile_cached(spec, bench);
+      if (!out->ok()) continue;
+      ++ok;
+      const std::string what = bench.name() + " x " + spec.name;
+      EXPECT_EQ(out->kernel_fingerprint, ir::content_fingerprint(*out->kernel))
+          << what;
+      EXPECT_EQ(h.plan_cached(*out)->fingerprint,
+                perf::analyze(*out->kernel, h.machine()).fingerprint)
+          << what;
+    }
+  }
+  EXPECT_EQ(ok, 531u);  // 540 cells minus the paper's 3 CE + 6 RE
 }
 
 }  // namespace

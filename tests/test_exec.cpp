@@ -174,9 +174,11 @@ TEST(CompileCache, MemoizesPureCompiles) {
   compilers::CompileCache cache;
   const auto suite = kernels::polybench_suite(0.02);
   const auto spec = compilers::llvm12();
-  const auto a = cache.get_or_compile(spec, suite[0].kernel);
+  const auto a =
+      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
   EXPECT_FALSE(a.hit);
-  const auto b = cache.get_or_compile(spec, suite[0].kernel);
+  const auto b =
+      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
   EXPECT_TRUE(b.hit);
   EXPECT_EQ(a.outcome.get(), b.outcome.get());  // shared, not recompiled
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -189,13 +191,18 @@ TEST(CompileCache, DistinguishesSpecKernelScaleAndQuirks) {
   const auto small = kernels::polybench_suite(0.02);
   const auto large = kernels::polybench_suite(0.04);
   const auto spec = compilers::llvm12();
-  (void)cache.get_or_compile(spec, small[0].kernel);
+  const auto compile = [&](const compilers::CompilerSpec& s,
+                           const kernels::Benchmark& b, bool quirks = true) {
+    return cache.get_or_compile(s, b.kernel, b.fingerprint(), quirks);
+  };
+  (void)compile(spec, small[0]);
   // Different kernel, different compiler, different scale, different
   // quirk mode: all distinct entries.
-  EXPECT_FALSE(cache.get_or_compile(spec, small[1].kernel).hit);
-  EXPECT_FALSE(cache.get_or_compile(compilers::gnu(), small[0].kernel).hit);
-  EXPECT_FALSE(cache.get_or_compile(spec, large[0].kernel).hit);
-  EXPECT_FALSE(cache.get_or_compile(spec, small[0].kernel, false).hit);
+  EXPECT_FALSE(compile(spec, small[1]).hit);
+  EXPECT_FALSE(compile(compilers::gnu(), small[0]).hit);
+  EXPECT_FALSE(compile(spec, large[0]).hit);
+  EXPECT_FALSE(compile(spec, small[0], false).hit);
+  EXPECT_TRUE(compile(spec, small[0]).hit);
   EXPECT_EQ(cache.stats().misses, 5u);
 }
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -456,6 +458,76 @@ TEST(Journal, CellKeySeesSeedSpecKernelAndQuirks) {
   EXPECT_NE(core::Journal::cell_key(42, spec, suite[1].kernel, true), base);
   EXPECT_NE(core::Journal::cell_key(42, spec, big[0].kernel, true), base);
   EXPECT_NE(core::Journal::cell_key(42, spec, suite[0].kernel, false), base);
+}
+
+// v3 journals, shard directories and lease logs resume by these keys, so
+// a drift in any fingerprint behind Journal::cell_key would silently
+// stop resume from matching -- a drift that comparing keys with each
+// other (above) cannot see.  The constants are seed 42's keys as first
+// persisted: the first, a library-heavy and the last paper benchmark
+// under each paper compiler, quirks on and off.
+TEST(Journal, CellKeysArePinned) {
+  const auto suite = kernels::all_benchmarks(1.0);
+  const auto specs = compilers::paper_compilers();
+  ASSERT_EQ(suite.front().name(), "k01");
+  ASSERT_EQ(suite.back().name(), "wupwise");
+  const struct {
+    const char* bench;
+    const char* compiler;
+    bool quirks;
+    std::uint64_t key;
+  } pins[] = {
+      {"k01", "FJtrad", true, 0xbb61e320d6feb3ceULL},
+      {"k01", "FJtrad", false, 0x0797701195e030b8ULL},
+      {"k01", "FJclang", true, 0xdd5e0401a1202f60ULL},
+      {"k01", "FJclang", false, 0x61a89730e23eac16ULL},
+      {"k01", "LLVM", true, 0x45b9dfee1cd8b3edULL},
+      {"k01", "LLVM", false, 0xf94f4cdf5fc6309bULL},
+      {"k01", "LLVM+Polly", true, 0x934212e7eff629a5ULL},
+      {"k01", "LLVM+Polly", false, 0x2fb481d6ace8aad3ULL},
+      {"k01", "GNU", true, 0x98c3243d29475781ULL},
+      {"k01", "GNU", false, 0x2435b70c6a59d4f7ULL},
+      {"hpl", "FJtrad", true, 0x28a34e89eddc5444ULL},
+      {"hpl", "FJtrad", false, 0x2ecb90639875cb60ULL},
+      {"hpl", "FJclang", true, 0x4e9ca9a89a02c8eaULL},
+      {"hpl", "FJclang", false, 0x48f47742efab57ceULL},
+      {"hpl", "LLVM", true, 0xd67b724727fa5467ULL},
+      {"hpl", "LLVM", false, 0xd013acad5253cb43ULL},
+      {"hpl", "LLVM+Polly", true, 0x0080bf4ed4d4ce2fULL},
+      {"hpl", "LLVM+Polly", false, 0x06e861a4a17d510bULL},
+      {"hpl", "GNU", true, 0x0b0189941265b00bULL},
+      {"hpl", "GNU", false, 0x0d69577e67cc2f2fULL},
+      {"wupwise", "FJtrad", true, 0xdb512e6079223ef8ULL},
+      {"wupwise", "FJtrad", false, 0x16da8d94b49bb7f5ULL},
+      {"wupwise", "FJclang", true, 0xbd6ec9410efca256ULL},
+      {"wupwise", "FJclang", false, 0x70e56ab5c3452b5bULL},
+      {"wupwise", "LLVM", true, 0x258912aeb3043edbULL},
+      {"wupwise", "LLVM", false, 0xe802b15a7ebdb7d6ULL},
+      {"wupwise", "LLVM+Polly", true, 0xf372dfa7402aa493ULL},
+      {"wupwise", "LLVM+Polly", false, 0x3ef97c538d932d9eULL},
+      {"wupwise", "GNU", true, 0xf8f3e97d869bdab7ULL},
+      {"wupwise", "GNU", false, 0x35784a894b2253baULL},
+  };
+  for (const auto& pin : pins) {
+    const auto bench =
+        std::find_if(suite.begin(), suite.end(),
+                     [&](const auto& b) { return b.name() == pin.bench; });
+    const auto spec =
+        std::find_if(specs.begin(), specs.end(),
+                     [&](const auto& s) { return s.name == pin.compiler; });
+    ASSERT_NE(bench, suite.end()) << pin.bench;
+    ASSERT_NE(spec, specs.end()) << pin.compiler;
+    const std::string what = std::string(pin.bench) + " x " + pin.compiler +
+                             (pin.quirks ? " quirks on" : " quirks off");
+    EXPECT_EQ(core::Journal::cell_key(42, *spec, bench->kernel, pin.quirks),
+              pin.key)
+        << what;
+    // The study paths key by the fingerprint the Benchmark carries.
+    EXPECT_EQ(core::Journal::cell_key(42, *spec, bench->fingerprint(),
+                                      pin.quirks),
+              pin.key)
+        << what;
+  }
 }
 
 TEST(Journal, LinesCarryTheFormatVersionTag) {

@@ -11,6 +11,7 @@
 
 #include "compilers/compiler_model.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/fingerprint.hpp"
 #include "kernels/benchmark.hpp"
 
 namespace {
@@ -36,6 +37,22 @@ TEST(Registry, NamesAreUnique) {
   std::set<std::string> names;
   for (const auto& b : kernels::all_benchmarks(kScale))
     EXPECT_TRUE(names.insert(b.name()).second) << "duplicate: " << b.name();
+}
+
+TEST(Registry, BenchmarksCarryTheirKernelsContentFingerprint) {
+  // Every compile-cache, journal and lease key of a study reads the
+  // fingerprint a Benchmark stored at construction instead of printing
+  // the kernel again; it must equal a fresh one at any scale.
+  using Suite = std::vector<Benchmark> (*)(double);
+  const Suite suites[] = {kernels::microkernel_suite, kernels::polybench_suite,
+                          kernels::top500_suite,      kernels::ecp_suite,
+                          kernels::fiber_suite,       kernels::spec_cpu_suite,
+                          kernels::spec_omp_suite,    kernels::all_benchmarks};
+  for (const double scale : {1.0, 0.05})
+    for (const Suite suite : suites)
+      for (const auto& b : suite(scale))
+        EXPECT_EQ(b.fingerprint(), ir::content_fingerprint(b.kernel))
+            << b.name() << " at scale " << scale;
 }
 
 TEST(Registry, MicroKernelsAreMostlyFortran) {

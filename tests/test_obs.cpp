@@ -415,8 +415,10 @@ TEST(Provenance, DecisionsAreCachedWithTheOutcome) {
   compilers::CompileCache cache;
   const auto suite = kernels::polybench_suite(0.05);
   const auto spec = compilers::llvm_polly();
-  const auto a = cache.get_or_compile(spec, suite[0].kernel);
-  const auto b = cache.get_or_compile(spec, suite[0].kernel);
+  const auto a =
+      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
+  const auto b =
+      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
   ASSERT_TRUE(b.hit);
   EXPECT_FALSE(a.outcome->decisions.empty());
   EXPECT_EQ(a.outcome.get(), b.outcome.get());  // provenance rides the cache

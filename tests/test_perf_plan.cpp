@@ -138,8 +138,8 @@ TEST(PlanEvaluate, ScoringModeMatchesDetailScalars) {
 TEST(PlanFingerprint, DiscriminatesKernelMachineAndScale) {
   const auto m = machine::a64fx();
   const auto suite = kernels::microkernel_suite(0.05);
-  const auto& k1 = suite[0].kernel;
-  const auto& k2 = suite[1].kernel;
+  const std::uint64_t k1 = suite[0].fingerprint();
+  const std::uint64_t k2 = suite[1].fingerprint();
   EXPECT_EQ(perf::plan_fingerprint(k1, m), perf::plan_fingerprint(k1, m));
   EXPECT_NE(perf::plan_fingerprint(k1, m), perf::plan_fingerprint(k2, m));
   EXPECT_NE(perf::plan_fingerprint(k1, m),
@@ -147,7 +147,12 @@ TEST(PlanFingerprint, DiscriminatesKernelMachineAndScale) {
   // Same structure at a different problem scale = different plan.
   const auto rescaled = kernels::microkernel_suite(0.1);
   EXPECT_NE(perf::plan_fingerprint(k1, m),
-            perf::plan_fingerprint(rescaled[0].kernel, m));
+            perf::plan_fingerprint(rescaled[0].fingerprint(), m));
+  // analyze(k, m) stores the key the estimate cache looks it up by, and
+  // the perf-input domain never collides with the compiler-input one.
+  EXPECT_EQ(perf::analyze(suite[0].kernel, m).fingerprint,
+            perf::plan_fingerprint(k1, m));
+  EXPECT_NE(perf::plan_fingerprint(k1, m), k1);
 }
 
 TEST(ConfigFingerprint, DiscriminatesPlacementAndProfile) {
@@ -168,16 +173,19 @@ TEST(EstimateCache, MemoizesPlansWithPointerIdentity) {
   const auto m = machine::a64fx();
   const auto suite = kernels::microkernel_suite(0.05);
   perf::EstimateCache cache;
-  const auto r1 = cache.get_or_analyze(suite[0].kernel, m);
+  const auto analyze = [&](const kernels::Benchmark& b) {
+    return cache.get_or_analyze(b.kernel, b.fingerprint(), m);
+  };
+  const auto r1 = analyze(suite[0]);
   EXPECT_FALSE(r1.hit);
-  const auto r2 = cache.get_or_analyze(suite[0].kernel, m);
+  const auto r2 = analyze(suite[0]);
   EXPECT_TRUE(r2.hit);
   EXPECT_EQ(r1.plan.get(), r2.plan.get());  // shared, not recomputed
   EXPECT_EQ(cache.plan_count(), 1u);
   EXPECT_EQ(cache.plan_stats().hits, 1u);
   EXPECT_EQ(cache.plan_stats().misses, 1u);
 
-  const auto r3 = cache.get_or_analyze(suite[1].kernel, m);
+  const auto r3 = analyze(suite[1]);
   EXPECT_FALSE(r3.hit);
   EXPECT_NE(r3.plan.get(), r1.plan.get());
   EXPECT_EQ(cache.plan_count(), 2u);
@@ -187,7 +195,8 @@ TEST(EstimateCache, MemoizesEvaluationsPerConfig) {
   const auto m = machine::a64fx();
   const auto suite = kernels::microkernel_suite(0.05);
   perf::EstimateCache cache;
-  const auto plan = cache.get_or_analyze(suite[0].kernel, m).plan;
+  const auto plan =
+      cache.get_or_analyze(suite[0].kernel, suite[0].fingerprint(), m).plan;
 
   const auto c1 = perf::make_config(4, 12, m);
   const auto c2 = perf::make_config(48, 1, m);
@@ -215,7 +224,8 @@ TEST(EstimateCache, ConcurrentAccessKeepsOneEntry) {
   const auto m = machine::a64fx();
   const auto suite = kernels::microkernel_suite(0.05);
   perf::EstimateCache cache;
-  const auto plan = cache.get_or_analyze(suite[0].kernel, m).plan;
+  const auto plan =
+      cache.get_or_analyze(suite[0].kernel, suite[0].fingerprint(), m).plan;
   const auto cfg = perf::make_config(4, 12, m);
 
   constexpr int kThreads = 8;
