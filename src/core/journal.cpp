@@ -176,15 +176,22 @@ void Journal::close() {
   out_ = nullptr;
 }
 
-void Journal::record(const JournalEntry& e) {
-  const std::string line = encode(e);
-  const std::lock_guard<std::mutex> lock(mu_);
-  map_[e.key] = e.run;
-  if (out_ != nullptr) {
-    std::fwrite(line.data(), 1, line.size(), out_);
-    std::fputc('\n', out_);
-    std::fflush(out_);  // one complete line per cell, crash-safe
+void Journal::record(std::span<const JournalEntry> entries) {
+  std::string lines;
+  for (const JournalEntry& e : entries) {
+    lines += encode(e);
+    lines.push_back('\n');
   }
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const JournalEntry& e : entries) map_[e.key] = e.run;
+  if (out_ != nullptr && !lines.empty()) {
+    std::fwrite(lines.data(), 1, lines.size(), out_);
+    std::fflush(out_);  // complete lines only, crash-safe
+  }
+}
+
+void Journal::record(const JournalEntry& e) {
+  record(std::span<const JournalEntry>(&e, 1));
 }
 
 const runtime::MeasuredRun* Journal::find(std::uint64_t key) const {

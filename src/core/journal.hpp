@@ -5,10 +5,10 @@
 // completed work after a crash or Ctrl-C and re-evaluate only the cells
 // that failed.
 //
-// Crash-safety model: the writer appends and flushes one complete line
-// per cell as it finishes (no buffering across cells), so after an
-// interrupt the file is a prefix of valid lines plus at most one torn
-// line, which load() skips.  Doubles are printed with max_digits10
+// Crash-safety model: the writer appends and flushes complete lines as
+// soon as a cell (or a distrib worker's row of cells) finishes, so after
+// an interrupt the file is a prefix of valid lines plus at most one
+// torn line, which load() skips.  Doubles are printed with max_digits10
 // precision, so a restored MeasuredRun is bit-identical to the one that
 // was measured — resuming never perturbs the determinism contract.
 //
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -92,9 +93,16 @@ class Journal {
   bool open(const std::string& path);
   void close();
 
-  /// Record a terminal cell outcome: remembers it in-memory and, when
-  /// open(), appends + flushes one line.  Thread-safe (called
-  /// concurrently from engine workers).
+  /// Record terminal cell outcomes: remembers them in-memory and, when
+  /// open(), appends all their lines with one write and one flush.
+  /// Thread-safe (called concurrently from engine workers).  A crash
+  /// mid-write leaves a prefix of the batch's lines plus at most one
+  /// torn line — the same file shape as a crash between single-entry
+  /// records — so callers that complete work only after record()
+  /// returns (the distrib workers: shard lines first, `done` leases
+  /// second) never mark an outcome done that is not on disk.
+  void record(std::span<const JournalEntry> entries);
+  /// One entry: the same as a batch of one.
   void record(const JournalEntry& e);
 
   /// The remembered outcome for a key, or nullptr.  Thread-safe.

@@ -4,12 +4,15 @@
 //
 // Determinism: shards are loaded in sorted filename order and duplicate
 // keys dedupe last-complete-line-wins (Journal::load), so the merge is
-// a pure function of the shard directory contents.  Duplicates can only
-// arise from lease-expiry double evaluation, and every evaluation of a
-// cell is byte-identical (measurements are pure functions of (seed,
-// benchmark, compiler) — see core/cell.hpp), so which line wins is
-// value-invisible: the merged table is byte-identical to a clean
-// single-process run.
+// a pure function of the shard directory contents.  Duplicates arise
+// two ways.  Lease-expiry or crash re-evaluation within a pass is
+// byte-identical (measurements are pure functions of (seed, benchmark,
+// compiler) — see core/cell.hpp), so which line wins is value-invisible
+// and the merged table is byte-identical to a clean single-process run.
+// A resume pass re-evaluates failed cells at a later lease generation,
+// whose outcome may differ (injected faults decide anew); the
+// Supervisor numbers each pass's shards after the previous pass's, so
+// file order is creation order and the newer outcome wins.
 
 #include <string>
 #include <vector>

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -36,10 +38,34 @@ core::StudyOptions worker_options(const core::StudyOptions& base) {
   return o;
 }
 
-std::string shard_name(int spawn_index) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "shard-%04d.jsonl", spawn_index);
+std::string shard_name(int index, const char* tag = "") {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "shard-%04d%s.jsonl", index, tag);
   return buf;
+}
+
+/// One past the highest shard index in `dir` (result, trace and metrics
+/// shards alike; 0 when there are none).  A pass numbers its shards from
+/// here so that file order is creation order across passes: the reducer
+/// and the telemetry aggregator keep the last line for a key in sorted
+/// file order, and a resumed cell's new outcome must beat its stale one.
+/// Names are zero-padded to four digits, so that holds for the first
+/// 10,000 shards of a directory.
+int next_shard_index(const std::string& dir) {
+  int next = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    for (const std::string prefix : {"trace-", "metrics-"})
+      if (name.rfind(prefix, 0) == 0) name.erase(0, prefix.size());
+    if (name.rfind("shard-", 0) != 0) continue;
+    const char* digits = name.c_str() + 6;
+    char* end = nullptr;
+    const long index = std::strtol(digits, &end, 10);
+    if (end != digits && index >= 0 && index < 1'000'000)
+      next = std::max(next, static_cast<int>(index) + 1);
+  }
+  return next;
 }
 
 void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
@@ -82,21 +108,104 @@ obs::CellTelemetry cell_telemetry(std::uint64_t key, int gen, int pid,
   return t;
 }
 
-/// Entry point of one forked worker: lease -> evaluate -> record ->
-/// done, until the queue drains.  Exit codes: 0 = drained; 112/113 =
-/// could not open the queue/shard (infrastructure, supervisor will not
-/// see progress from this pid and re-leases its cells).
-int worker_main(const std::string& lease_path,
-                const std::vector<std::uint64_t>& keys,
-                const std::string& shard_path,
+/// acquire()'s claims (key order) cut into their rows.
+std::vector<std::span<const Claim>> rows_of(const std::vector<Claim>& claims,
+                                            std::size_t cols) {
+  std::vector<std::span<const Claim>> rows;
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= claims.size(); ++i) {
+    if (i < claims.size() &&
+        claims[i].index / cols == claims[begin].index / cols)
+      continue;
+    rows.emplace_back(claims.data() + begin, i - begin);
+    begin = i;
+  }
+  return rows;
+}
+
+/// Where one process persists the rows it evaluates.
+struct RowSink {
+  core::Journal& shard;
+  obs::ShardWriter& metrics;  ///< telemetry; closed when disabled
+  LeaseQueue& queue;
+  int self = 0;
+};
+
+/// Evaluate one leased row cell by cell through core::evaluate_cell,
+/// then persist it in the crash-safe order: the row's result lines in
+/// one shard append, its telemetry records, and last one `done` append
+/// for all its leases — so a `done` record implies the result is on
+/// disk, and a death before it loses this row only (its leases are
+/// released and re-granted at the next generation).
+///
+/// A worker passes `on_crash` and dies on an injected crash.  The
+/// inline drain cannot die: it skips generations whose deterministic
+/// fault decision is an injected crash, converging to the generation a
+/// worker death + re-lease would have reached.
+void run_row(std::span<const Claim> row,
+             const std::vector<kernels::Benchmark>& suite,
+             const runtime::Harness& h, const core::StudyOptions& opt,
+             const core::CrashFn& on_crash, const RowSink& out) {
+  const std::size_t cols = opt.compilers.size();
+  std::vector<core::JournalEntry> entries;
+  std::vector<std::string> telemetry;
+  std::vector<std::uint64_t> keys;
+  entries.reserve(row.size());
+  keys.reserve(row.size());
+  for (const Claim& cl : row) {
+    const auto& bench = suite[cl.index / cols];
+    const auto& spec = opt.compilers[cl.index % cols];
+    std::vector<double> backoffs;
+    core::RetryFn on_retry;
+    if (out.metrics.is_open())
+      on_retry = [&backoffs](int, const runtime::MeasuredRun&, double b) {
+        backoffs.push_back(b);
+      };
+    const auto cell_t0 = std::chrono::steady_clock::now();
+    core::CellResult res;
+    int gen = cl.gen;
+    {
+      const auto sp = obs::scoped(opt.tracer, "cell", bench.name(), spec.name);
+      for (;; ++gen) {
+        backoffs.clear();  // only the surviving generation counts
+        res = core::evaluate_cell(h, opt, bench, spec, gen, on_retry,
+                                  on_crash);
+        const bool injected_crash =
+            res.run.status == runtime::CellStatus::Crashed &&
+            res.run.diagnostic.find(kInjectedCrashTag) != std::string::npos;
+        if (on_crash || !injected_crash || gen - cl.gen >= 32) break;
+      }
+    }
+    entries.push_back({cl.key, res.run});
+    keys.push_back(cl.key);
+    if (out.metrics.is_open()) {
+      telemetry.push_back(obs::encode_cell(cell_telemetry(
+          cl.key, gen, out.self, bench.name(), spec.name, res,
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        cell_t0)
+              .count(),
+          std::move(backoffs))));
+    }
+  }
+  out.shard.record(entries);
+  for (const std::string& line : telemetry) out.metrics.append(line);
+  out.queue.complete(keys, out.self);
+}
+
+/// Entry point of one forked worker: lease rows -> evaluate -> record ->
+/// done, until the queue drains.  `queue` is the supervisor's, inherited
+/// across fork() with its replayed state.  Exit codes: 0 = drained;
+/// 112/113 = could not reopen the queue / open the shard
+/// (infrastructure; the supervisor sees no progress from this pid and
+/// re-leases its cells).
+int worker_main(LeaseQueue& queue, const std::string& shard_path,
                 const std::vector<kernels::Benchmark>& suite,
                 const core::StudyOptions& wopt, double lease_deadline,
-                int threads, std::size_t batch, bool telemetry,
+                int threads, bool telemetry,
                 std::chrono::steady_clock::time_point epoch,
                 const std::string& trace_path,
                 const std::string& metrics_path) {
-  LeaseQueue queue(lease_path, keys);
-  if (!queue.open()) return 112;
+  if (!queue.reopen_after_fork()) return 112;
   core::Journal shard;
   if (!shard.open(shard_path)) return 113;
   const int self = exec::current_pid();
@@ -104,8 +213,8 @@ int worker_main(const std::string& lease_path,
   // still evaluates cells (results are the contract, telemetry is
   // diagnostics).  Spans stream to disk the moment they close, so a
   // SIGKILL loses only the span in flight; cell records append before
-  // the lease completes, making them at-least-once — the aggregator
-  // dedupes by cell key.
+  // the row's leases complete, making them at-least-once — the
+  // aggregator dedupes by cell key.
   core::StudyOptions topt = wopt;
   obs::Tracer wtracer(epoch);
   obs::ShardWriter trace_out;
@@ -120,11 +229,24 @@ int worker_main(const std::string& lease_path,
     (void)metrics_out.open(metrics_path);
   }
   core::Study study(topt);
-  const runtime::Harness& h = study.harness();
+  const core::CrashFn on_crash = [&shard_path](int) {
+    // Injected process death: leave a torn line in the shard — what a
+    // real crash mid-append does — then die without unwinding, flushing
+    // stdio, or completing the row's leases.
+    std::FILE* f = std::fopen(shard_path.c_str(), "a");
+    if (f != nullptr) {
+      std::fprintf(f, "{\"v\":%d,\"key\":\"00", core::kJournalFormatVersion);
+      std::fflush(f);
+    }
+    exec::hard_exit(139);
+  };
+  const RowSink out{shard, metrics_out, queue, self};
   const std::size_t cols = topt.compilers.size();
   exec::Engine engine(threads);
   while (true) {
-    const auto claims = queue.acquire(self, lease_deadline, batch);
+    // One row per engine thread per lease transaction.
+    const auto claims = queue.acquire(self, lease_deadline,
+                                      static_cast<std::size_t>(threads));
     if (claims.empty()) {
       // acquire() just scanned, so drained() is current: leave cleanly
       // (exit 0) when every cell is done; otherwise someone else holds
@@ -133,51 +255,15 @@ int worker_main(const std::string& lease_path,
       nap();
       continue;
     }
+    const auto rows = rows_of(claims, cols);
     (void)engine.try_run(
-        claims.size(),
+        rows.size(),
         [&](std::size_t i, int) {
-          const Claim& cl = claims[i];
-          const auto& bench = suite[cl.index / cols];
-          const auto& spec = topt.compilers[cl.index % cols];
-          const core::CrashFn on_crash = [&shard_path](int) {
-            // Injected process death: leave a torn line in the shard —
-            // what a real crash mid-append does — then die without
-            // unwinding, flushing stdio, or completing the lease.
-            std::FILE* f = std::fopen(shard_path.c_str(), "a");
-            if (f != nullptr) {
-              std::fprintf(f, "{\"v\":%d,\"key\":\"00",
-                           core::kJournalFormatVersion);
-              std::fflush(f);
-            }
-            exec::hard_exit(139);
-          };
-          std::vector<double> backoffs;
-          core::RetryFn on_retry;
-          if (metrics_out.is_open())
-            on_retry = [&backoffs](int, const runtime::MeasuredRun&,
-                                   double b) { backoffs.push_back(b); };
-          const auto cell_t0 = std::chrono::steady_clock::now();
-          core::CellResult res;
-          {
-            const auto sp =
-                obs::scoped(topt.tracer, "cell", bench.name(), spec.name);
-            res = core::evaluate_cell(h, topt, bench, spec, cl.gen, on_retry,
-                                      on_crash);
-          }
-          shard.record({cl.key, res.run});
-          if (metrics_out.is_open()) {
-            metrics_out.append(obs::encode_cell(cell_telemetry(
-                cl.key, cl.gen, self, bench.name(), spec.name, res,
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - cell_t0)
-                    .count(),
-                std::move(backoffs))));
-          }
-          queue.complete(cl.key, self);
+          run_row(rows[i], suite, study.harness(), topt, on_crash, out);
         },
         exec::ErrorPolicy::CollectAll);
-    // A job that threw (shard IO, ...) left its cell leased; the lease
-    // expires and is re-granted — no special handling here.
+    // A job that threw (shard IO, ...) left its row leased; the leases
+    // expire and are re-granted — no special handling here.
   }
 }
 
@@ -206,7 +292,9 @@ report::Table Supervisor::run_suite(
                                              bench.fingerprint(),
                                              sopt.apply_quirks));
 
-  LeaseQueue queue(lease_path, keys);
+  // Rows are benchmarks: a worker leases all of a row's compilers at
+  // once, so its per-benchmark caches serve the whole row.
+  LeaseQueue queue(lease_path, keys, cols);
   if (!queue.open())
     throw std::runtime_error("distrib: cannot open work queue at " +
                              lease_path);
@@ -309,15 +397,14 @@ report::Table Supervisor::run_suite(
 
   const core::StudyOptions wopt = worker_options(sopt);
   const int threads = sopt.jobs > 0 ? sopt.jobs : 1;
-  const std::size_t batch =
-      opt_.lease_batch > 0 ? opt_.lease_batch : static_cast<std::size_t>(threads);
 
   struct LiveWorker {
     int spawn_index = 0;
     int pid = 0;
   };
   std::vector<LiveWorker> live;
-  int spawn_seq = 0;
+  // Spawn indices name the shards, continuing after any earlier pass's.
+  int spawn_seq = next_shard_index(opt_.shard_dir);
   const auto spawn_worker = [&]() -> bool {
     const auto spawn_sp = obs::scoped(tracer, "sup:spawn");
     const int idx = spawn_seq++;
@@ -329,9 +416,9 @@ report::Table Supervisor::run_suite(
     const bool telem = opt_.telemetry;
     const int pid =
         exec::spawn_process([&, shard_path, trace_path, metrics_path, telem] {
-          return worker_main(lease_path, keys, shard_path, suite, wopt,
-                             opt_.lease_deadline_seconds, threads, batch,
-                             telem, epoch, trace_path, metrics_path);
+          return worker_main(queue, shard_path, suite, wopt,
+                             opt_.lease_deadline_seconds, threads, telem,
+                             epoch, trace_path, metrics_path);
         });
     if (pid < 0) return false;
     live.push_back({idx, pid});
@@ -355,23 +442,26 @@ report::Table Supervisor::run_suite(
     // same surviving generation without dying).
     const auto drain_sp = obs::scoped(tracer, "sup:inline-drain");
     // The parent's tracer observes the inline cells (they land on the
-    // supervisor's trace row); the cell records go to a 'zz' metrics
-    // shard so they sort after — and thus supersede — every worker's.
+    // supervisor's trace row); results and cell records go to shards
+    // numbered after every worker's, so in a merge the inline outcomes
+    // win (duplicates are byte-identical anyway).
     core::StudyOptions iopt = wopt;
     iopt.tracer = tracer;
     core::Study study(iopt);
-    const runtime::Harness& h = study.harness();
+    const int idx = spawn_seq++;
     core::Journal shard;
-    // 'zz' sorts after every 'shard-NNNN' worker shard: in a merge the
-    // inline outcomes win, though duplicates are byte-identical anyway.
-    if (!shard.open(opt_.shard_dir + "/shard-zz-inline.jsonl")) return;
-    const int self = exec::current_pid();
+    if (!shard.open(opt_.shard_dir + "/" + shard_name(idx, "-inline")))
+      return;
     obs::ShardWriter metrics_out;
-    if (opt_.telemetry)
-      (void)metrics_out.open(opt_.shard_dir + "/metrics-shard-zz-inline.jsonl");
+    if (opt_.telemetry) {
+      (void)metrics_out.open(opt_.shard_dir + "/metrics-" +
+                             shard_name(idx, "-inline"));
+    }
+    const int self = exec::current_pid();
+    const RowSink out{shard, metrics_out, queue, self};
     int stuck_rounds = 0;
     while (true) {
-      const auto claims = queue.acquire(self, 1e9, 8);
+      const auto claims = queue.acquire(self, 1e9, 1);
       if (claims.empty()) {
         if (queue.drained()) break;
         // Unexpired leases of dead owners: force-release and retry.
@@ -386,42 +476,8 @@ report::Table Supervisor::run_suite(
         continue;
       }
       stuck_rounds = 0;
-      for (const Claim& cl : claims) {
-        const auto& bench = suite[cl.index / cols];
-        const auto& spec = iopt.compilers[cl.index % cols];
-        core::CellResult res;
-        std::vector<double> backoffs;
-        core::RetryFn on_retry;
-        if (metrics_out.is_open())
-          on_retry = [&backoffs](int, const runtime::MeasuredRun&,
-                                 double b) { backoffs.push_back(b); };
-        const auto cell_t0 = std::chrono::steady_clock::now();
-        int gen = cl.gen;
-        {
-          const auto sp =
-              obs::scoped(tracer, "cell", bench.name(), spec.name);
-          for (;; ++gen) {
-            backoffs.clear();  // only the surviving generation counts
-            res = core::evaluate_cell(h, iopt, bench, spec, gen, on_retry);
-            const bool injected_crash =
-                res.run.status == runtime::CellStatus::Crashed &&
-                res.run.diagnostic.find(kInjectedCrashTag) !=
-                    std::string::npos;
-            if (!injected_crash || gen - cl.gen >= 32) break;
-          }
-        }
-        shard.record({cl.key, res.run});
-        if (metrics_out.is_open()) {
-          metrics_out.append(obs::encode_cell(cell_telemetry(
-              cl.key, gen, self, bench.name(), spec.name, res,
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - cell_t0)
-                  .count(),
-              std::move(backoffs))));
-        }
-        queue.complete(cl.key, self);
-        ++stats_.inline_cells;
-      }
+      run_row(claims, suite, study.harness(), iopt, {}, out);
+      stats_.inline_cells += claims.size();
       publish_status("inline-drain", false);
     }
     if (stats_.inline_cells > 0) stats_.degraded = true;

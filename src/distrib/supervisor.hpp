@@ -1,12 +1,20 @@
 #pragma once
 // Crash-isolated multi-process study runtime.
 //
-// The Supervisor forks N worker processes.  Each worker leases
-// (benchmark x compiler) cells from the durable work queue
-// (`<shard-dir>/leases.jsonl`), evaluates them through the exact same
-// core::evaluate_cell policy path the in-process engine uses, appends
-// outcomes to its own shard journal (`shard-<k>.jsonl`, the standard v2
-// JSONL format), and marks them done.  The supervisor reaps dead
+// The Supervisor forks N worker processes.  Each worker leases whole
+// benchmark rows (every compiler's cell of one benchmark) from the
+// durable work queue (`<shard-dir>/leases.jsonl`), evaluates them
+// through the exact same core::evaluate_cell policy path the in-process
+// engine uses — one row against one set of per-benchmark caches, so a
+// worker does the same compile/plan/evaluate work the in-process study
+// does — appends each row's outcomes to its own shard journal
+// (`shard-<k>.jsonl`, the standard JSONL journal format) in one write,
+// and then marks the row done in one lease-log write.  Workers inherit
+// the supervisor's replayed queue across fork() rather than replaying
+// the log from the start.  Each pass numbers its shards after the
+// highest index already in the directory, so sorted file order (the
+// merge's last-line-wins order) is creation order across resumed
+// passes.  The supervisor reaps dead
 // workers (waitpid), SIGKILLs hung ones (lease-deadline expiry),
 // releases their leases for re-lease, and respawns replacements with
 // the deterministic backoff schedule — degrading to an inline drain in
@@ -49,16 +57,15 @@ struct SupervisorOptions {
   std::string shard_dir = "a64fxcc-shards";
   /// Lease validity.  A worker that holds a lease past its deadline is
   /// presumed hung: the supervisor SIGKILLs it and re-leases its
-  /// cells.  Must comfortably exceed the slowest single-cell wall time.
+  /// cells.  Each engine thread of a worker leases one benchmark row
+  /// per transaction, so this must comfortably exceed the slowest
+  /// row's wall time (all compilers of one benchmark).  A crash loses
+  /// at most one row per worker thread.
   double lease_deadline_seconds = 30;
   /// Replacement workers budget after crashes; < 0 = 4 + 3 * procs.
   /// Exhausting it degrades the study: the parent drains the remaining
-  /// cells inline instead of forking again.
+  /// rows inline instead of forking again.
   int max_respawns = -1;
-  /// Cells leased per acquire transaction; 0 = the worker's thread
-  /// count.  Larger batches amortize flock round-trips, smaller ones
-  /// lose less work per crash.
-  std::size_t lease_batch = 0;
   /// Worker telemetry: each worker streams `trace-shard-<k>.jsonl`
   /// (one line per completed span, on the parent tracer's time axis)
   /// and `metrics-shard-<k>.jsonl` (one line per completed cell) next

@@ -45,14 +45,14 @@ const auto& get_number = exec::jsonio::get_num;
 
 }  // namespace
 
-LeaseQueue::LeaseQueue(std::string path, std::vector<std::uint64_t> keys)
-    : path_(std::move(path)), keys_(std::move(keys)) {
-  state_.reserve(keys_.size());
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    CellState st;
-    st.index = i;
-    state_.emplace(keys_[i], st);
-  }
+LeaseQueue::LeaseQueue(std::string path, std::vector<std::uint64_t> keys,
+                       std::size_t row_width)
+    : path_(std::move(path)),
+      keys_(std::move(keys)),
+      row_width_(std::max<std::size_t>(row_width, 1)),
+      cells_(keys_.size()) {
+  index_.reserve(keys_.size());
+  for (std::size_t i = 0; i < keys_.size(); ++i) index_.emplace(keys_[i], i);
 }
 
 std::string LeaseQueue::encode(const LeaseRecord& rec) {
@@ -94,9 +94,9 @@ double LeaseQueue::now() {
 }
 
 void LeaseQueue::apply(const LeaseRecord& rec) {
-  const auto it = state_.find(rec.key);
-  if (it == state_.end()) return;  // stale config: unknown cell
-  CellState& st = it->second;
+  const auto it = index_.find(rec.key);
+  if (it == index_.end()) return;  // stale config: unknown cell
+  CellState& st = cells_[it->second];
   switch (rec.op) {
     case LeaseRecord::Op::Lease:
       st.leased = true;
@@ -143,6 +143,15 @@ bool LeaseQueue::open() {
   return true;
 }
 
+bool LeaseQueue::reopen_after_fork() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) return false;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  return true;
+}
+
 bool LeaseQueue::lock_file() { return ::flock(fd_, LOCK_EX) == 0; }
 
 void LeaseQueue::unlock_file() { ::flock(fd_, LOCK_UN); }
@@ -178,139 +187,130 @@ void LeaseQueue::scan() {
   }
 }
 
-bool LeaseQueue::append(const std::string& line) {
+bool LeaseQueue::append(const std::string& lines) {
   if (fd_ < 0) return false;
   struct stat st {};
+  if (::fstat(fd_, &st) != 0) return false;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  // The caller scanned under the flock, so the log holds nothing past
+  // scan_offset_ but a torn tail (a writer killed mid-append).
+  // Newline-terminate it first, so our records start on a fresh line
+  // instead of gluing onto the fragment and losing both.
+  const bool caught_up = size == scan_offset_;
   std::string out;
-  // Newline-terminate a torn tail first (a writer killed mid-append),
-  // so our record starts on a fresh line instead of gluing onto the
-  // fragment and losing both.
-  if (::fstat(fd_, &st) == 0 && st.st_size > 0) {
+  if (!caught_up) {
     char last = '\n';
     if (::pread(fd_, &last, 1, st.st_size - 1) == 1 && last != '\n')
       out.push_back('\n');
   }
-  out += line;
-  out.push_back('\n');
-  // One write: with O_APPEND the whole record lands contiguously.
-  return ::write(fd_, out.data(), out.size()) ==
-         static_cast<ssize_t>(out.size());
-}
-
-std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds,
-                                       std::size_t max_cells) {
-  std::vector<Claim> out;
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0 || max_cells == 0 || !lock_file()) return out;
-  scan();
-  const double t = now();
-  for (const std::uint64_t key : keys_) {
-    if (out.size() >= max_cells) break;
-    CellState& st = state_.at(key);
-    if (st.done || (st.leased && st.deadline > t)) continue;
-    LeaseRecord rec;
-    rec.op = LeaseRecord::Op::Lease;
-    rec.key = key;
-    rec.owner = owner;
-    rec.gen = st.gen;
-    rec.deadline = t + deadline_seconds;
-    if (!append(encode(rec))) break;
-    apply(rec);
-    out.push_back({st.index, key, rec.gen});
-  }
-  unlock_file();
-  return out;
-}
-
-bool LeaseQueue::complete(std::uint64_t key, int owner) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0 || state_.find(key) == state_.end() || !lock_file())
+  out += lines;
+  // One write: with O_APPEND the whole batch lands contiguously.
+  if (::write(fd_, out.data(), out.size()) !=
+      static_cast<ssize_t>(out.size()))
     return false;
-  scan();
-  LeaseRecord rec;
-  rec.op = LeaseRecord::Op::Done;
-  rec.key = key;
-  rec.owner = owner;
-  const bool ok = append(encode(rec));
-  if (ok) apply(rec);
-  unlock_file();
-  return ok;
-}
-
-std::size_t LeaseQueue::release_owner(int owner) {
-  std::size_t released = 0;
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0 || !lock_file()) return 0;
-  scan();
-  for (const std::uint64_t key : keys_) {
-    const CellState& st = state_.at(key);
-    if (st.done || !st.leased || st.owner != owner) continue;
-    LeaseRecord rec;
-    rec.op = LeaseRecord::Op::Release;
-    rec.key = key;
-    rec.owner = owner;
-    if (!append(encode(rec))) break;
-    apply(rec);
-    ++released;
-  }
-  unlock_file();
-  return released;
-}
-
-bool LeaseQueue::release(std::uint64_t key, int owner) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0 || !lock_file()) return false;
-  scan();
-  const auto it = state_.find(key);
-  bool ok = false;
-  if (it != state_.end() && it->second.leased && !it->second.done &&
-      it->second.owner == owner) {
-    LeaseRecord rec;
-    rec.op = LeaseRecord::Op::Release;
-    rec.key = key;
-    rec.owner = owner;
-    ok = append(encode(rec));
-    if (ok) apply(rec);
-  }
-  unlock_file();
-  return ok;
-}
-
-bool LeaseQueue::reopen(std::uint64_t key) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0 || state_.find(key) == state_.end() || !lock_file())
-    return false;
-  scan();
-  LeaseRecord rec;
-  rec.op = LeaseRecord::Op::Reopen;
-  rec.key = key;
-  const bool ok = append(encode(rec));
-  if (ok) apply(rec);
-  unlock_file();
-  return ok;
-}
-
-void LeaseQueue::poll() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  scan();
+  // The caller applies these records itself; skip them on the next scan.
+  if (caught_up) scan_offset_ += out.size();
+  return true;
 }
 
 #else  // _WIN32: POSIX-only (flock + pread); the CLI gates --procs.
 
 LeaseQueue::~LeaseQueue() = default;
 bool LeaseQueue::open() { return false; }
+bool LeaseQueue::reopen_after_fork() { return false; }
 bool LeaseQueue::lock_file() { return false; }
 void LeaseQueue::unlock_file() {}
 void LeaseQueue::scan() {}
 bool LeaseQueue::append(const std::string&) { return false; }
-std::vector<Claim> LeaseQueue::acquire(int, double, std::size_t) { return {}; }
-bool LeaseQueue::complete(std::uint64_t, int) { return false; }
-std::size_t LeaseQueue::release_owner(int) { return 0; }
-bool LeaseQueue::release(std::uint64_t, int) { return false; }
-bool LeaseQueue::reopen(std::uint64_t) { return false; }
-void LeaseQueue::poll() {}
 
 #endif
+
+std::vector<LeaseRecord> LeaseQueue::transact(
+    const std::function<void(std::vector<LeaseRecord>&)>& decide) {
+  std::vector<LeaseRecord> recs;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (fd_ < 0 || !lock_file()) return recs;
+  scan();
+  decide(recs);
+  std::string lines;
+  for (const LeaseRecord& rec : recs) {
+    lines += encode(rec);
+    lines.push_back('\n');
+  }
+  if (!recs.empty() && append(lines)) {
+    for (const LeaseRecord& rec : recs) apply(rec);
+  } else {
+    recs.clear();
+  }
+  unlock_file();
+  return recs;
+}
+
+std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds,
+                                       std::size_t max_rows) {
+  std::vector<Claim> out;
+  const auto granted = transact([&](std::vector<LeaseRecord>& recs) {
+    const double t = now();
+    std::size_t rows = 0;
+    for (std::size_t row = 0; row < keys_.size() && rows < max_rows;
+         row += row_width_) {
+      const std::size_t before = out.size();
+      const std::size_t end = std::min(keys_.size(), row + row_width_);
+      for (std::size_t i = row; i < end; ++i) {
+        const CellState& st = cells_[i];
+        if (st.done || (st.leased && st.deadline > t)) continue;
+        recs.push_back({LeaseRecord::Op::Lease, keys_[i], owner, st.gen,
+                        t + deadline_seconds});
+        out.push_back({i, keys_[i], st.gen});
+      }
+      if (out.size() > before) ++rows;
+    }
+  });
+  if (granted.empty()) out.clear();  // the write failed: nothing granted
+  return out;
+}
+
+bool LeaseQueue::complete(const std::vector<std::uint64_t>& keys, int owner) {
+  return transact([&](std::vector<LeaseRecord>& recs) {
+           for (const std::uint64_t key : keys)
+             if (index_.find(key) == index_.end()) return;
+           for (const std::uint64_t key : keys)
+             recs.push_back({LeaseRecord::Op::Done, key, owner, 0, 0});
+         }).size() == keys.size();
+}
+
+std::size_t LeaseQueue::release_owner(int owner) {
+  return transact([&](std::vector<LeaseRecord>& recs) {
+           for (std::size_t i = 0; i < keys_.size(); ++i) {
+             const CellState& st = cells_[i];
+             if (st.done || !st.leased || st.owner != owner) continue;
+             recs.push_back({LeaseRecord::Op::Release, keys_[i], owner, 0, 0});
+           }
+         })
+      .size();
+}
+
+bool LeaseQueue::release(std::uint64_t key, int owner) {
+  return !transact([&](std::vector<LeaseRecord>& recs) {
+            const auto it = index_.find(key);
+            if (it == index_.end()) return;
+            const CellState& st = cells_[it->second];
+            if (st.leased && !st.done && st.owner == owner)
+              recs.push_back({LeaseRecord::Op::Release, key, owner, 0, 0});
+          }).empty();
+}
+
+bool LeaseQueue::reopen(std::uint64_t key) {
+  return !transact([&](std::vector<LeaseRecord>& recs) {
+            if (index_.find(key) != index_.end())
+              recs.push_back({LeaseRecord::Op::Reopen, key, 0, 0, 0});
+          }).empty();
+}
+
+void LeaseQueue::poll() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  scan();
+}
 
 bool LeaseQueue::drained() const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -324,17 +324,17 @@ std::size_t LeaseQueue::done_count() const {
 
 bool LeaseQueue::done(std::uint64_t key) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = state_.find(key);
-  return it != state_.end() && it->second.done;
+  const auto it = index_.find(key);
+  return it != index_.end() && cells_[it->second].done;
 }
 
 std::vector<LeaseInfo> LeaseQueue::active_leases() const {
   std::vector<LeaseInfo> out;
   const std::lock_guard<std::mutex> lock(mu_);
-  for (const std::uint64_t key : keys_) {
-    const CellState& st = state_.at(key);
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    const CellState& st = cells_[i];
     if (st.done || !st.leased) continue;
-    out.push_back({key, st.owner, st.gen - 1, st.deadline});
+    out.push_back({keys_[i], st.owner, st.gen - 1, st.deadline});
   }
   return out;
 }
@@ -342,10 +342,10 @@ std::vector<LeaseInfo> LeaseQueue::active_leases() const {
 std::vector<LeaseInfo> LeaseQueue::expired_leases(double at) const {
   std::vector<LeaseInfo> out;
   const std::lock_guard<std::mutex> lock(mu_);
-  for (const std::uint64_t key : keys_) {
-    const CellState& st = state_.at(key);
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    const CellState& st = cells_[i];
     if (st.done || !st.leased || st.deadline > at) continue;
-    out.push_back({key, st.owner, st.gen - 1, st.deadline});
+    out.push_back({keys_[i], st.owner, st.gen - 1, st.deadline});
   }
   return out;
 }

@@ -7,7 +7,7 @@
 // journal does: appends are whole lines, readers skip torn tails, and a
 // restart replays the log instead of trusting volatile state.
 //
-// Protocol (all records tagged "v":1):
+// Protocol (all records tagged "v":1, one record per cell per line):
 //   lease   — `owner` (worker pid) claims the cell until the absolute
 //             steady-clock `deadline`; `gen` is the generation granted
 //             (0 = first lease).  Generations seed the deterministic
@@ -22,14 +22,23 @@
 //   reopen  — the supervisor undid a `done` (resume found the recorded
 //             outcome failed or missing), so the cell re-evaluates.
 //
+// The queue knows the grid: keys are row-major with a fixed row width
+// (the supervisor's rows are benchmarks, its columns compilers), and
+// acquire() hands out whole rows so one process evaluates all of a
+// benchmark's cells against one set of per-benchmark caches.  The log
+// itself stays cell-granular — a row's lease or done records are
+// several lines written by one append — so readers never need to know
+// the row width, and logs written one cell at a time replay unchanged.
+//
 // Mutating operations hold an exclusive flock() on the log for a
-// read-decide-append transaction; flock dies with the process, so a
-// kill -9 mid-transaction can never wedge the queue.  Readers tolerate
-// a torn trailing line (a writer killed mid-append) and writers
-// newline-terminate such a tail before appending, exactly like the
-// result journal.
+// read-decide-append transaction and write all of its records with one
+// write(); flock dies with the process, so a kill -9 mid-transaction can
+// never wedge the queue.  Readers tolerate a torn trailing line (a
+// writer killed mid-append) and writers newline-terminate such a tail
+// before appending, exactly like the result journal.
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -67,10 +76,13 @@ struct LeaseInfo {
 
 class LeaseQueue {
  public:
-  /// `keys` fixes the cell universe and its order (acquire scans it
-  /// front to back).  Records in the log for unknown keys — stale runs
-  /// with a different configuration — are ignored.
-  LeaseQueue(std::string path, std::vector<std::uint64_t> keys);
+  /// `keys` (distinct) fixes the cell universe and its order: row-major
+  /// rows of `row_width` cells (a trailing partial row is allowed; 0
+  /// means 1).  acquire() scans rows front to back.  Records in the log
+  /// for unknown keys — stale runs with a different configuration — are
+  /// ignored.
+  LeaseQueue(std::string path, std::vector<std::uint64_t> keys,
+             std::size_t row_width = 1);
   ~LeaseQueue();
   LeaseQueue(const LeaseQueue&) = delete;
   LeaseQueue& operator=(const LeaseQueue&) = delete;
@@ -78,6 +90,14 @@ class LeaseQueue {
   /// Open (creating if needed) the shared log.  False on failure or on
   /// platforms without flock (the CLI gates --procs behind POSIX).
   [[nodiscard]] bool open();
+
+  /// In a child forked from an open queue's process: swap the inherited
+  /// descriptor for a private one, keeping the replayed state and scan
+  /// offset, so the child resumes the replay where its parent stopped
+  /// instead of at byte 0.  The swap is what makes the flock exclude the
+  /// parent: flock locks belong to the open file description, which a
+  /// forked descriptor shares.  False when the log cannot be reopened.
+  [[nodiscard]] bool reopen_after_fork();
 
   /// One JSONL line (no trailing newline) / its inverse.  decode()
   /// returns nullopt for blank, torn, foreign, or newer-versioned
@@ -92,17 +112,20 @@ class LeaseQueue {
   /// deadline without any cross-process time agreement.
   [[nodiscard]] static double now();
 
-  /// Claim up to `max_cells` cells for `owner`: the first cells that
-  /// are neither done nor under an unexpired lease, in key order.  One
-  /// flock transaction; the returned generations are committed to the
-  /// log before this returns.  Empty when nothing is claimable (all
-  /// done, or everything pending is validly leased elsewhere).
+  /// Lease, for `owner`, every claimable cell (neither done nor under an
+  /// unexpired lease) of the first `max_rows` rows that still have one.
+  /// Claims come back in key order, so a row's claims are contiguous.
+  /// One flock transaction and one write; the returned generations are
+  /// committed to the log before this returns.  Empty when nothing is
+  /// claimable (all done, or everything pending is validly leased
+  /// elsewhere).
   [[nodiscard]] std::vector<Claim> acquire(int owner, double deadline_seconds,
-                                           std::size_t max_cells = 1);
+                                           std::size_t max_rows = 1);
 
-  /// Record terminal completion of a leased cell.  False if the key is
-  /// unknown.
-  bool complete(std::uint64_t key, int owner);
+  /// Record terminal completion of leased cells: one `done` line per
+  /// key, all in one transaction and one write.  False (and nothing
+  /// written) if a key is unknown, or if the write fails.
+  bool complete(const std::vector<std::uint64_t>& keys, int owner);
 
   /// Release every lease currently held by `owner` (reaped worker).
   /// Returns the number of cells returned to the pool.
@@ -134,7 +157,6 @@ class LeaseQueue {
 
  private:
   struct CellState {
-    std::size_t index = 0;
     bool done = false;
     bool leased = false;
     int owner = 0;
@@ -142,9 +164,17 @@ class LeaseQueue {
     double deadline = 0;
   };
 
-  // All private helpers assume mu_ is held.
+  /// One read-decide-append transaction: under mu_ and the flock, catch
+  /// up on the log, let `decide` choose records (it may read cells_),
+  /// append them with one write and apply them.  Returns the records
+  /// written: none when the queue is closed, the lock or the write
+  /// failed, or `decide` chose none.
+  std::vector<LeaseRecord> transact(
+      const std::function<void(std::vector<LeaseRecord>&)>& decide);
+
+  // The helpers below assume mu_ is held.
   void scan();
-  bool append(const std::string& line);
+  bool append(const std::string& lines);
   void apply(const LeaseRecord& rec);
   bool lock_file();
   void unlock_file();
@@ -153,7 +183,9 @@ class LeaseQueue {
                            ///< flock() serializes across processes
   std::string path_;
   std::vector<std::uint64_t> keys_;
-  std::unordered_map<std::uint64_t, CellState> state_;
+  std::size_t row_width_ = 1;
+  std::vector<CellState> cells_;  ///< parallel to keys_
+  std::unordered_map<std::uint64_t, std::size_t> index_;  ///< key -> cell
   int fd_ = -1;
   std::uint64_t scan_offset_ = 0;
   std::size_t done_ = 0;

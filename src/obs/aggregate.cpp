@@ -15,8 +15,7 @@ namespace {
 
 using exec::jsonio::append_escaped;
 
-/// "trace-shard-0003.jsonl" -> "worker-0003"; inline-drain shards keep
-/// their tag ("worker-zz-inline").
+/// "trace-shard-0003.jsonl" -> "worker-0003".
 std::string worker_label(const std::string& filename, const char* prefix) {
   const std::size_t plen = std::char_traits<char>::length(prefix);
   std::string tag = filename.substr(plen);

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -126,9 +127,9 @@ TEST(LeaseQueue, AcquireCompleteDrainsInKeyOrder) {
   EXPECT_EQ(q.acquire(111, 60.0, 8).size(), 1u);  // only key 30 left
   EXPECT_TRUE(q.acquire(222, 60.0, 8).empty());
 
-  EXPECT_TRUE(q.complete(10, 111));
-  EXPECT_TRUE(q.complete(20, 111));
-  EXPECT_TRUE(q.complete(30, 111));
+  EXPECT_TRUE(q.complete({10}, 111));
+  EXPECT_TRUE(q.complete({20}, 111));
+  EXPECT_TRUE(q.complete({30}, 111));
   EXPECT_TRUE(q.drained());
   EXPECT_EQ(q.done_count(), 3u);
   EXPECT_TRUE(q.acquire(111, 60.0, 8).empty());
@@ -175,7 +176,7 @@ TEST(LeaseQueue, ReopenUndoesDoneForResume) {
   distrib::LeaseQueue q(dir + "/leases.jsonl", {5});
   ASSERT_TRUE(q.open());
   ASSERT_EQ(q.acquire(111, 60.0, 1).size(), 1u);
-  ASSERT_TRUE(q.complete(5, 111));
+  ASSERT_TRUE(q.complete({5}, 111));
   EXPECT_TRUE(q.drained());
   EXPECT_TRUE(q.reopen(5));
   EXPECT_FALSE(q.drained());
@@ -192,7 +193,7 @@ TEST(LeaseQueue, StateIsDurableAcrossReopenAndToleratesTornTail) {
     distrib::LeaseQueue q(path, {1, 2});
     ASSERT_TRUE(q.open());
     ASSERT_EQ(q.acquire(111, 3600.0, 1).size(), 1u);
-    ASSERT_TRUE(q.complete(1, 111));
+    ASSERT_TRUE(q.complete({1}, 111));
   }
   // A writer died mid-append: torn tail, no newline.
   {
@@ -222,13 +223,132 @@ TEST(LeaseQueue, UnknownKeysInLogAreIgnored) {
     distrib::LeaseQueue q(path, {77});
     ASSERT_TRUE(q.open());
     ASSERT_EQ(q.acquire(1, 3600.0, 1).size(), 1u);
-    ASSERT_TRUE(q.complete(77, 1));
+    ASSERT_TRUE(q.complete({77}, 1));
   }
   distrib::LeaseQueue q(path, {88});
   ASSERT_TRUE(q.open());
   EXPECT_FALSE(q.drained());
   EXPECT_EQ(q.done_count(), 0u);
   ASSERT_EQ(q.acquire(2, 3600.0, 1).size(), 1u);
+}
+
+/// Lines of a lease log, in file order.
+std::vector<std::string> log_lines(const std::string& path) {
+  std::vector<std::string> out;
+  std::ifstream f(path);
+  for (std::string line; std::getline(f, line);) out.push_back(line);
+  return out;
+}
+
+TEST(LeaseQueue, RowAcquireTakesTheClaimableCellsOfTheFirstOpenRow) {
+  const std::string dir = fresh_dir("queue_rows");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/leases.jsonl";
+  std::vector<std::uint64_t> keys;  // three rows of five: 100..114
+  for (std::uint64_t k = 100; k < 115; ++k) keys.push_back(k);
+  distrib::LeaseQueue q(path, keys, 5);
+  ASSERT_TRUE(q.open());
+
+  const auto row0 = q.acquire(111, 60.0, 1);
+  ASSERT_EQ(row0.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(row0[i].key, 100 + i);
+    EXPECT_EQ(row0[i].index, i);
+    EXPECT_EQ(row0[i].gen, 0);
+  }
+  ASSERT_TRUE(q.complete({100, 101, 102, 103, 104}, 111));
+
+  // Other processes' records on row 1, written cell by cell: 106 done,
+  // 108 under a valid lease, 109 under an expired one.
+  {
+    const double now = distrib::LeaseQueue::now();
+    using Op = distrib::LeaseRecord::Op;
+    std::ofstream f(path, std::ios::app);
+    for (const distrib::LeaseRecord& rec :
+         {distrib::LeaseRecord{Op::Lease, 106, 222, 0, now + 60},
+          distrib::LeaseRecord{Op::Done, 106, 222, 0, 0},
+          distrib::LeaseRecord{Op::Lease, 108, 333, 0, now + 3600},
+          distrib::LeaseRecord{Op::Lease, 109, 444, 0, now - 1}})
+      f << distrib::LeaseQueue::encode(rec) << "\n";
+  }
+  // acquire(..., 1) takes exactly row 1's claimable cells, never row 2's.
+  const auto row1 = q.acquire(555, 60.0, 1);
+  ASSERT_EQ(row1.size(), 3u);
+  EXPECT_EQ(row1[0].key, 105u);
+  EXPECT_EQ(row1[0].index, 5u);
+  EXPECT_EQ(row1[0].gen, 0);
+  EXPECT_EQ(row1[1].key, 107u);
+  EXPECT_EQ(row1[1].gen, 0);
+  EXPECT_EQ(row1[2].key, 109u);
+  EXPECT_EQ(row1[2].gen, 1);  // re-granted after the expired lease
+  // Row 1 has nothing claimable left, so the next row is row 2.
+  const auto row2 = q.acquire(555, 60.0, 1);
+  ASSERT_EQ(row2.size(), 5u);
+  EXPECT_EQ(row2.front().key, 110u);
+  EXPECT_EQ(row2.back().key, 114u);
+  EXPECT_TRUE(q.acquire(666, 60.0, 4).empty());
+
+  // A multi-key complete adds one done line per key, together at the
+  // end of the log; an unknown key makes it write nothing.
+  const std::size_t before = log_lines(path).size();
+  EXPECT_FALSE(q.complete({105, 999}, 555));
+  EXPECT_EQ(log_lines(path).size(), before);
+  ASSERT_TRUE(q.complete({105, 107, 109}, 555));
+  const auto lines = log_lines(path);
+  ASSERT_EQ(lines.size(), before + 3);
+  const std::uint64_t done_keys[] = {105, 107, 109};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto rec = distrib::LeaseQueue::decode(lines[before + i]);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->op, distrib::LeaseRecord::Op::Done);
+    EXPECT_EQ(rec->key, done_keys[i]);
+    EXPECT_EQ(rec->owner, 555);
+    EXPECT_TRUE(q.done(done_keys[i]));
+  }
+  EXPECT_EQ(q.done_count(), 9u);  // row 0, 106, and the three above
+}
+
+TEST(LeaseQueue, ForkedChildAdoptsTheParentsReplayedQueue) {
+  const std::string dir = fresh_dir("queue_fork");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/leases.jsonl";
+  std::vector<std::uint64_t> keys;  // three rows of five: 200..214
+  for (std::uint64_t k = 200; k < 215; ++k) keys.push_back(k);
+  distrib::LeaseQueue q(path, keys, 5);
+  ASSERT_TRUE(q.open());
+  const int self = exec::current_pid();
+  ASSERT_EQ(q.acquire(self, 60.0, 1).size(), 5u);
+  ASSERT_TRUE(q.complete({200, 201, 202, 203, 204}, self));
+  const auto held = q.acquire(self, 60.0, 1);
+  ASSERT_EQ(held.size(), 5u);
+
+  // The child leases only what the parent neither finished nor holds.
+  const int pid = exec::spawn_process([&q] {
+    if (!q.reopen_after_fork()) return 2;
+    const auto got = q.acquire(exec::current_pid(), 60.0, 3);
+    if (got.size() != 5) return 3;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      if (got[i].key != 210 + i || got[i].gen != 0) return 4;
+    return 0;
+  });
+  ASSERT_GT(pid, 0);
+  const auto ex = exec::reap(pid);
+  ASSERT_TRUE(ex.has_value());
+  EXPECT_TRUE(ex->clean()) << ex->describe();
+
+  // The child's leases reached the shared log under its pid, and the
+  // parent's own descriptor still works after the child closed its copy.
+  q.poll();
+  std::size_t childs = 0;
+  for (const auto& l : q.active_leases()) {
+    if (l.owner == pid) {
+      EXPECT_GE(l.key, 210u);
+      ++childs;
+    }
+  }
+  EXPECT_EQ(childs, 5u);
+  EXPECT_TRUE(q.complete({205, 206, 207, 208, 209}, self));
+  EXPECT_EQ(q.done_count(), 10u);
 }
 
 // ---- supervisor: clean runs ------------------------------------------------
@@ -331,53 +451,89 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
 
 // ---- supervisor: real kill -9 ----------------------------------------------
 
-TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
-  // The acceptance criterion, with a real SIGKILL: a watcher thread
-  // reads leases.jsonl until a worker holds a live lease, kill -9s it
-  // mid-cell, and the supervisor re-leases + respawns its way to a
-  // table byte-identical to the clean single-process run.
-  const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
-  const auto base = small_options();
-  const std::string clean_csv =
-      report::render_csv(clean_single_process(base, suite));
-  const std::string dir = fresh_dir("kill9");
-  const std::string lease_path = dir + "/leases.jsonl";
-  const int self = exec::current_pid();
+/// The kill -9 fault injector: a thread that polls the lease log and
+/// SIGKILLs one worker mid-study — a worker that has finished at least
+/// one cell (so it has left results and spans behind) and still holds a
+/// lease (so it dies holding the row it was evaluating).  It reads and
+/// kills under the log's flock, so no worker can complete or take a
+/// lease meanwhile.  A worker idle between rows, or waiting for the last
+/// cells, holds none and would leave nothing to release.
+class Kill9Watcher {
+ public:
+  explicit Kill9Watcher(std::string lease_path)
+      : thread_([this, path = std::move(lease_path)] { watch(path); }) {}
+  ~Kill9Watcher() { stop(); }
+  Kill9Watcher(const Kill9Watcher&) = delete;
+  Kill9Watcher& operator=(const Kill9Watcher&) = delete;
 
-  std::atomic<bool> killed{false};
-  std::atomic<bool> stop{false};
-  std::thread killer([&] {
-    while (!stop.load() && !killed.load()) {
-      // Read and kill under the log's flock: no worker can complete or
-      // take a lease meanwhile, so the victim dies holding the cell it
-      // was evaluating (a worker idle between batches, or waiting for
-      // the last cells, holds none and would leave nothing to release).
-      const int fd = ::open(lease_path.c_str(), O_RDONLY);
+  void stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  [[nodiscard]] bool killed() const { return killed_.load(); }
+
+ private:
+  void watch(const std::string& path) {
+    const int self = exec::current_pid();
+    std::map<std::uint64_t, int> holder;  // cell key -> lease owner
+    std::set<int> finished;               // owners with a done cell
+    std::uint64_t offset = 0;             // log bytes replayed so far
+    while (!stop_.load() && !killed_.load()) {
+      const int fd = ::open(path.c_str(), O_RDONLY);
       if (fd >= 0 && ::flock(fd, LOCK_EX) == 0) {
-        std::map<std::uint64_t, int> holder;  // cell key -> lease owner
-        std::ifstream f(lease_path);
-        std::string line;
-        while (std::getline(f, line)) {
-          const auto rec = distrib::LeaseQueue::decode(line);
+        // Replay only the complete lines appended since the last poll.
+        std::string tail;
+        char buf[1 << 16];
+        ssize_t got = 0;
+        while ((got = ::pread(fd, buf, sizeof buf,
+                              static_cast<off_t>(offset + tail.size()))) > 0)
+          tail.append(buf, static_cast<std::size_t>(got));
+        std::size_t start = 0;
+        for (std::size_t nl = tail.find('\n'); nl != std::string::npos;
+             start = nl + 1, nl = tail.find('\n', start)) {
+          const auto rec =
+              distrib::LeaseQueue::decode(tail.substr(start, nl - start));
           if (!rec) continue;
-          if (rec->op == distrib::LeaseRecord::Op::Lease)
+          if (rec->op == distrib::LeaseRecord::Op::Lease) {
             holder[rec->key] = rec->owner;
-          else
+          } else {
+            if (rec->op == distrib::LeaseRecord::Op::Done)
+              finished.insert(rec->owner);
             holder.erase(rec->key);
+          }
         }
+        offset += start;
         for (const auto& [key, owner] : holder) {
-          if (owner == self || owner <= 0) continue;
+          if (owner == self || owner <= 0 || finished.count(owner) == 0)
+            continue;
           if (exec::kill_process(owner)) {
-            killed.store(true);
+            killed_.store(true);
             break;
           }
         }
         ::flock(fd, LOCK_UN);
       }
       if (fd >= 0) ::close(fd);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-  });
+  }
+
+  std::atomic<bool> killed_{false};
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
+  // The acceptance criterion, with a real SIGKILL: a watcher thread
+  // reads leases.jsonl until a worker holds a live lease, kill -9s it
+  // mid-cell, and the supervisor re-leases + respawns its way to a
+  // table byte-identical to the clean single-process run.
+  const auto suite = kernels::all_benchmarks(0.05);  // 540 cells, 108 rows
+  const auto base = small_options();
+  const std::string clean_csv =
+      report::render_csv(clean_single_process(base, suite));
+  const std::string dir = fresh_dir("kill9");
+  Kill9Watcher killer(dir + "/leases.jsonl");
 
   distrib::SupervisorOptions sopt;
   sopt.study = base;
@@ -386,10 +542,9 @@ TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
   sopt.lease_deadline_seconds = 20;
   distrib::Supervisor sup(std::move(sopt));
   const auto t = sup.run_suite(suite);
-  stop.store(true);
-  killer.join();
+  killer.stop();
 
-  ASSERT_TRUE(killed.load()) << "watcher never saw a live worker to kill";
+  ASSERT_TRUE(killer.killed()) << "watcher never saw a live worker to kill";
   EXPECT_EQ(report::render_csv(t), clean_csv);
   EXPECT_GE(sup.stats().worker_respawns, 1);
   EXPECT_GE(sup.stats().cells_released, 1u);
@@ -478,6 +633,56 @@ TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
   EXPECT_EQ(report::render_csv(t), report::render_csv(fresh));
   EXPECT_EQ(report::render_csv(t),
             report::render_csv(clean_single_process(base, suite)));
+}
+
+TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
+  // A resume pass re-evaluates the first pass's failed cells at the next
+  // lease generation, where the injected runtime faults decide anew, so
+  // many now succeed.  Its shards must sort after the first pass's:
+  // the merge keeps the last line for a key in file order, and a new
+  // valid line must never lose to its stale failure.
+  const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
+  auto base = small_options();
+  base.seed = 7;
+  base.faults.runtime = 0.3;
+  std::string procs2_csv;
+  for (const int procs : {2, 3, 4}) {
+    const std::string dir = fresh_dir("stale_p" + std::to_string(procs));
+    report::Table resumed;
+    for (int pass = 0; pass < 2; ++pass) {
+      distrib::SupervisorOptions sopt;
+      sopt.study = base;
+      sopt.procs = procs;
+      sopt.shard_dir = dir;
+      distrib::Supervisor sup(std::move(sopt));
+      resumed = sup.run_suite(suite);
+      if (pass == 1) {
+        EXPECT_GT(sup.stats().reopened_cells, 0u);
+      }
+    }
+    std::map<std::string, bool> has_valid_line;  // "bench/compiler"
+    for (const auto& path : distrib::Reducer::shard_files(dir)) {
+      std::ifstream f(path);
+      for (std::string line; std::getline(f, line);) {
+        const auto e = core::Journal::decode(line);
+        if (e && e->run.valid())
+          has_valid_line[e->run.benchmark + "/" + e->run.compiler] = true;
+      }
+    }
+    std::size_t stale = 0;
+    for (const auto& row : resumed.rows)
+      for (const auto& cell : row.cells)
+        if (!cell.valid() &&
+            has_valid_line.count(cell.benchmark + "/" + cell.compiler) > 0)
+          ++stale;
+    EXPECT_EQ(stale, 0u) << "procs=" << procs;
+    const std::string csv = report::render_csv(resumed);
+    if (procs == 2) {
+      procs2_csv = csv;
+    } else {
+      EXPECT_EQ(csv, procs2_csv) << "procs=" << procs;
+    }
+  }
 }
 
 // ---- reducer ---------------------------------------------------------------
@@ -635,14 +840,17 @@ TEST(Telemetry, MergedCountersMatchTheSingleProcessRunAcrossProcs) {
       report::render_csv(clean_single_process(base, suite));
   const std::size_t cells = suite.size() * 5;
   ASSERT_EQ(ref.counter("jobs_started"), cells);
-  // Partition-invariant counters: cell outcomes and the per-cell-
-  // deterministic caches.  The plan/estimate hit/miss *splits* depend
-  // on which cells shared a process, so only their sums are asserted.
-  const char* exact[] = {"jobs_started",       "cells_ok",
-                         "cells_compile_error", "cells_runtime_error",
-                         "cells_timeout",       "cells_crashed",
-                         "retries",             "compile_cache_hits",
-                         "compile_cache_misses", "analysis_cache_hits",
+  // Partition-invariant counters: cell outcomes and every cache's hits
+  // and misses.  Workers lease whole benchmark rows, so each row's
+  // cells share one process's per-benchmark caches exactly as they do
+  // in the single-process run.
+  const char* exact[] = {"jobs_started",          "cells_ok",
+                         "cells_compile_error",   "cells_runtime_error",
+                         "cells_timeout",         "cells_crashed",
+                         "retries",               "compile_cache_hits",
+                         "compile_cache_misses",  "plan_cache_hits",
+                         "plan_cache_misses",     "estimate_cache_hits",
+                         "estimate_cache_misses", "analysis_cache_hits",
                          "analysis_cache_misses"};
   for (const int procs : {1, 2, 4}) {
     obs::Tracer tracer;
@@ -666,15 +874,6 @@ TEST(Telemetry, MergedCountersMatchTheSingleProcessRunAcrossProcs) {
     for (const char* name : exact)
       EXPECT_EQ(merged.counter(name), ref.counter(name))
           << name << " procs=" << procs;
-    EXPECT_EQ(
-        merged.counter("plan_cache_hits") + merged.counter("plan_cache_misses"),
-        ref.counter("plan_cache_hits") + ref.counter("plan_cache_misses"))
-        << "procs=" << procs;
-    EXPECT_EQ(merged.counter("estimate_cache_hits") +
-                  merged.counter("estimate_cache_misses"),
-              ref.counter("estimate_cache_hits") +
-                  ref.counter("estimate_cache_misses"))
-        << "procs=" << procs;
     ASSERT_EQ(merged.histograms.count("cell_wall_seconds"), 1u);
     EXPECT_EQ(merged.histograms.at("cell_wall_seconds").count, cells);
   }
@@ -687,49 +886,13 @@ TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
   // supervisor lifecycle row and satisfy the Chrome viewer invariants,
   // and (c) merged deterministic counters equal to the single-process
   // run's.
-  const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
+  const auto suite = kernels::all_benchmarks(0.05);  // 540 cells, 108 rows
   const auto base = small_options();
   const std::string clean_csv =
       report::render_csv(clean_single_process(base, suite));
   const auto ref = single_process_registry(base, suite);
   const std::string dir = fresh_dir("kill9_telemetry");
-  const std::string lease_path = dir + "/leases.jsonl";
-  const int self = exec::current_pid();
-
-  std::atomic<bool> killed{false};
-  std::atomic<bool> stop{false};
-  std::thread killer([&] {
-    while (!stop.load() && !killed.load()) {
-      // Read and kill under the log's flock: no worker can complete or
-      // take a lease meanwhile, so the victim dies holding the cell it
-      // was evaluating (a worker idle between batches, or waiting for
-      // the last cells, holds none and would leave nothing to release).
-      const int fd = ::open(lease_path.c_str(), O_RDONLY);
-      if (fd >= 0 && ::flock(fd, LOCK_EX) == 0) {
-        std::map<std::uint64_t, int> holder;  // cell key -> lease owner
-        std::ifstream f(lease_path);
-        std::string line;
-        while (std::getline(f, line)) {
-          const auto rec = distrib::LeaseQueue::decode(line);
-          if (!rec) continue;
-          if (rec->op == distrib::LeaseRecord::Op::Lease)
-            holder[rec->key] = rec->owner;
-          else
-            holder.erase(rec->key);
-        }
-        for (const auto& [key, owner] : holder) {
-          if (owner == self || owner <= 0) continue;
-          if (exec::kill_process(owner)) {
-            killed.store(true);
-            break;
-          }
-        }
-        ::flock(fd, LOCK_UN);
-      }
-      if (fd >= 0) ::close(fd);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
+  Kill9Watcher killer(dir + "/leases.jsonl");
 
   obs::Tracer tracer;
   distrib::SupervisorOptions sopt;
@@ -742,10 +905,9 @@ TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
   sopt.status_interval_seconds = 0.01;  // exercise frequent publication
   distrib::Supervisor sup(std::move(sopt));
   const auto t = sup.run_suite(suite);
-  stop.store(true);
-  killer.join();
+  killer.stop();
 
-  ASSERT_TRUE(killed.load()) << "watcher never saw a live worker to kill";
+  ASSERT_TRUE(killer.killed()) << "watcher never saw a live worker to kill";
   EXPECT_EQ(report::render_csv(t), clean_csv);
   EXPECT_GE(sup.stats().worker_respawns, 1);
 
