@@ -12,8 +12,8 @@
 //
 // Everything here is a pure function of its arguments — no seeds from
 // time or address space — which is what makes fingerprints stable
-// across processes and what lets the tier's deterministic eviction
-// order by fingerprint instead of by insertion time.
+// across processes, so a journal key or lease key written by one
+// process names the same cell in every other.
 
 #include <cstdint>
 #include <cstring>

@@ -1,108 +1,35 @@
 #include "cache/service.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <limits>
 
 namespace a64fxcc::cache {
-
-void Service::set_budget(std::size_t bytes) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  budget_bytes_ = bytes;
-  split_budget_locked();
-}
-
-std::size_t Service::budget() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return budget_bytes_;
-}
-
-void Service::drop_values() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : caches_) e.cache->drop_values();
-}
 
 std::vector<Service::CacheStats> Service::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<CacheStats> out;
   out.reserve(caches_.size());
-  for (const Entry& e : caches_)
-    out.push_back(CacheStats{e.cache->name(), e.cache->budget(),
-                             e.cache->stats()});
+  for (const auto& c : caches_)
+    out.push_back(CacheStats{c->name(), c->stats()});
   return out;
 }
 
 std::string Service::stats_text() const {
-  const std::vector<CacheStats> all = stats();
-  std::string out;
-  out += "cache tier (epoch " + std::to_string(epoch()) + ")\n";
+  std::string out = "cache tier\n";
   char line[256];
-  std::snprintf(line, sizeof(line), "  %-16s %10s %10s %8s %8s %10s %10s %s\n",
-                "cache", "hits", "misses", "hit%", "evict", "entries",
-                "bytes", "budget");
+  std::snprintf(line, sizeof(line), "  %-16s %10s %10s %8s %10s %10s\n",
+                "cache", "hits", "misses", "hit%", "entries", "bytes");
   out += line;
-  for (const CacheStats& c : all) {
+  for (const CacheStats& c : stats()) {
     std::snprintf(line, sizeof(line),
-                  "  %-16s %10llu %10llu %7.1f%% %8llu %10zu %10s %s\n",
+                  "  %-16s %10llu %10llu %7.1f%% %10zu %10s\n",
                   c.name.c_str(),
                   static_cast<unsigned long long>(c.stats.hits),
                   static_cast<unsigned long long>(c.stats.misses),
-                  100.0 * c.stats.hit_rate(),
-                  static_cast<unsigned long long>(c.stats.evictions),
-                  c.stats.entries, format_bytes(c.stats.bytes).c_str(),
-                  c.budget_bytes == 0 ? "unbounded"
-                                      : format_bytes(c.budget_bytes).c_str());
+                  100.0 * c.stats.hit_rate(), c.stats.entries,
+                  format_bytes(c.stats.bytes).c_str());
     out += line;
   }
   return out;
-}
-
-void Service::split_budget_locked() {
-  std::size_t total_weight = 0;
-  for (const Entry& e : caches_) total_weight += e.weight;
-  for (const Entry& e : caches_) {
-    const std::size_t share =
-        (budget_bytes_ == 0 || total_weight == 0)
-            ? 0
-            : budget_bytes_ / total_weight * e.weight;
-    e.cache->set_budget(share);
-  }
-}
-
-std::optional<std::size_t> parse_byte_size(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::size_t mult = 1;
-  switch (s.back()) {
-    case 'k':
-    case 'K':
-      mult = std::size_t{1} << 10;
-      s.remove_suffix(1);
-      break;
-    case 'm':
-    case 'M':
-      mult = std::size_t{1} << 20;
-      s.remove_suffix(1);
-      break;
-    case 'g':
-    case 'G':
-      mult = std::size_t{1} << 30;
-      s.remove_suffix(1);
-      break;
-    default:
-      break;
-  }
-  if (s.empty()) return std::nullopt;
-  std::size_t value = 0;
-  for (const char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    const std::size_t digit = static_cast<std::size_t>(c - '0');
-    if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10)
-      return std::nullopt;
-    value = value * 10 + digit;
-  }
-  if (mult > 1 && value > std::numeric_limits<std::size_t>::max() / mult)
-    return std::nullopt;
-  return value * mult;
 }
 
 std::string format_bytes(std::size_t bytes) {

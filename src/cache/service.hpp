@@ -1,22 +1,17 @@
 #pragma once
 // cache::Service — the one object that owns every memoization layer.
 //
-// A Service is a registry of named ShardedMap instances sharing a
-// lifecycle: one epoch counter (bump_epoch() invalidates every cache in
-// O(1)), one byte budget (split across caches by registration weight),
-// one stats surface (the --cache-stats table and the obs/ metrics
-// fold).  Study/Harness/CompileContext all reach their caches through
-// the Service, so two harnesses attached to the same Service share warm
-// entries — the enabler for study-as-a-service, where a resident
-// process answers many study requests against one warm tier.
+// A Service is a registry of named ShardedMap instances with one stats
+// surface (the --cache-stats table and the obs/ metrics fold).
+// Study/Harness/CompileContext all reach their caches through the
+// Service, so two harnesses attached to the same Service share warm
+// entries: a second study on a warm Service re-uses every compile, plan
+// and estimate of the first.
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cache/sharded_map.hpp"
@@ -25,61 +20,33 @@ namespace a64fxcc::cache {
 
 class Service {
  public:
-  /// `budget_bytes` caps the summed value bytes across all caches
-  /// (0 = unbounded); it is split by weight as caches register.
-  explicit Service(std::size_t budget_bytes = 0)
-      : budget_bytes_(budget_bytes) {}
-
+  Service() = default;
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// The cache named `name`, creating it on first use.  `weight` sets
-  /// its share of the tier budget (budget * weight / total_weight).
-  /// Re-requesting an existing name returns the same instance — callers
-  /// with the same Service share warm entries — and throws if the
-  /// key/value types disagree with the original registration.
+  /// The cache named `name`, creating it on first use.  Re-requesting an
+  /// existing name returns the same instance — callers with the same
+  /// Service share warm entries — and throws if the key/value types
+  /// disagree with the original registration.
   template <typename K, typename V>
-  ShardedMap<K, V>& get_or_create(
-      const std::string& name, std::size_t weight = 1,
-      typename ShardedMap<K, V>::Config cfg = {}) {
+  ShardedMap<K, V>& get_or_create(const std::string& name) {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (const Entry& e : caches_)
-      if (e.cache->name() == name) {
-        auto* typed = dynamic_cast<ShardedMap<K, V>*>(e.cache.get());
+    for (const auto& c : caches_)
+      if (c->name() == name) {
+        auto* typed = dynamic_cast<ShardedMap<K, V>*>(c.get());
         if (typed == nullptr)
           throw std::logic_error("cache::Service: cache '" + name +
                                  "' already registered with other types");
         return *typed;
       }
-    auto map = std::make_unique<ShardedMap<K, V>>(name, cfg);
-    map->attach_epoch(&epoch_);
+    auto map = std::make_unique<ShardedMap<K, V>>(name);
     ShardedMap<K, V>* raw = map.get();
-    caches_.push_back(Entry{std::move(map), weight == 0 ? 1 : weight});
-    split_budget_locked();
+    caches_.push_back(std::move(map));
     return *raw;
   }
 
-  /// Invalidate every cache: entries published under older epochs read
-  /// as misses from this point on; their memory is reclaimed lazily by
-  /// later budget sweeps (or eagerly by drop_values()).
-  void bump_epoch() noexcept {
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  [[nodiscard]] std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Re-split a new tier budget across the registered caches.
-  void set_budget(std::size_t bytes);
-  [[nodiscard]] std::size_t budget() const;
-
-  /// Eagerly release every cached value in every cache.
-  void drop_values();
-
   struct CacheStats {
     std::string name;
-    std::size_t budget_bytes = 0;
     Stats stats;
   };
 
@@ -90,23 +57,9 @@ class Service {
   [[nodiscard]] std::string stats_text() const;
 
  private:
-  struct Entry {
-    std::unique_ptr<CacheBase> cache;
-    std::size_t weight = 1;
-  };
-
-  void split_budget_locked();
-
   mutable std::mutex mu_;
-  std::size_t budget_bytes_ = 0;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::vector<Entry> caches_;
+  std::vector<std::unique_ptr<CacheBase>> caches_;
 };
-
-/// Parse a human byte size: a non-negative integer with an optional
-/// K/M/G suffix (binary multiples), e.g. "64M", "2G", "0".  Returns
-/// nullopt on malformed input or overflow.
-[[nodiscard]] std::optional<std::size_t> parse_byte_size(std::string_view s);
 
 /// Render a byte count compactly ("512", "4.0K", "64.0M", ...).
 [[nodiscard]] std::string format_bytes(std::size_t bytes);

@@ -12,10 +12,11 @@ namespace {
 using cache::Hasher;
 using cache::mix64;
 
-/// Deterministic byte estimate of one outcome — a pure function of the
-/// value's content (eviction decisions depend on it, so it must never
-/// read allocator capacities or addresses).  The kernel clone dominates;
-/// its printed form `printed` is a stable proxy for the node-tree size.
+/// Byte estimate of one outcome for the tier's reported `bytes` (the
+/// --cache-stats table, cache_compile_bytes, e2ebench's cache.bytes) —
+/// a pure function of the value's content, so the report repeats from
+/// run to run.  The kernel clone dominates; its printed form `printed`
+/// is a stable proxy for the node-tree size.
 std::size_t approx_bytes(const CompileOutcome& o, std::string_view printed) {
   std::size_t b = sizeof(CompileOutcome);
   b += o.diagnostic.size() + o.log.size();
@@ -69,7 +70,7 @@ CompileCache::CompileCache()
     : owned_(std::make_unique<Map>("compile")), map_(owned_.get()) {}
 
 CompileCache::CompileCache(cache::Service& svc)
-    : map_(&svc.get_or_create<Key, CompileOutcome>("compile", /*weight=*/4)) {}
+    : map_(&svc.get_or_create<Key, CompileOutcome>("compile")) {}
 
 CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
                                                   const ir::Kernel& source,
@@ -87,12 +88,12 @@ CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
   const Key key{fingerprint(spec), source_fp, ctx.apply_quirks};
   const std::uint64_t fp = route(key);
   if (auto found = map_->find(fp, key); found != nullptr)
-    return {std::move(found), true, 0};
+    return {std::move(found), true};
   // Compile outside any lock: other workers keep making progress, and a
   // rare duplicate compile of the same pure function is harmless.
   CompileOutcome fresh = compile(spec, source, ctx);
-  // One print serves both the byte estimate and the fingerprint the
-  // outcome carries to every later plan-cache lookup.
+  // One print serves both the fingerprint the outcome carries to every
+  // later plan-cache lookup and the reported byte estimate.
   std::string printed;
   if (fresh.kernel.has_value()) {
     printed = ir::to_string(*fresh.kernel);
@@ -101,9 +102,7 @@ CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
   const std::size_t bytes = approx_bytes(fresh, printed);
   auto published = map_->publish(
       fp, key, std::make_shared<const CompileOutcome>(std::move(fresh)), bytes);
-  return {std::move(published.value), published.lost_race, published.evicted};
+  return {std::move(published.value), published.lost_race};
 }
-
-void CompileCache::clear() { map_->drop_values(); }
 
 }  // namespace a64fxcc::compilers

@@ -15,17 +15,14 @@
 // reference compile (the SSL2 library share of HPL-class benchmarks) a
 // one-time cost per table instead of a per-cell one.
 //
-// The miss path prints the optimized kernel once, for the byte estimate,
-// and fingerprints that same text into CompileOutcome::
-// kernel_fingerprint, so plan-cache lookups downstream never print it
-// either.  compile() itself stays fingerprint-free: a bare compile
-// leaves the field 0.
+// The miss path prints the optimized kernel once and fingerprints that
+// text into CompileOutcome::kernel_fingerprint, so plan-cache lookups
+// downstream never print it; the same text sizes the outcome's reported
+// byte estimate.  compile() itself stays fingerprint-free: a bare
+// compile leaves the field 0.
 //
-// Storage is a cache::ShardedMap named "compile": hits are mutex-free,
-// entries respect the tier budget with deterministic fingerprint-ordered
-// eviction, and Service::bump_epoch invalidates without a stop-the-world
-// clear.  An evicted entry merely re-runs the pure compile() — outcomes,
-// tables and provenance stay byte-identical.
+// Storage is an insert-only cache::ShardedMap named "compile": hits are
+// mutex-free, and a cached outcome stays until its map is destroyed.
 //
 // Thread-safe: get_or_compile may be called concurrently from engine
 // workers.  Two workers racing on the same missing key both compile (the
@@ -49,18 +46,15 @@ using CacheStats = cache::Stats;
 
 class CompileCache {
  public:
-  /// Standalone: a private unbounded map (tests, ad-hoc tools).
+  /// Standalone: a private map (tests, ad-hoc tools).
   CompileCache();
-  /// Tier-backed: registered on `svc` as "compile" (weight 4 — compiled
-  /// kernels dominate the tier's bytes).  Shares warm entries with every
-  /// other CompileCache attached to the same Service.
+  /// Tier-backed: registered on `svc` as "compile".  Shares warm entries
+  /// with every other CompileCache attached to the same Service.
   explicit CompileCache(cache::Service& svc);
 
   struct Result {
     std::shared_ptr<const CompileOutcome> outcome;
     bool hit = false;
-    /// Values the budget sweep dropped while publishing this outcome.
-    std::uint64_t evicted = 0;
   };
 
   /// The memoized outcome for (spec, source, apply_quirks), compiling on
@@ -80,9 +74,6 @@ class CompileCache {
 
   [[nodiscard]] CacheStats stats() const noexcept { return map_->stats(); }
   [[nodiscard]] std::size_t size() const { return map_->size(); }
-  /// Drop every cached outcome (epoch-safe; counters and warm-sharing
-  /// identity survive).
-  void clear();
 
  private:
   struct Key {

@@ -11,15 +11,10 @@ namespace a64fxcc::core {
 Study::Study(StudyOptions opt)
     : opt_(std::move(opt)),
       owned_service_(opt_.cache_service == nullptr
-                         ? std::make_unique<cache::Service>(
-                               opt_.cache_budget_bytes)
+                         ? std::make_unique<cache::Service>()
                          : nullptr),
-      harness_(opt_.machine, opt_.seed, opt_.apply_quirks, &cache_service()) {
-  // A caller-provided tier keeps its own budget unless this study asks
-  // for one explicitly.
-  if (opt_.cache_service != nullptr && opt_.cache_budget_bytes > 0)
-    opt_.cache_service->set_budget(opt_.cache_budget_bytes);
-}
+      harness_(opt_.machine, opt_.seed, opt_.apply_quirks,
+               &cache_service()) {}
 
 report::Table Study::run_suite(
     const std::vector<kernels::Benchmark>& suite) const {
@@ -162,20 +157,6 @@ report::Table Study::run_suite(
                             .count = static_cast<std::uint64_t>(
                                 metrics.analysis_cache_invalidations),
                             .detail = "analysis"});
-          }
-          if (metrics.cache_evictions > 0) {
-            // Budget-sweep drops while this cell published.  One batch,
-            // detail "tier": which cache lost entries is visible in the
-            // Service stats, not per cell.
-            sink->on_event({.kind = exec::EventKind::CacheEvict,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .count = static_cast<std::uint64_t>(
-                                metrics.cache_evictions),
-                            .detail = "tier"});
           }
           // Per-phase wall-clock (accumulated across attempts) as
           // diagnostics-only CellPhase events, before the terminal one.

@@ -82,15 +82,9 @@ struct StudyOptions {
   bool fail_fast = false;
   /// Shared cache tier (non-owning; must outlive the Study).  Null lets
   /// the Study own a private cache::Service — pass one to share warm
-  /// compile/plan/estimate entries across several studies
-  /// (the study-as-a-service setup), and to bump_epoch/inspect them
-  /// from outside.
+  /// compile/plan/estimate entries across several studies (a re-study
+  /// with new seeds), and to inspect their stats from outside.
   cache::Service* cache_service = nullptr;
-  /// Byte budget for the cache tier (`--cache-budget`); 0 = unbounded.
-  /// Split across the registered caches by weight; eviction is
-  /// deterministic (fingerprint-ordered, see cache/sharded_map.hpp), so
-  /// any budget produces tables byte-identical to an unbounded run.
-  std::size_t cache_budget_bytes = 0;
 };
 
 /// Aggregate claims over one table (Sec. 3 reports these per suite).
@@ -126,8 +120,8 @@ class Study {
   [[nodiscard]] const StudyOptions& options() const noexcept { return opt_; }
 
   /// The cache tier this study's harness registered on — the caller's
-  /// (options().cache_service) or the study-owned one.  Inspect stats,
-  /// set_budget, or bump_epoch here.
+  /// (options().cache_service) or the study-owned one.  Inspect stats
+  /// here.
   [[nodiscard]] cache::Service& cache_service() const noexcept {
     return opt_.cache_service != nullptr ? *opt_.cache_service
                                          : *owned_service_;

@@ -99,7 +99,6 @@ obs::CellTelemetry cell_telemetry(std::uint64_t key, int gen, int pid,
       static_cast<std::uint64_t>(m.analysis_cache_misses);
   t.analysis_cache_invalidations =
       static_cast<std::uint64_t>(m.analysis_cache_invalidations);
-  t.cache_evictions = static_cast<std::uint64_t>(m.cache_evictions);
   t.compile_seconds = m.compile_seconds;
   t.explore_seconds = m.explore_seconds;
   t.measure_seconds = m.measure_seconds;

@@ -33,9 +33,6 @@ enum class EventKind : std::uint8_t {
   CacheInvalidate,  ///< cached analyses dropped by mutating passes while
                     ///< evaluating the cell (count; detail = cache kind,
                     ///< currently always "analysis")
-  CacheEvict,   ///< tier values dropped by budget sweeps while the cell
-                ///< published (count; detail = "tier").  Result-invisible
-                ///< by purity — diagnostics of cache pressure only
   CellPhase,    ///< one phase of the cell finished (detail = phase name,
                 ///< wall_seconds = duration); diagnostics-only, emitted
                 ///< before the cell's terminal event
@@ -59,7 +56,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::CacheHit: return "cache-hit";
     case EventKind::CacheMiss: return "cache-miss";
     case EventKind::CacheInvalidate: return "cache-invalidate";
-    case EventKind::CacheEvict: return "cache-evict";
     case EventKind::CellPhase: return "cell-phase";
     case EventKind::WorkerSpawned: return "worker-spawned";
     case EventKind::WorkerExited: return "worker-exited";
@@ -219,7 +215,6 @@ class StreamSink final : public EventSink {
       case EventKind::CacheHit:
       case EventKind::CacheMiss:
       case EventKind::CacheInvalidate:
-      case EventKind::CacheEvict:
         if (level_ < LogLevel::Debug) return;
         n = std::snprintf(buf, sizeof buf,
                           "  [w%d] %-18s x %-10s %s x%llu\n", e.worker,

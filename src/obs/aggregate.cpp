@@ -141,8 +141,6 @@ Registry Aggregator::merged_registry() const {
     if (c.analysis_cache_invalidations > 0)
       out.counters["analysis_cache_invalidations"] +=
           c.analysis_cache_invalidations;
-    if (c.cache_evictions > 0)
-      out.counters["tier_cache_evictions"] += c.cache_evictions;
     out.histograms["cell_wall_seconds"].add(c.wall_seconds);
     const struct {
       const char* name;

@@ -130,10 +130,6 @@ void MetricsSink::on_event(const exec::Event& e) {
       counters[(e.detail.empty() ? "analysis" : e.detail) +
                "_cache_invalidations"] += e.count;
       break;
-    case exec::EventKind::CacheEvict:
-      counters[(e.detail.empty() ? "tier" : e.detail) + "_cache_evictions"] +=
-          e.count;
-      break;
     case exec::EventKind::CellPhase:
       histograms["phase_" + e.detail + "_seconds"].add(e.wall_seconds);
       break;
@@ -161,7 +157,6 @@ void MetricsSink::fold_cache_stats(const cache::Service& svc) {
     const std::string base = "cache_" + c.name + "_";
     reg_.counters[base + "hits"] = c.stats.hits;
     reg_.counters[base + "misses"] = c.stats.misses;
-    reg_.counters[base + "evictions"] = c.stats.evictions;
     reg_.counters[base + "entries"] = c.stats.entries;
     reg_.counters[base + "bytes"] = c.stats.bytes;
   }

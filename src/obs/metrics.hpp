@@ -121,17 +121,17 @@ class MetricsSink final : public exec::EventSink {
   /// names: jobs_started, cells_ok, cells_compile_error,
   /// cells_runtime_error, cells_timeout, cells_crashed, retries,
   /// {compile,plan,estimate}_cache_hits and _misses (cache events key
-  /// by their `detail` cache kind; empty detail counts as compile),
-  /// tier_cache_evictions (CacheEvict batches), and — after
-  /// fold_cache_stats — cache_<name>_{hits,misses,evictions,entries,
-  /// bytes} per registered tier cache.
+  /// by their `detail` cache kind; empty detail counts as compile), and
+  /// — after fold_cache_stats — cache_<name>_{hits,misses,entries,bytes}
+  /// per registered tier cache.
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
 
   /// Snapshot the cache tier's per-cache counters into the registry as
-  /// cache_<name>_{hits,misses,evictions,entries,bytes}.  Absolute
-  /// values, not deltas: calling again overwrites with the newer
-  /// snapshot.  The CLI calls this once before `--metrics` flush so the
-  /// JSON carries the tier state alongside the event-folded counters.
+  /// cache_<name>_{hits,misses,entries,bytes} (bytes is the tier's
+  /// reported estimate, not a measured allocation).  Absolute values,
+  /// not deltas: calling again overwrites with the newer snapshot.  The
+  /// CLI calls this once before `--metrics` flush so the JSON carries
+  /// the tier state alongside the event-folded counters.
   void fold_cache_stats(const cache::Service& svc);
 
   /// A copy of the registry as folded so far (for cross-process

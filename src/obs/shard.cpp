@@ -74,8 +74,7 @@ std::string encode_cell(const CellTelemetry& c) {
                   {"estimate_misses", c.estimate_cache_misses},
                   {"analysis_hits", c.analysis_cache_hits},
                   {"analysis_misses", c.analysis_cache_misses},
-                  {"invalidations", c.analysis_cache_invalidations},
-                  {"evictions", c.cache_evictions}};
+                  {"invalidations", c.analysis_cache_invalidations}};
   for (const auto& f : counters) {
     out += ",";
     field_u64(out, f.key, f.v);
@@ -139,15 +138,14 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
                   {"estimate_misses", &c.estimate_cache_misses},
                   {"analysis_hits", &c.analysis_cache_hits},
                   {"analysis_misses", &c.analysis_cache_misses},
-                  {"invalidations", &c.analysis_cache_invalidations},
-                  {"evictions", &c.cache_evictions}};
+                  {"invalidations", &c.analysis_cache_invalidations}};
   for (const auto& f : counters) {
     const auto v = get_u64(line, f.key);
     if (!v) return std::nullopt;
     *f.v = *v;
   }
-  // Fields of deleted layers (the search_* and sweep_* counters of older
-  // shards) are ignored.
+  // Fields of deleted layers (the search_* and sweep_* counters and the
+  // tier's evictions count of older shards) are ignored.
   c.compile_seconds = get_num(line, "compile_seconds").value_or(0);
   c.explore_seconds = get_num(line, "explore_seconds").value_or(0);
   c.measure_seconds = get_num(line, "measure_seconds").value_or(0);

@@ -66,7 +66,6 @@ struct CellTelemetry {
   std::uint64_t analysis_cache_hits = 0;
   std::uint64_t analysis_cache_misses = 0;
   std::uint64_t analysis_cache_invalidations = 0;
-  std::uint64_t cache_evictions = 0;
   double compile_seconds = 0;
   double explore_seconds = 0;
   double measure_seconds = 0;

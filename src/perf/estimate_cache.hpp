@@ -21,11 +21,9 @@
 //     explore winner, the measure phase and the repeated library
 //     reference estimates each compute once per cell.
 //
-// Storage is two tier caches ("plans" and "estimates" on the
-// cache::Service, or private maps standalone): mutex-free hits,
-// budgeted with deterministic fingerprint-ordered eviction, epoch
-// invalidation.  Purity makes eviction invisible in results — a dropped
-// plan or estimate is recomputed bit-identically.
+// Storage is two insert-only tier caches ("plans" and "estimates" on
+// the cache::Service, or private maps standalone): mutex-free hits, and
+// a cached plan or estimate stays until its map is destroyed.
 //
 // Thread-safe: calls may race from engine workers.  A miss computes
 // outside any lock (the functions are pure, racing results identical)
@@ -44,22 +42,20 @@ using EstimateCacheStats = cache::Stats;
 
 class EstimateCache {
  public:
-  /// Standalone: private unbounded maps (tests, ad-hoc tools).
+  /// Standalone: private maps (tests, ad-hoc tools).
   EstimateCache();
-  /// Tier-backed: registered on `svc` as "plans" (weight 2) and
-  /// "estimates" (weight 1); shares warm entries with every other
-  /// EstimateCache attached to the same Service.
+  /// Tier-backed: registered on `svc` as "plans" and "estimates"; shares
+  /// warm entries with every other EstimateCache attached to the same
+  /// Service.
   explicit EstimateCache(cache::Service& svc);
 
   struct PlanResult {
     std::shared_ptr<const KernelPlan> plan;
     bool hit = false;
-    std::uint64_t evicted = 0;
   };
   struct EvalResult {
     std::shared_ptr<const PerfResult> result;
     bool hit = false;
-    std::uint64_t evicted = 0;
   };
 
   /// The memoized analyze(k, m), analyzing on first use.  `kernel_fp`
@@ -88,8 +84,6 @@ class EstimateCache {
 
   [[nodiscard]] std::size_t plan_count() const { return plans_->size(); }
   [[nodiscard]] std::size_t size() const { return evals_->size(); }
-  /// Drop every cached plan and evaluation (epoch-safe).
-  void clear();
 
  private:
   struct Key {

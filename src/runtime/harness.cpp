@@ -94,10 +94,9 @@ std::shared_ptr<const compilers::CompileOutcome> Harness::compile_cached(
   compilers::CompileContext cctx;
   cctx.apply_quirks = apply_quirks_;
   cctx.tracer = tracer;
-  auto [outcome, hit, evicted] =
+  auto [outcome, hit] =
       cache_.get_or_compile(spec, bench.kernel, bench.fingerprint(), cctx);
   if (metrics != nullptr) {
-    metrics->cache_evictions += static_cast<int>(evicted);
     if (hit) {
       ++metrics->compile_cache_hits;
     } else {
@@ -115,10 +114,9 @@ std::shared_ptr<const compilers::CompileOutcome> Harness::compile_cached(
 
 std::shared_ptr<const perf::KernelPlan> Harness::plan_cached(
     const compilers::CompileOutcome& out, RunMetrics* metrics) const {
-  auto [plan, hit, evicted] =
+  auto [plan, hit] =
       ecache_.get_or_analyze(*out.kernel, out.kernel_fingerprint, machine_);
   if (metrics != nullptr) {
-    metrics->cache_evictions += static_cast<int>(evicted);
     if (hit)
       ++metrics->plan_cache_hits;
     else
@@ -130,9 +128,8 @@ std::shared_ptr<const perf::KernelPlan> Harness::plan_cached(
 std::shared_ptr<const perf::PerfResult> Harness::evaluate_cached(
     const perf::KernelPlan& plan, const perf::ExecConfig& cfg,
     const perf::CodegenProfile& prof, RunMetrics* metrics) const {
-  auto [result, hit, evicted] = ecache_.get_or_evaluate(plan, cfg, prof);
+  auto [result, hit] = ecache_.get_or_evaluate(plan, cfg, prof);
   if (metrics != nullptr) {
-    metrics->cache_evictions += static_cast<int>(evicted);
     if (hit)
       ++metrics->estimate_cache_hits;
     else

@@ -121,10 +121,6 @@ struct RunMetrics {
   int analysis_cache_hits = 0;
   int analysis_cache_misses = 0;
   int analysis_cache_invalidations = 0;
-  /// Cached values the tier's budget sweeps dropped while this cell
-  /// published (0 with an unbounded budget).  Purity makes eviction
-  /// result-invisible; the count feeds CacheEvict events only.
-  int cache_evictions = 0;
   double compile_seconds = 0;  ///< compile + reference compile
   double explore_seconds = 0;  ///< placement exploration trials
   double measure_seconds = 0;  ///< 10-run performance phase
@@ -133,10 +129,9 @@ struct RunMetrics {
 class Harness {
  public:
   /// With `cache_service`, every cache registers on the shared tier
-  /// (budget, epoch invalidation, stats in one place; warm entries
-  /// shared across harnesses on the same service).  Without, the caches
-  /// are private and unbounded, as before.  The service must outlive
-  /// the harness.
+  /// (stats in one place; warm entries shared across harnesses on the
+  /// same service).  Without, the caches are private.  The service must
+  /// outlive the harness.
   explicit Harness(machine::Machine m, std::uint64_t seed = 42,
                    bool apply_quirks = true,
                    cache::Service* cache_service = nullptr)

@@ -567,7 +567,6 @@ obs::CellTelemetry sample_cell() {
   c.analysis_cache_hits = 7;
   c.analysis_cache_misses = 8;
   c.analysis_cache_invalidations = 9;
-  c.cache_evictions = 10;
   c.compile_seconds = 0.25;
   c.explore_seconds = 0.5;
   c.measure_seconds = 0.125;
@@ -597,7 +596,6 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(d->analysis_cache_hits, c.analysis_cache_hits);
   EXPECT_EQ(d->analysis_cache_misses, c.analysis_cache_misses);
   EXPECT_EQ(d->analysis_cache_invalidations, c.analysis_cache_invalidations);
-  EXPECT_EQ(d->cache_evictions, c.cache_evictions);
   EXPECT_DOUBLE_EQ(d->compile_seconds, c.compile_seconds);
   EXPECT_DOUBLE_EQ(d->explore_seconds, c.explore_seconds);
   EXPECT_DOUBLE_EQ(d->measure_seconds, c.measure_seconds);
@@ -613,7 +611,7 @@ TEST(Shard, CellRecordRoundTrips) {
   const auto o = obs::decode_cell(older);
   ASSERT_TRUE(o.has_value());
   EXPECT_EQ(o->key, c.key);
-  EXPECT_EQ(o->cache_evictions, c.cache_evictions);
+  EXPECT_EQ(o->analysis_cache_invalidations, c.analysis_cache_invalidations);
   EXPECT_EQ(o->backoffs, d->backoffs);
   // Likewise the batched estimate sweep's counters and config list, at
   // the position its encoder wrote them.
@@ -624,9 +622,22 @@ TEST(Shard, CellRecordRoundTrips) {
   const auto w = obs::decode_cell(swept);
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->key, c.key);
-  EXPECT_EQ(w->cache_evictions, c.cache_evictions);
+  EXPECT_EQ(w->analysis_cache_invalidations, c.analysis_cache_invalidations);
   EXPECT_DOUBLE_EQ(w->compile_seconds, c.compile_seconds);
   EXPECT_EQ(w->backoffs, d->backoffs);
+  // Shards written while the tier could evict carry an evictions count
+  // after the invalidations counter; it is ignored too.
+  std::string evicting = line;
+  evicting.insert(evicting.find(",\"compile_seconds\""), ",\"evictions\":10");
+  EXPECT_NE(evicting.find("\"invalidations\":9,\"evictions\":10,"),
+            std::string::npos);
+  const auto e = obs::decode_cell(evicting);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->key, c.key);
+  EXPECT_EQ(e->analysis_cache_invalidations, c.analysis_cache_invalidations);
+  EXPECT_DOUBLE_EQ(e->compile_seconds, c.compile_seconds);
+  EXPECT_EQ(e->backoffs, d->backoffs);
+  EXPECT_EQ(line.find("evictions"), std::string::npos);
 }
 
 TEST(Shard, SpanRecordRoundTripsWithAndWithoutArgs) {

@@ -152,21 +152,6 @@ bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
     return false;
   }
   if (has_flag(argc, argv, "--fail-fast")) opt.fail_fast = true;
-  // Byte budget for the unified cache tier.  Eviction under any budget
-  // is deterministic (fingerprint-ordered), so tables are byte-identical
-  // whether the tier is tight or unbounded — the knob trades memory for
-  // recompute time only.
-  if (const char* v = arg_value(argc, argv, "--cache-budget=")) {
-    const auto bytes = cache::parse_byte_size(v);
-    if (!bytes) {
-      std::fprintf(stderr,
-                   "malformed --cache-budget '%s' (expected e.g. 64M, 2G, "
-                   "131072)\n",
-                   v);
-      return false;
-    }
-    opt.cache_budget_bytes = *bytes;
-  }
   if (const char* v = arg_value(argc, argv, "--inject-faults=")) {
     const auto plan = runtime::FaultPlan::parse(v);
     if (!plan) {
@@ -670,13 +655,10 @@ void usage() {
       "                [--retries=N] [--deadline=SECONDS] [--fail-fast]\n"
       "                [--resume=PATH] [--journal=PATH]\n"
       "                [--inject-faults=compile:P,runtime:P,hang:P,crash:P]\n"
-      "                [--cache-budget=N[K|M|G]] [--cache-stats]\n"
-      "                                   # --cache-budget caps the unified\n"
-      "                                   # cache tier (0/absent = unbounded);\n"
-      "                                   # eviction is deterministic, tables\n"
-      "                                   # identical at any budget\n"
+      "                [--cache-stats]\n"
       "                                   # --cache-stats prints the per-cache\n"
-      "                                   # hit/miss/evict table to stderr\n"
+      "                                   # hit/miss/entries/bytes table of the\n"
+      "                                   # cache tier to stderr\n"
       "                                   # --jobs absent = all hardware\n"
       "                                   # threads, --jobs=1 = serial; output\n"
       "                                   # is bit-identical for any N\n"
@@ -703,7 +685,7 @@ void usage() {
       "  run <benchmark> [--scale=f] [--jobs=N] [--retries=N] [--deadline=s]\n"
       "                  [--procs=N] [--shard-dir=DIR] [--lease-deadline=s]\n"
       "                  [--resume=PATH] [--journal=PATH] [--inject-faults=SPEC]\n"
-      "                  [--cache-budget=N[K|M|G]] [--cache-stats]\n"
+      "                  [--cache-stats]\n"
       "                  [--log-level=L] [--trace=PATH] [--metrics=PATH]\n"
       "  explain <benchmark> [compiler]\n"
       "                                   # pass-decision provenance diff:\n"
