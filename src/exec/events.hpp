@@ -99,7 +99,7 @@ class EventSink {
 };
 
 /// Thread-safe sink that records every event for post-hoc inspection
-/// (tests, the engine bench).
+/// (tests).
 class CollectingSink final : public EventSink {
  public:
   void on_event(const Event& e) override {

@@ -206,39 +206,29 @@ std::string summarize_report(const ReportDoc& doc) {
   return out;
 }
 
-ReportDiff diff_reports(const ReportDoc& base, const ReportDoc& cur,
-                        double threshold) {
-  ReportDiff d;
+std::string diff_reports(const ReportDoc& base, const ReportDoc& cur) {
+  std::string d;
   char buf[224];
-  const bool gate = threshold >= 0;
-  // The same verdict shape as tools/check_bench_regression.py, inverted
-  // for lower-is-better time metrics: FAIL when cur grows past
-  // base * (1 + threshold).  New metrics (base == 0) never gate.
-  const auto time_verdict = [&](const char* label, double b, double c) {
-    const bool fail = gate && b > 0 && c > b * (1.0 + threshold);
-    if (fail) d.regressed = true;
-    std::snprintf(buf, sizeof buf,
-                  "  %-4s %-32s %14.6fs -> %14.6fs (%+.1f%%)\n",
-                  !gate       ? ""
-                  : fail      ? "FAIL"
-                              : "ok",
+  // New metrics (base == 0) print a 0% change.
+  const auto time_delta = [&](const char* label, double b, double c) {
+    std::snprintf(buf, sizeof buf, "  %-36s %14.6fs -> %14.6fs (%+.1f%%)\n",
                   label, b, c, b > 0 ? (c / b - 1.0) * 100.0 : 0.0);
-    d.text += buf;
+    d += buf;
   };
   if (base.kind == ReportDoc::Kind::Trace) {
-    d.text += "phase totals (" + base.path + " -> " + cur.path + "):\n";
+    d += "phase totals (" + base.path + " -> " + cur.path + "):\n";
     std::set<std::string> names;
     for (const auto& p : base.phases) names.insert(p.name);
     for (const auto& p : cur.phases) names.insert(p.name);
     for (const auto& name : names) {
       const PhaseTotal* b = find_phase(base, name);
       const PhaseTotal* c = find_phase(cur, name);
-      time_verdict(name.c_str(), b != nullptr ? b->total_seconds : 0,
-                   c != nullptr ? c->total_seconds : 0);
+      time_delta(name.c_str(), b != nullptr ? b->total_seconds : 0,
+                 c != nullptr ? c->total_seconds : 0);
     }
     return d;
   }
-  d.text += "counter deltas (" + base.path + " -> " + cur.path + "):\n";
+  d += "counter deltas (" + base.path + " -> " + cur.path + "):\n";
   std::set<std::string> names;
   for (const auto& [name, v] : base.counters) names.insert(name);
   for (const auto& [name, v] : cur.counters) names.insert(name);
@@ -252,7 +242,7 @@ ReportDiff diff_reports(const ReportDoc& base, const ReportDoc& cur,
                   name.c_str(), static_cast<unsigned long long>(b),
                   static_cast<unsigned long long>(c),
                   static_cast<long long>(c) - static_cast<long long>(b));
-    d.text += buf;
+    d += buf;
   }
   std::set<std::string> gnames;
   for (const auto& [name, v] : base.gauges) gnames.insert(name);
@@ -265,18 +255,18 @@ ReportDiff diff_reports(const ReportDoc& base, const ReportDoc& cur,
     if (std::abs(b - c) < 1e-12) continue;
     std::snprintf(buf, sizeof buf, "  %-36s %12.3f -> %12.3f\n",
                   name.c_str(), b, c);
-    d.text += buf;
+    d += buf;
   }
-  d.text += "phase-time deltas (histogram sums):\n";
+  d += "phase-time deltas (histogram sums):\n";
   std::set<std::string> hnames;
   for (const auto& [name, h] : base.histograms) hnames.insert(name);
   for (const auto& [name, h] : cur.histograms) hnames.insert(name);
   for (const auto& name : hnames) {
     const auto bit = base.histograms.find(name);
     const auto cit = cur.histograms.find(name);
-    time_verdict(name.c_str(),
-                 bit == base.histograms.end() ? 0 : bit->second.sum,
-                 cit == cur.histograms.end() ? 0 : cit->second.sum);
+    time_delta(name.c_str(),
+               bit == base.histograms.end() ? 0 : bit->second.sum,
+               cit == cur.histograms.end() ? 0 : cit->second.sum);
   }
   return d;
 }

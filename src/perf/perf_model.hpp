@@ -18,11 +18,11 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/access.hpp"
 #include "ir/kernel.hpp"
 #include "machine/machine.hpp"
-#include "perf/small_vec.hpp"
 
 namespace a64fxcc::perf {
 
@@ -71,17 +71,7 @@ struct StmtBreakdown {
   std::string_view bottleneck;
 };
 
-/// detail's inline capacity: covers the statement count of nearly every
-/// suite kernel, so an evaluation allocates nothing (deeper kernels
-/// spill to the heap and simply pay the old allocation).
-inline constexpr std::size_t kDetailInline = 4;
-
 struct PerfResult {
-  /// User-provided so value-initialization (PerfResult{}) runs the
-  /// member initializers instead of first zero-filling the whole object:
-  /// the inline detail buffer is raw storage that needs no memset.
-  PerfResult() noexcept {}
-
   double seconds = 0;
   double total_flops = 0;
   double mem_bytes = 0;          ///< traffic at the memory boundary
@@ -89,7 +79,7 @@ struct PerfResult {
   double joules = 0;             ///< energy-to-solution (machine power model)
   /// Of the dominant statement; same static literals as StmtBreakdown.
   std::string_view bottleneck;
-  SmallVec<StmtBreakdown, kDetailInline> detail;
+  std::vector<StmtBreakdown> detail;
 
   [[nodiscard]] double gflops() const {
     return seconds > 0 ? total_flops / seconds / 1e9 : 0;

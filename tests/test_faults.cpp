@@ -311,6 +311,19 @@ TEST(Injection, InProcessCrashFaultsClassifyAndRetryLikeAnyFault) {
                   clean.rows[r].cells[c].best_seconds);
 }
 
+TEST(Injection, ArmedPoliciesWithoutFaultsLeaveTheTableUnchanged) {
+  // Retries, a generous deadline and journal recording, but nothing to
+  // inject: the policy path must reproduce the plain study exactly.
+  core::Journal journal;
+  core::StudyOptions armed;
+  armed.max_retries = 2;
+  armed.deadline_seconds = 60;
+  armed.journal = &journal;
+  const auto policied = run_microkernels(std::move(armed));
+  expect_identical_cells(policied, run_microkernels({}));
+  EXPECT_GT(journal.size(), 0u);
+}
+
 TEST(Injection, StudyDeadlineClassifiesHangsAsTimeout) {
   core::StudyOptions opt;
   opt.faults.hang = 1.0;

@@ -585,13 +585,9 @@ int cmd_obs_report(int argc, char** argv) {
   for (int i = 3; i < argc; ++i)
     if (argv[i][0] != '-') paths.emplace_back(argv[i]);
   if (paths.empty() || paths.size() > 2) {
-    std::fprintf(stderr,
-                 "usage: a64fxcc obs report <A.json> [B.json] "
-                 "[--threshold=f]\n");
+    std::fprintf(stderr, "usage: a64fxcc obs report <A.json> [B.json]\n");
     return 1;
   }
-  double threshold = -1;  // no gating unless asked
-  if (!double_flag(argc, argv, "--threshold=", &threshold)) return 1;
   std::string err;
   const auto base = obs::load_report_doc(paths[0], &err);
   if (!base) {
@@ -612,15 +608,7 @@ int cmd_obs_report(int argc, char** argv) {
                  "cannot diff a metrics document against a trace document\n");
     return 1;
   }
-  const auto d = obs::diff_reports(*base, *cur, threshold);
-  std::fputs(d.text.c_str(), stdout);
-  if (d.regressed) {
-    std::fprintf(stderr,
-                 "regression: at least one time metric grew more than "
-                 "%.1f%% over '%s'\n",
-                 threshold * 100.0, paths[0].c_str());
-    return 1;
-  }
+  std::fputs(obs::diff_reports(*base, *cur).c_str(), stdout);
   return 0;
 }
 
@@ -695,13 +683,11 @@ void usage() {
       "  status [--shard-dir=DIR]         # render the live status.json a\n"
       "                                   # --procs supervisor publishes\n"
       "                                   # (atomic-renamed; survives kill -9)\n"
-      "  obs report <A.json> [B.json] [--threshold=f]\n"
+      "  obs report <A.json> [B.json]\n"
       "                                   # summarize one --trace/--metrics\n"
       "                                   # artifact, or diff two runs:\n"
       "                                   # counter deltas + phase-time\n"
-      "                                   # deltas; with --threshold, exit 1\n"
-      "                                   # when any time metric of B grew\n"
-      "                                   # more than f (fraction) over A\n"
+      "                                   # deltas\n"
       "  show <benchmark> [compiler]\n"
       "  file <path.kernel> [compiler]\n"
       "  emit <benchmark> [compiler]      # generate OpenMP C source\n"
