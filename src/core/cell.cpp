@@ -9,8 +9,8 @@ namespace a64fxcc::core {
 namespace {
 
 /// Longest real sleep one retry may cost; the *chosen* backoff is
-/// reported to on_retry uncapped, but the actual wait is bounded so
-/// fault-heavy tests stay fast.
+/// recorded and reported to on_retry uncapped, but the actual wait is
+/// bounded so fault-heavy tests stay fast.
 constexpr double kMaxBackoffSleep = 0.05;
 
 }  // namespace
@@ -67,6 +67,7 @@ CellResult evaluate_cell(const runtime::Harness& h, const StudyOptions& opt,
     if (m.valid() || attempt - base_attempt >= opt.max_retries) break;
     const double backoff = retry_backoff(opt.retry_backoff_seconds,
                                          bench.name(), spec.name, attempt);
+    res.metrics.backoffs.push_back(backoff);
     if (on_retry) on_retry(attempt, m, backoff);
     if (backoff > 0) {
       const auto backoff_span =

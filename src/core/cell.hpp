@@ -18,7 +18,7 @@ namespace a64fxcc::core {
 /// Outcome of one cell evaluation through the policy path.
 struct CellResult {
   runtime::MeasuredRun run;
-  /// Cache/phase metrics accumulated across every attempt.
+  /// Cache, phase and backoff metrics accumulated across every attempt.
   runtime::RunMetrics metrics;
   /// The attempt index that produced `run` (== base_attempt when the
   /// first try landed).

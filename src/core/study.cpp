@@ -101,110 +101,27 @@ report::Table Study::run_suite(
         };
         CellResult res =
             evaluate_cell(harness_, opt_, bench, spec, 0, on_retry);
-        const runtime::RunMetrics& metrics = res.metrics;
         const runtime::MeasuredRun& m = res.run;
-        const int attempt = res.attempt;
         t.rows[r].cells[c] = m;
         if (opt_.journal != nullptr) opt_.journal->record({key, m});
+        // Quirk-failed, injected and timed-out cells all land here as
+        // JobFailed: exactly one terminal event per cell either way.
         if (sink != nullptr) {
-          const double wall = wall_now();
-          // One batched CacheHit/CacheMiss pair per cache kind; `detail`
-          // carries the kind ("compile"/"plan"/"estimate") so the
-          // metrics registry keys counters per cache.
-          const struct {
-            const char* kind;
-            int hits;
-            int misses;
-          } caches[] = {{"compile", metrics.compile_cache_hits,
-                         metrics.compile_cache_misses},
-                        {"plan", metrics.plan_cache_hits,
-                         metrics.plan_cache_misses},
-                        {"estimate", metrics.estimate_cache_hits,
-                         metrics.estimate_cache_misses},
-                        {"analysis", metrics.analysis_cache_hits,
-                         metrics.analysis_cache_misses}};
-          for (const auto& cache : caches) {
-            if (cache.hits > 0) {
-              sink->on_event({.kind = exec::EventKind::CacheHit,
-                              .benchmark = bench.name(),
-                              .compiler = spec.name,
-                              .row = r,
-                              .col = c,
-                              .worker = worker,
-                              .count =
-                                  static_cast<std::uint64_t>(cache.hits),
-                              .detail = cache.kind});
-            }
-            if (cache.misses > 0) {
-              sink->on_event({.kind = exec::EventKind::CacheMiss,
-                              .benchmark = bench.name(),
-                              .compiler = spec.name,
-                              .row = r,
-                              .col = c,
-                              .worker = worker,
-                              .count =
-                                  static_cast<std::uint64_t>(cache.misses),
-                              .detail = cache.kind});
-            }
-          }
-          if (metrics.analysis_cache_invalidations > 0) {
-            sink->on_event({.kind = exec::EventKind::CacheInvalidate,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .count = static_cast<std::uint64_t>(
-                                metrics.analysis_cache_invalidations),
-                            .detail = "analysis"});
-          }
-          // Per-phase wall-clock (accumulated across attempts) as
-          // diagnostics-only CellPhase events, before the terminal one.
-          const struct {
-            const char* name;
-            double seconds;
-          } phases[] = {{"compile", metrics.compile_seconds},
-                        {"explore", metrics.explore_seconds},
-                        {"measure", metrics.measure_seconds}};
-          for (const auto& ph : phases) {
-            if (ph.seconds <= 0) continue;
-            sink->on_event({.kind = exec::EventKind::CellPhase,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .wall_seconds = ph.seconds,
-                            .detail = ph.name});
-          }
-          // Quirk-failed, injected and timed-out cells all land here as
-          // JobFailed: exactly one terminal event per cell either way.
-          if (m.valid()) {
-            sink->on_event({.kind = exec::EventKind::JobFinished,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .model_seconds = m.best_seconds,
-                            .wall_seconds = wall,
-                            .attempt = attempt});
-          } else {
-            sink->on_event({.kind = exec::EventKind::JobFailed,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .wall_seconds = wall,
-                            .attempt = attempt,
-                            .status = m.status,
-                            .detail = m.diagnostic});
-          }
+          sink->on_event({.kind = m.valid() ? exec::EventKind::JobFinished
+                                            : exec::EventKind::JobFailed,
+                          .benchmark = bench.name(),
+                          .compiler = spec.name,
+                          .row = r,
+                          .col = c,
+                          .worker = worker,
+                          .model_seconds = m.best_seconds,
+                          .wall_seconds = wall_now(),
+                          .attempt = res.attempt,
+                          .status = m.status,
+                          .detail = m.diagnostic,
+                          .metrics = std::move(res.metrics)});
         }
-      },
-      opt_.fail_fast ? exec::ErrorPolicy::FailFast
-                     : exec::ErrorPolicy::CollectAll);
+      });
   // Cell failures are classified into the table, so any error here is an
   // infrastructure fault (sink/journal bug); surface the lowest-index one.
   if (!res.ok()) std::rethrow_exception(res.errors.front().error);

@@ -46,9 +46,10 @@ struct StudyOptions {
   /// shared sequence.
   int jobs = 0;
   /// Optional structured event sink (non-owning; must outlive the
-  /// Study calls).  Receives JobStarted/JobFinished per cell plus
-  /// compile-cache hit/miss counts; implementations must be
-  /// thread-safe.  Replaces the old raw `progress` callback.
+  /// Study calls).  Receives JobStarted, any JobRetried, and one
+  /// terminal event carrying the cell's RunMetrics per cell;
+  /// implementations must be thread-safe.  Replaces the old raw
+  /// `progress` callback.
   exec::EventSink* sink = nullptr;
   /// Optional span collector (non-owning; must outlive the Study
   /// calls).  The study opens a "cell" span per job and "backoff" spans
@@ -77,9 +78,6 @@ struct StudyOptions {
   /// re-evaluation; every freshly evaluated terminal outcome is
   /// recorded (and appended if the journal is open for writing).
   Journal* journal = nullptr;
-  /// Abort the batch on the first *engine* error (infrastructure
-  /// failures, not classified cell failures — those never throw).
-  bool fail_fast = false;
   /// Shared cache tier (non-owning; must outlive the Study).  Null lets
   /// the Study own a private cache::Service — pass one to share warm
   /// compile/plan/estimate entries across several studies (a re-study

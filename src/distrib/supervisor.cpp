@@ -70,43 +70,6 @@ int next_shard_index(const std::string& dir) {
 
 void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
 
-/// One completed cell's telemetry record (see obs/shard.hpp): the
-/// deterministic per-cell facts a merged registry is rebuilt from.
-obs::CellTelemetry cell_telemetry(std::uint64_t key, int gen, int pid,
-                                  const std::string& benchmark,
-                                  const std::string& compiler,
-                                  const core::CellResult& res,
-                                  double wall_seconds,
-                                  std::vector<double> backoffs) {
-  const runtime::RunMetrics& m = res.metrics;
-  obs::CellTelemetry t;
-  t.key = key;
-  t.benchmark = benchmark;
-  t.compiler = compiler;
-  t.status = runtime::to_string(res.run.status);
-  t.gen = gen;
-  t.attempt = res.attempt;
-  t.pid = pid;
-  t.compile_cache_hits = static_cast<std::uint64_t>(m.compile_cache_hits);
-  t.compile_cache_misses = static_cast<std::uint64_t>(m.compile_cache_misses);
-  t.plan_cache_hits = static_cast<std::uint64_t>(m.plan_cache_hits);
-  t.plan_cache_misses = static_cast<std::uint64_t>(m.plan_cache_misses);
-  t.estimate_cache_hits = static_cast<std::uint64_t>(m.estimate_cache_hits);
-  t.estimate_cache_misses =
-      static_cast<std::uint64_t>(m.estimate_cache_misses);
-  t.analysis_cache_hits = static_cast<std::uint64_t>(m.analysis_cache_hits);
-  t.analysis_cache_misses =
-      static_cast<std::uint64_t>(m.analysis_cache_misses);
-  t.analysis_cache_invalidations =
-      static_cast<std::uint64_t>(m.analysis_cache_invalidations);
-  t.compile_seconds = m.compile_seconds;
-  t.explore_seconds = m.explore_seconds;
-  t.measure_seconds = m.measure_seconds;
-  t.wall_seconds = wall_seconds;
-  t.backoffs = std::move(backoffs);
-  return t;
-}
-
 /// acquire()'s claims (key order) cut into their rows.
 std::vector<std::span<const Claim>> rows_of(const std::vector<Claim>& claims,
                                             std::size_t cols) {
@@ -154,21 +117,13 @@ void run_row(std::span<const Claim> row,
   for (const Claim& cl : row) {
     const auto& bench = suite[cl.index / cols];
     const auto& spec = opt.compilers[cl.index % cols];
-    std::vector<double> backoffs;
-    core::RetryFn on_retry;
-    if (out.metrics.is_open())
-      on_retry = [&backoffs](int, const runtime::MeasuredRun&, double b) {
-        backoffs.push_back(b);
-      };
     const auto cell_t0 = std::chrono::steady_clock::now();
     core::CellResult res;
     int gen = cl.gen;
     {
       const auto sp = obs::scoped(opt.tracer, "cell", bench.name(), spec.name);
       for (;; ++gen) {
-        backoffs.clear();  // only the surviving generation counts
-        res = core::evaluate_cell(h, opt, bench, spec, gen, on_retry,
-                                  on_crash);
+        res = core::evaluate_cell(h, opt, bench, spec, gen, {}, on_crash);
         const bool injected_crash =
             res.run.status == runtime::CellStatus::Crashed &&
             res.run.diagnostic.find(kInjectedCrashTag) != std::string::npos;
@@ -178,12 +133,18 @@ void run_row(std::span<const Claim> row,
     entries.push_back({cl.key, res.run});
     keys.push_back(cl.key);
     if (out.metrics.is_open()) {
-      telemetry.push_back(obs::encode_cell(cell_telemetry(
-          cl.key, gen, out.self, bench.name(), spec.name, res,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        cell_t0)
-              .count(),
-          std::move(backoffs))));
+      telemetry.push_back(obs::encode_cell(
+          {.key = cl.key,
+           .benchmark = bench.name(),
+           .compiler = spec.name,
+           .status = res.run.status,
+           .gen = gen,
+           .attempt = res.attempt,
+           .pid = out.self,
+           .wall_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - cell_t0)
+                               .count(),
+           .metrics = std::move(res.metrics)}));
     }
   }
   out.shard.record(entries);
@@ -259,8 +220,7 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
         rows.size(),
         [&](std::size_t i, int) {
           run_row(rows[i], suite, study.harness(), topt, on_crash, out);
-        },
-        exec::ErrorPolicy::CollectAll);
+        });
     // A job that threw (shard IO, ...) left its row leased; the leases
     // expire and are re-granted — no special handling here.
   }

@@ -27,9 +27,7 @@ struct Engine::Impl {
 
   const std::function<void(std::size_t, int)>* fn = nullptr;
   std::size_t njobs = 0;
-  ErrorPolicy policy = ErrorPolicy::CollectAll;
   std::atomic<std::uint64_t> cursor{0};  // (generation << 32) | next job
-  std::atomic<bool> stop{false};         // FailFast: an error was recorded
   std::size_t finished = 0;              // jobs claimed in this batch
   std::uint64_t generation = 0;          // bumped once per batch
   std::vector<JobError> errors;          // every job error (guarded by mu)
@@ -50,18 +48,13 @@ struct Engine::Impl {
                                         std::memory_order_relaxed))
         continue;
       // Failures are isolated per job: a worker keeps executing later
-      // jobs after an error, unless the batch is in fail-fast mode and
-      // some worker has already recorded one.
-      if (!stop.load(std::memory_order_relaxed)) {
-        try {
-          (*f)(j, worker);
-        } catch (...) {
-          local.push_back({j, std::current_exception()});
-          if (policy == ErrorPolicy::FailFast)
-            stop.store(true, std::memory_order_relaxed);
-        }
+      // jobs after an error.
+      try {
+        (*f)(j, worker);
+      } catch (...) {
+        local.push_back({j, std::current_exception()});
       }
-      ++mine;  // claimed jobs count as finished even when skipped
+      ++mine;
     }
     if (mine > 0) {
       const std::lock_guard<std::mutex> lock(mu);
@@ -116,8 +109,7 @@ Engine::~Engine() {
 }
 
 BatchResult Engine::try_run(
-    std::size_t njobs, const std::function<void(std::size_t, int)>& fn,
-    ErrorPolicy policy) {
+    std::size_t njobs, const std::function<void(std::size_t, int)>& fn) {
   BatchResult res;
   if (njobs == 0) return res;
   if (!impl_ || njobs == 1) {
@@ -127,7 +119,6 @@ BatchResult Engine::try_run(
         fn(j, 0);
       } catch (...) {
         res.errors.push_back({j, std::current_exception()});
-        if (policy == ErrorPolicy::FailFast) break;
       }
     }
     return res;
@@ -136,8 +127,6 @@ BatchResult Engine::try_run(
     std::unique_lock<std::mutex> lock(impl_->mu);
     impl_->fn = &fn;
     impl_->njobs = njobs;
-    impl_->policy = policy;
-    impl_->stop.store(false, std::memory_order_relaxed);
     impl_->finished = 0;
     impl_->errors.clear();
     ++impl_->generation;
@@ -156,7 +145,7 @@ BatchResult Engine::try_run(
 
 void Engine::run(std::size_t njobs,
                  const std::function<void(std::size_t, int)>& fn) {
-  const BatchResult res = try_run(njobs, fn, ErrorPolicy::CollectAll);
+  const BatchResult res = try_run(njobs, fn);
   if (!res.ok()) std::rethrow_exception(res.errors.front().error);
 }
 

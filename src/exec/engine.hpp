@@ -40,14 +40,6 @@ struct BatchResult {
   [[nodiscard]] bool ok() const noexcept { return errors.empty(); }
 };
 
-/// What a worker does once some job has failed:
-///  - CollectAll: keep claiming and *executing* jobs — failures are
-///    isolated, the batch always drains completely (the study default:
-///    failed cells are data, not reasons to abort).
-///  - FailFast: stop executing new jobs as soon as any error is
-///    recorded; already-claimed jobs finish, the rest are skipped.
-enum class ErrorPolicy : std::uint8_t { CollectAll, FailFast };
-
 class Engine {
  public:
   /// Spawns `workers` persistent threads (0 = hardware concurrency).
@@ -61,16 +53,15 @@ class Engine {
 
   /// Evaluate jobs 0..njobs-1 by calling fn(job, worker); blocks until
   /// the batch drains.  Jobs must be independent and must write
-  /// disjoint results.  Every job exception is caught and returned
-  /// (never lost): under CollectAll all njobs execute regardless of
-  /// failures; under FailFast jobs claimed after the first recorded
-  /// error are skipped.  Not reentrant: one batch at a time per engine.
+  /// disjoint results.  Failures are isolated: all njobs execute
+  /// regardless of failures, and every job exception is caught and
+  /// returned (never lost).  Not reentrant: one batch at a time per
+  /// engine.
   [[nodiscard]] BatchResult try_run(
       std::size_t njobs,
-      const std::function<void(std::size_t job, int worker)>& fn,
-      ErrorPolicy policy = ErrorPolicy::CollectAll);
+      const std::function<void(std::size_t job, int worker)>& fn);
 
-  /// Legacy throwing wrapper: try_run(CollectAll), then rethrows the
+  /// Legacy throwing wrapper: try_run, then rethrows the
   /// error of the *lowest failed job index* (deterministic for any
   /// worker count, unlike first-arrival).  Errors beyond the first are
   /// reported only via try_run.

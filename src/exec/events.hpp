@@ -1,9 +1,10 @@
 #pragma once
 // Structured execution events: the engine-facing replacement for the old
 // raw `progress` callback.  Every (benchmark x compiler) cell emits a
-// JobStarted/JobFinished pair, plus CacheHit/CacheMiss batches from the
-// compile-memoization layer, so the CLI can render live progress and
-// tests can assert on exactly what the engine did.
+// JobStarted event and exactly one terminal JobFinished/JobFailed event,
+// which carries the cell's runtime::RunMetrics, so the CLI can render
+// live progress, the metrics sink can fold the cell's cost, and tests
+// can assert on exactly what the engine did.
 //
 // Sinks may be called concurrently from engine workers; every
 // implementation of EventSink::on_event must be thread-safe.  Event
@@ -26,16 +27,6 @@ enum class EventKind : std::uint8_t {
   JobFinished,  ///< cell evaluated OK; model_seconds/wall_seconds filled
   JobFailed,    ///< cell terminally failed (status + detail filled in)
   JobRetried,   ///< one failed attempt will be retried (attempt/backoff)
-  CacheHit,     ///< memoization hits while evaluating the cell (count;
-                ///< detail = cache kind: "compile"/"plan"/"estimate",
-                ///< empty = compile for pre-split emitters)
-  CacheMiss,    ///< memoization misses while evaluating the cell (ditto)
-  CacheInvalidate,  ///< cached analyses dropped by mutating passes while
-                    ///< evaluating the cell (count; detail = cache kind,
-                    ///< currently always "analysis")
-  CellPhase,    ///< one phase of the cell finished (detail = phase name,
-                ///< wall_seconds = duration); diagnostics-only, emitted
-                ///< before the cell's terminal event
   // -- multi-process lifecycle (src/distrib/ supervisor) --------------
   WorkerSpawned,    ///< supervisor forked a worker process (worker =
                     ///< spawn index, count = pid)
@@ -53,10 +44,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::JobFinished: return "job-finished";
     case EventKind::JobFailed: return "job-failed";
     case EventKind::JobRetried: return "job-retried";
-    case EventKind::CacheHit: return "cache-hit";
-    case EventKind::CacheMiss: return "cache-miss";
-    case EventKind::CacheInvalidate: return "cache-invalidate";
-    case EventKind::CellPhase: return "cell-phase";
     case EventKind::WorkerSpawned: return "worker-spawned";
     case EventKind::WorkerExited: return "worker-exited";
     case EventKind::WorkerRespawned: return "worker-respawned";
@@ -67,8 +54,8 @@ enum class EventKind : std::uint8_t {
 
 struct Event {
   EventKind kind = EventKind::JobStarted;
-  std::string benchmark;
-  std::string compiler;
+  std::string benchmark{};
+  std::string compiler{};
   std::size_t row = 0;  ///< cell coordinates in the result table
   std::size_t col = 0;
   int worker = 0;  ///< engine worker index that ran the job
@@ -77,8 +64,9 @@ struct Event {
   double model_seconds = 0;
   /// Host wall-clock spent evaluating the cell (terminal events only).
   double wall_seconds = 0;
-  /// Batch size for cache events; 1 for job events.
-  std::uint64_t count = 1;
+  /// Worker lifecycle events only: the pid, or the number of released
+  /// cells (CellReleased).
+  std::uint64_t count = 0;
   /// Retry attempt the event refers to (0 = first try).  For terminal
   /// events this is the attempt that produced the final outcome.
   int attempt = 0;
@@ -86,9 +74,12 @@ struct Event {
   /// retried).  Ok otherwise.
   runtime::CellStatus status = runtime::CellStatus::Ok;
   /// Failure diagnostic text (JobFailed/JobRetried only).
-  std::string detail;
+  std::string detail{};
   /// Deterministic backoff chosen before the next attempt (JobRetried).
   double backoff_seconds = 0;
+  /// What evaluating the cell cost, across all its attempts (terminal
+  /// events only; all zeros for a cell restored from the journal).
+  runtime::RunMetrics metrics{};
 };
 
 class EventSink {
@@ -112,13 +103,12 @@ class CollectingSink final : public EventSink {
     return events_;
   }
 
-  /// Total count of events of one kind (cache events sum their batches).
+  /// Number of events of one kind.
   [[nodiscard]] std::uint64_t count(EventKind k) const {
     const std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t n = 0;
-    for (const auto& e : events_)
-      if (e.kind == k) n += e.count;
-    return n;
+    return static_cast<std::uint64_t>(
+        std::count_if(events_.begin(), events_.end(),
+                      [k](const Event& e) { return e.kind == k; }));
   }
 
   void clear() {
@@ -135,7 +125,8 @@ class CollectingSink final : public EventSink {
 ///   Quiet    — nothing (the sink still counts completed cells)
 ///   Progress — one line per terminal cell + retry notices (the old
 ///              `--progress` behaviour, kept as an alias)
-///   Debug    — additionally job starts, cache batches and cell phases
+///   Debug    — additionally job starts, and after each terminal line
+///              the cell's phase times and cache hits/misses
 enum class LogLevel : std::uint8_t { Quiet, Progress, Debug };
 
 /// Parse "quiet"/"progress"/"debug"; false on anything else.
@@ -147,10 +138,11 @@ enum class LogLevel : std::uint8_t { Quiet, Progress, Debug };
 }
 
 /// Thread-safe sink that renders one line per completed or failed cell
-/// (plus retry notices; at Debug, every event) — what the CLI attaches
-/// for `--log-level=progress|debug`.  Each event is formatted into one
-/// buffer and written with a single fwrite under one lock, so lines
-/// from concurrent workers can never interleave mid-line.
+/// (plus retry notices; at Debug, job starts and each cell's cost) —
+/// what the CLI attaches for `--log-level=progress|debug`.  Each event
+/// is formatted into one buffer and written with a single fwrite under
+/// one lock, so lines from concurrent workers can never interleave
+/// mid-line.
 class StreamSink final : public EventSink {
  public:
   explicit StreamSink(std::FILE* out = stderr,
@@ -158,7 +150,7 @@ class StreamSink final : public EventSink {
       : out_(out), level_(level) {}
 
   void on_event(const Event& e) override {
-    char buf[512];
+    char buf[768];
     int n = -1;
     const std::lock_guard<std::mutex> lock(mu_);
     switch (e.kind) {
@@ -192,13 +184,6 @@ class StreamSink final : public EventSink {
         n = std::snprintf(buf, sizeof buf, "  [w%d] %-18s x %-10s started\n",
                           e.worker, e.benchmark.c_str(), e.compiler.c_str());
         break;
-      case EventKind::CellPhase:
-        if (level_ < LogLevel::Debug) return;
-        n = std::snprintf(buf, sizeof buf,
-                          "  [w%d] %-18s x %-10s phase %-8s %.6fs\n", e.worker,
-                          e.benchmark.c_str(), e.compiler.c_str(),
-                          e.detail.c_str(), e.wall_seconds);
-        break;
       case EventKind::WorkerSpawned:
       case EventKind::WorkerExited:
       case EventKind::WorkerRespawned:
@@ -212,21 +197,28 @@ class StreamSink final : public EventSink {
                           static_cast<unsigned long long>(e.count),
                           e.detail.c_str());
         break;
-      case EventKind::CacheHit:
-      case EventKind::CacheMiss:
-      case EventKind::CacheInvalidate:
-        if (level_ < LogLevel::Debug) return;
-        n = std::snprintf(buf, sizeof buf,
-                          "  [w%d] %-18s x %-10s %s x%llu\n", e.worker,
-                          e.benchmark.c_str(), e.compiler.c_str(),
-                          to_string(e.kind),
-                          static_cast<unsigned long long>(e.count));
-        break;
     }
     if (n <= 0) return;
+    std::size_t len = std::min(static_cast<std::size_t>(n), sizeof buf - 1);
+    // At Debug a terminal line is followed by what the cell cost.
+    if (level_ == LogLevel::Debug && (e.kind == EventKind::JobFinished ||
+                                      e.kind == EventKind::JobFailed)) {
+      const runtime::RunMetrics& m = e.metrics;
+      const int k = std::snprintf(
+          buf + len, sizeof buf - len,
+          "  [w%d] %-18s x %-10s compile %.6fs explore %.6fs measure %.6fs;"
+          " hits/misses compile %d/%d plan %d/%d estimate %d/%d"
+          " analysis %d/%d\n",
+          e.worker, e.benchmark.c_str(), e.compiler.c_str(), m.compile_seconds,
+          m.explore_seconds, m.measure_seconds, m.compile_cache_hits,
+          m.compile_cache_misses, m.plan_cache_hits, m.plan_cache_misses,
+          m.estimate_cache_hits, m.estimate_cache_misses,
+          m.analysis_cache_hits, m.analysis_cache_misses);
+      if (k > 0)
+        len = std::min(len + static_cast<std::size_t>(k), sizeof buf - 1);
+    }
     // One write per event: concurrent lines stay whole.
-    std::fwrite(buf, 1, std::min(static_cast<std::size_t>(n), sizeof buf - 1),
-                out_);
+    std::fwrite(buf, 1, len, out_);
   }
 
  private:

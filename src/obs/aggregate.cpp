@@ -7,7 +7,6 @@
 #include <map>
 
 #include "exec/jsonio.hpp"
-#include "runtime/outcome.hpp"
 
 namespace a64fxcc::obs {
 
@@ -123,40 +122,8 @@ std::vector<CellTelemetry> Aggregator::cells() const {
 
 Registry Aggregator::merged_registry() const {
   Registry out;
-  for (const auto& c : cells()) {
-    out.counters["jobs_started"] += 1;
-    runtime::CellStatus st = runtime::CellStatus::Crashed;
-    out.counters[runtime::parse_status(c.status, &st)
-                     ? status_counter_name(st)
-                     : "cells_unknown"] += 1;
-    out.counters["retries"] += c.retries();
-    out.counters["compile_cache_hits"] += c.compile_cache_hits;
-    out.counters["compile_cache_misses"] += c.compile_cache_misses;
-    out.counters["plan_cache_hits"] += c.plan_cache_hits;
-    out.counters["plan_cache_misses"] += c.plan_cache_misses;
-    out.counters["estimate_cache_hits"] += c.estimate_cache_hits;
-    out.counters["estimate_cache_misses"] += c.estimate_cache_misses;
-    out.counters["analysis_cache_hits"] += c.analysis_cache_hits;
-    out.counters["analysis_cache_misses"] += c.analysis_cache_misses;
-    if (c.analysis_cache_invalidations > 0)
-      out.counters["analysis_cache_invalidations"] +=
-          c.analysis_cache_invalidations;
-    out.histograms["cell_wall_seconds"].add(c.wall_seconds);
-    const struct {
-      const char* name;
-      double seconds;
-    } phases[] = {{"phase_compile_seconds", c.compile_seconds},
-                  {"phase_explore_seconds", c.explore_seconds},
-                  {"phase_measure_seconds", c.measure_seconds}};
-    for (const auto& ph : phases)
-      if (ph.seconds > 0) out.histograms[ph.name].add(ph.seconds);
-    for (const double b : c.backoffs) out.histograms["backoff_seconds"].add(b);
-  }
-  // Drop counters that never incremented: the single-process sink only
-  // creates a counter on its first increment, and merged output should
-  // carry the same key set.
-  for (auto it = out.counters.begin(); it != out.counters.end();)
-    it = it->second == 0 ? out.counters.erase(it) : std::next(it);
+  for (const auto& [key, c] : cells_)
+    out.add_cell(c.status, c.retries(), c.wall_seconds, c.metrics);
   for (const auto& reg : extra_) out.merge(reg);
   return out;
 }

@@ -15,8 +15,10 @@
 //     semantics the Reducer applies to result shards, which is what
 //     makes the deterministic counters (cells by status, retries,
 //     cache hits/misses) of a crash-recovered N-process run equal the
-//     single-process run's — then any explicitly added registries
-//     (counter sums, bucket-wise histogram merge, gauges recomputed).
+//     single-process run's — folded through Registry::add_cell, the
+//     same fold the in-process MetricsSink applies, then any explicitly
+//     added registries (counter sums, bucket-wise histogram merge,
+//     gauges recomputed).
 //
 // Aggregation is read-only over the shard directory and diagnostics-
 // only by the PR 3 contract: nothing here can change a table byte.

@@ -47,6 +47,38 @@ void Registry::merge(const Registry& o) {
   for (const auto& [name, h] : o.histograms) histograms[name].merge(h);
 }
 
+void Registry::add_cell(runtime::CellStatus status, std::uint64_t retries,
+                        double wall_seconds, const runtime::RunMetrics& m) {
+  counters["jobs_started"] += 1;
+  counters[status_counter_name(status)] += 1;
+  if (retries > 0) counters["retries"] += retries;
+  const struct {
+    const char* name;
+    int n;
+  } counts[] = {{"compile_cache_hits", m.compile_cache_hits},
+                {"compile_cache_misses", m.compile_cache_misses},
+                {"plan_cache_hits", m.plan_cache_hits},
+                {"plan_cache_misses", m.plan_cache_misses},
+                {"estimate_cache_hits", m.estimate_cache_hits},
+                {"estimate_cache_misses", m.estimate_cache_misses},
+                {"analysis_cache_hits", m.analysis_cache_hits},
+                {"analysis_cache_misses", m.analysis_cache_misses},
+                {"analysis_cache_invalidations",
+                 m.analysis_cache_invalidations}};
+  for (const auto& c : counts)
+    if (c.n > 0) counters[c.name] += static_cast<std::uint64_t>(c.n);
+  histograms["cell_wall_seconds"].add(wall_seconds);
+  const struct {
+    const char* name;
+    double seconds;
+  } phases[] = {{"phase_compile_seconds", m.compile_seconds},
+                {"phase_explore_seconds", m.explore_seconds},
+                {"phase_measure_seconds", m.measure_seconds}};
+  for (const auto& ph : phases)
+    if (ph.seconds > 0) histograms[ph.name].add(ph.seconds);
+  for (const double b : m.backoffs) histograms["backoff_seconds"].add(b);
+}
+
 std::string Registry::to_json() const {
   std::string out = "{\"version\":1,\"counters\":{";
   char buf[64];
@@ -98,40 +130,16 @@ void MetricsSink::on_event(const exec::Event& e) {
   if (inner_ != nullptr) inner_->on_event(e);
   const std::lock_guard<std::mutex> lock(mu_);
   auto& counters = reg_.counters;
-  auto& histograms = reg_.histograms;
   switch (e.kind) {
+    // A cell's start and retries are folded with its terminal event,
+    // which carries the attempt count and the backoffs.
     case exec::EventKind::JobStarted:
-      counters["jobs_started"] += 1;
+    case exec::EventKind::JobRetried:
       break;
     case exec::EventKind::JobFinished:
-      counters["cells_ok"] += 1;
-      histograms["cell_wall_seconds"].add(e.wall_seconds);
-      break;
     case exec::EventKind::JobFailed:
-      counters[status_counter_name(e.status)] += 1;
-      histograms["cell_wall_seconds"].add(e.wall_seconds);
-      break;
-    case exec::EventKind::JobRetried:
-      counters["retries"] += 1;
-      histograms["backoff_seconds"].add(e.backoff_seconds);
-      break;
-    // Cache events carry the cache kind in `detail` ("compile"/"plan"/
-    // "estimate"); an empty detail means a pre-split emitter and keeps
-    // the historical compile_cache_* names.
-    case exec::EventKind::CacheHit:
-      counters[(e.detail.empty() ? "compile" : e.detail) + "_cache_hits"] +=
-          e.count;
-      break;
-    case exec::EventKind::CacheMiss:
-      counters[(e.detail.empty() ? "compile" : e.detail) + "_cache_misses"] +=
-          e.count;
-      break;
-    case exec::EventKind::CacheInvalidate:
-      counters[(e.detail.empty() ? "analysis" : e.detail) +
-               "_cache_invalidations"] += e.count;
-      break;
-    case exec::EventKind::CellPhase:
-      histograms["phase_" + e.detail + "_seconds"].add(e.wall_seconds);
+      reg_.add_cell(e.status, static_cast<std::uint64_t>(e.attempt),
+                    e.wall_seconds, e.metrics);
       break;
     // Multi-process lifecycle: spawn/exit counts plus the two headline
     // crash-isolation counters, worker_respawns and cells_released.

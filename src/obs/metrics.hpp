@@ -5,15 +5,16 @@
 // histograms, mergeable (counter sums, bucket-wise histogram merge) so
 // per-process registries of a multi-process study can be combined into
 // one document, and exportable as JSON with the hit-rate gauges
-// recomputed from the merged counters.
+// recomputed from the merged counters.  Registry::add_cell is the one
+// fold from a cell's runtime::RunMetrics to counters and histograms.
 //
-// MetricsSink is an EventSink that folds every engine event into a
-// Registry (cells by terminal status, cache hits/misses, retries;
-// per-phase wall-clock, terminal cell wall time, chosen retry backoffs)
-// and exports it as one JSON document (`--metrics=out.json`).  It
-// chains an optional inner sink, so `--log-level=progress
-// --metrics=m.json` composes: the stream renderer and the registry see
-// the same events.
+// MetricsSink is an EventSink that folds each cell's terminal event
+// into a Registry through add_cell, the same fold the cross-process
+// Aggregator applies to shard records, counts the worker lifecycle
+// events of a `--procs` run, and exports it all as one JSON document
+// (`--metrics=out.json`).  It chains an optional inner sink, so
+// `--log-level=progress --metrics=m.json` composes: the stream
+// renderer and the registry see the same events.
 //
 // Like tracing, metrics are diagnostics-only: they observe wall-clock
 // and event counts but never feed results, so tables stay byte-identical
@@ -79,9 +80,8 @@ struct Histogram {
   }
 };
 
-/// The event-folded counter name for a terminal cell status
-/// ("cells_ok", "cells_compile_error", ...).  Shared by the sink and
-/// the cross-process aggregator so merged registries key identically.
+/// The counter name Registry::add_cell uses for a terminal cell status
+/// ("cells_ok", "cells_compile_error", ...).
 [[nodiscard]] const char* status_counter_name(runtime::CellStatus st);
 
 /// Passive counters + histograms, the mergeable data behind
@@ -99,6 +99,17 @@ struct Registry {
   /// Fold another registry in: counters sum, histograms merge
   /// bucket-wise.  Merging an empty registry is the identity.
   void merge(const Registry& o);
+
+  /// Fold one finished cell in: counters jobs_started, the status
+  /// counter, retries, {compile,plan,estimate,analysis}_cache_{hits,
+  /// misses} and analysis_cache_invalidations; histograms
+  /// cell_wall_seconds, phase_{compile,explore,measure}_seconds and
+  /// backoff_seconds (one sample per retry).  A zero count or phase
+  /// time creates no counter or histogram.  MetricsSink and
+  /// Aggregator::merged_registry both fold cells here, so the two paths
+  /// produce the same names by construction.
+  void add_cell(runtime::CellStatus status, std::uint64_t retries,
+                double wall_seconds, const runtime::RunMetrics& m);
 
   /// The whole registry as one JSON object: {"version":1,
   /// "counters":{...},"gauges":{"compile_cache_hit_rate":..,
@@ -118,12 +129,10 @@ class MetricsSink final : public exec::EventSink {
   void on_event(const exec::Event& e) override;
 
   /// Current value of one counter (0 when never touched).  Counter
-  /// names: jobs_started, cells_ok, cells_compile_error,
-  /// cells_runtime_error, cells_timeout, cells_crashed, retries,
-  /// {compile,plan,estimate}_cache_hits and _misses (cache events key
-  /// by their `detail` cache kind; empty detail counts as compile), and
-  /// — after fold_cache_stats — cache_<name>_{hits,misses,entries,bytes}
-  /// per registered tier cache.
+  /// names: the per-cell ones of Registry::add_cell, the lifecycle
+  /// counters workers_spawned, workers_exited, worker_respawns and
+  /// cells_released, and — after fold_cache_stats —
+  /// cache_<name>_{hits,misses,entries,bytes} per registered tier cache.
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
 
   /// Snapshot the cache tier's per-cache counters into the registry as

@@ -28,6 +28,32 @@ std::optional<std::uint64_t> get_u64(const std::string& line,
   return static_cast<std::uint64_t>(*v);
 }
 
+/// A cell line's key for one runtime::RunMetrics member: a cache count
+/// (required on decode) or a phase time (absent decodes as 0).
+struct MetricsField {
+  const char* key;
+  int runtime::RunMetrics::*count;
+  double runtime::RunMetrics::*seconds;
+};
+
+/// Every RunMetrics member but the backoffs, in line order: the one
+/// table encode_cell writes and decode_cell reads.
+constexpr MetricsField kMetricsFields[] = {
+    {"compile_hits", &runtime::RunMetrics::compile_cache_hits, nullptr},
+    {"compile_misses", &runtime::RunMetrics::compile_cache_misses, nullptr},
+    {"plan_hits", &runtime::RunMetrics::plan_cache_hits, nullptr},
+    {"plan_misses", &runtime::RunMetrics::plan_cache_misses, nullptr},
+    {"estimate_hits", &runtime::RunMetrics::estimate_cache_hits, nullptr},
+    {"estimate_misses", &runtime::RunMetrics::estimate_cache_misses, nullptr},
+    {"analysis_hits", &runtime::RunMetrics::analysis_cache_hits, nullptr},
+    {"analysis_misses", &runtime::RunMetrics::analysis_cache_misses, nullptr},
+    {"invalidations", &runtime::RunMetrics::analysis_cache_invalidations,
+     nullptr},
+    {"compile_seconds", nullptr, &runtime::RunMetrics::compile_seconds},
+    {"explore_seconds", nullptr, &runtime::RunMetrics::explore_seconds},
+    {"measure_seconds", nullptr, &runtime::RunMetrics::measure_seconds},
+};
+
 }  // namespace
 
 std::string trace_shard_name(int spawn_index) {
@@ -56,42 +82,28 @@ std::string encode_cell(const CellTelemetry& c) {
   out += ",";
   field_str(out, "compiler", c.compiler);
   out += ",";
-  field_str(out, "status", c.status);
+  field_str(out, "status", runtime::to_string(c.status));
   out += ",";
   field_num(out, "gen", c.gen);
   out += ",";
   field_num(out, "attempt", c.attempt);
   out += ",";
   field_num(out, "pid", c.pid);
-  const struct {
-    const char* key;
-    std::uint64_t v;
-  } counters[] = {{"compile_hits", c.compile_cache_hits},
-                  {"compile_misses", c.compile_cache_misses},
-                  {"plan_hits", c.plan_cache_hits},
-                  {"plan_misses", c.plan_cache_misses},
-                  {"estimate_hits", c.estimate_cache_hits},
-                  {"estimate_misses", c.estimate_cache_misses},
-                  {"analysis_hits", c.analysis_cache_hits},
-                  {"analysis_misses", c.analysis_cache_misses},
-                  {"invalidations", c.analysis_cache_invalidations}};
-  for (const auto& f : counters) {
+  for (const MetricsField& f : kMetricsFields) {
     out += ",";
-    field_u64(out, f.key, f.v);
+    if (f.count != nullptr)
+      field_u64(out, f.key, static_cast<std::uint64_t>(c.metrics.*f.count));
+    else
+      field_num(out, f.key, c.metrics.*f.seconds);
   }
   out += ",";
-  field_num(out, "compile_seconds", c.compile_seconds);
-  out += ",";
-  field_num(out, "explore_seconds", c.explore_seconds);
-  out += ",";
-  field_num(out, "measure_seconds", c.measure_seconds);
-  out += ",";
   field_num(out, "wall_seconds", c.wall_seconds);
-  if (!c.backoffs.empty()) {
+  const std::vector<double>& backoffs = c.metrics.backoffs;
+  if (!backoffs.empty()) {
     out += ",\"backoffs\":[";
-    for (std::size_t i = 0; i < c.backoffs.size(); ++i) {
+    for (std::size_t i = 0; i < backoffs.size(); ++i) {
       std::snprintf(buf, sizeof buf, "%s%.17g", i == 0 ? "" : ",",
-                    c.backoffs[i]);
+                    backoffs[i]);
       out += buf;
     }
     out += "]";
@@ -115,9 +127,9 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
   char* end = nullptr;
   c.key = std::strtoull(key_hex->c_str(), &end, 16);
   if (end == key_hex->c_str() || *end != '\0') return std::nullopt;
+  if (!runtime::parse_status(*status, &c.status)) return std::nullopt;
   c.benchmark = *benchmark;
   c.compiler = *compiler;
-  c.status = *status;
   const auto gen = get_num(line, "gen");
   const auto attempt = get_num(line, "attempt");
   const auto pid = get_num(line, "pid");
@@ -127,28 +139,17 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
   c.attempt = static_cast<int>(*attempt);
   c.pid = static_cast<int>(*pid);
   c.wall_seconds = *wall;
-  const struct {
-    const char* key;
-    std::uint64_t* v;
-  } counters[] = {{"compile_hits", &c.compile_cache_hits},
-                  {"compile_misses", &c.compile_cache_misses},
-                  {"plan_hits", &c.plan_cache_hits},
-                  {"plan_misses", &c.plan_cache_misses},
-                  {"estimate_hits", &c.estimate_cache_hits},
-                  {"estimate_misses", &c.estimate_cache_misses},
-                  {"analysis_hits", &c.analysis_cache_hits},
-                  {"analysis_misses", &c.analysis_cache_misses},
-                  {"invalidations", &c.analysis_cache_invalidations}};
-  for (const auto& f : counters) {
-    const auto v = get_u64(line, f.key);
-    if (!v) return std::nullopt;
-    *f.v = *v;
-  }
   // Fields of deleted layers (the search_* and sweep_* counters and the
   // tier's evictions count of older shards) are ignored.
-  c.compile_seconds = get_num(line, "compile_seconds").value_or(0);
-  c.explore_seconds = get_num(line, "explore_seconds").value_or(0);
-  c.measure_seconds = get_num(line, "measure_seconds").value_or(0);
+  for (const MetricsField& f : kMetricsFields) {
+    if (f.count != nullptr) {
+      const auto v = get_u64(line, f.key);
+      if (!v) return std::nullopt;
+      c.metrics.*f.count = static_cast<int>(*v);
+    } else {
+      c.metrics.*f.seconds = get_num(line, f.key).value_or(0);
+    }
+  }
   // The trailing number array gets a torn-tail-safe parse.
   const auto parse_array = [&line](const char* key,
                                    std::vector<double>* out) -> bool {
@@ -166,7 +167,7 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
     }
     return *p == ']';  // false = torn line
   };
-  if (!parse_array("backoffs", &c.backoffs)) return std::nullopt;
+  if (!parse_array("backoffs", &c.metrics.backoffs)) return std::nullopt;
   return c;
 }
 

@@ -8,12 +8,12 @@
 //                            Tracer record hook the moment each span
 //                            closes, so a SIGKILLed worker leaves every
 //                            finished span on disk)
-//   metrics-shard-<k>.jsonl  one line per *completed* cell with the
-//                            cell's deterministic telemetry (status,
-//                            retries, per-cache hits/misses, phase
-//                            seconds), keyed by the same
-//                            Journal::cell_key fingerprint the result
-//                            shards use
+//   metrics-shard-<k>.jsonl  one line per *completed* cell: its status,
+//                            generation and attempt, wall time and
+//                            runtime::RunMetrics (per-cache hits and
+//                            misses, phase seconds, retry backoffs),
+//                            keyed by the same Journal::cell_key
+//                            fingerprint the result shards use
 //
 // The cell records are the exactly-once layer: a cell whose owner died
 // mid-evaluation re-leases and re-evaluates elsewhere, producing a
@@ -33,9 +33,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/trace.hpp"
+#include "runtime/outcome.hpp"
 
 namespace a64fxcc::obs {
 
@@ -47,32 +47,18 @@ inline constexpr int kTelemetryFormatVersion = 1;
 [[nodiscard]] std::string trace_shard_name(int spawn_index);
 [[nodiscard]] std::string metrics_shard_name(int spawn_index);
 
-/// One completed cell's deterministic telemetry, recorded by the worker
-/// that evaluated it immediately before the lease completes.
+/// One completed cell's telemetry, recorded by the worker that
+/// evaluated it immediately before the lease completes.
 struct CellTelemetry {
   std::uint64_t key = 0;  ///< Journal::cell_key fingerprint
   std::string benchmark;
   std::string compiler;
-  std::string status;  ///< runtime::to_string(CellStatus) label
-  int gen = 0;         ///< lease generation the evaluation started at
-  int attempt = 0;     ///< attempt that produced the outcome
-  int pid = 0;         ///< evaluating process
-  std::uint64_t compile_cache_hits = 0;
-  std::uint64_t compile_cache_misses = 0;
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t plan_cache_misses = 0;
-  std::uint64_t estimate_cache_hits = 0;
-  std::uint64_t estimate_cache_misses = 0;
-  std::uint64_t analysis_cache_hits = 0;
-  std::uint64_t analysis_cache_misses = 0;
-  std::uint64_t analysis_cache_invalidations = 0;
-  double compile_seconds = 0;
-  double explore_seconds = 0;
-  double measure_seconds = 0;
+  runtime::CellStatus status = runtime::CellStatus::Ok;
+  int gen = 0;      ///< lease generation the evaluation started at
+  int attempt = 0;  ///< attempt that produced the outcome
+  int pid = 0;      ///< evaluating process
   double wall_seconds = 0;
-  /// Backoff chosen before each retry, in attempt order (empty on
-  /// clean first-try cells; feeds the backoff_seconds histogram).
-  std::vector<double> backoffs;
+  runtime::RunMetrics metrics;
 
   /// Retries this evaluation took (attempt counts from gen).
   [[nodiscard]] std::uint64_t retries() const noexcept {

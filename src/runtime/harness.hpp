@@ -104,28 +104,6 @@ struct MeasuredRun {
   }
 };
 
-/// Per-evaluation observability counters (filled by the cached paths;
-/// feeds the engine's CacheHit/CacheMiss events).  The phase seconds
-/// are wall-clock accumulated across retry attempts — diagnostics-only
-/// (they feed CellPhase events and the metrics registry, never results).
-struct RunMetrics {
-  int compile_cache_hits = 0;
-  int compile_cache_misses = 0;
-  int plan_cache_hits = 0;       ///< perf::analyze results reused
-  int plan_cache_misses = 0;     ///< perf::analyze actually ran
-  int estimate_cache_hits = 0;   ///< perf::evaluate results reused
-  int estimate_cache_misses = 0; ///< perf::evaluate actually ran
-  // In-pipeline analysis::Manager traffic, accumulated on compile-cache
-  // misses only (a compile-cache hit does no analysis work), so these
-  // are deterministic per cell.
-  int analysis_cache_hits = 0;
-  int analysis_cache_misses = 0;
-  int analysis_cache_invalidations = 0;
-  double compile_seconds = 0;  ///< compile + reference compile
-  double explore_seconds = 0;  ///< placement exploration trials
-  double measure_seconds = 0;  ///< 10-run performance phase
-};
-
 class Harness {
  public:
   /// With `cache_service`, every cache registers on the shared tier

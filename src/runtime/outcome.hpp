@@ -16,11 +16,13 @@
 // The first three mirror compilers::CompileOutcome::Status (the quirk DB
 // maps paper-documented bugs onto them); Timeout and Crashed can only be
 // produced by the execution layer.  This header is dependency-free so
-// the exec event layer can name statuses without linking runtime.
+// the exec event layer can name statuses, and carry a cell's RunMetrics,
+// without linking runtime.
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace a64fxcc::runtime {
 
@@ -76,6 +78,34 @@ inline constexpr CellStatus kAllStatuses[] = {
   }
   return false;
 }
+
+/// What evaluating one cell cost, accumulated across its retry attempts:
+/// cache traffic (filled by the harness's cached paths), per-phase
+/// wall-clock and the backoff chosen before each retry.  The one per-cell
+/// telemetry record: the study's terminal event carries it to the
+/// metrics sink, and a `--procs` worker writes it to its metrics shard;
+/// obs::Registry::add_cell folds it into counters and histograms on both
+/// paths.  Diagnostics-only: none of it ever feeds a result.
+struct RunMetrics {
+  int compile_cache_hits = 0;
+  int compile_cache_misses = 0;
+  int plan_cache_hits = 0;       ///< perf::analyze results reused
+  int plan_cache_misses = 0;     ///< perf::analyze actually ran
+  int estimate_cache_hits = 0;   ///< perf::evaluate results reused
+  int estimate_cache_misses = 0; ///< perf::evaluate actually ran
+  // In-pipeline analysis::Manager traffic, accumulated on compile-cache
+  // misses only (a compile-cache hit does no analysis work), so these
+  // are deterministic per cell.
+  int analysis_cache_hits = 0;
+  int analysis_cache_misses = 0;
+  int analysis_cache_invalidations = 0;
+  double compile_seconds = 0;  ///< compile + reference compile
+  double explore_seconds = 0;  ///< placement exploration trials
+  double measure_seconds = 0;  ///< 10-run performance phase
+  /// Backoff chosen before each retry, in attempt order (empty when the
+  /// first try landed).
+  std::vector<double> backoffs;
+};
 
 /// Classified cell failure: thrown inside a cell evaluation (injected
 /// faults, deadline checkpoints) and caught at the study layer, which

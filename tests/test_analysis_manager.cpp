@@ -251,14 +251,13 @@ TEST(AnalysisCacheMetrics, StudyCountsAnalysisTraffic) {
   core::Study study(std::move(opt));
   const auto t = study.run_suite(kernels::polybench_suite(0.03));
   ASSERT_FALSE(t.rows.empty());
-  std::uint64_t hits = 0, misses = 0;
+  int hits = 0, misses = 0;
   for (const auto& e : sink.events()) {
-    if (e.detail != "analysis") continue;
-    if (e.kind == exec::EventKind::CacheHit) hits += e.count;
-    if (e.kind == exec::EventKind::CacheMiss) misses += e.count;
+    hits += e.metrics.analysis_cache_hits;
+    misses += e.metrics.analysis_cache_misses;
   }
-  EXPECT_GT(hits, 0u);
-  EXPECT_GT(misses, 0u);
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
 }
 
 }  // namespace

@@ -387,16 +387,10 @@ TEST(Supervisor, EmitsWorkerLifecycleEvents) {
   sopt.shard_dir = fresh_dir("events");
   distrib::Supervisor sup(std::move(sopt));
   (void)sup.run_suite(suite);
-  // Event `count` carries the pid for worker events, so tally events by
-  // kind instead of using CollectingSink::count's batch sum.
-  std::uint64_t spawned = 0, exited = 0;
-  for (const auto& e : sink.events()) {
-    if (e.kind == exec::EventKind::WorkerSpawned) ++spawned;
-    if (e.kind == exec::EventKind::WorkerExited) ++exited;
-  }
-  EXPECT_EQ(spawned, static_cast<std::uint64_t>(sup.stats().workers_spawned));
+  const auto spawned = static_cast<std::uint64_t>(sup.stats().workers_spawned);
+  EXPECT_EQ(sink.count(exec::EventKind::WorkerSpawned), spawned);
   // Every spawned worker is eventually reaped and reported.
-  EXPECT_EQ(exited, static_cast<std::uint64_t>(sup.stats().workers_spawned));
+  EXPECT_EQ(sink.count(exec::EventKind::WorkerExited), spawned);
 }
 
 // ---- supervisor: injected crash faults -------------------------------------
@@ -781,12 +775,19 @@ obs::Registry single_process_registry(
     const core::StudyOptions& opt,
     const std::vector<kernels::Benchmark>& s) {
   obs::MetricsSink sink;
-  auto clean = opt;
-  clean.jobs = 1;
-  clean.faults = {};
-  clean.sink = &sink;
-  (void)core::Study(std::move(clean)).run_suite(s);
+  auto one = opt;
+  one.jobs = 1;
+  one.sink = &sink;
+  (void)core::Study(std::move(one)).run_suite(s);
   return sink.snapshot();
+}
+
+/// Every histogram's name and sample count (sums and buckets hold
+/// wall-clock, which no two runs share).
+std::map<std::string, std::uint64_t> histogram_counts(const obs::Registry& r) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, h] : r.histograms) out[name] = h.count;
+  return out;
 }
 
 /// Replay one process's merged-trace records the way the Chrome viewer
@@ -828,54 +829,60 @@ void expect_viewer_invariants(const obs::ProcessSpans& p) {
 }
 
 TEST(Telemetry, MergedCountersMatchTheSingleProcessRunAcrossProcs) {
-  // Satellite of the PR 3 determinism contract: the deterministic
-  // counters of a shard-merged N-process run equal the single-process
-  // run's, no matter how the cells were partitioned.  This is also the
-  // regression test for the old bug where --metrics under --procs
-  // silently reported the near-empty parent registry.
+  // The determinism contract for telemetry: a shard-merged
+  // N-process run has exactly the single-process run's counters, and
+  // the same histograms with the same sample counts, no matter how the
+  // cells were partitioned.  Workers lease whole benchmark rows, so each
+  // row's cells share one process's per-benchmark caches exactly as
+  // they do in the single-process run.  The second pass retries
+  // injected runtime faults, so `retries` and `backoff_seconds` cross
+  // both paths too.  This is also the regression test for the old bug
+  // where --metrics under --procs silently reported the near-empty
+  // parent registry.
   const auto suite = small_suite();
-  const auto base = small_options();
-  const auto ref = single_process_registry(base, suite);
-  const std::string clean_csv =
-      report::render_csv(clean_single_process(base, suite));
   const std::size_t cells = suite.size() * 5;
-  ASSERT_EQ(ref.counter("jobs_started"), cells);
-  // Partition-invariant counters: cell outcomes and every cache's hits
-  // and misses.  Workers lease whole benchmark rows, so each row's
-  // cells share one process's per-benchmark caches exactly as they do
-  // in the single-process run.
-  const char* exact[] = {"jobs_started",          "cells_ok",
-                         "cells_compile_error",   "cells_runtime_error",
-                         "cells_timeout",         "cells_crashed",
-                         "retries",               "compile_cache_hits",
-                         "compile_cache_misses",  "plan_cache_hits",
-                         "plan_cache_misses",     "estimate_cache_hits",
-                         "estimate_cache_misses", "analysis_cache_hits",
-                         "analysis_cache_misses"};
-  for (const int procs : {1, 2, 4}) {
-    obs::Tracer tracer;
-    distrib::SupervisorOptions sopt;
-    sopt.study = base;
-    sopt.study.tracer = &tracer;
-    sopt.telemetry = true;
-    sopt.procs = procs;
-    sopt.shard_dir = fresh_dir("telemetry_p" + std::to_string(procs));
-    distrib::Supervisor sup(std::move(sopt));
-    const auto t = sup.run_suite(suite);
-    EXPECT_EQ(report::render_csv(t), clean_csv) << "procs=" << procs;
+  auto retrying = small_options();
+  retrying.faults.runtime = 0.3;
+  retrying.max_retries = 2;
+  retrying.retry_backoff_seconds = 1e-4;
+  for (const auto& base : {small_options(), retrying}) {
+    const bool retries = base.max_retries > 0;
+    const auto ref = single_process_registry(base, suite);
+    auto one = base;
+    one.jobs = 1;
+    const std::string ref_csv =
+        report::render_csv(core::Study(std::move(one)).run_suite(suite));
+    ASSERT_EQ(ref.counter("jobs_started"), cells);
+    ASSERT_EQ(ref.histograms.count("cell_wall_seconds"), 1u);
+    if (retries) {
+      ASSERT_GT(ref.counter("retries"), 0u);
+      ASSERT_EQ(ref.histograms.count("backoff_seconds"), 1u);
+    }
+    for (const int procs : {1, 2, 4}) {
+      const std::string run = "procs=" + std::to_string(procs) +
+                              (retries ? " with retries" : "");
+      obs::Tracer tracer;
+      distrib::SupervisorOptions sopt;
+      sopt.study = base;
+      sopt.study.tracer = &tracer;
+      sopt.telemetry = true;
+      sopt.procs = procs;
+      sopt.shard_dir = fresh_dir("telemetry_p" + std::to_string(procs) +
+                                 (retries ? "_retries" : ""));
+      distrib::Supervisor sup(std::move(sopt));
+      const auto t = sup.run_suite(suite);
+      EXPECT_EQ(report::render_csv(t), ref_csv) << run;
 
-    obs::Aggregator agg;
-    ASSERT_TRUE(sup.load_telemetry(agg));
-    EXPECT_GE(agg.stats().metrics_shards, 1u) << "no metrics shards written";
-    EXPECT_GE(agg.stats().trace_shards, 1u) << "no trace shards written";
-    EXPECT_GT(agg.stats().spans, 0u);
-    EXPECT_EQ(agg.stats().cells, cells);
-    const auto merged = agg.merged_registry();
-    for (const char* name : exact)
-      EXPECT_EQ(merged.counter(name), ref.counter(name))
-          << name << " procs=" << procs;
-    ASSERT_EQ(merged.histograms.count("cell_wall_seconds"), 1u);
-    EXPECT_EQ(merged.histograms.at("cell_wall_seconds").count, cells);
+      obs::Aggregator agg;
+      ASSERT_TRUE(sup.load_telemetry(agg));
+      EXPECT_GE(agg.stats().metrics_shards, 1u) << "no metrics shards written";
+      EXPECT_GE(agg.stats().trace_shards, 1u) << "no trace shards written";
+      EXPECT_GT(agg.stats().spans, 0u);
+      EXPECT_EQ(agg.stats().cells, cells);
+      const auto merged = agg.merged_registry();
+      EXPECT_EQ(merged.counters, ref.counters) << run;
+      EXPECT_EQ(histogram_counts(merged), histogram_counts(ref)) << run;
+    }
   }
 }
 

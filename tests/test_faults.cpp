@@ -261,9 +261,10 @@ TEST(Injection, RetriesRecoverDeterministicallyInjectedFaults) {
   const auto clean = run_microkernels({});
   for (std::size_t r = 0; r < retried.rows.size(); ++r)
     for (std::size_t c = 0; c < retried.rows[r].cells.size(); ++c)
-      if (retried.rows[r].cells[c].valid())
+      if (retried.rows[r].cells[c].valid()) {
         EXPECT_EQ(retried.rows[r].cells[c].best_seconds,
                   clean.rows[r].cells[c].best_seconds);
+      }
 }
 
 TEST(Injection, RetryEventsAreEmitted) {
@@ -306,9 +307,10 @@ TEST(Injection, InProcessCrashFaultsClassifyAndRetryLikeAnyFault) {
   const auto clean = run_microkernels({});
   for (std::size_t r = 0; r < retried.rows.size(); ++r)
     for (std::size_t c = 0; c < retried.rows[r].cells.size(); ++c)
-      if (retried.rows[r].cells[c].valid())
+      if (retried.rows[r].cells[c].valid()) {
         EXPECT_EQ(retried.rows[r].cells[c].best_seconds,
                   clean.rows[r].cells[c].best_seconds);
+      }
 }
 
 TEST(Injection, ArmedPoliciesWithoutFaultsLeaveTheTableUnchanged) {
@@ -692,7 +694,13 @@ TEST(Resume, FailedCellsReEvaluateAndMatchCleanRunByteForByte) {
   expect_identical_cells(resumed, clean);
   // Cache misses happened only for the re-evaluated cells (plus their
   // reference compiles), far fewer than a full 22 x 5 study.
-  EXPECT_GT(sink.count(exec::EventKind::CacheMiss), 0u);
+  int misses = 0;
+  for (const auto& e : sink.events()) {
+    const runtime::RunMetrics& m = e.metrics;
+    misses += m.compile_cache_misses + m.plan_cache_misses +
+              m.estimate_cache_misses + m.analysis_cache_misses;
+  }
+  EXPECT_GT(misses, 0);
   std::remove(path.c_str());
 }
 

@@ -233,7 +233,7 @@ TEST(Metrics, CountersMatchTableStatuses) {
   const auto json = metrics.to_json();
   EXPECT_NE(json.find("\"cells_ok\""), std::string::npos);
   EXPECT_NE(json.find("\"compile_cache_hit_rate\""), std::string::npos);
-  // CellPhase events fed the per-phase histograms.
+  // The terminal events' phase times fed the per-phase histograms.
   EXPECT_NE(json.find("\"phase_compile_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"phase_measure_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"cell_wall_seconds\""), std::string::npos);
@@ -245,12 +245,13 @@ TEST(Metrics, ForwardsEventsToInnerSink) {
   exec::Event e;
   e.kind = exec::EventKind::JobFinished;
   e.benchmark = "2mm";
+  e.metrics.compile_cache_hits = 7;
   metrics.on_event(e);
-  e.kind = exec::EventKind::CacheHit;
-  e.count = 7;
+  e.kind = exec::EventKind::JobStarted;
   metrics.on_event(e);
   EXPECT_EQ(inner.events().size(), 2u);
   EXPECT_EQ(metrics.counter("cells_ok"), 1u);
+  EXPECT_EQ(metrics.counter("jobs_started"), 1u);
   EXPECT_EQ(metrics.counter("compile_cache_hits"), 7u);
 }
 
@@ -290,7 +291,8 @@ TEST(Metrics, WriteMetricsCreatesFile) {
 }
 
 TEST(Metrics, StreamSinkLevelsGateOutput) {
-  // Quiet writes nothing; Debug writes phase/cache lines Progress skips.
+  // Quiet writes nothing; Debug writes the start line and the cell's
+  // phase/cache line that Progress skips.
   const auto bytes_written = [](exec::LogLevel level) {
     std::FILE* f = std::tmpfile();
     EXPECT_NE(f, nullptr);
@@ -300,10 +302,9 @@ TEST(Metrics, StreamSinkLevelsGateOutput) {
       e.kind = exec::EventKind::JobFinished;
       e.benchmark = "2mm";
       e.compiler = "LLVM";
+      e.metrics.compile_seconds = 0.001;
       sink.on_event(e);
-      e.kind = exec::EventKind::CellPhase;
-      e.detail = "compile";
-      e.wall_seconds = 0.001;
+      e.kind = exec::EventKind::JobStarted;
       sink.on_event(e);
     }
     std::fflush(f);
@@ -554,24 +555,24 @@ obs::CellTelemetry sample_cell() {
   c.key = 0xdeadbeefcafe1234ull;
   c.benchmark = "2mm";
   c.compiler = "FJtrad";
-  c.status = "ok";
+  c.status = runtime::CellStatus::Ok;
   c.gen = 1;
   c.attempt = 3;
   c.pid = 4242;
-  c.compile_cache_hits = 1;
-  c.compile_cache_misses = 2;
-  c.plan_cache_hits = 3;
-  c.plan_cache_misses = 4;
-  c.estimate_cache_hits = 5;
-  c.estimate_cache_misses = 6;
-  c.analysis_cache_hits = 7;
-  c.analysis_cache_misses = 8;
-  c.analysis_cache_invalidations = 9;
-  c.compile_seconds = 0.25;
-  c.explore_seconds = 0.5;
-  c.measure_seconds = 0.125;
+  c.metrics.compile_cache_hits = 1;
+  c.metrics.compile_cache_misses = 2;
+  c.metrics.plan_cache_hits = 3;
+  c.metrics.plan_cache_misses = 4;
+  c.metrics.estimate_cache_hits = 5;
+  c.metrics.estimate_cache_misses = 6;
+  c.metrics.analysis_cache_hits = 7;
+  c.metrics.analysis_cache_misses = 8;
+  c.metrics.analysis_cache_invalidations = 9;
+  c.metrics.compile_seconds = 0.25;
+  c.metrics.explore_seconds = 0.5;
+  c.metrics.measure_seconds = 0.125;
   c.wall_seconds = 1.0;
-  c.backoffs = {0.0, 0.125};
+  c.metrics.backoffs = {0.0, 0.125};
   return c;
 }
 
@@ -587,21 +588,23 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(d->gen, c.gen);
   EXPECT_EQ(d->attempt, c.attempt);
   EXPECT_EQ(d->pid, c.pid);
-  EXPECT_EQ(d->compile_cache_hits, c.compile_cache_hits);
-  EXPECT_EQ(d->compile_cache_misses, c.compile_cache_misses);
-  EXPECT_EQ(d->plan_cache_hits, c.plan_cache_hits);
-  EXPECT_EQ(d->plan_cache_misses, c.plan_cache_misses);
-  EXPECT_EQ(d->estimate_cache_hits, c.estimate_cache_hits);
-  EXPECT_EQ(d->estimate_cache_misses, c.estimate_cache_misses);
-  EXPECT_EQ(d->analysis_cache_hits, c.analysis_cache_hits);
-  EXPECT_EQ(d->analysis_cache_misses, c.analysis_cache_misses);
-  EXPECT_EQ(d->analysis_cache_invalidations, c.analysis_cache_invalidations);
-  EXPECT_DOUBLE_EQ(d->compile_seconds, c.compile_seconds);
-  EXPECT_DOUBLE_EQ(d->explore_seconds, c.explore_seconds);
-  EXPECT_DOUBLE_EQ(d->measure_seconds, c.measure_seconds);
+  const runtime::RunMetrics& m = c.metrics;
+  EXPECT_EQ(d->metrics.compile_cache_hits, m.compile_cache_hits);
+  EXPECT_EQ(d->metrics.compile_cache_misses, m.compile_cache_misses);
+  EXPECT_EQ(d->metrics.plan_cache_hits, m.plan_cache_hits);
+  EXPECT_EQ(d->metrics.plan_cache_misses, m.plan_cache_misses);
+  EXPECT_EQ(d->metrics.estimate_cache_hits, m.estimate_cache_hits);
+  EXPECT_EQ(d->metrics.estimate_cache_misses, m.estimate_cache_misses);
+  EXPECT_EQ(d->metrics.analysis_cache_hits, m.analysis_cache_hits);
+  EXPECT_EQ(d->metrics.analysis_cache_misses, m.analysis_cache_misses);
+  EXPECT_EQ(d->metrics.analysis_cache_invalidations,
+            m.analysis_cache_invalidations);
+  EXPECT_DOUBLE_EQ(d->metrics.compile_seconds, m.compile_seconds);
+  EXPECT_DOUBLE_EQ(d->metrics.explore_seconds, m.explore_seconds);
+  EXPECT_DOUBLE_EQ(d->metrics.measure_seconds, m.measure_seconds);
   EXPECT_DOUBLE_EQ(d->wall_seconds, c.wall_seconds);
-  ASSERT_EQ(d->backoffs.size(), 2u);
-  EXPECT_DOUBLE_EQ(d->backoffs[1], 0.125);
+  ASSERT_EQ(d->metrics.backoffs.size(), 2u);
+  EXPECT_DOUBLE_EQ(d->metrics.backoffs[1], 0.125);
   EXPECT_EQ(d->retries(), 2u);  // attempt 3 counted from gen 1
   // Shards written while the placement search existed carry its fields;
   // they are ignored, and the rest of the line decodes as before.
@@ -611,8 +614,9 @@ TEST(Shard, CellRecordRoundTrips) {
   const auto o = obs::decode_cell(older);
   ASSERT_TRUE(o.has_value());
   EXPECT_EQ(o->key, c.key);
-  EXPECT_EQ(o->analysis_cache_invalidations, c.analysis_cache_invalidations);
-  EXPECT_EQ(o->backoffs, d->backoffs);
+  EXPECT_EQ(o->metrics.analysis_cache_invalidations,
+            m.analysis_cache_invalidations);
+  EXPECT_EQ(o->metrics.backoffs, d->metrics.backoffs);
   // Likewise the batched estimate sweep's counters and config list, at
   // the position its encoder wrote them.
   std::string swept = line;
@@ -622,9 +626,10 @@ TEST(Shard, CellRecordRoundTrips) {
   const auto w = obs::decode_cell(swept);
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->key, c.key);
-  EXPECT_EQ(w->analysis_cache_invalidations, c.analysis_cache_invalidations);
-  EXPECT_DOUBLE_EQ(w->compile_seconds, c.compile_seconds);
-  EXPECT_EQ(w->backoffs, d->backoffs);
+  EXPECT_EQ(w->metrics.analysis_cache_invalidations,
+            m.analysis_cache_invalidations);
+  EXPECT_DOUBLE_EQ(w->metrics.compile_seconds, m.compile_seconds);
+  EXPECT_EQ(w->metrics.backoffs, d->metrics.backoffs);
   // Shards written while the tier could evict carry an evictions count
   // after the invalidations counter; it is ignored too.
   std::string evicting = line;
@@ -634,9 +639,10 @@ TEST(Shard, CellRecordRoundTrips) {
   const auto e = obs::decode_cell(evicting);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->key, c.key);
-  EXPECT_EQ(e->analysis_cache_invalidations, c.analysis_cache_invalidations);
-  EXPECT_DOUBLE_EQ(e->compile_seconds, c.compile_seconds);
-  EXPECT_EQ(e->backoffs, d->backoffs);
+  EXPECT_EQ(e->metrics.analysis_cache_invalidations,
+            m.analysis_cache_invalidations);
+  EXPECT_DOUBLE_EQ(e->metrics.compile_seconds, m.compile_seconds);
+  EXPECT_EQ(e->metrics.backoffs, d->metrics.backoffs);
   EXPECT_EQ(line.find("evictions"), std::string::npos);
 }
 
@@ -693,6 +699,12 @@ TEST(Shard, DecodersRejectTornAlienAndFutureLines) {
   ASSERT_NE(at, std::string::npos);
   future.replace(at, 5, "\"v\":9");
   EXPECT_FALSE(obs::decode_cell(future).has_value());
+  // A status label no runtime::CellStatus spells is malformed too.
+  std::string alien_status = cell;
+  const auto st = alien_status.find("\"status\":\"ok\"");
+  ASSERT_NE(st, std::string::npos);
+  alien_status.replace(st, 13, "\"status\":\"exploded\"");
+  EXPECT_FALSE(obs::decode_cell(alien_status).has_value());
 }
 
 TEST(Shard, WriterNewlineTerminatesTornTail) {
@@ -765,10 +777,10 @@ TEST(Aggregate, MergedRegistryFoldsDedupedCells) {
   const auto a = sample_cell();  // ok, attempt 3 from gen 1 -> 2 retries
   auto b = sample_cell();
   b.key = 0x2222;
-  b.status = "compiler error";
+  b.status = runtime::CellStatus::CompileError;
   b.gen = 0;
   b.attempt = 0;
-  b.backoffs.clear();
+  b.metrics.backoffs.clear();
   write_lines(dir + "/" + obs::metrics_shard_name(0),
               {obs::encode_cell(a), obs::encode_cell(b)});
   obs::Aggregator agg;
@@ -780,7 +792,7 @@ TEST(Aggregate, MergedRegistryFoldsDedupedCells) {
   EXPECT_EQ(reg.counter("retries"), 2u);
   EXPECT_EQ(reg.counter("compile_cache_hits"), 2u);
   EXPECT_EQ(reg.counter("analysis_cache_misses"), 16u);
-  EXPECT_EQ(reg.counter("cells_crashed"), 0u);  // zero counters pruned
+  EXPECT_EQ(reg.counter("cells_crashed"), 0u);  // zero counters never created
   EXPECT_EQ(reg.counters.count("cells_crashed"), 0u);
   EXPECT_EQ(reg.histograms["cell_wall_seconds"].count, 2u);
   EXPECT_EQ(reg.histograms["backoff_seconds"].count, 2u);  // a's backoffs

@@ -106,8 +106,9 @@ TEST(Placements, GeneratedListsAreDedupedAndFeasibleEverywhere) {
         // last); every other explored list leads with the recommendation.
         const auto rec = h.recommended_for(model, tr);
         if (!tr.one_cmg && rec.ranks * rec.threads <= m.total_cores() &&
-            (!tr.pow2_ranks_only || (rec.ranks & (rec.ranks - 1)) == 0))
+            (!tr.pow2_ranks_only || (rec.ranks & (rec.ranks - 1)) == 0)) {
           EXPECT_EQ(c[0], rec) << m.name;
+        }
       }
     }
   }

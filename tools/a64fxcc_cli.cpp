@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -151,7 +152,6 @@ bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
     std::fprintf(stderr, "--retries/--deadline must be non-negative\n");
     return false;
   }
-  if (has_flag(argc, argv, "--fail-fast")) opt.fail_fast = true;
   if (const char* v = arg_value(argc, argv, "--inject-faults=")) {
     const auto plan = runtime::FaultPlan::parse(v);
     if (!plan) {
@@ -348,14 +348,14 @@ int cmd_list(const std::string& suite) {
   return 0;
 }
 
-int cmd_table(const std::string& suite, int argc, char** argv) {
-  double scale = 0.25;
-  if (!arg_scale(argc, argv, &scale)) return 1;
-  auto benches = suite_by_name(suite, scale);
-  if (benches.empty()) {
-    std::fprintf(stderr, "unknown suite '%s'\n", suite.c_str());
-    return 1;
-  }
+/// The study behind `table` and `run`: parse the jobs, distrib,
+/// observability and policy flags, run `suite` in-process or under the
+/// multi-process supervisor, list failed cells on stderr, hand the
+/// table to `render`, then print --cache-stats and write the
+/// --trace/--metrics artifacts.  Returns the exit code.
+int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
+              int argc, char** argv,
+              const std::function<void(const report::Table&)>& render) {
   core::StudyOptions opt;
   opt.scale = scale;
   if (!arg_jobs(argc, argv, &opt.jobs)) return 1;
@@ -378,36 +378,48 @@ int cmd_table(const std::string& suite, int argc, char** argv) {
         obs.trace_path != nullptr || obs.metrics_path != nullptr;
     sup.emplace(std::move(sopt));
     try {
-      t = sup->run_suite(benches);
+      t = sup->run_suite(suite);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   } else {
     study.emplace(std::move(opt));
-    t = study->run_suite(benches);
+    t = study->run_suite(suite);
   }
   report_failures(t);
-  if (has_flag(argc, argv, "--csv"))
-    std::fputs(report::render_csv(t).c_str(), stdout);
-  else if (has_flag(argc, argv, "--json"))
-    std::fputs(report::render_json(t).c_str(), stdout);
-  else if (has_flag(argc, argv, "--md"))
-    std::fputs(report::render_markdown(t).c_str(), stdout);
-  else
-    std::fputs(report::render_ansi(t).c_str(), stdout);
-  if (has_flag(argc, argv, "--decisions"))
-    std::fputs(report::render_decisions_csv(t).c_str(), stdout);
+  render(t);
   if (study) {
     if (has_flag(argc, argv, "--cache-stats"))
       std::fputs(study->cache_service().stats_text().c_str(), stderr);
     if (obs.metrics) obs.metrics->fold_cache_stats(study->cache_service());
   }
-  const bool obs_ok = sup ? flush_obs_distrib(obs, *sup) : flush_obs(obs);
-  const auto s = core::summarize(t);
-  std::printf("\nmedian best-compiler gain: %.3fx (mean %.3fx, peak %.3fx)\n",
-              s.median_best_gain, s.mean_best_gain, s.max_best_gain);
-  return obs_ok ? 0 : 2;
+  return (sup ? flush_obs_distrib(obs, *sup) : flush_obs(obs)) ? 0 : 2;
+}
+
+int cmd_table(const std::string& suite, int argc, char** argv) {
+  double scale = 0.25;
+  if (!arg_scale(argc, argv, &scale)) return 1;
+  const auto benches = suite_by_name(suite, scale);
+  if (benches.empty()) {
+    std::fprintf(stderr, "unknown suite '%s'\n", suite.c_str());
+    return 1;
+  }
+  return run_study(scale, benches, argc, argv, [&](const report::Table& t) {
+    if (has_flag(argc, argv, "--csv"))
+      std::fputs(report::render_csv(t).c_str(), stdout);
+    else if (has_flag(argc, argv, "--json"))
+      std::fputs(report::render_json(t).c_str(), stdout);
+    else if (has_flag(argc, argv, "--md"))
+      std::fputs(report::render_markdown(t).c_str(), stdout);
+    else
+      std::fputs(report::render_ansi(t).c_str(), stdout);
+    if (has_flag(argc, argv, "--decisions"))
+      std::fputs(report::render_decisions_csv(t).c_str(), stdout);
+    const auto s = core::summarize(t);
+    std::printf("\nmedian best-compiler gain: %.3fx (mean %.3fx, peak %.3fx)\n",
+                s.median_best_gain, s.mean_best_gain, s.max_best_gain);
+  });
 }
 
 int cmd_run(const std::string& name, int argc, char** argv) {
@@ -415,47 +427,11 @@ int cmd_run(const std::string& name, int argc, char** argv) {
   if (!arg_scale(argc, argv, &scale)) return 1;
   for (auto& b : kernels::all_benchmarks(scale)) {
     if (b.name() != name) continue;
-    core::StudyOptions opt;
-    opt.scale = scale;
-    if (!arg_jobs(argc, argv, &opt.jobs)) return 1;
-    DistribFlags df;
-    if (!parse_distrib_flags(argc, argv, &df)) return 1;
-    ObsSetup obs;
-    if (!apply_obs_flags(argc, argv, opt, obs)) return 1;
-    core::Journal journal;
-    if (!apply_policy_flags(argc, argv, opt, journal)) return 1;
     std::vector<kernels::Benchmark> one;
     one.push_back(std::move(b));
-    report::Table t;
-    std::optional<core::Study> study;
-    std::optional<distrib::Supervisor> sup;
-    if (df.procs > 0) {
-      distrib::SupervisorOptions sopt;
-      sopt.study = std::move(opt);
-      sopt.procs = df.procs;
-      sopt.shard_dir = df.shard_dir;
-      sopt.lease_deadline_seconds = df.lease_deadline;
-      sopt.telemetry =
-          obs.trace_path != nullptr || obs.metrics_path != nullptr;
-      sup.emplace(std::move(sopt));
-      try {
-        t = sup->run_suite(one);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else {
-      study.emplace(std::move(opt));
-      t = study->run_suite(one);
-    }
-    report_failures(t);
-    std::fputs(report::render_ansi(t).c_str(), stdout);
-    if (study) {
-      if (has_flag(argc, argv, "--cache-stats"))
-        std::fputs(study->cache_service().stats_text().c_str(), stderr);
-      if (obs.metrics) obs.metrics->fold_cache_stats(study->cache_service());
-    }
-    return (sup ? flush_obs_distrib(obs, *sup) : flush_obs(obs)) ? 0 : 2;
+    return run_study(scale, one, argc, argv, [](const report::Table& t) {
+      std::fputs(report::render_ansi(t).c_str(), stdout);
+    });
   }
   std::fprintf(stderr, "unknown benchmark '%s' (try: a64fxcc list)\n",
                name.c_str());
@@ -640,7 +616,7 @@ void usage() {
       "                [--procs=N] [--shard-dir=DIR] [--lease-deadline=SECONDS]\n"
       "                [--log-level=quiet|progress|debug] [--progress]\n"
       "                [--trace=PATH] [--metrics=PATH]\n"
-      "                [--retries=N] [--deadline=SECONDS] [--fail-fast]\n"
+      "                [--retries=N] [--deadline=SECONDS]\n"
       "                [--resume=PATH] [--journal=PATH]\n"
       "                [--inject-faults=compile:P,runtime:P,hang:P,crash:P]\n"
       "                [--cache-stats]\n"
