@@ -50,25 +50,18 @@ void accumulate_ops(const Expr& e, OpMix& mix) {
   if (e.c) accumulate_ops(*e.c, mix);
 }
 
-/// Evaluated tensor dimensions under the kernel's parameter binding.
-std::vector<std::int64_t> tensor_dims(const Access& a, const Kernel& k) {
-  const auto env = k.param_env();
-  std::vector<std::int64_t> dims;
-  for (const auto& d : k.tensor(a.tensor).shape) dims.push_back(d.evaluate(env));
-  return dims;
-}
-
 }  // namespace
 
 std::optional<std::int64_t> linear_stride(const Access& a, VarId v,
                                           const Kernel& k) {
   if (!a.is_affine()) return std::nullopt;
-  const auto dims = tensor_dims(a, k);
+  const auto& shape = k.tensor(a.tensor).shape;
+  const auto& env = k.param_env();
   std::int64_t stride = 0;
   std::int64_t inner = 1;
-  for (std::size_t d = dims.size(); d-- > 0;) {
+  for (std::size_t d = shape.size(); d-- > 0;) {
     stride += a.index[d].affine.coeff(v) * inner;
-    inner *= dims[d];
+    inner *= shape[d].evaluate(env);
   }
   return stride;
 }
@@ -135,14 +128,9 @@ std::vector<StmtStats> collect_stmt_stats(const Kernel& k) {
     for (const Access* a : loads)
       st.accesses.push_back(classify(*a, /*is_write=*/false, inner_var, k));
 
-    st.iters = iteration_count(ctx, k);
-    st.inner_trip =
-        ctx.loops.empty()
-            ? 1.0
-            : trip_count(*ctx.loops.back(),
-                         LoopChain(ctx.loops.data(),
-                                                      ctx.loops.size() - 1),
-                         k);
+    st.trip = trip_counts(ctx.loops, k);
+    st.iters = iteration_count(st.trip);
+    st.inner_trip = st.trip.empty() ? 1.0 : st.trip.back();
     out.push_back(std::move(st));
   }
   return out;
@@ -150,53 +138,48 @@ std::vector<StmtStats> collect_stmt_stats(const Kernel& k) {
 
 namespace {
 
-/// Per-dimension extents of an affine access over the loops
-/// chain[from..end): extent_d = 1 + sum |coeff| * (trip - 1), clamped.
-std::vector<double> dim_extents(const Access& a, LoopChain chain,
-                                std::size_t from, const Kernel& k,
-                                const std::vector<std::int64_t>& dims) {
-  std::vector<std::pair<VarId, double>> trips;
+/// Extent of one subscript over the loops chain[from..end):
+/// 1 + sum |coeff| * (trip - 1), before clamping to its dimension.
+double extent(const ir::AffineExpr& sub, LoopChain chain,
+              std::span<const double> trips, std::size_t from) {
+  double e = 1.0;
   for (std::size_t d = from; d < chain.size(); ++d) {
-    trips.emplace_back(chain[d]->var,
-                       trip_count(*chain[d], LoopChain(chain.data(), d), k));
+    const auto c = static_cast<double>(std::llabs(sub.coeff(chain[d]->var)));
+    e += c * std::fmax(trips[d] - 1.0, 0.0);
   }
-  std::vector<double> extents(dims.size(), 1.0);
-  for (std::size_t d = 0; d < dims.size(); ++d) {
-    double e = 1.0;
-    for (const auto& [v, t] : trips) {
-      const auto c = static_cast<double>(std::llabs(a.index[d].affine.coeff(v)));
-      e += c * std::fmax(t - 1.0, 0.0);
-    }
-    extents[d] = std::fmin(e, static_cast<double>(dims[d]));
-  }
-  return extents;
+  return e;
 }
 
 }  // namespace
 
-double footprint_lines(const Access& a, LoopChain chain, std::size_t from_depth,
+double footprint_lines(const Access& a, LoopChain chain,
+                       std::span<const double> trips, std::size_t from_depth,
                        const Kernel& k, double line_bytes) {
-  const double es = static_cast<double>(size_of(k.tensor(a.tensor).type));
+  const ir::TensorDecl& t = k.tensor(a.tensor);
+  const double es = static_cast<double>(size_of(t.type));
   const double total = static_cast<double>(k.tensor_elems(a.tensor));
   if (!a.is_affine()) {
     // Random: one line per distinct element, capped by the number of
     // lines the whole tensor occupies.
-    const double elems = distinct_elements(a, chain, from_depth, k);
+    const double elems = distinct_elements(a, chain, trips, from_depth, k);
     return std::fmin(elems, std::fmax(1.0, total * es / line_bytes));
   }
-  const auto env = k.param_env();
-  std::vector<std::int64_t> dims;
-  for (const auto& d : k.tensor(a.tensor).shape) dims.push_back(d.evaluate(env));
-  if (dims.empty()) return 1.0;
-  const auto extents = dim_extents(a, chain, from_depth, k, dims);
+  if (t.shape.empty()) return 1.0;
+  const auto& env = k.param_env();
+  // Every dimension but the last multiplies whole lines.
   double lines = 1.0;
-  for (std::size_t d = 0; d + 1 < extents.size(); ++d) lines *= extents[d];
+  const std::size_t last_d = t.shape.size() - 1;
+  for (std::size_t d = 0; d < last_d; ++d)
+    lines *= std::fmin(extent(a.index[d].affine, chain, trips, from_depth),
+                       static_cast<double>(t.shape[d].evaluate(env)));
   // Last dimension: contiguous run of extent_last elements -> whole lines.
   // When the accessed region covers (nearly) the full last dimension of a
   // row, neighbouring rows merge into one contiguous block, so do not
   // over-round each row up to a full line in that case.
-  const double last = extents.back();
-  const double last_dim = static_cast<double>(dims.back());
+  const double last_dim = static_cast<double>(t.shape[last_d].evaluate(env));
+  const double last =
+      std::fmin(extent(a.index[last_d].affine, chain, trips, from_depth),
+                last_dim);
   double lines_last;
   if (last >= last_dim * 0.99) {
     lines_last = last * es / line_bytes;  // fully contiguous rows
@@ -208,38 +191,25 @@ double footprint_lines(const Access& a, LoopChain chain, std::size_t from_depth,
   return std::fmin(lines, whole_tensor_lines);
 }
 
-double distinct_elements(const Access& a,
-                         LoopChain chain,
-                         std::size_t from_depth, const Kernel& k) {
-  const auto dims = tensor_dims(a, k);
+double distinct_elements(const Access& a, LoopChain chain,
+                         std::span<const double> trips, std::size_t from_depth,
+                         const Kernel& k) {
   const double total = static_cast<double>(k.tensor_elems(a.tensor));
-
-  // Trip counts for the sub-chain loops.
-  double iters = 1.0;
-  std::vector<std::pair<VarId, double>> trips;
-  for (std::size_t d = from_depth; d < chain.size(); ++d) {
-    const double t = trip_count(
-        *chain[d], LoopChain(chain.data(), d), k);
-    trips.emplace_back(chain[d]->var, t);
-    iters *= t;
-  }
 
   if (!a.is_affine()) {
     // Balls-in-bins: n accesses into E cells touch ~E(1 - e^{-n/E}).
     if (total <= 0) return 0;
+    const double iters = iteration_count(trips.subspan(from_depth));
     return total * (1.0 - std::exp(-iters / total));
   }
 
-  // Per-dimension extent: 1 + sum |coeff| * (trip - 1), clamped to dim.
+  // Per-dimension extent, clamped to the dimension.
+  const auto& shape = k.tensor(a.tensor).shape;
+  const auto& env = k.param_env();
   double distinct = 1.0;
-  for (std::size_t d = 0; d < dims.size(); ++d) {
-    double extent = 1.0;
-    for (const auto& [v, t] : trips) {
-      const auto c = static_cast<double>(std::llabs(a.index[d].affine.coeff(v)));
-      extent += c * std::fmax(t - 1.0, 0.0);
-    }
-    distinct *= std::fmin(extent, static_cast<double>(dims[d]));
-  }
+  for (std::size_t d = 0; d < shape.size(); ++d)
+    distinct *= std::fmin(extent(a.index[d].affine, chain, trips, from_depth),
+                          static_cast<double>(shape[d].evaluate(env)));
   return std::fmin(distinct, total);
 }
 

@@ -51,6 +51,9 @@ struct StmtStats {
   /// Deduplicated accesses (a load structurally equal to the store target
   /// or to another load appears once; the store itself is always kept).
   std::vector<AccessPattern> accesses;
+  /// trip_counts(ctx.loops, k): one count per enclosing loop, outermost
+  /// first.  iters and inner_trip are derived from it.
+  std::vector<double> trip;
   double iters = 1;       ///< total executions of the statement
   double inner_trip = 1;  ///< trip count of the innermost enclosing loop
 };
@@ -59,21 +62,27 @@ struct StmtStats {
 [[nodiscard]] std::vector<StmtStats> collect_stmt_stats(const ir::Kernel& k);
 
 /// Approximate number of *distinct* elements of `a`'s tensor touched by
-/// one complete execution of the loops `sub` (a contiguous innermost
-/// sub-chain of the statement's loop chain, outermost first).  Indirect
-/// accesses use a balls-in-bins estimate over the whole tensor.
+/// one complete execution of the loops chain[from_depth..end) (a
+/// contiguous innermost sub-chain of the statement's loop chain,
+/// outermost first).  `trips` must be trip_counts(chain, k) (or the
+/// statement's StmtStats::trip), so the counts are derived once per
+/// chain, not once per query.  Indirect accesses use a balls-in-bins
+/// estimate over the whole tensor.
 [[nodiscard]] double distinct_elements(const ir::Access& a,
                                        LoopChain chain,
+                                       std::span<const double> trips,
                                        std::size_t from_depth,
                                        const ir::Kernel& k);
 
 /// Approximate number of distinct *cache lines* touched by one complete
-/// execution of loops chain[from_depth..end).  Contiguity is credited
-/// only along the last (fastest) tensor dimension; every other dimension
-/// multiplies whole lines.  This is what makes A64FX's 256-byte lines
-/// punish column traversals: a column of n doubles occupies n lines
-/// (n*256 bytes of cache), not n*8 bytes.
+/// execution of loops chain[from_depth..end); `trips` as for
+/// distinct_elements.  Contiguity is credited only along the last
+/// (fastest) tensor dimension; every other dimension multiplies whole
+/// lines.  This is what makes A64FX's 256-byte lines punish column
+/// traversals: a column of n doubles occupies n lines (n*256 bytes of
+/// cache), not n*8 bytes.
 [[nodiscard]] double footprint_lines(const ir::Access& a, LoopChain chain,
+                                     std::span<const double> trips,
                                      std::size_t from_depth,
                                      const ir::Kernel& k, double line_bytes);
 

@@ -78,7 +78,7 @@ Solve solve_pair(const Access& f, const Access& g,
   if (!f.is_affine() || !g.is_affine() || f.index.size() != g.index.size())
     return out;  // all Star
 
-  const auto env = k.param_env();
+  const auto& env = k.param_env();
   std::vector<bool> pinned(d, false);
   std::vector<std::int64_t> sigma(d, 0);
 

@@ -26,39 +26,29 @@ std::vector<StmtCtx> collect_stmts(const ir::Kernel& k) {
   return out;
 }
 
-double trip_count(const ir::Loop& l, LoopChain outer,
-                  const ir::Kernel& k) {
-  // Build an environment with parameters bound and each outer loop var at
-  // the midpoint of its (recursively estimated) range.
+std::vector<double> trip_counts(LoopChain chain, const ir::Kernel& k) {
+  // Parameters bound; each loop variable, once its own count is taken,
+  // moves to the midpoint of its range for the loops inside it.
   auto env = k.param_env();
-  for (std::size_t d = 0; d < outer.size(); ++d) {
-    const ir::Loop& ol = *outer[d];
-    const double lo = static_cast<double>(ol.lower.evaluate(env));
-    double hi = static_cast<double>(ol.upper.evaluate(env));
-    if (ol.upper2.has_value())
-      hi = std::fmin(hi, static_cast<double>(ol.upper2->evaluate(env)));
-    env[static_cast<std::size_t>(ol.var)] =
+  std::vector<double> trips;
+  trips.reserve(chain.size());
+  for (const ir::Loop* l : chain) {
+    const double lo = static_cast<double>(l->lower.evaluate(env));
+    double hi = static_cast<double>(l->upper.evaluate(env));
+    if (l->upper2.has_value())
+      hi = std::fmin(hi, static_cast<double>(l->upper2->evaluate(env)));
+    // With a negative step, hi - lo is negative too: a positive count.
+    const double n = std::ceil((hi - lo) / static_cast<double>(l->step));
+    trips.push_back(std::fmax(n, 0.0));
+    env[static_cast<std::size_t>(l->var)] =
         static_cast<std::int64_t>(std::floor((lo + hi) / 2.0));
   }
-  const double lo = static_cast<double>(l.lower.evaluate(env));
-  double hi = static_cast<double>(l.upper.evaluate(env));
-  if (l.upper2.has_value())
-    hi = std::fmin(hi, static_cast<double>(l.upper2->evaluate(env)));
-  const double step = static_cast<double>(l.step);
-  double n = 0.0;
-  if (step > 0)
-    n = std::ceil((hi - lo) / step);
-  else
-    n = std::ceil((hi - lo) / step);  // both negative -> positive count
-  return std::fmax(n, 0.0);
+  return trips;
 }
 
-double iteration_count(const StmtCtx& s, const ir::Kernel& k) {
+double iteration_count(std::span<const double> trips) {
   double total = 1.0;
-  for (std::size_t d = 0; d < s.loops.size(); ++d) {
-    total *= trip_count(*s.loops[d],
-                        LoopChain(s.loops.data(), d), k);
-  }
+  for (const double t : trips) total *= t;
   return total;
 }
 

@@ -29,16 +29,17 @@ struct StmtCtx {
 /// Collect all statement contexts of a kernel in execution order.
 [[nodiscard]] std::vector<StmtCtx> collect_stmts(const ir::Kernel& k);
 
-/// Estimated trip count of a loop: bounds evaluated with parameters bound
-/// and any outer loop variables set to the midpoint of their own range
-/// (handles triangular nests).  `outer` must list the loops enclosing
-/// `l`, outermost first.  Returns at least 0.
-[[nodiscard]] double trip_count(const ir::Loop& l,
-                                LoopChain outer,
-                                const ir::Kernel& k);
+/// Estimated trip counts of every loop of `chain`, outermost first, in
+/// one pass: each loop's bounds are evaluated with parameters bound and
+/// every outer loop variable set to the midpoint of its own (estimated)
+/// range, which handles triangular nests.  Each count is at least 0.
+/// The only trip-count rule: statement stats, footprints and plans all
+/// read its result.
+[[nodiscard]] std::vector<double> trip_counts(LoopChain chain,
+                                              const ir::Kernel& k);
 
-/// Total number of executions of a statement (product of enclosing trip
-/// counts).
-[[nodiscard]] double iteration_count(const StmtCtx& s, const ir::Kernel& k);
+/// Total number of executions of a statement: the product of its
+/// chain's trip counts, outermost first.
+[[nodiscard]] double iteration_count(std::span<const double> trips);
 
 }  // namespace a64fxcc::analysis

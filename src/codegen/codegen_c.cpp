@@ -51,7 +51,7 @@ class Emitter {
   }
 
   void tensors() {
-    const auto names = k_.var_names();
+    const auto& names = k_.var_names();
     for (const auto& t : k_.tensors()) {
       os_ << "static double " << tensor_id(t.name);
       if (t.shape.empty()) {
@@ -127,7 +127,7 @@ class Emitter {
       return;
     }
     const Loop& l = n.loop;
-    const auto names = k_.var_names();
+    const auto& names = k_.var_names();
     const std::string v = k_.var_name(l.var);
     // GCC does not compose `#pragma GCC unroll` with OpenMP pragmas (both
     // demand to sit immediately before the loop), so OpenMP wins and the
@@ -154,7 +154,7 @@ class Emitter {
   }
 
   void access(const Access& a) {
-    const auto names = k_.var_names();
+    const auto& names = k_.var_names();
     os_ << tensor_id(k_.tensor(a.tensor).name);
     if (a.index.empty()) {
       os_ << "[0]";

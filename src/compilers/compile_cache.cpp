@@ -1,9 +1,6 @@
 #include "compilers/compile_cache.hpp"
 
-#include <string>
-
 #include "ir/fingerprint.hpp"
-#include "ir/printer.hpp"
 
 namespace a64fxcc::compilers {
 
@@ -12,17 +9,45 @@ namespace {
 using cache::Hasher;
 using cache::mix64;
 
-/// Byte estimate of one outcome for the tier's reported `bytes` (the
-/// --cache-stats table, cache_compile_bytes, e2ebench's cache.bytes) —
-/// a pure function of the value's content, so the report repeats from
-/// run to run.  The kernel clone dominates; its printed form `printed`
-/// is a stable proxy for the node-tree size.
-std::size_t approx_bytes(const CompileOutcome& o, std::string_view printed) {
+// Byte estimate of one outcome for the tier's reported `bytes` (the
+// --cache-stats table, cache_compile_bytes, e2ebench's cache.bytes) —
+// a pure function of the value's content, so the report repeats from
+// run to run.  The kernel clone dominates: its tree is counted at the
+// size of each node, expression and subscript, without printing it.
+
+std::size_t expr_bytes(const ir::Expr* e);
+
+std::size_t access_bytes(const ir::Access& a) {
+  std::size_t b = 0;
+  for (const auto& ix : a.index)
+    b += sizeof(ix) +
+         ix.affine.terms().size() * sizeof(std::pair<ir::VarId, std::int64_t>) +
+         expr_bytes(ix.indirect.get());
+  return b;
+}
+
+std::size_t expr_bytes(const ir::Expr* e) {
+  if (e == nullptr) return 0;
+  return sizeof(*e) + access_bytes(e->access) + expr_bytes(e->a.get()) +
+         expr_bytes(e->b.get()) + expr_bytes(e->c.get());
+}
+
+std::size_t node_bytes(const ir::Node& n) {
+  std::size_t b = sizeof(n);
+  if (n.is_stmt())
+    return b + access_bytes(n.stmt.target) + expr_bytes(n.stmt.value.get());
+  for (const auto& c : n.loop.body) b += node_bytes(*c);
+  return b;
+}
+
+std::size_t approx_bytes(const CompileOutcome& o) {
   std::size_t b = sizeof(CompileOutcome);
   b += o.diagnostic.size() + o.log.size();
   for (const auto& d : o.decisions)
     b += sizeof(d) + d.pass.size() + d.detail.size();
-  if (o.kernel.has_value()) b += 256 + 4 * printed.size();
+  if (!o.kernel.has_value()) return b;
+  b += sizeof(ir::Kernel);
+  for (const auto& r : o.kernel->roots()) b += node_bytes(*r);
   return b;
 }
 
@@ -92,14 +117,10 @@ CompileCache::Result CompileCache::get_or_compile(const CompilerSpec& spec,
   // Compile outside any lock: other workers keep making progress, and a
   // rare duplicate compile of the same pure function is harmless.
   CompileOutcome fresh = compile(spec, source, ctx);
-  // One print serves both the fingerprint the outcome carries to every
-  // later plan-cache lookup and the reported byte estimate.
-  std::string printed;
-  if (fresh.kernel.has_value()) {
-    printed = ir::to_string(*fresh.kernel);
-    fresh.kernel_fingerprint = ir::content_fingerprint(*fresh.kernel, printed);
-  }
-  const std::size_t bytes = approx_bytes(fresh, printed);
+  // The plan key every later plan-cache lookup reads off the outcome.
+  if (fresh.kernel.has_value())
+    fresh.kernel_fingerprint = ir::annotated_fingerprint(*fresh.kernel);
+  const std::size_t bytes = approx_bytes(fresh);
   auto published = map_->publish(
       fp, key, std::make_shared<const CompileOutcome>(std::move(fresh)), bytes);
   return {std::move(published.value), published.lost_race};

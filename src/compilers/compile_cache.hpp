@@ -15,11 +15,12 @@
 // reference compile (the SSL2 library share of HPL-class benchmarks) a
 // one-time cost per table instead of a per-cell one.
 //
-// The miss path prints the optimized kernel once and fingerprints that
-// text into CompileOutcome::kernel_fingerprint, so plan-cache lookups
-// downstream never print it; the same text sizes the outcome's reported
-// byte estimate.  compile() itself stays fingerprint-free: a bare
-// compile leaves the field 0.
+// The miss path prints nothing: it hashes the optimized kernel with
+// ir::annotated_fingerprint (one tree walk) into CompileOutcome::
+// kernel_fingerprint, the key every plan-cache lookup downstream reads,
+// and sizes the outcome's reported byte estimate from the kernel's node,
+// expression and subscript counts.  compile() itself stays
+// fingerprint-free: a bare compile leaves the field 0.
 //
 // Storage is an insert-only cache::ShardedMap named "compile": hits are
 // mutex-free, and a cached outcome stays until its map is destroyed.

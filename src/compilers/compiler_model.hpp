@@ -120,9 +120,10 @@ struct CompileOutcome {
   /// outcome: a pure function of (spec, kernel, quirks) (see
   /// analysis::Manager), so it caches with the outcome.
   analysis::ManagerCounters analysis_cache;
-  /// ir::content_fingerprint of `kernel`, filled in by CompileCache when
-  /// it publishes the outcome (the plan-cache key half).  A bare
-  /// compile() leaves it 0.
+  /// ir::annotated_fingerprint of `kernel` (a tree walk, no print),
+  /// filled in by CompileCache when it publishes the outcome: the
+  /// plan-cache key half, equal to the one perf::analyze(k, m) computes.
+  /// Never persisted.  A bare compile() leaves it 0.
   std::uint64_t kernel_fingerprint = 0;
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::Ok; }

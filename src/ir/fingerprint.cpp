@@ -92,7 +92,19 @@ void add_expr(Hasher& h, const Expr* e) {
   }
 }
 
-void add_node(Hasher& h, const Node& n) {
+void add_annot(Hasher& h, const LoopAnnot& a) {
+  h.add(a.vector_width);
+  h.add(a.unroll);
+  h.add(a.parallel);
+  h.add(a.prefetch_dist);
+  h.add(a.pipelined);
+  h.add(a.tiled);
+  h.add(a.ocl_unroll);
+  h.add(a.ocl_prefetch);
+  h.add(a.ocl_simd);
+}
+
+void add_node(Hasher& h, const Node& n, bool annotated) {
   if (n.is_loop()) {
     const Loop& l = n.loop;
     h.add(kLoop);
@@ -105,9 +117,10 @@ void add_node(Hasher& h, const Node& n) {
       h.add(kNull);
     }
     h.add(l.step);
-    // l.annot deliberately NOT hashed: no cached analysis reads loop
-    // annotations, so annotation-only passes keep the fingerprint stable.
-    for (const auto& c : l.body) add_node(h, *c);
+    // No cached analysis reads loop annotations, so the structural walk
+    // skips them and annotation-only passes keep fingerprint() stable.
+    if (annotated) add_annot(h, l.annot);
+    for (const auto& c : l.body) add_node(h, *c, annotated);
     h.add(kListEnd);
   } else {
     h.add(kStmt);
@@ -116,9 +129,10 @@ void add_node(Hasher& h, const Node& n) {
   }
 }
 
-}  // namespace
-
-std::uint64_t fingerprint(const Kernel& k) {
+/// The tree walk behind fingerprint() (`annotated` false) and
+/// annotated_fingerprint() (`annotated` true: adds the variable names
+/// and every loop annotation, the rest of what the printer shows).
+std::uint64_t walk(const Kernel& k, bool annotated) {
   Hasher h;
   h.add(k.name());
   h.add(static_cast<std::uint64_t>(k.meta().language));
@@ -129,6 +143,10 @@ std::uint64_t fingerprint(const Kernel& k) {
     h.add(p.value);
   }
   h.add(kListEnd);
+  if (annotated) {
+    for (const auto& name : k.var_names()) h.add(name);
+    h.add(kListEnd);
+  }
   for (const auto& t : k.tensors()) {
     h.add(t.name);
     h.add(static_cast<std::uint64_t>(t.type));
@@ -136,16 +154,18 @@ std::uint64_t fingerprint(const Kernel& k) {
     h.add(t.is_input);
   }
   h.add(kListEnd);
-  for (const auto& r : k.roots()) add_node(h, *r);
+  for (const auto& r : k.roots()) add_node(h, *r, annotated);
   h.add(kListEnd);
   return h.h;
 }
 
-std::uint64_t content_fingerprint(const Kernel& k) {
-  return content_fingerprint(k, to_string(k));
-}
+}  // namespace
 
-std::uint64_t content_fingerprint(const Kernel& k, std::string_view printed) {
+std::uint64_t fingerprint(const Kernel& k) { return walk(k, false); }
+
+std::uint64_t annotated_fingerprint(const Kernel& k) { return walk(k, true); }
+
+std::uint64_t content_fingerprint(const Kernel& k) {
   // Default seed and field order are those of the compile cache's
   // historical kernel fingerprint: journal keys persist across builds.
   Hasher h;
@@ -159,7 +179,7 @@ std::uint64_t content_fingerprint(const Kernel& k, std::string_view printed) {
     h.add(p.name);
     h.add(static_cast<std::uint64_t>(p.value));
   }
-  h.add(printed);
+  h.add(to_string(k));
   return h.h;
 }
 

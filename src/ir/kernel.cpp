@@ -9,12 +9,14 @@ VarId Kernel::add_param(std::string name, std::int64_t value) {
   const VarId id = next_var_++;
   params_.push_back({id, name, value});
   var_names_.push_back(std::move(name));
+  env_.push_back(value);
   return id;
 }
 
 VarId Kernel::add_loop_var(std::string name) {
   const VarId id = next_var_++;
   var_names_.push_back(std::move(name));
+  env_.push_back(0);
   return id;
 }
 
@@ -30,8 +32,6 @@ const std::string& Kernel::var_name(VarId v) const {
   return var_names_[static_cast<std::size_t>(v)];
 }
 
-std::vector<std::string> Kernel::var_names() const { return var_names_; }
-
 const TensorDecl& Kernel::tensor(TensorId t) const {
   assert(t >= 0 && static_cast<std::size_t>(t) < tensors_.size());
   return tensors_[static_cast<std::size_t>(t)];
@@ -43,16 +43,9 @@ std::optional<TensorId> Kernel::find_tensor(std::string_view name) const {
   return std::nullopt;
 }
 
-std::vector<std::int64_t> Kernel::param_env() const {
-  std::vector<std::int64_t> env(static_cast<std::size_t>(next_var_), 0);
-  for (const auto& p : params_) env[static_cast<std::size_t>(p.id)] = p.value;
-  return env;
-}
-
 std::int64_t Kernel::tensor_elems(TensorId t) const {
-  const auto env = param_env();
   std::int64_t n = 1;
-  for (const auto& d : tensor(t).shape) n *= d.evaluate(env);
+  for (const auto& d : tensor(t).shape) n *= d.evaluate(env_);
   return n;
 }
 
@@ -72,6 +65,7 @@ void Kernel::set_param(std::string_view name, std::int64_t value) {
   for (auto& p : params_) {
     if (p.name == name) {
       p.value = value;
+      env_[static_cast<std::size_t>(p.id)] = value;
       return;
     }
   }
@@ -84,6 +78,7 @@ Kernel Kernel::clone() const {
   k.params_ = params_;
   k.tensors_ = tensors_;
   k.var_names_ = var_names_;
+  k.env_ = env_;
   k.next_var_ = next_var_;
   k.roots_.reserve(roots_.size());
   for (const auto& r : roots_) k.roots_.push_back(r->clone());

@@ -72,13 +72,23 @@ class Kernel {
 
   [[nodiscard]] int num_vars() const noexcept { return next_var_; }
   [[nodiscard]] const std::string& var_name(VarId v) const;
-  [[nodiscard]] std::vector<std::string> var_names() const;
+  /// Every variable's name, indexed by VarId.  Same lifetime rule as
+  /// param_env().
+  [[nodiscard]] const std::vector<std::string>& var_names() const noexcept {
+    return var_names_;
+  }
   [[nodiscard]] const TensorDecl& tensor(TensorId t) const;
   [[nodiscard]] std::optional<TensorId> find_tensor(std::string_view name) const;
 
   /// Environment with parameters bound to their declared values and loop
-  /// variables zeroed; sized num_vars().
-  [[nodiscard]] std::vector<std::int64_t> param_env() const;
+  /// variables zeroed; sized num_vars().  The kernel keeps it in step
+  /// with add_param, add_loop_var and set_param, so reading it allocates
+  /// nothing.  add_param and add_loop_var may reallocate it: never hold
+  /// the reference across them.  Callers that bind loop variables copy
+  /// it.
+  [[nodiscard]] const std::vector<std::int64_t>& param_env() const noexcept {
+    return env_;
+  }
 
   /// Number of elements of tensor t under the bound parameter values.
   [[nodiscard]] std::int64_t tensor_elems(TensorId t) const;
@@ -103,6 +113,7 @@ class Kernel {
   std::vector<TensorDecl> tensors_;
   std::vector<NodePtr> roots_;
   std::vector<std::string> var_names_;
+  std::vector<std::int64_t> env_;  ///< param_env(), sized num_vars()
   VarId next_var_ = 0;
 };
 

@@ -601,7 +601,7 @@ class Parser {
 void write_expr(std::ostream& os, const Kernel& k, const Expr& e);
 
 void write_affine(std::ostream& os, const Kernel& k, const AffineExpr& a) {
-  const auto names = k.var_names();
+  const auto& names = k.var_names();
   os << a.to_string(names);
 }
 
@@ -734,7 +734,7 @@ std::string serialize_kernel(const Kernel& k) {
   os << "\n";
   for (const auto& p : k.params())
     os << "param " << p.name << " = " << p.value << "\n";
-  const auto names = k.var_names();
+  const auto& names = k.var_names();
   for (const auto& t : k.tensors()) {
     os << "tensor " << t.name << " " << to_string(t.type);
     for (const auto& d : t.shape) os << "[" << d.to_string(names) << "]";

@@ -9,7 +9,7 @@ namespace {
 void print_expr(std::ostream& os, const Kernel& k, const Expr& e);
 
 void print_access(std::ostream& os, const Kernel& k, const Access& a) {
-  const auto names = k.var_names();
+  const auto& names = k.var_names();
   os << k.tensor(a.tensor).name;
   for (const auto& ix : a.index) {
     os << '[';
@@ -70,7 +70,7 @@ void print_node(std::ostream& os, const Kernel& k, const Node& n, int indent) {
     return;
   }
   const Loop& l = n.loop;
-  const auto names = k.var_names();
+  const auto& names = k.var_names();
   os << pad;
   if (l.annot.parallel) os << "#parallel ";
   if (l.annot.vector_width > 1) os << "#simd(" << l.annot.vector_width << ") ";
@@ -100,7 +100,7 @@ std::string to_string(const Kernel& k) {
   std::ostringstream os;
   os << "kernel " << k.name() << " [" << to_string(k.meta().language) << "]\n";
   for (const auto& p : k.params()) os << "  param " << p.name << " = " << p.value << "\n";
-  const auto names = k.var_names();
+  const auto& names = k.var_names();
   for (const auto& t : k.tensors()) {
     os << "  tensor " << t.name << " : " << to_string(t.type);
     for (const auto& d : t.shape) os << '[' << d.to_string(names) << ']';

@@ -7,7 +7,10 @@
 // exceptions: rank mismatches, uses of undeclared variables, shadowed
 // loop variables, zero steps, non-positive dimensions, writes to
 // never-read tensors, and subscripts referencing variables outside
-// their scope.  `validate` finds them all up front.
+// their scope.  `validate` finds them all up front.  It also rejects
+// sizes the analyses could not compute without signed overflow: every
+// tensor dimension, element count and byte size, and every loop bound's
+// magnitude over the iteration space, must fit int64.
 
 #include <string>
 #include <vector>

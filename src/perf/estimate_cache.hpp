@@ -7,10 +7,11 @@
 //
 //   get_or_analyze(kernel, kernel_fp, machine)  memoizes perf::analyze
 //     per plan_fingerprint(kernel_fp, machine), where kernel_fp is the
-//     kernel's ir::content_fingerprint (IR + bound params + metadata).
+//     kernel's ir::annotated_fingerprint (IR + annotations + bound
+//     params + metadata, hashed by a tree walk that prints nothing).
 //     The caller passes that fingerprint in — the harness reads it off
 //     the CompileOutcome the compile cache published — so a lookup
-//     never prints the kernel, and a miss hands its key to analyze()
+//     never walks the kernel, and a miss hands its key to analyze()
 //     instead of fingerprinting again.  One plan per compiled cell,
 //     shared by every placement evaluated against it.  The FJtrad
 //     library-reference kernel of HPL-class benchmarks hits here across
@@ -59,7 +60,7 @@ class EstimateCache {
   };
 
   /// The memoized analyze(k, m), analyzing on first use.  `kernel_fp`
-  /// must be ir::content_fingerprint(k).
+  /// must be ir::annotated_fingerprint(k).
   [[nodiscard]] PlanResult get_or_analyze(const ir::Kernel& k,
                                           std::uint64_t kernel_fp,
                                           const machine::Machine& m);

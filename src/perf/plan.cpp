@@ -76,9 +76,9 @@ std::uint64_t plan_fingerprint(std::uint64_t kernel_fp, const Machine& m) {
   // from the compiler-input one (cache::Hasher's default): the same
   // kernel must never collide across the two key spaces.
   cache::Hasher h(0x9d0f1a2b3c4d5e6fULL);
-  // Kernel as a perf-model input: its content fingerprint (printed IR +
-  // bound parameter values + metadata), the identity CompileCache uses
-  // for compiler inputs.
+  // Kernel as a perf-model input: its annotated fingerprint (IR,
+  // annotations, variable names, bound parameter values and metadata),
+  // the key CompileCache stores on each outcome.
   h.add(kernel_fp);
   // Machine model: every field the estimator reads.
   h.add(m.name);
@@ -133,7 +133,7 @@ std::uint64_t config_fingerprint(const ExecConfig& cfg,
 }
 
 KernelPlan analyze(const Kernel& k, const Machine& m) {
-  return analyze(k, m, plan_fingerprint(ir::content_fingerprint(k), m));
+  return analyze(k, m, plan_fingerprint(ir::annotated_fingerprint(k), m));
 }
 
 KernelPlan analyze(const Kernel& k, const Machine& m,
@@ -144,21 +144,19 @@ KernelPlan analyze(const Kernel& k, const Machine& m,
   plan.fingerprint = fingerprint;
   const double line = static_cast<double>(m.line_bytes);
 
-  const auto stats = analysis::collect_stmt_stats(k);
+  auto stats = analysis::collect_stmt_stats(k);
   plan.stmts.reserve(stats.size());
-  for (const auto& st : stats) {
+  for (auto& st : stats) {
     StmtPlan sp;
     const Loop* inner = st.ctx.innermost();
     sp.loop_var = inner != nullptr ? k.var_name(inner->var) : "<top>";
     sp.ops = st.ops;
     sp.iters = st.iters;
+    // stats is local and read no further for trips: take them over.
+    sp.trip = std::move(st.trip);
 
-    const LoopChain chain(st.ctx.loops.data(), st.ctx.loops.size());
+    const LoopChain chain(st.ctx.loops);
     const std::size_t d = chain.size();
-    sp.trip.reserve(d);
-    for (std::size_t dd = 0; dd < d; ++dd)
-      sp.trip.push_back(analysis::trip_count(*chain[dd],
-                                             LoopChain(chain.data(), dd), k));
 
     const Loop* par = nullptr;
     for (const Loop* l : st.ctx.loops)
@@ -188,7 +186,8 @@ KernelPlan analyze(const Kernel& k, const Machine& m,
           static_cast<double>(std::llabs(p.stride_elems)) * ap.elem_size;
       ap.footprint.reserve(d + 1);
       for (std::size_t l = 0; l <= d; ++l)
-        ap.footprint.push_back(analysis::footprint_lines(a, chain, l, k, line));
+        ap.footprint.push_back(
+            analysis::footprint_lines(a, chain, sp.trip, l, k, line));
       ap.varies.reserve(d);
       ap.depth_stride_bytes.reserve(d);
       for (std::size_t dd = 0; dd < d; ++dd) {

@@ -71,7 +71,8 @@ struct StmtPlan {
   std::string loop_var;       ///< innermost loop variable name
   analysis::OpMix ops;        ///< per-execution operation mix
   double iters = 1;           ///< total executions of the statement
-  /// Trip counts of the enclosing loops, outermost first.
+  /// Trip counts of the enclosing loops, outermost first (the
+  /// statement's analysis::StmtStats::trip).
   std::vector<double> trip;
   bool has_parallel = false;  ///< any enclosing loop is parallel
   double par_trip = 0;        ///< trip count of the parallel loop
@@ -93,21 +94,24 @@ struct KernelPlan {
   /// count driving threading-runtime overheads).
   double parallel_execs = 0;
   std::vector<StmtPlan> stmts;
-  /// Stable identity of (kernel IR + bound parameters, machine) — the
-  /// EstimateCache key half contributed by this plan (plan_fingerprint).
+  /// Stable identity of (annotated kernel IR + bound parameters,
+  /// machine) — the EstimateCache key half contributed by this plan
+  /// (plan_fingerprint).
   std::uint64_t fingerprint = 0;
 };
 
 /// Build the placement-invariant plan: one pass of statement collection,
 /// access classification and footprint/trip analysis per (kernel,
-/// machine).  This is the expensive half of the old estimate().  Prints
-/// `k` once to fingerprint it.
+/// machine).  This is the expensive half of the old estimate().  Keys
+/// the plan by ir::annotated_fingerprint(k), a tree walk that prints
+/// nothing — the key CompileCache stores on each outcome, so this
+/// oracle path and the cached path agree.
 [[nodiscard]] KernelPlan analyze(const ir::Kernel& k,
                                  const machine::Machine& m);
 
 /// Same plan, with its fingerprint precomputed: `fingerprint` must be
-/// plan_fingerprint(ir::content_fingerprint(k), m).  EstimateCache's
-/// miss path passes its key here, so no lookup prints the kernel.
+/// plan_fingerprint(ir::annotated_fingerprint(k), m).  EstimateCache's
+/// miss path passes its key here, so no lookup walks the kernel.
 [[nodiscard]] KernelPlan analyze(const ir::Kernel& k,
                                  const machine::Machine& m,
                                  std::uint64_t fingerprint);
@@ -130,8 +134,8 @@ struct KernelPlan {
 
 /// Stable fingerprint of (kernel, machine model) — what analyze() stores
 /// into KernelPlan::fingerprint.  `kernel_fp` is the kernel's
-/// ir::content_fingerprint (IR + bound parameters + metadata).  Never
-/// persisted, so its values may change between builds.
+/// ir::annotated_fingerprint (IR + annotations + bound parameters +
+/// metadata).  Never persisted, so its values may change between builds.
 [[nodiscard]] std::uint64_t plan_fingerprint(std::uint64_t kernel_fp,
                                              const machine::Machine& m);
 

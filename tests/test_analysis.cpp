@@ -40,7 +40,7 @@ TEST(StmtCtx, CollectsChains) {
 TEST(StmtCtx, TripCountRectangular) {
   const Kernel k = matmul(10);
   const auto stmts = collect_stmts(k);
-  EXPECT_DOUBLE_EQ(iteration_count(stmts[0], k), 1000.0);
+  EXPECT_DOUBLE_EQ(iteration_count(trip_counts(stmts[0].loops, k)), 1000.0);
 }
 
 TEST(StmtCtx, TripCountTriangular) {
@@ -55,7 +55,8 @@ TEST(StmtCtx, TripCountTriangular) {
   const auto stmts = collect_stmts(k);
   // Midpoint estimate: i ~ 50, so inner ~ 50 iterations -> ~5000 total
   // (true value 5050); must be within 5%.
-  EXPECT_NEAR(iteration_count(stmts[0], k), 5050.0, 0.05 * 5050.0);
+  EXPECT_NEAR(iteration_count(trip_counts(stmts[0].loops, k)), 5050.0,
+              0.05 * 5050.0);
 }
 
 TEST(Reduction, RecognizesAccumulation) {
@@ -237,12 +238,13 @@ TEST(Access, DistinctElementsMatmul) {
   const Stmt& s = *stmts[0].stmt;
   // Innermost loop k only: A[i][k] touches 16 elements, C[i][j] touches 1.
   const auto sub = LoopChain(chain.data(), chain.size());
-  EXPECT_NEAR(distinct_elements(s.target.clone(), sub, 2, k), 1.0, 1e-9);
+  const auto trips = trip_counts(sub, k);
+  EXPECT_NEAR(distinct_elements(s.target.clone(), sub, trips, 2, k), 1.0, 1e-9);
   const Expr& rhs = *s.value;            // C + (A*B)
   const Access& a_acc = rhs.b->a->access;  // A[i][k]
-  EXPECT_NEAR(distinct_elements(a_acc, sub, 2, k), 16.0, 1e-9);
+  EXPECT_NEAR(distinct_elements(a_acc, sub, trips, 2, k), 16.0, 1e-9);
   // Whole nest: A touches all 256 elements.
-  EXPECT_NEAR(distinct_elements(a_acc, sub, 0, k), 256.0, 1e-9);
+  EXPECT_NEAR(distinct_elements(a_acc, sub, trips, 0, k), 256.0, 1e-9);
 }
 
 TEST(Access, DistinctElementsIndirectBallsInBins) {
@@ -258,7 +260,7 @@ TEST(Access, DistinctElementsIndirectBallsInBins) {
   const Access& xa = stmts[0].stmt->value->access;
   const auto sub =
       LoopChain(stmts[0].loops.data(), stmts[0].loops.size());
-  const double d = distinct_elements(xa, sub, 0, k);
+  const double d = distinct_elements(xa, sub, trip_counts(sub, k), 0, k);
   // 1000 random draws over 1000 cells -> ~632 distinct.
   EXPECT_NEAR(d, 1000.0 * (1.0 - std::exp(-1.0)), 1.0);
 }

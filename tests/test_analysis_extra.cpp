@@ -172,11 +172,12 @@ TEST(AccessExtra, FootprintLinesColumnVsRow) {
   // s.value = (s + (A[i][j] + A[j][i]))
   const Access& row = s0.value->b->a->access;
   const Access& col = s0.value->b->b->access;
-  EXPECT_NEAR(footprint_lines(row, chain, 1, k, 256), 2.0, 1e-9);
-  EXPECT_NEAR(footprint_lines(col, chain, 1, k, 256), 64.0, 1e-9);
+  const auto trips = trip_counts(chain, k);
+  EXPECT_NEAR(footprint_lines(row, chain, trips, 1, k, 256), 2.0, 1e-9);
+  EXPECT_NEAR(footprint_lines(col, chain, trips, 1, k, 256), 64.0, 1e-9);
   // Whole-nest footprints converge to the full matrix for both.
-  EXPECT_NEAR(footprint_lines(row, chain, 0, k, 256), 128.0, 1e-9);
-  EXPECT_NEAR(footprint_lines(col, chain, 0, k, 256), 128.0, 1e-9);
+  EXPECT_NEAR(footprint_lines(row, chain, trips, 0, k, 256), 128.0, 1e-9);
+  EXPECT_NEAR(footprint_lines(col, chain, trips, 0, k, 256), 128.0, 1e-9);
 }
 
 TEST(AccessExtra, IterationCountWithStep) {
@@ -187,7 +188,8 @@ TEST(AccessExtra, IterationCountWithStep) {
   kb.For(i, 0, N, [&] { kb.assign(x(i), 1.0); }, 7);
   const Kernel k = std::move(kb).build();
   const auto stmts = collect_stmts(k);
-  EXPECT_NEAR(iteration_count(stmts[0], k), std::ceil(100.0 / 7.0), 1e-9);
+  EXPECT_NEAR(iteration_count(trip_counts(stmts[0].loops, k)),
+              std::ceil(100.0 / 7.0), 1e-9);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //  - cached results are field-identical to fresh analyze_* calls;
 //  - a mutating pass invalidates exactly the non-preserved analyses
 //    (the stale-dependence-graph trap);
-//  - the structural fingerprint ignores annotations but sees structure;
+//  - the structural fingerprint ignores annotations but sees structure,
+//    and the annotated one (the plan key) sees annotations and names;
 //  - every compile pipeline actually hits the memo, and a study reports
 //    the traffic.
 
@@ -14,6 +15,8 @@
 
 #include "analysis/manager.hpp"
 #include "core/study.hpp"
+#include "ir/builder.hpp"
+#include "ir/fingerprint.hpp"
 #include "kernels/benchmark.hpp"
 #include "passes/passes.hpp"
 #include "report/explain.hpp"
@@ -51,6 +54,7 @@ void expect_stats_equal(const std::vector<analysis::StmtStats>& a,
     EXPECT_EQ(a[i].ops.divs, b[i].ops.divs) << i;
     EXPECT_EQ(a[i].ops.specials, b[i].ops.specials) << i;
     EXPECT_EQ(a[i].ops.int_ops, b[i].ops.int_ops) << i;
+    EXPECT_EQ(a[i].trip, b[i].trip) << i;
     EXPECT_EQ(a[i].iters, b[i].iters) << i;
     EXPECT_EQ(a[i].inner_trip, b[i].inner_trip) << i;
     ASSERT_EQ(a[i].accesses.size(), b[i].accesses.size()) << i;
@@ -186,6 +190,51 @@ TEST(AnalysisManager, FingerprintIgnoresAnnotationsButSeesStructure) {
   ir::for_each_loop(*k.roots().front(),
                     [](ir::Loop& l) { l.step = l.step + 1; });
   EXPECT_NE(ir::fingerprint(k), fp1);
+}
+
+TEST(AnalysisManager, AnnotatedFingerprintSeesAnnotationsNamesAndShapes) {
+  // The plan key: stable for a clone, moved by every loop annotation, a
+  // parameter value, a loop variable's name and a tensor's shape, while
+  // the structural fingerprint keeps ignoring annotations and names.
+  const auto build = [](const char* inner, std::int64_t pad) {
+    ir::KernelBuilder kb("annot");
+    auto N = kb.param("N", 16);
+    auto A = kb.tensor("A", ir::DataType::F64, {N, N + pad});
+    auto y = kb.tensor("y", ir::DataType::F64, {N}, false);
+    auto i = kb.var("i"), j = kb.var(inner);
+    kb.For(i, 0, N, [&] { kb.For(j, 0, N, [&] { kb.accum(y(i), A(i, j)); }); });
+    return std::move(kb).build();
+  };
+  const ir::Kernel k = build("j", 0);
+  const std::uint64_t a0 = ir::annotated_fingerprint(k);
+  EXPECT_EQ(a0, ir::annotated_fingerprint(k.clone()));
+
+  using Set = void (*)(ir::LoopAnnot&);
+  const std::vector<std::pair<const char*, Set>> fields = {
+      {"vector_width", [](ir::LoopAnnot& a) { a.vector_width = 8; }},
+      {"unroll", [](ir::LoopAnnot& a) { a.unroll = 4; }},
+      {"parallel", [](ir::LoopAnnot& a) { a.parallel = true; }},
+      {"prefetch_dist", [](ir::LoopAnnot& a) { a.prefetch_dist = 16; }},
+      {"pipelined", [](ir::LoopAnnot& a) { a.pipelined = true; }},
+      {"tiled", [](ir::LoopAnnot& a) { a.tiled = true; }},
+      {"ocl_unroll", [](ir::LoopAnnot& a) { a.ocl_unroll = 8; }},
+      {"ocl_prefetch", [](ir::LoopAnnot& a) { a.ocl_prefetch = 40; }},
+      {"ocl_simd", [](ir::LoopAnnot& a) { a.ocl_simd = true; }},
+  };
+  for (const auto& [field, set] : fields) {
+    ir::Kernel c = k.clone();
+    set(c.roots().front()->loop.body.front()->loop.annot);
+    EXPECT_NE(ir::annotated_fingerprint(c), a0) << field;
+    EXPECT_EQ(ir::fingerprint(c), ir::fingerprint(k)) << field;
+  }
+
+  ir::Kernel rebound = k.clone();
+  rebound.set_param("N", 17);
+  EXPECT_NE(ir::annotated_fingerprint(rebound), a0);
+  const ir::Kernel renamed = build("jj", 0);
+  EXPECT_NE(ir::annotated_fingerprint(renamed), a0);
+  EXPECT_EQ(ir::fingerprint(renamed), ir::fingerprint(k));
+  EXPECT_NE(ir::annotated_fingerprint(build("j", 1)), a0);
 }
 
 TEST(AnalysisManager, CountersIdenticalWithMemoizationOnAndOff) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/study.hpp"
 #include "ir/fingerprint.hpp"
 #include "perf/plan.hpp"
@@ -38,7 +40,7 @@ TEST(CarriedFingerprints, OutcomesAndPlanKeysMatchFreshFingerprints) {
   // The study path prints no kernel to key a lookup: compiles key by
   // Benchmark::fingerprint, plans by the fingerprint the compile cache
   // stored on the outcome.  Each carried value must equal a fresh
-  // content_fingerprint, and the harness's plan key must equal the one
+  // annotated_fingerprint, and the harness's plan key must equal the one
   // the kernel-taking oracle path perf::analyze(k, m) computes.
   const runtime::Harness h(machine::a64fx());
   const auto suite = kernels::all_benchmarks(1.0);
@@ -49,7 +51,8 @@ TEST(CarriedFingerprints, OutcomesAndPlanKeysMatchFreshFingerprints) {
       if (!out->ok()) continue;
       ++ok;
       const std::string what = bench.name() + " x " + spec.name;
-      EXPECT_EQ(out->kernel_fingerprint, ir::content_fingerprint(*out->kernel))
+      EXPECT_EQ(out->kernel_fingerprint,
+                ir::annotated_fingerprint(*out->kernel))
           << what;
       EXPECT_EQ(h.plan_cached(*out)->fingerprint,
                 perf::analyze(*out->kernel, h.machine()).fingerprint)
@@ -57,6 +60,31 @@ TEST(CarriedFingerprints, OutcomesAndPlanKeysMatchFreshFingerprints) {
     }
   }
   EXPECT_EQ(ok, 531u);  // 540 cells minus the paper's 3 CE + 6 RE
+}
+
+TEST(CarriedFingerprints, PlanKeysClassifyOutcomesLikeContentFingerprints) {
+  // The plan key is a walk, the printed content fingerprint a print: two
+  // ok outcomes of the paper study must share one exactly when they
+  // share the other.  A collision would hand one kernel another's plan;
+  // a split would lose plan sharing.  GoldenTable pins only the count.
+  const runtime::Harness h(machine::a64fx());
+  std::map<std::uint64_t, std::uint64_t> content_of;  // plan key -> content
+  std::map<std::uint64_t, std::uint64_t> plan_of;     // content -> plan key
+  for (const auto& bench : kernels::all_benchmarks(1.0)) {
+    for (const auto& spec : compilers::paper_compilers()) {
+      const auto out = h.compile_cached(spec, bench);
+      if (!out->ok()) continue;
+      const std::uint64_t walked = out->kernel_fingerprint;
+      const std::uint64_t printed = ir::content_fingerprint(*out->kernel);
+      const std::string what = bench.name() + " x " + spec.name;
+      EXPECT_EQ(content_of.emplace(walked, printed).first->second, printed)
+          << what;
+      EXPECT_EQ(plan_of.emplace(printed, walked).first->second, walked)
+          << what;
+    }
+  }
+  EXPECT_EQ(content_of.size(), 356u);
+  EXPECT_EQ(plan_of.size(), 356u);
 }
 
 }  // namespace

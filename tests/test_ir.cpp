@@ -62,6 +62,13 @@ TEST(Builder, SetParamRebinds) {
   Kernel k = make_matmul();
   k.set_param("N", 4);
   EXPECT_EQ(k.tensor_elems(0), 16);
+  // The kernel-held environment follows the rebind (N is var 0; the
+  // loop variables i, j, k stay 0), and a clone made after it too.
+  const std::vector<std::int64_t> env = {4, 0, 0, 0};
+  EXPECT_EQ(k.param_env(), env);
+  const Kernel c = k.clone();
+  EXPECT_EQ(c.param_env(), env);
+  EXPECT_EQ(c.tensor_elems(0), 16);
   EXPECT_THROW(k.set_param("Q", 1), std::invalid_argument);
 }
 

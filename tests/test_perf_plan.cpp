@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "compilers/compiler_model.hpp"
+#include "ir/fingerprint.hpp"
 #include "kernels/benchmark.hpp"
 #include "perf/estimate_cache.hpp"
 #include "perf/plan.hpp"
@@ -138,8 +139,8 @@ TEST(PlanEvaluate, ScoringModeMatchesDetailScalars) {
 TEST(PlanFingerprint, DiscriminatesKernelMachineAndScale) {
   const auto m = machine::a64fx();
   const auto suite = kernels::microkernel_suite(0.05);
-  const std::uint64_t k1 = suite[0].fingerprint();
-  const std::uint64_t k2 = suite[1].fingerprint();
+  const std::uint64_t k1 = ir::annotated_fingerprint(suite[0].kernel);
+  const std::uint64_t k2 = ir::annotated_fingerprint(suite[1].kernel);
   EXPECT_EQ(perf::plan_fingerprint(k1, m), perf::plan_fingerprint(k1, m));
   EXPECT_NE(perf::plan_fingerprint(k1, m), perf::plan_fingerprint(k2, m));
   EXPECT_NE(perf::plan_fingerprint(k1, m),
@@ -147,7 +148,8 @@ TEST(PlanFingerprint, DiscriminatesKernelMachineAndScale) {
   // Same structure at a different problem scale = different plan.
   const auto rescaled = kernels::microkernel_suite(0.1);
   EXPECT_NE(perf::plan_fingerprint(k1, m),
-            perf::plan_fingerprint(rescaled[0].fingerprint(), m));
+            perf::plan_fingerprint(
+                ir::annotated_fingerprint(rescaled[0].kernel), m));
   // analyze(k, m) stores the key the estimate cache looks it up by, and
   // the perf-input domain never collides with the compiler-input one.
   EXPECT_EQ(perf::analyze(suite[0].kernel, m).fingerprint,

@@ -6,6 +6,7 @@
 
 #include "compilers/compiler_model.hpp"
 #include "ir/builder.hpp"
+#include "ir/parser.hpp"
 #include "ir/validate.hpp"
 #include "kernels/benchmark.hpp"
 
@@ -111,6 +112,68 @@ TEST(Validate, ZeroStepIsAnError) {
       Node::make_stmt(std::move(acc2), Expr::make_const(1.0)));
   k.add_root(std::move(loop));
   EXPECT_FALSE(is_valid(k));
+}
+
+TEST(Validate, TensorSizeBeyondInt64IsAnError) {
+  // 3037000500^2 elements is just past INT64_MAX: tensor_elems would
+  // overflow while the analyses classify the accesses.
+  const Kernel k = parse_kernel(
+      "kernel \"huge-tensor\"\n"
+      "param N = 3037000500\n"
+      "tensor A f64 [N][N] output\n"
+      "for i = 0 .. 4 {\n"
+      "  A[i][i] = 1;\n"
+      "}\n");
+  EXPECT_FALSE(is_valid(k));
+  const std::string msg = to_string(validate(k));
+  EXPECT_NE(msg.find("tensor 'A' element count overflows"), std::string::npos)
+      << msg;
+}
+
+TEST(Validate, TensorByteSizeBeyondInt64IsAnError) {
+  // 2^61 elements fit; 2^64 bytes of f64 do not.
+  const Kernel k = parse_kernel(
+      "kernel \"huge-bytes\"\n"
+      "param N = 2305843009213693952\n"
+      "tensor x f64 [N] output\n"
+      "for i = 0 .. 4 {\n"
+      "  x[i] = 1;\n"
+      "}\n");
+  EXPECT_FALSE(is_valid(k));
+  const std::string msg = to_string(validate(k));
+  EXPECT_NE(msg.find("tensor 'x' byte size overflows"), std::string::npos)
+      << msg;
+}
+
+TEST(Validate, LoopBoundBeyondInt64IsAnError) {
+  // 2*N = 10^19 leaves int64 when the trip-count rule evaluates it.
+  const Kernel k = parse_kernel(
+      "kernel \"huge-bound\"\n"
+      "param N = 5000000000000000000\n"
+      "tensor x f64 [4] output\n"
+      "for i = 0 .. 2*N {\n"
+      "  x[0] = 1;\n"
+      "}\n");
+  EXPECT_FALSE(is_valid(k));
+  const std::string msg = to_string(validate(k));
+  EXPECT_NE(msg.find("loop 'i' bounds overflow"), std::string::npos) << msg;
+}
+
+TEST(Validate, InnerBoundMagnitudeIncludesOuterRange) {
+  // Each bound fits alone, but j's upper bound 4*i reaches 4 * 3e18.
+  const Kernel k = parse_kernel(
+      "kernel \"huge-inner\"\n"
+      "param N = 3000000000000000000\n"
+      "tensor x f64 [4] output\n"
+      "for i = 0 .. N {\n"
+      "  for j = 0 .. 4*i {\n"
+      "    x[0] = 1;\n"
+      "  }\n"
+      "}\n");
+  EXPECT_FALSE(is_valid(k));
+  const std::string msg = to_string(validate(k));
+  EXPECT_NE(msg.find("loop 'j' bounds overflow"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("loop 'i'"), std::string::npos) << msg;
 }
 
 TEST(Validate, AllRegistryBenchmarksValidate) {
