@@ -1,27 +1,15 @@
 #include "core/journal.hpp"
 
-#include <cinttypes>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-
 #include "cache/fingerprint.hpp"
 #include "exec/jsonio.hpp"
 #include "ir/fingerprint.hpp"
 
 namespace a64fxcc::core {
 
-namespace {
-
 // The line codec lives in exec/jsonio.hpp, shared with the lease queue
 // and the telemetry shards: one escaping convention across every
 // durable log.
-using exec::jsonio::field_num;
-using exec::jsonio::field_str;
-using exec::jsonio::get_num;
-using exec::jsonio::get_str;
-
-}  // namespace
+namespace jsonio = exec::jsonio;
 
 std::uint64_t Journal::cell_key(std::uint64_t seed,
                                 const compilers::CompilerSpec& spec,
@@ -39,110 +27,133 @@ std::uint64_t Journal::cell_key(std::uint64_t seed,
 }
 
 std::string Journal::encode(const JournalEntry& e) {
-  std::string out = "{";
-  char buf[32];
-  field_num(out, "v", kJournalFormatVersion);
-  out += ",";
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, e.key);
-  field_str(out, "key", buf);
-  out += ",";
-  field_str(out, "benchmark", e.run.benchmark);
-  out += ",";
-  field_str(out, "compiler", e.run.compiler);
-  out += ",";
-  field_str(out, "status", runtime::to_string(e.run.status));
-  if (e.run.valid()) {
-    out += ",";
-    field_num(out, "best_seconds", e.run.best_seconds);
-    out += ",";
-    field_num(out, "median_seconds", e.run.median_seconds);
-    out += ",";
-    field_num(out, "cv", e.run.cv);
-    out += ",";
-    field_num(out, "ranks", e.run.placement.ranks);
-    out += ",";
-    field_num(out, "threads", e.run.placement.threads);
-    out += ",";
-    field_str(out, "bottleneck", e.run.bottleneck);
-    out += ",";
-    field_num(out, "gflops", e.run.gflops);
-    out += ",";
-    field_num(out, "mem_gbs", e.run.mem_gbs);
+  const runtime::MeasuredRun& r = e.run;
+  std::string out;
+  // Field names, punctuation and seven numbers fit in 400 bytes; only
+  // escapes in the strings can make the line grow once more.
+  out.reserve(400 + r.benchmark.size() + r.compiler.size() +
+              r.bottleneck.size() + r.diagnostic.size() + r.decisions.size());
+  out += '{';
+  jsonio::field_num(out, "v", kJournalFormatVersion);
+  out += ',';
+  jsonio::field_hex64(out, "key", e.key);
+  out += ',';
+  jsonio::field_str(out, "benchmark", r.benchmark);
+  out += ',';
+  jsonio::field_str(out, "compiler", r.compiler);
+  out += ',';
+  jsonio::field_str(out, "status", runtime::to_string(r.status));
+  if (r.valid()) {
+    out += ',';
+    jsonio::field_num(out, "best_seconds", r.best_seconds);
+    out += ',';
+    jsonio::field_num(out, "median_seconds", r.median_seconds);
+    out += ',';
+    jsonio::field_num(out, "cv", r.cv);
+    out += ',';
+    jsonio::field_num(out, "ranks", r.placement.ranks);
+    out += ',';
+    jsonio::field_num(out, "threads", r.placement.threads);
+    out += ',';
+    jsonio::field_str(out, "bottleneck", r.bottleneck);
+    out += ',';
+    jsonio::field_num(out, "gflops", r.gflops);
+    out += ',';
+    jsonio::field_num(out, "mem_gbs", r.mem_gbs);
   } else {
-    out += ",";
-    field_str(out, "diagnostic", e.run.diagnostic);
+    out += ',';
+    jsonio::field_str(out, "diagnostic", r.diagnostic);
   }
-  if (!e.run.decisions.empty()) {
-    out += ",";
-    field_str(out, "decisions", e.run.decisions);
+  if (!r.decisions.empty()) {
+    out += ',';
+    jsonio::field_str(out, "decisions", r.decisions);
   }
-  out += "}";
+  out += '}';
   return out;
 }
 
-std::optional<JournalEntry> Journal::decode(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}')
-    return std::nullopt;
+std::optional<JournalEntry> Journal::decode(std::string_view line) {
+  static constexpr std::string_view kKeys[] = {
+      "v", "key", "benchmark", "compiler", "status",
+      "best_seconds", "median_seconds", "cv", "ranks", "threads",
+      "bottleneck", "gflops", "mem_gbs", "diagnostic", "decisions"};
+  std::string_view f[std::size(kKeys)];
+  if (!jsonio::pick(line, kKeys, f)) return std::nullopt;
+  const auto& [v, key, benchmark, compiler, status, best, median, cv, ranks,
+               threads, bottleneck, gflops, mem, diagnostic, decisions] = f;
   // Version gate: only this build's format resumes.  Untagged v1 and v2
   // lines hold measurements drawn with an older noise generator, and
   // newer lines would be half-parsed; all of them are skipped.
-  if (get_num(line, "v") != kJournalFormatVersion) return std::nullopt;
-  const auto key_hex = get_str(line, "key");
-  const auto benchmark = get_str(line, "benchmark");
-  const auto compiler = get_str(line, "compiler");
-  const auto status = get_str(line, "status");
-  if (!key_hex || !benchmark || !compiler || !status) return std::nullopt;
+  if (jsonio::num(v) != kJournalFormatVersion) return std::nullopt;
+  const auto k = jsonio::hex64(key);
+  if (!k) return std::nullopt;
   JournalEntry e;
-  char* end = nullptr;
-  e.key = std::strtoull(key_hex->c_str(), &end, 16);
-  if (end == key_hex->c_str() || *end != '\0') return std::nullopt;
-  e.run.benchmark = *benchmark;
-  e.run.compiler = *compiler;
-  if (!runtime::parse_status(*status, &e.run.status)) return std::nullopt;
+  e.key = *k;
+  std::string label;  // status labels fit the small-string buffer
+  if (!jsonio::str(benchmark, e.run.benchmark) ||
+      !jsonio::str(compiler, e.run.compiler) || !jsonio::str(status, label) ||
+      !runtime::parse_status(label, &e.run.status))
+    return std::nullopt;
   if (e.run.valid()) {
-    const auto best = get_num(line, "best_seconds");
-    const auto median = get_num(line, "median_seconds");
-    const auto cv = get_num(line, "cv");
-    const auto ranks = get_num(line, "ranks");
-    const auto threads = get_num(line, "threads");
-    const auto bottleneck = get_str(line, "bottleneck");
-    const auto gflops = get_num(line, "gflops");
-    const auto mem = get_num(line, "mem_gbs");
-    if (!best || !median || !cv || !ranks || !threads || !bottleneck ||
-        !gflops || !mem)
+    const auto b = jsonio::num(best);
+    const auto m = jsonio::num(median);
+    const auto c = jsonio::num(cv);
+    const auto rk = jsonio::num(ranks);
+    const auto th = jsonio::num(threads);
+    const auto g = jsonio::num(gflops);
+    const auto mb = jsonio::num(mem);
+    if (!b || !m || !c || !rk || !th || !g || !mb ||
+        !jsonio::str(bottleneck, e.run.bottleneck))
       return std::nullopt;
-    e.run.best_seconds = *best;
-    e.run.median_seconds = *median;
-    e.run.cv = *cv;
-    e.run.placement.ranks = static_cast<int>(*ranks);
-    e.run.placement.threads = static_cast<int>(*threads);
-    e.run.bottleneck = *bottleneck;
-    e.run.gflops = *gflops;
-    e.run.mem_gbs = *mem;
+    e.run.best_seconds = *b;
+    e.run.median_seconds = *m;
+    e.run.cv = *c;
+    e.run.placement.ranks = static_cast<int>(*rk);
+    e.run.placement.threads = static_cast<int>(*th);
+    e.run.gflops = *g;
+    e.run.mem_gbs = *mb;
   } else {
-    e.run.diagnostic = get_str(line, "diagnostic").value_or("");
+    (void)jsonio::str(diagnostic, e.run.diagnostic);  // absent: empty
   }
-  e.run.decisions = get_str(line, "decisions").value_or("");
+  (void)jsonio::str(decisions, e.run.decisions);
   return e;
 }
 
 std::size_t Journal::load(const std::string& path, std::size_t* deduped) {
-  std::ifstream f(path);
-  if (!f) return 0;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return 0;
+  std::setvbuf(f, nullptr, _IONBF, 0);  // freads land in `block` directly
   std::size_t fresh = 0;
-  std::string line;
-  while (std::getline(f, line)) {
-    if (auto e = decode(line)) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const bool existed = map_.count(e->key) > 0;
-      map_[e->key] = std::move(e->run);  // last complete line wins
-      if (existed) {
-        if (deduped != nullptr) ++*deduped;
+  const auto apply = [&](std::string_view line) {
+    auto e = decode(line);
+    if (!e) return;
+    const auto [it, inserted] = map_.try_emplace(e->key);
+    it->second = std::move(e->run);  // last complete line wins
+    if (inserted) {
+      ++fresh;
+    } else if (deduped != nullptr) {
+      ++*deduped;
+    }
+  };
+  char block[1 << 14];
+  std::string cut;  // a line that crosses a block boundary
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t n; (n = std::fread(block, 1, sizeof block, f)) > 0;) {
+    std::string_view rest(block, n);
+    for (std::size_t nl; (nl = rest.find('\n')) != std::string_view::npos;
+         rest.remove_prefix(nl + 1)) {
+      if (cut.empty()) {
+        apply(rest.substr(0, nl));
       } else {
-        ++fresh;
+        cut.append(rest.substr(0, nl));
+        apply(cut);
+        cut.clear();
       }
     }
+    cut.append(rest);
   }
+  std::fclose(f);
+  if (!cut.empty()) apply(cut);  // a last line without its newline
   return fresh;
 }
 
@@ -198,6 +209,13 @@ const runtime::MeasuredRun* Journal::find(std::uint64_t key) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
   return it == map_.end() ? nullptr : &it->second;
+}
+
+std::optional<runtime::MeasuredRun> Journal::take(std::uint64_t key) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  auto node = map_.extract(key);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped());
 }
 
 std::size_t Journal::size() const {

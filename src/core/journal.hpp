@@ -8,9 +8,10 @@
 // Crash-safety model: the writer appends and flushes complete lines as
 // soon as a cell (or a distrib worker's row of cells) finishes, so after
 // an interrupt the file is a prefix of valid lines plus at most one
-// torn line, which load() skips.  Doubles are printed with max_digits10
-// precision, so a restored MeasuredRun is bit-identical to the one that
-// was measured — resuming never perturbs the determinism contract.
+// torn line, which load() skips.  Doubles are printed in the shortest
+// text that reads back to the same bits, so a restored MeasuredRun is
+// bit-identical to the one that was measured — resuming never perturbs
+// the determinism contract.
 //
 // The key covers (seed, compiler spec fingerprint + name, kernel
 // fingerprint, quirk mode): any change to the study configuration —
@@ -23,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "compilers/compile_cache.hpp"
@@ -73,9 +75,10 @@ class Journal {
   [[nodiscard]] static std::string encode(const JournalEntry& e);
   /// Parse one line; nullopt for blank/torn/foreign lines.
   [[nodiscard]] static std::optional<JournalEntry> decode(
-      const std::string& line);
+      std::string_view line);
 
-  /// Load every valid line of `path` into the in-memory index.
+  /// Load every valid line of `path` into the in-memory index, reading
+  /// it in fixed-size blocks (memory does not grow with the file).
   /// Duplicate keys — within the file or against entries already
   /// loaded from earlier files (shard merges) — dedupe
   /// deterministically: the last complete line wins, in file order and
@@ -107,6 +110,10 @@ class Journal {
 
   /// The remembered outcome for a key, or nullptr.  Thread-safe.
   [[nodiscard]] const runtime::MeasuredRun* find(std::uint64_t key) const;
+
+  /// Move the remembered outcome for a key out of the journal (which
+  /// forgets it); nullopt when there is none.  Thread-safe.
+  [[nodiscard]] std::optional<runtime::MeasuredRun> take(std::uint64_t key);
 
   [[nodiscard]] std::size_t size() const;
 

@@ -23,26 +23,45 @@ std::vector<std::string> Reducer::shard_files(const std::string& dir) {
 
 std::size_t Reducer::load_shards(const std::string& dir, core::Journal& j,
                                  ReduceStats* stats) {
-  std::size_t total = 0;
-  for (const auto& path : shard_files(dir)) {
+  std::vector<LoadedShard> loaded;
+  const std::size_t before = j.size();
+  (void)load_new_shards(dir, j, loaded, stats);  // nothing listed: loads all
+  return j.size() - before;
+}
+
+bool Reducer::load_new_shards(const std::string& dir, core::Journal& j,
+                              std::vector<LoadedShard>& loaded,
+                              ReduceStats* stats) {
+  const auto size_of = [](const std::string& path) {
+    std::error_code ec;  // a vanished file reads as size -1
+    return std::filesystem::file_size(path, ec);
+  };
+  const std::vector<std::string> files = shard_files(dir);
+  // New files sort after every listed one (a pass numbers its shards
+  // after the directory's highest index), so the listed files must
+  // still lead the directory, each exactly as it was loaded.
+  if (files.size() < loaded.size()) return false;
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    if (files[i] != loaded[i].path || size_of(files[i]) != loaded[i].bytes)
+      return false;
+  }
+  for (std::size_t i = loaded.size(); i < files.size(); ++i) {
+    loaded.push_back({files[i], size_of(files[i])});
     std::size_t deduped = 0;
-    total += j.load(path, &deduped);
+    const std::size_t added = j.load(files[i], &deduped);
     if (stats != nullptr) {
       stats->shards += 1;
+      stats->entries += added;
       stats->duplicates += deduped;
     }
   }
-  if (stats != nullptr) stats->entries += total;
-  return total;
+  return true;
 }
 
-report::Table Reducer::merge(const std::string& dir,
-                             const std::vector<kernels::Benchmark>& suite,
-                             const core::StudyOptions& opt,
-                             ReduceStats* stats) {
-  core::Journal j;
-  load_shards(dir, j, stats);
-
+report::Table Reducer::assemble(core::Journal& j,
+                                const std::vector<kernels::Benchmark>& suite,
+                                const core::StudyOptions& opt,
+                                ReduceStats* stats) {
   std::vector<std::string> names;
   names.reserve(opt.compilers.size());
   for (const auto& spec : opt.compilers) names.push_back(spec.name);
@@ -52,10 +71,10 @@ report::Table Reducer::merge(const std::string& dir,
     for (std::size_t c = 0; c < opt.compilers.size(); ++c) {
       const std::uint64_t key = core::Journal::cell_key(
           opt.seed, opt.compilers[c], suite[r].fingerprint(), opt.apply_quirks);
-      if (const runtime::MeasuredRun* run = j.find(key)) {
-        t.rows[r].cells[c] = *run;
+      runtime::MeasuredRun& cell = t.rows[r].cells[c];
+      if (auto run = j.take(key)) {
+        cell = std::move(*run);
       } else {
-        runtime::MeasuredRun& cell = t.rows[r].cells[c];
         cell.benchmark = suite[r].name();
         cell.compiler = opt.compilers[c].name;
         cell.status = runtime::CellStatus::Crashed;
@@ -65,6 +84,15 @@ report::Table Reducer::merge(const std::string& dir,
     }
   }
   return t;
+}
+
+report::Table Reducer::merge(const std::string& dir,
+                             const std::vector<kernels::Benchmark>& suite,
+                             const core::StudyOptions& opt,
+                             ReduceStats* stats) {
+  core::Journal j;
+  load_shards(dir, j, stats);
+  return assemble(j, suite, opt, stats);
 }
 
 }  // namespace a64fxcc::distrib

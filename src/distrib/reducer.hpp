@@ -13,7 +13,13 @@
 // whose outcome may differ (injected faults decide anew); the
 // Supervisor numbers each pass's shards after the previous pass's, so
 // file order is creation order and the newer outcome wins.
+//
+// A resumed pass reads each shard once: load_new_shards loads the
+// earlier passes' shards for its resume decision, loads only the shards
+// the pass itself wrote at reduce time, and assemble builds the table
+// from that one journal.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,6 +37,12 @@ struct ReduceStats {
   std::size_t missing = 0;     ///< table cells found in no shard
 };
 
+/// One shard file as a load found it.
+struct LoadedShard {
+  std::string path;
+  std::uintmax_t bytes = 0;  ///< its size just before it was read
+};
+
 class Reducer {
  public:
   /// Every `shard-*.jsonl` under `dir`, sorted by name (= merge order).
@@ -43,11 +55,28 @@ class Reducer {
   static std::size_t load_shards(const std::string& dir, core::Journal& j,
                                  ReduceStats* stats = nullptr);
 
-  /// Assemble the canonical table for `suite` under `opt` from the
-  /// shards of `dir`.  Cells absent from every shard (a degraded run
+  /// Bring `j` from the shards `loaded` lists up to every shard of
+  /// `dir`: load only the files it does not list yet, in merge order,
+  /// and list them.  Starting from an empty journal and list, any
+  /// sequence of calls leaves `j` and `stats` as one load_shards of the
+  /// directory would.  Returns false, loading nothing, when that cannot
+  /// hold: a listed file changed size or vanished, or a new file sorts
+  /// before a listed one.
+  static bool load_new_shards(const std::string& dir, core::Journal& j,
+                              std::vector<LoadedShard>& loaded,
+                              ReduceStats* stats = nullptr);
+
+  /// The canonical table for `suite` under `opt`, with each cell's
+  /// outcome moved out of `j` (the suite's cell keys are distinct, as
+  /// the work queue requires).  Cells absent from `j` (a degraded run
   /// that lost work) come out as CellStatus::Crashed with an explicit
   /// diagnostic, and are counted in stats->missing — never silently
   /// blank.
+  [[nodiscard]] static report::Table assemble(
+      core::Journal& j, const std::vector<kernels::Benchmark>& suite,
+      const core::StudyOptions& opt, ReduceStats* stats = nullptr);
+
+  /// load_shards of `dir` into a fresh journal, then assemble.
   [[nodiscard]] static report::Table merge(
       const std::string& dir, const std::vector<kernels::Benchmark>& suite,
       const core::StudyOptions& opt, ReduceStats* stats = nullptr);

@@ -8,28 +8,9 @@ namespace a64fxcc::distrib {
 
 namespace {
 
-using exec::jsonio::field_num;
-using exec::jsonio::field_str;
-using exec::jsonio::get_num;
-using exec::jsonio::get_str;
-
-/// Cursor past a balanced {...} starting at `at` (doc[at] == '{').
-std::size_t skip_object(const std::string& doc, std::size_t at) {
-  int depth = 0;
-  bool in_str = false;
-  for (std::size_t i = at; i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (in_str) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_str = false;
-      continue;
-    }
-    if (c == '"') in_str = true;
-    else if (c == '{') ++depth;
-    else if (c == '}' && --depth == 0) return i + 1;
-  }
-  return doc.size();
-}
+namespace jsonio = exec::jsonio;
+using jsonio::field_num;
+using jsonio::field_str;
 
 }  // namespace
 
@@ -78,52 +59,52 @@ std::string encode_status(const StudyStatus& st) {
   return out;
 }
 
-std::optional<StudyStatus> decode_status(const std::string& doc) {
-  if (const auto v = get_num(doc, "v"); !v || *v > kStatusFormatVersion)
+std::optional<StudyStatus> decode_status(std::string_view doc) {
+  static constexpr std::string_view kKeys[] = {
+      "v", "phase", "elapsed_seconds", "cells_total", "cells_done",
+      "cells_leased", "cells_resumed", "cells_released", "workers_spawned",
+      "worker_respawns", "max_generation", "degraded", "eta_seconds",
+      "workers"};
+  std::string_view f[std::size(kKeys)];
+  if (!jsonio::pick(doc, kKeys, f)) return std::nullopt;
+  const auto& [v, phase, elapsed, total, done, leased, resumed, released,
+               spawned, respawns, max_gen, degraded, eta, workers] = f;
+  if (const auto ver = jsonio::num(v); !ver || *ver > kStatusFormatVersion)
     return std::nullopt;
-  const auto phase = get_str(doc, "phase");
-  const auto total = get_num(doc, "cells_total");
-  const auto done = get_num(doc, "cells_done");
-  if (!phase || !total || !done) return std::nullopt;
+  const auto t = jsonio::num(total);
+  const auto d = jsonio::num(done);
   StudyStatus st;
-  st.phase = *phase;
-  st.cells_total = static_cast<std::size_t>(*total);
-  st.cells_done = static_cast<std::size_t>(*done);
-  st.elapsed_seconds = get_num(doc, "elapsed_seconds").value_or(0);
-  st.cells_leased =
-      static_cast<std::size_t>(get_num(doc, "cells_leased").value_or(0));
-  st.cells_resumed =
-      static_cast<std::size_t>(get_num(doc, "cells_resumed").value_or(0));
-  st.cells_released =
-      static_cast<std::size_t>(get_num(doc, "cells_released").value_or(0));
-  st.workers_spawned =
-      static_cast<int>(get_num(doc, "workers_spawned").value_or(0));
-  st.worker_respawns =
-      static_cast<int>(get_num(doc, "worker_respawns").value_or(0));
-  st.max_generation =
-      static_cast<int>(get_num(doc, "max_generation").value_or(0));
-  st.degraded = get_num(doc, "degraded").value_or(0) != 0;
-  st.eta_seconds = get_num(doc, "eta_seconds").value_or(-1);
-  // The workers array is last; scalar extraction above is first-match
-  // and every per-worker key differs from the top-level ones.
-  std::size_t i = doc.find("\"workers\":[");
-  if (i == std::string::npos) return st;
-  i += sizeof("\"workers\":[") - 1;
-  while (i < doc.size() && doc[i] != ']') {
-    if (doc[i] != '{') {
-      ++i;
-      continue;
-    }
-    const std::size_t end = skip_object(doc, i);
-    const std::string entry = doc.substr(i, end - i);
-    WorkerStatus w;
-    w.spawn_index = static_cast<int>(get_num(entry, "spawn_index").value_or(0));
-    w.pid = static_cast<int>(get_num(entry, "pid").value_or(0));
-    w.state = get_str(entry, "state").value_or("?");
-    w.detail = get_str(entry, "detail").value_or("");
-    st.workers.push_back(std::move(w));
-    i = end;
-  }
+  if (!jsonio::str(phase, st.phase) || !t || !d) return std::nullopt;
+  const auto count = [](std::string_view raw) {
+    return static_cast<std::size_t>(jsonio::num(raw).value_or(0));
+  };
+  const auto small = [](std::string_view raw) {
+    return static_cast<int>(jsonio::num(raw).value_or(0));
+  };
+  st.cells_total = static_cast<std::size_t>(*t);
+  st.cells_done = static_cast<std::size_t>(*d);
+  st.elapsed_seconds = jsonio::num(elapsed).value_or(0);
+  st.cells_leased = count(leased);
+  st.cells_resumed = count(resumed);
+  st.cells_released = count(released);
+  st.workers_spawned = small(spawned);
+  st.worker_respawns = small(respawns);
+  st.max_generation = small(max_gen);
+  st.degraded = small(degraded) != 0;
+  st.eta_seconds = jsonio::num(eta).value_or(-1);
+  // Roster entries that are not objects are skipped.
+  (void)jsonio::for_each_element(workers, [&](std::string_view entry) {
+    static constexpr std::string_view kWorkerKeys[] = {"spawn_index", "pid",
+                                                       "state", "detail"};
+    std::string_view w[std::size(kWorkerKeys)];
+    if (!jsonio::pick(entry, kWorkerKeys, w)) return;
+    WorkerStatus ws;
+    ws.spawn_index = small(w[0]);
+    ws.pid = small(w[1]);
+    if (!jsonio::str(w[2], ws.state)) ws.state = "?";
+    (void)jsonio::str(w[3], ws.detail);
+    st.workers.push_back(std::move(ws));
+  });
   return st;
 }
 

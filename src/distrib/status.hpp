@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace a64fxcc::distrib {
@@ -31,7 +32,7 @@ struct WorkerStatus {
 /// The supervisor's view of one running (or finished) study.
 struct StudyStatus {
   std::string phase;  ///< "resume", "running", "inline-drain",
-                      ///< "reducing", "done"
+                      ///< "draining", "done"
   double elapsed_seconds = 0;   ///< since run_suite started
   std::size_t cells_total = 0;
   std::size_t cells_done = 0;
@@ -53,8 +54,7 @@ struct StudyStatus {
 
 /// One-object JSON document (scalars first, then the workers array).
 [[nodiscard]] std::string encode_status(const StudyStatus& st);
-[[nodiscard]] std::optional<StudyStatus> decode_status(
-    const std::string& doc);
+[[nodiscard]] std::optional<StudyStatus> decode_status(std::string_view doc);
 
 /// Publish atomically: write `<path>.tmp`, then rename over `path`.
 bool write_status(const StudyStatus& st, const std::string& path);

@@ -324,23 +324,26 @@ report::Table Supervisor::run_suite(
   // Resume: cells done in a previous run keep their shard outcome when
   // it is valid; done-but-failed (or done-but-missing — a lost shard
   // file) cells reopen, mirroring the single-process journal's
-  // "failed cells re-evaluate" semantics.
+  // "failed cells re-evaluate" semantics.  The earlier passes' shards
+  // load once, into the journal the reduce completes with this pass's.
+  core::Journal outcomes;
+  std::vector<LoadedShard> loaded;
   {
     const auto resume_sp = obs::scoped(tracer, "sup:resume");
-    if (queue.done_count() > 0) {
-      core::Journal prior;
-      Reducer::load_shards(opt_.shard_dir, prior);
-      for (const std::uint64_t key : keys) {
-        if (!queue.done(key)) continue;
-        const runtime::MeasuredRun* run = prior.find(key);
-        if (run != nullptr && run->valid()) {
-          ++stats_.resumed_cells;
-        } else {
-          queue.reopen(key);
-          ++stats_.reopened_cells;
-        }
+    (void)Reducer::load_new_shards(opt_.shard_dir, outcomes, loaded,
+                                   &stats_.reduce);
+    std::vector<std::uint64_t> reopen;
+    for (const std::uint64_t key : keys) {
+      if (!queue.done(key)) continue;
+      const runtime::MeasuredRun* run = outcomes.find(key);
+      if (run != nullptr && run->valid()) {
+        ++stats_.resumed_cells;
+      } else {
+        reopen.push_back(key);
       }
     }
+    if (!reopen.empty()) (void)queue.reopen(reopen);
+    stats_.reopened_cells = reopen.size();
     // Any lease on the books right now is orphaned (we have no workers
     // yet): an interrupted previous run, possibly from a previous boot
     // whose monotonic deadlines are meaningless — release uniformly.
@@ -352,7 +355,7 @@ report::Table Supervisor::run_suite(
     }
   }
   done0 = queue.done_count();
-  publish_status("resume", true);
+  publish_status("resume", false);  // the first publication always passes
 
   const core::StudyOptions wopt = worker_options(sopt);
   const int threads = sopt.jobs > 0 ? sopt.jobs : 1;
@@ -578,9 +581,14 @@ report::Table Supervisor::run_suite(
     nap();
   }
 
-  publish_status("reducing", true);
   report::Table table = [&] {
     const auto reduce_sp = obs::scoped(tracer, "sup:reduce");
+    if (Reducer::load_new_shards(opt_.shard_dir, outcomes, loaded,
+                                 &stats_.reduce))
+      return Reducer::assemble(outcomes, suite, sopt, &stats_.reduce);
+    // A shard loaded for the resume decision changed since (a worker of
+    // an interrupted earlier run still appending): merge afresh.
+    stats_.reduce = {};
     return Reducer::merge(opt_.shard_dir, suite, sopt, &stats_.reduce);
   }();
   publish_status("done", true);

@@ -1,10 +1,8 @@
 #include "distrib/work_queue.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "exec/jsonio.hpp"
 
@@ -29,7 +27,7 @@ const char* op_name(LeaseRecord::Op op) {
   return "?";
 }
 
-std::optional<LeaseRecord::Op> parse_op(const std::string& s) {
+std::optional<LeaseRecord::Op> parse_op(std::string_view s) {
   if (s == "lease") return LeaseRecord::Op::Lease;
   if (s == "done") return LeaseRecord::Op::Done;
   if (s == "release") return LeaseRecord::Op::Release;
@@ -37,11 +35,16 @@ std::optional<LeaseRecord::Op> parse_op(const std::string& s) {
   return std::nullopt;
 }
 
-// Field extraction comes from the shared line codec (exec/jsonio.hpp);
-// lease values carry no escapes but the escape-aware reader is a strict
-// superset of the old local one.
-const auto& get_string = exec::jsonio::get_str;
-const auto& get_number = exec::jsonio::get_num;
+// The line codec is the shared one (exec/jsonio.hpp).
+namespace jsonio = exec::jsonio;
+
+/// Append `v` as printf's %.9f would, without the format parser.
+void append_fixed9(std::string& out, double v) {
+  char buf[330];  // any double: DBL_MAX has 309 integer digits
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 9);
+  out.append(buf, res.ptr);
+}
 
 }  // namespace
 
@@ -56,34 +59,40 @@ LeaseQueue::LeaseQueue(std::string path, std::vector<std::uint64_t> keys,
 }
 
 std::string LeaseQueue::encode(const LeaseRecord& rec) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "{\"v\":1,\"op\":\"%s\",\"key\":\"%016llx\",\"owner\":%d,"
-                "\"gen\":%d,\"deadline\":%.9f}",
-                op_name(rec.op), static_cast<unsigned long long>(rec.key),
-                rec.owner, rec.gen, rec.deadline);
-  return buf;
+  std::string out;
+  out.reserve(128);
+  out += "{\"v\":1,";
+  jsonio::field_str(out, "op", op_name(rec.op));
+  out += ',';
+  jsonio::field_hex64(out, "key", rec.key);
+  out += ',';
+  jsonio::field_num(out, "owner", rec.owner);
+  out += ',';
+  jsonio::field_num(out, "gen", rec.gen);
+  out += ",\"deadline\":";
+  append_fixed9(out, rec.deadline);
+  out += '}';
+  return out;
 }
 
-std::optional<LeaseRecord> LeaseQueue::decode(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}')
-    return std::nullopt;
-  const auto v = get_number(line, "v");
-  if (!v || *v != 1) return std::nullopt;
-  const auto op_s = get_string(line, "op");
-  const auto key_s = get_string(line, "key");
-  if (!op_s || !key_s) return std::nullopt;
-  const auto op = parse_op(*op_s);
-  if (!op) return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long key = std::strtoull(key_s->c_str(), &end, 16);
-  if (end == key_s->c_str() || *end != '\0') return std::nullopt;
+std::optional<LeaseRecord> LeaseQueue::decode(std::string_view line) {
+  static constexpr std::string_view kKeys[] = {"v",     "op",  "key",
+                                               "owner", "gen", "deadline"};
+  std::string_view f[std::size(kKeys)];
+  if (!jsonio::pick(line, kKeys, f)) return std::nullopt;
+  const auto& [v, op, key, owner, gen, deadline] = f;
+  if (jsonio::num(v) != 1) return std::nullopt;
+  std::string op_label;  // fits the small-string buffer
+  if (!jsonio::str(op, op_label)) return std::nullopt;
+  const auto o = parse_op(op_label);
+  const auto k = jsonio::hex64(key);
+  if (!o || !k) return std::nullopt;
   LeaseRecord rec;
-  rec.op = *op;
-  rec.key = key;
-  rec.owner = static_cast<int>(get_number(line, "owner").value_or(0));
-  rec.gen = static_cast<int>(get_number(line, "gen").value_or(0));
-  rec.deadline = get_number(line, "deadline").value_or(0);
+  rec.op = *o;
+  rec.key = *k;
+  rec.owner = static_cast<int>(jsonio::num(owner).value_or(0));
+  rec.gen = static_cast<int>(jsonio::num(gen).value_or(0));
+  rec.deadline = jsonio::num(deadline).value_or(0);
   return rec;
 }
 
@@ -174,7 +183,7 @@ void LeaseQueue::scan() {
     std::size_t consumed = 0;
     for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
       if (buf[i] != '\n') continue;
-      const std::string line(buf + line_start, i - line_start);
+      const std::string_view line(buf + line_start, i - line_start);
       if (const auto rec = decode(line)) apply(*rec);
       line_start = i + 1;
       consumed = line_start;
@@ -300,11 +309,13 @@ bool LeaseQueue::release(std::uint64_t key, int owner) {
           }).empty();
 }
 
-bool LeaseQueue::reopen(std::uint64_t key) {
-  return !transact([&](std::vector<LeaseRecord>& recs) {
-            if (index_.find(key) != index_.end())
-              recs.push_back({LeaseRecord::Op::Reopen, key, 0, 0, 0});
-          }).empty();
+bool LeaseQueue::reopen(const std::vector<std::uint64_t>& keys) {
+  return transact([&](std::vector<LeaseRecord>& recs) {
+           for (const std::uint64_t key : keys)
+             if (index_.find(key) == index_.end()) return;
+           for (const std::uint64_t key : keys)
+             recs.push_back({LeaseRecord::Op::Reopen, key, 0, 0, 0});
+         }).size() == keys.size();
 }
 
 void LeaseQueue::poll() {

@@ -42,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -104,7 +105,7 @@ class LeaseQueue {
   /// lines.
   [[nodiscard]] static std::string encode(const LeaseRecord& rec);
   [[nodiscard]] static std::optional<LeaseRecord> decode(
-      const std::string& line);
+      std::string_view line);
 
   /// Machine-wide monotonic clock (seconds) the lease deadlines live
   /// on.  Shared across processes — CLOCK_MONOTONIC is per-boot, not
@@ -134,9 +135,11 @@ class LeaseQueue {
   /// Release one lease if `owner` still holds it.
   bool release(std::uint64_t key, int owner);
 
-  /// Undo a `done` so the cell re-evaluates (resume found its recorded
-  /// outcome failed or missing).
-  bool reopen(std::uint64_t key);
+  /// Undo the `done` of cells so they re-evaluate (resume found their
+  /// recorded outcomes failed or missing): one `reopen` line per key,
+  /// all in one transaction and one write.  False (and nothing written)
+  /// if a key is unknown, or if the write fails.
+  bool reopen(const std::vector<std::uint64_t>& keys);
 
   /// Re-read any log growth from other processes (lock-free: readers
   /// only consume complete lines, so a concurrent half-written append

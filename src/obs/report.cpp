@@ -13,54 +13,12 @@ namespace a64fxcc::obs {
 
 namespace {
 
-using exec::jsonio::get_num;
-using exec::jsonio::get_str;
+namespace jsonio = exec::jsonio;
 
-/// Scan `"marker":{ "name":<value>, ... }` and call fn(name, value_at)
-/// with the cursor on the first character of each value.  Returns the
-/// consumed values via fn; tolerant of a missing marker (no calls).
-template <typename Fn>
-void scan_flat_object(const std::string& doc, const char* marker, Fn fn) {
-  std::size_t i = doc.find(marker);
-  if (i == std::string::npos) return;
-  i += std::char_traits<char>::length(marker);
-  while (i < doc.size()) {
-    while (i < doc.size() && (doc[i] == ',' || doc[i] == ' ' ||
-                              doc[i] == '\n'))
-      ++i;
-    if (i >= doc.size() || doc[i] == '}') return;
-    if (doc[i] != '"') return;  // malformed: stop, keep what we have
-    std::string name;
-    ++i;
-    while (i < doc.size() && doc[i] != '"') {
-      if (doc[i] == '\\' && i + 1 < doc.size()) ++i;
-      name.push_back(doc[i]);
-      ++i;
-    }
-    if (i >= doc.size()) return;
-    ++i;  // closing quote
-    if (i >= doc.size() || doc[i] != ':') return;
-    ++i;
-    i = fn(name, i);  // fn consumes the value, returns the next cursor
-  }
-}
-
-/// Cursor past a balanced {...} starting at `at` (doc[at] == '{').
-std::size_t skip_object(const std::string& doc, std::size_t at) {
-  int depth = 0;
-  bool in_str = false;
-  for (std::size_t i = at; i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (in_str) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_str = false;
-      continue;
-    }
-    if (c == '"') in_str = true;
-    else if (c == '{') ++depth;
-    else if (c == '}' && --depth == 0) return i + 1;
-  }
-  return doc.size();
+std::string unescaped(std::string_view s) {
+  std::string out;
+  jsonio::unescape(s, out);
+  return out;
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -71,61 +29,48 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
-void parse_metrics(const std::string& doc, ReportDoc& out) {
-  scan_flat_object(doc, "\"counters\":{",
-                   [&](const std::string& name, std::size_t at) {
-                     char* end = nullptr;
-                     const double v = std::strtod(doc.c_str() + at, &end);
-                     if (end != doc.c_str() + at && v >= 0)
-                       out.counters[name] =
-                           static_cast<std::uint64_t>(v + 0.5);
-                     return static_cast<std::size_t>(end - doc.c_str());
-                   });
-  scan_flat_object(doc, "\"gauges\":{",
-                   [&](const std::string& name, std::size_t at) {
-                     char* end = nullptr;
-                     const double v = std::strtod(doc.c_str() + at, &end);
-                     if (end != doc.c_str() + at) out.gauges[name] = v;
-                     return static_cast<std::size_t>(end - doc.c_str());
-                   });
-  scan_flat_object(doc, "\"histograms\":{",
-                   [&](const std::string& name, std::size_t at) {
-                     if (at >= doc.size() || doc[at] != '{') return doc.size();
-                     const std::size_t end = skip_object(doc, at);
-                     const std::string h = doc.substr(at, end - at);
-                     HistTotal t;
-                     // The header fields precede "buckets", so the first
-                     // occurrence of each key is the header's.
-                     t.count = static_cast<std::uint64_t>(
-                         get_num(h, "count").value_or(0));
-                     t.sum = get_num(h, "sum").value_or(0);
-                     t.min = get_num(h, "min").value_or(0);
-                     t.max = get_num(h, "max").value_or(0);
-                     out.histograms[name] = t;
-                     return end;
-                   });
+/// The registry's three objects: counters and gauges by name, and each
+/// histogram's header (the buckets are skipped).
+void parse_metrics(std::string_view counters, std::string_view gauges,
+                   std::string_view histograms, ReportDoc& out) {
+  (void)jsonio::for_each_field(
+      counters, [&](std::string_view name, std::string_view raw) {
+        if (const auto v = jsonio::u64(raw)) out.counters[unescaped(name)] = *v;
+      });
+  (void)jsonio::for_each_field(
+      gauges, [&](std::string_view name, std::string_view raw) {
+        if (const auto v = jsonio::num(raw)) out.gauges[unescaped(name)] = *v;
+      });
+  (void)jsonio::for_each_field(
+      histograms, [&](std::string_view name, std::string_view raw) {
+        static constexpr std::string_view kKeys[] = {"count", "sum", "min",
+                                                     "max"};
+        std::string_view f[std::size(kKeys)];
+        if (!jsonio::pick(raw, kKeys, f)) return;
+        HistTotal t;
+        t.count = jsonio::u64(f[0]).value_or(0);
+        t.sum = jsonio::num(f[1]).value_or(0);
+        t.min = jsonio::num(f[2]).value_or(0);
+        t.max = jsonio::num(f[3]).value_or(0);
+        out.histograms[unescaped(name)] = t;
+      });
 }
 
-void parse_trace(const std::string& doc, ReportDoc& out) {
-  std::size_t i = doc.find("\"phaseSummary\":[");
-  if (i == std::string::npos) return;
-  i += sizeof("\"phaseSummary\":[") - 1;
-  while (i < doc.size() && doc[i] != ']') {
-    if (doc[i] != '{') {
-      ++i;
-      continue;
-    }
-    const std::size_t end = skip_object(doc, i);
-    const std::string entry = doc.substr(i, end - i);
+/// The trace's phaseSummary array.
+void parse_trace(std::string_view phases, ReportDoc& out) {
+  (void)jsonio::for_each_element(phases, [&](std::string_view entry) {
+    static constexpr std::string_view kKeys[] = {
+        "name", "count", "total_seconds", "max_seconds"};
+    std::string_view f[std::size(kKeys)];
     PhaseTotal p;
-    p.name = get_str(entry, "name").value_or("");
-    p.count =
-        static_cast<std::uint64_t>(get_num(entry, "count").value_or(0));
-    p.total_seconds = get_num(entry, "total_seconds").value_or(0);
-    p.max_seconds = get_num(entry, "max_seconds").value_or(0);
-    if (!p.name.empty()) out.phases.push_back(std::move(p));
-    i = end;
-  }
+    if (!jsonio::pick(entry, kKeys, f) || !jsonio::str(f[0], p.name) ||
+        p.name.empty())
+      return;
+    p.count = jsonio::u64(f[1]).value_or(0);
+    p.total_seconds = jsonio::num(f[2]).value_or(0);
+    p.max_seconds = jsonio::num(f[3]).value_or(0);
+    out.phases.push_back(std::move(p));
+  });
 }
 
 const PhaseTotal* find_phase(const ReportDoc& d, const std::string& name) {
@@ -143,17 +88,23 @@ std::optional<ReportDoc> load_report_doc(const std::string& path,
     if (err != nullptr) *err = "cannot read '" + path + "'";
     return std::nullopt;
   }
+  static constexpr std::string_view kKeys[] = {
+      "traceEvents", "phaseSummary", "counters", "gauges", "histograms"};
+  std::string_view f[std::size(kKeys)];
+  const auto& [events, phases, counters, gauges, histograms] = f;
   ReportDoc out;
   out.path = path;
-  if (doc->find("\"traceEvents\"") != std::string::npos) {
-    out.kind = ReportDoc::Kind::Trace;
-    parse_trace(*doc, out);
-    return out;
-  }
-  if (doc->find("\"counters\":{") != std::string::npos) {
-    out.kind = ReportDoc::Kind::Metrics;
-    parse_metrics(*doc, out);
-    return out;
+  if (jsonio::pick(*doc, kKeys, f)) {
+    if (!events.empty()) {
+      out.kind = ReportDoc::Kind::Trace;
+      parse_trace(phases, out);
+      return out;
+    }
+    if (!counters.empty()) {
+      out.kind = ReportDoc::Kind::Metrics;
+      parse_metrics(counters, gauges, histograms, out);
+      return out;
+    }
   }
   if (err != nullptr)
     *err = "'" + path +

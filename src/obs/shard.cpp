@@ -1,7 +1,6 @@
 #include "obs/shard.hpp"
 
-#include <cinttypes>
-#include <cstdlib>
+#include <array>
 
 #include "exec/jsonio.hpp"
 
@@ -9,23 +8,17 @@ namespace a64fxcc::obs {
 
 namespace {
 
-using exec::jsonio::field_num;
-using exec::jsonio::field_str;
-using exec::jsonio::get_num;
-using exec::jsonio::get_str;
+namespace jsonio = exec::jsonio;
+using jsonio::field_num;
+using jsonio::field_str;
 
 void field_u64(std::string& out, const char* key, std::uint64_t v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "\"%s\":%llu", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-std::optional<std::uint64_t> get_u64(const std::string& line,
-                                     const char* key) {
-  const auto v = get_num(line, key);
-  if (!v || *v < 0) return std::nullopt;
-  return static_cast<std::uint64_t>(*v);
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out += '"';
+  out += key;
+  out += "\":";
+  out.append(buf, res.ptr);
 }
 
 /// A cell line's key for one runtime::RunMetrics member: a cache count
@@ -54,6 +47,25 @@ constexpr MetricsField kMetricsFields[] = {
     {"measure_seconds", nullptr, &runtime::RunMetrics::measure_seconds},
 };
 
+/// Every key decode_cell reads, in line order: the cell's identity, the
+/// metrics table's keys, then the wall time and the backoffs.
+enum CellField : std::size_t {
+  kV, kKind, kKey, kBenchmark, kCompiler, kStatus, kGen, kAttempt, kPid,
+  kFirstMetric
+};
+constexpr std::size_t kWall = kFirstMetric + std::size(kMetricsFields);
+constexpr std::size_t kBackoffs = kWall + 1;
+constexpr auto kCellKeys = [] {
+  std::array<std::string_view, kBackoffs + 1> k{
+      "v", "kind", "key", "benchmark", "compiler", "status",
+      "gen", "attempt", "pid"};
+  for (std::size_t i = 0; i < std::size(kMetricsFields); ++i)
+    k[kFirstMetric + i] = kMetricsFields[i].key;
+  k[kWall] = "wall_seconds";
+  k[kBackoffs] = "backoffs";
+  return k;
+}();
+
 }  // namespace
 
 std::string trace_shard_name(int spawn_index) {
@@ -70,13 +82,11 @@ std::string metrics_shard_name(int spawn_index) {
 
 std::string encode_cell(const CellTelemetry& c) {
   std::string out = "{";
-  char buf[32];
   field_num(out, "v", kTelemetryFormatVersion);
   out += ",";
   field_str(out, "kind", "cell");
   out += ",";
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, c.key);
-  field_str(out, "key", buf);
+  jsonio::field_hex64(out, "key", c.key);
   out += ",";
   field_str(out, "benchmark", c.benchmark);
   out += ",";
@@ -102,9 +112,8 @@ std::string encode_cell(const CellTelemetry& c) {
   if (!backoffs.empty()) {
     out += ",\"backoffs\":[";
     for (std::size_t i = 0; i < backoffs.size(); ++i) {
-      std::snprintf(buf, sizeof buf, "%s%.17g", i == 0 ? "" : ",",
-                    backoffs[i]);
-      out += buf;
+      if (i > 0) out += ",";
+      jsonio::append_num(out, backoffs[i]);
     }
     out += "]";
   }
@@ -112,28 +121,25 @@ std::string encode_cell(const CellTelemetry& c) {
   return out;
 }
 
-std::optional<CellTelemetry> decode_cell(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}')
+std::optional<CellTelemetry> decode_cell(std::string_view line) {
+  std::array<std::string_view, kCellKeys.size()> f;
+  if (!jsonio::pick(line, kCellKeys, f)) return std::nullopt;
+  if (const auto v = jsonio::num(f[kV]); !v || *v > kTelemetryFormatVersion)
     return std::nullopt;
-  if (const auto v = get_num(line, "v"); !v || *v > kTelemetryFormatVersion)
-    return std::nullopt;
-  if (get_str(line, "kind").value_or("") != "cell") return std::nullopt;
-  const auto key_hex = get_str(line, "key");
-  const auto benchmark = get_str(line, "benchmark");
-  const auto compiler = get_str(line, "compiler");
-  const auto status = get_str(line, "status");
-  if (!key_hex || !benchmark || !compiler || !status) return std::nullopt;
+  std::string label;  // kind and status labels fit the small-string buffer
+  if (!jsonio::str(f[kKind], label) || label != "cell") return std::nullopt;
+  const auto key = jsonio::hex64(f[kKey]);
   CellTelemetry c;
-  char* end = nullptr;
-  c.key = std::strtoull(key_hex->c_str(), &end, 16);
-  if (end == key_hex->c_str() || *end != '\0') return std::nullopt;
-  if (!runtime::parse_status(*status, &c.status)) return std::nullopt;
-  c.benchmark = *benchmark;
-  c.compiler = *compiler;
-  const auto gen = get_num(line, "gen");
-  const auto attempt = get_num(line, "attempt");
-  const auto pid = get_num(line, "pid");
-  const auto wall = get_num(line, "wall_seconds");
+  if (!key || !jsonio::str(f[kBenchmark], c.benchmark) ||
+      !jsonio::str(f[kCompiler], c.compiler) ||
+      !jsonio::str(f[kStatus], label) ||
+      !runtime::parse_status(label, &c.status))
+    return std::nullopt;
+  c.key = *key;
+  const auto gen = jsonio::num(f[kGen]);
+  const auto attempt = jsonio::num(f[kAttempt]);
+  const auto pid = jsonio::num(f[kPid]);
+  const auto wall = jsonio::num(f[kWall]);
   if (!gen || !attempt || !pid || !wall) return std::nullopt;
   c.gen = static_cast<int>(*gen);
   c.attempt = static_cast<int>(*attempt);
@@ -141,33 +147,28 @@ std::optional<CellTelemetry> decode_cell(const std::string& line) {
   c.wall_seconds = *wall;
   // Fields of deleted layers (the search_* and sweep_* counters and the
   // tier's evictions count of older shards) are ignored.
-  for (const MetricsField& f : kMetricsFields) {
-    if (f.count != nullptr) {
-      const auto v = get_u64(line, f.key);
+  for (std::size_t i = 0; i < std::size(kMetricsFields); ++i) {
+    const MetricsField& m = kMetricsFields[i];
+    const std::string_view raw = f[kFirstMetric + i];
+    if (m.count != nullptr) {
+      const auto v = jsonio::u64(raw);
       if (!v) return std::nullopt;
-      c.metrics.*f.count = static_cast<int>(*v);
+      c.metrics.*m.count = static_cast<int>(*v);
     } else {
-      c.metrics.*f.seconds = get_num(line, f.key).value_or(0);
+      c.metrics.*m.seconds = jsonio::num(raw).value_or(0);
     }
   }
-  // The trailing number array gets a torn-tail-safe parse.
-  const auto parse_array = [&line](const char* key,
-                                   std::vector<double>* out) -> bool {
-    const std::string needle = std::string("\"") + key + "\":[";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos) return true;  // absent = empty
-    const char* p = line.c_str() + at + needle.size();
-    while (*p != '\0' && *p != ']') {
-      char* num_end = nullptr;
-      const double b = std::strtod(p, &num_end);
-      if (num_end == p) return false;  // torn array
-      out->push_back(b);
-      p = num_end;
-      if (*p == ',') ++p;
-    }
-    return *p == ']';  // false = torn line
-  };
-  if (!parse_array("backoffs", &c.metrics.backoffs)) return std::nullopt;
+  // Absent backoffs decode as none; an element that is not a number
+  // makes the line malformed.
+  bool numbers = true;
+  if (!f[kBackoffs].empty() &&
+      !jsonio::for_each_element(f[kBackoffs], [&](std::string_view raw) {
+        const auto b = jsonio::num(raw);
+        if (b) c.metrics.backoffs.push_back(*b);
+        numbers = numbers && b.has_value();
+      }))
+    return std::nullopt;
+  if (!numbers) return std::nullopt;
   return c;
 }
 
@@ -200,31 +201,35 @@ std::string encode_span(const Tracer::Record& r, int pid) {
   return out;
 }
 
-std::optional<SpanShardRecord> decode_span(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}')
+std::optional<SpanShardRecord> decode_span(std::string_view line) {
+  static constexpr std::string_view kKeys[] = {
+      "v", "kind", "pid", "tid", "name", "benchmark",
+      "compiler", "bseq", "eseq", "bus", "eus"};
+  std::string_view f[std::size(kKeys)];
+  if (!jsonio::pick(line, kKeys, f)) return std::nullopt;
+  const auto& [v, kind, pid, tid, name, benchmark, compiler, bseq, eseq, bus,
+               eus] = f;
+  if (const auto ver = jsonio::num(v); !ver || *ver > kTelemetryFormatVersion)
     return std::nullopt;
-  if (const auto v = get_num(line, "v"); !v || *v > kTelemetryFormatVersion)
-    return std::nullopt;
-  if (get_str(line, "kind").value_or("") != "span") return std::nullopt;
-  const auto pid = get_num(line, "pid");
-  const auto tid = get_num(line, "tid");
-  const auto name = get_str(line, "name");
-  const auto bseq = get_u64(line, "bseq");
-  const auto eseq = get_u64(line, "eseq");
-  const auto bus = get_num(line, "bus");
-  const auto eus = get_num(line, "eus");
-  if (!pid || !tid || !name || !bseq || !eseq || !bus || !eus)
-    return std::nullopt;
+  std::string label;  // fits the small-string buffer
+  if (!jsonio::str(kind, label) || label != "span") return std::nullopt;
   SpanShardRecord s;
-  s.pid = static_cast<int>(*pid);
-  s.record.tid = static_cast<int>(*tid);
-  s.record.name = *name;
-  s.record.benchmark = get_str(line, "benchmark").value_or("");
-  s.record.compiler = get_str(line, "compiler").value_or("");
-  s.record.begin_seq = *bseq;
-  s.record.end_seq = *eseq;
-  s.record.begin_us = *bus;
-  s.record.end_us = *eus;
+  const auto p = jsonio::num(pid);
+  const auto t = jsonio::num(tid);
+  const auto b = jsonio::u64(bseq);
+  const auto e = jsonio::u64(eseq);
+  const auto bu = jsonio::num(bus);
+  const auto eu = jsonio::num(eus);
+  if (!p || !t || !b || !e || !bu || !eu || !jsonio::str(name, s.record.name))
+    return std::nullopt;
+  s.pid = static_cast<int>(*p);
+  s.record.tid = static_cast<int>(*t);
+  (void)jsonio::str(benchmark, s.record.benchmark);  // absent: empty
+  (void)jsonio::str(compiler, s.record.compiler);
+  s.record.begin_seq = *b;
+  s.record.end_seq = *e;
+  s.record.begin_us = *bu;
+  s.record.end_us = *eu;
   return s;
 }
 

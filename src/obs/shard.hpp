@@ -33,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "runtime/outcome.hpp"
@@ -75,12 +76,11 @@ struct SpanShardRecord {
 };
 
 [[nodiscard]] std::string encode_cell(const CellTelemetry& c);
-[[nodiscard]] std::optional<CellTelemetry> decode_cell(
-    const std::string& line);
+[[nodiscard]] std::optional<CellTelemetry> decode_cell(std::string_view line);
 
 [[nodiscard]] std::string encode_span(const Tracer::Record& r, int pid);
 [[nodiscard]] std::optional<SpanShardRecord> decode_span(
-    const std::string& line);
+    std::string_view line);
 
 /// Append-only line writer with the durable-log discipline: one
 /// complete line + fflush per append (a crash mid-append loses at most

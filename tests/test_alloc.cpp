@@ -1,5 +1,7 @@
 // Heap allocations per layer of a cold paper-scale study: the whole
-// study, its 540 compiles and its 356 distinct plans.  This binary
+// study, its 540 compiles and its 356 distinct plans, plus the durable
+// logs' line codec over that study's 540 journal lines and 1,080 lease
+// lines (what a `--procs` run writes and reads back).  This binary
 // replaces the global operator new with a counter over std::malloc and
 // counts only inside count_allocs() windows, so nothing in the library
 // becomes a knob.  Each budget sits at most 10% above the count of the
@@ -20,7 +22,9 @@
 #include <vector>
 
 #include "compilers/compile_cache.hpp"
+#include "core/journal.hpp"
 #include "core/study.hpp"
+#include "distrib/work_queue.hpp"
 #include "perf/plan.hpp"
 
 namespace {
@@ -140,6 +144,77 @@ TEST(Allocations, DistinctPlans) {
   });
   EXPECT_EQ(plans.size(), 356u);
   EXPECT_LE(c.allocs, 23'900u);
+}
+
+/// The seed-42 paper-scale table's 540 journal lines, and one lease and
+/// one done line per cell: the lines a `--procs` study's shards and lease
+/// log hold, built in process.
+struct PaperLines {
+  std::vector<core::JournalEntry> entries;
+  std::vector<std::string> journal;
+  std::vector<std::string> leases;
+};
+
+const PaperLines& paper_lines() {
+  static const PaperLines lines = [] {
+    const auto suite = kernels::all_benchmarks(1.0);
+    core::StudyOptions opt;
+    opt.scale = 1.0;
+    opt.seed = 42;
+    opt.jobs = 1;
+    const report::Table table = core::Study(opt).run_suite(suite);
+    PaperLines l;
+    for (std::size_t r = 0; r < suite.size(); ++r) {
+      for (std::size_t c = 0; c < opt.compilers.size(); ++c) {
+        const std::uint64_t key =
+            core::Journal::cell_key(opt.seed, opt.compilers[c],
+                                    suite[r].fingerprint(), opt.apply_quirks);
+        l.entries.push_back({key, table.rows[r].cells[c]});
+        l.journal.push_back(core::Journal::encode(l.entries.back()));
+        using Op = distrib::LeaseRecord::Op;
+        l.leases.push_back(distrib::LeaseQueue::encode(
+            {Op::Lease, key, 4242, 0, 3522.867064023}));
+        l.leases.push_back(
+            distrib::LeaseQueue::encode({Op::Done, key, 4242, 0, 0}));
+      }
+    }
+    return l;
+  }();
+  return lines;
+}
+
+TEST(Allocations, JournalEncode) {
+  const PaperLines& l = paper_lines();
+  std::vector<std::string> lines;
+  lines.reserve(l.entries.size());
+  const Count c = count_allocs("540 core::Journal::encode calls", [&] {
+    for (const core::JournalEntry& e : l.entries)
+      lines.push_back(core::Journal::encode(e));
+  });
+  EXPECT_EQ(lines, l.journal);
+  EXPECT_LE(c.allocs, 594u);
+}
+
+TEST(Allocations, JournalDecode) {
+  const PaperLines& l = paper_lines();
+  std::size_t decoded = 0;
+  const Count c = count_allocs("540 core::Journal::decode calls", [&] {
+    for (const std::string& line : l.journal)
+      if (core::Journal::decode(line).has_value()) ++decoded;
+  });
+  EXPECT_EQ(decoded, 540u);
+  EXPECT_LE(c.allocs, 594u);
+}
+
+TEST(Allocations, LeaseDecode) {
+  const PaperLines& l = paper_lines();
+  std::size_t decoded = 0;
+  const Count c = count_allocs("1080 distrib::LeaseQueue::decode calls", [&] {
+    for (const std::string& line : l.leases)
+      if (distrib::LeaseQueue::decode(line).has_value()) ++decoded;
+  });
+  EXPECT_EQ(decoded, 1080u);
+  EXPECT_EQ(c.allocs, 0u);
 }
 
 }  // namespace

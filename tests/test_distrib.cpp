@@ -173,16 +173,36 @@ TEST(LeaseQueue, ReleaseOwnerReturnsOnlyThatOwnersLeases) {
 TEST(LeaseQueue, ReopenUndoesDoneForResume) {
   const std::string dir = fresh_dir("queue_reopen");
   std::filesystem::create_directories(dir);
-  distrib::LeaseQueue q(dir + "/leases.jsonl", {5});
+  const std::string path = dir + "/leases.jsonl";
+  distrib::LeaseQueue q(path, {5, 6, 7});
   ASSERT_TRUE(q.open());
-  ASSERT_EQ(q.acquire(111, 60.0, 1).size(), 1u);
-  ASSERT_TRUE(q.complete({5}, 111));
+  ASSERT_EQ(q.acquire(111, 60.0, 3).size(), 3u);
+  ASSERT_TRUE(q.complete({5, 6, 7}, 111));
   EXPECT_TRUE(q.drained());
-  EXPECT_TRUE(q.reopen(5));
+  // A batch naming an unknown key writes nothing.
+  const auto before = std::filesystem::file_size(path);
+  EXPECT_FALSE(q.reopen({5, 99}));
+  EXPECT_EQ(std::filesystem::file_size(path), before);
+  EXPECT_TRUE(q.done(5));
+  // A resume pass reopens all its cells in one call: one line per key.
+  EXPECT_TRUE(q.reopen({5, 7}));
   EXPECT_FALSE(q.drained());
-  const auto again = q.acquire(222, 60.0, 1);
-  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(q.done_count(), 1u);
+  EXPECT_TRUE(q.done(6));
+  std::ifstream log(path);
+  std::size_t reopens = 0;
+  for (std::string line; std::getline(log, line);) {
+    const auto rec = distrib::LeaseQueue::decode(line);
+    ASSERT_TRUE(rec.has_value()) << line;
+    if (rec->op == distrib::LeaseRecord::Op::Reopen) ++reopens;
+  }
+  EXPECT_EQ(reopens, 2u);
+  const auto again = q.acquire(222, 60.0, 3);
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again[0].key, 5u);
   EXPECT_EQ(again[0].gen, 1);
+  EXPECT_EQ(again[1].key, 7u);
+  EXPECT_EQ(again[1].gen, 1);
 }
 
 TEST(LeaseQueue, StateIsDurableAcrossReopenAndToleratesTornTail) {
@@ -679,6 +699,46 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
   }
 }
 
+TEST(Supervisor, ResumePassReducesAsAFreshMergeOfTheDirectory) {
+  // A resume pass loads the earlier passes' shards once, for its resume
+  // decision, and at reduce time adds only the shards it wrote.  Its
+  // reduce stats must still be a merge of the whole directory's: every
+  // shard, every distinct cell and every duplicate line — here the
+  // shards of a crash-injected first pass and the new outcomes of the
+  // failed cells the resume reopens.
+  const auto suite = small_suite();
+  auto base = small_options();
+  const std::string clean_csv =
+      report::render_csv(clean_single_process(base, suite));
+  base.faults.crash = 0.2;
+  const std::string dir = fresh_dir("resume_reduce_stats");
+  for (int pass = 0; pass < 2; ++pass) {
+    distrib::SupervisorOptions sopt;
+    sopt.study = base;
+    sopt.procs = 3;
+    sopt.shard_dir = dir;
+    sopt.lease_deadline_seconds = 20;
+    distrib::Supervisor sup(std::move(sopt));
+    const auto t = sup.run_suite(suite);
+    EXPECT_EQ(report::render_csv(t), clean_csv) << "pass " << pass;
+    if (pass == 0) {
+      EXPECT_GT(sup.stats().worker_respawns, 0);
+      continue;
+    }
+    EXPECT_GT(sup.stats().reopened_cells, 0u);
+    const distrib::ReduceStats& got = sup.stats().reduce;
+    distrib::ReduceStats want;
+    (void)distrib::Reducer::merge(dir, suite, base, &want);
+    EXPECT_GT(want.shards,
+              static_cast<std::size_t>(sup.stats().workers_spawned));
+    EXPECT_GT(want.duplicates, 0u);
+    EXPECT_EQ(got.shards, want.shards);
+    EXPECT_EQ(got.entries, want.entries);
+    EXPECT_EQ(got.duplicates, want.duplicates);
+    EXPECT_EQ(got.missing, want.missing);
+  }
+}
+
 // ---- reducer ---------------------------------------------------------------
 
 TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
@@ -731,6 +791,50 @@ TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
   EXPECT_EQ(j.find(1)->diagnostic, "from shard-0003, wins");
   EXPECT_EQ(j.find(2), nullptr);
   EXPECT_EQ(j.find(3), nullptr);
+}
+
+TEST(Reducer, LoadNewShardsAddsOnlyNewFilesAndRefusesChangedOnes) {
+  const std::string dir = fresh_dir("load_new_shards");
+  std::filesystem::create_directories(dir);
+  const auto entry = [](std::uint64_t key, const char* diagnostic) {
+    core::JournalEntry e;
+    e.key = key;
+    e.run.benchmark = "k1";
+    e.run.compiler = "GNU";
+    e.run.status = runtime::CellStatus::RuntimeError;
+    e.run.diagnostic = diagnostic;
+    return core::Journal::encode(e) + "\n";
+  };
+  std::ofstream(dir + "/shard-0000.jsonl") << entry(1, "a") << entry(2, "a");
+  std::ofstream(dir + "/shard-0001.jsonl") << entry(2, "b");
+  core::Journal j;
+  std::vector<distrib::LoadedShard> loaded;
+  distrib::ReduceStats stats;
+  ASSERT_TRUE(distrib::Reducer::load_new_shards(dir, j, loaded, &stats));
+  EXPECT_EQ(loaded.size(), 2u);
+  // A later pass's shard sorts after them: only it loads.
+  std::ofstream(dir + "/shard-0002-inline.jsonl") << entry(1, "c")
+                                                  << entry(3, "c");
+  ASSERT_TRUE(distrib::Reducer::load_new_shards(dir, j, loaded, &stats));
+  EXPECT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(j.find(1)->diagnostic, "c");
+  EXPECT_EQ(j.find(2)->diagnostic, "b");
+  core::Journal fresh;
+  distrib::ReduceStats want;
+  EXPECT_EQ(distrib::Reducer::load_shards(dir, fresh, &want), 3u);
+  EXPECT_EQ(stats.shards, want.shards);
+  EXPECT_EQ(stats.entries, want.entries);
+  EXPECT_EQ(stats.duplicates, want.duplicates);
+  // A listed shard that grew since it loaded, or a new shard that sorts
+  // before a listed one, cannot be added incrementally: nothing loads.
+  std::ofstream(dir + "/shard-0001.jsonl", std::ios::app) << entry(4, "d");
+  EXPECT_FALSE(distrib::Reducer::load_new_shards(dir, j, loaded, &stats));
+  EXPECT_EQ(j.find(4), nullptr);
+  EXPECT_EQ(stats.shards, want.shards);
+  std::vector<distrib::LoadedShard> without_first(loaded.begin() + 1,
+                                                  loaded.end());
+  EXPECT_FALSE(
+      distrib::Reducer::load_new_shards(dir, j, without_first, &stats));
 }
 
 TEST(Reducer, MissingCellsSurfaceAsCrashedNotBlank) {
