@@ -29,4 +29,17 @@ std::optional<double> parse_double(const std::string& s) {
   return v;
 }
 
+std::optional<std::string_view> unknown_flag(
+    std::span<const char* const> args,
+    std::span<const std::string_view> known) {
+  for (const std::string_view arg : args) {
+    if (!arg.starts_with('-')) continue;
+    bool matched = false;
+    for (const std::string_view k : known)
+      matched = matched || (k.ends_with('=') ? arg.starts_with(k) : arg == k);
+    if (!matched) return arg;
+  }
+  return std::nullopt;
+}
+
 }  // namespace a64fxcc::core::args

@@ -188,14 +188,14 @@ void Journal::close() {
 }
 
 void Journal::record(std::span<const JournalEntry> entries) {
+  if (entries.empty()) return;
   std::string lines;
   for (const JournalEntry& e : entries) {
     lines += encode(e);
     lines.push_back('\n');
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  for (const JournalEntry& e : entries) map_[e.key] = e.run;
-  if (out_ != nullptr && !lines.empty()) {
+  if (out_ != nullptr) {
     std::fwrite(lines.data(), 1, lines.size(), out_);
     std::fflush(out_);  // complete lines only, crash-safe
   }

@@ -96,9 +96,11 @@ class Journal {
   bool open(const std::string& path);
   void close();
 
-  /// Record terminal cell outcomes: remembers them in-memory and, when
-  /// open(), appends all their lines with one write and one flush.
-  /// Thread-safe (called concurrently from engine workers).  A crash
+  /// Record terminal cell outcomes: when open(), append all their lines
+  /// with one write and one flush; otherwise do nothing.  The in-memory
+  /// index is left alone — it holds what load() read, and find() never
+  /// sees a recorded entry.  Thread-safe (called concurrently from
+  /// engine workers).  A crash
   /// mid-write leaves a prefix of the batch's lines plus at most one
   /// torn line — the same file shape as a crash between single-entry
   /// records — so callers that complete work only after record()

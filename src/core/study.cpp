@@ -83,29 +83,12 @@ report::Table Study::run_suite(
           }
         }
 
-        const RetryFn on_retry = [&](int attempt,
-                                     const runtime::MeasuredRun& failed,
-                                     double backoff) {
-          if (sink != nullptr) {
-            sink->on_event({.kind = exec::EventKind::JobRetried,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .attempt = attempt,
-                            .status = failed.status,
-                            .detail = failed.diagnostic,
-                            .backoff_seconds = backoff});
-          }
-        };
-        CellResult res =
-            evaluate_cell(harness_, opt_, bench, spec, 0, on_retry);
+        CellResult res = evaluate_cell(harness_, opt_, bench, spec);
         const runtime::MeasuredRun& m = res.run;
         t.rows[r].cells[c] = m;
         if (opt_.journal != nullptr) opt_.journal->record({key, m});
-        // Quirk-failed, injected and timed-out cells all land here as
-        // JobFailed: exactly one terminal event per cell either way.
+        // Quirk-failed and crashed cells both land here as JobFailed:
+        // exactly one terminal event per cell either way.
         if (sink != nullptr) {
           sink->on_event({.kind = m.valid() ? exec::EventKind::JobFinished
                                             : exec::EventKind::JobFailed,
@@ -116,7 +99,6 @@ report::Table Study::run_suite(
                           .worker = worker,
                           .model_seconds = m.best_seconds,
                           .wall_seconds = wall_now(),
-                          .attempt = res.attempt,
                           .status = m.status,
                           .detail = m.diagnostic,
                           .metrics = std::move(res.metrics)});

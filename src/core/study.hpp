@@ -46,37 +46,25 @@ struct StudyOptions {
   /// shared sequence.
   int jobs = 0;
   /// Optional structured event sink (non-owning; must outlive the
-  /// Study calls).  Receives JobStarted, any JobRetried, and one
-  /// terminal event carrying the cell's RunMetrics per cell;
+  /// Study calls).  Receives JobStarted and one terminal event
+  /// carrying the cell's RunMetrics per cell;
   /// implementations must be thread-safe.  Replaces the old raw
   /// `progress` callback.
   exec::EventSink* sink = nullptr;
   /// Optional span collector (non-owning; must outlive the Study
-  /// calls).  The study opens a "cell" span per job and "backoff" spans
-  /// around retry waits; the harness adds compile/explore/measure.
+  /// calls).  The study opens a "cell" span per job; the harness adds
+  /// compile/explore/measure.
   /// Diagnostics-only: tables are byte-identical with tracing on/off.
   obs::Tracer* tracer = nullptr;
   /// Apply the paper-documented quirk DB (off for the ablation bench).
   bool apply_quirks = true;
-  /// Extra evaluation attempts after a failed one (0 = no retries).
-  /// Retries are deterministic: the fault schedule and the backoff
-  /// jitter are pure functions of (seed, benchmark, compiler, attempt),
-  /// so a retried study is byte-identical for any worker count.
-  int max_retries = 0;
-  /// Base of the exponential retry backoff (base * 2^attempt * jitter);
-  /// the actual sleep is capped so tests never stall, and no timing
-  /// value leaks into recorded outcomes.
-  double retry_backoff_seconds = 0.001;
-  /// Per-cell wall-clock deadline; 0 = unlimited.  Exceeding it turns
-  /// the attempt into a CellStatus::Timeout outcome via the harness's
-  /// cooperative checkpoints.
-  double deadline_seconds = 0;
-  /// Deterministic fault injection (off by default; see runtime::FaultPlan).
+  /// Deterministic crash injection (off by default; see
+  /// runtime::FaultPlan).
   runtime::FaultPlan faults;
   /// Optional checkpoint/resume journal (non-owning; must outlive the
-  /// Study calls).  Valid cells already present are restored without
+  /// Study calls).  Valid cells it loaded are restored without
   /// re-evaluation; every freshly evaluated terminal outcome is
-  /// recorded (and appended if the journal is open for writing).
+  /// appended when the journal is open for writing.
   Journal* journal = nullptr;
   /// Shared cache tier (non-owning; must outlive the Study).  Null lets
   /// the Study own a private cache::Service — pass one to share warm

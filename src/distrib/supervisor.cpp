@@ -21,11 +21,6 @@ namespace a64fxcc::distrib {
 
 namespace {
 
-/// Injected-crash diagnostic marker (runtime/harness.cpp's message for
-/// FaultKind::Crash classified in-process) — the inline drain skips
-/// these generations the same way a worker death + re-lease would.
-constexpr const char* kInjectedCrashTag = "injected crash fault";
-
 /// Study options as seen inside a worker process: observability and
 /// resume plumbing belong to the parent; the worker's output channel
 /// is its shard journal, nothing else.
@@ -70,6 +65,35 @@ int next_shard_index(const std::string& dir) {
 
 void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
 
+/// Deterministic pause before respawn `n` (0-based): 1 ms x 2^n x a
+/// jitter in [0.5, 1.5) hashed from n, capped at 50 ms — never a
+/// function of the clock or of scheduling.
+double respawn_pause(int n) {
+  const std::uint64_t h = runtime::cell_stream("distrib", "respawn") ^
+                          (0xBAC0FF00ULL + static_cast<std::uint64_t>(n));
+  const double jitter = 0.5 + runtime::hash_u01(h);
+  return std::min(0.001 * static_cast<double>(1ULL << std::min(n, 20)) *
+                      jitter,
+                  0.05);
+}
+
+/// How many generations past its lease the inline drain skips for a
+/// cell whose every generation crashes; it then records that
+/// generation's classified crash.
+constexpr int kMaxSkippedGenerations = 32;
+
+/// Injected process death: leave a torn line in the shard — what a real
+/// crash mid-append does — then die without unwinding, flushing stdio,
+/// or completing the row's leases.
+[[noreturn]] void die_mid_append(const std::string& shard_path) {
+  std::FILE* f = std::fopen(shard_path.c_str(), "a");
+  if (f != nullptr) {
+    std::fprintf(f, "{\"v\":%d,\"key\":\"00", core::kJournalFormatVersion);
+    std::fflush(f);
+  }
+  exec::hard_exit(139);
+}
+
 /// acquire()'s claims (key order) cut into their rows.
 std::vector<std::span<const Claim>> rows_of(const std::vector<Claim>& claims,
                                             std::size_t cols) {
@@ -91,6 +115,9 @@ struct RowSink {
   obs::ShardWriter& metrics;  ///< telemetry; closed when disabled
   LeaseQueue& queue;
   int self = 0;
+  /// The shard a worker tears before dying of an injected crash; null
+  /// for the inline drain, which cannot die.
+  const std::string* crash_shard = nullptr;
 };
 
 /// Evaluate one leased row cell by cell through core::evaluate_cell,
@@ -100,14 +127,14 @@ struct RowSink {
 /// disk, and a death before it loses this row only (its leases are
 /// released and re-granted at the next generation).
 ///
-/// A worker passes `on_crash` and dies on an injected crash.  The
-/// inline drain cannot die: it skips generations whose deterministic
-/// fault decision is an injected crash, converging to the generation a
-/// worker death + re-lease would have reached.
+/// At a generation whose deterministic decision is an injected crash, a
+/// worker dies.  The inline drain cannot die: it skips to the next
+/// generation, converging to the generation a worker death + re-lease
+/// would have reached.
 void run_row(std::span<const Claim> row,
              const std::vector<kernels::Benchmark>& suite,
              const runtime::Harness& h, const core::StudyOptions& opt,
-             const core::CrashFn& on_crash, const RowSink& out) {
+             const RowSink& out) {
   const std::size_t cols = opt.compilers.size();
   std::vector<core::JournalEntry> entries;
   std::vector<std::string> telemetry;
@@ -122,13 +149,12 @@ void run_row(std::span<const Claim> row,
     int gen = cl.gen;
     {
       const auto sp = obs::scoped(opt.tracer, "cell", bench.name(), spec.name);
-      for (;; ++gen) {
-        res = core::evaluate_cell(h, opt, bench, spec, gen, {}, on_crash);
-        const bool injected_crash =
-            res.run.status == runtime::CellStatus::Crashed &&
-            res.run.diagnostic.find(kInjectedCrashTag) != std::string::npos;
-        if (on_crash || !injected_crash || gen - cl.gen >= 32) break;
+      while (opt.faults.crashes(opt.seed, bench.name(), spec.name, gen)) {
+        if (out.crash_shard != nullptr) die_mid_append(*out.crash_shard);
+        if (gen - cl.gen >= kMaxSkippedGenerations) break;
+        ++gen;
       }
+      res = core::evaluate_cell(h, opt, bench, spec, gen);
     }
     entries.push_back({cl.key, res.run});
     keys.push_back(cl.key);
@@ -139,7 +165,6 @@ void run_row(std::span<const Claim> row,
            .compiler = spec.name,
            .status = res.run.status,
            .gen = gen,
-           .attempt = res.attempt,
            .pid = out.self,
            .wall_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - cell_t0)
@@ -189,18 +214,7 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
     (void)metrics_out.open(metrics_path);
   }
   core::Study study(topt);
-  const core::CrashFn on_crash = [&shard_path](int) {
-    // Injected process death: leave a torn line in the shard — what a
-    // real crash mid-append does — then die without unwinding, flushing
-    // stdio, or completing the row's leases.
-    std::FILE* f = std::fopen(shard_path.c_str(), "a");
-    if (f != nullptr) {
-      std::fprintf(f, "{\"v\":%d,\"key\":\"00", core::kJournalFormatVersion);
-      std::fflush(f);
-    }
-    exec::hard_exit(139);
-  };
-  const RowSink out{shard, metrics_out, queue, self};
+  const RowSink out{shard, metrics_out, queue, self, &shard_path};
   const std::size_t cols = topt.compilers.size();
   exec::Engine engine(threads);
   while (true) {
@@ -219,7 +233,7 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
     (void)engine.try_run(
         rows.size(),
         [&](std::size_t i, int) {
-          run_row(rows[i], suite, study.harness(), topt, on_crash, out);
+          run_row(rows[i], suite, study.harness(), topt, out);
         });
     // A job that threw (shard IO, ...) left its row leased; the leases
     // expire and are re-granted — no special handling here.
@@ -399,9 +413,9 @@ report::Table Supervisor::run_suite(
   const auto inline_drain = [&]() {
     // Degraded endgame: every worker is gone and the budget is spent —
     // the parent drains what remains, skipping generations whose
-    // deterministic fault decision is an injected crash (a worker
-    // would have died and been re-leased at gen+1; we converge to the
-    // same surviving generation without dying).
+    // deterministic decision is an injected crash (a worker would have
+    // died and been re-leased at gen+1; we converge to the same
+    // surviving generation without dying).
     const auto drain_sp = obs::scoped(tracer, "sup:inline-drain");
     // The parent's tracer observes the inline cells (they land on the
     // supervisor's trace row); results and cell records go to shards
@@ -438,7 +452,7 @@ report::Table Supervisor::run_suite(
         continue;
       }
       stuck_rounds = 0;
-      run_row(claims, suite, study.harness(), iopt, {}, out);
+      run_row(claims, suite, study.harness(), iopt, out);
       stats_.inline_cells += claims.size();
       publish_status("inline-drain", false);
     }
@@ -483,15 +497,10 @@ report::Table Supervisor::run_suite(
       if (queue.drained()) continue;
       if (respawn_budget > 0) {
         --respawn_budget;
-        // Deterministic respawn pacing — the same backoff schedule an
-        // in-process retry would take, keyed by the respawn ordinal.
-        const double b = core::retry_backoff(sopt.retry_backoff_seconds,
-                                             "distrib", "respawn",
-                                             stats_.worker_respawns);
         {
           const auto backoff_sp = obs::scoped(tracer, "sup:respawn-backoff");
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(std::min(b, 0.05)));
+          std::this_thread::sleep_for(std::chrono::duration<double>(
+              respawn_pause(stats_.worker_respawns)));
         }
         if (spawn_worker()) {
           ++stats_.worker_respawns;

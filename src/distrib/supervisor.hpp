@@ -4,7 +4,7 @@
 // The Supervisor forks N worker processes.  Each worker leases whole
 // benchmark rows (every compiler's cell of one benchmark) from the
 // durable work queue (`<shard-dir>/leases.jsonl`), evaluates them
-// through the exact same core::evaluate_cell policy path the in-process
+// through the exact same core::evaluate_cell path the in-process
 // engine uses — one row against one set of per-benchmark caches, so a
 // worker does the same compile/plan/evaluate work the in-process study
 // does — appends each row's outcomes to its own shard journal
@@ -16,17 +16,17 @@
 // merge's last-line-wins order) is creation order across resumed
 // passes.  The supervisor reaps dead
 // workers (waitpid), SIGKILLs hung ones (lease-deadline expiry),
-// releases their leases for re-lease, and respawns replacements with
-// the deterministic backoff schedule — degrading to an inline drain in
-// the parent when respawns keep dying.  A Reducer pass then merges the
-// shards into the canonical table.
+// releases their leases for re-lease, and respawns replacements after
+// a deterministic pause — degrading to an inline drain in the parent
+// when respawns keep dying.  A Reducer pass then merges the shards into
+// the canonical table.
 //
 // Determinism contract: every cell's measurement is a pure function of
 // (seed, benchmark, compiler) — the lease generation feeds only the
-// fault/backoff schedule, mirroring in-process retry attempts — so the
-// merged table of a crash-recovered N-process run is byte-identical to
-// a clean single-process one (asserted in tests/test_distrib.cpp with
-// a real kill -9).
+// injected-crash decision (runtime::FaultPlan), as its attempt index —
+// so the merged table of a crash-recovered N-process run is
+// byte-identical to a clean single-process one (asserted in
+// tests/test_distrib.cpp with a real kill -9).
 
 #include <string>
 #include <vector>

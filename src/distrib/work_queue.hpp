@@ -10,9 +10,9 @@
 // Protocol (all records tagged "v":1, one record per cell per line):
 //   lease   — `owner` (worker pid) claims the cell until the absolute
 //             steady-clock `deadline`; `gen` is the generation granted
-//             (0 = first lease).  Generations seed the deterministic
-//             fault/backoff schedule of re-leased cells, mirroring
-//             in-process retry attempts.
+//             (0 = first lease).  The generation is the attempt index
+//             of the deterministic crash decision, so a re-leased cell
+//             sees a fresh one.
 //   done    — `owner` finished the cell terminally (its MeasuredRun is
 //             in that worker's shard journal).
 //   release — the supervisor returned `owner`'s unexpired leases to the
@@ -62,9 +62,9 @@ struct LeaseRecord {
 struct Claim {
   std::size_t index = 0;  ///< row-major cell index in the key order
   std::uint64_t key = 0;
-  int gen = 0;  ///< generation of this lease; feeds evaluate_cell's
-                ///< base_attempt so re-leased cells take the next
-                ///< deterministic fault/backoff decision
+  int gen = 0;  ///< generation of this lease; evaluate_cell's attempt,
+                ///< so re-leased cells take the next deterministic
+                ///< crash decision
 };
 
 /// A currently recorded lease (diagnostics + supervisor reaping).

@@ -26,7 +26,6 @@ enum class EventKind : std::uint8_t {
   JobStarted,   ///< a worker picked up one (benchmark x compiler) cell
   JobFinished,  ///< cell evaluated OK; model_seconds/wall_seconds filled
   JobFailed,    ///< cell terminally failed (status + detail filled in)
-  JobRetried,   ///< one failed attempt will be retried (attempt/backoff)
   // -- multi-process lifecycle (src/distrib/ supervisor) --------------
   WorkerSpawned,    ///< supervisor forked a worker process (worker =
                     ///< spawn index, count = pid)
@@ -43,7 +42,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::JobStarted: return "job-started";
     case EventKind::JobFinished: return "job-finished";
     case EventKind::JobFailed: return "job-failed";
-    case EventKind::JobRetried: return "job-retried";
     case EventKind::WorkerSpawned: return "worker-spawned";
     case EventKind::WorkerExited: return "worker-exited";
     case EventKind::WorkerRespawned: return "worker-respawned";
@@ -67,18 +65,13 @@ struct Event {
   /// Worker lifecycle events only: the pid, or the number of released
   /// cells (CellReleased).
   std::uint64_t count = 0;
-  /// Retry attempt the event refers to (0 = first try).  For terminal
-  /// events this is the attempt that produced the final outcome.
-  int attempt = 0;
-  /// Classified failure (JobFailed; for JobRetried, the failure being
-  /// retried).  Ok otherwise.
+  /// Classified failure (JobFailed).  Ok otherwise.
   runtime::CellStatus status = runtime::CellStatus::Ok;
-  /// Failure diagnostic text (JobFailed/JobRetried only).
+  /// Failure diagnostic text (JobFailed), or the worker lifecycle
+  /// detail.
   std::string detail{};
-  /// Deterministic backoff chosen before the next attempt (JobRetried).
-  double backoff_seconds = 0;
-  /// What evaluating the cell cost, across all its attempts (terminal
-  /// events only; all zeros for a cell restored from the journal).
+  /// What evaluating the cell cost (terminal events only; all zeros for
+  /// a cell restored from the journal).
   runtime::RunMetrics metrics{};
 };
 
@@ -123,8 +116,8 @@ class CollectingSink final : public EventSink {
 
 /// Verbosity of the stream renderer (`--log-level=`).
 ///   Quiet    — nothing (the sink still counts completed cells)
-///   Progress — one line per terminal cell + retry notices (the old
-///              `--progress` behaviour, kept as an alias)
+///   Progress — one line per terminal cell and per worker lifecycle
+///              event (the old `--progress` behaviour, kept as an alias)
 ///   Debug    — additionally job starts, and after each terminal line
 ///              the cell's phase times and cache hits/misses
 enum class LogLevel : std::uint8_t { Quiet, Progress, Debug };
@@ -138,7 +131,7 @@ enum class LogLevel : std::uint8_t { Quiet, Progress, Debug };
 }
 
 /// Thread-safe sink that renders one line per completed or failed cell
-/// (plus retry notices; at Debug, job starts and each cell's cost) —
+/// (at Debug, also job starts and each cell's cost) —
 /// what the CLI attaches for `--log-level=progress|debug`.  Each event
 /// is formatted into one buffer and written with a single fwrite under
 /// one lock, so lines from concurrent workers can never interleave
@@ -170,14 +163,6 @@ class StreamSink final : public EventSink {
                           "  [w%d] %-18s x %-10s %10s  %s (%zu done)\n",
                           e.worker, e.benchmark.c_str(), e.compiler.c_str(),
                           runtime::marker(e.status), e.detail.c_str(), done_);
-        break;
-      case EventKind::JobRetried:
-        if (level_ < LogLevel::Progress) return;
-        n = std::snprintf(buf, sizeof buf,
-                          "  [w%d] %-18s x %-10s retry #%d after %s: %s\n",
-                          e.worker, e.benchmark.c_str(), e.compiler.c_str(),
-                          e.attempt + 1, runtime::marker(e.status),
-                          e.detail.c_str());
         break;
       case EventKind::JobStarted:
         if (level_ < LogLevel::Debug) return;

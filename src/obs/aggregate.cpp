@@ -123,7 +123,7 @@ std::vector<CellTelemetry> Aggregator::cells() const {
 Registry Aggregator::merged_registry() const {
   Registry out;
   for (const auto& [key, c] : cells_)
-    out.add_cell(c.status, c.retries(), c.wall_seconds, c.metrics);
+    out.add_cell(c.status, c.wall_seconds, c.metrics);
   for (const auto& reg : extra_) out.merge(reg);
   return out;
 }

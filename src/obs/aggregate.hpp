@@ -13,8 +13,8 @@
 //   * one metrics Registry: per-cell telemetry records deduped
 //     last-wins by cell key in sorted filename order — the identical
 //     semantics the Reducer applies to result shards, which is what
-//     makes the deterministic counters (cells by status, retries,
-//     cache hits/misses) of a crash-recovered N-process run equal the
+//     makes the deterministic counters (cells by status, cache
+//     hits/misses) of a crash-recovered N-process run equal the
 //     single-process run's — folded through Registry::add_cell, the
 //     same fold the in-process MetricsSink applies, then any explicitly
 //     added registries (counter sums, bucket-wise histogram merge,

@@ -36,7 +36,6 @@ const char* status_counter_name(runtime::CellStatus st) {
     case runtime::CellStatus::Ok: return "cells_ok";
     case runtime::CellStatus::CompileError: return "cells_compile_error";
     case runtime::CellStatus::RuntimeError: return "cells_runtime_error";
-    case runtime::CellStatus::Timeout: return "cells_timeout";
     case runtime::CellStatus::Crashed: return "cells_crashed";
   }
   return "cells_unknown";
@@ -47,11 +46,10 @@ void Registry::merge(const Registry& o) {
   for (const auto& [name, h] : o.histograms) histograms[name].merge(h);
 }
 
-void Registry::add_cell(runtime::CellStatus status, std::uint64_t retries,
-                        double wall_seconds, const runtime::RunMetrics& m) {
+void Registry::add_cell(runtime::CellStatus status, double wall_seconds,
+                        const runtime::RunMetrics& m) {
   counters["jobs_started"] += 1;
   counters[status_counter_name(status)] += 1;
-  if (retries > 0) counters["retries"] += retries;
   const struct {
     const char* name;
     int n;
@@ -76,7 +74,6 @@ void Registry::add_cell(runtime::CellStatus status, std::uint64_t retries,
                 {"phase_measure_seconds", m.measure_seconds}};
   for (const auto& ph : phases)
     if (ph.seconds > 0) histograms[ph.name].add(ph.seconds);
-  for (const double b : m.backoffs) histograms["backoff_seconds"].add(b);
 }
 
 std::string Registry::to_json() const {
@@ -131,15 +128,12 @@ void MetricsSink::on_event(const exec::Event& e) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto& counters = reg_.counters;
   switch (e.kind) {
-    // A cell's start and retries are folded with its terminal event,
-    // which carries the attempt count and the backoffs.
+    // A cell's start is folded with its terminal event.
     case exec::EventKind::JobStarted:
-    case exec::EventKind::JobRetried:
       break;
     case exec::EventKind::JobFinished:
     case exec::EventKind::JobFailed:
-      reg_.add_cell(e.status, static_cast<std::uint64_t>(e.attempt),
-                    e.wall_seconds, e.metrics);
+      reg_.add_cell(e.status, e.wall_seconds, e.metrics);
       break;
     // Multi-process lifecycle: spawn/exit counts plus the two headline
     // crash-isolation counters, worker_respawns and cells_released.

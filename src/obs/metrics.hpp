@@ -101,15 +101,14 @@ struct Registry {
   void merge(const Registry& o);
 
   /// Fold one finished cell in: counters jobs_started, the status
-  /// counter, retries, {compile,plan,estimate,analysis}_cache_{hits,
-  /// misses} and analysis_cache_invalidations; histograms
-  /// cell_wall_seconds, phase_{compile,explore,measure}_seconds and
-  /// backoff_seconds (one sample per retry).  A zero count or phase
+  /// counter, {compile,plan,estimate,analysis}_cache_{hits,misses} and
+  /// analysis_cache_invalidations; histograms cell_wall_seconds and
+  /// phase_{compile,explore,measure}_seconds.  A zero count or phase
   /// time creates no counter or histogram.  MetricsSink and
   /// Aggregator::merged_registry both fold cells here, so the two paths
   /// produce the same names by construction.
-  void add_cell(runtime::CellStatus status, std::uint64_t retries,
-                double wall_seconds, const runtime::RunMetrics& m);
+  void add_cell(runtime::CellStatus status, double wall_seconds,
+                const runtime::RunMetrics& m);
 
   /// The whole registry as one JSON object: {"version":1,
   /// "counters":{...},"gauges":{"compile_cache_hit_rate":..,

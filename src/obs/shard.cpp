@@ -29,8 +29,8 @@ struct MetricsField {
   double runtime::RunMetrics::*seconds;
 };
 
-/// Every RunMetrics member but the backoffs, in line order: the one
-/// table encode_cell writes and decode_cell reads.
+/// Every RunMetrics member, in line order: the one table encode_cell
+/// writes and decode_cell reads.
 constexpr MetricsField kMetricsFields[] = {
     {"compile_hits", &runtime::RunMetrics::compile_cache_hits, nullptr},
     {"compile_misses", &runtime::RunMetrics::compile_cache_misses, nullptr},
@@ -48,21 +48,17 @@ constexpr MetricsField kMetricsFields[] = {
 };
 
 /// Every key decode_cell reads, in line order: the cell's identity, the
-/// metrics table's keys, then the wall time and the backoffs.
+/// metrics table's keys, then the wall time.
 enum CellField : std::size_t {
-  kV, kKind, kKey, kBenchmark, kCompiler, kStatus, kGen, kAttempt, kPid,
-  kFirstMetric
+  kV, kKind, kKey, kBenchmark, kCompiler, kStatus, kGen, kPid, kFirstMetric
 };
 constexpr std::size_t kWall = kFirstMetric + std::size(kMetricsFields);
-constexpr std::size_t kBackoffs = kWall + 1;
 constexpr auto kCellKeys = [] {
-  std::array<std::string_view, kBackoffs + 1> k{
-      "v", "kind", "key", "benchmark", "compiler", "status",
-      "gen", "attempt", "pid"};
+  std::array<std::string_view, kWall + 1> k{
+      "v", "kind", "key", "benchmark", "compiler", "status", "gen", "pid"};
   for (std::size_t i = 0; i < std::size(kMetricsFields); ++i)
     k[kFirstMetric + i] = kMetricsFields[i].key;
   k[kWall] = "wall_seconds";
-  k[kBackoffs] = "backoffs";
   return k;
 }();
 
@@ -96,7 +92,8 @@ std::string encode_cell(const CellTelemetry& c) {
   out += ",";
   field_num(out, "gen", c.gen);
   out += ",";
-  field_num(out, "attempt", c.attempt);
+  // One attempt per generation; older readers require the field.
+  field_num(out, "attempt", c.gen);
   out += ",";
   field_num(out, "pid", c.pid);
   for (const MetricsField& f : kMetricsFields) {
@@ -108,15 +105,6 @@ std::string encode_cell(const CellTelemetry& c) {
   }
   out += ",";
   field_num(out, "wall_seconds", c.wall_seconds);
-  const std::vector<double>& backoffs = c.metrics.backoffs;
-  if (!backoffs.empty()) {
-    out += ",\"backoffs\":[";
-    for (std::size_t i = 0; i < backoffs.size(); ++i) {
-      if (i > 0) out += ",";
-      jsonio::append_num(out, backoffs[i]);
-    }
-    out += "]";
-  }
   out += "}";
   return out;
 }
@@ -137,16 +125,15 @@ std::optional<CellTelemetry> decode_cell(std::string_view line) {
     return std::nullopt;
   c.key = *key;
   const auto gen = jsonio::num(f[kGen]);
-  const auto attempt = jsonio::num(f[kAttempt]);
   const auto pid = jsonio::num(f[kPid]);
   const auto wall = jsonio::num(f[kWall]);
-  if (!gen || !attempt || !pid || !wall) return std::nullopt;
+  if (!gen || !pid || !wall) return std::nullopt;
   c.gen = static_cast<int>(*gen);
-  c.attempt = static_cast<int>(*attempt);
   c.pid = static_cast<int>(*pid);
   c.wall_seconds = *wall;
-  // Fields of deleted layers (the search_* and sweep_* counters and the
-  // tier's evictions count of older shards) are ignored.
+  // Fields of deleted layers (the search_* and sweep_* counters, the
+  // tier's evictions count, and the retry loop's "attempt" and
+  // "backoffs" of older shards) are ignored.
   for (std::size_t i = 0; i < std::size(kMetricsFields); ++i) {
     const MetricsField& m = kMetricsFields[i];
     const std::string_view raw = f[kFirstMetric + i];
@@ -158,17 +145,6 @@ std::optional<CellTelemetry> decode_cell(std::string_view line) {
       c.metrics.*m.seconds = jsonio::num(raw).value_or(0);
     }
   }
-  // Absent backoffs decode as none; an element that is not a number
-  // makes the line malformed.
-  bool numbers = true;
-  if (!f[kBackoffs].empty() &&
-      !jsonio::for_each_element(f[kBackoffs], [&](std::string_view raw) {
-        const auto b = jsonio::num(raw);
-        if (b) c.metrics.backoffs.push_back(*b);
-        numbers = numbers && b.has_value();
-      }))
-    return std::nullopt;
-  if (!numbers) return std::nullopt;
   return c;
 }
 

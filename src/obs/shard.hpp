@@ -9,11 +9,11 @@
 //                            closes, so a SIGKILLed worker leaves every
 //                            finished span on disk)
 //   metrics-shard-<k>.jsonl  one line per *completed* cell: its status,
-//                            generation and attempt, wall time and
+//                            lease generation, wall time and
 //                            runtime::RunMetrics (per-cache hits and
-//                            misses, phase seconds, retry backoffs),
-//                            keyed by the same Journal::cell_key
-//                            fingerprint the result shards use
+//                            misses, phase seconds), keyed by the same
+//                            Journal::cell_key fingerprint the result
+//                            shards use
 //
 // The cell records are the exactly-once layer: a cell whose owner died
 // mid-evaluation re-leases and re-evaluates elsewhere, producing a
@@ -55,16 +55,10 @@ struct CellTelemetry {
   std::string benchmark;
   std::string compiler;
   runtime::CellStatus status = runtime::CellStatus::Ok;
-  int gen = 0;      ///< lease generation the evaluation started at
-  int attempt = 0;  ///< attempt that produced the outcome
-  int pid = 0;      ///< evaluating process
+  int gen = 0;  ///< lease generation (attempt) that was evaluated
+  int pid = 0;  ///< evaluating process
   double wall_seconds = 0;
   runtime::RunMetrics metrics;
-
-  /// Retries this evaluation took (attempt counts from gen).
-  [[nodiscard]] std::uint64_t retries() const noexcept {
-    return attempt > gen ? static_cast<std::uint64_t>(attempt - gen) : 0;
-  }
 };
 
 /// One span line read back from a trace shard: the record plus the pid

@@ -39,7 +39,7 @@ std::string fmt_time(double s) {
 }
 
 /// Long-form labels come from the cell taxonomy directly; the paper's
-/// Figure-2 cell markers (CE/RE/TO/XX) render via runtime::marker.
+/// Figure-2 cell markers (CE/RE/XX) render via runtime::marker.
 std::string status_label(runtime::CellStatus st) {
   return runtime::to_string(st);
 }

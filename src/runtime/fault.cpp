@@ -1,7 +1,8 @@
 #include "runtime/fault.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
+#include <string_view>
 
 #include "runtime/harness.hpp"
 
@@ -17,83 +18,41 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
+/// Salt so a crash schedule never correlates with measurement noise
+/// drawn from the same cell stream.
+constexpr std::uint64_t kSalt = 0xFA017ULL;
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::None: return "none";
-    case FaultKind::Compile: return "compile";
-    case FaultKind::Runtime: return "runtime";
-    case FaultKind::Hang: return "hang";
-    case FaultKind::Crash: return "crash";
-  }
-  return "?";
-}
+}  // namespace
 
 double hash_u01(std::uint64_t h) {
   // 53 mantissa bits -> [0, 1).
   return static_cast<double>(mix(h) >> 11) * 0x1.0p-53;
 }
 
-FaultKind FaultPlan::decide(std::uint64_t seed, const std::string& benchmark,
-                            const std::string& compiler, int attempt) const {
-  if (!enabled()) return FaultKind::None;
+bool FaultPlan::crashes(std::uint64_t seed, const std::string& benchmark,
+                        const std::string& compiler, int attempt) const {
+  if (!enabled()) return false;
   const std::uint64_t stream = cell_stream(benchmark, compiler);
-  const double u = hash_u01(mix(seed ^ salt) ^ stream ^
-                            (0xA77E0000ULL + static_cast<std::uint64_t>(attempt)));
-  if (u < compile) return FaultKind::Compile;
-  if (u < compile + runtime) return FaultKind::Runtime;
-  if (u < compile + runtime + hang) return FaultKind::Hang;
-  if (u < compile + runtime + hang + crash) return FaultKind::Crash;
-  return FaultKind::None;
+  return hash_u01(mix(seed ^ kSalt) ^ stream ^
+                  (0xA77E0000ULL + static_cast<std::uint64_t>(attempt))) <
+         crash;
 }
 
 std::optional<FaultPlan> FaultPlan::parse(const std::string& text) {
-  FaultPlan plan;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string item =
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    const std::string key = item.substr(0, colon);
-    const std::string val = item.substr(colon + 1);
-    char* end = nullptr;
-    const double rate = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0' || !(rate >= 0.0 && rate <= 1.0))
-      return std::nullopt;
-    if (key == "compile") plan.compile = rate;
-    else if (key == "runtime") plan.runtime = rate;
-    else if (key == "hang") plan.hang = rate;
-    else if (key == "crash") plan.crash = rate;
-    else return std::nullopt;
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (plan.compile + plan.runtime + plan.hang + plan.crash > 1.0)
+  constexpr std::string_view kKey = "crash:";
+  if (text.rfind(kKey, 0) != 0) return std::nullopt;
+  const char* val = text.c_str() + kKey.size();
+  char* end = nullptr;
+  const double rate = std::strtod(val, &end);
+  if (end == val || *end != '\0' || !(rate >= 0.0 && rate <= 1.0))
     return std::nullopt;
-  return plan;
+  return FaultPlan{.crash = rate};
 }
 
 std::string FaultPlan::spec() const {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "compile:%g,runtime:%g,hang:%g,crash:%g",
-                compile, runtime, hang, crash);
-  return buf;
-}
-
-void RunContext::checkpoint() const {
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    throw CellError(CellStatus::Timeout, "cell cancelled");
-  }
-  if (deadline_seconds > 0 && elapsed_seconds() > deadline_seconds) {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "deadline of %gs exceeded (attempt %d)",
-                  deadline_seconds, attempt);
-    throw CellError(CellStatus::Timeout, buf);
-  }
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, crash).ptr;
+  return "crash:" + std::string(buf, end);
 }
 
 }  // namespace a64fxcc::runtime

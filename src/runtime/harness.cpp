@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 
 #include "cache/fingerprint.hpp"
 #include "obs/trace.hpp"
@@ -207,7 +206,7 @@ namespace {
 
 /// Exception-safe wall-clock accumulator for one harness phase: adds
 /// the elapsed time to `*acc` (when non-null) even when the phase exits
-/// by throwing (injected faults, deadline checkpoints).  Diagnostics
+/// by throwing (an injected crash).  Diagnostics
 /// only — the accumulated value never reaches the performance model.
 class PhaseClock {
  public:
@@ -227,50 +226,20 @@ class PhaseClock {
       std::chrono::steady_clock::now();
 };
 
-/// Simulate an injected hang: spin in checkpoint-sized slices so the
-/// cell's deadline watchdog cancels it cooperatively.  Without a
-/// deadline the hang self-bounds (a simulated hang must never wedge a
-/// worker for real), still terminating in CellStatus::Timeout.
-void simulate_hang(const RunContext& ctx) {
-  constexpr double kUnboundedHangCap = 0.05;  // seconds
-  const double cap = ctx.deadline_seconds > 0 ? ctx.deadline_seconds + 0.5
-                                              : kUnboundedHangCap;
-  while (ctx.elapsed_seconds() < cap) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ctx.checkpoint();  // throws Timeout once the deadline passes
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof buf,
-                "injected hang aborted without a deadline (attempt %d)",
-                ctx.attempt);
-  throw CellError(CellStatus::Timeout, buf);
-}
-
 }  // namespace
 
 MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
                          const kernels::Benchmark& bench,
                          RunMetrics* metrics) const {
-  RunContext ctx;
-  return run(spec, bench, ctx, metrics);
+  return run(spec, bench, RunContext{}, metrics);
 }
 
 MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
-                         const kernels::Benchmark& bench, RunContext& ctx,
-                         RunMetrics* metrics) const {
-  ctx.arm();
+                         const kernels::Benchmark& bench,
+                         const RunContext& ctx, RunMetrics* metrics) const {
   MeasuredRun m;
   m.benchmark = bench.name();
   m.compiler = spec.name;
-
-  if (ctx.injected == FaultKind::Compile) {
-    m.status = CellStatus::CompileError;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "injected compile fault (attempt %d)",
-                  ctx.attempt);
-    m.diagnostic = buf;
-    return m;
-  }
 
   // ---- compile phase (plus the reference compile, below) ----
   std::shared_ptr<const compilers::CompileOutcome> out;
@@ -331,7 +300,6 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
                                               : nullptr);
     double best_trial = std::numeric_limits<double>::infinity();
     for (std::size_t pi = 0; pi < placements.size(); ++pi) {
-      ctx.checkpoint();  // cooperative cancellation per exploration point
       const double t = time_of(cell, placements[pi], metrics);
       for (int trial = 0; trial < 3; ++trial) {
         const double sample =
@@ -356,30 +324,15 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
     const PhaseClock clock(metrics != nullptr ? &metrics->measure_seconds
                                               : nullptr);
     for (int r = 0; r < 10; ++r) {
-      ctx.checkpoint();  // cooperative cancellation per performance run
-      if (r == 4) {
-        // Injected faults strike mid-phase so the recovery path
-        // exercises a partially-evaluated cell, the worst case for
-        // isolation.
-        if (ctx.injected == FaultKind::Runtime) {
-          char buf[80];
-          std::snprintf(
-              buf, sizeof buf,
-              "injected runtime fault at performance run %d (attempt %d)",
-              r + 1, ctx.attempt);
-          throw CellError(CellStatus::RuntimeError, buf);
-        }
-        if (ctx.injected == FaultKind::Hang) simulate_hang(ctx);
-        // In-process fallback for a crash fault the caller did not turn
-        // into a real _exit (no distrib worker around the harness): a
-        // classified crash, deterministic like every other injection.
-        if (ctx.injected == FaultKind::Crash) {
-          char buf[80];
-          std::snprintf(buf, sizeof buf,
-                        "injected crash fault at performance run %d (attempt %d)",
-                        r + 1, ctx.attempt);
-          throw CellError(CellStatus::Crashed, buf);
-        }
+      // An injected crash strikes mid-phase, so the recovery path sees a
+      // partially evaluated cell, the worst case for isolation.  Here it
+      // is classified; a distrib worker dies before evaluating instead.
+      if (r == 4 && ctx.crash) {
+        char buf[80];
+        std::snprintf(buf, sizeof buf,
+                      "injected crash fault at performance run %d (attempt %d)",
+                      r + 1, ctx.attempt);
+        throw CellError(CellStatus::Crashed, buf);
       }
       samples.push_back(
           noisy(t_model, bench.traits.noise_cv, base ^ (0xABCD0000ULL + r)));

@@ -65,8 +65,8 @@ struct Placement {
   friend bool operator==(const Placement&, const Placement&) = default;
 };
 
-/// Map a compile-stage status onto the cell taxonomy (Timeout/Crashed
-/// can only originate in the execution layer).
+/// Map a compile-stage status onto the cell taxonomy (Crashed can only
+/// originate in the execution layer).
 [[nodiscard]] constexpr CellStatus cell_status(
     compilers::CompileOutcome::Status st) noexcept {
   switch (st) {
@@ -83,8 +83,8 @@ struct MeasuredRun {
   std::string benchmark;
   std::string compiler;
   CellStatus status = CellStatus::Ok;
-  /// Structured failure detail (quirk citation, injected-fault tag,
-  /// deadline message, exception text); empty for valid cells.
+  /// Structured failure detail (quirk citation, injected-crash tag,
+  /// exception text); empty for valid cells.
   std::string diagnostic;
   double best_seconds = std::numeric_limits<double>::infinity();
   double median_seconds = std::numeric_limits<double>::infinity();
@@ -95,8 +95,8 @@ struct MeasuredRun {
   double mem_gbs = 0;
   /// Compact pass-decision provenance of the compile that produced this
   /// cell ("interchange+,tile-,..." — compilers::decision_summary).
-  /// Deterministic and journaled; empty for cells that never compiled
-  /// (injected compile faults, restored pre-provenance journal lines).
+  /// Deterministic and journaled; empty for cells whose evaluation threw
+  /// (an injected crash) and for restored pre-provenance journal lines.
   std::string decisions;
 
   [[nodiscard]] bool valid() const noexcept {
@@ -132,17 +132,15 @@ class Harness {
                                 const kernels::Benchmark& bench,
                                 RunMetrics* metrics = nullptr) const;
 
-  /// Same methodology under an execution policy: `ctx` selects the
-  /// injected fault for this attempt (if any), carries the wall-clock
-  /// deadline, and is checkpointed at every exploration/performance
-  /// iteration (cooperative cancellation).  Throws CellError for
-  /// classified failures (injected runtime faults, deadline/cancel);
-  /// injected compile faults and quirk failures return a MeasuredRun
-  /// with the corresponding status + diagnostic.  With a default ctx
-  /// this is bit-identical to run() above.
+  /// Same methodology for one attempt: `ctx` says whether the attempt
+  /// crashes and carries its index and tracer.  Throws
+  /// CellError(Crashed) at performance run 5 of a crashing attempt;
+  /// quirk failures return a MeasuredRun with the corresponding status
+  /// + diagnostic.  With a default ctx this is bit-identical to run()
+  /// above.
   [[nodiscard]] MeasuredRun run(const compilers::CompilerSpec& spec,
                                 const kernels::Benchmark& bench,
-                                RunContext& ctx,
+                                const RunContext& ctx,
                                 RunMetrics* metrics = nullptr) const;
 
   /// Placement candidates for a benchmark under this machine's topology

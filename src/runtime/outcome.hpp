@@ -9,20 +9,19 @@
 //   Ok            valid measurement
 //   CompileError  the compiler model rejected the kernel (paper: "CE")
 //   RuntimeError  the produced executable fails at run time (paper: "RE")
-//   Timeout       the cell exceeded its wall-clock deadline ("TO")
-//   Crashed       the evaluation itself threw an unexpected exception
-//                 ("XX"; beyond the paper — the study-survives guarantee)
+//   Crashed       the evaluation crashed: an injected crash, or an
+//                 unexpected exception ("XX"; beyond the paper — the
+//                 study-survives guarantee)
 //
 // The first three mirror compilers::CompileOutcome::Status (the quirk DB
-// maps paper-documented bugs onto them); Timeout and Crashed can only be
-// produced by the execution layer.  This header is dependency-free so
+// maps paper-documented bugs onto them); Crashed can only be produced by
+// the execution layer.  This header is dependency-free so
 // the exec event layer can name statuses, and carry a cell's RunMetrics,
 // without linking runtime.
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace a64fxcc::runtime {
 
@@ -30,7 +29,6 @@ enum class CellStatus : std::uint8_t {
   Ok,
   CompileError,
   RuntimeError,
-  Timeout,
   Crashed,
 };
 
@@ -41,7 +39,6 @@ enum class CellStatus : std::uint8_t {
     case CellStatus::Ok: return "ok";
     case CellStatus::CompileError: return "compiler error";
     case CellStatus::RuntimeError: return "runtime error";
-    case CellStatus::Timeout: return "timeout";
     case CellStatus::Crashed: return "crash";
   }
   return "?";
@@ -53,7 +50,6 @@ enum class CellStatus : std::uint8_t {
     case CellStatus::Ok: return "ok";
     case CellStatus::CompileError: return "CE";
     case CellStatus::RuntimeError: return "RE";
-    case CellStatus::Timeout: return "TO";
     case CellStatus::Crashed: return "XX";
   }
   return "?";
@@ -63,8 +59,10 @@ enum class CellStatus : std::uint8_t {
 /// per status (merged metrics, `obs report`) iterate this instead of
 /// hand-listing the enum, so a new status cannot be silently dropped.
 inline constexpr CellStatus kAllStatuses[] = {
-    CellStatus::Ok,   CellStatus::CompileError, CellStatus::RuntimeError,
-    CellStatus::Timeout, CellStatus::Crashed,
+    CellStatus::Ok,
+    CellStatus::CompileError,
+    CellStatus::RuntimeError,
+    CellStatus::Crashed,
 };
 
 /// Parse a long-form label back into a status (journal decode).
@@ -79,9 +77,8 @@ inline constexpr CellStatus kAllStatuses[] = {
   return false;
 }
 
-/// What evaluating one cell cost, accumulated across its retry attempts:
-/// cache traffic (filled by the harness's cached paths), per-phase
-/// wall-clock and the backoff chosen before each retry.  The one per-cell
+/// What evaluating one cell cost: cache traffic (filled by the
+/// harness's cached paths) and per-phase wall-clock.  The one per-cell
 /// telemetry record: the study's terminal event carries it to the
 /// metrics sink, and a `--procs` worker writes it to its metrics shard;
 /// obs::Registry::add_cell folds it into counters and histograms on both
@@ -102,15 +99,12 @@ struct RunMetrics {
   double compile_seconds = 0;  ///< compile + reference compile
   double explore_seconds = 0;  ///< placement exploration trials
   double measure_seconds = 0;  ///< 10-run performance phase
-  /// Backoff chosen before each retry, in attempt order (empty when the
-  /// first try landed).
-  std::vector<double> backoffs;
 };
 
-/// Classified cell failure: thrown inside a cell evaluation (injected
-/// faults, deadline checkpoints) and caught at the study layer, which
-/// records it as the cell's terminal outcome instead of aborting the
-/// batch.
+/// Classified cell failure: thrown inside a cell evaluation (an injected
+/// crash, a machine with no feasible placement) and caught at the study
+/// layer, which records it as the cell's terminal outcome instead of
+/// aborting the batch.
 class CellError : public std::runtime_error {
  public:
   CellError(CellStatus status, const std::string& msg)

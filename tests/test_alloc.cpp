@@ -1,7 +1,8 @@
 // Heap allocations per layer of a cold paper-scale study: the whole
 // study, its 540 compiles and its 356 distinct plans, plus the durable
 // logs' line codec over that study's 540 journal lines and 1,080 lease
-// lines (what a `--procs` run writes and reads back).  This binary
+// lines (what a `--procs` run writes and reads back), and a worker's
+// shard journal recording those 540 entries row by row.  This binary
 // replaces the global operator new with a counter over std::malloc and
 // counts only inside count_allocs() windows, so nothing in the library
 // becomes a knob.  Each budget sits at most 10% above the count of the
@@ -16,6 +17,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <span>
+#include <string>
 #include <cstdlib>
 #include <new>
 #include <set>
@@ -102,7 +105,7 @@ TEST(Allocations, ColdPaperStudy) {
   const Count c = count_allocs("seed-42 paper-scale study, jobs=1",
                                [&] { table = study.run_suite(suite); });
   EXPECT_EQ(table.rows.size(), suite.size());
-  EXPECT_LE(c.allocs, 206'000u);
+  EXPECT_LE(c.allocs, 205'900u);
 }
 
 TEST(Allocations, PaperCompiles) {
@@ -204,6 +207,26 @@ TEST(Allocations, JournalDecode) {
   });
   EXPECT_EQ(decoded, 540u);
   EXPECT_LE(c.allocs, 594u);
+}
+
+TEST(Allocations, JournalRecord) {
+  // What a `--procs` worker's shard journal does with the table: one
+  // record() per benchmark row of five entries, into an open file.
+  const PaperLines& l = paper_lines();
+  const std::string path = testing::TempDir() + "a64fxcc_alloc_record.jsonl";
+  std::remove(path.c_str());
+  core::Journal shard;
+  ASSERT_TRUE(shard.open(path));
+  const std::span<const core::JournalEntry> all(l.entries);
+  const Count c = count_allocs("540 entries recorded as 108 rows", [&] {
+    for (std::size_t i = 0; i < all.size(); i += 5)
+      shard.record(all.subspan(i, 5));
+  });
+  shard.close();
+  core::Journal back;
+  EXPECT_EQ(back.load(path), 540u);
+  std::remove(path.c_str());
+  EXPECT_LE(c.allocs, 1'000u);
 }
 
 TEST(Allocations, LeaseDecode) {

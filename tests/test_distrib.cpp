@@ -142,7 +142,7 @@ TEST(LeaseQueue, ExpiredLeasesAreReGrantedWithBumpedGeneration) {
   ASSERT_TRUE(q.open());
   // A lease that expires immediately is claimable by someone else, at
   // the next generation — the re-leased cell sees the next
-  // deterministic fault decision, like an in-process retry.
+  // deterministic crash decision.
   ASSERT_EQ(q.acquire(111, -1.0, 2).size(), 2u);
   EXPECT_EQ(q.expired_leases(distrib::LeaseQueue::now()).size(), 2u);
   const auto again = q.acquire(222, 60.0, 2);
@@ -650,27 +650,42 @@ TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
 }
 
 TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
-  // A resume pass re-evaluates the first pass's failed cells at the next
-  // lease generation, where the injected runtime faults decide anew, so
-  // many now succeed.  Its shards must sort after the first pass's:
-  // the merge keeps the last line for a key in file order, and a new
-  // valid line must never lose to its stale failure.
+  // A first pass where every generation crashes: the workers die until
+  // the respawn budget is spent, and the inline drain records every
+  // remaining cell as XX.  A resume pass without faults re-evaluates
+  // all of them.  Its shards must sort after the first pass's: the
+  // merge keeps the last line for a key in file order, and a new valid
+  // line must never lose to its stale failure.
   const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
   auto base = small_options();
   base.seed = 7;
-  base.faults.runtime = 0.3;
-  std::string procs2_csv;
+  const std::string clean_csv =
+      report::render_csv(clean_single_process(base, suite));
   for (const int procs : {2, 3, 4}) {
     const std::string dir = fresh_dir("stale_p" + std::to_string(procs));
     report::Table resumed;
     for (int pass = 0; pass < 2; ++pass) {
       distrib::SupervisorOptions sopt;
       sopt.study = base;
+      sopt.study.faults.crash = pass == 0 ? 1.0 : 0.0;
       sopt.procs = procs;
       sopt.shard_dir = dir;
       distrib::Supervisor sup(std::move(sopt));
       resumed = sup.run_suite(suite);
-      if (pass == 1) {
+      if (pass == 0) {
+        EXPECT_TRUE(sup.stats().degraded) << "procs=" << procs;
+        EXPECT_GT(sup.stats().inline_cells, 0u) << "procs=" << procs;
+        // Every cell failed: quirk failures as before, the rest as XX.
+        std::size_t failed = 0;
+        std::size_t crashed = 0;
+        for (const auto& row : resumed.rows)
+          for (const auto& cell : row.cells) {
+            failed += !cell.valid();
+            crashed += cell.status == runtime::CellStatus::Crashed;
+          }
+        EXPECT_EQ(failed, suite.size() * 5) << "procs=" << procs;
+        EXPECT_GT(crashed, 0u) << "procs=" << procs;
+      } else {
         EXPECT_GT(sup.stats().reopened_cells, 0u);
       }
     }
@@ -690,12 +705,7 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
             has_valid_line.count(cell.benchmark + "/" + cell.compiler) > 0)
           ++stale;
     EXPECT_EQ(stale, 0u) << "procs=" << procs;
-    const std::string csv = report::render_csv(resumed);
-    if (procs == 2) {
-      procs2_csv = csv;
-    } else {
-      EXPECT_EQ(csv, procs2_csv) << "procs=" << procs;
-    }
+    EXPECT_EQ(report::render_csv(resumed), clean_csv) << "procs=" << procs;
   }
 }
 
@@ -938,55 +948,41 @@ TEST(Telemetry, MergedCountersMatchTheSingleProcessRunAcrossProcs) {
   // the same histograms with the same sample counts, no matter how the
   // cells were partitioned.  Workers lease whole benchmark rows, so each
   // row's cells share one process's per-benchmark caches exactly as
-  // they do in the single-process run.  The second pass retries
-  // injected runtime faults, so `retries` and `backoff_seconds` cross
-  // both paths too.  This is also the regression test for the old bug
-  // where --metrics under --procs silently reported the near-empty
-  // parent registry.
+  // they do in the single-process run.  This is also the regression
+  // test for the old bug where --metrics under --procs silently
+  // reported the near-empty parent registry.
   const auto suite = small_suite();
   const std::size_t cells = suite.size() * 5;
-  auto retrying = small_options();
-  retrying.faults.runtime = 0.3;
-  retrying.max_retries = 2;
-  retrying.retry_backoff_seconds = 1e-4;
-  for (const auto& base : {small_options(), retrying}) {
-    const bool retries = base.max_retries > 0;
-    const auto ref = single_process_registry(base, suite);
-    auto one = base;
-    one.jobs = 1;
-    const std::string ref_csv =
-        report::render_csv(core::Study(std::move(one)).run_suite(suite));
-    ASSERT_EQ(ref.counter("jobs_started"), cells);
-    ASSERT_EQ(ref.histograms.count("cell_wall_seconds"), 1u);
-    if (retries) {
-      ASSERT_GT(ref.counter("retries"), 0u);
-      ASSERT_EQ(ref.histograms.count("backoff_seconds"), 1u);
-    }
-    for (const int procs : {1, 2, 4}) {
-      const std::string run = "procs=" + std::to_string(procs) +
-                              (retries ? " with retries" : "");
-      obs::Tracer tracer;
-      distrib::SupervisorOptions sopt;
-      sopt.study = base;
-      sopt.study.tracer = &tracer;
-      sopt.telemetry = true;
-      sopt.procs = procs;
-      sopt.shard_dir = fresh_dir("telemetry_p" + std::to_string(procs) +
-                                 (retries ? "_retries" : ""));
-      distrib::Supervisor sup(std::move(sopt));
-      const auto t = sup.run_suite(suite);
-      EXPECT_EQ(report::render_csv(t), ref_csv) << run;
+  const auto base = small_options();
+  const auto ref = single_process_registry(base, suite);
+  auto one = base;
+  one.jobs = 1;
+  const std::string ref_csv =
+      report::render_csv(core::Study(std::move(one)).run_suite(suite));
+  ASSERT_EQ(ref.counter("jobs_started"), cells);
+  ASSERT_EQ(ref.histograms.count("cell_wall_seconds"), 1u);
+  for (const int procs : {1, 2, 4}) {
+    const std::string run = "procs=" + std::to_string(procs);
+    obs::Tracer tracer;
+    distrib::SupervisorOptions sopt;
+    sopt.study = base;
+    sopt.study.tracer = &tracer;
+    sopt.telemetry = true;
+    sopt.procs = procs;
+    sopt.shard_dir = fresh_dir("telemetry_p" + std::to_string(procs));
+    distrib::Supervisor sup(std::move(sopt));
+    const auto t = sup.run_suite(suite);
+    EXPECT_EQ(report::render_csv(t), ref_csv) << run;
 
-      obs::Aggregator agg;
-      ASSERT_TRUE(sup.load_telemetry(agg));
-      EXPECT_GE(agg.stats().metrics_shards, 1u) << "no metrics shards written";
-      EXPECT_GE(agg.stats().trace_shards, 1u) << "no trace shards written";
-      EXPECT_GT(agg.stats().spans, 0u);
-      EXPECT_EQ(agg.stats().cells, cells);
-      const auto merged = agg.merged_registry();
-      EXPECT_EQ(merged.counters, ref.counters) << run;
-      EXPECT_EQ(histogram_counts(merged), histogram_counts(ref)) << run;
-    }
+    obs::Aggregator agg;
+    ASSERT_TRUE(sup.load_telemetry(agg));
+    EXPECT_GE(agg.stats().metrics_shards, 1u) << "no metrics shards written";
+    EXPECT_GE(agg.stats().trace_shards, 1u) << "no trace shards written";
+    EXPECT_GT(agg.stats().spans, 0u);
+    EXPECT_EQ(agg.stats().cells, cells);
+    const auto merged = agg.merged_registry();
+    EXPECT_EQ(merged.counters, ref.counters) << run;
+    EXPECT_EQ(histogram_counts(merged), histogram_counts(ref)) << run;
   }
 }
 
@@ -1061,7 +1057,7 @@ TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
   EXPECT_EQ(merged.counter("jobs_started"), cells);
   for (const char* name :
        {"jobs_started", "cells_ok", "cells_compile_error",
-        "cells_runtime_error", "cells_timeout", "cells_crashed"})
+        "cells_runtime_error", "cells_crashed"})
     EXPECT_EQ(merged.counter(name), ref.counter(name)) << name;
   for (const char* cache : {"compile", "plan", "estimate", "analysis"}) {
     const std::string hits = std::string(cache) + "_cache_hits";

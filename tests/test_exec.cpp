@@ -334,7 +334,6 @@ TEST(Events, ToStringCoversEveryKind) {
   EXPECT_STREQ(to_string(EventKind::JobStarted), "job-started");
   EXPECT_STREQ(to_string(EventKind::JobFinished), "job-finished");
   EXPECT_STREQ(to_string(EventKind::JobFailed), "job-failed");
-  EXPECT_STREQ(to_string(EventKind::JobRetried), "job-retried");
   EXPECT_STREQ(to_string(EventKind::WorkerSpawned), "worker-spawned");
   EXPECT_STREQ(to_string(EventKind::WorkerExited), "worker-exited");
   EXPECT_STREQ(to_string(EventKind::WorkerRespawned), "worker-respawned");
@@ -395,8 +394,9 @@ TEST(Events, TerminalEventsCarryEveryPhase) {
 }
 
 TEST(Events, StreamSinkIsThreadSafeForFailureEvents) {
-  // Hammer a StreamSink with concurrent failure/retry events (into a
-  // scratch file): must not crash, race, or interleave torn lines.
+  // Hammer a StreamSink with concurrent failure, finish and worker
+  // lifecycle events (into a scratch file): must not crash, race, or
+  // interleave torn lines.
   std::FILE* devnull = std::fopen("/dev/null", "w");
   ASSERT_NE(devnull, nullptr);
   {
@@ -405,7 +405,7 @@ TEST(Events, StreamSinkIsThreadSafeForFailureEvents) {
     engine.run(256, [&](std::size_t j, int worker) {
       exec::Event e;
       e.kind = (j % 3 == 0) ? exec::EventKind::JobFailed
-               : (j % 3 == 1) ? exec::EventKind::JobRetried
+               : (j % 3 == 1) ? exec::EventKind::WorkerExited
                               : exec::EventKind::JobFinished;
       e.benchmark = "bench" + std::to_string(j);
       e.compiler = "CC";

@@ -221,8 +221,6 @@ TEST(Metrics, CountersMatchTableStatuses) {
             by_status[runtime::CellStatus::CompileError]);
   EXPECT_EQ(metrics.counter("cells_runtime_error"),
             by_status[runtime::CellStatus::RuntimeError]);
-  EXPECT_EQ(metrics.counter("cells_timeout"),
-            by_status[runtime::CellStatus::Timeout]);
   EXPECT_EQ(metrics.counter("cells_crashed"),
             by_status[runtime::CellStatus::Crashed]);
   EXPECT_EQ(metrics.counter("jobs_started"),
@@ -256,25 +254,31 @@ TEST(Metrics, ForwardsEventsToInnerSink) {
 }
 
 TEST(Metrics, RetriesAndFailuresAreCounted) {
+  // Injected crashes land in cells_crashed next to the quirk failures.
+  // A cell is evaluated once, so no retries counter exists.
   obs::MetricsSink metrics;
   core::StudyOptions opt;
-  opt.faults.runtime = 0.3;
-  opt.max_retries = 2;
-  opt.retry_backoff_seconds = 0;
+  opt.faults.crash = 0.3;
   opt.scale = 0.05;
   opt.sink = &metrics;
   const auto t = core::Study(std::move(opt))
                      .run_suite(kernels::microkernel_suite(0.05));
-  EXPECT_GT(metrics.counter("retries"), 0u);
   std::uint64_t failed = 0;
+  std::uint64_t crashed = 0;
   for (const auto& row : t.rows)
-    for (const auto& cell : row.cells)
+    for (const auto& cell : row.cells) {
       if (!cell.valid()) ++failed;
+      if (cell.status == runtime::CellStatus::Crashed) ++crashed;
+    }
+  EXPECT_GT(crashed, 0u);
+  EXPECT_EQ(metrics.counter("cells_crashed"), crashed);
   EXPECT_EQ(metrics.counter("cells_compile_error") +
                 metrics.counter("cells_runtime_error") +
-                metrics.counter("cells_timeout") +
                 metrics.counter("cells_crashed"),
             failed);
+  EXPECT_EQ(metrics.counter("jobs_started"),
+            t.rows.size() * t.compilers.size());
+  EXPECT_EQ(metrics.snapshot().counters.count("retries"), 0u);
 }
 
 TEST(Metrics, WriteMetricsCreatesFile) {
@@ -348,12 +352,13 @@ TEST(ObsDeterminism, TablesAreByteIdenticalWithObservabilityOn) {
 }
 
 TEST(ObsDeterminism, ByteIdenticalUnderFaultInjectionAndRetries) {
+  // Injected crashes throw out of the traced measure phase; the
+  // unwound spans and the crashed cells' events still don't perturb
+  // the table.
   const auto suite = kernels::microkernel_suite(0.05);
   core::StudyOptions bare;
   bare.jobs = 1;
-  bare.faults.runtime = 0.3;
-  bare.max_retries = 2;
-  bare.retry_backoff_seconds = 0;
+  bare.faults.crash = 0.3;
   const auto baseline = report::render_csv(run_suite_with(bare, suite));
   for (const int jobs : {2, 8}) {
     obs::Tracer tracer;
@@ -364,9 +369,8 @@ TEST(ObsDeterminism, ByteIdenticalUnderFaultInjectionAndRetries) {
     opt.tracer = &tracer;
     const auto observed = report::render_csv(run_suite_with(opt, suite));
     EXPECT_EQ(observed, baseline) << "jobs=" << jobs;
-    // Backoff spans only exist on the traced runs — and still don't
-    // perturb the table.
-    EXPECT_GT(metrics.counter("retries"), 0u);
+    EXPECT_GT(metrics.counter("cells_crashed"), 0u);
+    EXPECT_GT(tracer.size(), 0u);
   }
 }
 
@@ -524,7 +528,7 @@ TEST(Metrics, RegistryMergeSumsCountersAndRecomputesGauges) {
   b.counters["compile_cache_hits"] = 5;
   b.counters["cells_ok"] = 8;
   b.histograms["cell_wall_seconds"].add(0.75);
-  b.histograms["backoff_seconds"].add(0.1);
+  b.histograms["phase_compile_seconds"].add(0.1);
   a.merge(b);
   EXPECT_EQ(a.counter("jobs_started"), 8u);
   EXPECT_EQ(a.counter("compile_cache_hits"), 6u);
@@ -532,7 +536,7 @@ TEST(Metrics, RegistryMergeSumsCountersAndRecomputesGauges) {
   EXPECT_EQ(a.counter("cells_ok"), 8u);
   EXPECT_EQ(a.histograms["cell_wall_seconds"].count, 2u);
   EXPECT_DOUBLE_EQ(a.histograms["cell_wall_seconds"].sum, 1.0);
-  EXPECT_EQ(a.histograms["backoff_seconds"].count, 1u);
+  EXPECT_EQ(a.histograms["phase_compile_seconds"].count, 1u);
   const auto json_before = a.to_json();
   a.merge(obs::Registry{});  // empty merge is the identity
   EXPECT_EQ(a.to_json(), json_before);
@@ -557,7 +561,6 @@ obs::CellTelemetry sample_cell() {
   c.compiler = "FJtrad";
   c.status = runtime::CellStatus::Ok;
   c.gen = 1;
-  c.attempt = 3;
   c.pid = 4242;
   c.metrics.compile_cache_hits = 1;
   c.metrics.compile_cache_misses = 2;
@@ -572,7 +575,6 @@ obs::CellTelemetry sample_cell() {
   c.metrics.explore_seconds = 0.5;
   c.metrics.measure_seconds = 0.125;
   c.wall_seconds = 1.0;
-  c.metrics.backoffs = {0.0, 0.125};
   return c;
 }
 
@@ -586,8 +588,10 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(d->compiler, c.compiler);
   EXPECT_EQ(d->status, c.status);
   EXPECT_EQ(d->gen, c.gen);
-  EXPECT_EQ(d->attempt, c.attempt);
   EXPECT_EQ(d->pid, c.pid);
+  // One attempt per generation: the line still carries "attempt" (equal
+  // to gen), which readers of older builds require.
+  EXPECT_NE(line.find("\"gen\":1,\"attempt\":1,"), std::string::npos) << line;
   const runtime::RunMetrics& m = c.metrics;
   EXPECT_EQ(d->metrics.compile_cache_hits, m.compile_cache_hits);
   EXPECT_EQ(d->metrics.compile_cache_misses, m.compile_cache_misses);
@@ -603,9 +607,22 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_DOUBLE_EQ(d->metrics.explore_seconds, m.explore_seconds);
   EXPECT_DOUBLE_EQ(d->metrics.measure_seconds, m.measure_seconds);
   EXPECT_DOUBLE_EQ(d->wall_seconds, c.wall_seconds);
-  ASSERT_EQ(d->metrics.backoffs.size(), 2u);
-  EXPECT_DOUBLE_EQ(d->metrics.backoffs[1], 0.125);
-  EXPECT_EQ(d->retries(), 2u);  // attempt 3 counted from gen 1
+  EXPECT_EQ(line.find("backoffs"), std::string::npos);
+  // Shards written while cells retried carry an attempt past the
+  // generation and the backoffs before each retry; both are ignored,
+  // and the rest of the line decodes as before.
+  std::string retried = line;
+  const std::string attempt = "\"attempt\":1,";
+  retried.replace(retried.find(attempt), attempt.size(), "\"attempt\":3,");
+  retried.insert(retried.size() - 1, ",\"backoffs\":[0,0.125]");
+  const auto r = obs::decode_cell(retried);
+  ASSERT_TRUE(r.has_value()) << retried;
+  EXPECT_EQ(r->key, c.key);
+  EXPECT_EQ(r->gen, c.gen);
+  EXPECT_EQ(r->metrics.analysis_cache_invalidations,
+            m.analysis_cache_invalidations);
+  EXPECT_DOUBLE_EQ(r->wall_seconds, c.wall_seconds);
+  EXPECT_EQ(obs::encode_cell(*r), line);
   // Shards written while the placement search existed carry its fields;
   // they are ignored, and the rest of the line decodes as before.
   const std::string older =
@@ -616,7 +633,6 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(o->key, c.key);
   EXPECT_EQ(o->metrics.analysis_cache_invalidations,
             m.analysis_cache_invalidations);
-  EXPECT_EQ(o->metrics.backoffs, d->metrics.backoffs);
   // Likewise the batched estimate sweep's counters and config list, at
   // the position its encoder wrote them.
   std::string swept = line;
@@ -629,7 +645,6 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(w->metrics.analysis_cache_invalidations,
             m.analysis_cache_invalidations);
   EXPECT_DOUBLE_EQ(w->metrics.compile_seconds, m.compile_seconds);
-  EXPECT_EQ(w->metrics.backoffs, d->metrics.backoffs);
   // Shards written while the tier could evict carry an evictions count
   // after the invalidations counter; it is ignored too.
   std::string evicting = line;
@@ -642,7 +657,6 @@ TEST(Shard, CellRecordRoundTrips) {
   EXPECT_EQ(e->metrics.analysis_cache_invalidations,
             m.analysis_cache_invalidations);
   EXPECT_DOUBLE_EQ(e->metrics.compile_seconds, m.compile_seconds);
-  EXPECT_EQ(e->metrics.backoffs, d->metrics.backoffs);
   EXPECT_EQ(line.find("evictions"), std::string::npos);
 }
 
@@ -774,13 +788,11 @@ TEST(Aggregate, DedupesCellsLastWinsInSortedFilenameOrder) {
 
 TEST(Aggregate, MergedRegistryFoldsDedupedCells) {
   const auto dir = fresh_shard_dir("fold");
-  const auto a = sample_cell();  // ok, attempt 3 from gen 1 -> 2 retries
+  const auto a = sample_cell();  // ok, gen 1
   auto b = sample_cell();
   b.key = 0x2222;
   b.status = runtime::CellStatus::CompileError;
   b.gen = 0;
-  b.attempt = 0;
-  b.metrics.backoffs.clear();
   write_lines(dir + "/" + obs::metrics_shard_name(0),
               {obs::encode_cell(a), obs::encode_cell(b)});
   obs::Aggregator agg;
@@ -789,13 +801,11 @@ TEST(Aggregate, MergedRegistryFoldsDedupedCells) {
   EXPECT_EQ(reg.counter("jobs_started"), 2u);
   EXPECT_EQ(reg.counter("cells_ok"), 1u);
   EXPECT_EQ(reg.counter("cells_compile_error"), 1u);
-  EXPECT_EQ(reg.counter("retries"), 2u);
   EXPECT_EQ(reg.counter("compile_cache_hits"), 2u);
   EXPECT_EQ(reg.counter("analysis_cache_misses"), 16u);
   EXPECT_EQ(reg.counter("cells_crashed"), 0u);  // zero counters never created
   EXPECT_EQ(reg.counters.count("cells_crashed"), 0u);
   EXPECT_EQ(reg.histograms["cell_wall_seconds"].count, 2u);
-  EXPECT_EQ(reg.histograms["backoff_seconds"].count, 2u);  // a's backoffs
   EXPECT_EQ(reg.histograms["phase_compile_seconds"].count, 2u);
   // An explicitly added registry (the supervisor's own sink) merges in.
   obs::Registry extra;
@@ -860,11 +870,11 @@ TEST(Aggregate, MergedTraceNamesEveryProcessRow) {
 TEST(ObsReport, SummarizesMetricsAndRendersDiff) {
   obs::Registry base_reg;
   base_reg.counters["cells_ok"] = 10;
-  base_reg.counters["retries"] = 1;
+  base_reg.counters["cells_crashed"] = 1;
   base_reg.histograms["cell_wall_seconds"].add(1.0);
   obs::Registry cur_reg;
   cur_reg.counters["cells_ok"] = 10;
-  cur_reg.counters["retries"] = 4;
+  cur_reg.counters["cells_crashed"] = 4;
   cur_reg.histograms["cell_wall_seconds"].add(1.5);
   const auto base = write_and_load(base_reg, "a64fxcc_report_base.json");
   const auto cur = write_and_load(cur_reg, "a64fxcc_report_cur.json");
@@ -872,7 +882,7 @@ TEST(ObsReport, SummarizesMetricsAndRendersDiff) {
   EXPECT_NE(summary.find("cells_ok"), std::string::npos);
   EXPECT_NE(summary.find("cell_wall_seconds"), std::string::npos);
   const auto diff = obs::diff_reports(base, cur);
-  EXPECT_NE(diff.find("retries"), std::string::npos);  // +3 delta
+  EXPECT_NE(diff.find("cells_crashed"), std::string::npos);  // +3 delta
   EXPECT_NE(diff.find("(+50.0%)"), std::string::npos);  // 1.0s -> 1.5s
   std::string err;
   EXPECT_FALSE(obs::load_report_doc("/no/such/file.json", &err).has_value());

@@ -16,8 +16,10 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "cache/service.hpp"
 #include "codegen/codegen_c.hpp"
@@ -139,25 +141,18 @@ bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
   return true;
 }
 
-/// Fill the fault-tolerance knobs shared by `table` and `run`.  Returns
-/// false (after printing a diagnostic) on malformed flag values.  On
-/// success *journal is the storage opt.journal points to, when any of
-/// --resume/--journal asked for one.
+/// Fill the crash-injection and journal knobs shared by `table` and
+/// `run`.  Returns false (after printing a diagnostic) on malformed flag
+/// values.  On success *journal is the storage opt.journal points to,
+/// when any of --resume/--journal asked for one.
 bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
                         core::Journal& journal) {
-  if (!int_flag(argc, argv, "--retries=", &opt.max_retries) ||
-      !double_flag(argc, argv, "--deadline=", &opt.deadline_seconds))
-    return false;
-  if (opt.max_retries < 0 || opt.deadline_seconds < 0) {
-    std::fprintf(stderr, "--retries/--deadline must be non-negative\n");
-    return false;
-  }
   if (const char* v = arg_value(argc, argv, "--inject-faults=")) {
     const auto plan = runtime::FaultPlan::parse(v);
     if (!plan) {
       std::fprintf(stderr,
                    "malformed --inject-faults spec '%s' "
-                   "(expected e.g. compile:0.05,runtime:0.02,hang:0.01)\n",
+                   "(expected crash:P with P in [0,1])\n",
                    v);
       return false;
     }
@@ -283,7 +278,7 @@ bool flush_obs_distrib(ObsSetup& obs, const distrib::Supervisor& sup) {
 }
 
 /// One stderr line per failed cell after a study completes (the table
-/// itself shows only the short CE/RE/TO/XX markers).
+/// itself shows only the short CE/RE/XX markers).
 void report_failures(const report::Table& t) {
   std::size_t failed = 0;
   for (const auto& row : t.rows)
@@ -348,6 +343,28 @@ int cmd_list(const std::string& suite) {
   return 0;
 }
 
+/// Every flag `table` and `run` accept; an entry ending in '=' takes a
+/// value.
+constexpr std::string_view kStudyFlags[] = {
+    "--scale=", "--jobs=", "--csv", "--json", "--md", "--decisions",
+    "--procs=", "--shard-dir=", "--lease-deadline=", "--log-level=",
+    "--progress", "--trace=", "--metrics=", "--resume=", "--journal=",
+    "--inject-faults=", "--cache-stats",
+};
+
+/// False (after a diagnostic) when `table`/`run` got a flag outside
+/// kStudyFlags: a misspelled or retired flag must not run a study that
+/// silently ignores it.
+bool study_flags_known(int argc, char** argv) {
+  const char* const* args = argv;
+  const auto bad = core::args::unknown_flag(
+      std::span(args + 2, static_cast<std::size_t>(argc - 2)), kStudyFlags);
+  if (!bad) return true;
+  std::fprintf(stderr, "unknown flag '%.*s' (run a64fxcc for usage)\n",
+               static_cast<int>(bad->size()), bad->data());
+  return false;
+}
+
 /// The study behind `table` and `run`: parse the jobs, distrib,
 /// observability and policy flags, run `suite` in-process or under the
 /// multi-process supervisor, list failed cells on stderr, hand the
@@ -398,6 +415,7 @@ int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
 }
 
 int cmd_table(const std::string& suite, int argc, char** argv) {
+  if (!study_flags_known(argc, argv)) return 1;
   double scale = 0.25;
   if (!arg_scale(argc, argv, &scale)) return 1;
   const auto benches = suite_by_name(suite, scale);
@@ -423,6 +441,7 @@ int cmd_table(const std::string& suite, int argc, char** argv) {
 }
 
 int cmd_run(const std::string& name, int argc, char** argv) {
+  if (!study_flags_known(argc, argv)) return 1;
   double scale = 0.25;
   if (!arg_scale(argc, argv, &scale)) return 1;
   for (auto& b : kernels::all_benchmarks(scale)) {
@@ -616,9 +635,8 @@ void usage() {
       "                [--procs=N] [--shard-dir=DIR] [--lease-deadline=SECONDS]\n"
       "                [--log-level=quiet|progress|debug] [--progress]\n"
       "                [--trace=PATH] [--metrics=PATH]\n"
-      "                [--retries=N] [--deadline=SECONDS]\n"
       "                [--resume=PATH] [--journal=PATH]\n"
-      "                [--inject-faults=compile:P,runtime:P,hang:P,crash:P]\n"
+      "                [--inject-faults=crash:P]\n"
       "                [--cache-stats]\n"
       "                                   # --cache-stats prints the per-cache\n"
       "                                   # hit/miss/entries/bytes table of the\n"
@@ -639,6 +657,11 @@ void usage() {
       "                                   # --shard-dir resumes\n"
       "                                   # --resume restores completed cells\n"
       "                                   # from a journal and appends new ones\n"
+      "                                   # --inject-faults=crash:P crashes\n"
+      "                                   # each cell attempt with probability\n"
+      "                                   # P, deterministically (a --procs\n"
+      "                                   # worker really dies; in process the\n"
+      "                                   # cell reads XX)\n"
       "                                   # --trace = Chrome trace_event JSON,\n"
       "                                   # --metrics = counters/histograms JSON;\n"
       "                                   # both diagnostics-only (identical\n"
@@ -646,9 +669,10 @@ void usage() {
       "                                   # the artifacts merge every worker's\n"
       "                                   # telemetry shards plus the\n"
       "                                   # supervisor's lifecycle spans\n"
-      "  run <benchmark> [--scale=f] [--jobs=N] [--retries=N] [--deadline=s]\n"
+      "  run <benchmark> [--scale=f] [--jobs=N]\n"
       "                  [--procs=N] [--shard-dir=DIR] [--lease-deadline=s]\n"
-      "                  [--resume=PATH] [--journal=PATH] [--inject-faults=SPEC]\n"
+      "                  [--resume=PATH] [--journal=PATH]\n"
+      "                  [--inject-faults=crash:P]\n"
       "                  [--cache-stats]\n"
       "                  [--log-level=L] [--trace=PATH] [--metrics=PATH]\n"
       "  explain <benchmark> [compiler]\n"
