@@ -6,6 +6,19 @@
 
 namespace a64fxcc::distrib {
 
+std::vector<std::uint64_t> cell_keys(
+    const std::vector<kernels::Benchmark>& suite,
+    const core::StudyOptions& opt) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(suite.size() * opt.compilers.size());
+  for (const auto& bench : suite)
+    for (const auto& spec : opt.compilers)
+      keys.push_back(core::Journal::cell_key(opt.seed, spec,
+                                             bench.fingerprint(),
+                                             opt.apply_quirks));
+  return keys;
+}
+
 std::vector<std::string> Reducer::shard_files(const std::string& dir) {
   std::vector<std::string> out;
   std::error_code ec;
@@ -67,12 +80,12 @@ report::Table Reducer::assemble(core::Journal& j,
   for (const auto& spec : opt.compilers) names.push_back(spec.name);
   report::Table t = report::make_table(std::move(names), suite);
 
+  const std::vector<std::uint64_t> keys = cell_keys(suite, opt);
+  const std::size_t cols = opt.compilers.size();
   for (std::size_t r = 0; r < suite.size(); ++r) {
-    for (std::size_t c = 0; c < opt.compilers.size(); ++c) {
-      const std::uint64_t key = core::Journal::cell_key(
-          opt.seed, opt.compilers[c], suite[r].fingerprint(), opt.apply_quirks);
+    for (std::size_t c = 0; c < cols; ++c) {
       runtime::MeasuredRun& cell = t.rows[r].cells[c];
-      if (auto run = j.take(key)) {
+      if (auto run = j.take(keys[r * cols + c])) {
         cell = std::move(*run);
       } else {
         cell.benchmark = suite[r].name();

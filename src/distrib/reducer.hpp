@@ -37,6 +37,17 @@ struct ReduceStats {
   std::size_t missing = 0;     ///< table cells found in no shard
 };
 
+/// The study's cell keys (Journal::cell_key), row-major: one row per
+/// benchmark of `suite`, one column per compiler of `opt`.  The lease
+/// queue's cell universe and the order assemble reads cells in.
+[[nodiscard]] std::vector<std::uint64_t> cell_keys(
+    const std::vector<kernels::Benchmark>& suite,
+    const core::StudyOptions& opt);
+
+/// Name tag of the result shard a degraded supervisor drains inline
+/// (`shard-<k>-inline.jsonl`; a worker's is `shard-<k>.jsonl`).
+inline constexpr char kInlineShardTag[] = "-inline";
+
 /// One shard file as a load found it.
 struct LoadedShard {
   std::string path;

@@ -1,67 +1,43 @@
 #pragma once
-// Durable live status for multi-process studies.
+// Progress of a multi-process study, read from the files the study
+// already writes: its lease log (`<shard-dir>/leases.jsonl`), replayed
+// against the study's cell keys exactly as a resuming supervisor
+// replays it, and the names of its result shards.  Nothing is published
+// for this view, so it reads the same during a run, after it, and after
+// every process of the study was killed.
 //
-// The supervisor periodically publishes one JSON document,
-// `<shard-dir>/status.json`, via write-to-temp + atomic rename: readers
-// (`a64fxcc status --shard-dir=D`, dashboards, a watch loop) always see
-// a complete document, never a torn one, and the file survives the
-// supervisor being SIGKILLed — it simply stops updating, which is
-// itself the signal (`elapsed_seconds` freezes).
-//
-// Everything in the document is diagnostics-only supervisor state:
-// publishing can never change a table byte.
+// The lease log does not record the cell universe (records for unknown
+// keys are ignored), so the reader supplies the keys: distrib::cell_keys
+// of the suite and options the study ran with.
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace a64fxcc::distrib {
 
-inline constexpr int kStatusFormatVersion = 1;
-
-/// One worker's row in the roster (alive or already exited).
-struct WorkerStatus {
-  int spawn_index = 0;
-  int pid = 0;
-  std::string state;   ///< "alive" | "exited"
-  std::string detail;  ///< exit description once exited ("signal 9", ...)
-};
-
-/// The supervisor's view of one running (or finished) study.
+/// One study's queue progress as its files record it.
 struct StudyStatus {
-  std::string phase;  ///< "resume", "running", "inline-drain",
-                      ///< "draining", "done"
-  double elapsed_seconds = 0;   ///< since run_suite started
+  /// "done" when every cell is done, "running" while any lease is
+  /// unexpired, "stopped" otherwise (no process holds work: the study
+  /// was interrupted, or its leases expired with their owners).
+  std::string phase;
   std::size_t cells_total = 0;
   std::size_t cells_done = 0;
-  std::size_t cells_leased = 0;    ///< currently out on lease
-  std::size_t cells_resumed = 0;   ///< done before this run started
-  std::size_t cells_released = 0;  ///< leases reclaimed from the dead
-  int workers_spawned = 0;
-  int worker_respawns = 0;
-  int max_generation = 0;  ///< highest lease generation seen (attempts)
-  bool degraded = false;
-  /// Remaining / observed completion rate; < 0 when no rate yet.
-  double eta_seconds = -1;
-  std::vector<WorkerStatus> workers;
-
-  [[nodiscard]] std::size_t cells_remaining() const noexcept {
-    return cells_total > cells_done ? cells_total - cells_done : 0;
-  }
+  std::size_t cells_leased = 0;   ///< under an unexpired lease
+  std::vector<int> owners;        ///< their owner pids, ascending
+  std::size_t cells_expired = 0;  ///< leased past their deadline
+  int max_generation = 0;         ///< highest lease generation granted
+  std::size_t worker_shards = 0;
+  std::size_t inline_shards = 0;  ///< a degraded supervisor's inline drain
 };
 
-/// One-object JSON document (scalars first, then the workers array).
-[[nodiscard]] std::string encode_status(const StudyStatus& st);
-[[nodiscard]] std::optional<StudyStatus> decode_status(std::string_view doc);
-
-/// Publish atomically: write `<path>.tmp`, then rename over `path`.
-bool write_status(const StudyStatus& st, const std::string& path);
-
-/// Read back one published document (nullopt: unreadable/undecodable).
-[[nodiscard]] std::optional<StudyStatus> load_status(
-    const std::string& path);
+/// Replay `<dir>/leases.jsonl` against `keys` and count the result
+/// shards of `dir`.  nullopt when there is no lease log (none is
+/// created) or it cannot be opened.
+[[nodiscard]] std::optional<StudyStatus> read_status(
+    const std::string& dir, std::vector<std::uint64_t> keys);
 
 /// Human rendering for `a64fxcc status`.
 [[nodiscard]] std::string render_status(const StudyStatus& st);

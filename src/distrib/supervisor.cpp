@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/cell.hpp"
-#include "distrib/status.hpp"
 #include "exec/engine.hpp"
 #include "exec/events.hpp"
 #include "exec/process.hpp"
@@ -256,17 +255,9 @@ report::Table Supervisor::run_suite(
   std::filesystem::create_directories(opt_.shard_dir);
   const std::string lease_path = opt_.shard_dir + "/leases.jsonl";
 
-  // Row-major cell universe, same keys the resume journal uses.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(suite.size() * cols);
-  for (const auto& bench : suite)
-    for (const auto& spec : sopt.compilers)
-      keys.push_back(core::Journal::cell_key(sopt.seed, spec,
-                                             bench.fingerprint(),
-                                             sopt.apply_quirks));
-
   // Rows are benchmarks: a worker leases all of a row's compilers at
   // once, so its per-benchmark caches serve the whole row.
+  const std::vector<std::uint64_t> keys = cell_keys(suite, sopt);
   LeaseQueue queue(lease_path, keys, cols);
   if (!queue.open())
     throw std::runtime_error("distrib: cannot open work queue at " +
@@ -281,44 +272,6 @@ report::Table Supervisor::run_suite(
   obs::Tracer* const tracer = sopt.tracer;
   const std::chrono::steady_clock::time_point epoch =
       tracer != nullptr ? tracer->epoch() : std::chrono::steady_clock::now();
-
-  // Live status: throttled atomic-rename publications of status.json
-  // (see distrib/status.hpp).  done0/run_t0 anchor the ETA rate so
-  // resumed cells don't inflate it.
-  const std::string status_path = opt_.shard_dir + "/status.json";
-  const double run_t0 = LeaseQueue::now();
-  std::vector<WorkerStatus> roster;
-  std::size_t done0 = 0;
-  int max_gen = 0;
-  double last_status = -1e30;
-  const auto publish_status = [&](const char* phase, bool force) {
-    if (opt_.status_interval_seconds <= 0) return;
-    const double now = LeaseQueue::now();
-    if (!force && now - last_status < opt_.status_interval_seconds) return;
-    last_status = now;
-    StudyStatus st;
-    st.phase = phase;
-    st.elapsed_seconds = now - run_t0;
-    st.cells_total = keys.size();
-    st.cells_done = queue.done_count();
-    const auto leases = queue.active_leases();
-    st.cells_leased = leases.size();
-    for (const auto& l : leases) max_gen = std::max(max_gen, l.gen);
-    st.cells_resumed = stats_.resumed_cells;
-    st.cells_released = stats_.cells_released;
-    st.workers_spawned = stats_.workers_spawned;
-    st.worker_respawns = stats_.worker_respawns;
-    st.max_generation = max_gen;
-    st.degraded = stats_.degraded;
-    const double rate =
-        st.elapsed_seconds > 0.05 && st.cells_done > done0
-            ? static_cast<double>(st.cells_done - done0) / st.elapsed_seconds
-            : 0;
-    st.eta_seconds =
-        rate > 0 ? static_cast<double>(st.cells_remaining()) / rate : -1;
-    st.workers = roster;
-    (void)write_status(st, status_path);
-  };
 
   const auto emit_worker = [&](exec::EventKind kind, int spawn_index, int pid,
                                std::string detail) {
@@ -368,8 +321,6 @@ report::Table Supervisor::run_suite(
       }
     }
   }
-  done0 = queue.done_count();
-  publish_status("resume", false);  // the first publication always passes
 
   const core::StudyOptions wopt = worker_options(sopt);
   const int threads = sopt.jobs > 0 ? sopt.jobs : 1;
@@ -398,7 +349,6 @@ report::Table Supervisor::run_suite(
         });
     if (pid < 0) return false;
     live.push_back({idx, pid});
-    roster.push_back({idx, pid, "alive", ""});
     ++stats_.workers_spawned;
     emit_worker(exec::EventKind::WorkerSpawned, idx, pid, "");
     return true;
@@ -426,12 +376,12 @@ report::Table Supervisor::run_suite(
     core::Study study(iopt);
     const int idx = spawn_seq++;
     core::Journal shard;
-    if (!shard.open(opt_.shard_dir + "/" + shard_name(idx, "-inline")))
+    if (!shard.open(opt_.shard_dir + "/" + shard_name(idx, kInlineShardTag)))
       return;
     obs::ShardWriter metrics_out;
     if (opt_.telemetry) {
       (void)metrics_out.open(opt_.shard_dir + "/metrics-" +
-                             shard_name(idx, "-inline"));
+                             shard_name(idx, kInlineShardTag));
     }
     const int self = exec::current_pid();
     const RowSink out{shard, metrics_out, queue, self};
@@ -454,7 +404,6 @@ report::Table Supervisor::run_suite(
       stuck_rounds = 0;
       run_row(claims, suite, study.harness(), iopt, out);
       stats_.inline_cells += claims.size();
-      publish_status("inline-drain", false);
     }
     if (stats_.inline_cells > 0) stats_.degraded = true;
   };
@@ -479,12 +428,6 @@ report::Table Supervisor::run_suite(
       const auto reap_sp = obs::scoped(tracer, "sup:reap");
       emit_worker(exec::EventKind::WorkerExited, it->spawn_index, it->pid,
                   ex->describe());
-      for (auto& w : roster) {
-        if (w.pid == it->pid && w.state == "alive") {
-          w.state = "exited";
-          w.detail = ex->describe();
-        }
-      }
       const std::size_t released = queue.release_owner(it->pid);
       if (released > 0) {
         stats_.cells_released += released;
@@ -541,7 +484,6 @@ report::Table Supervisor::run_suite(
       inline_drain();
       break;
     }
-    publish_status("running", false);
     if (!acted && tracer != nullptr && !wait_span)
       wait_span = obs::scoped(tracer, "sup:lease-wait");
     nap();
@@ -552,14 +494,6 @@ report::Table Supervisor::run_suite(
   // straggler still double-evaluating a re-leased cell gets one lease
   // deadline of grace, then SIGKILL (its duplicate would have been
   // byte-identical anyway).
-  const auto roster_exited = [&](int pid, const std::string& detail) {
-    for (auto& w : roster) {
-      if (w.pid == pid && w.state == "alive") {
-        w.state = "exited";
-        w.detail = detail;
-      }
-    }
-  };
   const double reap_deadline =
       LeaseQueue::now() + opt_.lease_deadline_seconds + 1.0;
   while (!live.empty()) {
@@ -567,7 +501,6 @@ report::Table Supervisor::run_suite(
       if (const auto ex = exec::try_reap(it->pid)) {
         emit_worker(exec::EventKind::WorkerExited, it->spawn_index, it->pid,
                     ex->describe());
-        roster_exited(it->pid, ex->describe());
         it = live.erase(it);
       } else {
         ++it;
@@ -580,28 +513,22 @@ report::Table Supervisor::run_suite(
         if (const auto ex = exec::reap(w.pid)) {
           emit_worker(exec::EventKind::WorkerExited, w.spawn_index, w.pid,
                       ex->describe());
-          roster_exited(w.pid, ex->describe());
         }
       }
       live.clear();
       break;
     }
-    publish_status("draining", false);
     nap();
   }
 
-  report::Table table = [&] {
-    const auto reduce_sp = obs::scoped(tracer, "sup:reduce");
-    if (Reducer::load_new_shards(opt_.shard_dir, outcomes, loaded,
-                                 &stats_.reduce))
-      return Reducer::assemble(outcomes, suite, sopt, &stats_.reduce);
-    // A shard loaded for the resume decision changed since (a worker of
-    // an interrupted earlier run still appending): merge afresh.
-    stats_.reduce = {};
-    return Reducer::merge(opt_.shard_dir, suite, sopt, &stats_.reduce);
-  }();
-  publish_status("done", true);
-  return table;
+  const auto reduce_sp = obs::scoped(tracer, "sup:reduce");
+  if (Reducer::load_new_shards(opt_.shard_dir, outcomes, loaded,
+                               &stats_.reduce))
+    return Reducer::assemble(outcomes, suite, sopt, &stats_.reduce);
+  // A shard loaded for the resume decision changed since (a worker of
+  // an interrupted earlier run still appending): merge afresh.
+  stats_.reduce = {};
+  return Reducer::merge(opt_.shard_dir, suite, sopt, &stats_.reduce);
 }
 
 report::Table Supervisor::run_all() {

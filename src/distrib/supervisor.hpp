@@ -19,7 +19,9 @@
 // releases their leases for re-lease, and respawns replacements after
 // a deterministic pause — degrading to an inline drain in the parent
 // when respawns keep dying.  A Reducer pass then merges the shards into
-// the canonical table.
+// the canonical table.  The lease log and the result shards record all
+// of a study's progress; `a64fxcc status` reads it back from them
+// (distrib/status.hpp).
 //
 // Determinism contract: every cell's measurement is a pure function of
 // (seed, benchmark, compiler) — the lease generation feeds only the
@@ -73,9 +75,6 @@ struct SupervisorOptions {
   /// `load_telemetry`.  Independently, the supervisor's own lifecycle
   /// spans (sup:*) record on `study.tracer` whenever one is set.
   bool telemetry = false;
-  /// Seconds between `<shard-dir>/status.json` publications (atomic
-  /// rename; see distrib/status.hpp).  <= 0 disables the status file.
-  double status_interval_seconds = 0.5;
 };
 
 struct SupervisorStats {

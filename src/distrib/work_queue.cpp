@@ -339,6 +339,13 @@ bool LeaseQueue::done(std::uint64_t key) const {
   return it != index_.end() && cells_[it->second].done;
 }
 
+int LeaseQueue::max_generation() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  int out = 0;
+  for (const CellState& st : cells_) out = std::max(out, st.gen - 1);
+  return out;
+}
+
 std::vector<LeaseInfo> LeaseQueue::active_leases() const {
   std::vector<LeaseInfo> out;
   const std::lock_guard<std::mutex> lock(mu_);

@@ -152,6 +152,8 @@ class LeaseQueue {
   [[nodiscard]] std::size_t done_count() const;
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
   [[nodiscard]] bool done(std::uint64_t key) const;
+  /// Highest generation granted to any cell (0 when none was leased).
+  [[nodiscard]] int max_generation() const;
 
   /// All current leases on not-done cells / the subset whose deadline
   /// passed `at`.

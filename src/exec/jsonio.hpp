@@ -2,8 +2,8 @@
 // Line-oriented JSON codec shared by every durable log and telemetry
 // writer in the tree: the resume journal (core/journal.cpp), the lease
 // queue op log (distrib/work_queue.cpp), the telemetry shards
-// (obs/shard.cpp), the live status file (distrib/status.cpp) and the
-// `obs report` parser.  One codec, one escaping convention:
+// (obs/shard.cpp) and the `obs report` parser.  One codec, one escaping
+// convention:
 //
 //   * writers emit one complete JSON object per line, strings escaped
 //     for '"' and '\\' only, doubles in the shortest text that reads

@@ -35,7 +35,6 @@ Machine a64fx() {
   m.omp_barrier_us = 1.0;
   m.omp_fork_us = 3.0;
   m.mpi_latency_us = 1.5;
-  m.mpi_bw_gbs = 6.8;
   return m;
 }
 
@@ -79,7 +78,6 @@ Machine thunderx2() {
   m.omp_barrier_us = 0.8;
   m.omp_fork_us = 2.5;
   m.mpi_latency_us = 1.2;
-  m.mpi_bw_gbs = 10.0;
   return m;
 }
 
@@ -115,7 +113,6 @@ Machine xeon_cascadelake() {
   m.omp_barrier_us = 0.6;
   m.omp_fork_us = 2.0;
   m.mpi_latency_us = 1.0;
-  m.mpi_bw_gbs = 12.0;
   return m;
 }
 

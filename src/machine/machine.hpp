@@ -68,7 +68,6 @@ struct Machine {
   double omp_barrier_us = 1.0;
   double omp_fork_us = 3.0;
   double mpi_latency_us = 1.5;
-  double mpi_bw_gbs = 6.8;  ///< TofuD per-link class
 
   [[nodiscard]] int total_cores() const noexcept {
     return domains * cores_per_domain;

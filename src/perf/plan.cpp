@@ -114,7 +114,6 @@ std::uint64_t plan_fingerprint(std::uint64_t kernel_fp, const Machine& m) {
   h.add(m.omp_barrier_us);
   h.add(m.omp_fork_us);
   h.add(m.mpi_latency_us);
-  h.add(m.mpi_bw_gbs);
   return h.h;
 }
 

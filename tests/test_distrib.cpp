@@ -453,7 +453,8 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
   sopt.study = base;
   sopt.procs = 2;
   sopt.max_respawns = 0;  // first crash exhausts the fleet budget
-  sopt.shard_dir = fresh_dir("degraded");
+  const std::string dir = fresh_dir("degraded");
+  sopt.shard_dir = dir;
   distrib::Supervisor sup(std::move(sopt));
   const auto t = sup.run_suite(suite);
   EXPECT_EQ(report::render_csv(t), clean_csv);
@@ -461,6 +462,11 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
   EXPECT_GT(sup.stats().inline_cells, 0u);
   EXPECT_EQ(sup.stats().worker_respawns, 0);
   EXPECT_EQ(sup.stats().reduce.missing, 0u);
+  // The inline drain's shard is what the status read shows of it.
+  const auto st = distrib::read_status(dir, distrib::cell_keys(suite, base));
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->phase, "done");
+  EXPECT_GE(st->inline_shards, 1u);
 }
 
 // ---- supervisor: real kill -9 ----------------------------------------------
@@ -749,6 +755,44 @@ TEST(Supervisor, ResumePassReducesAsAFreshMergeOfTheDirectory) {
   }
 }
 
+TEST(Supervisor, ShardDirHoldsOnlyTheLeaseLogAndShards) {
+  // The lease log and the shards are all a study writes: no status
+  // document or other side file, after a fresh pass and after a resume
+  // pass, with telemetry off and on.
+  const auto suite = small_suite();
+  for (const bool telemetry : {false, true}) {
+    const std::string dir = fresh_dir(telemetry ? "files_telemetry" : "files");
+    for (int pass = 0; pass < 2; ++pass) {
+      distrib::SupervisorOptions sopt;
+      sopt.study = small_options();
+      sopt.procs = 2;
+      sopt.shard_dir = dir;
+      sopt.telemetry = telemetry;
+      distrib::Supervisor sup(std::move(sopt));
+      (void)sup.run_suite(suite);
+      std::size_t shards = 0;
+      std::vector<std::string> other;
+      for (const auto& f : std::filesystem::directory_iterator(dir)) {
+        const std::string name = f.path().filename().string();
+        const bool jsonl = name.ends_with(".jsonl");
+        if (jsonl && name.starts_with("shard-")) {
+          ++shards;
+        } else if (name != "leases.jsonl" &&
+                   !(telemetry && jsonl &&
+                     (name.starts_with("trace-shard-") ||
+                      name.starts_with("metrics-shard-")))) {
+          other.push_back(name);
+        }
+      }
+      const std::string run = "telemetry=" + std::to_string(telemetry) +
+                              " pass " + std::to_string(pass);
+      EXPECT_GE(shards, 1u) << run;
+      EXPECT_TRUE(std::filesystem::exists(dir + "/leases.jsonl")) << run;
+      EXPECT_EQ(other, std::vector<std::string>{}) << run;
+    }
+  }
+}
+
 // ---- reducer ---------------------------------------------------------------
 
 TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
@@ -881,7 +925,7 @@ TEST(Reducer, ShardOutputMatchesSingleProcessJournal) {
   EXPECT_EQ(stats.missing, 0u);
 }
 
-// ---- telemetry: shards, aggregation, live status ---------------------------
+// ---- telemetry: shards and aggregation ------------------------------------
 
 /// The single-process reference registry for the invariance assertions:
 /// what one process observing every cell folds into its MetricsSink.
@@ -986,13 +1030,13 @@ TEST(Telemetry, MergedCountersMatchTheSingleProcessRunAcrossProcs) {
   }
 }
 
-TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
+TEST(Telemetry, Kill9RunMergesTraceAndCounters) {
   // The acceptance criterion end to end: a kill -9-recovered 4-process
   // run with telemetry yields (a) the byte-identical table, (b) one
   // merged trace whose spans come from several worker pids plus the
   // supervisor lifecycle row and satisfy the Chrome viewer invariants,
-  // and (c) merged deterministic counters equal to the single-process
-  // run's.
+  // (c) merged deterministic counters equal to the single-process
+  // run's, and (d) a lease log and shards that read back as done.
   const auto suite = kernels::all_benchmarks(0.05);  // 540 cells, 108 rows
   const auto base = small_options();
   const std::string clean_csv =
@@ -1009,7 +1053,6 @@ TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
   sopt.procs = 4;
   sopt.shard_dir = dir;
   sopt.lease_deadline_seconds = 20;
-  sopt.status_interval_seconds = 0.01;  // exercise frequent publication
   distrib::Supervisor sup(std::move(sopt));
   const auto t = sup.run_suite(suite);
   killer.stop();
@@ -1068,73 +1111,93 @@ TEST(Telemetry, Kill9RunMergesTraceAndCountersAndPublishesStatus) {
   }
   EXPECT_EQ(merged.histograms.at("cell_wall_seconds").count, cells);
 
-  // The status file survived the whole run and settled on "done".
-  const auto st = distrib::load_status(dir + "/status.json");
+  // The lease log and shards read back as a finished study: four
+  // workers plus at least one respawn, and the killed worker's row
+  // re-leased at the next generation.
+  const auto st = distrib::read_status(dir, distrib::cell_keys(suite, base));
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->phase, "done");
   EXPECT_EQ(st->cells_total, cells);
   EXPECT_EQ(st->cells_done, cells);
-  EXPECT_GE(st->workers_spawned, 4);
-  EXPECT_GE(st->cells_released, 1u);
-  for (const auto& w : st->workers) EXPECT_EQ(w.state, "exited");
+  EXPECT_GE(st->worker_shards, 5u);
+  EXPECT_GE(st->max_generation, 1);
   EXPECT_NE(distrib::render_status(*st).find("study done"),
             std::string::npos);
 }
 
-TEST(StudyStatus, CodecRoundTripsAndPublishesAtomically) {
-  distrib::StudyStatus st;
-  st.phase = "running";
-  st.elapsed_seconds = 12.5;
-  st.cells_total = 110;
-  st.cells_done = 42;
-  st.cells_leased = 8;
-  st.cells_resumed = 10;
-  st.cells_released = 3;
-  st.workers_spawned = 5;
-  st.worker_respawns = 1;
-  st.max_generation = 2;
-  st.degraded = true;
-  st.eta_seconds = 33.25;
-  st.workers.push_back({0, 1111, "alive", ""});
-  st.workers.push_back({1, 2222, "exited", "signal 9"});
-  const auto back = distrib::decode_status(distrib::encode_status(st));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->phase, "running");
-  EXPECT_NEAR(back->elapsed_seconds, 12.5, 1e-9);
-  EXPECT_EQ(back->cells_total, 110u);
-  EXPECT_EQ(back->cells_done, 42u);
-  EXPECT_EQ(back->cells_leased, 8u);
-  EXPECT_EQ(back->cells_resumed, 10u);
-  EXPECT_EQ(back->cells_released, 3u);
-  EXPECT_EQ(back->workers_spawned, 5);
-  EXPECT_EQ(back->worker_respawns, 1);
-  EXPECT_EQ(back->max_generation, 2);
-  EXPECT_TRUE(back->degraded);
-  EXPECT_NEAR(back->eta_seconds, 33.25, 1e-9);
-  EXPECT_EQ(back->cells_remaining(), 68u);
-  ASSERT_EQ(back->workers.size(), 2u);
-  EXPECT_EQ(back->workers[0].pid, 1111);
-  EXPECT_EQ(back->workers[0].state, "alive");
-  EXPECT_EQ(back->workers[1].detail, "signal 9");
-  EXPECT_FALSE(distrib::decode_status("").has_value());
-  EXPECT_FALSE(distrib::decode_status("{\"v\":9,\"phase\":\"done\"}")
-                   .has_value());  // future version
+// ---- study status read from the lease log and shards ----------------------
 
-  const std::string dir = fresh_dir("status_write");
+TEST(StudyStatus, ReadsTheLeaseLogAndShardNames) {
+  const std::string dir = fresh_dir("status_read");
+  const std::string log = dir + "/leases.jsonl";
+  const std::vector<std::uint64_t> keys = {11, 12, 13, 14};  // 2 rows of 2
+  const auto read = [&](const std::vector<std::uint64_t>& k) {
+    auto st = distrib::read_status(dir, k);
+    EXPECT_TRUE(st.has_value());
+    return st.value_or(distrib::StudyStatus{});
+  };
+  // No lease log: nothing to read, and reading creates nothing.
+  EXPECT_FALSE(distrib::read_status(dir, keys).has_value());
+  EXPECT_FALSE(std::filesystem::exists(dir));
   std::filesystem::create_directories(dir);
-  const std::string path = dir + "/status.json";
-  ASSERT_TRUE(distrib::write_status(st, path));
-  // Atomic publication: the temp file never survives a write.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  const auto loaded = distrib::load_status(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->phase, "running");
-  const auto text = distrib::render_status(*loaded);
-  EXPECT_NE(text.find("running"), std::string::npos);
-  EXPECT_NE(text.find("degraded"), std::string::npos);
-  EXPECT_NE(text.find("pid 2222"), std::string::npos);
-  EXPECT_NE(text.find("eta"), std::string::npos);
-  EXPECT_FALSE(distrib::load_status(dir + "/no-such.json").has_value());
+  EXPECT_FALSE(distrib::read_status(dir, keys).has_value());
+  EXPECT_FALSE(std::filesystem::exists(log));
+
+  distrib::LeaseQueue q(log, keys, 2);
+  ASSERT_TRUE(q.open());
+  // An unexpired lease: running, and the render names its owner.
+  ASSERT_EQ(q.acquire(4242, 60).size(), 2u);
+  auto st = read(keys);
+  EXPECT_EQ(st.phase, "running");
+  EXPECT_EQ(st.cells_total, 4u);
+  EXPECT_EQ(st.cells_done, 0u);
+  EXPECT_EQ(st.cells_leased, 2u);
+  EXPECT_EQ(st.owners, std::vector<int>{4242});
+  EXPECT_EQ(st.max_generation, 0);
+  EXPECT_NE(distrib::render_status(st).find("pids 4242"), std::string::npos);
+
+  // Its row done, the other leased past its deadline (an owner that
+  // died with the supervisor): stopped, with both cells expired.
+  ASSERT_TRUE(q.complete({11, 12}, 4242));
+  ASSERT_EQ(q.acquire(4343, -1).size(), 2u);
+  st = read(keys);
+  EXPECT_EQ(st.phase, "stopped");
+  EXPECT_EQ(st.cells_done, 2u);
+  EXPECT_EQ(st.cells_leased, 0u);
+  EXPECT_EQ(st.cells_expired, 2u);
+  EXPECT_TRUE(st.owners.empty());
+  EXPECT_NE(distrib::render_status(st).find("study stopped"),
+            std::string::npos);
+
+  // The expired row re-leased: the next generation.
+  ASSERT_EQ(q.acquire(4444, 60).size(), 2u);
+  st = read(keys);
+  EXPECT_EQ(st.phase, "running");
+  EXPECT_EQ(st.max_generation, 1);
+  EXPECT_EQ(st.cells_expired, 0u);
+  EXPECT_EQ(st.owners, std::vector<int>{4444});
+
+  // Every cell done; result shards counted by kind, telemetry shards not.
+  ASSERT_TRUE(q.complete({13, 14}, 4444));
+  for (const char* name :
+       {"shard-0000.jsonl", "shard-0001.jsonl", "shard-0002-inline.jsonl",
+        "trace-shard-0000.jsonl", "metrics-shard-0002-inline.jsonl"})
+    std::ofstream(dir + "/" + name).put('\n');
+  st = read(keys);
+  EXPECT_EQ(st.phase, "done");
+  EXPECT_EQ(st.cells_done, 4u);
+  EXPECT_EQ(st.max_generation, 1);
+  EXPECT_EQ(st.worker_shards, 2u);
+  EXPECT_EQ(st.inline_shards, 1u);
+  EXPECT_NE(distrib::render_status(st).find("study done — 4/4"),
+            std::string::npos);
+
+  // Another configuration's keys: the log records none of its cells.
+  st = read({21, 22, 23});
+  EXPECT_EQ(st.cells_total, 3u);
+  EXPECT_EQ(st.cells_done, 0u);
+  EXPECT_EQ(st.max_generation, 0);
+  EXPECT_EQ(st.phase, "stopped");
 }
 
 }  // namespace

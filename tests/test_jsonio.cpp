@@ -1,10 +1,10 @@
 // The durable logs' line codec (exec/jsonio.hpp) and the decoders built
-// on it: the resume journal, the lease log, the telemetry shards and the
-// status document.  Lines are read back from files other processes may
-// have torn mid-write, so every decoder must turn anything short of one
-// complete object into "absent", and every double must come back with
-// the bits it was written with — in this build's shortest spelling and
-// in the %.17g spelling of files written before it.
+// on it: the resume journal, the lease log and the telemetry shards.
+// Lines are read back from files other processes may have torn
+// mid-write, so every decoder must turn anything short of one complete
+// object into "absent", and every double must come back with the bits
+// it was written with — in this build's shortest spelling and in the
+// %.17g spelling of files written before it.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/journal.hpp"
-#include "distrib/status.hpp"
 #include "distrib/work_queue.hpp"
 #include "exec/jsonio.hpp"
 #include "obs/shard.hpp"
@@ -315,23 +314,6 @@ obs::Tracer::Record sample_span() {
   return r;
 }
 
-distrib::StudyStatus sample_status() {
-  distrib::StudyStatus st;
-  st.phase = "running";
-  st.elapsed_seconds = 12.5;
-  st.cells_total = 540;
-  st.cells_done = 42;
-  st.workers.push_back({0, 1111, "alive", ""});
-  st.workers.push_back({1, 2222, "exited", "signal 9"});
-  return st;
-}
-
-std::string status_line() {
-  std::string doc = distrib::encode_status(sample_status());
-  while (!doc.empty() && doc.back() == '\n') doc.pop_back();
-  return doc;
-}
-
 struct LineKind {
   const char* name;
   std::string line;
@@ -351,9 +333,6 @@ std::vector<LineKind> line_kinds() {
   const auto span = [](const std::string& l) {
     return obs::decode_span(l).has_value();
   };
-  const auto status = [](const std::string& l) {
-    return distrib::decode_status(l).has_value();
-  };
   distrib::LeaseRecord rec;
   rec.key = 0x0123456789abcdefULL;
   rec.owner = 77;
@@ -369,7 +348,6 @@ std::vector<LineKind> line_kinds() {
       {"cell fixture", kCell, cell},
       {"span", obs::encode_span(sample_span(), 99), span},
       {"span fixture", kSpan, span},
-      {"status", status_line(), status},
   };
 }
 

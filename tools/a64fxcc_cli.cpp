@@ -4,9 +4,15 @@
 //   a64fxcc table <suite> [--scale=f] [--csv|--json|--md]
 //                                        Figure-2 block for one suite
 //   a64fxcc run <benchmark> [--scale=f]  five-compiler row for one benchmark
+//   a64fxcc status <suite|benchmark> [--scale=f] [--shard-dir=DIR]
+//                                        progress of a --procs study
+//   a64fxcc explain <benchmark> [compiler]
+//                                        pass-decision provenance
+//   a64fxcc obs report <A.json> [B.json] summarize or diff artifacts
 //   a64fxcc show <benchmark> [compiler]  pass log + transformed IR
 //   a64fxcc file <path> [compiler]       compile a .kernel file (textual
 //                                        format, see src/ir/parser.hpp)
+//   a64fxcc emit <benchmark> [compiler]  generate OpenMP C source
 //   a64fxcc roofline <benchmark>         roofline placement per compiler
 //
 // Exit code 0 on success, 1 on bad usage / unknown names, 2 on errors.
@@ -110,19 +116,35 @@ bool arg_jobs(int argc, char** argv, int* out) {
 /// successful parse means --procs was absent (in-process path).
 struct DistribFlags {
   int procs = 0;
-  std::string shard_dir = "a64fxcc-shards";
+  std::string shard_dir;
   double lease_deadline = 30;
 };
 
+/// The shard directory `status` reads and `--procs` writes.
+std::string shard_dir_flag(int argc, char** argv) {
+  const char* v = arg_value(argc, argv, "--shard-dir=");
+  return v != nullptr ? v : "a64fxcc-shards";
+}
+
+/// False (after a diagnostic) on a malformed value, and on a flag that
+/// would be ignored: the --procs-only flags without --procs, and the
+/// in-process-only ones with it.
 bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
   if (!int_flag(argc, argv, "--procs=", &out->procs)) return false;
   if (arg_value(argc, argv, "--procs=") != nullptr && out->procs <= 0) {
     std::fprintf(stderr, "--procs must be >= 1\n");
     return false;
   }
-  if (out->procs <= 0) return true;
-  if (const char* v = arg_value(argc, argv, "--shard-dir="))
-    out->shard_dir = v;
+  if (out->procs <= 0) {
+    if (arg_value(argc, argv, "--shard-dir=") == nullptr &&
+        arg_value(argc, argv, "--lease-deadline=") == nullptr)
+      return true;
+    std::fprintf(stderr,
+                 "--shard-dir and --lease-deadline need --procs=N (only a "
+                 "multi-process run uses them)\n");
+    return false;
+  }
+  out->shard_dir = shard_dir_flag(argc, argv);
   if (!double_flag(argc, argv, "--lease-deadline=", &out->lease_deadline))
     return false;
   if (out->lease_deadline <= 0) {
@@ -136,6 +158,12 @@ bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
                  "journals under --shard-dir are the journal of a "
                  "multi-process run (re-running with the same --shard-dir "
                  "resumes)\n");
+    return false;
+  }
+  if (has_flag(argc, argv, "--cache-stats")) {
+    std::fprintf(stderr,
+                 "--cache-stats cannot combine with --procs: the cache tier "
+                 "lives in the worker processes\n");
     return false;
   }
   return true;
@@ -306,6 +334,19 @@ std::vector<kernels::Benchmark> suite_by_name(const std::string& s, double scale
   return {};
 }
 
+/// The benchmark called `name` as a one-row suite (empty when no
+/// benchmark has that name).
+std::vector<kernels::Benchmark> benchmark_by_name(const std::string& name,
+                                                  double scale) {
+  std::vector<kernels::Benchmark> one;
+  for (auto& b : kernels::all_benchmarks(scale)) {
+    if (b.name() != name) continue;
+    one.push_back(std::move(b));
+    break;
+  }
+  return one;
+}
+
 std::optional<compilers::CompilerSpec> compiler_by_name(const std::string& n) {
   for (auto& s : compilers::paper_compilers())
     if (s.name == n) return s;
@@ -343,22 +384,26 @@ int cmd_list(const std::string& suite) {
   return 0;
 }
 
-/// Every flag `table` and `run` accept; an entry ending in '=' takes a
-/// value.
-constexpr std::string_view kStudyFlags[] = {
-    "--scale=", "--jobs=", "--csv", "--json", "--md", "--decisions",
-    "--procs=", "--shard-dir=", "--lease-deadline=", "--log-level=",
-    "--progress", "--trace=", "--metrics=", "--resume=", "--journal=",
-    "--inject-faults=", "--cache-stats",
+/// Every flag `table`, `run` and `status` accept; an entry ending in '='
+/// takes a value.  `run` takes the table's flags but the first four: it
+/// renders one format and no decisions block.
+constexpr std::string_view kTableFlags[] = {
+    "--csv", "--json", "--md", "--decisions",
+    "--scale=", "--jobs=", "--procs=", "--shard-dir=", "--lease-deadline=",
+    "--log-level=", "--progress", "--trace=", "--metrics=", "--resume=",
+    "--journal=", "--inject-faults=", "--cache-stats",
 };
+constexpr auto kRunFlags = std::span(kTableFlags).subspan<4>();
+constexpr std::string_view kStatusFlags[] = {"--scale=", "--shard-dir="};
 
-/// False (after a diagnostic) when `table`/`run` got a flag outside
-/// kStudyFlags: a misspelled or retired flag must not run a study that
-/// silently ignores it.
-bool study_flags_known(int argc, char** argv) {
+/// False (after a diagnostic) when the command got a flag outside
+/// `known`: a misspelled, retired or unused flag must not run a command
+/// that silently ignores it.
+bool flags_known(int argc, char** argv,
+                 std::span<const std::string_view> known) {
   const char* const* args = argv;
   const auto bad = core::args::unknown_flag(
-      std::span(args + 2, static_cast<std::size_t>(argc - 2)), kStudyFlags);
+      std::span(args + 2, static_cast<std::size_t>(argc - 2)), known);
   if (!bad) return true;
   std::fprintf(stderr, "unknown flag '%.*s' (run a64fxcc for usage)\n",
                static_cast<int>(bad->size()), bad->data());
@@ -415,7 +460,7 @@ int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
 }
 
 int cmd_table(const std::string& suite, int argc, char** argv) {
-  if (!study_flags_known(argc, argv)) return 1;
+  if (!flags_known(argc, argv, kTableFlags)) return 1;
   double scale = 0.25;
   if (!arg_scale(argc, argv, &scale)) return 1;
   const auto benches = suite_by_name(suite, scale);
@@ -441,20 +486,18 @@ int cmd_table(const std::string& suite, int argc, char** argv) {
 }
 
 int cmd_run(const std::string& name, int argc, char** argv) {
-  if (!study_flags_known(argc, argv)) return 1;
+  if (!flags_known(argc, argv, kRunFlags)) return 1;
   double scale = 0.25;
   if (!arg_scale(argc, argv, &scale)) return 1;
-  for (auto& b : kernels::all_benchmarks(scale)) {
-    if (b.name() != name) continue;
-    std::vector<kernels::Benchmark> one;
-    one.push_back(std::move(b));
-    return run_study(scale, one, argc, argv, [](const report::Table& t) {
-      std::fputs(report::render_ansi(t).c_str(), stdout);
-    });
+  const auto one = benchmark_by_name(name, scale);
+  if (one.empty()) {
+    std::fprintf(stderr, "unknown benchmark '%s' (try: a64fxcc list)\n",
+                 name.c_str());
+    return 1;
   }
-  std::fprintf(stderr, "unknown benchmark '%s' (try: a64fxcc list)\n",
-               name.c_str());
-  return 1;
+  return run_study(scale, one, argc, argv, [](const report::Table& t) {
+    std::fputs(report::render_ansi(t).c_str(), stdout);
+  });
 }
 
 int show_kernel(const ir::Kernel& kernel, const std::string& compiler_name) {
@@ -560,14 +603,29 @@ int cmd_explain(const std::string& name, const std::string& compiler_name) {
   return 1;
 }
 
-int cmd_status(int argc, char** argv) {
-  std::string dir = "a64fxcc-shards";
-  if (const char* v = arg_value(argc, argv, "--shard-dir=")) dir = v;
-  const auto st = distrib::load_status(dir + "/status.json");
+/// Progress of the `--procs` study of `name` (the suite or benchmark
+/// that `table` or `run` took) at --scale, read from its lease log and
+/// shards: the log names cells only by key, so the keys come from here.
+int cmd_status(const std::string& name, int argc, char** argv) {
+  if (!flags_known(argc, argv, kStatusFlags)) return 1;
+  double scale = 0.25;
+  if (!arg_scale(argc, argv, &scale)) return 1;
+  auto suite = suite_by_name(name, scale);
+  if (suite.empty()) suite = benchmark_by_name(name, scale);
+  if (suite.empty()) {
+    std::fprintf(stderr,
+                 "status needs the suite or benchmark its study ran, got "
+                 "'%s' (usage: a64fxcc status <suite|benchmark>)\n",
+                 name.c_str());
+    return 1;
+  }
+  const std::string dir = shard_dir_flag(argc, argv);
+  const auto st = distrib::read_status(
+      dir, distrib::cell_keys(suite, core::StudyOptions{}));
   if (!st) {
     std::fprintf(stderr,
-                 "no readable status.json under '%s' (a supervisor running "
-                 "with --procs publishes one; it remains after the run)\n",
+                 "no readable lease log under '%s' (a64fxcc table|run "
+                 "--procs=N writes one)\n",
                  dir.c_str());
     return 2;
   }
@@ -640,7 +698,8 @@ void usage() {
       "                [--cache-stats]\n"
       "                                   # --cache-stats prints the per-cache\n"
       "                                   # hit/miss/entries/bytes table of the\n"
-      "                                   # cache tier to stderr\n"
+      "                                   # cache tier to stderr (in process\n"
+      "                                   # only: not with --procs)\n"
       "                                   # --jobs absent = all hardware\n"
       "                                   # threads, --jobs=1 = serial; output\n"
       "                                   # is bit-identical for any N\n"
@@ -654,7 +713,8 @@ void usage() {
       "                                   # re-leased.  Tables are byte-\n"
       "                                   # identical for any N, even across\n"
       "                                   # kill -9; re-running with the same\n"
-      "                                   # --shard-dir resumes\n"
+      "                                   # --shard-dir resumes.  --shard-dir\n"
+      "                                   # and --lease-deadline need --procs\n"
       "                                   # --resume restores completed cells\n"
       "                                   # from a journal and appends new ones\n"
       "                                   # --inject-faults=crash:P crashes\n"
@@ -680,9 +740,12 @@ void usage() {
       "                                   # which pass fired/was blocked, and\n"
       "                                   # why, per compiler (plus per-pass\n"
       "                                   # analysis cache hit/miss traffic)\n"
-      "  status [--shard-dir=DIR]         # render the live status.json a\n"
-      "                                   # --procs supervisor publishes\n"
-      "                                   # (atomic-renamed; survives kill -9)\n"
+      "  status <suite|benchmark> [--scale=f] [--shard-dir=DIR]\n"
+      "                                   # progress of the --procs study of\n"
+      "                                   # that table or run, read from its\n"
+      "                                   # lease log and shards: cells done,\n"
+      "                                   # live leases and their pids, and\n"
+      "                                   # done, running or stopped\n"
       "  obs report <A.json> [B.json]\n"
       "                                   # summarize one --trace/--metrics\n"
       "                                   # artifact, or diff two runs:\n"
@@ -710,7 +773,7 @@ int main(int argc, char** argv) {
   if (cmd == "table") return cmd_table(a2, argc, argv);
   if (cmd == "run") return cmd_run(a2, argc, argv);
   if (cmd == "explain") return cmd_explain(a2, a3);
-  if (cmd == "status") return cmd_status(argc, argv);
+  if (cmd == "status") return cmd_status(a2, argc, argv);
   if (cmd == "obs" && a2 == "report") return cmd_obs_report(argc, argv);
   if (cmd == "show") return cmd_show(a2, a3);
   if (cmd == "file") return cmd_file(a2, a3);
