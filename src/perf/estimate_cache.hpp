@@ -19,8 +19,9 @@
 //
 //   get_or_evaluate(plan, cfg, prof) memoizes perf::evaluate per
 //     (plan fingerprint, placement + codegen-profile fingerprint) — the
-//     explore winner, the measure phase and the repeated library
-//     reference estimates each compute once per cell.
+//     FJtrad library reference a benchmark's five cells share, and any
+//     (plan, placement, profile) two cells' models both score, compute
+//     once per study.
 //
 // Storage is two insert-only tier caches ("plans" and "estimates" on
 // the cache::Service, or private maps standalone): mutex-free hits, and

@@ -1,6 +1,7 @@
 #include "runtime/harness.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +36,27 @@ std::uint64_t cell_stream(const std::string& benchmark,
   // noise stream (and the journal results derived from them) persists.
   return cache::fnv1a(benchmark) ^ cache::mix64(cache::fnv1a(compiler));
 }
+
+Harness::Harness(machine::Machine m, std::uint64_t seed, bool apply_quirks,
+                 cache::Service* cache_service)
+    : machine_(std::move(m)),
+      seed_(seed),
+      apply_quirks_(apply_quirks),
+      service_(cache_service),
+      cache_(cache_service != nullptr ? compilers::CompileCache(*cache_service)
+                                      : compilers::CompileCache()),
+      ecache_(cache_service != nullptr ? perf::EstimateCache(*cache_service)
+                                       : perf::EstimateCache()),
+      owned_cells_(cache_service != nullptr
+                       ? nullptr
+                       : std::make_unique<CellMap>("cells")),
+      cells_(cache_service != nullptr
+                 ? &cache_service->get_or_create<std::uint64_t, CellModel>(
+                       "cells")
+                 : owned_cells_.get()),
+      // A kernel-free plan key: every Machine field the estimator reads
+      // (topology included, which is all candidate_placements reads).
+      machine_fp_(perf::plan_fingerprint(0, machine_)) {}
 
 Placement Harness::recommended_placement() const {
   return {machine_.domains, machine_.cores_per_domain};
@@ -144,25 +166,26 @@ void Harness::attach_plans(CompiledCell& cell, RunMetrics* metrics) const {
     cell.ref_plan = plan_cached(*cell.ref, metrics);
 }
 
-double Harness::time_of(const CompiledCell& cell, Placement p,
-                        RunMetrics* metrics) const {
+CellModel::Candidate Harness::candidate_at(const CompiledCell& cell,
+                                          Placement p,
+                                          RunMetrics* metrics) const {
   const compilers::CompileOutcome& out = *cell.out;
-  if (!out.ok()) return std::numeric_limits<double>::infinity();
   const auto cfg = perf::make_config(p.ranks, p.threads, machine_);
-  double t = evaluate_cached(*cell.plan, cfg, out.profile, metrics)->seconds *
-             out.time_multiplier;
+  const auto pr = evaluate_cached(*cell.plan, cfg, out.profile, metrics);
+  double t = pr->seconds * out.time_multiplier;
   if (cell.ref_plan != nullptr) {
     const double t_ref =
         evaluate_cached(*cell.ref_plan, cfg, cell.ref->profile, metrics)
             ->seconds;
     t += t_ref * cell.library_fraction / (1.0 - cell.library_fraction);
   }
-  return t;
+  return {p, t, pr->total_flops, pr->mem_bytes, pr->bottleneck};
 }
 
 double Harness::model_time(const compilers::CompilerSpec& spec,
                            const kernels::Benchmark& bench, Placement p) const {
   const auto out = compile_cached(spec, bench);
+  if (!out->ok()) return std::numeric_limits<double>::infinity();
   std::shared_ptr<const compilers::CompileOutcome> ref;
   CompiledCell cell;
   cell.out = out.get();
@@ -172,7 +195,7 @@ double Harness::model_time(const compilers::CompilerSpec& spec,
     cell.ref = ref.get();
   }
   attach_plans(cell, nullptr);
-  return time_of(cell, p, nullptr);
+  return candidate_at(cell, p, nullptr).seconds;
 }
 
 double noise_sample(std::uint64_t seed, std::uint64_t stream, double t,
@@ -234,6 +257,72 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
   return run(spec, bench, RunContext{}, metrics);
 }
 
+std::uint64_t Harness::cell_key(const compilers::CompilerSpec& spec,
+                                const kernels::Benchmark& bench) const {
+  // Journal::cell_key's inputs without the seed, plus the machine and
+  // every trait build_model reads: traits are not part of the kernel
+  // fingerprint, and suites and tests set them after construction.
+  cache::Hasher h(0x6c3e11f0a4d27b95ULL);
+  h.add(compilers::fingerprint(spec));
+  h.add(bench.fingerprint());
+  h.add(apply_quirks_);
+  h.add(machine_fp_);
+  const kernels::BenchmarkTraits& t = bench.traits;
+  h.add(t.explore_placements);
+  h.add(t.pow2_ranks_only);
+  h.add(t.single_core);
+  h.add(t.one_cmg);
+  h.add(t.library_fraction);
+  return h.h;
+}
+
+CellModel Harness::build_model(const compilers::CompilerSpec& spec,
+                               const kernels::Benchmark& bench,
+                               RunMetrics* metrics,
+                               obs::Tracer* tracer) const {
+  CellModel model;
+  const auto out = compile_cached(spec, bench, metrics, tracer);
+  model.status = cell_status(out->status);
+  model.decisions = compilers::decision_summary(out->decisions);
+  if (!out->ok()) {
+    model.diagnostic = out->diagnostic;
+    return model;
+  }
+  // Library-heavy benchmarks need the FJtrad reference for the SSL2
+  // part.
+  std::shared_ptr<const compilers::CompileOutcome> ref;
+  CompiledCell cell;
+  cell.out = out.get();
+  cell.library_fraction = bench.traits.library_fraction;
+  if (cell.library_fraction > 0) {
+    ref = compile_cached(compilers::fjtrad(), bench, metrics, tracer);
+    cell.ref = ref.get();
+  }
+  {
+    const auto span = obs::scoped(tracer, "plan", bench.name(), spec.name);
+    attach_plans(cell, metrics);
+  }
+  const auto placements =
+      candidate_placements(bench.traits, bench.kernel.meta().parallel);
+  model.candidates.reserve(placements.size());
+  for (const Placement p : placements)
+    model.candidates.push_back(candidate_at(cell, p, metrics));
+  return model;
+}
+
+std::shared_ptr<const CellModel> Harness::model_cached(
+    const compilers::CompilerSpec& spec, const kernels::Benchmark& bench,
+    RunMetrics* metrics, obs::Tracer* tracer) const {
+  const std::uint64_t key = cell_key(spec, bench);
+  if (auto found = cells_->find(key, key); found != nullptr) return found;
+  auto model = std::make_shared<const CellModel>(
+      build_model(spec, bench, metrics, tracer));
+  const std::size_t bytes =
+      sizeof(CellModel) + model->diagnostic.size() + model->decisions.size() +
+      model->candidates.size() * sizeof(CellModel::Candidate);
+  return cells_->publish(key, key, std::move(model), bytes).value;
+}
+
 MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
                          const kernels::Benchmark& bench,
                          const RunContext& ctx, RunMetrics* metrics) const {
@@ -241,83 +330,58 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
   m.benchmark = bench.name();
   m.compiler = spec.name;
 
-  // ---- compile phase (plus the reference compile, below) ----
-  std::shared_ptr<const compilers::CompileOutcome> out;
-  std::shared_ptr<const compilers::CompileOutcome> ref;
-  const compilers::CompileOutcome* refp = nullptr;
+  // ---- compile phase: look up or build the cell's seed-independent
+  // model (compile, reference compile, plans, candidate evaluations) ----
+  std::shared_ptr<const CellModel> model;
   {
     const auto span =
         obs::scoped(ctx.tracer, "compile", bench.name(), spec.name);
     const PhaseClock clock(metrics != nullptr ? &metrics->compile_seconds
                                               : nullptr);
-    out = compile_cached(spec, bench, metrics, ctx.tracer);
-    m.decisions = compilers::decision_summary(out->decisions);
-    m.status = cell_status(out->status);
-    if (!out->ok()) {
-      m.diagnostic = out->diagnostic;
-      return m;
-    }
-    // Library-heavy benchmarks need the FJtrad reference for the SSL2
-    // part.
-    if (bench.traits.library_fraction > 0) {
-      ref = compile_cached(compilers::fjtrad(), bench, metrics, ctx.tracer);
-      refp = ref.get();
-    }
+    model = model_cached(spec, bench, metrics, ctx.tracer);
   }
-
-  // ---- plan phase: placement-invariant perf analysis, once per cell ----
-  CompiledCell cell;
-  cell.out = out.get();
-  cell.ref = refp;
-  cell.library_fraction = bench.traits.library_fraction;
-  {
-    const auto span = obs::scoped(ctx.tracer, "plan", bench.name(), spec.name);
-    attach_plans(cell, metrics);
+  m.status = model->status;
+  m.decisions = model->decisions;
+  if (!m.valid()) {
+    m.diagnostic = model->diagnostic;
+    return m;
   }
-
-  const std::uint64_t base = cell_stream(bench.name(), spec.name);
-
-  // ---- exploration phase: 3 trials per candidate placement ----
-  const auto placements =
-      candidate_placements(bench.traits, bench.kernel.meta().parallel);
-  if (placements.empty()) {
+  const std::vector<CellModel::Candidate>& cands = model->candidates;
+  if (cands.empty()) {
     // A topology that admits no candidate at all (degenerate machines:
-    // zero cores per domain under a one-CMG constraint) used to fall
-    // through to placements.front() below — UB.  Classify it instead.
+    // zero cores per domain under a one-CMG constraint).
     throw CellError(CellStatus::RuntimeError,
                     "no feasible placement: machine topology rejects every "
                     "rank x thread candidate");
   }
-  Placement best_p = placements.front();
-  // Noise-free model time of the winning placement, carried out of the
-  // exploration loop so the performance phase reuses it instead of
-  // re-deriving it (time_of is pure, so reuse is bit-identical).
-  double t_best = std::numeric_limits<double>::infinity();
+
+  const std::uint64_t base = cell_stream(bench.name(), spec.name);
+  const double cv = bench.traits.noise_cv;
+
+  // ---- exploration phase: 3 trials per candidate placement ----
+  std::size_t best = 0;
   {
     const auto span =
         obs::scoped(ctx.tracer, "explore", bench.name(), spec.name);
     const PhaseClock clock(metrics != nullptr ? &metrics->explore_seconds
                                               : nullptr);
     double best_trial = std::numeric_limits<double>::infinity();
-    for (std::size_t pi = 0; pi < placements.size(); ++pi) {
-      const double t = time_of(cell, placements[pi], metrics);
+    for (std::size_t pi = 0; pi < cands.size(); ++pi) {
+      const double t = cands[pi].seconds;
       for (int trial = 0; trial < 3; ++trial) {
-        const double sample =
-            noisy(t, bench.traits.noise_cv, base ^ (pi * 8191 + trial));
+        const double sample = noisy(t, cv, base ^ (pi * 8191 + trial));
         if (sample < best_trial) {
           best_trial = sample;
-          best_p = placements[pi];
-          t_best = t;
+          best = pi;
         }
       }
     }
   }
-  m.placement = best_p;
+  const CellModel::Candidate& win = cands[best];
+  m.placement = win.placement;
 
   // ---- performance phase: 10 runs at the chosen placement ----
-  const double t_model = t_best;
-  std::vector<double> samples;
-  samples.reserve(10);
+  std::array<double, 10> samples{};
   {
     const auto span =
         obs::scoped(ctx.tracer, "measure", bench.name(), spec.name);
@@ -325,8 +389,10 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
                                               : nullptr);
     for (int r = 0; r < 10; ++r) {
       // An injected crash strikes mid-phase, so the recovery path sees a
-      // partially evaluated cell, the worst case for isolation.  Here it
-      // is classified; a distrib worker dies before evaluating instead.
+      // partially evaluated cell, the worst case for isolation; the
+      // model is already published, so the next attempt reuses it.
+      // Here it is classified; a distrib worker dies before evaluating
+      // instead.
       if (r == 4 && ctx.crash) {
         char buf[80];
         std::snprintf(buf, sizeof buf,
@@ -334,27 +400,19 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
                       r + 1, ctx.attempt);
         throw CellError(CellStatus::Crashed, buf);
       }
-      samples.push_back(
-          noisy(t_model, bench.traits.noise_cv, base ^ (0xABCD0000ULL + r)));
+      samples[static_cast<std::size_t>(r)] =
+          noisy(win.seconds, cv, base ^ (0xABCD0000ULL + r));
     }
   }
   m.best_seconds = stats::min(samples);
   m.median_seconds = stats::median(samples);
   m.cv = stats::cv(samples);
 
-  // Characterize the best run via the noise-free model.  The explore
-  // loop already evaluated this (plan, placement) pair, so this is a
-  // guaranteed cache hit.
-  const auto cfg = perf::make_config(best_p.ranks, best_p.threads, machine_);
-  std::shared_ptr<const perf::PerfResult> pr;
-  {
-    const auto span =
-        obs::scoped(ctx.tracer, "evaluate", bench.name(), spec.name);
-    pr = evaluate_cached(*cell.plan, cfg, out->profile, metrics);
-  }
-  m.bottleneck = std::string(pr->bottleneck);
-  m.gflops = pr->total_flops / m.best_seconds / 1e9;
-  m.mem_gbs = pr->mem_bytes / m.best_seconds / 1e9;
+  // Characterize the best run by the model's noise-free evaluation of
+  // the winning placement.
+  m.bottleneck = std::string(win.bottleneck);
+  m.gflops = win.total_flops / m.best_seconds / 1e9;
+  m.mem_gbs = win.mem_bytes / m.best_seconds / 1e9;
   return m;
 }
 

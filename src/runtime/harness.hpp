@@ -20,12 +20,20 @@
 // is a pure function of (seed, benchmark, compiler) and the execution
 // engine can evaluate cells in any order, on any worker, with
 // bit-identical results to the serial path.
+//
+// Only the noise depends on the seed.  Everything else a cell's
+// measurement reads — compile verdict, decisions, candidate placements
+// and each candidate's noise-free time — is a CellModel, memoized once
+// per cell on the cache tier ("cells"); a new seed then costs only its
+// draws over that model.
 
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cache/service.hpp"
 #include "compilers/compile_cache.hpp"
 #include "compilers/compiler_model.hpp"
 #include "kernels/benchmark.hpp"
@@ -104,6 +112,30 @@ struct MeasuredRun {
   }
 };
 
+/// The seed-independent half of one cell's measurement: a pure function
+/// of (compiler, benchmark kernel, quirk mode, machine, placement
+/// traits), so one model serves every seed.  The noise CV is not part
+/// of it: Harness::run reads the benchmark's trait when it draws.
+struct CellModel {
+  CellStatus status = CellStatus::Ok;
+  std::string diagnostic;  ///< compile-stage failure detail
+  std::string decisions;   ///< compilers::decision_summary of the compile
+
+  /// One candidate placement, with the main plan's characterization
+  /// there (the values MeasuredRun reports for the winner).
+  struct Candidate {
+    Placement placement;
+    /// Noise-free model time, vendor-library reference included.
+    double seconds = 0;
+    double total_flops = 0;
+    double mem_bytes = 0;
+    std::string_view bottleneck;  ///< a static literal (perf::PerfResult)
+  };
+  /// In candidate_placements order; empty for failed compiles (and for
+  /// machines that admit no placement).
+  std::vector<Candidate> candidates;
+};
+
 class Harness {
  public:
   /// With `cache_service`, every cache registers on the shared tier
@@ -112,22 +144,16 @@ class Harness {
   /// outlive the harness.
   explicit Harness(machine::Machine m, std::uint64_t seed = 42,
                    bool apply_quirks = true,
-                   cache::Service* cache_service = nullptr)
-      : machine_(std::move(m)),
-        seed_(seed),
-        apply_quirks_(apply_quirks),
-        service_(cache_service),
-        cache_(cache_service != nullptr ? compilers::CompileCache(*cache_service)
-                                        : compilers::CompileCache()),
-        ecache_(cache_service != nullptr ? perf::EstimateCache(*cache_service)
-                                         : perf::EstimateCache()) {}
+                   cache::Service* cache_service = nullptr);
 
-  /// Full methodology: exploration + 10 performance runs.  Reentrant:
+  /// Full methodology: look up or build the cell's CellModel, then
+  /// explore and measure with this seed's noise over it.  Reentrant:
   /// safe to call concurrently from engine workers (the only shared
-  /// mutable state is the internal compile cache, which synchronizes
-  /// itself), and deterministic per the cell_stream contract above.
-  /// Throws CellError(RuntimeError) when the machine topology admits no
-  /// placement candidate at all (degenerate machines only).
+  /// mutable state is the memo caches — compile, plans, estimates and
+  /// cells — each of which synchronizes itself), and deterministic per
+  /// the cell_stream contract above.  Throws CellError(RuntimeError)
+  /// when the machine topology admits no placement candidate at all
+  /// (degenerate machines only).
   [[nodiscard]] MeasuredRun run(const compilers::CompilerSpec& spec,
                                 const kernels::Benchmark& bench,
                                 RunMetrics* metrics = nullptr) const;
@@ -206,7 +232,7 @@ class Harness {
   [[nodiscard]] Placement recommended_placement() const;
 
  private:
-  /// Everything time_of needs for one compiled cell: the compile
+  /// Everything candidate_at needs for one compiled cell: the compile
   /// outcome(s) plus their memoized plans (null when the compile
   /// failed; ref_plan is set only for library cells).
   struct CompiledCell {
@@ -220,11 +246,30 @@ class Harness {
   /// Attach the memoized plans to a compiled cell.
   void attach_plans(CompiledCell& cell, RunMetrics* metrics) const;
 
-  /// Model time of one placement of a compiled cell, including the
-  /// compiler-independent vendor-library component (derived from the
-  /// FJtrad reference).  Memoized via the estimate cache.
-  [[nodiscard]] double time_of(const CompiledCell& cell, Placement p,
-                               RunMetrics* metrics) const;
+  /// One placement of an ok compiled cell: its model time, including
+  /// the compiler-independent vendor-library component (derived from
+  /// the FJtrad reference), and the main plan's characterization there.
+  /// Memoized via the estimate cache.
+  [[nodiscard]] CellModel::Candidate candidate_at(const CompiledCell& cell,
+                                                  Placement p,
+                                                  RunMetrics* metrics) const;
+
+  /// The memoized model of (spec, bench), built on first use through
+  /// the compile, plan and estimate caches (counted into `metrics`;
+  /// `tracer` gets the pipeline's spans and a "plan" span on a build).
+  [[nodiscard]] std::shared_ptr<const CellModel> model_cached(
+      const compilers::CompilerSpec& spec, const kernels::Benchmark& bench,
+      RunMetrics* metrics, obs::Tracer* tracer) const;
+
+  /// The "cells" key of (spec, bench) on this harness.
+  [[nodiscard]] std::uint64_t cell_key(const compilers::CompilerSpec& spec,
+                                       const kernels::Benchmark& bench) const;
+
+  /// model_cached's miss path.
+  [[nodiscard]] CellModel build_model(const compilers::CompilerSpec& spec,
+                                      const kernels::Benchmark& bench,
+                                      RunMetrics* metrics,
+                                      obs::Tracer* tracer) const;
 
   /// Memoized evaluate of a plan at one configuration (counts into
   /// `metrics`).
@@ -243,6 +288,14 @@ class Harness {
   mutable compilers::CompileCache cache_;
   /// Memoized perf plans/evaluations (pure functions, like compile()).
   mutable perf::EstimateCache ecache_;
+  /// Memoized cell models ("cells" on the tier), keyed by every input a
+  /// model reads: spec, kernel, quirk mode, machine and placement
+  /// traits.  Insert-only and self-synchronizing like the caches above.
+  using CellMap = cache::ShardedMap<std::uint64_t, CellModel>;
+  std::unique_ptr<CellMap> owned_cells_;  ///< standalone mode only
+  CellMap* cells_;
+  /// The machine half of every cell key, hashed once here.
+  std::uint64_t machine_fp_;
 };
 
 }  // namespace a64fxcc::runtime

@@ -1,5 +1,6 @@
 // Heap allocations per layer of a cold paper-scale study: the whole
-// study, its 540 compiles and its 356 distinct plans, plus the durable
+// study, its 540 compiles and its 356 distinct plans, a re-study under
+// a new seed on the tier the first study warmed, plus the durable
 // logs' line codec over that study's 540 journal lines and 1,080 lease
 // lines (what a `--procs` run writes and reads back), and a worker's
 // shard journal recording those 540 entries row by row.  This binary
@@ -24,6 +25,7 @@
 #include <set>
 #include <vector>
 
+#include "cache/service.hpp"
 #include "compilers/compile_cache.hpp"
 #include "core/journal.hpp"
 #include "core/study.hpp"
@@ -106,6 +108,30 @@ TEST(Allocations, ColdPaperStudy) {
                                [&] { table = study.run_suite(suite); });
   EXPECT_EQ(table.rows.size(), suite.size());
   EXPECT_LE(c.allocs, 205'900u);
+}
+
+TEST(Allocations, WarmReStudy) {
+  // A new seed on a tier a seed-42 study warmed: every cell's model is
+  // cached, so the re-study allocates only its rows and the noise pass.
+  const auto suite = kernels::all_benchmarks(1.0);
+  cache::Service tier;
+  core::StudyOptions opt;
+  opt.scale = 1.0;
+  opt.seed = 42;
+  opt.jobs = 1;
+  opt.cache_service = &tier;
+  (void)core::Study(opt).run_suite(suite);
+  opt.seed = 7;
+  core::Study study(std::move(opt));
+  report::Table table;
+  const Count c = count_allocs("seed-7 paper-scale re-study on a warm tier",
+                               [&] { table = study.run_suite(suite); });
+  EXPECT_EQ(table.rows.size(), suite.size());
+  for (const auto& cs : tier.stats()) {
+    if (cs.name != "cells") continue;
+    EXPECT_EQ(cs.stats.hits, 540u);
+  }
+  EXPECT_LE(c.allocs, 1'890u);
 }
 
 TEST(Allocations, PaperCompiles) {

@@ -5,8 +5,9 @@
 //    recounted as a hit);
 //  - service mechanics: named instances shared by name, type-checked
 //    re-registration and the stats table;
-//  - warm reuse: a second study on one Service adds no miss to any
-//    cache and still renders an identical table.
+//  - warm reuse: a second study on one Service hits every cell model
+//    of the first, adds no compile, plan or estimate traffic, and still
+//    renders an identical table.
 
 #include <gtest/gtest.h>
 
@@ -165,15 +166,25 @@ TEST(CacheServiceIdentity, WarmSharedServiceReusesEntriesAndMatchesCold) {
   const auto warm = core::Study(std::move(opt2)).run_suite(suite);
   const auto second = snapshot();
 
-  // Nothing is ever dropped, so the second study finds every compile,
-  // plan and estimate of the first: it adds hits and not one miss.
+  // Nothing is ever dropped, so the second study finds every cell model
+  // of the first (one miss per cell, then one hit per cell) and never
+  // reaches the compile, plan or estimate caches behind them.
+  const std::uint64_t cells =
+      suite.size() * core::StudyOptions{}.compilers.size();
+  ASSERT_EQ(first.count("cells"), 1u);
+  EXPECT_EQ(first.at("cells").misses, cells);
+  EXPECT_EQ(first.at("cells").hits, 0u);
+  EXPECT_EQ(first.at("cells").entries, cells);
+  EXPECT_EQ(second.at("cells").misses, cells);
+  EXPECT_EQ(second.at("cells").hits, cells);
+  EXPECT_EQ(second.at("cells").entries, cells);
   for (const char* name : {"compile", "plans", "estimates"}) {
     ASSERT_EQ(first.count(name), 1u) << name;
     ASSERT_EQ(second.count(name), 1u) << name;
     EXPECT_GT(first.at(name).misses, 0u) << name;
     EXPECT_EQ(second.at(name).misses, first.at(name).misses) << name;
     EXPECT_EQ(second.at(name).entries, first.at(name).entries) << name;
-    EXPECT_GT(second.at(name).hits, first.at(name).hits) << name;
+    EXPECT_EQ(second.at(name).hits, first.at(name).hits) << name;
   }
   EXPECT_EQ(report::render_csv(warm), report::render_csv(cold));
 }

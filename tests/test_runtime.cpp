@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "cache/service.hpp"
 #include "kernels/archetypes.hpp"
 #include "runtime/harness.hpp"
 
@@ -335,6 +336,77 @@ TEST(Harness, DegenerateMachineRaisesClassifiedCellError) {
     EXPECT_NE(std::string(e.what()).find("no feasible placement"),
               std::string::npos)
         << e.what();
+  }
+}
+
+/// Every field of two runs, bit for bit.
+void expect_same_run(const runtime::MeasuredRun& got,
+                     const runtime::MeasuredRun& want, const char* what) {
+  EXPECT_EQ(got.benchmark, want.benchmark) << what;
+  EXPECT_EQ(got.compiler, want.compiler) << what;
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(got.diagnostic, want.diagnostic) << what;
+  EXPECT_EQ(got.best_seconds, want.best_seconds) << what;
+  EXPECT_EQ(got.median_seconds, want.median_seconds) << what;
+  EXPECT_EQ(got.cv, want.cv) << what;
+  EXPECT_EQ(got.placement, want.placement) << what;
+  EXPECT_EQ(got.bottleneck, want.bottleneck) << what;
+  EXPECT_EQ(got.gflops, want.gflops) << what;
+  EXPECT_EQ(got.mem_gbs, want.mem_gbs) << what;
+  EXPECT_EQ(got.decisions, want.decisions) << what;
+}
+
+TEST(CellModel, KeyCoversEveryTraitTheModelReads) {
+  // One harness keeps the model of every trait setting it has run, so a
+  // trait left out of the "cells" key would hand a later setting an
+  // earlier setting's candidates and times.  Each flip must match a
+  // fresh harness field for field, and must change the fresh result
+  // (else the flip could not catch a stale model): this CSR sweep runs
+  // fastest at 48x1, a rank count the pow2 constraint removes.  The
+  // noise CV is not keyed: run() reads it when it draws.
+  const auto make = [] {
+    ArchParams p{.name = "k",
+                 .language = ir::Language::C,
+                 .parallel = ir::ParallelModel::MpiOpenMP,
+                 .suite = "test",
+                 .n = 1 << 20};
+    return Benchmark{kernels::spmv_csr(p), kernels::BenchmarkTraits{}};
+  };
+  const Benchmark base = make();
+  struct Flip {
+    const char* trait;
+    void (*apply)(kernels::BenchmarkTraits&);
+  };
+  const Flip flips[] = {
+      {"explore_placements",
+       [](kernels::BenchmarkTraits& t) { t.explore_placements = false; }},
+      {"pow2_ranks_only",
+       [](kernels::BenchmarkTraits& t) { t.pow2_ranks_only = true; }},
+      {"single_core",
+       [](kernels::BenchmarkTraits& t) { t.single_core = true; }},
+      {"one_cmg", [](kernels::BenchmarkTraits& t) { t.one_cmg = true; }},
+      {"library_fraction",
+       [](kernels::BenchmarkTraits& t) { t.library_fraction = 0.5; }},
+      {"noise_cv", [](kernels::BenchmarkTraits& t) { t.noise_cv = 0.1; }},
+  };
+  const auto spec = compilers::llvm12();
+  const auto fresh_run = [&spec](const Benchmark& b) {
+    return Harness(machine::a64fx(), 42).run(spec, b);
+  };
+  const auto base_run = fresh_run(base);
+  cache::Service tier;
+  for (cache::Service* svc : {static_cast<cache::Service*>(nullptr), &tier}) {
+    const Harness h(machine::a64fx(), 42, true, svc);
+    expect_same_run(h.run(spec, base), base_run, "base");
+    for (const Flip& f : flips) {
+      Benchmark b = make();
+      f.apply(b.traits);
+      const auto want = fresh_run(b);
+      EXPECT_TRUE(want.best_seconds != base_run.best_seconds ||
+                  want.placement != base_run.placement)
+          << f.trait << " does not change the run";
+      expect_same_run(h.run(spec, b), want, f.trait);
+    }
   }
 }
 

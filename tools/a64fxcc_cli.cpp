@@ -356,7 +356,37 @@ std::optional<compilers::CompilerSpec> compiler_by_name(const std::string& n) {
   return std::nullopt;
 }
 
-int cmd_list(const std::string& suite) {
+/// Every flag `table`, `run` and `status` accept; an entry ending in '='
+/// takes a value.  `run` takes the table's flags but the first four: it
+/// renders one format and no decisions block.
+constexpr std::string_view kTableFlags[] = {
+    "--csv", "--json", "--md", "--decisions",
+    "--scale=", "--jobs=", "--procs=", "--shard-dir=", "--lease-deadline=",
+    "--log-level=", "--progress", "--trace=", "--metrics=", "--resume=",
+    "--journal=", "--inject-faults=", "--cache-stats",
+};
+constexpr auto kRunFlags = std::span(kTableFlags).subspan<4>();
+constexpr std::string_view kStatusFlags[] = {"--scale=", "--shard-dir="};
+/// The flags of `list`, `show`, `file`, `emit`, `explain`, `roofline`
+/// and `obs report`: none yet.
+constexpr std::span<const std::string_view> kNoFlags;
+
+/// False (after a diagnostic) when the command got a flag outside
+/// `known`: a misspelled, retired or unused flag must not run a command
+/// that silently ignores it.
+bool flags_known(int argc, char** argv,
+                 std::span<const std::string_view> known) {
+  const char* const* args = argv;
+  const auto bad = core::args::unknown_flag(
+      std::span(args + 2, static_cast<std::size_t>(argc - 2)), known);
+  if (!bad) return true;
+  std::fprintf(stderr, "unknown flag '%.*s' (run a64fxcc for usage)\n",
+               static_cast<int>(bad->size()), bad->data());
+  return false;
+}
+
+int cmd_list(const std::string& suite, int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   const auto benches = suite_by_name(suite.empty() ? "all" : suite, 0.01);
   if (benches.empty()) {
     std::fprintf(stderr, "unknown suite '%s'\n", suite.c_str());
@@ -382,32 +412,6 @@ int cmd_list(const std::string& suite) {
                 traits.c_str());
   }
   return 0;
-}
-
-/// Every flag `table`, `run` and `status` accept; an entry ending in '='
-/// takes a value.  `run` takes the table's flags but the first four: it
-/// renders one format and no decisions block.
-constexpr std::string_view kTableFlags[] = {
-    "--csv", "--json", "--md", "--decisions",
-    "--scale=", "--jobs=", "--procs=", "--shard-dir=", "--lease-deadline=",
-    "--log-level=", "--progress", "--trace=", "--metrics=", "--resume=",
-    "--journal=", "--inject-faults=", "--cache-stats",
-};
-constexpr auto kRunFlags = std::span(kTableFlags).subspan<4>();
-constexpr std::string_view kStatusFlags[] = {"--scale=", "--shard-dir="};
-
-/// False (after a diagnostic) when the command got a flag outside
-/// `known`: a misspelled, retired or unused flag must not run a command
-/// that silently ignores it.
-bool flags_known(int argc, char** argv,
-                 std::span<const std::string_view> known) {
-  const char* const* args = argv;
-  const auto bad = core::args::unknown_flag(
-      std::span(args + 2, static_cast<std::size_t>(argc - 2)), known);
-  if (!bad) return true;
-  std::fprintf(stderr, "unknown flag '%.*s' (run a64fxcc for usage)\n",
-               static_cast<int>(bad->size()), bad->data());
-  return false;
 }
 
 /// The study behind `table` and `run`: parse the jobs, distrib,
@@ -530,14 +534,18 @@ int show_kernel(const ir::Kernel& kernel, const std::string& compiler_name) {
   return 0;
 }
 
-int cmd_show(const std::string& name, const std::string& compiler_name) {
+int cmd_show(const std::string& name, const std::string& compiler_name,
+             int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   for (const auto& b : kernels::all_benchmarks(0.25))
     if (b.name() == name) return show_kernel(b.kernel, compiler_name);
   std::fprintf(stderr, "unknown benchmark '%s'\n", name.c_str());
   return 1;
 }
 
-int cmd_file(const std::string& path, const std::string& compiler_name) {
+int cmd_file(const std::string& path, const std::string& compiler_name,
+             int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   std::ifstream f(path);
   if (!f) {
     std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
@@ -557,7 +565,9 @@ int cmd_file(const std::string& path, const std::string& compiler_name) {
   }
 }
 
-int cmd_emit(const std::string& name, const std::string& compiler_name) {
+int cmd_emit(const std::string& name, const std::string& compiler_name,
+             int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   for (const auto& b : kernels::all_benchmarks(0.25)) {
     if (b.name() != name) continue;
     if (compiler_name.empty()) {
@@ -582,7 +592,9 @@ int cmd_emit(const std::string& name, const std::string& compiler_name) {
   return 1;
 }
 
-int cmd_explain(const std::string& name, const std::string& compiler_name) {
+int cmd_explain(const std::string& name, const std::string& compiler_name,
+                int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   for (const auto& b : kernels::all_benchmarks(0.25)) {
     if (b.name() != name) continue;
     std::vector<compilers::CompilerSpec> specs;
@@ -634,6 +646,7 @@ int cmd_status(const std::string& name, int argc, char** argv) {
 }
 
 int cmd_obs_report(int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   std::vector<std::string> paths;
   for (int i = 3; i < argc; ++i)
     if (argv[i][0] != '-') paths.emplace_back(argv[i]);
@@ -665,7 +678,8 @@ int cmd_obs_report(int argc, char** argv) {
   return 0;
 }
 
-int cmd_roofline(const std::string& name) {
+int cmd_roofline(const std::string& name, int argc, char** argv) {
+  if (!flags_known(argc, argv, kNoFlags)) return 1;
   const auto m = machine::a64fx();
   for (const auto& b : kernels::all_benchmarks(0.25)) {
     if (b.name() != name) continue;
@@ -769,16 +783,16 @@ int main(int argc, char** argv) {
   const std::string a2 = argc > 2 ? argv[2] : "";
   const std::string a3 =
       argc > 3 && argv[3][0] != '-' ? argv[3] : "";
-  if (cmd == "list") return cmd_list(a2);
+  if (cmd == "list") return cmd_list(a2, argc, argv);
   if (cmd == "table") return cmd_table(a2, argc, argv);
   if (cmd == "run") return cmd_run(a2, argc, argv);
-  if (cmd == "explain") return cmd_explain(a2, a3);
+  if (cmd == "explain") return cmd_explain(a2, a3, argc, argv);
   if (cmd == "status") return cmd_status(a2, argc, argv);
   if (cmd == "obs" && a2 == "report") return cmd_obs_report(argc, argv);
-  if (cmd == "show") return cmd_show(a2, a3);
-  if (cmd == "file") return cmd_file(a2, a3);
-  if (cmd == "emit") return cmd_emit(a2, a3);
-  if (cmd == "roofline") return cmd_roofline(a2);
+  if (cmd == "show") return cmd_show(a2, a3, argc, argv);
+  if (cmd == "file") return cmd_file(a2, a3, argc, argv);
+  if (cmd == "emit") return cmd_emit(a2, a3, argc, argv);
+  if (cmd == "roofline") return cmd_roofline(a2, argc, argv);
   usage();
   return 1;
 }
