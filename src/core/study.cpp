@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "core/cell.hpp"
+#include "exec/engine.hpp"
 #include "stats/stats.hpp"
 
 namespace a64fxcc::core {
@@ -29,9 +30,11 @@ report::Table Study::run_suite(
   // independent of scheduling.
   const std::size_t cols = opt_.compilers.size();
   const std::size_t njobs = suite.size() * cols;
-  exec::Engine engine(opt_.jobs);
-  const auto res = engine.try_run(
-      njobs,
+  // Cell failures are classified into the table, so an exception escaping
+  // a job is an infrastructure fault (sink/journal bug): for_each_job
+  // rethrows the lowest-index one.
+  exec::for_each_job(
+      njobs, opt_.jobs,
       [&](std::size_t job, int worker) {
         const std::size_t r = job / cols;
         const std::size_t c = job % cols;
@@ -104,9 +107,6 @@ report::Table Study::run_suite(
                           .metrics = std::move(res.metrics)});
         }
       });
-  // Cell failures are classified into the table, so any error here is an
-  // infrastructure fault (sink/journal bug); surface the lowest-index one.
-  if (!res.ok()) std::rethrow_exception(res.errors.front().error);
   return t;
 }
 

@@ -19,7 +19,6 @@
 
 #include "cache/service.hpp"
 #include "core/journal.hpp"
-#include "exec/engine.hpp"
 #include "exec/events.hpp"
 #include "kernels/benchmark.hpp"
 #include "obs/trace.hpp"
@@ -39,8 +38,9 @@ struct StudyOptions {
   /// FJtrad first (the baseline).
   std::vector<compilers::CompilerSpec> compilers =
       compilers::paper_compilers();
-  /// Worker threads for run_suite/run_all: 1 runs the legacy serial
-  /// loop on the calling thread, 0 resolves to hardware_concurrency.
+  /// Worker threads for run_suite/run_all, the calling thread included:
+  /// 1 runs the serial loop on the calling thread, 0 resolves to
+  /// hardware_concurrency.
   /// Results are bit-identical for every value — cells draw from
   /// per-cell RNG streams (see runtime::cell_stream), never from a
   /// shared sequence.

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <span>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -81,33 +81,6 @@ double respawn_pause(int n) {
 /// generation's classified crash.
 constexpr int kMaxSkippedGenerations = 32;
 
-/// Injected process death: leave a torn line in the shard — what a real
-/// crash mid-append does — then die without unwinding, flushing stdio,
-/// or completing the row's leases.
-[[noreturn]] void die_mid_append(const std::string& shard_path) {
-  std::FILE* f = std::fopen(shard_path.c_str(), "a");
-  if (f != nullptr) {
-    std::fprintf(f, "{\"v\":%d,\"key\":\"00", core::kJournalFormatVersion);
-    std::fflush(f);
-  }
-  exec::hard_exit(139);
-}
-
-/// acquire()'s claims (key order) cut into their rows.
-std::vector<std::span<const Claim>> rows_of(const std::vector<Claim>& claims,
-                                            std::size_t cols) {
-  std::vector<std::span<const Claim>> rows;
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i <= claims.size(); ++i) {
-    if (i < claims.size() &&
-        claims[i].index / cols == claims[begin].index / cols)
-      continue;
-    rows.emplace_back(claims.data() + begin, i - begin);
-    begin = i;
-  }
-  return rows;
-}
-
 /// Where one process persists the rows it evaluates.
 struct RowSink {
   core::Journal& shard;
@@ -117,7 +90,26 @@ struct RowSink {
   /// The shard a worker tears before dying of an injected crash; null
   /// for the inline drain, which cannot die.
   const std::string* crash_shard = nullptr;
+  /// Held across each row's shard append, and by an injected crash
+  /// from its torn write until the process is gone: another thread's
+  /// row lands whole before the fragment or not at all, never glued
+  /// behind it (which would lose the row's first line after its leases
+  /// completed).
+  mutable std::mutex append_mu;
 };
+
+/// Injected process death: leave a torn line in the shard — what a real
+/// crash mid-append does — then die without unwinding, flushing stdio,
+/// or completing the row's leases.
+[[noreturn]] void die_mid_append(const RowSink& out) {
+  out.append_mu.lock();  // never released: the process ends holding it
+  std::FILE* f = std::fopen(out.crash_shard->c_str(), "a");
+  if (f != nullptr) {
+    std::fprintf(f, "{\"v\":%d,\"key\":\"00", core::kJournalFormatVersion);
+    std::fflush(f);
+  }
+  exec::hard_exit(139);
+}
 
 /// Evaluate one leased row cell by cell through core::evaluate_cell,
 /// then persist it in the crash-safe order: the row's result lines in
@@ -130,7 +122,7 @@ struct RowSink {
 /// worker dies.  The inline drain cannot die: it skips to the next
 /// generation, converging to the generation a worker death + re-lease
 /// would have reached.
-void run_row(std::span<const Claim> row,
+void run_row(const std::vector<Claim>& row,
              const std::vector<kernels::Benchmark>& suite,
              const runtime::Harness& h, const core::StudyOptions& opt,
              const RowSink& out) {
@@ -149,7 +141,7 @@ void run_row(std::span<const Claim> row,
     {
       const auto sp = obs::scoped(opt.tracer, "cell", bench.name(), spec.name);
       while (opt.faults.crashes(opt.seed, bench.name(), spec.name, gen)) {
-        if (out.crash_shard != nullptr) die_mid_append(*out.crash_shard);
+        if (out.crash_shard != nullptr) die_mid_append(out);
         if (gen - cl.gen >= kMaxSkippedGenerations) break;
         ++gen;
       }
@@ -171,15 +163,19 @@ void run_row(std::span<const Claim> row,
            .metrics = std::move(res.metrics)}));
     }
   }
-  out.shard.record(entries);
+  {
+    const std::lock_guard<std::mutex> lock(out.append_mu);
+    out.shard.record(entries);
+  }
   for (const std::string& line : telemetry) out.metrics.append(line);
   out.queue.complete(keys, out.self);
 }
 
-/// Entry point of one forked worker: lease rows -> evaluate -> record ->
-/// done, until the queue drains.  `queue` is the supervisor's, inherited
-/// across fork() with its replayed state.  Exit codes: 0 = drained;
-/// 112/113 = could not reopen the queue / open the shard
+/// Entry point of one forked worker: each of its `threads` threads
+/// leases one row -> evaluates -> records -> marks it done, until the
+/// queue drains.  `queue` is the supervisor's, inherited across fork()
+/// with its replayed state.  Exit codes: 0 = drained; 111 = a row
+/// threw; 112/113 = could not reopen the queue / open the shard
 /// (infrastructure; the supervisor sees no progress from this pid and
 /// re-leases its cells).
 int worker_main(LeaseQueue& queue, const std::string& shard_path,
@@ -214,29 +210,26 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
   }
   core::Study study(topt);
   const RowSink out{shard, metrics_out, queue, self, &shard_path};
-  const std::size_t cols = topt.compilers.size();
-  exec::Engine engine(threads);
-  while (true) {
-    // One row per engine thread per lease transaction.
-    const auto claims = queue.acquire(self, lease_deadline,
-                                      static_cast<std::size_t>(threads));
-    if (claims.empty()) {
-      // acquire() just scanned, so drained() is current: leave cleanly
-      // (exit 0) when every cell is done; otherwise someone else holds
-      // the remaining leases — wait for them to finish or expire.
-      if (queue.drained()) return 0;
-      nap();
-      continue;
-    }
-    const auto rows = rows_of(claims, cols);
-    (void)engine.try_run(
-        rows.size(),
-        [&](std::size_t i, int) {
-          run_row(rows[i], suite, study.harness(), topt, out);
-        });
-    // A job that threw (shard IO, ...) left its row leased; the leases
-    // expire and are re-granted — no special handling here.
-  }
+  // One job per thread, each running its own lease loop.
+  exec::for_each_job(
+      static_cast<std::size_t>(threads), threads, [&](std::size_t, int) {
+        while (true) {
+          const auto claims = queue.acquire(self, lease_deadline);
+          if (claims.empty()) {
+            // acquire() just scanned, so drained() is current: stop when
+            // every cell is done; otherwise someone else holds the
+            // remaining leases — wait for them to finish or expire.
+            if (queue.drained()) return;
+            nap();
+            continue;
+          }
+          // A row that throws (shard IO, ...) ends this thread's loop,
+          // and the worker exits 111 once its other threads stop: the
+          // supervisor then releases its leases like any dead worker's.
+          run_row(claims, suite, study.harness(), topt, out);
+        }
+      });
+  return 0;
 }
 
 }  // namespace
@@ -387,7 +380,7 @@ report::Table Supervisor::run_suite(
     const RowSink out{shard, metrics_out, queue, self};
     int stuck_rounds = 0;
     while (true) {
-      const auto claims = queue.acquire(self, 1e9, 1);
+      const auto claims = queue.acquire(self, 1e9);
       if (claims.empty()) {
         if (queue.drained()) break;
         // Unexpired leases of dead owners: force-release and retry.

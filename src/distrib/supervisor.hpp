@@ -5,7 +5,7 @@
 // benchmark rows (every compiler's cell of one benchmark) from the
 // durable work queue (`<shard-dir>/leases.jsonl`), evaluates them
 // through the exact same core::evaluate_cell path the in-process
-// engine uses — one row against one set of per-benchmark caches, so a
+// study uses — one row against one set of per-benchmark caches, so a
 // worker does the same compile/plan/evaluate work the in-process study
 // does — appends each row's outcomes to its own shard journal
 // (`shard-<k>.jsonl`, the standard JSONL journal format) in one write,
@@ -45,9 +45,10 @@ namespace a64fxcc::distrib {
 struct SupervisorOptions {
   /// Study configuration.  The sink/tracer (if any) observe only the
   /// parent: workers run silent and report through their shard
-  /// journals.  `jobs` becomes the per-worker engine thread count
-  /// (<= 0 resolves to 1 — with multiple processes the default is one
-  /// thread each, not hardware_concurrency per worker).
+  /// journals.  `jobs` becomes the per-worker thread count, each
+  /// thread leasing its own rows (<= 0 resolves to 1 — with multiple
+  /// processes the default is one thread each, not
+  /// hardware_concurrency per worker).
   /// `journal`/`cache_service` must be null: shards are the journal of
   /// a multi-process run, and caches cannot be shared across fork.
   core::StudyOptions study;
@@ -59,10 +60,10 @@ struct SupervisorOptions {
   std::string shard_dir = "a64fxcc-shards";
   /// Lease validity.  A worker that holds a lease past its deadline is
   /// presumed hung: the supervisor SIGKILLs it and re-leases its
-  /// cells.  Each engine thread of a worker leases one benchmark row
-  /// per transaction, so this must comfortably exceed the slowest
-  /// row's wall time (all compilers of one benchmark).  A crash loses
-  /// at most one row per worker thread.
+  /// cells.  Each thread of a worker leases one benchmark row at a
+  /// time, so this must comfortably exceed the slowest row's wall time
+  /// (all compilers of one benchmark).  A crash loses at most one row
+  /// per worker thread.
   double lease_deadline_seconds = 30;
   /// Replacement workers budget after crashes; < 0 = 4 + 3 * procs.
   /// Exhausting it degrades the study: the parent drains the remaining

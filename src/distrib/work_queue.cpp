@@ -255,15 +255,12 @@ std::vector<LeaseRecord> LeaseQueue::transact(
   return recs;
 }
 
-std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds,
-                                       std::size_t max_rows) {
+std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds) {
   std::vector<Claim> out;
   const auto granted = transact([&](std::vector<LeaseRecord>& recs) {
     const double t = now();
-    std::size_t rows = 0;
-    for (std::size_t row = 0; row < keys_.size() && rows < max_rows;
+    for (std::size_t row = 0; row < keys_.size() && out.empty();
          row += row_width_) {
-      const std::size_t before = out.size();
       const std::size_t end = std::min(keys_.size(), row + row_width_);
       for (std::size_t i = row; i < end; ++i) {
         const CellState& st = cells_[i];
@@ -272,7 +269,6 @@ std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds,
                         t + deadline_seconds});
         out.push_back({i, keys_[i], st.gen});
       }
-      if (out.size() > before) ++rows;
     }
   });
   if (granted.empty()) out.clear();  // the write failed: nothing granted

@@ -24,7 +24,7 @@
 //
 // The queue knows the grid: keys are row-major with a fixed row width
 // (the supervisor's rows are benchmarks, its columns compilers), and
-// acquire() hands out whole rows so one process evaluates all of a
+// acquire() hands out one whole row so one process evaluates all of a
 // benchmark's cells against one set of per-benchmark caches.  The log
 // itself stays cell-granular — a row's lease or done records are
 // several lines written by one append — so readers never need to know
@@ -114,14 +114,12 @@ class LeaseQueue {
   [[nodiscard]] static double now();
 
   /// Lease, for `owner`, every claimable cell (neither done nor under an
-  /// unexpired lease) of the first `max_rows` rows that still have one.
-  /// Claims come back in key order, so a row's claims are contiguous.
-  /// One flock transaction and one write; the returned generations are
-  /// committed to the log before this returns.  Empty when nothing is
-  /// claimable (all done, or everything pending is validly leased
-  /// elsewhere).
-  [[nodiscard]] std::vector<Claim> acquire(int owner, double deadline_seconds,
-                                           std::size_t max_rows = 1);
+  /// unexpired lease) of the first row that still has one, in key
+  /// order.  One flock transaction and one write; the returned
+  /// generations are committed to the log before this returns.  Empty
+  /// when nothing is claimable (all done, or everything pending is
+  /// validly leased elsewhere).
+  [[nodiscard]] std::vector<Claim> acquire(int owner, double deadline_seconds);
 
   /// Record terminal completion of leased cells: one `done` line per
   /// key, all in one transaction and one write.  False (and nothing

@@ -1,6 +1,6 @@
 #pragma once
 // Minimal POSIX process primitives for the multi-process study runtime
-// (src/distrib/).  The thread Engine isolates cell *failures*; these
+// (src/distrib/).  The thread runner isolates cell *failures*; these
 // fork/waitpid wrappers are what isolates cell *crashes*: a worker
 // process that segfaults, OOMs, or is kill -9ed takes down one shard,
 // and the supervisor reaps it here and re-leases its cells.

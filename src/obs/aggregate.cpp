@@ -233,12 +233,4 @@ std::string Aggregator::merged_trace_json() const {
   return out;
 }
 
-bool write_merged_trace(const Aggregator& agg, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = agg.merged_trace_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace a64fxcc::obs

@@ -100,7 +100,4 @@ class Aggregator {
   AggregateStats stats_;
 };
 
-/// Write `agg.merged_trace_json()` to `path`.  False on I/O failure.
-bool write_merged_trace(const Aggregator& agg, const std::string& path);
-
 }  // namespace a64fxcc::obs

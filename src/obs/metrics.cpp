@@ -179,20 +179,4 @@ std::string MetricsSink::to_json() const {
   return reg_.to_json();
 }
 
-bool write_metrics(const MetricsSink& m, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = m.to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool write_registry(const Registry& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = r.to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace a64fxcc::obs

@@ -156,10 +156,4 @@ class MetricsSink final : public exec::EventSink {
   Registry reg_;
 };
 
-/// Write `m.to_json()` to `path`.  Returns false on I/O failure.
-bool write_metrics(const MetricsSink& m, const std::string& path);
-
-/// Write `r.to_json()` to `path` (the merged-registry flavor).
-bool write_registry(const Registry& r, const std::string& path);
-
 }  // namespace a64fxcc::obs

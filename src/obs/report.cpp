@@ -81,6 +81,13 @@ const PhaseTotal* find_phase(const ReportDoc& d, const std::string& name) {
 
 }  // namespace
 
+bool write_artifact(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 std::optional<ReportDoc> load_report_doc(const std::string& path,
                                          std::string* err) {
   const auto doc = read_file(path);

@@ -22,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace a64fxcc::obs {
@@ -53,6 +54,11 @@ struct ReportDoc {
   std::map<std::string, HistTotal> histograms;     // metrics only
   std::vector<PhaseTotal> phases;                  // trace only
 };
+
+/// Write one rendered artifact (`Tracer::to_chrome_json()`,
+/// `MetricsSink::to_json()`, `Registry::to_json()` or
+/// `Aggregator::merged_trace_json()`) to `path`.  False on I/O failure.
+bool write_artifact(const std::string& path, std::string_view text);
 
 /// Load and classify one artifact.  nullopt (with *err set) when the
 /// file cannot be read or is neither a metrics nor a trace document.

@@ -80,7 +80,7 @@ struct SpanShardRecord {
 /// complete line + fflush per append (a crash mid-append loses at most
 /// the torn tail), and any torn tail left by a previous crashed writer
 /// is newline-terminated on open so fresh lines never glue onto it.
-/// Thread-safe appends (one worker engine may run several threads).
+/// Thread-safe appends (one worker process may run several threads).
 class ShardWriter {
  public:
   ShardWriter() = default;

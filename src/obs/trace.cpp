@@ -188,12 +188,4 @@ std::string Tracer::to_chrome_json() const {
   return out;
 }
 
-bool write_trace(const Tracer& t, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = t.to_chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace a64fxcc::obs

@@ -154,7 +154,4 @@ class Tracer {
       std::chrono::steady_clock::now();
 };
 
-/// Write `t.to_chrome_json()` to `path`.  Returns false on I/O failure.
-bool write_trace(const Tracer& t, const std::string& path);
-
 }  // namespace a64fxcc::obs

@@ -251,12 +251,6 @@ class PhaseClock {
 
 }  // namespace
 
-MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
-                         const kernels::Benchmark& bench,
-                         RunMetrics* metrics) const {
-  return run(spec, bench, RunContext{}, metrics);
-}
-
 std::uint64_t Harness::cell_key(const compilers::CompilerSpec& spec,
                                 const kernels::Benchmark& bench) const {
   // Journal::cell_key's inputs without the seed, plus the machine and

@@ -146,27 +146,21 @@ class Harness {
                    bool apply_quirks = true,
                    cache::Service* cache_service = nullptr);
 
-  /// Full methodology: look up or build the cell's CellModel, then
-  /// explore and measure with this seed's noise over it.  Reentrant:
-  /// safe to call concurrently from engine workers (the only shared
-  /// mutable state is the memo caches — compile, plans, estimates and
-  /// cells — each of which synchronizes itself), and deterministic per
-  /// the cell_stream contract above.  Throws CellError(RuntimeError)
-  /// when the machine topology admits no placement candidate at all
-  /// (degenerate machines only).
+  /// Full methodology for one attempt: look up or build the cell's
+  /// CellModel, then explore and measure with this seed's noise over
+  /// it.  `ctx` says whether the attempt crashes and carries its index
+  /// and tracer.  Reentrant: safe to call concurrently from engine
+  /// workers (the only shared mutable state is the memo caches —
+  /// compile, plans, estimates and cells — each of which synchronizes
+  /// itself), and deterministic per the cell_stream contract above.
+  /// Quirk failures return a MeasuredRun with the corresponding status
+  /// + diagnostic.  Throws CellError(Crashed) at performance run 5 of a
+  /// crashing attempt, and CellError(RuntimeError) when the machine
+  /// topology admits no placement candidate at all (degenerate machines
+  /// only).
   [[nodiscard]] MeasuredRun run(const compilers::CompilerSpec& spec,
                                 const kernels::Benchmark& bench,
-                                RunMetrics* metrics = nullptr) const;
-
-  /// Same methodology for one attempt: `ctx` says whether the attempt
-  /// crashes and carries its index and tracer.  Throws
-  /// CellError(Crashed) at performance run 5 of a crashing attempt;
-  /// quirk failures return a MeasuredRun with the corresponding status
-  /// + diagnostic.  With a default ctx this is bit-identical to run()
-  /// above.
-  [[nodiscard]] MeasuredRun run(const compilers::CompilerSpec& spec,
-                                const kernels::Benchmark& bench,
-                                const RunContext& ctx,
+                                const RunContext& ctx = {},
                                 RunMetrics* metrics = nullptr) const;
 
   /// Placement candidates for a benchmark under this machine's topology

@@ -1,6 +1,7 @@
 #include "stats/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <random>
@@ -50,7 +51,15 @@ double cv(std::span<const double> v) {
 
 double percentile(std::span<const double> v, double p) {
   assert(!v.empty());
-  std::vector<double> s(v.begin(), v.end());
+  // Sort a copy; a cell's ten runs fit the stack buffer, so its median
+  // allocates nothing.
+  std::array<double, 16> small{};
+  std::vector<double> large;
+  if (v.size() > small.size()) large.resize(v.size());
+  const std::span<double> s = large.empty()
+                                  ? std::span<double>(small.data(), v.size())
+                                  : std::span<double>(large);
+  std::copy(v.begin(), v.end(), s.begin());
   std::sort(s.begin(), s.end());
   const double pos = p * static_cast<double>(s.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(pos));

@@ -131,7 +131,7 @@ TEST(Allocations, WarmReStudy) {
     if (cs.name != "cells") continue;
     EXPECT_EQ(cs.stats.hits, 540u);
   }
-  EXPECT_LE(c.allocs, 1'890u);
+  EXPECT_LE(c.allocs, 1'310u);
 }
 
 TEST(Allocations, PaperCompiles) {

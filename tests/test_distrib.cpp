@@ -117,35 +117,42 @@ TEST(LeaseQueue, AcquireCompleteDrainsInKeyOrder) {
   EXPECT_EQ(q.size(), 3u);
   EXPECT_FALSE(q.drained());
 
-  const auto first = q.acquire(111, 60.0, 2);
-  ASSERT_EQ(first.size(), 2u);
+  // One-cell rows: each acquire takes the next claimable key.
+  const auto first = q.acquire(111, 60.0);
+  ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].key, 10u);
   EXPECT_EQ(first[0].index, 0u);
   EXPECT_EQ(first[0].gen, 0);
-  EXPECT_EQ(first[1].key, 20u);
+  const auto second = q.acquire(111, 60.0);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].key, 20u);
+  EXPECT_EQ(second[0].index, 1u);
   // Unexpired leases are not re-granted, even to the same owner.
-  EXPECT_EQ(q.acquire(111, 60.0, 8).size(), 1u);  // only key 30 left
-  EXPECT_TRUE(q.acquire(222, 60.0, 8).empty());
+  const auto third = q.acquire(111, 60.0);  // only key 30 left
+  ASSERT_EQ(third.size(), 1u);
+  EXPECT_EQ(third[0].key, 30u);
+  EXPECT_TRUE(q.acquire(111, 60.0).empty());
+  EXPECT_TRUE(q.acquire(222, 60.0).empty());
 
   EXPECT_TRUE(q.complete({10}, 111));
   EXPECT_TRUE(q.complete({20}, 111));
   EXPECT_TRUE(q.complete({30}, 111));
   EXPECT_TRUE(q.drained());
   EXPECT_EQ(q.done_count(), 3u);
-  EXPECT_TRUE(q.acquire(111, 60.0, 8).empty());
+  EXPECT_TRUE(q.acquire(111, 60.0).empty());
 }
 
 TEST(LeaseQueue, ExpiredLeasesAreReGrantedWithBumpedGeneration) {
   const std::string dir = fresh_dir("queue_expiry");
   std::filesystem::create_directories(dir);
-  distrib::LeaseQueue q(dir + "/leases.jsonl", {1, 2});
+  distrib::LeaseQueue q(dir + "/leases.jsonl", {1, 2}, 2);  // one row
   ASSERT_TRUE(q.open());
   // A lease that expires immediately is claimable by someone else, at
   // the next generation — the re-leased cell sees the next
   // deterministic crash decision.
-  ASSERT_EQ(q.acquire(111, -1.0, 2).size(), 2u);
+  ASSERT_EQ(q.acquire(111, -1.0).size(), 2u);
   EXPECT_EQ(q.expired_leases(distrib::LeaseQueue::now()).size(), 2u);
-  const auto again = q.acquire(222, 60.0, 2);
+  const auto again = q.acquire(222, 60.0);
   ASSERT_EQ(again.size(), 2u);
   EXPECT_EQ(again[0].gen, 1);
   EXPECT_EQ(again[1].gen, 1);
@@ -157,14 +164,17 @@ TEST(LeaseQueue, ReleaseOwnerReturnsOnlyThatOwnersLeases) {
   std::filesystem::create_directories(dir);
   distrib::LeaseQueue q(dir + "/leases.jsonl", {1, 2, 3});
   ASSERT_TRUE(q.open());
-  ASSERT_EQ(q.acquire(111, 60.0, 2).size(), 2u);
-  ASSERT_EQ(q.acquire(222, 60.0, 1).size(), 1u);
+  ASSERT_EQ(q.acquire(111, 60.0).size(), 1u);
+  ASSERT_EQ(q.acquire(111, 60.0).size(), 1u);
+  ASSERT_EQ(q.acquire(222, 60.0).size(), 1u);
   EXPECT_EQ(q.release_owner(111), 2u);
   // Released cells re-lease at the next generation; 222's lease holds.
-  const auto re = q.acquire(333, 60.0, 8);
-  ASSERT_EQ(re.size(), 2u);
+  const auto re = q.acquire(333, 60.0);
+  ASSERT_EQ(re.size(), 1u);
   EXPECT_EQ(re[0].key, 1u);
   EXPECT_EQ(re[0].gen, 1);
+  ASSERT_EQ(q.acquire(333, 60.0).size(), 1u);
+  EXPECT_TRUE(q.acquire(333, 60.0).empty());
   // A stale release from the dead owner cannot clobber the new lease.
   EXPECT_FALSE(q.release(1, 111));
   EXPECT_EQ(q.active_leases().size(), 3u);
@@ -174,9 +184,9 @@ TEST(LeaseQueue, ReopenUndoesDoneForResume) {
   const std::string dir = fresh_dir("queue_reopen");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/leases.jsonl";
-  distrib::LeaseQueue q(path, {5, 6, 7});
+  distrib::LeaseQueue q(path, {5, 6, 7}, 3);  // one row of three
   ASSERT_TRUE(q.open());
-  ASSERT_EQ(q.acquire(111, 60.0, 3).size(), 3u);
+  ASSERT_EQ(q.acquire(111, 60.0).size(), 3u);
   ASSERT_TRUE(q.complete({5, 6, 7}, 111));
   EXPECT_TRUE(q.drained());
   // A batch naming an unknown key writes nothing.
@@ -197,7 +207,7 @@ TEST(LeaseQueue, ReopenUndoesDoneForResume) {
     if (rec->op == distrib::LeaseRecord::Op::Reopen) ++reopens;
   }
   EXPECT_EQ(reopens, 2u);
-  const auto again = q.acquire(222, 60.0, 3);
+  const auto again = q.acquire(222, 60.0);
   ASSERT_EQ(again.size(), 2u);
   EXPECT_EQ(again[0].key, 5u);
   EXPECT_EQ(again[0].gen, 1);
@@ -212,7 +222,7 @@ TEST(LeaseQueue, StateIsDurableAcrossReopenAndToleratesTornTail) {
   {
     distrib::LeaseQueue q(path, {1, 2});
     ASSERT_TRUE(q.open());
-    ASSERT_EQ(q.acquire(111, 3600.0, 1).size(), 1u);
+    ASSERT_EQ(q.acquire(111, 3600.0).size(), 1u);
     ASSERT_TRUE(q.complete({1}, 111));
   }
   // A writer died mid-append: torn tail, no newline.
@@ -226,7 +236,7 @@ TEST(LeaseQueue, StateIsDurableAcrossReopenAndToleratesTornTail) {
   EXPECT_FALSE(q.done(2));
   // The next append terminates the torn tail; replaying the log again
   // still works and the torn fragment decodes to nothing.
-  ASSERT_EQ(q.acquire(222, 3600.0, 2).size(), 1u);
+  ASSERT_EQ(q.acquire(222, 3600.0).size(), 1u);
   distrib::LeaseQueue replay(path, {1, 2});
   ASSERT_TRUE(replay.open());
   EXPECT_TRUE(replay.done(1));
@@ -242,14 +252,14 @@ TEST(LeaseQueue, UnknownKeysInLogAreIgnored) {
     // A previous run with a different configuration (different keys).
     distrib::LeaseQueue q(path, {77});
     ASSERT_TRUE(q.open());
-    ASSERT_EQ(q.acquire(1, 3600.0, 1).size(), 1u);
+    ASSERT_EQ(q.acquire(1, 3600.0).size(), 1u);
     ASSERT_TRUE(q.complete({77}, 1));
   }
   distrib::LeaseQueue q(path, {88});
   ASSERT_TRUE(q.open());
   EXPECT_FALSE(q.drained());
   EXPECT_EQ(q.done_count(), 0u);
-  ASSERT_EQ(q.acquire(2, 3600.0, 1).size(), 1u);
+  ASSERT_EQ(q.acquire(2, 3600.0).size(), 1u);
 }
 
 /// Lines of a lease log, in file order.
@@ -269,7 +279,7 @@ TEST(LeaseQueue, RowAcquireTakesTheClaimableCellsOfTheFirstOpenRow) {
   distrib::LeaseQueue q(path, keys, 5);
   ASSERT_TRUE(q.open());
 
-  const auto row0 = q.acquire(111, 60.0, 1);
+  const auto row0 = q.acquire(111, 60.0);
   ASSERT_EQ(row0.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(row0[i].key, 100 + i);
@@ -291,8 +301,8 @@ TEST(LeaseQueue, RowAcquireTakesTheClaimableCellsOfTheFirstOpenRow) {
           distrib::LeaseRecord{Op::Lease, 109, 444, 0, now - 1}})
       f << distrib::LeaseQueue::encode(rec) << "\n";
   }
-  // acquire(..., 1) takes exactly row 1's claimable cells, never row 2's.
-  const auto row1 = q.acquire(555, 60.0, 1);
+  // acquire() takes exactly row 1's claimable cells, never row 2's.
+  const auto row1 = q.acquire(555, 60.0);
   ASSERT_EQ(row1.size(), 3u);
   EXPECT_EQ(row1[0].key, 105u);
   EXPECT_EQ(row1[0].index, 5u);
@@ -302,11 +312,11 @@ TEST(LeaseQueue, RowAcquireTakesTheClaimableCellsOfTheFirstOpenRow) {
   EXPECT_EQ(row1[2].key, 109u);
   EXPECT_EQ(row1[2].gen, 1);  // re-granted after the expired lease
   // Row 1 has nothing claimable left, so the next row is row 2.
-  const auto row2 = q.acquire(555, 60.0, 1);
+  const auto row2 = q.acquire(555, 60.0);
   ASSERT_EQ(row2.size(), 5u);
   EXPECT_EQ(row2.front().key, 110u);
   EXPECT_EQ(row2.back().key, 114u);
-  EXPECT_TRUE(q.acquire(666, 60.0, 4).empty());
+  EXPECT_TRUE(q.acquire(666, 60.0).empty());
 
   // A multi-key complete adds one done line per key, together at the
   // end of the log; an unknown key makes it write nothing.
@@ -337,15 +347,15 @@ TEST(LeaseQueue, ForkedChildAdoptsTheParentsReplayedQueue) {
   distrib::LeaseQueue q(path, keys, 5);
   ASSERT_TRUE(q.open());
   const int self = exec::current_pid();
-  ASSERT_EQ(q.acquire(self, 60.0, 1).size(), 5u);
+  ASSERT_EQ(q.acquire(self, 60.0).size(), 5u);
   ASSERT_TRUE(q.complete({200, 201, 202, 203, 204}, self));
-  const auto held = q.acquire(self, 60.0, 1);
+  const auto held = q.acquire(self, 60.0);
   ASSERT_EQ(held.size(), 5u);
 
   // The child leases only what the parent neither finished nor holds.
   const int pid = exec::spawn_process([&q] {
     if (!q.reopen_after_fork()) return 2;
-    const auto got = q.acquire(exec::current_pid(), 60.0, 3);
+    const auto got = q.acquire(exec::current_pid(), 60.0);
     if (got.size() != 5) return 3;
     for (std::size_t i = 0; i < got.size(); ++i)
       if (got[i].key != 210 + i || got[i].gen != 0) return 4;
@@ -421,26 +431,33 @@ TEST(Supervisor, InjectedCrashFaultsConvergeToTheCleanTable) {
   const std::string clean_csv =
       report::render_csv(clean_single_process(base, suite));
   base.faults.crash = 0.2;
-  exec::CollectingSink sink;
-  base.sink = &sink;
-  distrib::SupervisorOptions sopt;
-  sopt.study = base;
-  sopt.procs = 3;
-  sopt.shard_dir = fresh_dir("crash_inject");
-  sopt.lease_deadline_seconds = 20;
-  distrib::Supervisor sup(std::move(sopt));
-  const auto t = sup.run_suite(suite);
-  // Workers really died (exit 139 via _exit) and were re-leased; the
-  // re-leased generation skips the injected crash decision, so the
-  // merged table is the clean one, byte for byte.
-  EXPECT_EQ(report::render_csv(t), clean_csv);
-  EXPECT_GT(sup.stats().worker_respawns, 0);
-  EXPECT_GT(sup.stats().cells_released, 0u);
-  EXPECT_GT(sink.count(exec::EventKind::WorkerRespawned), 0u);
-  EXPECT_GT(sink.count(exec::EventKind::CellReleased), 0u);
-  // Crashed workers left torn shard lines behind; the reducer loaded
-  // the shards anyway.
-  EXPECT_EQ(sup.stats().reduce.missing, 0u);
+  // One thread per worker, then two, each leasing its own row: a crash
+  // kills the rows both threads hold.
+  for (const int jobs : {1, 2}) {
+    exec::CollectingSink sink;
+    distrib::SupervisorOptions sopt;
+    sopt.study = base;
+    sopt.study.sink = &sink;
+    sopt.study.jobs = jobs;
+    sopt.procs = 3;
+    sopt.shard_dir = fresh_dir("crash_inject_j" + std::to_string(jobs));
+    sopt.lease_deadline_seconds = 20;
+    distrib::Supervisor sup(std::move(sopt));
+    const auto t = sup.run_suite(suite);
+    // Workers really died (exit 139 via _exit) and were re-leased; the
+    // re-leased generation skips the injected crash decision, so the
+    // merged table is the clean one, byte for byte.
+    EXPECT_EQ(report::render_csv(t), clean_csv) << "jobs=" << jobs;
+    EXPECT_GT(sup.stats().worker_respawns, 0) << "jobs=" << jobs;
+    EXPECT_GT(sup.stats().cells_released, 0u) << "jobs=" << jobs;
+    EXPECT_GT(sink.count(exec::EventKind::WorkerRespawned), 0u)
+        << "jobs=" << jobs;
+    EXPECT_GT(sink.count(exec::EventKind::CellReleased), 0u)
+        << "jobs=" << jobs;
+    // Crashed workers left torn shard lines behind; the reducer loaded
+    // the shards anyway.
+    EXPECT_EQ(sup.stats().reduce.missing, 0u) << "jobs=" << jobs;
+  }
 }
 
 TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/study.hpp"
@@ -32,98 +34,80 @@ TEST(Engine, ResolveWorkers) {
 }
 
 TEST(Engine, RunsEveryJobExactlyOnce) {
-  exec::Engine engine(4);
-  EXPECT_EQ(engine.workers(), 4);
   constexpr std::size_t kJobs = 257;
   std::vector<std::atomic<int>> hits(kJobs);
-  engine.run(kJobs, [&](std::size_t j, int worker) {
+  exec::for_each_job(kJobs, 4, [&](std::size_t j, int worker) {
     ASSERT_LT(j, kJobs);
     ASSERT_GE(worker, 0);
     ASSERT_LT(worker, 4);
     hits[j].fetch_add(1);
   });
   for (std::size_t j = 0; j < kJobs; ++j) EXPECT_EQ(hits[j].load(), 1) << j;
+  exec::for_each_job(0, 4, [](std::size_t, int) { FAIL(); });
 }
 
 TEST(Engine, SingleWorkerRunsInlineInOrder) {
-  exec::Engine engine(1);
   std::vector<std::size_t> order;
-  engine.run(5, [&](std::size_t j, int worker) {
+  exec::for_each_job(5, 1, [&](std::size_t j, int worker) {
     EXPECT_EQ(worker, 0);
     order.push_back(j);  // no lock needed: inline on this thread
   });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(Engine, ReusableAcrossBatches) {
-  exec::Engine engine(3);
-  for (int batch = 0; batch < 3; ++batch) {
-    std::atomic<int> n{0};
-    engine.run(10, [&](std::size_t, int) { n.fetch_add(1); });
-    EXPECT_EQ(n.load(), 10);
-  }
-  engine.run(0, [](std::size_t, int) { FAIL(); });
+TEST(Engine, CallerIsOneOfTheWorkers) {
+  // Each of `workers` jobs waits until all of them have started: that
+  // completes only if `workers` threads run at once, the caller being
+  // one of them.  The bound turns a missing thread into a failure
+  // instead of a hang.
+  constexpr int kWorkers = 4;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<bool> caller_ran{false};
+  std::vector<int> met(kWorkers, 0);
+  exec::for_each_job(kWorkers, kWorkers, [&](std::size_t j, int worker) {
+    if (std::this_thread::get_id() == caller) {
+      EXPECT_EQ(worker, 0);
+      caller_ran = true;
+    }
+    started.fetch_add(1);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < kWorkers && std::chrono::steady_clock::now() < until)
+      std::this_thread::yield();
+    met[j] = started.load();
+  });
+  EXPECT_TRUE(caller_ran.load());
+  for (int j = 0; j < kWorkers; ++j) EXPECT_EQ(met[j], kWorkers) << j;
 }
 
 TEST(Engine, PropagatesJobExceptions) {
-  exec::Engine engine(2);
-  EXPECT_THROW(engine.run(8,
-                          [](std::size_t j, int) {
-                            if (j == 3) throw std::runtime_error("boom");
-                          }),
-               std::runtime_error);
-  // The engine must stay usable after a failed batch.
+  const auto fail_job_3 = [](std::size_t j, int) {
+    if (j == 3) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(exec::for_each_job(8, 2, fail_job_3), std::runtime_error);
+  // A failed call leaves no state behind: the next one runs every job.
   std::atomic<int> n{0};
-  engine.run(4, [&](std::size_t, int) { n.fetch_add(1); });
+  exec::for_each_job(4, 2, [&](std::size_t, int) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 4);
 }
 
 TEST(Engine, RunRethrowsLowestIndexError) {
-  // With several failing jobs, run() must rethrow deterministically —
-  // the lowest job index — not whichever worker lost the race.
-  exec::Engine engine(4);
+  // With several failing jobs, every job still runs, and the rethrow is
+  // deterministic — the lowest job index — not whichever worker lost
+  // the race.
+  std::vector<std::atomic<int>> hits(16);
   try {
-    engine.run(16, [](std::size_t j, int) {
+    exec::for_each_job(16, 4, [&](std::size_t j, int) {
+      hits[j].fetch_add(1);
       if (j % 5 == 2) throw std::runtime_error("job " + std::to_string(j));
     });
     FAIL() << "expected a rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "job 2");
   }
-}
-
-TEST(Engine, TryRunCollectsAllErrors) {
-  // The old semantics lost every error but the first; try_run must
-  // isolate failures per job, keep executing the rest, and report all
-  // of them sorted by job index.
-  exec::Engine engine(4);
-  std::vector<std::atomic<int>> hits(8);
-  const auto res = engine.try_run(8, [&](std::size_t j, int) {
-    hits[j].fetch_add(1);
-    if (j == 1 || j == 4 || j == 6)
-      throw std::runtime_error("job " + std::to_string(j));
-  });
-  EXPECT_FALSE(res.ok());
-  ASSERT_EQ(res.errors.size(), 3u);
-  EXPECT_EQ(res.errors[0].job, 1u);
-  EXPECT_EQ(res.errors[1].job, 4u);
-  EXPECT_EQ(res.errors[2].job, 6u);
-  for (const auto& err : res.errors) {
-    try {
-      std::rethrow_exception(err.error);
-    } catch (const std::runtime_error& e) {
-      EXPECT_EQ(e.what(), "job " + std::to_string(err.job));
-    }
-  }
-  // Isolation: every job ran despite the three failures.
-  for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(hits[j].load(), 1) << j;
-}
-
-TEST(Engine, TryRunOkOnCleanBatch) {
-  exec::Engine engine(2);
-  const auto res = engine.try_run(4, [](std::size_t, int) {});
-  EXPECT_TRUE(res.ok());
-  EXPECT_TRUE(res.errors.empty());
+  for (std::size_t j = 0; j < hits.size(); ++j)
+    EXPECT_EQ(hits[j].load(), 1) << j;
 }
 
 // ---- compile cache --------------------------------------------------------
@@ -401,8 +385,7 @@ TEST(Events, StreamSinkIsThreadSafeForFailureEvents) {
   ASSERT_NE(devnull, nullptr);
   {
     exec::StreamSink sink(devnull);
-    exec::Engine engine(8);
-    engine.run(256, [&](std::size_t j, int worker) {
+    exec::for_each_job(256, 8, [&](std::size_t j, int worker) {
       exec::Event e;
       e.kind = (j % 3 == 0) ? exec::EventKind::JobFailed
                : (j % 3 == 1) ? exec::EventKind::WorkerExited

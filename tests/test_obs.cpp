@@ -172,14 +172,15 @@ TEST(Trace, WriteTraceCreatesLoadableFile) {
   obs::scoped(&tracer, "compile", "atax", "GNU").end();
   const std::string path = testing::TempDir() + "a64fxcc_trace_test.json";
   std::remove(path.c_str());
-  ASSERT_TRUE(obs::write_trace(tracer, path));
+  ASSERT_TRUE(obs::write_artifact(path, tracer.to_chrome_json()));
   std::ifstream f(path);
   std::stringstream ss;
   ss << f.rdbuf();
   const auto body = ss.str();
-  EXPECT_FALSE(body.empty());
+  EXPECT_EQ(body, tracer.to_chrome_json());
   EXPECT_EQ(body.front(), '{');
-  EXPECT_FALSE(obs::write_trace(tracer, "/nonexistent-dir/trace.json"));
+  EXPECT_FALSE(obs::write_artifact("/nonexistent-dir/trace.json",
+                                   tracer.to_chrome_json()));
   std::remove(path.c_str());
 }
 
@@ -285,12 +286,11 @@ TEST(Metrics, WriteMetricsCreatesFile) {
   obs::MetricsSink metrics;
   const std::string path = testing::TempDir() + "a64fxcc_metrics_test.json";
   std::remove(path.c_str());
-  ASSERT_TRUE(obs::write_metrics(metrics, path));
+  ASSERT_TRUE(obs::write_artifact(path, metrics.to_json()));
   std::ifstream f(path);
   std::stringstream ss;
   ss << f.rdbuf();
   EXPECT_NE(ss.str().find("\"version\""), std::string::npos);
-  EXPECT_FALSE(obs::write_metrics(metrics, "/nonexistent-dir/m.json"));
   std::remove(path.c_str());
 }
 
@@ -509,7 +509,7 @@ obs::ReportDoc write_and_load(const obs::Registry& reg,
                               const std::string& name) {
   const std::string path = testing::TempDir() + name;
   std::remove(path.c_str());
-  EXPECT_TRUE(obs::write_registry(reg, path));
+  EXPECT_TRUE(obs::write_artifact(path, reg.to_json()));
   std::string err;
   auto doc = obs::load_report_doc(path, &err);
   EXPECT_TRUE(doc.has_value()) << err;
@@ -857,7 +857,7 @@ TEST(Aggregate, MergedTraceNamesEveryProcessRow) {
   EXPECT_EQ(occurrences("\"ph\":\"E\""), 3u);
   // Round-trips through the report loader as a trace document.
   const std::string path = dir + "/merged.json";
-  ASSERT_TRUE(obs::write_merged_trace(agg, path));
+  ASSERT_TRUE(obs::write_artifact(path, agg.merged_trace_json()));
   std::string err;
   const auto doc = obs::load_report_doc(path, &err);
   ASSERT_TRUE(doc.has_value()) << err;

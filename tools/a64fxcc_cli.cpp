@@ -248,7 +248,7 @@ bool apply_obs_flags(int argc, char** argv, core::StudyOptions& opt,
 bool flush_obs(ObsSetup& obs) {
   bool ok = true;
   if (obs.trace_path != nullptr) {
-    if (!obs::write_trace(obs.tracer, obs.trace_path)) {
+    if (!obs::write_artifact(obs.trace_path, obs.tracer.to_chrome_json())) {
       std::fprintf(stderr, "cannot write trace '%s'\n", obs.trace_path);
       ok = false;
     }
@@ -256,7 +256,7 @@ bool flush_obs(ObsSetup& obs) {
       std::fputs(obs.tracer.summary_text().c_str(), stderr);
   }
   if (obs.metrics_path != nullptr &&
-      !obs::write_metrics(*obs.metrics, obs.metrics_path)) {
+      !obs::write_artifact(obs.metrics_path, obs.metrics->to_json())) {
     std::fprintf(stderr, "cannot write metrics '%s'\n", obs.metrics_path);
     ok = false;
   }
@@ -282,13 +282,14 @@ bool flush_obs_distrib(ObsSetup& obs, const distrib::Supervisor& sup) {
   }
   bool ok = true;
   if (obs.trace_path != nullptr &&
-      !obs::write_merged_trace(agg, obs.trace_path)) {
+      !obs::write_artifact(obs.trace_path, agg.merged_trace_json())) {
     std::fprintf(stderr, "cannot write trace '%s'\n", obs.trace_path);
     ok = false;
   }
   if (obs.metrics_path != nullptr) {
     if (obs.metrics) agg.add_registry(obs.metrics->snapshot());
-    if (!obs::write_registry(agg.merged_registry(), obs.metrics_path)) {
+    if (!obs::write_artifact(obs.metrics_path,
+                             agg.merged_registry().to_json())) {
       std::fprintf(stderr, "cannot write metrics '%s'\n", obs.metrics_path);
       ok = false;
     }
