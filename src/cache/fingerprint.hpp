@@ -1,7 +1,7 @@
 #pragma once
 // Shared fingerprint-mixing primitives for every memoization layer.
 //
-// Before the unified cache tier, ir/fingerprint.cpp, compile_cache.cpp,
+// Before the unified cache tier, ir/fingerprint.cpp, the compile cache,
 // plan.cpp and the harness each carried a private copy of the same
 // splitmix64 finalizer / FNV-1a string hash / incremental Hasher.  They
 // are one implementation now, because the shard router of

@@ -1,12 +1,15 @@
 #pragma once
-// cache::Service — the one object that owns every memoization layer.
+// cache::Service — the owner of every memo that outlives one benchmark
+// row.
 //
 // A Service is a registry of named ShardedMap instances with one stats
-// surface (the --cache-stats table and the obs/ metrics fold).
-// Study/Harness/CompileContext all reach their caches through the
-// Service, so two harnesses attached to the same Service share warm
-// entries: a second study on a warm Service re-uses every compile, plan
-// and estimate of the first.
+// surface (the --cache-stats table and the obs/ metrics fold).  A study
+// registers one map on it, the harness's "cells" (one seed-independent
+// runtime::CellModel per cell), so two harnesses attached to the same
+// Service share warm cell models: a second study on a warm Service
+// re-uses every cell model of the first and makes no compile, plan or
+// evaluation.  What a row's cells share lives in that row's
+// runtime::RowMemo and never reaches the Service.
 
 #include <memory>
 #include <mutex>

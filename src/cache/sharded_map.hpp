@@ -1,13 +1,9 @@
 #pragma once
-// The unified cache tier: a fingerprint-sharded, insert-only concurrent
-// map — the one implementation behind compilers::CompileCache and
-// perf::EstimateCache.
-//
-// Why one tier.  The study is embarrassingly parallel across
-// (benchmark x compiler) cells, but the three memoization layers used to
-// be independent mutex-guarded std::unordered_maps: at high --jobs every
-// hot-path lookup serialized on one of three global locks.  ShardedMap
-// gives every cache the same mechanics:
+// The cache tier's map: a fingerprint-sharded, insert-only concurrent
+// map.  It stores the harness's "cells" map, the one memo that threads
+// (and studies sharing a cache::Service) read and fill concurrently;
+// the memo of one benchmark row belongs to one thread and needs none of
+// this (runtime::RowMemo).  The mechanics:
 //
 //   Sharding.   Entries are routed by a caller-supplied 64-bit
 //     fingerprint to one of 64 cache-line-aligned shards (the

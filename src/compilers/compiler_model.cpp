@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "analysis/access.hpp"
+#include "cache/fingerprint.hpp"
 
 namespace a64fxcc::compilers {
 
@@ -153,6 +154,40 @@ std::string to_string(CompilerId id) {
     case CompilerId::ICC: return "ICC";
   }
   return "?";
+}
+
+std::uint64_t fingerprint(const CompilerSpec& s) {
+  cache::Hasher h;
+  h.add(static_cast<std::uint64_t>(s.id));
+  h.add(s.name);
+  h.add(s.flags);
+  h.add(s.distribute);
+  h.add(s.interchange);
+  h.add(s.interchange_aggressive);
+  h.add(s.use_polly);
+  h.add(s.fuse);
+  h.add(s.unroll);
+  h.add(s.prefetch_dist);
+  h.add(s.pipeline);
+  h.add(s.do_vectorize);
+  h.add(s.vec.width);
+  h.add(s.vec.allow_reductions);
+  h.add(s.vec.allow_gather);
+  h.add(s.vec.allow_scatter);
+  h.add(s.vec.allow_strided);
+  h.add(static_cast<std::uint64_t>(s.polly_tile));
+  h.add(s.fp_core_factor);
+  h.add(s.int_core_factor);
+  h.add(s.fortran_factor);
+  h.add(s.c_factor);
+  h.add(s.cpp_factor);
+  h.add(s.vec_efficiency);
+  h.add(s.c_vec_efficiency);
+  h.add(s.cpp_vec_efficiency);
+  h.add(s.omp_barrier_factor);
+  h.add(s.fortran_via_frt);
+  h.add(s.honor_ocl);
+  return h.h;
 }
 
 CompileOutcome compile(const CompilerSpec& spec, const Kernel& source,

@@ -96,6 +96,12 @@ struct CompilerSpec {
   bool honor_ocl = false;
 };
 
+/// Stable fingerprint of every pipeline/codegen knob of a spec: the
+/// compiler half of core::Journal::cell_key and of the harness's cell
+/// and compile keys (the kernel half is ir::content_fingerprint).
+/// Persisted through the journal key, so its values must never drift.
+[[nodiscard]] std::uint64_t fingerprint(const CompilerSpec& spec);
+
 struct CompileOutcome {
   enum class Status : std::uint8_t { Ok, CompileError, RuntimeError };
   Status status = Status::Ok;
@@ -121,16 +127,16 @@ struct CompileOutcome {
   /// analysis::Manager), so it caches with the outcome.
   analysis::ManagerCounters analysis_cache;
   /// ir::annotated_fingerprint of `kernel` (a tree walk, no print),
-  /// filled in by CompileCache when it publishes the outcome: the
-  /// plan-cache key half, equal to the one perf::analyze(k, m) computes.
-  /// Never persisted.  A bare compile() leaves it 0.
+  /// filled in by runtime::RowMemo::compile: the half of the plan key it
+  /// contributes, equal to the one perf::analyze(k, m) computes.  Never
+  /// persisted.  A bare compile() leaves it 0.
   std::uint64_t kernel_fingerprint = 0;
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::Ok; }
 };
 
 /// Per-call knobs for compile(): quirk application changes the outcome
-/// (and is part of the CompileCache key); tracing is an observability
+/// (and is part of every compile key); tracing is an observability
 /// control that never changes it.
 struct CompileContext {
   bool apply_quirks = true;

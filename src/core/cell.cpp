@@ -4,7 +4,8 @@ namespace a64fxcc::core {
 
 CellResult evaluate_cell(const runtime::Harness& h, const StudyOptions& opt,
                          const kernels::Benchmark& bench,
-                         const compilers::CompilerSpec& spec, int attempt) {
+                         const compilers::CompilerSpec& spec,
+                         runtime::RowMemo& memo, int attempt) {
   CellResult res;
   runtime::MeasuredRun& m = res.run;
   const runtime::RunContext ctx{
@@ -12,7 +13,7 @@ CellResult evaluate_cell(const runtime::Harness& h, const StudyOptions& opt,
       .attempt = attempt,
       .tracer = opt.tracer};
   try {
-    m = h.run(spec, bench, ctx, &res.metrics);
+    m = h.run(spec, bench, memo, ctx, &res.metrics);
   } catch (const runtime::CellError& e) {
     m = {};
     m.benchmark = bench.name();

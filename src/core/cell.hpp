@@ -19,7 +19,8 @@ struct CellResult {
   runtime::RunMetrics metrics;
 };
 
-/// Evaluate one attempt of one cell.  `attempt` seeds the crash
+/// Evaluate one attempt of one cell through `memo`, the memo of its
+/// benchmark row (see runtime::RowMemo).  `attempt` seeds the crash
 /// decision: the in-process study always passes 0; distrib workers pass
 /// the cell's lease generation, so a re-leased cell (previous owner
 /// died) sees the next deterministic decision.  A crashing attempt
@@ -28,6 +29,7 @@ struct CellResult {
                                        const StudyOptions& opt,
                                        const kernels::Benchmark& bench,
                                        const compilers::CompilerSpec& spec,
+                                       runtime::RowMemo& memo,
                                        int attempt = 0);
 
 }  // namespace a64fxcc::core

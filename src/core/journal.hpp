@@ -1,9 +1,9 @@
 #pragma once
 // Checkpoint/resume journal: one JSONL line per terminally-evaluated
-// (benchmark x compiler) cell, keyed by the same fingerprints the
-// CompileCache uses, so `a64fxcc table --resume=journal.jsonl` can skip
-// completed work after a crash or Ctrl-C and re-evaluate only the cells
-// that failed.
+// (benchmark x compiler) cell, keyed by the fingerprints of the
+// compiler spec and the source kernel, so `a64fxcc table
+// --resume=journal.jsonl` can skip completed work after a crash or
+// Ctrl-C and re-evaluate only the cells that failed.
 //
 // Crash-safety model: the writer appends and flushes complete lines as
 // soon as a cell (or a distrib worker's row of cells) finishes, so after
@@ -27,7 +27,7 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "compilers/compile_cache.hpp"
+#include "compilers/compiler_model.hpp"
 #include "runtime/harness.hpp"
 
 namespace a64fxcc::core {
@@ -56,10 +56,11 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   /// Stable identity of one cell evaluation, built from the
-  /// CompileCache fingerprints of the compiler spec and the kernel
-  /// (`kernel_fp` = ir::content_fingerprint: IR + bound parameters +
-  /// metadata) plus the study seed and quirk mode.  Persisted in every
-  /// journal, shard and lease log, so its values must never drift.
+  /// fingerprints of the compiler spec (compilers::fingerprint) and the
+  /// kernel (`kernel_fp` = ir::content_fingerprint: IR + bound
+  /// parameters + metadata) plus the study seed and quirk mode.
+  /// Persisted in every journal, shard and lease log, so its values
+  /// must never drift.
   /// Study paths pass kernels::Benchmark::fingerprint().
   [[nodiscard]] static std::uint64_t cell_key(std::uint64_t seed,
                                               const compilers::CompilerSpec& spec,

@@ -40,10 +40,11 @@ struct StudyOptions {
       compilers::paper_compilers();
   /// Worker threads for run_suite/run_all, the calling thread included:
   /// 1 runs the serial loop on the calling thread, 0 resolves to
-  /// hardware_concurrency.
+  /// hardware_concurrency.  A job is one benchmark row, whose cells
+  /// run in column order on one thread.
   /// Results are bit-identical for every value — cells draw from
   /// per-cell RNG streams (see runtime::cell_stream), never from a
-  /// shared sequence.
+  /// shared sequence — and so are each cell's RunMetrics.
   int jobs = 0;
   /// Optional structured event sink (non-owning; must outlive the
   /// Study calls).  Receives JobStarted and one terminal event
@@ -52,7 +53,7 @@ struct StudyOptions {
   /// `progress` callback.
   exec::EventSink* sink = nullptr;
   /// Optional span collector (non-owning; must outlive the Study
-  /// calls).  The study opens a "cell" span per job; the harness adds
+  /// calls).  The study opens a "cell" span per cell; the harness adds
   /// compile/explore/measure.
   /// Diagnostics-only: tables are byte-identical with tracing on/off.
   obs::Tracer* tracer = nullptr;
@@ -68,7 +69,7 @@ struct StudyOptions {
   Journal* journal = nullptr;
   /// Shared cache tier (non-owning; must outlive the Study).  Null lets
   /// the Study own a private cache::Service — pass one to share warm
-  /// compile/plan/estimate entries across several studies (a re-study
+  /// cell models (the "cells" map) across several studies (a re-study
   /// with new seeds), and to inspect their stats from outside.
   cache::Service* cache_service = nullptr;
 };
@@ -116,7 +117,8 @@ class Study {
  private:
   StudyOptions opt_;
   /// Tier of last resort when the caller brought none (declared before
-  /// harness_: the harness registers its caches during construction).
+  /// harness_: the harness registers its "cells" map during
+  /// construction).
   std::unique_ptr<cache::Service> owned_service_;
   runtime::Harness harness_;
 };

@@ -95,7 +95,7 @@ struct RowSink {
   /// row lands whole before the fragment or not at all, never glued
   /// behind it (which would lose the row's first line after its leases
   /// completed).
-  mutable std::mutex append_mu;
+  mutable std::mutex append_mu{};
 };
 
 /// Injected process death: leave a torn line in the shard — what a real
@@ -111,12 +111,13 @@ struct RowSink {
   exec::hard_exit(139);
 }
 
-/// Evaluate one leased row cell by cell through core::evaluate_cell,
-/// then persist it in the crash-safe order: the row's result lines in
-/// one shard append, its telemetry records, and last one `done` append
-/// for all its leases — so a `done` record implies the result is on
-/// disk, and a death before it loses this row only (its leases are
-/// released and re-granted at the next generation).
+/// Evaluate one leased row cell by cell through core::evaluate_cell and
+/// one runtime::RowMemo, then persist it in the crash-safe order: the
+/// row's result lines in one shard append, its telemetry records, and
+/// last one `done` append for all its leases — so a `done` record
+/// implies the result is on disk, and a death before it loses this row
+/// only (its leases are released and re-granted at the next
+/// generation).
 ///
 /// At a generation whose deterministic decision is an injected crash, a
 /// worker dies.  The inline drain cannot die: it skips to the next
@@ -132,6 +133,7 @@ void run_row(const std::vector<Claim>& row,
   std::vector<std::uint64_t> keys;
   entries.reserve(row.size());
   keys.reserve(row.size());
+  runtime::RowMemo memo;
   for (const Claim& cl : row) {
     const auto& bench = suite[cl.index / cols];
     const auto& spec = opt.compilers[cl.index % cols];
@@ -145,7 +147,7 @@ void run_row(const std::vector<Claim>& row,
         if (gen - cl.gen >= kMaxSkippedGenerations) break;
         ++gen;
       }
-      res = core::evaluate_cell(h, opt, bench, spec, gen);
+      res = core::evaluate_cell(h, opt, bench, spec, memo, gen);
     }
     entries.push_back({cl.key, res.run});
     keys.push_back(cl.key);
@@ -249,7 +251,7 @@ report::Table Supervisor::run_suite(
   const std::string lease_path = opt_.shard_dir + "/leases.jsonl";
 
   // Rows are benchmarks: a worker leases all of a row's compilers at
-  // once, so its per-benchmark caches serve the whole row.
+  // once, so one memo serves the whole row.
   const std::vector<std::uint64_t> keys = cell_keys(suite, sopt);
   LeaseQueue queue(lease_path, keys, cols);
   if (!queue.open())

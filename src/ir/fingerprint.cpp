@@ -166,8 +166,8 @@ std::uint64_t fingerprint(const Kernel& k) { return walk(k, false); }
 std::uint64_t annotated_fingerprint(const Kernel& k) { return walk(k, true); }
 
 std::uint64_t content_fingerprint(const Kernel& k) {
-  // Default seed and field order are those of the compile cache's
-  // historical kernel fingerprint: journal keys persist across builds.
+  // Default seed and field order are those of the historical compile
+  // key's kernel fingerprint: journal keys persist across builds.
   Hasher h;
   h.add(k.name());
   h.add(static_cast<std::uint64_t>(k.meta().language));

@@ -16,12 +16,12 @@
 // fields: everything ir::to_string prints, plus the metadata.  Two
 // compiled kernels share it exactly when they share a content
 // fingerprint (pinned over the paper suite by a test), but it prints
-// nothing.  CompileCache stores it in CompileOutcome::
-// kernel_fingerprint on its miss path, and perf::analyze(k, m)
+// nothing.  runtime::RowMemo stores it in CompileOutcome::
+// kernel_fingerprint when it compiles, and perf::analyze(k, m)
 // computes it, so both agree on every plan key.  Never persisted.
 //
 // content_fingerprint(k) — the persisted identity, for everything keyed
-// across processes and builds: the compile cache's source key
+// across processes and builds: the compile and cell keys' source half
 // (kernels::Benchmark::fingerprint) and, through core::Journal::
 // cell_key, every journal, shard and lease entry.  Name, language,
 // parallel model, suite, bound parameter values and the *printed* IR,

@@ -46,7 +46,7 @@ struct BenchmarkTraits {
 };
 
 /// A benchmark's kernel is fixed once the benchmark is constructed: the
-/// constructor fingerprints it (one print), and every compile-cache,
+/// constructor fingerprints it (one print), and every compile, cell,
 /// journal and lease key of a study reads that stored value.  Adjust
 /// `traits` freely (the suites do); never mutate `kernel` in place —
 /// build a new Benchmark instead.

@@ -78,7 +78,7 @@ std::uint64_t plan_fingerprint(std::uint64_t kernel_fp, const Machine& m) {
   cache::Hasher h(0x9d0f1a2b3c4d5e6fULL);
   // Kernel as a perf-model input: its annotated fingerprint (IR,
   // annotations, variable names, bound parameter values and metadata),
-  // the key CompileCache stores on each outcome.
+  // the key runtime::RowMemo stores on each outcome.
   h.add(kernel_fp);
   // Machine model: every field the estimator reads.
   h.add(m.name);

@@ -95,8 +95,8 @@ struct KernelPlan {
   double parallel_execs = 0;
   std::vector<StmtPlan> stmts;
   /// Stable identity of (annotated kernel IR + bound parameters,
-  /// machine) — the EstimateCache key half contributed by this plan
-  /// (plan_fingerprint).
+  /// machine) — the plan key, and the half of an evaluation key
+  /// contributed by this plan (plan_fingerprint).
   std::uint64_t fingerprint = 0;
 };
 
@@ -104,13 +104,13 @@ struct KernelPlan {
 /// access classification and footprint/trip analysis per (kernel,
 /// machine).  This is the expensive half of the old estimate().  Keys
 /// the plan by ir::annotated_fingerprint(k), a tree walk that prints
-/// nothing — the key CompileCache stores on each outcome, so this
-/// oracle path and the cached path agree.
+/// nothing — the key runtime::RowMemo stores on each outcome, so this
+/// oracle path and the memoized path agree.
 [[nodiscard]] KernelPlan analyze(const ir::Kernel& k,
                                  const machine::Machine& m);
 
 /// Same plan, with its fingerprint precomputed: `fingerprint` must be
-/// plan_fingerprint(ir::annotated_fingerprint(k), m).  EstimateCache's
+/// plan_fingerprint(ir::annotated_fingerprint(k), m).  The row memo's
 /// miss path passes its key here, so no lookup walks the kernel.
 [[nodiscard]] KernelPlan analyze(const ir::Kernel& k,
                                  const machine::Machine& m,
@@ -140,7 +140,7 @@ struct KernelPlan {
                                              const machine::Machine& m);
 
 /// Stable fingerprint of one evaluation configuration (placement-derived
-/// fields + codegen profile) — the other half of the EstimateCache key.
+/// fields + codegen profile) — the other half of an evaluation key.
 [[nodiscard]] std::uint64_t config_fingerprint(const ExecConfig& cfg,
                                                const CodegenProfile& prof);
 

@@ -42,11 +42,6 @@ Harness::Harness(machine::Machine m, std::uint64_t seed, bool apply_quirks,
     : machine_(std::move(m)),
       seed_(seed),
       apply_quirks_(apply_quirks),
-      service_(cache_service),
-      cache_(cache_service != nullptr ? compilers::CompileCache(*cache_service)
-                                      : compilers::CompileCache()),
-      ecache_(cache_service != nullptr ? perf::EstimateCache(*cache_service)
-                                       : perf::EstimateCache()),
       owned_cells_(cache_service != nullptr
                        ? nullptr
                        : std::make_unique<CellMap>("cells")),
@@ -109,93 +104,48 @@ std::vector<Placement> Harness::candidate_placements(
   return out;
 }
 
-std::shared_ptr<const compilers::CompileOutcome> Harness::compile_cached(
-    const compilers::CompilerSpec& spec, const kernels::Benchmark& bench,
-    RunMetrics* metrics, obs::Tracer* tracer) const {
-  compilers::CompileContext cctx;
-  cctx.apply_quirks = apply_quirks_;
-  cctx.tracer = tracer;
-  auto [outcome, hit] =
-      cache_.get_or_compile(spec, bench.kernel, bench.fingerprint(), cctx);
-  if (metrics != nullptr) {
-    if (hit) {
-      ++metrics->compile_cache_hits;
-    } else {
-      ++metrics->compile_cache_misses;
-      // Analysis traffic happened only on the miss path; a compile-cache
-      // hit reuses the outcome without re-running the pipeline.
-      metrics->analysis_cache_hits += outcome->analysis_cache.hits;
-      metrics->analysis_cache_misses += outcome->analysis_cache.misses;
-      metrics->analysis_cache_invalidations +=
-          outcome->analysis_cache.invalidations;
-    }
-  }
-  return std::move(outcome);
-}
-
-std::shared_ptr<const perf::KernelPlan> Harness::plan_cached(
-    const compilers::CompileOutcome& out, RunMetrics* metrics) const {
-  auto [plan, hit] =
-      ecache_.get_or_analyze(*out.kernel, out.kernel_fingerprint, machine_);
-  if (metrics != nullptr) {
-    if (hit)
-      ++metrics->plan_cache_hits;
-    else
-      ++metrics->plan_cache_misses;
-  }
-  return std::move(plan);
-}
-
-std::shared_ptr<const perf::PerfResult> Harness::evaluate_cached(
-    const perf::KernelPlan& plan, const perf::ExecConfig& cfg,
-    const perf::CodegenProfile& prof, RunMetrics* metrics) const {
-  auto [result, hit] = ecache_.get_or_evaluate(plan, cfg, prof);
-  if (metrics != nullptr) {
-    if (hit)
-      ++metrics->estimate_cache_hits;
-    else
-      ++metrics->estimate_cache_misses;
-  }
-  return std::move(result);
-}
-
-void Harness::attach_plans(CompiledCell& cell, RunMetrics* metrics) const {
-  if (cell.out != nullptr && cell.out->ok())
-    cell.plan = plan_cached(*cell.out, metrics);
-  if (cell.library_fraction > 0 && cell.ref != nullptr && cell.ref->ok())
-    cell.ref_plan = plan_cached(*cell.ref, metrics);
+Harness::CompiledCell Harness::compile_cell(const compilers::CompilerSpec& spec,
+                                            const kernels::Benchmark& bench,
+                                            RowMemo& memo, RunMetrics* metrics,
+                                            obs::Tracer* tracer) const {
+  CompiledCell cell;
+  cell.out = &memo.compile(spec, bench, apply_quirks_, metrics, tracer);
+  if (!cell.out->ok()) return cell;
+  // Library-heavy benchmarks need the FJtrad reference for the SSL2
+  // part.
+  cell.library_fraction = bench.traits.library_fraction;
+  if (cell.library_fraction > 0)
+    cell.ref = &memo.compile(compilers::fjtrad(), bench, apply_quirks_,
+                             metrics, tracer);
+  const auto span = obs::scoped(tracer, "plan", bench.name(), spec.name);
+  cell.plan = &memo.plan(*cell.out, machine_, metrics);
+  if (cell.ref != nullptr && cell.ref->ok())
+    cell.ref_plan = &memo.plan(*cell.ref, machine_, metrics);
+  return cell;
 }
 
 CellModel::Candidate Harness::candidate_at(const CompiledCell& cell,
-                                          Placement p,
+                                          Placement p, RowMemo& memo,
                                           RunMetrics* metrics) const {
   const compilers::CompileOutcome& out = *cell.out;
   const auto cfg = perf::make_config(p.ranks, p.threads, machine_);
-  const auto pr = evaluate_cached(*cell.plan, cfg, out.profile, metrics);
-  double t = pr->seconds * out.time_multiplier;
+  const perf::PerfResult& pr =
+      memo.evaluate(*cell.plan, cfg, out.profile, metrics);
+  double t = pr.seconds * out.time_multiplier;
   if (cell.ref_plan != nullptr) {
     const double t_ref =
-        evaluate_cached(*cell.ref_plan, cfg, cell.ref->profile, metrics)
-            ->seconds;
+        memo.evaluate(*cell.ref_plan, cfg, cell.ref->profile, metrics).seconds;
     t += t_ref * cell.library_fraction / (1.0 - cell.library_fraction);
   }
-  return {p, t, pr->total_flops, pr->mem_bytes, pr->bottleneck};
+  return {p, t, pr.total_flops, pr.mem_bytes, pr.bottleneck};
 }
 
 double Harness::model_time(const compilers::CompilerSpec& spec,
                            const kernels::Benchmark& bench, Placement p) const {
-  const auto out = compile_cached(spec, bench);
-  if (!out->ok()) return std::numeric_limits<double>::infinity();
-  std::shared_ptr<const compilers::CompileOutcome> ref;
-  CompiledCell cell;
-  cell.out = out.get();
-  cell.library_fraction = bench.traits.library_fraction;
-  if (bench.traits.library_fraction > 0) {
-    ref = compile_cached(compilers::fjtrad(), bench);
-    cell.ref = ref.get();
-  }
-  attach_plans(cell, nullptr);
-  return candidate_at(cell, p, nullptr).seconds;
+  RowMemo memo;
+  const CompiledCell cell = compile_cell(spec, bench, memo, nullptr, nullptr);
+  if (!cell.out->ok()) return std::numeric_limits<double>::infinity();
+  return candidate_at(cell, p, memo, nullptr).seconds;
 }
 
 double noise_sample(std::uint64_t seed, std::uint64_t stream, double t,
@@ -271,46 +221,33 @@ std::uint64_t Harness::cell_key(const compilers::CompilerSpec& spec,
 }
 
 CellModel Harness::build_model(const compilers::CompilerSpec& spec,
-                               const kernels::Benchmark& bench,
+                               const kernels::Benchmark& bench, RowMemo& memo,
                                RunMetrics* metrics,
                                obs::Tracer* tracer) const {
   CellModel model;
-  const auto out = compile_cached(spec, bench, metrics, tracer);
-  model.status = cell_status(out->status);
-  model.decisions = compilers::decision_summary(out->decisions);
-  if (!out->ok()) {
-    model.diagnostic = out->diagnostic;
+  const CompiledCell cell = compile_cell(spec, bench, memo, metrics, tracer);
+  const compilers::CompileOutcome& out = *cell.out;
+  model.status = cell_status(out.status);
+  model.decisions = compilers::decision_summary(out.decisions);
+  if (!out.ok()) {
+    model.diagnostic = out.diagnostic;
     return model;
-  }
-  // Library-heavy benchmarks need the FJtrad reference for the SSL2
-  // part.
-  std::shared_ptr<const compilers::CompileOutcome> ref;
-  CompiledCell cell;
-  cell.out = out.get();
-  cell.library_fraction = bench.traits.library_fraction;
-  if (cell.library_fraction > 0) {
-    ref = compile_cached(compilers::fjtrad(), bench, metrics, tracer);
-    cell.ref = ref.get();
-  }
-  {
-    const auto span = obs::scoped(tracer, "plan", bench.name(), spec.name);
-    attach_plans(cell, metrics);
   }
   const auto placements =
       candidate_placements(bench.traits, bench.kernel.meta().parallel);
   model.candidates.reserve(placements.size());
   for (const Placement p : placements)
-    model.candidates.push_back(candidate_at(cell, p, metrics));
+    model.candidates.push_back(candidate_at(cell, p, memo, metrics));
   return model;
 }
 
 std::shared_ptr<const CellModel> Harness::model_cached(
     const compilers::CompilerSpec& spec, const kernels::Benchmark& bench,
-    RunMetrics* metrics, obs::Tracer* tracer) const {
+    RowMemo& memo, RunMetrics* metrics, obs::Tracer* tracer) const {
   const std::uint64_t key = cell_key(spec, bench);
   if (auto found = cells_->find(key, key); found != nullptr) return found;
   auto model = std::make_shared<const CellModel>(
-      build_model(spec, bench, metrics, tracer));
+      build_model(spec, bench, memo, metrics, tracer));
   const std::size_t bytes =
       sizeof(CellModel) + model->diagnostic.size() + model->decisions.size() +
       model->candidates.size() * sizeof(CellModel::Candidate);
@@ -319,6 +256,13 @@ std::shared_ptr<const CellModel> Harness::model_cached(
 
 MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
                          const kernels::Benchmark& bench,
+                         const RunContext& ctx, RunMetrics* metrics) const {
+  RowMemo memo;
+  return run(spec, bench, memo, ctx, metrics);
+}
+
+MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
+                         const kernels::Benchmark& bench, RowMemo& memo,
                          const RunContext& ctx, RunMetrics* metrics) const {
   MeasuredRun m;
   m.benchmark = bench.name();
@@ -332,7 +276,7 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
         obs::scoped(ctx.tracer, "compile", bench.name(), spec.name);
     const PhaseClock clock(metrics != nullptr ? &metrics->compile_seconds
                                               : nullptr);
-    model = model_cached(spec, bench, metrics, ctx.tracer);
+    model = model_cached(spec, bench, memo, metrics, ctx.tracer);
   }
   m.status = model->status;
   m.decisions = model->decisions;

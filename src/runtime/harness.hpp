@@ -25,7 +25,9 @@
 // measurement reads — compile verdict, decisions, candidate placements
 // and each candidate's noise-free time — is a CellModel, memoized once
 // per cell on the cache tier ("cells"); a new seed then costs only its
-// draws over that model.
+// draws over that model.  A model is built through the RowMemo of the
+// cell's benchmark row, which shares compiles, plans and evaluations
+// among the row's cells.
 
 #include <limits>
 #include <memory>
@@ -34,14 +36,13 @@
 #include <vector>
 
 #include "cache/service.hpp"
-#include "compilers/compile_cache.hpp"
 #include "compilers/compiler_model.hpp"
 #include "kernels/benchmark.hpp"
 #include "machine/machine.hpp"
-#include "perf/estimate_cache.hpp"
 #include "perf/perf_model.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/outcome.hpp"
+#include "runtime/row_memo.hpp"
 
 namespace a64fxcc::runtime {
 
@@ -138,26 +139,31 @@ struct CellModel {
 
 class Harness {
  public:
-  /// With `cache_service`, every cache registers on the shared tier
-  /// (stats in one place; warm entries shared across harnesses on the
-  /// same service).  Without, the caches are private.  The service must
+  /// With `cache_service`, the "cells" map registers on the shared
+  /// tier (stats in one place; warm cell models shared across harnesses
+  /// on the same service).  Without, it is private.  The service must
   /// outlive the harness.
   explicit Harness(machine::Machine m, std::uint64_t seed = 42,
                    bool apply_quirks = true,
                    cache::Service* cache_service = nullptr);
 
-  /// Full methodology for one attempt: look up or build the cell's
-  /// CellModel, then explore and measure with this seed's noise over
-  /// it.  `ctx` says whether the attempt crashes and carries its index
-  /// and tracer.  Reentrant: safe to call concurrently from engine
-  /// workers (the only shared mutable state is the memo caches —
-  /// compile, plans, estimates and cells — each of which synchronizes
-  /// itself), and deterministic per the cell_stream contract above.
-  /// Quirk failures return a MeasuredRun with the corresponding status
-  /// + diagnostic.  Throws CellError(Crashed) at performance run 5 of a
-  /// crashing attempt, and CellError(RuntimeError) when the machine
-  /// topology admits no placement candidate at all (degenerate machines
-  /// only).
+  /// Full methodology for one attempt: look up the cell's CellModel, or
+  /// build it through `memo`, the memo of the cell's benchmark row; then
+  /// explore and measure with this seed's noise over it.  `ctx` says
+  /// whether the attempt crashes and carries its index and tracer.
+  /// Safe to call concurrently with distinct memos: the "cells" map is
+  /// the only state threads share, and it synchronizes itself.
+  /// Deterministic per the cell_stream contract above.  Quirk failures
+  /// return a MeasuredRun with the corresponding status + diagnostic.
+  /// Throws CellError(Crashed) at performance run 5 of a crashing
+  /// attempt, and CellError(RuntimeError) when the machine topology
+  /// admits no placement candidate at all (degenerate machines only).
+  [[nodiscard]] MeasuredRun run(const compilers::CompilerSpec& spec,
+                                const kernels::Benchmark& bench,
+                                RowMemo& memo, const RunContext& ctx = {},
+                                RunMetrics* metrics = nullptr) const;
+
+  /// One cell on its own: run() through a memo of its own.
   [[nodiscard]] MeasuredRun run(const compilers::CompilerSpec& spec,
                                 const kernels::Benchmark& bench,
                                 const RunContext& ctx = {},
@@ -177,43 +183,11 @@ class Harness {
       ir::ParallelModel model, const kernels::BenchmarkTraits& traits) const;
 
   /// Noise-free model time of one configuration (exposed for tests and
-  /// the ablation benches).  Uses the compile cache, so sweeping the
-  /// placement grid compiles each (compiler, kernel) once.
+  /// the ablation benches).  Each call compiles, plans and evaluates
+  /// afresh: nothing is memoized across calls.
   [[nodiscard]] double model_time(const compilers::CompilerSpec& spec,
                                   const kernels::Benchmark& bench,
                                   Placement p) const;
-
-  /// Memoized compile of `bench`'s kernel under `spec` (shared,
-  /// immutable), keyed by the benchmark's stored fingerprint.  `tracer`
-  /// (may be null) receives the pipeline's "analysis:*" spans when the
-  /// call actually compiles.
-  [[nodiscard]] std::shared_ptr<const compilers::CompileOutcome>
-  compile_cached(const compilers::CompilerSpec& spec,
-                 const kernels::Benchmark& bench,
-                 RunMetrics* metrics = nullptr,
-                 obs::Tracer* tracer = nullptr) const;
-
-  /// Memoized perf::analyze of an ok outcome's kernel on this harness's
-  /// machine (shared, immutable), keyed by the kernel fingerprint the
-  /// outcome carries — so `out` must come from compile_cached.
-  [[nodiscard]] std::shared_ptr<const perf::KernelPlan> plan_cached(
-      const compilers::CompileOutcome& out,
-      RunMetrics* metrics = nullptr) const;
-
-  /// Memoization statistics of the harness-owned compile cache.
-  [[nodiscard]] const compilers::CompileCache& compile_cache() const noexcept {
-    return cache_;
-  }
-
-  /// Memoization statistics of the harness-owned estimate cache.
-  [[nodiscard]] const perf::EstimateCache& estimate_cache() const noexcept {
-    return ecache_;
-  }
-
-  /// The shared cache tier this harness registered on (null standalone).
-  [[nodiscard]] cache::Service* cache_service() const noexcept {
-    return service_;
-  }
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
@@ -226,34 +200,37 @@ class Harness {
   [[nodiscard]] Placement recommended_placement() const;
 
  private:
-  /// Everything candidate_at needs for one compiled cell: the compile
-  /// outcome(s) plus their memoized plans (null when the compile
-  /// failed; ref_plan is set only for library cells).
+  /// Everything candidate_at needs for one compiled cell, held in the
+  /// row's memo: the compile outcome, and for library cells the FJtrad
+  /// reference, plus their plans (null when a compile failed).
   struct CompiledCell {
     const compilers::CompileOutcome* out = nullptr;
     const compilers::CompileOutcome* ref = nullptr;  ///< FJtrad library ref
     double library_fraction = 0;
-    std::shared_ptr<const perf::KernelPlan> plan;
-    std::shared_ptr<const perf::KernelPlan> ref_plan;
+    const perf::KernelPlan* plan = nullptr;
+    const perf::KernelPlan* ref_plan = nullptr;
   };
 
-  /// Attach the memoized plans to a compiled cell.
-  void attach_plans(CompiledCell& cell, RunMetrics* metrics) const;
+  /// Compile (spec, bench), plus the FJtrad reference of a library
+  /// cell, and plan what compiled, all through `memo` (counted into
+  /// `metrics`; `tracer` gets the pipeline's spans and a "plan" span).
+  [[nodiscard]] CompiledCell compile_cell(const compilers::CompilerSpec& spec,
+                                          const kernels::Benchmark& bench,
+                                          RowMemo& memo, RunMetrics* metrics,
+                                          obs::Tracer* tracer) const;
 
   /// One placement of an ok compiled cell: its model time, including
   /// the compiler-independent vendor-library component (derived from
   /// the FJtrad reference), and the main plan's characterization there.
-  /// Memoized via the estimate cache.
   [[nodiscard]] CellModel::Candidate candidate_at(const CompiledCell& cell,
-                                                  Placement p,
+                                                  Placement p, RowMemo& memo,
                                                   RunMetrics* metrics) const;
 
   /// The memoized model of (spec, bench), built on first use through
-  /// the compile, plan and estimate caches (counted into `metrics`;
-  /// `tracer` gets the pipeline's spans and a "plan" span on a build).
+  /// `memo` (see compile_cell).
   [[nodiscard]] std::shared_ptr<const CellModel> model_cached(
       const compilers::CompilerSpec& spec, const kernels::Benchmark& bench,
-      RunMetrics* metrics, obs::Tracer* tracer) const;
+      RowMemo& memo, RunMetrics* metrics, obs::Tracer* tracer) const;
 
   /// The "cells" key of (spec, bench) on this harness.
   [[nodiscard]] std::uint64_t cell_key(const compilers::CompilerSpec& spec,
@@ -262,29 +239,17 @@ class Harness {
   /// model_cached's miss path.
   [[nodiscard]] CellModel build_model(const compilers::CompilerSpec& spec,
                                       const kernels::Benchmark& bench,
-                                      RunMetrics* metrics,
+                                      RowMemo& memo, RunMetrics* metrics,
                                       obs::Tracer* tracer) const;
-
-  /// Memoized evaluate of a plan at one configuration (counts into
-  /// `metrics`).
-  [[nodiscard]] std::shared_ptr<const perf::PerfResult> evaluate_cached(
-      const perf::KernelPlan& plan, const perf::ExecConfig& cfg,
-      const perf::CodegenProfile& prof, RunMetrics* metrics) const;
 
   double noisy(double t, double cv, std::uint64_t stream) const;
 
   machine::Machine machine_;
   std::uint64_t seed_;
   bool apply_quirks_ = true;
-  cache::Service* service_ = nullptr;  ///< shared tier (may be null)
-  /// Memoized compile() outcomes; mutable because memoization does not
-  /// change observable results (compile() is pure).
-  mutable compilers::CompileCache cache_;
-  /// Memoized perf plans/evaluations (pure functions, like compile()).
-  mutable perf::EstimateCache ecache_;
   /// Memoized cell models ("cells" on the tier), keyed by every input a
   /// model reads: spec, kernel, quirk mode, machine and placement
-  /// traits.  Insert-only and self-synchronizing like the caches above.
+  /// traits.  Insert-only and self-synchronizing.
   using CellMap = cache::ShardedMap<std::uint64_t, CellModel>;
   std::unique_ptr<CellMap> owned_cells_;  ///< standalone mode only
   CellMap* cells_;

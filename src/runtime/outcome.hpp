@@ -77,22 +77,24 @@ inline constexpr CellStatus kAllStatuses[] = {
   return false;
 }
 
-/// What evaluating one cell cost: cache traffic (filled by the
-/// harness's cached paths) and per-phase wall-clock.  The one per-cell
+/// What evaluating one cell cost: memo traffic (filled by its row's
+/// runtime::RowMemo) and per-phase wall-clock.  The one per-cell
 /// telemetry record: the study's terminal event carries it to the
 /// metrics sink, and a `--procs` worker writes it to its metrics shard;
 /// obs::Registry::add_cell folds it into counters and histograms on both
 /// paths.  Diagnostics-only: none of it ever feeds a result.
 struct RunMetrics {
-  int compile_cache_hits = 0;
-  int compile_cache_misses = 0;
+  // Row-memo lookups (runtime::RowMemo); the names predate the memo.
+  int compile_cache_hits = 0;    ///< compile outcomes reused
+  int compile_cache_misses = 0;  ///< compilers::compile actually ran
   int plan_cache_hits = 0;       ///< perf::analyze results reused
   int plan_cache_misses = 0;     ///< perf::analyze actually ran
   int estimate_cache_hits = 0;   ///< perf::evaluate results reused
   int estimate_cache_misses = 0; ///< perf::evaluate actually ran
-  // In-pipeline analysis::Manager traffic, accumulated on compile-cache
-  // misses only (a compile-cache hit does no analysis work), so these
-  // are deterministic per cell.
+  // In-pipeline analysis::Manager traffic, accumulated on compile misses
+  // only (a compile hit does no analysis work).  Like every counter
+  // above, a pure function of the cell and the cells before it in its
+  // row.
   int analysis_cache_hits = 0;
   int analysis_cache_misses = 0;
   int analysis_cache_invalidations = 0;

@@ -26,10 +26,10 @@
 #include <vector>
 
 #include "cache/service.hpp"
-#include "compilers/compile_cache.hpp"
 #include "core/journal.hpp"
 #include "core/study.hpp"
 #include "distrib/work_queue.hpp"
+#include "ir/fingerprint.hpp"
 #include "perf/plan.hpp"
 
 namespace {
@@ -107,7 +107,7 @@ TEST(Allocations, ColdPaperStudy) {
   const Count c = count_allocs("seed-42 paper-scale study, jobs=1",
                                [&] { table = study.run_suite(suite); });
   EXPECT_EQ(table.rows.size(), suite.size());
-  EXPECT_LE(c.allocs, 205'900u);
+  EXPECT_LE(c.allocs, 203'500u);
 }
 
 TEST(Allocations, WarmReStudy) {
@@ -150,16 +150,16 @@ TEST(Allocations, PaperCompiles) {
 
 TEST(Allocations, DistinctPlans) {
   // The study's plan misses: one perf::analyze per distinct compiled
-  // kernel, keyed as the estimate cache keys it.
+  // kernel, keyed as the row memo keys it.
   const auto m = machine::a64fx();
-  compilers::CompileCache cache;
   std::set<std::uint64_t> seen;
-  std::vector<std::shared_ptr<const compilers::CompileOutcome>> distinct;
+  std::vector<compilers::CompileOutcome> distinct;
   for (const auto& bench : kernels::all_benchmarks(1.0)) {
     for (const auto& spec : compilers::paper_compilers()) {
-      auto out = cache.get_or_compile(spec, bench.kernel, bench.fingerprint())
-                     .outcome;
-      if (out->ok() && seen.insert(out->kernel_fingerprint).second)
+      compilers::CompileOutcome out = compilers::compile(spec, bench.kernel);
+      if (!out.ok()) continue;
+      out.kernel_fingerprint = ir::annotated_fingerprint(*out.kernel);
+      if (seen.insert(out.kernel_fingerprint).second)
         distinct.push_back(std::move(out));
     }
   }
@@ -169,7 +169,7 @@ TEST(Allocations, DistinctPlans) {
   const Count c = count_allocs("356 perf::analyze(k, m, key) calls", [&] {
     for (const auto& out : distinct)
       plans.push_back(perf::analyze(
-          *out->kernel, m, perf::plan_fingerprint(out->kernel_fingerprint, m)));
+          *out.kernel, m, perf::plan_fingerprint(out.kernel_fingerprint, m)));
   });
   EXPECT_EQ(plans.size(), 356u);
   EXPECT_LE(c.allocs, 23'900u);

@@ -167,10 +167,12 @@ TEST(CacheServiceIdentity, WarmSharedServiceReusesEntriesAndMatchesCold) {
   const auto second = snapshot();
 
   // Nothing is ever dropped, so the second study finds every cell model
-  // of the first (one miss per cell, then one hit per cell) and never
-  // reaches the compile, plan or estimate caches behind them.
+  // of the first (one miss per cell, then one hit per cell).  Compiles,
+  // plans and evaluations live in each row's memo, never on the tier.
   const std::uint64_t cells =
       suite.size() * core::StudyOptions{}.compilers.size();
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
   ASSERT_EQ(first.count("cells"), 1u);
   EXPECT_EQ(first.at("cells").misses, cells);
   EXPECT_EQ(first.at("cells").hits, 0u);
@@ -178,14 +180,6 @@ TEST(CacheServiceIdentity, WarmSharedServiceReusesEntriesAndMatchesCold) {
   EXPECT_EQ(second.at("cells").misses, cells);
   EXPECT_EQ(second.at("cells").hits, cells);
   EXPECT_EQ(second.at("cells").entries, cells);
-  for (const char* name : {"compile", "plans", "estimates"}) {
-    ASSERT_EQ(first.count(name), 1u) << name;
-    ASSERT_EQ(second.count(name), 1u) << name;
-    EXPECT_GT(first.at(name).misses, 0u) << name;
-    EXPECT_EQ(second.at(name).misses, first.at(name).misses) << name;
-    EXPECT_EQ(second.at(name).entries, first.at(name).entries) << name;
-    EXPECT_EQ(second.at(name).hits, first.at(name).hits) << name;
-  }
   EXPECT_EQ(report::render_csv(warm), report::render_csv(cold));
 }
 

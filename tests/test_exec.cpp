@@ -1,4 +1,4 @@
-// Execution engine: scheduling, determinism, memoization, events.
+// Execution engine: scheduling, determinism, compile keys, events.
 //
 // The load-bearing guarantee is bit-identity: run_suite must produce
 // byte-identical report::Table contents for any worker count, because
@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/study.hpp"
@@ -110,43 +113,7 @@ TEST(Engine, RunRethrowsLowestIndexError) {
     EXPECT_EQ(hits[j].load(), 1) << j;
 }
 
-// ---- compile cache --------------------------------------------------------
-
-TEST(CompileCache, MemoizesPureCompiles) {
-  compilers::CompileCache cache;
-  const auto suite = kernels::polybench_suite(0.02);
-  const auto spec = compilers::llvm12();
-  const auto a =
-      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
-  EXPECT_FALSE(a.hit);
-  const auto b =
-      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
-  EXPECT_TRUE(b.hit);
-  EXPECT_EQ(a.outcome.get(), b.outcome.get());  // shared, not recompiled
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(CompileCache, DistinguishesSpecKernelScaleAndQuirks) {
-  compilers::CompileCache cache;
-  const auto small = kernels::polybench_suite(0.02);
-  const auto large = kernels::polybench_suite(0.04);
-  const auto spec = compilers::llvm12();
-  const auto compile = [&](const compilers::CompilerSpec& s,
-                           const kernels::Benchmark& b, bool quirks = true) {
-    return cache.get_or_compile(s, b.kernel, b.fingerprint(), quirks);
-  };
-  (void)compile(spec, small[0]);
-  // Different kernel, different compiler, different scale, different
-  // quirk mode: all distinct entries.
-  EXPECT_FALSE(compile(spec, small[1]).hit);
-  EXPECT_FALSE(compile(compilers::gnu(), small[0]).hit);
-  EXPECT_FALSE(compile(spec, large[0]).hit);
-  EXPECT_FALSE(compile(spec, small[0], false).hit);
-  EXPECT_TRUE(compile(spec, small[0]).hit);
-  EXPECT_EQ(cache.stats().misses, 5u);
-}
+// ---- compile keys ---------------------------------------------------------
 
 TEST(CompileCache, FingerprintSeesSpecKnobs) {
   auto a = compilers::llvm12();
@@ -154,22 +121,6 @@ TEST(CompileCache, FingerprintSeesSpecKnobs) {
   EXPECT_EQ(compilers::fingerprint(a), compilers::fingerprint(b));
   b.unroll += 1;
   EXPECT_NE(compilers::fingerprint(a), compilers::fingerprint(b));
-}
-
-TEST(Harness, ModelTimeSweepHitsCache) {
-  const runtime::Harness h(machine::a64fx());
-  const auto suite = kernels::top500_suite(0.02);
-  const auto& bench = suite[0];  // hpl: MPI+OpenMP, library-heavy
-  const auto placements =
-      h.candidate_placements(bench.traits, bench.kernel.meta().parallel);
-  ASSERT_GT(placements.size(), 1u);
-  for (const auto& p : placements)
-    (void)h.model_time(compilers::llvm12(), bench, p);
-  const auto s = h.compile_cache().stats();
-  // First placement compiles LLVM + the FJtrad library reference; every
-  // further placement hits both.
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.hits, 2u * (placements.size() - 1));
 }
 
 // ---- determinism across worker counts -------------------------------------
@@ -245,6 +196,40 @@ TEST(Determinism, MatchesLegacySerialSemantics) {
   for (const auto& row : t.rows)
     if (!row.cells[4].valid()) ++gnu_errors;
   EXPECT_EQ(gnu_errors, 6);
+}
+
+TEST(Determinism, PerCellCountersMatchAtOneAndFourWorkers) {
+  // A row's cells share one memo and run in column order on one thread,
+  // so which cell a compile, plan or evaluation miss lands on cannot
+  // depend on scheduling: every cell's counters match across worker
+  // counts, not just the study's totals.
+  const auto suite = kernels::all_benchmarks(0.25);
+  const auto counters = [&suite](int jobs) {
+    exec::CollectingSink sink;
+    (void)run_with_jobs(suite, jobs, &sink);
+    std::map<std::pair<std::size_t, std::size_t>, std::array<int, 9>> out;
+    for (const auto& e : sink.events()) {
+      if (e.kind == exec::EventKind::JobStarted) continue;
+      const runtime::RunMetrics& m = e.metrics;
+      out[{e.row, e.col}] = {m.compile_cache_hits,  m.compile_cache_misses,
+                             m.plan_cache_hits,     m.plan_cache_misses,
+                             m.estimate_cache_hits, m.estimate_cache_misses,
+                             m.analysis_cache_hits, m.analysis_cache_misses,
+                             m.analysis_cache_invalidations};
+    }
+    return out;
+  };
+  const auto one = counters(1);
+  const auto four = counters(4);
+  ASSERT_EQ(one.size(), suite.size() * compilers::paper_compilers().size());
+  ASSERT_EQ(four.size(), one.size());
+  std::size_t differing = 0;
+  for (const auto& [cell, want] : one) {
+    const auto it = four.find(cell);
+    ASSERT_NE(it, four.end());
+    if (it->second != want) ++differing;
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST(Determinism, CellStreamIsPerCellNotShared) {
@@ -403,7 +388,9 @@ TEST(Events, StreamSinkIsThreadSafeForFailureEvents) {
 
 TEST(Events, LibraryBenchmarksHitTheCompileCache) {
   // hpl (library_fraction > 0) re-needs the FJtrad reference in every
-  // column: with the serial path, 4 of those 5 compiles are cache hits.
+  // column: its row memo compiles FJtrad once, for the FJtrad cell, and
+  // all five reference lookups hit.  No other top500 row has a library
+  // share.
   const auto suite = kernels::top500_suite(0.05);
   exec::CollectingSink sink;
   (void)run_with_jobs(suite, 1, &sink);
@@ -412,7 +399,7 @@ TEST(Events, LibraryBenchmarksHitTheCompileCache) {
     hits += e.metrics.compile_cache_hits;
     misses += e.metrics.compile_cache_misses;
   }
-  EXPECT_GT(hits, 0);
+  EXPECT_EQ(hits, 5);
   EXPECT_GT(misses, 0);
 }
 

@@ -254,8 +254,9 @@ TEST(Injection, InProcessCrashFaultsClassifyAndRetryLikeAnyFault) {
       ++crashed;
       EXPECT_EQ(cell.diagnostic,
                 "injected crash fault at performance run 5 (attempt 0)");
+      runtime::RowMemo memo;
       const auto again = core::evaluate_cell(next.harness(), flaky, suite[r],
-                                             flaky.compilers[c], 1);
+                                             flaky.compilers[c], memo, 1);
       if (!again.run.valid()) {
         EXPECT_EQ(again.run.diagnostic,
                   "injected crash fault at performance run 5 (attempt 1)");
@@ -610,7 +611,11 @@ TEST(Resume, SecondRunRestoresEverythingWithoutRecompiling) {
   clean_opt.scale = 0.05;
   const auto clean = core::Study(std::move(clean_opt)).run_suite(suite);
   expect_identical_cells(t, clean);
-  EXPECT_EQ(study.harness().compile_cache().stats().misses, 0u);
+  const auto tier = study.cache_service().stats();
+  const auto cells = std::find_if(
+      tier.begin(), tier.end(), [](const auto& c) { return c.name == "cells"; });
+  ASSERT_NE(cells, tier.end());
+  EXPECT_EQ(cells->stats.misses, 0u);
   std::remove(path.c_str());
 }
 

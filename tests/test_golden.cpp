@@ -78,10 +78,13 @@ TEST(GoldenTable, PaperScaleStudyMatchesAtOneAndFourWorkers) {
         << first_difference(csv, golden)
         << "\nre-baseline only on purpose: see tests/golden/README.md";
 
-    // Seed-42 work counters; racing cache publishes count the loser as a
-    // hit, so they hold at any worker count.  Estimate hits are the
-    // explore loop's repeats only: a cell's model carries its winner's
-    // characterization, so no lookup follows the measure phase.
+    // Seed-42 work counters.  Each benchmark row evaluates its cells in
+    // column order through one memo, so they hold at any worker count.
+    // The 15 compile hits are the FJtrad reference lookups of the three
+    // library-heavy rows (hpl, candle, ntchem), five per row.  Estimate
+    // hits are the explore loop's repeats only: a cell's model carries
+    // its winner's characterization, so no lookup follows the measure
+    // phase.
     const std::pair<const char*, std::uint64_t> expected[] = {
         {"compile_cache_misses", 540},   {"compile_cache_hits", 15},
         {"plan_cache_misses", 356},      {"plan_cache_hits", 190},

@@ -40,7 +40,7 @@ TEST(Registry, NamesAreUnique) {
 }
 
 TEST(Registry, BenchmarksCarryTheirKernelsContentFingerprint) {
-  // Every compile-cache, journal and lease key of a study reads the
+  // Every compile, cell, journal and lease key of a study reads the
   // fingerprint a Benchmark stored at construction instead of printing
   // the kernel again; it must equal a fresh one at any scale.
   using Suite = std::vector<Benchmark> (*)(double);

@@ -417,16 +417,15 @@ TEST(Provenance, DecisionSummaryListsCanonicalPassesInOrder) {
 }
 
 TEST(Provenance, DecisionsAreCachedWithTheOutcome) {
-  compilers::CompileCache cache;
+  runtime::RowMemo memo;
+  runtime::RunMetrics rm;
   const auto suite = kernels::polybench_suite(0.05);
   const auto spec = compilers::llvm_polly();
-  const auto a =
-      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
-  const auto b =
-      cache.get_or_compile(spec, suite[0].kernel, suite[0].fingerprint());
-  ASSERT_TRUE(b.hit);
-  EXPECT_FALSE(a.outcome->decisions.empty());
-  EXPECT_EQ(a.outcome.get(), b.outcome.get());  // provenance rides the cache
+  const auto& a = memo.compile(spec, suite[0], true, &rm);
+  const auto& b = memo.compile(spec, suite[0], true, &rm);
+  ASSERT_EQ(rm.compile_cache_hits, 1);
+  EXPECT_FALSE(a.decisions.empty());
+  EXPECT_EQ(&a, &b);  // provenance rides the memoized outcome
 }
 
 TEST(Provenance, EveryTableCellCarriesDecisions) {

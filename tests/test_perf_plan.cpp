@@ -2,18 +2,16 @@
 // EXACT — evaluate(analyze(k, m), cfg, prof) must be bit-identical to
 // estimate(k, m, cfg, prof) for every kernel, machine and configuration,
 // because the study's tables are asserted byte-identical before/after
-// the optimization.  Plus the EstimateCache memoization semantics
-// (sibling of the CompileCache tests in test_exec).
+// the optimization.  (The row memo that shares plans and evaluations
+// within a benchmark row is tested in test_runtime.)
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "compilers/compiler_model.hpp"
 #include "ir/fingerprint.hpp"
 #include "kernels/benchmark.hpp"
-#include "perf/estimate_cache.hpp"
 #include "perf/plan.hpp"
 
 namespace {
@@ -106,7 +104,7 @@ TEST(PlanEvaluate, MatchesEstimateOnOtherMachines) {
 }
 
 TEST(PlanEvaluate, ScoringModeMatchesDetailScalars) {
-  // want_detail=false is the mode the estimate cache scores placements
+  // want_detail=false is the mode the row memo scores placements
   // in: every scalar field must stay bit-identical to the detailed
   // result — the study's placement choices and table numbers ride on
   // them — with the per-statement breakdown simply absent.
@@ -150,7 +148,7 @@ TEST(PlanFingerprint, DiscriminatesKernelMachineAndScale) {
   EXPECT_NE(perf::plan_fingerprint(k1, m),
             perf::plan_fingerprint(
                 ir::annotated_fingerprint(rescaled[0].kernel), m));
-  // analyze(k, m) stores the key the estimate cache looks it up by, and
+  // analyze(k, m) stores the key the row memo looks it up by, and
   // the perf-input domain never collides with the compiler-input one.
   EXPECT_EQ(perf::analyze(suite[0].kernel, m).fingerprint,
             perf::plan_fingerprint(k1, m));
@@ -167,86 +165,6 @@ TEST(ConfigFingerprint, DiscriminatesPlacementAndProfile) {
   prof.vec_efficiency = 0.7;
   EXPECT_NE(perf::config_fingerprint(c1, {}),
             perf::config_fingerprint(c1, prof));
-}
-
-// ---- EstimateCache ---------------------------------------------------------
-
-TEST(EstimateCache, MemoizesPlansWithPointerIdentity) {
-  const auto m = machine::a64fx();
-  const auto suite = kernels::microkernel_suite(0.05);
-  perf::EstimateCache cache;
-  const auto analyze = [&](const kernels::Benchmark& b) {
-    return cache.get_or_analyze(b.kernel, b.fingerprint(), m);
-  };
-  const auto r1 = analyze(suite[0]);
-  EXPECT_FALSE(r1.hit);
-  const auto r2 = analyze(suite[0]);
-  EXPECT_TRUE(r2.hit);
-  EXPECT_EQ(r1.plan.get(), r2.plan.get());  // shared, not recomputed
-  EXPECT_EQ(cache.plan_count(), 1u);
-  EXPECT_EQ(cache.plan_stats().hits, 1u);
-  EXPECT_EQ(cache.plan_stats().misses, 1u);
-
-  const auto r3 = analyze(suite[1]);
-  EXPECT_FALSE(r3.hit);
-  EXPECT_NE(r3.plan.get(), r1.plan.get());
-  EXPECT_EQ(cache.plan_count(), 2u);
-}
-
-TEST(EstimateCache, MemoizesEvaluationsPerConfig) {
-  const auto m = machine::a64fx();
-  const auto suite = kernels::microkernel_suite(0.05);
-  perf::EstimateCache cache;
-  const auto plan =
-      cache.get_or_analyze(suite[0].kernel, suite[0].fingerprint(), m).plan;
-
-  const auto c1 = perf::make_config(4, 12, m);
-  const auto c2 = perf::make_config(48, 1, m);
-  const auto e1 = cache.get_or_evaluate(*plan, c1);
-  EXPECT_FALSE(e1.hit);
-  const auto e2 = cache.get_or_evaluate(*plan, c1);
-  EXPECT_TRUE(e2.hit);
-  EXPECT_EQ(e1.result.get(), e2.result.get());
-  const auto e3 = cache.get_or_evaluate(*plan, c2);
-  EXPECT_FALSE(e3.hit);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  // The memoized result is the detail-less evaluation, bitwise.
-  expect_bitwise(*e1.result, perf::evaluate(*plan, c1, {}, false), "cached");
-}
-
-TEST(EstimateCache, ConcurrentAccessKeepsOneEntry) {
-  const auto m = machine::a64fx();
-  const auto suite = kernels::microkernel_suite(0.05);
-  perf::EstimateCache cache;
-  const auto plan =
-      cache.get_or_analyze(suite[0].kernel, suite[0].fingerprint(), m).plan;
-  const auto cfg = perf::make_config(4, 12, m);
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 100;
-  std::vector<std::thread> workers;
-  std::vector<const perf::PerfResult*> first(kThreads, nullptr);
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      for (int i = 0; i < kIters; ++i) {
-        const auto r = cache.get_or_evaluate(*plan, cfg);
-        if (first[w] == nullptr) first[w] = r.result.get();
-        // Every call returns the single map entry (first insert wins).
-        EXPECT_EQ(r.result.get(), first[w]);
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  EXPECT_EQ(cache.size(), 1u);
-  for (int w = 1; w < kThreads; ++w) EXPECT_EQ(first[w], first[0]);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses,
-            static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_GE(s.misses, 1u);  // racing first calls may all miss; >= 1 did
 }
 
 }  // namespace

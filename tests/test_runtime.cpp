@@ -1,17 +1,22 @@
 // Tests for the measurement harness: placement candidates respect the
 // benchmark traits, exploration picks sensible placements, noise is
-// deterministic per seed, errors propagate, and the library-fraction
-// model caps compiler influence.
+// deterministic per seed, errors propagate, the library-fraction model
+// caps compiler influence, and the row memo shares a row's work and
+// counts every lookup.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "cache/service.hpp"
+#include "ir/fingerprint.hpp"
 #include "kernels/archetypes.hpp"
+#include "perf/plan.hpp"
 #include "runtime/harness.hpp"
 
 namespace {
@@ -408,6 +413,201 @@ TEST(CellModel, KeyCoversEveryTraitTheModelReads) {
       expect_same_run(h.run(spec, b), want, f.trait);
     }
   }
+}
+
+// ---- row memo ---------------------------------------------------------------
+
+/// The six lookup counters of `m`, in RunMetrics order.
+enum Lookup {
+  kCompileHit, kCompileMiss, kPlanHit, kPlanMiss, kEvalHit, kEvalMiss
+};
+std::array<int, 6> lookups(const runtime::RunMetrics& m) {
+  return {m.compile_cache_hits,  m.compile_cache_misses, m.plan_cache_hits,
+          m.plan_cache_misses,   m.estimate_cache_hits,
+          m.estimate_cache_misses};
+}
+
+/// Checks that the lookups since its previous call moved counter
+/// `which` of a RunMetrics by one, and no other.
+class ExpectMoved {
+ public:
+  explicit ExpectMoved(const runtime::RunMetrics& rm)
+      : rm_(rm), last_(lookups(rm)) {}
+  void operator()(Lookup which) {
+    ++last_[which];
+    EXPECT_EQ(lookups(rm_), last_) << "counter " << which;
+    last_ = lookups(rm_);
+  }
+
+ private:
+  const runtime::RunMetrics& rm_;
+  std::array<int, 6> last_;
+};
+
+// The CompileCache and EstimateCache suites check the row memo's
+// compile, and its plan and evaluate lookups, in turn.
+
+TEST(CompileCache, MemoizesPureCompiles) {
+  const auto suite = kernels::polybench_suite(0.02);
+  const auto spec = compilers::llvm12();
+  runtime::RowMemo memo;
+  runtime::RunMetrics rm;
+  ExpectMoved moved(rm);
+  // A repeat spec hits and shares its outcome, decisions included.  Only
+  // the miss runs the pipeline, so only it adds analysis traffic.
+  const compilers::CompileOutcome& a = memo.compile(spec, suite[0], true, &rm);
+  moved(kCompileMiss);
+  ASSERT_TRUE(a.ok());
+  const int analyses = rm.analysis_cache_hits + rm.analysis_cache_misses;
+  EXPECT_GT(analyses, 0);
+  EXPECT_EQ(&memo.compile(spec, suite[0], true, &rm), &a);
+  moved(kCompileHit);
+  EXPECT_EQ(rm.analysis_cache_hits + rm.analysis_cache_misses, analyses);
+  EXPECT_FALSE(a.decisions.empty());
+  EXPECT_EQ(compilers::decision_summary(a.decisions),
+            compilers::decision_summary(
+                compilers::compile(spec, suite[0].kernel).decisions));
+  EXPECT_EQ(a.kernel_fingerprint, ir::annotated_fingerprint(*a.kernel));
+}
+
+TEST(CompileCache, DistinguishesSpecKernelScaleAndQuirks) {
+  const auto small = kernels::polybench_suite(0.02);
+  const auto large = kernels::polybench_suite(0.04);
+  const auto spec = compilers::llvm12();
+  runtime::RowMemo memo;
+  runtime::RunMetrics rm;
+  ExpectMoved moved(rm);
+  const compilers::CompileOutcome& a = memo.compile(spec, small[0], true, &rm);
+  moved(kCompileMiss);
+  // Another spec, kernel, kernel scale or quirk mode misses.
+  EXPECT_NE(&memo.compile(compilers::gnu(), small[0], true, &rm), &a);
+  moved(kCompileMiss);
+  EXPECT_NE(&memo.compile(spec, small[1], true, &rm), &a);
+  moved(kCompileMiss);
+  EXPECT_NE(&memo.compile(spec, large[0], true, &rm), &a);
+  moved(kCompileMiss);
+  EXPECT_NE(&memo.compile(spec, small[0], false, &rm), &a);
+  moved(kCompileMiss);
+  EXPECT_EQ(&memo.compile(spec, small[0], true, &rm), &a);
+  moved(kCompileHit);
+  EXPECT_EQ(rm.compile_cache_misses, 5);
+}
+
+TEST(EstimateCache, MemoizesPlansWithPointerIdentity) {
+  const auto m = machine::a64fx();
+  const auto suite = kernels::polybench_suite(0.02);
+  const auto spec = compilers::llvm12();
+  runtime::RowMemo memo;
+  const compilers::CompileOutcome& a = memo.compile(spec, suite[0], true);
+  const compilers::CompileOutcome& b = memo.compile(spec, suite[1], true);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  runtime::RunMetrics rm;
+  ExpectMoved moved(rm);
+  const perf::KernelPlan& plan = memo.plan(a, m, &rm);
+  moved(kPlanMiss);
+  EXPECT_EQ(plan.fingerprint, perf::analyze(*a.kernel, m).fingerprint);
+  EXPECT_EQ(&memo.plan(a, m, &rm), &plan);  // shared, not recomputed
+  moved(kPlanHit);
+  // Equal annotated fingerprints share one plan: the key is the
+  // fingerprint the outcome carries, not the outcome.
+  runtime::RowMemo elsewhere;
+  const compilers::CompileOutcome& twin =
+      elsewhere.compile(spec, suite[0], true);
+  ASSERT_NE(&twin, &a);
+  EXPECT_EQ(&memo.plan(twin, m, &rm), &plan);
+  moved(kPlanHit);
+  EXPECT_NE(&memo.plan(b, m, &rm), &plan);
+  moved(kPlanMiss);
+}
+
+TEST(EstimateCache, MemoizesEvaluationsPerConfig) {
+  const auto m = machine::a64fx();
+  const auto suite = kernels::polybench_suite(0.02);
+  const auto spec = compilers::llvm12();
+  runtime::RowMemo memo;
+  const compilers::CompileOutcome& a = memo.compile(spec, suite[0], true);
+  const compilers::CompileOutcome& b = memo.compile(spec, suite[1], true);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  const perf::KernelPlan& plan = memo.plan(a, m);
+  const perf::KernelPlan& other_plan = memo.plan(b, m);
+  runtime::RunMetrics rm;
+  ExpectMoved moved(rm);
+  // One evaluation per (plan, config, profile), bitwise equal to the
+  // detail-less perf::evaluate.
+  const auto c1 = perf::make_config(4, 12, m);
+  const auto c2 = perf::make_config(48, 1, m);
+  perf::CodegenProfile other = a.profile;
+  other.vec_efficiency += 0.25;
+  const perf::PerfResult& e = memo.evaluate(plan, c1, a.profile, &rm);
+  moved(kEvalMiss);
+  EXPECT_EQ(&memo.evaluate(plan, c1, a.profile, &rm), &e);
+  moved(kEvalHit);
+  EXPECT_NE(&memo.evaluate(plan, c2, a.profile, &rm), &e);
+  moved(kEvalMiss);
+  EXPECT_NE(&memo.evaluate(plan, c1, other, &rm), &e);
+  moved(kEvalMiss);
+  EXPECT_NE(&memo.evaluate(other_plan, c1, a.profile, &rm), &e);
+  moved(kEvalMiss);
+  const perf::PerfResult want = perf::evaluate(plan, c1, a.profile, false);
+  EXPECT_EQ(e.seconds, want.seconds);
+  EXPECT_EQ(e.total_flops, want.total_flops);
+  EXPECT_EQ(e.mem_bytes, want.mem_bytes);
+  EXPECT_EQ(e.runtime_overhead_s, want.runtime_overhead_s);
+  EXPECT_EQ(e.joules, want.joules);
+  EXPECT_EQ(e.bottleneck, want.bottleneck);
+  EXPECT_TRUE(e.detail.empty());
+}
+
+TEST(CarriedFingerprints, OutcomesAndPlanKeysMatchFreshFingerprints) {
+  // The study path prints no kernel to key a lookup: compiles key by
+  // Benchmark::fingerprint, plans by the fingerprint the row memo stored
+  // on the outcome.  Each carried value must equal a fresh
+  // annotated_fingerprint, and the memo's plan key must equal the one
+  // the kernel-taking oracle path perf::analyze(k, m) computes.
+  const auto m = machine::a64fx();
+  std::size_t ok = 0;
+  for (const auto& bench : kernels::all_benchmarks(1.0)) {
+    runtime::RowMemo memo;
+    for (const auto& spec : compilers::paper_compilers()) {
+      const compilers::CompileOutcome& out = memo.compile(spec, bench, true);
+      if (!out.ok()) continue;
+      ++ok;
+      const std::string what = bench.name() + " x " + spec.name;
+      EXPECT_EQ(out.kernel_fingerprint, ir::annotated_fingerprint(*out.kernel))
+          << what;
+      EXPECT_EQ(memo.plan(out, m).fingerprint,
+                perf::analyze(*out.kernel, m).fingerprint)
+          << what;
+    }
+  }
+  EXPECT_EQ(ok, 531u);  // 540 cells minus the paper's 3 CE + 6 RE
+}
+
+TEST(CarriedFingerprints, PlanKeysClassifyOutcomesLikeContentFingerprints) {
+  // The plan key is a walk, the printed content fingerprint a print: two
+  // ok outcomes of the paper study must share one exactly when they
+  // share the other.  A collision would hand one kernel another's plan;
+  // a split would lose plan sharing.  GoldenTable pins only the count.
+  std::map<std::uint64_t, std::uint64_t> content_of;  // plan key -> content
+  std::map<std::uint64_t, std::uint64_t> plan_of;     // content -> plan key
+  for (const auto& bench : kernels::all_benchmarks(1.0)) {
+    runtime::RowMemo memo;
+    for (const auto& spec : compilers::paper_compilers()) {
+      const compilers::CompileOutcome& out = memo.compile(spec, bench, true);
+      if (!out.ok()) continue;
+      const std::uint64_t walked = out.kernel_fingerprint;
+      const std::uint64_t printed = ir::content_fingerprint(*out.kernel);
+      const std::string what = bench.name() + " x " + spec.name;
+      EXPECT_EQ(content_of.emplace(walked, printed).first->second, printed)
+          << what;
+      EXPECT_EQ(plan_of.emplace(printed, walked).first->second, walked)
+          << what;
+    }
+  }
+  EXPECT_EQ(content_of.size(), 356u);
+  EXPECT_EQ(plan_of.size(), 356u);
 }
 
 }  // namespace

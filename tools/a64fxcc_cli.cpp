@@ -711,9 +711,9 @@ void usage() {
       "                [--resume=PATH] [--journal=PATH]\n"
       "                [--inject-faults=crash:P]\n"
       "                [--cache-stats]\n"
-      "                                   # --cache-stats prints the per-cache\n"
-      "                                   # hit/miss/entries/bytes table of the\n"
-      "                                   # cache tier to stderr (in process\n"
+      "                                   # --cache-stats prints the hit/miss/\n"
+      "                                   # entries/bytes of the cache tier's\n"
+      "                                   # cell models to stderr (in process\n"
       "                                   # only: not with --procs)\n"
       "                                   # --jobs absent = all hardware\n"
       "                                   # threads, --jobs=1 = serial; output\n"
