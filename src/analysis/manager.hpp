@@ -66,7 +66,6 @@ class PreservedAnalyses {
     return (mask_ & static_cast<std::uint8_t>(k)) != 0;
   }
   [[nodiscard]] bool all_preserved() const noexcept { return mask_ == kAll; }
-  [[nodiscard]] bool none_preserved() const noexcept { return mask_ == 0; }
 
   /// Keep only what both sets preserve (drivers like `polly` fold their
   /// sub-passes' sets into one).

@@ -120,11 +120,9 @@ std::optional<JournalEntry> Journal::decode(std::string_view line) {
 }
 
 std::size_t Journal::load(const std::string& path, std::size_t* deduped) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  std::setvbuf(f, nullptr, _IONBF, 0);  // freads land in `block` directly
   std::size_t fresh = 0;
-  const auto apply = [&](std::string_view line) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  (void)exec::LineLog::read_all(path, [&](std::string_view line) {
     auto e = decode(line);
     if (!e) return;
     const auto [it, inserted] = map_.try_emplace(e->key);
@@ -134,71 +132,22 @@ std::size_t Journal::load(const std::string& path, std::size_t* deduped) {
     } else if (deduped != nullptr) {
       ++*deduped;
     }
-  };
-  char block[1 << 14];
-  std::string cut;  // a line that crosses a block boundary
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t n; (n = std::fread(block, 1, sizeof block, f)) > 0;) {
-    std::string_view rest(block, n);
-    for (std::size_t nl; (nl = rest.find('\n')) != std::string_view::npos;
-         rest.remove_prefix(nl + 1)) {
-      if (cut.empty()) {
-        apply(rest.substr(0, nl));
-      } else {
-        cut.append(rest.substr(0, nl));
-        apply(cut);
-        cut.clear();
-      }
-    }
-    cut.append(rest);
-  }
-  std::fclose(f);
-  if (!cut.empty()) apply(cut);  // a last line without its newline
+  });
   return fresh;
 }
 
-bool Journal::open(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (out_ != nullptr) std::fclose(out_);
-  // Terminate a torn tail (crashed writer) before appending: without
-  // the newline the first fresh record would glue onto the torn prefix
-  // and both lines would be lost to decode().
-  if (std::FILE* probe = std::fopen(path.c_str(), "rb"); probe != nullptr) {
-    bool torn = false;
-    if (std::fseek(probe, -1, SEEK_END) == 0) {
-      const int last = std::fgetc(probe);
-      torn = last != EOF && last != '\n';
-    }
-    std::fclose(probe);
-    if (torn) {
-      if (std::FILE* fix = std::fopen(path.c_str(), "a"); fix != nullptr) {
-        std::fputc('\n', fix);
-        std::fclose(fix);
-      }
-    }
-  }
-  out_ = std::fopen(path.c_str(), "a");
-  return out_ != nullptr;
-}
+bool Journal::open(const std::string& path) { return out_.open(path); }
 
-void Journal::close() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (out_ != nullptr) std::fclose(out_);
-  out_ = nullptr;
-}
+void Journal::close() { out_.close(); }
 
 void Journal::record(std::span<const JournalEntry> entries) {
-  if (entries.empty()) return;
+  if (entries.empty() || !out_.is_open()) return;
   std::string lines;
   for (const JournalEntry& e : entries) {
     lines += encode(e);
     lines.push_back('\n');
   }
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (out_ != nullptr) {
-    std::fwrite(lines.data(), 1, lines.size(), out_);
-    std::fflush(out_);  // complete lines only, crash-safe
-  }
+  out_.append(lines);
 }
 
 void Journal::record(const JournalEntry& e) {

@@ -5,10 +5,11 @@
 // --resume=journal.jsonl` can skip completed work after a crash or
 // Ctrl-C and re-evaluate only the cells that failed.
 //
-// Crash-safety model: the writer appends and flushes complete lines as
-// soon as a cell (or a distrib worker's row of cells) finishes, so after
-// an interrupt the file is a prefix of valid lines plus at most one
-// torn line, which load() skips.  Doubles are printed in the shortest
+// Crash-safety model: the file is an exec::LineLog.  The writer appends
+// complete lines as soon as a cell (or a distrib worker's row of cells)
+// finishes, one write per batch, so after an interrupt the file is a
+// prefix of valid lines plus at most one torn line, which load() skips
+// and open() newline-terminates.  Doubles are printed in the shortest
 // text that reads back to the same bits, so a restored MeasuredRun is
 // bit-identical to the one that was measured — resuming never perturbs
 // the determinism contract.
@@ -19,7 +20,6 @@
 // entries are simply never matched.
 
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -28,6 +28,7 @@
 #include <unordered_map>
 
 #include "compilers/compiler_model.hpp"
+#include "exec/line_log.hpp"
 #include "runtime/harness.hpp"
 
 namespace a64fxcc::core {
@@ -51,7 +52,6 @@ inline constexpr int kJournalFormatVersion = 3;
 class Journal {
  public:
   Journal() = default;
-  ~Journal() { close(); }
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
@@ -79,7 +79,8 @@ class Journal {
       std::string_view line);
 
   /// Load every valid line of `path` into the in-memory index, reading
-  /// it in fixed-size blocks (memory does not grow with the file).
+  /// it in fixed-size blocks (memory does not grow with the file); a
+  /// last line without its newline is decoded too.
   /// Duplicate keys — within the file or against entries already
   /// loaded from earlier files (shard merges) — dedupe
   /// deterministically: the last complete line wins, in file order and
@@ -98,11 +99,10 @@ class Journal {
   void close();
 
   /// Record terminal cell outcomes: when open(), append all their lines
-  /// with one write and one flush; otherwise do nothing.  The in-memory
-  /// index is left alone — it holds what load() read, and find() never
-  /// sees a recorded entry.  Thread-safe (called concurrently from
-  /// engine workers).  A crash
-  /// mid-write leaves a prefix of the batch's lines plus at most one
+  /// with one write; otherwise do nothing.  The in-memory index is left
+  /// alone — it holds what load() read, and find() never sees a
+  /// recorded entry.  Thread-safe (called concurrently from engine
+  /// workers).  A crash mid-write leaves a prefix of the batch's lines plus at most one
   /// torn line — the same file shape as a crash between single-entry
   /// records — so callers that complete work only after record()
   /// returns (the distrib workers: shard lines first, `done` leases
@@ -121,9 +121,9 @@ class Journal {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards map_
   std::unordered_map<std::uint64_t, runtime::MeasuredRun> map_;
-  std::FILE* out_ = nullptr;
+  exec::LineLog out_;  ///< record()'s file, when open()
 };
 
 }  // namespace a64fxcc::core

@@ -12,6 +12,7 @@
 #include "core/cell.hpp"
 #include "exec/engine.hpp"
 #include "exec/events.hpp"
+#include "exec/line_log.hpp"
 #include "exec/process.hpp"
 #include "obs/shard.hpp"
 #include "obs/trace.hpp"
@@ -84,7 +85,7 @@ constexpr int kMaxSkippedGenerations = 32;
 /// Where one process persists the rows it evaluates.
 struct RowSink {
   core::Journal& shard;
-  obs::ShardWriter& metrics;  ///< telemetry; closed when disabled
+  exec::LineLog& metrics;  ///< telemetry; closed when disabled
   LeaseQueue& queue;
   int self = 0;
   /// The shard a worker tears before dying of an injected crash; null
@@ -113,10 +114,10 @@ struct RowSink {
 
 /// Evaluate one leased row cell by cell through core::evaluate_cell and
 /// one runtime::RowMemo, then persist it in the crash-safe order: the
-/// row's result lines in one shard append, its telemetry records, and
-/// last one `done` append for all its leases — so a `done` record
-/// implies the result is on disk, and a death before it loses this row
-/// only (its leases are released and re-granted at the next
+/// row's result lines in one shard append, its telemetry records in
+/// another, and last one `done` append for all its leases — so a `done`
+/// record implies the result is on disk, and a death before it loses
+/// this row only (its leases are released and re-granted at the next
 /// generation).
 ///
 /// At a generation whose deterministic decision is an injected crash, a
@@ -129,7 +130,7 @@ void run_row(const std::vector<Claim>& row,
              const RowSink& out) {
   const std::size_t cols = opt.compilers.size();
   std::vector<core::JournalEntry> entries;
-  std::vector<std::string> telemetry;
+  std::string telemetry;
   std::vector<std::uint64_t> keys;
   entries.reserve(row.size());
   keys.reserve(row.size());
@@ -152,7 +153,7 @@ void run_row(const std::vector<Claim>& row,
     entries.push_back({cl.key, res.run});
     keys.push_back(cl.key);
     if (out.metrics.is_open()) {
-      telemetry.push_back(obs::encode_cell(
+      telemetry += obs::encode_cell(
           {.key = cl.key,
            .benchmark = bench.name(),
            .compiler = spec.name,
@@ -162,14 +163,15 @@ void run_row(const std::vector<Claim>& row,
            .wall_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - cell_t0)
                                .count(),
-           .metrics = std::move(res.metrics)}));
+           .metrics = std::move(res.metrics)});
+      telemetry += '\n';
     }
   }
   {
     const std::lock_guard<std::mutex> lock(out.append_mu);
     out.shard.record(entries);
   }
-  for (const std::string& line : telemetry) out.metrics.append(line);
+  if (!telemetry.empty()) out.metrics.append(telemetry);
   out.queue.complete(keys, out.self);
 }
 
@@ -199,12 +201,14 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
   // aggregator dedupes by cell key.
   core::StudyOptions topt = wopt;
   obs::Tracer wtracer(epoch);
-  obs::ShardWriter trace_out;
-  obs::ShardWriter metrics_out;
+  exec::LineLog trace_out;
+  exec::LineLog metrics_out;
   if (telemetry) {
     if (trace_out.open(trace_path)) {
       wtracer.set_record_hook([&trace_out, self](const obs::Tracer::Record& r) {
-        trace_out.append(obs::encode_span(r, self));
+        std::string line = obs::encode_span(r, self);
+        line += '\n';
+        trace_out.append(line);
       });
       topt.tracer = &wtracer;
     }
@@ -373,7 +377,7 @@ report::Table Supervisor::run_suite(
     core::Journal shard;
     if (!shard.open(opt_.shard_dir + "/" + shard_name(idx, kInlineShardTag)))
       return;
-    obs::ShardWriter metrics_out;
+    exec::LineLog metrics_out;
     if (opt_.telemetry) {
       (void)metrics_out.open(opt_.shard_dir + "/metrics-" +
                              shard_name(idx, kInlineShardTag));

@@ -7,10 +7,7 @@
 #include "exec/jsonio.hpp"
 
 #ifndef _WIN32
-#include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace a64fxcc::distrib {
@@ -138,107 +135,39 @@ void LeaseQueue::apply(const LeaseRecord& rec) {
 }
 
 #ifndef _WIN32
-
-LeaseQueue::~LeaseQueue() {
-  if (fd_ >= 0) ::close(fd_);
-}
+constexpr bool kFileLocks = true;
+bool LeaseQueue::lock_file() { return ::flock(log_.fd(), LOCK_EX) == 0; }
+void LeaseQueue::unlock_file() { ::flock(log_.fd(), LOCK_UN); }
+#else  // no flock: open() fails, and the CLI gates --procs behind POSIX
+constexpr bool kFileLocks = false;
+bool LeaseQueue::lock_file() { return false; }
+void LeaseQueue::unlock_file() {}
+#endif
 
 bool LeaseQueue::open() {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) return true;
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) return false;
+  if (log_.is_open()) return true;
+  if (!kFileLocks || !log_.open(path_)) return false;
   scan();
   return true;
 }
 
 bool LeaseQueue::reopen_after_fork() {
   const std::lock_guard<std::mutex> lock(mu_);
-  const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return false;
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-  return true;
+  return log_.reopen();
 }
-
-bool LeaseQueue::lock_file() { return ::flock(fd_, LOCK_EX) == 0; }
-
-void LeaseQueue::unlock_file() { ::flock(fd_, LOCK_UN); }
 
 void LeaseQueue::scan() {
-  if (fd_ < 0) return;
-  struct stat st {};
-  if (::fstat(fd_, &st) != 0) return;
-  const auto size = static_cast<std::uint64_t>(st.st_size);
-  while (scan_offset_ < size) {
-    char buf[4096];
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(sizeof buf, size - scan_offset_));
-    const ssize_t got =
-        ::pread(fd_, buf, want, static_cast<off_t>(scan_offset_));
-    if (got <= 0) return;
-    // Consume complete lines only; a trailing fragment (torn write or a
-    // line longer than the chunk) stays pending for the next round.
-    std::size_t line_start = 0;
-    std::size_t consumed = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
-      if (buf[i] != '\n') continue;
-      const std::string_view line(buf + line_start, i - line_start);
-      if (const auto rec = decode(line)) apply(*rec);
-      line_start = i + 1;
-      consumed = line_start;
-    }
-    // No newline in the chunk: a torn tail at EOF (or a foreign
-    // oversized line — impossible for our fixed-width records).  Leave
-    // it pending; the next writer newline-terminates it.
-    if (consumed == 0) return;
-    scan_offset_ += consumed;
-  }
+  log_.read_new([this](std::string_view line) {
+    if (const auto rec = decode(line)) apply(*rec);
+  });
 }
-
-bool LeaseQueue::append(const std::string& lines) {
-  if (fd_ < 0) return false;
-  struct stat st {};
-  if (::fstat(fd_, &st) != 0) return false;
-  const auto size = static_cast<std::uint64_t>(st.st_size);
-  // The caller scanned under the flock, so the log holds nothing past
-  // scan_offset_ but a torn tail (a writer killed mid-append).
-  // Newline-terminate it first, so our records start on a fresh line
-  // instead of gluing onto the fragment and losing both.
-  const bool caught_up = size == scan_offset_;
-  std::string out;
-  if (!caught_up) {
-    char last = '\n';
-    if (::pread(fd_, &last, 1, st.st_size - 1) == 1 && last != '\n')
-      out.push_back('\n');
-  }
-  out += lines;
-  // One write: with O_APPEND the whole batch lands contiguously.
-  if (::write(fd_, out.data(), out.size()) !=
-      static_cast<ssize_t>(out.size()))
-    return false;
-  // The caller applies these records itself; skip them on the next scan.
-  if (caught_up) scan_offset_ += out.size();
-  return true;
-}
-
-#else  // _WIN32: POSIX-only (flock + pread); the CLI gates --procs.
-
-LeaseQueue::~LeaseQueue() = default;
-bool LeaseQueue::open() { return false; }
-bool LeaseQueue::reopen_after_fork() { return false; }
-bool LeaseQueue::lock_file() { return false; }
-void LeaseQueue::unlock_file() {}
-void LeaseQueue::scan() {}
-bool LeaseQueue::append(const std::string&) { return false; }
-
-#endif
 
 std::vector<LeaseRecord> LeaseQueue::transact(
     const std::function<void(std::vector<LeaseRecord>&)>& decide) {
   std::vector<LeaseRecord> recs;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0 || !lock_file()) return recs;
+  if (!log_.is_open() || !lock_file()) return recs;
   scan();
   decide(recs);
   std::string lines;
@@ -246,7 +175,10 @@ std::vector<LeaseRecord> LeaseQueue::transact(
     lines += encode(rec);
     lines.push_back('\n');
   }
-  if (!recs.empty() && append(lines)) {
+  // These records are applied here.  When the scan read to the end of
+  // the log, the log also reads past them; after a torn tail the next
+  // scan applies them again, which apply() makes a no-op.
+  if (!recs.empty() && log_.append(lines)) {
     for (const LeaseRecord& rec : recs) apply(rec);
   } else {
     recs.clear();

@@ -33,9 +33,11 @@
 // Mutating operations hold an exclusive flock() on the log for a
 // read-decide-append transaction and write all of its records with one
 // write(); flock dies with the process, so a kill -9 mid-transaction can
-// never wedge the queue.  Readers tolerate a torn trailing line (a
-// writer killed mid-append) and writers newline-terminate such a tail
-// before appending, exactly like the result journal.
+// never wedge the queue.  The log is an exec::LineLog, the file rule of
+// the result journal and the telemetry shards too: a scan reads
+// complete lines only and leaves a torn trailing line (a writer killed
+// mid-append) pending, and an append newline-terminates such a tail
+// first.  The flock sits on the LineLog's descriptor.
 
 #include <cstdint>
 #include <functional>
@@ -45,6 +47,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "exec/line_log.hpp"
 
 namespace a64fxcc::distrib {
 
@@ -84,12 +88,12 @@ class LeaseQueue {
   /// ignored.
   LeaseQueue(std::string path, std::vector<std::uint64_t> keys,
              std::size_t row_width = 1);
-  ~LeaseQueue();
   LeaseQueue(const LeaseQueue&) = delete;
   LeaseQueue& operator=(const LeaseQueue&) = delete;
 
-  /// Open (creating if needed) the shared log.  False on failure or on
-  /// platforms without flock (the CLI gates --procs behind POSIX).
+  /// Open (creating if needed) the shared log, newline-terminating a
+  /// torn tail, and replay it.  False on failure or on platforms
+  /// without flock (the CLI gates --procs behind POSIX).
   [[nodiscard]] bool open();
 
   /// In a child forked from an open queue's process: swap the inherited
@@ -177,7 +181,6 @@ class LeaseQueue {
 
   // The helpers below assume mu_ is held.
   void scan();
-  bool append(const std::string& lines);
   void apply(const LeaseRecord& rec);
   bool lock_file();
   void unlock_file();
@@ -189,8 +192,7 @@ class LeaseQueue {
   std::size_t row_width_ = 1;
   std::vector<CellState> cells_;  ///< parallel to keys_
   std::unordered_map<std::uint64_t, std::size_t> index_;  ///< key -> cell
-  int fd_ = -1;
-  std::uint64_t scan_offset_ = 0;
+  exec::LineLog log_;
   std::size_t done_ = 0;
 };
 

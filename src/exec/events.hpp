@@ -117,7 +117,7 @@ class CollectingSink final : public EventSink {
 /// Verbosity of the stream renderer (`--log-level=`).
 ///   Quiet    — nothing (the sink still counts completed cells)
 ///   Progress — one line per terminal cell and per worker lifecycle
-///              event (the old `--progress` behaviour, kept as an alias)
+///              event
 ///   Debug    — additionally job starts, and after each terminal line
 ///              the cell's phase times and cache hits/misses
 enum class LogLevel : std::uint8_t { Quiet, Progress, Debug };

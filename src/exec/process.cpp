@@ -69,10 +69,6 @@ bool kill_process(int pid) {
   return pid > 0 && ::kill(static_cast<pid_t>(pid), SIGKILL) == 0;
 }
 
-bool process_alive(int pid) {
-  return pid > 0 && ::kill(static_cast<pid_t>(pid), 0) == 0;
-}
-
 void hard_exit(int code) { ::_exit(code); }
 
 int current_pid() { return static_cast<int>(::getpid()); }
@@ -84,7 +80,6 @@ int spawn_process(const std::function<int()>&) { return -1; }
 std::optional<ExitStatus> try_reap(int) { return std::nullopt; }
 std::optional<ExitStatus> reap(int) { return std::nullopt; }
 bool kill_process(int) { return false; }
-bool process_alive(int) { return false; }
 void hard_exit(int code) { std::exit(code); }
 int current_pid() { return 0; }
 

@@ -45,9 +45,6 @@ struct ExitStatus {
 /// they were still alive (the hung-worker case).
 bool kill_process(int pid);
 
-/// True when the pid names a live process we may signal.
-[[nodiscard]] bool process_alive(int pid);
-
 /// _exit wrapper so worker code does not need <unistd.h> directly.
 [[noreturn]] void hard_exit(int code);
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 
 #include "exec/jsonio.hpp"
+#include "exec/line_log.hpp"
 
 namespace a64fxcc::obs {
 
@@ -57,34 +57,29 @@ bool Aggregator::load_dir(const std::string& dir) {
   // as the Reducer over result shards.
   std::sort(trace_files.begin(), trace_files.end());
   std::sort(metrics_files.begin(), metrics_files.end());
-  std::string line;
   for (const auto& name : trace_files) {
-    std::ifstream f(dir + "/" + name);
-    if (!f) continue;
-    ++stats_.trace_shards;
     const std::string label = worker_label(name, "trace-shard-");
-    while (std::getline(f, line)) {
-      if (line.empty()) continue;
-      if (auto s = decode_span(line)) {
-        proc_for(s->pid, label).records.push_back(std::move(s->record));
-        ++stats_.spans;
-      } else {
-        ++stats_.skipped_lines;
-      }
-    }
+    if (exec::LineLog::read_all(dir + "/" + name, [&](std::string_view line) {
+          if (line.empty()) return;
+          if (auto s = decode_span(line)) {
+            proc_for(s->pid, label).records.push_back(std::move(s->record));
+            ++stats_.spans;
+          } else {
+            ++stats_.skipped_lines;
+          }
+        }))
+      ++stats_.trace_shards;
   }
   for (const auto& name : metrics_files) {
-    std::ifstream f(dir + "/" + name);
-    if (!f) continue;
-    ++stats_.metrics_shards;
-    while (std::getline(f, line)) {
-      if (line.empty()) continue;
-      if (auto c = decode_cell(line)) {
-        fold_cell(std::move(*c));
-      } else {
-        ++stats_.skipped_lines;
-      }
-    }
+    if (exec::LineLog::read_all(dir + "/" + name, [&](std::string_view line) {
+          if (line.empty()) return;
+          if (auto c = decode_cell(line)) {
+            fold_cell(std::move(*c));
+          } else {
+            ++stats_.skipped_lines;
+          }
+        }))
+      ++stats_.metrics_shards;
   }
   return true;
 }

@@ -174,9 +174,4 @@ Registry MetricsSink::snapshot() const {
   return reg_;
 }
 
-std::string MetricsSink::to_json() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return reg_.to_json();
-}
-
 }  // namespace a64fxcc::obs

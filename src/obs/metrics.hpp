@@ -142,13 +142,11 @@ class MetricsSink final : public exec::EventSink {
   /// the tier state alongside the event-folded counters.
   void fold_cache_stats(const cache::Service& svc);
 
-  /// A copy of the registry as folded so far (for cross-process
-  /// aggregation: the supervisor's own event stream merges with the
-  /// worker telemetry shards).
+  /// A copy of the registry as folded so far.  The CLI's --metrics
+  /// artifact merges it through obs::Aggregator, on top of the worker
+  /// telemetry shards under --procs.
   [[nodiscard]] Registry snapshot() const;
 
-  /// `snapshot()` rendered as JSON (see Registry::to_json).
-  [[nodiscard]] std::string to_json() const;
 
  private:
   mutable std::mutex mu_;

@@ -55,9 +55,8 @@ struct ReportDoc {
   std::vector<PhaseTotal> phases;                  // trace only
 };
 
-/// Write one rendered artifact (`Tracer::to_chrome_json()`,
-/// `MetricsSink::to_json()`, `Registry::to_json()` or
-/// `Aggregator::merged_trace_json()`) to `path`.  False on I/O failure.
+/// Write one rendered artifact (`Aggregator::merged_trace_json()` or
+/// `Registry::to_json()`) to `path`.  False on I/O failure.
 bool write_artifact(const std::string& path, std::string_view text);
 
 /// Load and classify one artifact.  nullopt (with *err set) when the

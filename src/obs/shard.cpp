@@ -1,6 +1,7 @@
 #include "obs/shard.hpp"
 
 #include <array>
+#include <cstdio>
 
 #include "exec/jsonio.hpp"
 
@@ -207,45 +208,6 @@ std::optional<SpanShardRecord> decode_span(std::string_view line) {
   s.record.begin_us = *bu;
   s.record.end_us = *eu;
   return s;
-}
-
-bool ShardWriter::open(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (out_ != nullptr) std::fclose(out_);
-  out_ = nullptr;
-  // Newline-terminate a torn tail (crashed writer) before appending,
-  // same as Journal::open: without it the first fresh line would glue
-  // onto the torn prefix and both would be lost to decode.
-  if (std::FILE* probe = std::fopen(path.c_str(), "rb"); probe != nullptr) {
-    bool torn = false;
-    if (std::fseek(probe, -1, SEEK_END) == 0) {
-      const int last = std::fgetc(probe);
-      torn = last != EOF && last != '\n';
-    }
-    std::fclose(probe);
-    if (torn) {
-      if (std::FILE* fix = std::fopen(path.c_str(), "a"); fix != nullptr) {
-        std::fputc('\n', fix);
-        std::fclose(fix);
-      }
-    }
-  }
-  out_ = std::fopen(path.c_str(), "a");
-  return out_ != nullptr;
-}
-
-void ShardWriter::append(const std::string& line) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (out_ == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), out_);
-  std::fputc('\n', out_);
-  std::fflush(out_);  // one complete line per record, crash-safe
-}
-
-void ShardWriter::close() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (out_ != nullptr) std::fclose(out_);
-  out_ = nullptr;
 }
 
 }  // namespace a64fxcc::obs

@@ -24,13 +24,12 @@
 // single-process run's no matter how cells were partitioned or how many
 // times workers were killed.
 //
-// Both files tolerate torn tails in both directions: writers append one
-// complete line per record (fflush per line) and newline-terminate any
-// torn tail on open; readers skip lines that fail to decode.
+// Both files are exec::LineLog files, so they tolerate torn tails in
+// both directions: a worker appends each span as it closes and each
+// row's cell records in one write, and newline-terminates a torn tail
+// before appending; the Aggregator skips lines that fail to decode.
 
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -75,27 +74,5 @@ struct SpanShardRecord {
 [[nodiscard]] std::string encode_span(const Tracer::Record& r, int pid);
 [[nodiscard]] std::optional<SpanShardRecord> decode_span(
     std::string_view line);
-
-/// Append-only line writer with the durable-log discipline: one
-/// complete line + fflush per append (a crash mid-append loses at most
-/// the torn tail), and any torn tail left by a previous crashed writer
-/// is newline-terminated on open so fresh lines never glue onto it.
-/// Thread-safe appends (one worker process may run several threads).
-class ShardWriter {
- public:
-  ShardWriter() = default;
-  ShardWriter(const ShardWriter&) = delete;
-  ShardWriter& operator=(const ShardWriter&) = delete;
-  ~ShardWriter() { close(); }
-
-  [[nodiscard]] bool open(const std::string& path);
-  [[nodiscard]] bool is_open() const noexcept { return out_ != nullptr; }
-  void append(const std::string& line);
-  void close();
-
- private:
-  std::mutex mu_;
-  std::FILE* out_ = nullptr;
-};
 
 }  // namespace a64fxcc::obs

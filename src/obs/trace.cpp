@@ -3,15 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "exec/jsonio.hpp"
-
 namespace a64fxcc::obs {
-
-namespace {
-
-using exec::jsonio::append_escaped;
-
-}  // namespace
 
 Span::Span(Tracer* t, const char* name, const std::string& benchmark,
            const std::string& compiler)
@@ -122,69 +114,6 @@ std::string Tracer::summary_text() const {
                   s.total_seconds, s.max_seconds);
     out += buf;
   }
-  return out;
-}
-
-std::string Tracer::to_chrome_json() const {
-  // Split each record into a B and an E half, then order every thread's
-  // events by the global sequence captured at begin/end time: per
-  // thread this is exactly chronological order with RAII-correct
-  // nesting (see header comment).
-  struct Ev {
-    const Record* r;
-    bool begin;
-    std::uint64_t seq;
-    double us;
-  };
-  const auto rs = records();
-  std::vector<Ev> evs;
-  evs.reserve(rs.size() * 2);
-  for (const auto& r : rs) {
-    evs.push_back({&r, true, r.begin_seq, r.begin_us});
-    evs.push_back({&r, false, r.end_seq, r.end_us});
-  }
-  std::sort(evs.begin(), evs.end(), [](const Ev& a, const Ev& b) {
-    if (a.r->tid != b.r->tid) return a.r->tid < b.r->tid;
-    return a.seq < b.seq;
-  });
-
-  std::string out = "{\"traceEvents\":[";
-  char buf[96];
-  bool first = true;
-  for (const auto& e : evs) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"";
-    append_escaped(out, e.r->name);
-    out += "\",\"cat\":\"cell\",\"ph\":\"";
-    out += e.begin ? 'B' : 'E';
-    std::snprintf(buf, sizeof buf, "\",\"ts\":%.3f,\"pid\":1,\"tid\":%d", e.us,
-                  e.r->tid);
-    out += buf;
-    if (e.begin && (!e.r->benchmark.empty() || !e.r->compiler.empty())) {
-      out += ",\"args\":{\"benchmark\":\"";
-      append_escaped(out, e.r->benchmark);
-      out += "\",\"compiler\":\"";
-      append_escaped(out, e.r->compiler);
-      out += "\"}";
-    }
-    out += "}";
-  }
-  out += "],\"displayTimeUnit\":\"ms\",\"phaseSummary\":[";
-  first = true;
-  for (const auto& s : summary()) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"";
-    append_escaped(out, s.name);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"count\":%llu,\"total_seconds\":%.9f,"
-                  "\"max_seconds\":%.9f}",
-                  static_cast<unsigned long long>(s.count), s.total_seconds,
-                  s.max_seconds);
-    out += buf;
-  }
-  out += "]}\n";
   return out;
 }
 

@@ -1,7 +1,9 @@
 #pragma once
-// Structured tracing: a thread-safe Tracer collects RAII Span records
-// and exports them as Chrome trace_event JSON (chrome://tracing /
-// Perfetto), plus a per-phase wall-clock summary for the run manifest.
+// Structured tracing: a thread-safe Tracer collects RAII Span records,
+// plus a per-phase wall-clock summary for the run manifest.  One
+// renderer, obs::Aggregator::merged_trace_json, turns them into Chrome
+// trace_event JSON (chrome://tracing / Perfetto): an in-process study
+// is its one process row, a --procs study one row per process.
 //
 // Tracing is diagnostics-only by contract: spans observe wall-clock but
 // never feed the performance model or the RNG streams, so study tables
@@ -131,10 +133,6 @@ class Tracer {
 
   /// One-line-per-phase human rendering of summary().
   [[nodiscard]] std::string summary_text() const;
-
-  /// Chrome trace_event JSON: {"traceEvents":[...B/E pairs...],
-  /// "phaseSummary":[...]}.  Loadable in chrome://tracing and Perfetto.
-  [[nodiscard]] std::string to_chrome_json() const;
 
   // ---- Span internals -----------------------------------------------------
   [[nodiscard]] double now_us() const;

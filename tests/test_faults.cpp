@@ -373,6 +373,44 @@ TEST(Journal, LoadSkipsTornLinesAndFindsEntries) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, ResumeOpenTerminatesATornTailBeforeRecording) {
+  const std::string path = testing::TempDir() + "a64fxcc_journal_resume.jsonl";
+  std::remove(path.c_str());
+  core::JournalEntry first;
+  first.key = 31;
+  first.run.benchmark = "atax";
+  first.run.compiler = "GNU";
+  first.run.status = runtime::CellStatus::RuntimeError;
+  first.run.diagnostic = "first";
+  core::JournalEntry second = first;
+  second.key = 32;
+  second.run.diagnostic = "second";
+  const std::string fragment = core::Journal::encode(second).substr(0, 30);
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << core::Journal::encode(first) << "\n" << fragment;  // died mid-line
+  }
+  // What --resume does: load the journal, then open it and record.
+  core::Journal resumed;
+  EXPECT_EQ(resumed.load(path), 1u);
+  ASSERT_TRUE(resumed.open(path));
+  resumed.record(second);
+  resumed.close();
+  core::Journal fresh;
+  EXPECT_EQ(fresh.load(path), 2u);
+  ASSERT_NE(fresh.find(31), nullptr);
+  ASSERT_NE(fresh.find(32), nullptr);
+  EXPECT_EQ(fresh.find(32)->diagnostic, "second");
+  // The fragment kept a line of its own instead of swallowing the record.
+  std::ifstream f(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(f, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{core::Journal::encode(first),
+                                             fragment,
+                                             core::Journal::encode(second)}));
+  std::remove(path.c_str());
+}
+
 TEST(Journal, MissingFileLoadsZeroEntries) {
   core::Journal j;
   EXPECT_EQ(j.load(testing::TempDir() + "a64fxcc_no_such_journal.jsonl"), 0u);

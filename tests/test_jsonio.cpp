@@ -1,10 +1,12 @@
-// The durable logs' line codec (exec/jsonio.hpp) and the decoders built
-// on it: the resume journal, the lease log and the telemetry shards.
-// Lines are read back from files other processes may have torn
-// mid-write, so every decoder must turn anything short of one complete
-// object into "absent", and every double must come back with the bits
-// it was written with — in this build's shortest spelling and in the
-// %.17g spelling of files written before it.
+// The durable logs' line codec (exec/jsonio.hpp), the decoders built on
+// it (the resume journal, the lease log and the telemetry shards), and
+// the file rule they all share (exec/line_log.hpp).  Lines are read back
+// from files other processes may have torn mid-write, so every decoder
+// must turn anything short of one complete object into "absent", every
+// double must come back with the bits it was written with — in this
+// build's shortest spelling and in the %.17g spelling of files written
+// before it — and a log must keep a torn tail from gluing onto the next
+// line or being read as one.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "core/journal.hpp"
 #include "distrib/work_queue.hpp"
 #include "exec/jsonio.hpp"
+#include "exec/line_log.hpp"
 #include "obs/shard.hpp"
 
 namespace {
@@ -430,6 +436,133 @@ TEST(JsonIo, NestedValuesComeBackWholeForASecondScan) {
                           "{\"a\":1,}"})
     EXPECT_FALSE(jsonio::for_each_field(bad, [](auto, auto) {})) << bad;
   EXPECT_TRUE(jsonio::for_each_field("{}", [](auto, auto) {}));
+}
+
+// ---- the log file rule ----------------------------------------------------
+
+using Lines = std::vector<std::string>;
+
+/// A fresh path for one test's log.
+std::string log_path(const char* name) {
+  const std::string path =
+      testing::TempDir() + "a64fxcc_line_log_" + name + ".jsonl";
+  std::remove(path.c_str());
+  return path;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// What another writer of the file does, dying mid-line or not.
+void write_raw(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::app) << bytes;
+}
+
+Lines read_new(exec::LineLog& log) {
+  Lines lines;
+  log.read_new([&](std::string_view l) { lines.emplace_back(l); });
+  return lines;
+}
+
+TEST(LineLog, TerminatesATornTailAtOpenAndBeforeAnAppend) {
+  const std::string path = log_path("torn");
+  write_raw(path, "{\"a\":1}\n{\"b\":");  // a writer died mid-line
+  exec::LineLog log;
+  ASSERT_TRUE(log.open(path));
+  EXPECT_EQ(file_bytes(path), "{\"a\":1}\n{\"b\":\n");
+  ASSERT_TRUE(log.append("{\"c\":3}\n"));
+  write_raw(path, "{\"d\":");  // another writer died mid-line
+  ASSERT_TRUE(log.append("{\"e\":5}\n{\"f\":6}\n"));
+  const std::string whole =
+      "{\"a\":1}\n{\"b\":\n{\"c\":3}\n{\"d\":\n{\"e\":5}\n{\"f\":6}\n";
+  EXPECT_EQ(file_bytes(path), whole);
+  // A log that ends on a newline is opened as it is.
+  exec::LineLog again;
+  ASSERT_TRUE(again.open(path));
+  EXPECT_EQ(file_bytes(path), whole);
+  // Opening creates a missing file; one that cannot be made fails.
+  const std::string fresh = log_path("created");
+  exec::LineLog created;
+  ASSERT_TRUE(created.open(fresh));
+  EXPECT_TRUE(std::filesystem::exists(fresh));
+  EXPECT_EQ(file_bytes(fresh), "");
+  EXPECT_FALSE(created.open("/nonexistent-dir/log.jsonl"));
+  EXPECT_FALSE(created.is_open());
+  EXPECT_FALSE(created.append("{}\n"));
+  std::remove(path.c_str());
+  std::remove(fresh.c_str());
+}
+
+TEST(LineLog, IncrementalReadLeavesATornTailPending) {
+  const std::string path = log_path("pending");
+  exec::LineLog log;
+  ASSERT_TRUE(log.open(path));
+  write_raw(path, "{\"a\":1}\n{\"b\":");  // a line, then one half-written
+  EXPECT_EQ(read_new(log), Lines{"{\"a\":1}"});
+  EXPECT_EQ(read_new(log), Lines{});  // the fragment stays pending
+  write_raw(path, "2}\n");          // until its writer ends the line
+  EXPECT_EQ(read_new(log), Lines{"{\"b\":2}"});
+  // A line longer than a read block comes back whole, once.
+  const std::string wide = "{\"w\":\"" + std::string(40000, 'x') + "\"}";
+  write_raw(path, wide.substr(0, 20000));
+  EXPECT_EQ(read_new(log), Lines{});
+  write_raw(path, wide.substr(20000) + "\n");
+  EXPECT_EQ(read_new(log), Lines{wide});
+  EXPECT_EQ(read_new(log), Lines{});
+  std::remove(path.c_str());
+}
+
+TEST(LineLog, WholeFileReadTakesAnUnterminatedLastLine) {
+  const std::string path = log_path("whole");
+  const std::string wide(40000, 'x');  // crosses read blocks
+  write_raw(path, "one\n\n" + wide + "\nlast");
+  Lines lines;
+  ASSERT_TRUE(exec::LineLog::read_all(
+      path, [&](std::string_view l) { lines.emplace_back(l); }));
+  EXPECT_EQ(lines, (Lines{"one", "", wide, "last"}));
+  EXPECT_FALSE(exec::LineLog::read_all(log_path("missing"),
+                                       [](std::string_view) {}));
+  std::remove(path.c_str());
+}
+
+TEST(LineLog, AppendMadeWhileCaughtUpIsNotReadBack) {
+  const std::string path = log_path("caught_up");
+  write_raw(path, "{\"a\":1}\n");
+  exec::LineLog log;
+  ASSERT_TRUE(log.open(path));
+  EXPECT_EQ(read_new(log), Lines{"{\"a\":1}"});  // caught up
+  ASSERT_TRUE(log.append("{\"mine\":1}\n"));     // applied by its caller
+  write_raw(path, "{\"theirs\":2}\n");
+  EXPECT_EQ(read_new(log), Lines{"{\"theirs\":2}"});
+  // Behind another writer's line, an append is read back after it.
+  write_raw(path, "{\"theirs\":3}\n");
+  ASSERT_TRUE(log.append("{\"mine\":2}\n"));
+  EXPECT_EQ(read_new(log), (Lines{"{\"theirs\":3}", "{\"mine\":2}"}));
+  std::remove(path.c_str());
+}
+
+TEST(LineLog, ReopenedLogKeepsItsOffsets) {
+  // What a forked worker does with the supervisor's lease log.
+  const std::string path = log_path("reopen");
+  exec::LineLog log;
+  ASSERT_TRUE(log.open(path));
+  ASSERT_TRUE(log.append("{\"a\":1}\n"));
+  write_raw(path, "{\"b\":2}\n{\"c\":");
+  EXPECT_EQ(read_new(log), Lines{"{\"b\":2}"});
+  const int inherited = log.fd();
+  ASSERT_TRUE(log.reopen());
+  EXPECT_NE(log.fd(), inherited);
+  EXPECT_GE(log.fd(), 0);
+  // The read offset survived: the pending line comes back once whole,
+  // and nothing before it is read again.
+  write_raw(path, "3}\n");
+  EXPECT_EQ(read_new(log), Lines{"{\"c\":3}"});
+  ASSERT_TRUE(log.append("{\"d\":4}\n"));
+  EXPECT_EQ(read_new(log), Lines{});
+  EXPECT_EQ(file_bytes(path), "{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n{\"d\":4}\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/study.hpp"
+#include "exec/line_log.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -146,13 +147,21 @@ TEST(Trace, StudySpansSatisfyChromeViewerInvariants) {
   }
 }
 
+/// One tracer as the CLI renders an in-process --trace: one process row
+/// of the merged renderer.
+std::string chrome_json(const obs::Tracer& tracer) {
+  obs::Aggregator agg;
+  agg.add_process(1, "study", tracer.records());
+  return agg.merged_trace_json();
+}
+
 TEST(Trace, ChromeJsonIsBalanced) {
   obs::Tracer tracer;
   {
     const auto cell = obs::scoped(&tracer, "cell", "2mm", "LLVM");
     obs::scoped(&tracer, "compile", "2mm", "LLVM").end();
   }
-  const auto json = tracer.to_chrome_json();
+  const auto json = chrome_json(tracer);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"phaseSummary\""), std::string::npos);
   const auto occurrences = [&](const std::string& needle) {
@@ -172,15 +181,15 @@ TEST(Trace, WriteTraceCreatesLoadableFile) {
   obs::scoped(&tracer, "compile", "atax", "GNU").end();
   const std::string path = testing::TempDir() + "a64fxcc_trace_test.json";
   std::remove(path.c_str());
-  ASSERT_TRUE(obs::write_artifact(path, tracer.to_chrome_json()));
+  const std::string json = chrome_json(tracer);
+  ASSERT_TRUE(obs::write_artifact(path, json));
   std::ifstream f(path);
   std::stringstream ss;
   ss << f.rdbuf();
   const auto body = ss.str();
-  EXPECT_EQ(body, tracer.to_chrome_json());
+  EXPECT_EQ(body, json);
   EXPECT_EQ(body.front(), '{');
-  EXPECT_FALSE(obs::write_artifact("/nonexistent-dir/trace.json",
-                                   tracer.to_chrome_json()));
+  EXPECT_FALSE(obs::write_artifact("/nonexistent-dir/trace.json", json));
   std::remove(path.c_str());
 }
 
@@ -229,7 +238,7 @@ TEST(Metrics, CountersMatchTableStatuses) {
   EXPECT_GT(metrics.counter("compile_cache_misses"), 0u);
   EXPECT_EQ(metrics.counter("no_such_counter"), 0u);
 
-  const auto json = metrics.to_json();
+  const auto json = metrics.snapshot().to_json();
   EXPECT_NE(json.find("\"cells_ok\""), std::string::npos);
   EXPECT_NE(json.find("\"compile_cache_hit_rate\""), std::string::npos);
   // The terminal events' phase times fed the per-phase histograms.
@@ -286,7 +295,7 @@ TEST(Metrics, WriteMetricsCreatesFile) {
   obs::MetricsSink metrics;
   const std::string path = testing::TempDir() + "a64fxcc_metrics_test.json";
   std::remove(path.c_str());
-  ASSERT_TRUE(obs::write_artifact(path, metrics.to_json()));
+  ASSERT_TRUE(obs::write_artifact(path, metrics.snapshot().to_json()));
   std::ifstream f(path);
   std::stringstream ss;
   ss << f.rdbuf();
@@ -727,9 +736,9 @@ TEST(Shard, WriterNewlineTerminatesTornTail) {
     std::ofstream f(path, std::ios::binary);
     f << R"({"v":1,"kind":"cell","key":"00)";  // writer died mid-line
   }
-  obs::ShardWriter w;
+  exec::LineLog w;
   ASSERT_TRUE(w.open(path));
-  w.append(obs::encode_cell(sample_cell()));
+  ASSERT_TRUE(w.append(obs::encode_cell(sample_cell()) + "\n"));
   w.close();
   std::ifstream f(path);
   std::vector<std::string> lines;

@@ -33,6 +33,7 @@
 #include "core/study.hpp"
 #include "distrib/status.hpp"
 #include "distrib/supervisor.hpp"
+#include "exec/process.hpp"
 #include "ir/parser.hpp"
 #include "ir/validate.hpp"
 #include "ir/printer.hpp"
@@ -98,9 +99,9 @@ bool arg_scale(int argc, char** argv, double* out) {
   return true;
 }
 
-/// Worker threads for the execution engine: absent = all hardware
-/// threads; --jobs=1 selects the legacy serial path (bit-identical
-/// results either way; see DESIGN.md "Execution engine").  An explicit
+/// Worker threads for the job runner: absent = all hardware threads;
+/// --jobs=1 runs every row on the calling thread (bit-identical results
+/// at any count; see DESIGN.md "Execution engine").  An explicit
 /// --jobs=0 (historically a silent alias for "all threads") or a
 /// negative count is rejected.
 bool arg_jobs(int argc, char** argv, int* out) {
@@ -204,8 +205,8 @@ bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
 }
 
 /// Observability state shared by `table` and `run`: the stream renderer
-/// (--log-level, with --progress as a Progress alias), the metrics
-/// registry (--metrics=out.json) and the span tracer (--trace=out.json).
+/// (--log-level), the metrics registry (--metrics=out.json) and the span
+/// tracer (--trace=out.json).
 struct ObsSetup {
   exec::LogLevel level = exec::LogLevel::Quiet;
   const char* trace_path = nullptr;
@@ -219,8 +220,6 @@ struct ObsSetup {
 /// Returns false (after a diagnostic) on a malformed --log-level.
 bool apply_obs_flags(int argc, char** argv, core::StudyOptions& opt,
                      ObsSetup& obs) {
-  if (has_flag(argc, argv, "--progress"))
-    obs.level = exec::LogLevel::Progress;  // legacy alias
   if (const char* v = arg_value(argc, argv, "--log-level=")) {
     if (!exec::parse_log_level(v, &obs.level)) {
       std::fprintf(stderr,
@@ -243,58 +242,43 @@ bool apply_obs_flags(int argc, char** argv, core::StudyOptions& opt,
   return true;
 }
 
-/// Write the trace/metrics artifacts after a study.  Returns false on
-/// I/O failure (the study result itself is already rendered).
-bool flush_obs(ObsSetup& obs) {
-  bool ok = true;
-  if (obs.trace_path != nullptr) {
-    if (!obs::write_artifact(obs.trace_path, obs.tracer.to_chrome_json())) {
-      std::fprintf(stderr, "cannot write trace '%s'\n", obs.trace_path);
-      ok = false;
-    }
-    if (obs.level == exec::LogLevel::Debug)
-      std::fputs(obs.tracer.summary_text().c_str(), stderr);
-  }
-  if (obs.metrics_path != nullptr &&
-      !obs::write_artifact(obs.metrics_path, obs.metrics->to_json())) {
-    std::fprintf(stderr, "cannot write metrics '%s'\n", obs.metrics_path);
-    ok = false;
-  }
-  return ok;
-}
-
-/// Merged-artifact flush for the multi-process path.  The parent's own
-/// tracer/sink see almost nothing under --procs (workers run in their
-/// own processes), so `--trace`/`--metrics` aggregate instead: every
-/// worker's telemetry shards from the shard dir, the supervisor's
-/// lifecycle spans, and the parent sink's event-folded counters merge
-/// into one trace and one registry.  False (after a diagnostic) when
-/// the shards cannot be read or an artifact cannot be written — a
-/// requested artifact silently missing its workers' data is the bug
-/// this replaces.
-bool flush_obs_distrib(ObsSetup& obs, const distrib::Supervisor& sup) {
+/// Write the --trace/--metrics artifacts after a study, through one
+/// obs::Aggregator for both runners.  In process, the study's tracer is
+/// the trace's one process row.  Under --procs (`sup` set) the parent's
+/// tracer and sink see almost nothing (workers run in their own
+/// processes), so every worker's telemetry shards from the shard dir
+/// join the supervisor's lifecycle spans.  Either way the parent sink's
+/// event-folded counters merge into the registry.  False (after a
+/// diagnostic) when the shards cannot be read or an artifact cannot be
+/// written — a requested artifact silently missing its workers' data is
+/// the bug the shard merge exists for.
+bool write_obs_artifacts(ObsSetup& obs, const distrib::Supervisor* sup) {
   if (obs.trace_path == nullptr && obs.metrics_path == nullptr) return true;
   obs::Aggregator agg;
-  if (!sup.load_telemetry(agg)) {
+  if (sup == nullptr) {
+    agg.add_process(exec::current_pid(), "study", obs.tracer.records());
+  } else if (!sup->load_telemetry(agg)) {
     std::fprintf(stderr, "cannot read telemetry shards under '%s'\n",
-                 sup.options().shard_dir.c_str());
+                 sup->options().shard_dir.c_str());
     return false;
   }
+  if (obs.metrics) agg.add_registry(obs.metrics->snapshot());
   bool ok = true;
   if (obs.trace_path != nullptr &&
       !obs::write_artifact(obs.trace_path, agg.merged_trace_json())) {
     std::fprintf(stderr, "cannot write trace '%s'\n", obs.trace_path);
     ok = false;
   }
-  if (obs.metrics_path != nullptr) {
-    if (obs.metrics) agg.add_registry(obs.metrics->snapshot());
-    if (!obs::write_artifact(obs.metrics_path,
-                             agg.merged_registry().to_json())) {
-      std::fprintf(stderr, "cannot write metrics '%s'\n", obs.metrics_path);
-      ok = false;
-    }
+  if (obs.metrics_path != nullptr &&
+      !obs::write_artifact(obs.metrics_path,
+                           agg.merged_registry().to_json())) {
+    std::fprintf(stderr, "cannot write metrics '%s'\n", obs.metrics_path);
+    ok = false;
   }
-  if (obs.level != exec::LogLevel::Quiet) {
+  if (sup == nullptr) {
+    if (obs.trace_path != nullptr && obs.level == exec::LogLevel::Debug)
+      std::fputs(obs.tracer.summary_text().c_str(), stderr);
+  } else if (obs.level != exec::LogLevel::Quiet) {
     const auto& st = agg.stats();
     std::fprintf(stderr,
                  "telemetry: %zu span(s) from %zu trace shard(s), %zu cell "
@@ -363,7 +347,7 @@ std::optional<compilers::CompilerSpec> compiler_by_name(const std::string& n) {
 constexpr std::string_view kTableFlags[] = {
     "--csv", "--json", "--md", "--decisions",
     "--scale=", "--jobs=", "--procs=", "--shard-dir=", "--lease-deadline=",
-    "--log-level=", "--progress", "--trace=", "--metrics=", "--resume=",
+    "--log-level=", "--trace=", "--metrics=", "--resume=",
     "--journal=", "--inject-faults=", "--cache-stats",
 };
 constexpr auto kRunFlags = std::span(kTableFlags).subspan<4>();
@@ -461,7 +445,7 @@ int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
       std::fputs(study->cache_service().stats_text().c_str(), stderr);
     if (obs.metrics) obs.metrics->fold_cache_stats(study->cache_service());
   }
-  return (sup ? flush_obs_distrib(obs, *sup) : flush_obs(obs)) ? 0 : 2;
+  return write_obs_artifacts(obs, sup ? &*sup : nullptr) ? 0 : 2;
 }
 
 int cmd_table(const std::string& suite, int argc, char** argv) {
@@ -706,7 +690,7 @@ void usage() {
       "                                        spec-cpu spec-omp all\n"
       "  table <suite> [--scale=f] [--jobs=N] [--csv|--json|--md] [--decisions]\n"
       "                [--procs=N] [--shard-dir=DIR] [--lease-deadline=SECONDS]\n"
-      "                [--log-level=quiet|progress|debug] [--progress]\n"
+      "                [--log-level=quiet|progress|debug]\n"
       "                [--trace=PATH] [--metrics=PATH]\n"
       "                [--resume=PATH] [--journal=PATH]\n"
       "                [--inject-faults=crash:P]\n"
