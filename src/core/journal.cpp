@@ -114,6 +114,12 @@ std::optional<JournalEntry> Journal::decode(std::string_view line) {
     e.run.mem_gbs = *mb;
   } else {
     (void)jsonio::str(diagnostic, e.run.diagnostic);  // absent: empty
+    // Only the crash fault is still injected (XX); a CE or RE line
+    // stamped "injected " comes from a retired fault kind, and its cell
+    // must re-evaluate rather than restore a failure a re-run clears.
+    if (e.run.status != runtime::CellStatus::Crashed &&
+        e.run.diagnostic.starts_with("injected "))
+      return std::nullopt;
   }
   (void)jsonio::str(decisions, e.run.decisions);
   return e;

@@ -1,23 +1,24 @@
 #pragma once
-// Checkpoint/resume journal: one JSONL line per terminally-evaluated
-// (benchmark x compiler) cell, keyed by the fingerprints of the
-// compiler spec and the source kernel, so `a64fxcc table
-// --resume=journal.jsonl` can skip completed work after a crash or
-// Ctrl-C and re-evaluate only the cells that failed.
+// The result-shard format of a `--procs` study: one JSONL line per
+// terminally-evaluated (benchmark x compiler) cell, keyed by the
+// fingerprints of the compiler spec and the source kernel.  Workers
+// and the inline drain record into it, and the Reducer loads it, both
+// to decide what a re-run over the same --shard-dir restores and to
+// merge the shards into the table (distrib/supervisor.hpp).
 //
 // Crash-safety model: the file is an exec::LineLog.  The writer appends
-// complete lines as soon as a cell (or a distrib worker's row of cells)
-// finishes, one write per batch, so after an interrupt the file is a
-// prefix of valid lines plus at most one torn line, which load() skips
-// and open() newline-terminates.  Doubles are printed in the shortest
+// complete lines as soon as a worker's row of cells finishes, one write
+// per batch, so after an interrupt the file is a prefix of valid lines
+// plus at most one torn line, which load() skips and open()
+// newline-terminates.  Doubles are printed in the shortest
 // text that reads back to the same bits, so a restored MeasuredRun is
 // bit-identical to the one that was measured — resuming never perturbs
 // the determinism contract.
 //
 // The key covers (seed, compiler spec fingerprint + name, kernel
 // fingerprint, quirk mode): any change to the study configuration —
-// scale, seed, compiler knobs — changes the keys and the stale journal
-// entries are simply never matched.
+// scale, seed, compiler knobs — changes the keys and the stale entries
+// are simply never matched.
 
 #include <cstdint>
 #include <mutex>
@@ -45,8 +46,11 @@ struct JournalEntry {
 ///       generator (runtime::noise_sample), so v1/v2 measurements are
 ///       not this build's numbers
 /// decode() accepts exactly this version: untagged, older and newer
-/// lines are skipped, so a journal or shard directory written under
-/// another noise generator never resumes into a table of this one.
+/// lines are skipped, so a shard directory written under another noise
+/// generator never resumes into a table of this one.  Within v3 it also
+/// skips a compile or runtime error whose diagnostic starts with
+/// "injected ": the compile and runtime fault kinds that wrote such
+/// lines are retired, and a re-run clears those cells.
 inline constexpr int kJournalFormatVersion = 3;
 
 class Journal {
@@ -74,7 +78,8 @@ class Journal {
 
   /// One JSONL line (no trailing newline) for an entry.
   [[nodiscard]] static std::string encode(const JournalEntry& e);
-  /// Parse one line; nullopt for blank/torn/foreign lines.
+  /// Parse one line; nullopt for blank/torn/foreign lines and for the
+  /// retired injected compile/runtime faults (see kJournalFormatVersion).
   [[nodiscard]] static std::optional<JournalEntry> decode(
       std::string_view line);
 

@@ -31,7 +31,7 @@ report::Table Study::run_suite(
   // which shares the row's compiles, plans and evaluations.
   const std::size_t cols = opt_.compilers.size();
   // Cell failures are classified into the table, so an exception escaping
-  // a job is an infrastructure fault (sink/journal bug): for_each_job
+  // a job is an infrastructure fault (a sink bug): for_each_job
   // rethrows the lowest-index one.
   exec::for_each_job(suite.size(), opt_.jobs, [&](std::size_t r, int worker) {
     const auto& bench = suite[r];
@@ -47,47 +47,14 @@ report::Table Study::run_suite(
                         .col = c,
                         .worker = worker});
       }
-      // Whole-cell span (journal restore included); the harness nests
-      // compile/explore/measure under it.
+      // Whole-cell span; the harness nests compile/explore/measure
+      // under it.
       auto cell_span =
           obs::scoped(opt_.tracer, "cell", bench.name(), spec.name);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto wall_now = [&t0] {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-            .count();
-      };
-
-      // Resume: a valid journal entry is the byte-identical outcome of
-      // a prior run (keys cover seed + both fingerprints), so restore it
-      // without touching the harness.  Failed entries re-evaluate.
-      const std::uint64_t key =
-          opt_.journal != nullptr
-              ? Journal::cell_key(opt_.seed, spec, bench.fingerprint(),
-                                  opt_.apply_quirks)
-              : 0;
-      if (opt_.journal != nullptr) {
-        if (const runtime::MeasuredRun* prior = opt_.journal->find(key);
-            prior != nullptr && prior->valid()) {
-          t.rows[r].cells[c] = *prior;
-          if (sink != nullptr) {
-            sink->on_event({.kind = exec::EventKind::JobFinished,
-                            .benchmark = bench.name(),
-                            .compiler = spec.name,
-                            .row = r,
-                            .col = c,
-                            .worker = worker,
-                            .model_seconds = prior->best_seconds,
-                            .wall_seconds = wall_now()});
-          }
-          continue;
-        }
-      }
-
       CellResult res = evaluate_cell(harness_, opt_, bench, spec, memo);
       const runtime::MeasuredRun& m = res.run;
       t.rows[r].cells[c] = m;
-      if (opt_.journal != nullptr) opt_.journal->record({key, m});
       // Quirk-failed and crashed cells both land here as JobFailed:
       // exactly one terminal event per cell either way.
       if (sink != nullptr) {
@@ -99,7 +66,10 @@ report::Table Study::run_suite(
                         .col = c,
                         .worker = worker,
                         .model_seconds = m.best_seconds,
-                        .wall_seconds = wall_now(),
+                        .wall_seconds = std::chrono::duration<double>(
+                                            std::chrono::steady_clock::now() -
+                                            t0)
+                                            .count(),
                         .status = m.status,
                         .detail = m.diagnostic,
                         .metrics = std::move(res.metrics)});

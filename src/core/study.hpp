@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cache/service.hpp"
-#include "core/journal.hpp"
 #include "exec/events.hpp"
 #include "kernels/benchmark.hpp"
 #include "obs/trace.hpp"
@@ -62,11 +61,6 @@ struct StudyOptions {
   /// Deterministic crash injection (off by default; see
   /// runtime::FaultPlan).
   runtime::FaultPlan faults;
-  /// Optional checkpoint/resume journal (non-owning; must outlive the
-  /// Study calls).  Valid cells it loaded are restored without
-  /// re-evaluation; every freshly evaluated terminal outcome is
-  /// appended when the journal is open for writing.
-  Journal* journal = nullptr;
   /// Shared cache tier (non-owning; must outlive the Study).  Null lets
   /// the Study own a private cache::Service — pass one to share warm
   /// cell models (the "cells" map) across several studies (a re-study

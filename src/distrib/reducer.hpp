@@ -9,8 +9,8 @@
 // byte-identical (measurements are pure functions of (seed, benchmark,
 // compiler) — see core/cell.hpp), so which line wins is value-invisible
 // and the merged table is byte-identical to a clean single-process run.
-// A resume pass re-evaluates failed cells at a later lease generation,
-// whose outcome may differ (injected faults decide anew); the
+// A resume pass re-evaluates crashed cells at a later lease generation,
+// whose outcome may differ (the injected crash decides anew); the
 // Supervisor numbers each pass's shards after the previous pass's, so
 // file order is creation order and the newer outcome wins.
 //

@@ -21,14 +21,13 @@ namespace a64fxcc::distrib {
 
 namespace {
 
-/// Study options as seen inside a worker process: observability and
-/// resume plumbing belong to the parent; the worker's output channel
-/// is its shard journal, nothing else.
+/// Study options as seen inside a worker process: observability belongs
+/// to the parent; the worker's output channel is its shard journal,
+/// nothing else.
 core::StudyOptions worker_options(const core::StudyOptions& base) {
   core::StudyOptions o = base;
   o.sink = nullptr;
   o.tracer = nullptr;
-  o.journal = nullptr;
   o.cache_service = nullptr;
   return o;
 }
@@ -287,11 +286,12 @@ report::Table Supervisor::run_suite(
                          .detail = "pid " + std::to_string(owner)});
   };
 
-  // Resume: cells done in a previous run keep their shard outcome when
-  // it is valid; done-but-failed (or done-but-missing — a lost shard
-  // file) cells reopen, mirroring the single-process journal's
-  // "failed cells re-evaluate" semantics.  The earlier passes' shards
-  // load once, into the journal the reduce completes with this pass's.
+  // Resume: a cell is a pure function of its key, so a cell done in a
+  // previous run keeps its shard outcome, compile and runtime errors
+  // included.  Only a crash (XX, which a later lease generation may
+  // survive) and a done cell with no outcome (a lost shard file)
+  // reopen.  The earlier passes' shards load once, into the journal the
+  // reduce completes with this pass's.
   core::Journal outcomes;
   std::vector<LoadedShard> loaded;
   {
@@ -302,7 +302,7 @@ report::Table Supervisor::run_suite(
     for (const std::uint64_t key : keys) {
       if (!queue.done(key)) continue;
       const runtime::MeasuredRun* run = outcomes.find(key);
-      if (run != nullptr && run->valid()) {
+      if (run != nullptr && run->status != runtime::CellStatus::Crashed) {
         ++stats_.resumed_cells;
       } else {
         reopen.push_back(key);
@@ -353,9 +353,12 @@ report::Table Supervisor::run_suite(
     return true;
   };
 
-  int respawn_budget =
-      opt_.max_respawns >= 0 ? opt_.max_respawns : 4 + 3 * opt_.procs;
-  for (int i = 0; i < opt_.procs; ++i) {
+  // Replacements after crashes; once they are spent, the parent drains
+  // the remaining rows inline instead of forking again.
+  int respawn_budget = 4 + 3 * opt_.procs;
+  // A resume that restored every cell forks nobody: the loop below
+  // sees the queue drained and goes straight to the reduce.
+  for (int i = 0; i < opt_.procs && !queue.drained(); ++i) {
     if (!spawn_worker()) stats_.degraded = true;  // fork failed / no fork
   }
 

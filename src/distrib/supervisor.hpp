@@ -14,13 +14,13 @@
 // the log from the start.  Each pass numbers its shards after the
 // highest index already in the directory, so sorted file order (the
 // merge's last-line-wins order) is creation order across resumed
-// passes.  The supervisor reaps dead
-// workers (waitpid), SIGKILLs hung ones (lease-deadline expiry),
-// releases their leases for re-lease, and respawns replacements after
-// a deterministic pause — degrading to an inline drain in the parent
-// when respawns keep dying.  A Reducer pass then merges the shards into
-// the canonical table.  The lease log and the result shards record all
-// of a study's progress; `a64fxcc status` reads it back from them
+// passes.  The supervisor reaps dead workers (waitpid), SIGKILLs hung
+// ones (lease-deadline expiry), releases their leases for re-lease, and
+// respawns replacements after a deterministic pause — degrading to an
+// inline drain in the parent once 4 + 3 * procs respawns have died
+// too.  A Reducer pass then merges the shards into the canonical
+// table.  The lease log and the result shards record all of a study's
+// progress; `a64fxcc status` reads it back from them
 // (distrib/status.hpp).
 //
 // Determinism contract: every cell's measurement is a pure function of
@@ -49,14 +49,14 @@ struct SupervisorOptions {
   /// thread leasing its own rows (<= 0 resolves to 1 — with multiple
   /// processes the default is one thread each, not
   /// hardware_concurrency per worker).
-  /// `journal`/`cache_service` must be null: shards are the journal of
-  /// a multi-process run, and caches cannot be shared across fork.
+  /// `cache_service` must be null: caches cannot be shared across fork.
   core::StudyOptions study;
   /// Worker processes to fork (>= 1).
   int procs = 2;
   /// Directory for leases.jsonl + the per-worker shard journals.
-  /// Created if missing; an existing directory resumes (done cells
-  /// with a valid shard outcome are not re-evaluated).
+  /// Created if missing; an existing directory resumes: a done cell
+  /// restores its shard outcome unless that is a crash (XX) or missing,
+  /// and a pass that finds every cell restored forks no worker.
   std::string shard_dir = "a64fxcc-shards";
   /// Lease validity.  A worker that holds a lease past its deadline is
   /// presumed hung: the supervisor SIGKILLs it and re-leases its
@@ -65,10 +65,6 @@ struct SupervisorOptions {
   /// (all compilers of one benchmark).  A crash loses at most one row
   /// per worker thread.
   double lease_deadline_seconds = 30;
-  /// Replacement workers budget after crashes; < 0 = 4 + 3 * procs.
-  /// Exhausting it degrades the study: the parent drains the remaining
-  /// rows inline instead of forking again.
-  int max_respawns = -1;
   /// Worker telemetry: each worker streams `trace-shard-<k>.jsonl`
   /// (one line per completed span, on the parent tracer's time axis)
   /// and `metrics-shard-<k>.jsonl` (one line per completed cell) next
@@ -83,8 +79,11 @@ struct SupervisorStats {
   int worker_respawns = 0;
   std::size_t cells_released = 0;  ///< leases returned after death/expiry
   std::size_t inline_cells = 0;    ///< drained by the degraded parent
-  std::size_t resumed_cells = 0;   ///< done before this run started
-  std::size_t reopened_cells = 0;  ///< done-but-failed/missing, reopened
+  /// Done before this run started, and restored from the shards.
+  std::size_t resumed_cells = 0;
+  /// Done before this run started, but crashed (XX) or missing from
+  /// every shard: reopened for this run to evaluate.
+  std::size_t reopened_cells = 0;
   bool degraded = false;           ///< respawn budget ran out
   ReduceStats reduce;
 };

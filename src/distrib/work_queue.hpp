@@ -2,9 +2,9 @@
 // Durable on-disk work queue for multi-process studies: one JSONL
 // operation log (`leases.jsonl`) shared by the supervisor and every
 // worker process, replayed into an in-memory cell table.  Cells are
-// identified by the same Journal::cell_key fingerprints the resume
-// journal uses, so the queue survives crashes for the same reason the
-// journal does: appends are whole lines, readers skip torn tails, and a
+// identified by the same Journal::cell_key fingerprints the result
+// shards use, so the queue survives crashes for the same reason the
+// shards do: appends are whole lines, readers skip torn tails, and a
 // restart replays the log instead of trusting volatile state.
 //
 // Protocol (all records tagged "v":1, one record per cell per line):
@@ -20,7 +20,7 @@
 //             lease owner so a stale release can never clobber a newer
 //             lease.
 //   reopen  — the supervisor undid a `done` (resume found the recorded
-//             outcome failed or missing), so the cell re-evaluates.
+//             outcome crashed or missing), so the cell re-evaluates.
 //
 // The queue knows the grid: keys are row-major with a fixed row width
 // (the supervisor's rows are benchmarks, its columns compilers), and
@@ -34,7 +34,7 @@
 // read-decide-append transaction and write all of its records with one
 // write(); flock dies with the process, so a kill -9 mid-transaction can
 // never wedge the queue.  The log is an exec::LineLog, the file rule of
-// the result journal and the telemetry shards too: a scan reads
+// the result shards and the telemetry shards too: a scan reads
 // complete lines only and leaves a torn trailing line (a writer killed
 // mid-append) pending, and an append newline-terminates such a tail
 // first.  The flock sits on the LineLog's descriptor.
@@ -138,7 +138,7 @@ class LeaseQueue {
   bool release(std::uint64_t key, int owner);
 
   /// Undo the `done` of cells so they re-evaluate (resume found their
-  /// recorded outcomes failed or missing): one `reopen` line per key,
+  /// recorded outcomes crashed or missing): one `reopen` line per key,
   /// all in one transaction and one write.  False (and nothing written)
   /// if a key is unknown, or if the write fails.
   bool reopen(const std::vector<std::uint64_t>& keys);

@@ -70,8 +70,7 @@ struct Event {
   /// Failure diagnostic text (JobFailed), or the worker lifecycle
   /// detail.
   std::string detail{};
-  /// What evaluating the cell cost (terminal events only; all zeros for
-  /// a cell restored from the journal).
+  /// What evaluating the cell cost (terminal events only).
   runtime::RunMetrics metrics{};
 };
 

@@ -1,6 +1,6 @@
 #pragma once
 // Line-oriented JSON codec shared by every durable log and telemetry
-// writer in the tree: the resume journal (core/journal.cpp), the lease
+// writer in the tree: the result shards (core/journal.cpp), the lease
 // queue op log (distrib/work_queue.cpp), the telemetry shards
 // (obs/shard.cpp) and the `obs report` parser.  Their file I/O is the
 // one exec::LineLog (exec/line_log.hpp).  One codec, one escaping

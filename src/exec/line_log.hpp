@@ -1,9 +1,9 @@
 #pragma once
 // The one crash-safe rule for every durable JSONL file of a study: the
-// resume journal and result shards (core/journal.cpp), the telemetry
-// shards (obs/shard.hpp), their aggregator (obs/aggregate.cpp) and the
-// lease log (distrib/work_queue.cpp).  exec/jsonio.hpp is their line
-// codec; this is their file I/O.
+// result shards (core/journal.cpp), the telemetry shards
+// (obs/shard.hpp), their aggregator (obs/aggregate.cpp) and the lease
+// log (distrib/work_queue.cpp).  exec/jsonio.hpp is their line codec;
+// this is their file I/O.
 //
 //   * A writer appends whole lines, a batch of them in one write() to a
 //     descriptor opened O_APPEND, so a crash leaves a prefix of complete
@@ -21,7 +21,7 @@
 //
 // The log holds no user-space buffer, so a fork never inherits unwritten
 // bytes.  Descriptor calls are POSIX; on Windows the C runtime's
-// equivalents stand in, so the in-process journal works there too.
+// equivalents stand in, so the library still builds there.
 
 #include <cstdint>
 #include <functional>

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -461,15 +462,36 @@ TEST(Supervisor, InjectedCrashFaultsConvergeToTheCleanTable) {
 }
 
 TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
+  // At crash:0.5 a row of five cells survives a lease generation with
+  // probability 1/32, so a worker dies at about 31 generations of each
+  // row before one completes it.  Two workers and their 4 + 3 * 2
+  // replacements afford 12 deaths.  The crash decisions are
+  // deterministic, so count the deaths the 8 rows need: more than the
+  // fleet affords makes degradation certain, not likely.
   const auto suite = small_suite();
   auto base = small_options();
   const std::string clean_csv =
       report::render_csv(clean_single_process(base, suite));
-  base.faults.crash = 0.2;
+  base.faults.crash = 0.5;
+  const int procs = 2;
+  const int respawn_budget = 4 + 3 * procs;
+  int deaths_needed = 0;
+  for (const auto& bench : suite) {
+    const auto row_crashes = [&](int gen) {
+      return std::any_of(base.compilers.begin(), base.compilers.end(),
+                         [&](const compilers::CompilerSpec& spec) {
+                           return base.faults.crashes(base.seed, bench.name(),
+                                                      spec.name, gen);
+                         });
+    };
+    int gen = 0;
+    while (row_crashes(gen)) ++gen;
+    deaths_needed += gen;
+  }
+  ASSERT_GT(deaths_needed, procs + respawn_budget);
   distrib::SupervisorOptions sopt;
   sopt.study = base;
-  sopt.procs = 2;
-  sopt.max_respawns = 0;  // first crash exhausts the fleet budget
+  sopt.procs = procs;
   const std::string dir = fresh_dir("degraded");
   sopt.shard_dir = dir;
   distrib::Supervisor sup(std::move(sopt));
@@ -477,7 +499,7 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
   EXPECT_EQ(report::render_csv(t), clean_csv);
   EXPECT_TRUE(sup.stats().degraded);
   EXPECT_GT(sup.stats().inline_cells, 0u);
-  EXPECT_EQ(sup.stats().worker_respawns, 0);
+  EXPECT_EQ(sup.stats().worker_respawns, respawn_budget);
   EXPECT_EQ(sup.stats().reduce.missing, 0u);
   // The inline drain's shard is what the status read shows of it.
   const auto st = distrib::read_status(dir, distrib::cell_keys(suite, base));
@@ -590,6 +612,21 @@ TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
 
 // ---- supervisor: resume ----------------------------------------------------
 
+/// Rewrite every result shard in `dir` line by line through `edit`.
+void edit_shard_lines(const std::string& dir,
+                      const std::function<void(std::string&)>& edit) {
+  for (const auto& path : distrib::Reducer::shard_files(dir)) {
+    std::ifstream in(path);
+    std::ostringstream out;
+    for (std::string line; std::getline(in, line);) {
+      edit(line);
+      out << line << "\n";
+    }
+    in.close();
+    std::ofstream(path, std::ios::trunc) << out.str();
+  }
+}
+
 TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
   const auto suite = small_suite();
   const auto base = small_options();
@@ -603,12 +640,22 @@ TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
     distrib::Supervisor sup(std::move(sopt));
     first = sup.run_suite(suite);
   }
-  // Resume reopens done-but-failed cells — the same policy the journal
-  // resume path uses: known failures re-evaluate, successes never do.
+  // Every cell is done and none crashed: its quirk failures (CE/RE)
+  // are pure functions of their cells, so they restore like the valid
+  // cells.  The pass reopens nothing, forks no worker and writes no
+  // file.
   std::size_t failed = 0;
   for (const auto& row : first.rows)
     for (const auto& cell : row.cells)
       if (!cell.valid()) ++failed;
+  ASSERT_GT(failed, 0u);
+  const auto listing = [&dir] {
+    std::map<std::string, std::uintmax_t> sizes;
+    for (const auto& f : std::filesystem::directory_iterator(dir))
+      sizes[f.path().filename().string()] = f.file_size();
+    return sizes;
+  };
+  const auto before = listing();
   distrib::SupervisorOptions sopt;
   sopt.study = base;
   sopt.procs = 2;
@@ -616,9 +663,57 @@ TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
   distrib::Supervisor sup(std::move(sopt));
   const auto t = sup.run_suite(suite);
   EXPECT_EQ(report::render_csv(t), report::render_csv(first));
-  EXPECT_EQ(sup.stats().reopened_cells, failed);
-  EXPECT_EQ(sup.stats().resumed_cells + sup.stats().reopened_cells,
-            suite.size() * 5);
+  EXPECT_EQ(sup.stats().reopened_cells, 0u);
+  EXPECT_EQ(sup.stats().resumed_cells, suite.size() * 5);
+  EXPECT_EQ(sup.stats().workers_spawned, 0);
+  EXPECT_EQ(listing(), before);
+}
+
+TEST(Supervisor, ResumeReopensARetiredInjectedCompileFault) {
+  // Builds before the compile fault kind was retired wrote CE lines for
+  // injected compile faults, which a re-run clears.  Such a line must
+  // not restore: its cell reopens and re-evaluates to its clean value,
+  // and every other cell restores.
+  const auto suite = small_suite();
+  const auto base = small_options();
+  const std::string dir = fresh_dir("resume_retired_fault");
+  report::Table clean;
+  {
+    distrib::SupervisorOptions sopt;
+    sopt.study = base;
+    sopt.procs = 2;
+    sopt.shard_dir = dir;
+    distrib::Supervisor sup(std::move(sopt));
+    clean = sup.run_suite(suite);
+  }
+  const auto& cell = clean.rows[0].cells[1];
+  ASSERT_TRUE(cell.valid());
+  const std::uint64_t key = core::Journal::cell_key(
+      base.seed, base.compilers[1], suite[0].fingerprint(), base.apply_quirks);
+  core::JournalEntry stale;
+  stale.key = key;
+  stale.run.benchmark = cell.benchmark;
+  stale.run.compiler = cell.compiler;
+  stale.run.status = runtime::CellStatus::CompileError;
+  stale.run.diagnostic = "injected compile fault (attempt 0)";
+  std::size_t replaced = 0;
+  edit_shard_lines(dir, [&](std::string& line) {
+    const auto e = core::Journal::decode(line);
+    if (!e || e->key != key) return;
+    line = core::Journal::encode(stale);
+    ++replaced;
+  });
+  ASSERT_EQ(replaced, 1u);
+
+  distrib::SupervisorOptions sopt;
+  sopt.study = base;
+  sopt.procs = 2;
+  sopt.shard_dir = dir;
+  distrib::Supervisor sup(std::move(sopt));
+  const auto t = sup.run_suite(suite);
+  EXPECT_EQ(sup.stats().reopened_cells, 1u);
+  EXPECT_EQ(sup.stats().resumed_cells, suite.size() * 5 - 1);
+  EXPECT_EQ(report::render_csv(t), report::render_csv(clean));
 }
 
 TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
@@ -641,20 +736,11 @@ TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
   char cur[16];
   std::snprintf(cur, sizeof cur, "{\"v\":%d,", core::kJournalFormatVersion);
   std::size_t rewritten = 0;
-  for (const auto& f : std::filesystem::directory_iterator(dir)) {
-    const std::string name = f.path().filename().string();
-    if (name.rfind("shard-", 0) != 0) continue;
-    std::ifstream in(f.path());
-    std::ostringstream out;
-    std::string line;
-    while (std::getline(in, line)) {
-      ASSERT_EQ(line.rfind(cur, 0), 0u) << line;
-      out << "{\"v\":2," << line.substr(std::strlen(cur)) << "\n";
-      ++rewritten;
-    }
-    in.close();
-    std::ofstream(f.path(), std::ios::trunc) << out.str();
-  }
+  edit_shard_lines(dir, [&](std::string& line) {
+    ASSERT_EQ(line.rfind(cur, 0), 0u) << line;
+    line = "{\"v\":2," + line.substr(std::strlen(cur));
+    ++rewritten;
+  });
   const std::size_t cells = suite.size() * base.compilers.size();
   ASSERT_EQ(rewritten, cells);
 
@@ -675,10 +761,10 @@ TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
 TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
   // A first pass where every generation crashes: the workers die until
   // the respawn budget is spent, and the inline drain records every
-  // remaining cell as XX.  A resume pass without faults re-evaluates
-  // all of them.  Its shards must sort after the first pass's: the
-  // merge keeps the last line for a key in file order, and a new valid
-  // line must never lose to its stale failure.
+  // remaining cell as XX.  A resume pass without faults reopens exactly
+  // those and re-evaluates them.  Its shards must sort after the first
+  // pass's: the merge keeps the last line for a key in file order, and
+  // a new valid line must never lose to its stale failure.
   const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
   auto base = small_options();
   base.seed = 7;
@@ -687,6 +773,7 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
   for (const int procs : {2, 3, 4}) {
     const std::string dir = fresh_dir("stale_p" + std::to_string(procs));
     report::Table resumed;
+    std::size_t crashed = 0;
     for (int pass = 0; pass < 2; ++pass) {
       distrib::SupervisorOptions sopt;
       sopt.study = base;
@@ -700,7 +787,6 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
         EXPECT_GT(sup.stats().inline_cells, 0u) << "procs=" << procs;
         // Every cell failed: quirk failures as before, the rest as XX.
         std::size_t failed = 0;
-        std::size_t crashed = 0;
         for (const auto& row : resumed.rows)
           for (const auto& cell : row.cells) {
             failed += !cell.valid();
@@ -709,7 +795,9 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
         EXPECT_EQ(failed, suite.size() * 5) << "procs=" << procs;
         EXPECT_GT(crashed, 0u) << "procs=" << procs;
       } else {
-        EXPECT_GT(sup.stats().reopened_cells, 0u);
+        EXPECT_EQ(sup.stats().reopened_cells, crashed) << "procs=" << procs;
+        EXPECT_EQ(sup.stats().resumed_cells, suite.size() * 5 - crashed)
+            << "procs=" << procs;
       }
     }
     std::map<std::string, bool> has_valid_line;  // "bench/compiler"
@@ -737,27 +825,28 @@ TEST(Supervisor, ResumePassReducesAsAFreshMergeOfTheDirectory) {
   // decision, and at reduce time adds only the shards it wrote.  Its
   // reduce stats must still be a merge of the whole directory's: every
   // shard, every distinct cell and every duplicate line — here the
-  // shards of a crash-injected first pass and the new outcomes of the
-  // failed cells the resume reopens.
+  // shards of a first pass where every generation crashes, and the new
+  // outcomes of the XX cells the resume reopens.
   const auto suite = small_suite();
-  auto base = small_options();
+  const auto base = small_options();
   const std::string clean_csv =
       report::render_csv(clean_single_process(base, suite));
-  base.faults.crash = 0.2;
   const std::string dir = fresh_dir("resume_reduce_stats");
   for (int pass = 0; pass < 2; ++pass) {
     distrib::SupervisorOptions sopt;
     sopt.study = base;
+    sopt.study.faults.crash = pass == 0 ? 1.0 : 0.0;
     sopt.procs = 3;
     sopt.shard_dir = dir;
     sopt.lease_deadline_seconds = 20;
     distrib::Supervisor sup(std::move(sopt));
     const auto t = sup.run_suite(suite);
-    EXPECT_EQ(report::render_csv(t), clean_csv) << "pass " << pass;
     if (pass == 0) {
       EXPECT_GT(sup.stats().worker_respawns, 0);
+      EXPECT_NE(report::render_csv(t), clean_csv);
       continue;
     }
+    EXPECT_EQ(report::render_csv(t), clean_csv);
     EXPECT_GT(sup.stats().reopened_cells, 0u);
     const distrib::ReduceStats& got = sup.stats().reduce;
     distrib::ReduceStats want;
@@ -925,8 +1014,8 @@ TEST(Reducer, MissingCellsSurfaceAsCrashedNotBlank) {
 }
 
 TEST(Reducer, ShardOutputMatchesSingleProcessJournal) {
-  // A 1-proc supervisor run's shards, merged, equal the in-process
-  // journal path's table: the shard files ARE journals.
+  // A 1-proc supervisor run's shards, merged by a Reducer of their own,
+  // equal the table the supervisor returned.
   const auto suite = small_suite();
   const auto base = small_options();
   const std::string dir = fresh_dir("shard_vs_journal");

@@ -1,12 +1,13 @@
-// Fault tolerance: taxonomy, deterministic crash injection, and
-// checkpoint/resume journaling.
+// Fault tolerance: taxonomy, deterministic crash injection, and the
+// journal line format that result shards use.
 //
 // The load-bearing guarantees:
 //   * a study with injected crashes still completes and is
 //     byte-identical for any worker count (crash decisions are pure
 //     functions of cell identity + attempt, never of scheduling);
-//   * MeasuredRun values do not depend on the attempt index, so a table
-//     resumed after failures equals a clean run byte-for-byte.
+//   * MeasuredRun values do not depend on the attempt index, so a cell
+//     re-evaluated after a crash equals a clean run's bit for bit.
+// Resuming a shard directory is tested in tests/test_distrib.cpp.
 
 #include <gtest/gtest.h>
 
@@ -201,14 +202,10 @@ void expect_identical_cells(const report::Table& a, const report::Table& b) {
   }
 }
 
-report::Table run_microkernels_of(const std::vector<kernels::Benchmark>& suite,
-                                 core::StudyOptions opt) {
-  opt.scale = 0.05;
-  return core::Study(std::move(opt)).run_suite(suite);
-}
-
 report::Table run_microkernels(core::StudyOptions opt) {
-  return run_microkernels_of(kernels::microkernel_suite(0.05), std::move(opt));
+  opt.scale = 0.05;
+  return core::Study(std::move(opt))
+      .run_suite(kernels::microkernel_suite(0.05));
 }
 
 TEST(Injection, StudyCompletesAndIsWorkerCountInvariant) {
@@ -270,29 +267,6 @@ TEST(Injection, InProcessCrashFaultsClassifyAndRetryLikeAnyFault) {
   }
   EXPECT_GT(crashed, 0u);
   EXPECT_GT(recovered, 0u);
-}
-
-TEST(Injection, ArmedPoliciesWithoutFaultsLeaveTheTableUnchanged) {
-  // A journal recording every cell, but nothing to inject: the policy
-  // path must reproduce the plain study exactly, and the journal file
-  // must hold every cell.
-  const std::string path = testing::TempDir() + "a64fxcc_armed.jsonl";
-  std::remove(path.c_str());
-  core::StudyOptions armed;
-  report::Table policied;
-  {
-    core::Journal journal;
-    ASSERT_TRUE(journal.open(path));
-    armed.journal = &journal;
-    policied = run_microkernels(armed);
-    // Recording only appends: the index holds what load() read.
-    EXPECT_EQ(journal.size(), 0u);
-  }
-  expect_identical_cells(policied, run_microkernels({}));
-  core::Journal written;
-  EXPECT_EQ(written.load(path),
-            policied.rows.size() * policied.compilers.size());
-  std::remove(path.c_str());
 }
 
 // ---- journal ---------------------------------------------------------------
@@ -390,7 +364,8 @@ TEST(Journal, ResumeOpenTerminatesATornTailBeforeRecording) {
     std::ofstream f(path, std::ios::binary);
     f << core::Journal::encode(first) << "\n" << fragment;  // died mid-line
   }
-  // What --resume does: load the journal, then open it and record.
+  // A writer that opens a file a dead writer tore: load it, then open
+  // it and record.
   core::Journal resumed;
   EXPECT_EQ(resumed.load(path), 1u);
   ASSERT_TRUE(resumed.open(path));
@@ -600,6 +575,43 @@ TEST(Journal, FutureFormatVersionsAreRejectedNotHalfParsed) {
   EXPECT_FALSE(core::Journal::decode(line).has_value());
 }
 
+TEST(Journal, RetiredFaultLinesDoNotDecode) {
+  // Current-format lines that older builds wrote for failures a re-run
+  // clears: the retired timeout status, and the retired compile and
+  // runtime fault kinds.  None may decode, so a resume reopens their
+  // cells instead of restoring the failure.  Quirk failures and the
+  // injected crash, which the study still produces, decode.
+  const auto line = [](const char* status, const char* diagnostic) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\"v\":%d,\"key\":\"00000000000000a1\",\"benchmark\":"
+                  "\"k02\",\"compiler\":\"GNU\",\"status\":\"%s\","
+                  "\"diagnostic\":\"%s\"}",
+                  core::kJournalFormatVersion, status, diagnostic);
+    return std::string(buf);
+  };
+  EXPECT_FALSE(core::Journal::decode(
+                   line("timeout", "deadline of 30s exceeded (attempt 0)"))
+                   .has_value());
+  EXPECT_FALSE(core::Journal::decode(
+                   line("compiler error", "injected compile fault (attempt 0)"))
+                   .has_value());
+  EXPECT_FALSE(
+      core::Journal::decode(
+          line("runtime error",
+               "injected runtime fault at performance run 5 (attempt 0)"))
+          .has_value());
+  const auto quirk = core::Journal::decode(
+      line("compiler error", "compiler error on Kernel 22 (Fig. 2 note)"));
+  ASSERT_TRUE(quirk.has_value());
+  EXPECT_EQ(quirk->run.status, runtime::CellStatus::CompileError);
+  const auto crash = core::Journal::decode(
+      line("crash", "injected crash fault at performance run 5 (attempt 0)"));
+  ASSERT_TRUE(crash.has_value());
+  EXPECT_EQ(crash->run.status, runtime::CellStatus::Crashed);
+  EXPECT_EQ(crash->key, 0xa1u);
+}
+
 TEST(Journal, OlderFormatJournalFileResumesNothing) {
   const std::string path = testing::TempDir() + "a64fxcc_journal_v1.jsonl";
   std::remove(path.c_str());
@@ -616,120 +628,6 @@ TEST(Journal, OlderFormatJournalFileResumesNothing) {
   EXPECT_EQ(j.load(path), 0u);
   EXPECT_EQ(j.find(0x15), nullptr);
   EXPECT_EQ(j.find(0x16), nullptr);
-  std::remove(path.c_str());
-}
-
-// ---- resume ----------------------------------------------------------------
-
-TEST(Resume, SecondRunRestoresEverythingWithoutRecompiling) {
-  // top500: every cell is valid, so a full journal restores the whole
-  // study.  (Quirk-failed cells are journaled as failures and would
-  // legitimately re-evaluate.)
-  const std::string path = testing::TempDir() + "a64fxcc_resume_full.jsonl";
-  std::remove(path.c_str());
-  const auto suite = kernels::top500_suite(0.05);
-  {
-    core::Journal j;
-    ASSERT_TRUE(j.open(path));
-    core::StudyOptions first;
-    first.scale = 0.05;
-    first.journal = &j;
-    (void)core::Study(std::move(first)).run_suite(suite);
-  }
-  // Fresh journal, fresh study: everything restores from disk and the
-  // new harness never compiles a thing.
-  core::Journal j2;
-  EXPECT_GT(j2.load(path), 0u);
-  core::StudyOptions second;
-  second.journal = &j2;
-  second.scale = 0.05;
-  const core::Study study(std::move(second));
-  const auto t = study.run_suite(suite);
-  core::StudyOptions clean_opt;
-  clean_opt.scale = 0.05;
-  const auto clean = core::Study(std::move(clean_opt)).run_suite(suite);
-  expect_identical_cells(t, clean);
-  const auto tier = study.cache_service().stats();
-  const auto cells = std::find_if(
-      tier.begin(), tier.end(), [](const auto& c) { return c.name == "cells"; });
-  ASSERT_NE(cells, tier.end());
-  EXPECT_EQ(cells->stats.misses, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Resume, FailedCellsReEvaluateAndMatchCleanRunByteForByte) {
-  const std::string path = testing::TempDir() + "a64fxcc_resume_faulty.jsonl";
-  std::remove(path.c_str());
-  std::size_t first_failures = 0;
-  {
-    core::Journal j;
-    ASSERT_TRUE(j.open(path));
-    core::StudyOptions faulty;
-    faulty.faults.crash = 0.3;
-    faulty.journal = &j;
-    const auto t = run_microkernels(std::move(faulty));
-    for (const auto& row : t.rows)
-      for (const auto& cell : row.cells)
-        if (!cell.valid() &&
-            cell.diagnostic.find("injected") != std::string::npos)
-          ++first_failures;
-    ASSERT_GT(first_failures, 0u) << "fault plan should break some cells";
-  }
-  // Resume without injection: only the failed cells re-evaluate, and the
-  // result equals a clean run byte-for-byte — valid journal values were
-  // measured identically (attempt never feeds the measurement).
-  core::Journal j2;
-  EXPECT_GT(j2.load(path), 0u);
-  core::StudyOptions resume;
-  resume.journal = &j2;
-  exec::CollectingSink sink;
-  resume.sink = &sink;
-  const auto resumed = run_microkernels(std::move(resume));
-  const auto clean = run_microkernels({});
-  expect_identical_cells(resumed, clean);
-  // Cache misses happened only for the re-evaluated cells (plus their
-  // reference compiles), far fewer than a full 22 x 5 study.
-  int misses = 0;
-  for (const auto& e : sink.events()) {
-    const runtime::RunMetrics& m = e.metrics;
-    misses += m.compile_cache_misses + m.plan_cache_misses +
-              m.estimate_cache_misses + m.analysis_cache_misses;
-  }
-  EXPECT_GT(misses, 0);
-  std::remove(path.c_str());
-}
-
-TEST(Resume, OldTimeoutJournalLinesReEvaluateToTheCleanValue) {
-  // Journals written while per-cell deadlines existed can hold
-  // "timeout" cells.  The label no longer decodes, so such a line is
-  // skipped and its cell re-evaluates — what a resume does to every
-  // failed cell anyway.
-  const std::string path = testing::TempDir() + "a64fxcc_resume_timeout.jsonl";
-  std::remove(path.c_str());
-  auto suite = kernels::microkernel_suite(0.05);
-  suite.erase(suite.begin() + 1, suite.end());
-  const auto spec = compilers::llvm12();
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "{\"v\":%d,\"key\":\"%016llx\",\"benchmark\":\"%s\","
-                "\"compiler\":\"%s\",\"status\":\"timeout\","
-                "\"diagnostic\":\"deadline of 30s exceeded (attempt 0)\"}",
-                core::kJournalFormatVersion,
-                static_cast<unsigned long long>(core::Journal::cell_key(
-                    42, spec, suite[0].fingerprint(), true)),
-                suite[0].name().c_str(), spec.name.c_str());
-  {
-    std::ofstream f(path);
-    f << line << "\n";
-  }
-  core::Journal j;
-  EXPECT_EQ(j.load(path), 0u);
-  core::StudyOptions resume;
-  resume.journal = &j;
-  const auto resumed = run_microkernels_of(suite, std::move(resume));
-  const auto clean = run_microkernels_of(suite, {});
-  expect_identical_cells(resumed, clean);
-  for (const auto& cell : resumed.rows[0].cells) EXPECT_TRUE(cell.valid());
   std::remove(path.c_str());
 }
 

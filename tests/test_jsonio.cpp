@@ -1,5 +1,5 @@
 // The durable logs' line codec (exec/jsonio.hpp), the decoders built on
-// it (the resume journal, the lease log and the telemetry shards), and
+// it (the result shards, the lease log and the telemetry shards), and
 // the file rule they all share (exec/line_log.hpp).  Lines are read back
 // from files other processes may have torn mid-write, so every decoder
 // must turn anything short of one complete object into "absent", every

@@ -129,7 +129,7 @@ std::string shard_dir_flag(int argc, char** argv) {
 
 /// False (after a diagnostic) on a malformed value, and on a flag that
 /// would be ignored: the --procs-only flags without --procs, and the
-/// in-process-only ones with it.
+/// in-process-only one with it.
 bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
   if (!int_flag(argc, argv, "--procs=", &out->procs)) return false;
   if (arg_value(argc, argv, "--procs=") != nullptr && out->procs <= 0) {
@@ -152,15 +152,6 @@ bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
     std::fprintf(stderr, "--lease-deadline must be > 0\n");
     return false;
   }
-  if (arg_value(argc, argv, "--journal=") != nullptr ||
-      arg_value(argc, argv, "--resume=") != nullptr) {
-    std::fprintf(stderr,
-                 "--journal/--resume cannot combine with --procs: the shard "
-                 "journals under --shard-dir are the journal of a "
-                 "multi-process run (re-running with the same --shard-dir "
-                 "resumes)\n");
-    return false;
-  }
   if (has_flag(argc, argv, "--cache-stats")) {
     std::fprintf(stderr,
                  "--cache-stats cannot combine with --procs: the cache tier "
@@ -170,12 +161,9 @@ bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
   return true;
 }
 
-/// Fill the crash-injection and journal knobs shared by `table` and
-/// `run`.  Returns false (after printing a diagnostic) on malformed flag
-/// values.  On success *journal is the storage opt.journal points to,
-/// when any of --resume/--journal asked for one.
-bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
-                        core::Journal& journal) {
+/// Fill the crash injection shared by `table` and `run`.  Returns false
+/// (after printing a diagnostic) on a malformed --inject-faults.
+bool apply_fault_flag(int argc, char** argv, core::StudyOptions& opt) {
   if (const char* v = arg_value(argc, argv, "--inject-faults=")) {
     const auto plan = runtime::FaultPlan::parse(v);
     if (!plan) {
@@ -187,20 +175,6 @@ bool apply_policy_flags(int argc, char** argv, core::StudyOptions& opt,
     }
     opt.faults = *plan;
   }
-  const char* resume = arg_value(argc, argv, "--resume=");
-  const char* journal_path = arg_value(argc, argv, "--journal=");
-  if (resume != nullptr) {
-    const std::size_t n = journal.load(resume);
-    std::fprintf(stderr, "resume: %zu completed cells restored from %s\n", n,
-                 resume);
-    if (journal_path == nullptr) journal_path = resume;
-  }
-  if (journal_path != nullptr && !journal.open(journal_path)) {
-    std::fprintf(stderr, "cannot open journal '%s' for appending\n",
-                 journal_path);
-    return false;
-  }
-  if (resume != nullptr || journal_path != nullptr) opt.journal = &journal;
   return true;
 }
 
@@ -347,8 +321,8 @@ std::optional<compilers::CompilerSpec> compiler_by_name(const std::string& n) {
 constexpr std::string_view kTableFlags[] = {
     "--csv", "--json", "--md", "--decisions",
     "--scale=", "--jobs=", "--procs=", "--shard-dir=", "--lease-deadline=",
-    "--log-level=", "--trace=", "--metrics=", "--resume=",
-    "--journal=", "--inject-faults=", "--cache-stats",
+    "--log-level=", "--trace=", "--metrics=", "--inject-faults=",
+    "--cache-stats",
 };
 constexpr auto kRunFlags = std::span(kTableFlags).subspan<4>();
 constexpr std::string_view kStatusFlags[] = {"--scale=", "--shard-dir="};
@@ -400,10 +374,11 @@ int cmd_list(const std::string& suite, int argc, char** argv) {
 }
 
 /// The study behind `table` and `run`: parse the jobs, distrib,
-/// observability and policy flags, run `suite` in-process or under the
-/// multi-process supervisor, list failed cells on stderr, hand the
-/// table to `render`, then print --cache-stats and write the
-/// --trace/--metrics artifacts.  Returns the exit code.
+/// observability and fault flags, run `suite` in-process or under the
+/// multi-process supervisor (reporting what a resume restored), list
+/// failed cells on stderr, hand the table to `render`, then print
+/// --cache-stats and write the --trace/--metrics artifacts.  Returns
+/// the exit code.
 int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
               int argc, char** argv,
               const std::function<void(const report::Table&)>& render) {
@@ -414,8 +389,7 @@ int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
   if (!parse_distrib_flags(argc, argv, &df)) return 1;
   ObsSetup obs;
   if (!apply_obs_flags(argc, argv, opt, obs)) return 1;
-  core::Journal journal;
-  if (!apply_policy_flags(argc, argv, opt, journal)) return 1;
+  if (!apply_fault_flag(argc, argv, opt)) return 1;
   report::Table t;
   std::optional<core::Study> study;          // in-process path only
   std::optional<distrib::Supervisor> sup;    // multi-process path only
@@ -434,6 +408,11 @@ int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
+    const auto& st = sup->stats();
+    if (st.resumed_cells + st.reopened_cells > 0)
+      std::fprintf(stderr,
+                   "resume: %zu cells restored from shards, %zu reopened\n",
+                   st.resumed_cells, st.reopened_cells);
   } else {
     study.emplace(std::move(opt));
     t = study->run_suite(suite);
@@ -692,7 +671,6 @@ void usage() {
       "                [--procs=N] [--shard-dir=DIR] [--lease-deadline=SECONDS]\n"
       "                [--log-level=quiet|progress|debug]\n"
       "                [--trace=PATH] [--metrics=PATH]\n"
-      "                [--resume=PATH] [--journal=PATH]\n"
       "                [--inject-faults=crash:P]\n"
       "                [--cache-stats]\n"
       "                                   # --cache-stats prints the hit/miss/\n"
@@ -712,10 +690,10 @@ void usage() {
       "                                   # re-leased.  Tables are byte-\n"
       "                                   # identical for any N, even across\n"
       "                                   # kill -9; re-running with the same\n"
-      "                                   # --shard-dir resumes.  --shard-dir\n"
-      "                                   # and --lease-deadline need --procs\n"
-      "                                   # --resume restores completed cells\n"
-      "                                   # from a journal and appends new ones\n"
+      "                                   # --shard-dir resumes: finished cells\n"
+      "                                   # restore, crashed ones re-run.\n"
+      "                                   # --shard-dir and --lease-deadline\n"
+      "                                   # need --procs\n"
       "                                   # --inject-faults=crash:P crashes\n"
       "                                   # each cell attempt with probability\n"
       "                                   # P, deterministically (a --procs\n"
@@ -730,7 +708,6 @@ void usage() {
       "                                   # supervisor's lifecycle spans\n"
       "  run <benchmark> [--scale=f] [--jobs=N]\n"
       "                  [--procs=N] [--shard-dir=DIR] [--lease-deadline=s]\n"
-      "                  [--resume=PATH] [--journal=PATH]\n"
       "                  [--inject-faults=crash:P]\n"
       "                  [--cache-stats]\n"
       "                  [--log-level=L] [--trace=PATH] [--metrics=PATH]\n"
