@@ -146,18 +146,19 @@ bool Journal::open(const std::string& path) { return out_.open(path); }
 
 void Journal::close() { out_.close(); }
 
-void Journal::record(std::span<const JournalEntry> entries) {
-  if (entries.empty() || !out_.is_open()) return;
+bool Journal::record(std::span<const JournalEntry> entries) {
+  if (entries.empty()) return true;
+  if (!out_.is_open()) return false;
   std::string lines;
   for (const JournalEntry& e : entries) {
     lines += encode(e);
     lines.push_back('\n');
   }
-  out_.append(lines);
+  return out_.append(lines);
 }
 
-void Journal::record(const JournalEntry& e) {
-  record(std::span<const JournalEntry>(&e, 1));
+bool Journal::record(const JournalEntry& e) {
+  return record(std::span<const JournalEntry>(&e, 1));
 }
 
 const runtime::MeasuredRun* Journal::find(std::uint64_t key) const {

@@ -2,9 +2,9 @@
 // The result-shard format of a `--procs` study: one JSONL line per
 // terminally-evaluated (benchmark x compiler) cell, keyed by the
 // fingerprints of the compiler spec and the source kernel.  Workers
-// and the inline drain record into it, and the Reducer loads it, both
-// to decide what a re-run over the same --shard-dir restores and to
-// merge the shards into the table (distrib/supervisor.hpp).
+// record into it, and the Reducer loads it, both to decide what a
+// re-run over the same --shard-dir restores and to merge the shards
+// into the table (distrib/supervisor.hpp).
 //
 // Crash-safety model: the file is an exec::LineLog.  The writer appends
 // complete lines as soon as a worker's row of cells finishes, one write
@@ -103,18 +103,21 @@ class Journal {
   bool open(const std::string& path);
   void close();
 
-  /// Record terminal cell outcomes: when open(), append all their lines
-  /// with one write; otherwise do nothing.  The in-memory index is left
-  /// alone — it holds what load() read, and find() never sees a
-  /// recorded entry.  Thread-safe (called concurrently from engine
-  /// workers).  A crash mid-write leaves a prefix of the batch's lines plus at most one
-  /// torn line — the same file shape as a crash between single-entry
-  /// records — so callers that complete work only after record()
-  /// returns (the distrib workers: shard lines first, `done` leases
-  /// second) never mark an outcome done that is not on disk.
-  void record(std::span<const JournalEntry> entries);
+  /// Record terminal cell outcomes: append all their lines with one
+  /// write.  Returns whether every line reached the file: false when
+  /// the journal is not open or the write fails (ENOSPC, EIO); an empty
+  /// batch is trivially recorded.  The in-memory index is left alone —
+  /// it holds what load() read, and find() never sees a recorded entry.
+  /// Thread-safe (called concurrently from a worker's threads).  A
+  /// crash mid-write leaves a prefix of the batch's lines plus at most
+  /// one torn line — the same file shape as a crash between
+  /// single-entry records — so callers that complete work only after
+  /// record() returns true (the distrib workers: shard lines first,
+  /// `done` leases second) never mark an outcome done that is not on
+  /// disk.
+  bool record(std::span<const JournalEntry> entries);
   /// One entry: the same as a batch of one.
-  void record(const JournalEntry& e);
+  bool record(const JournalEntry& e);
 
   /// The remembered outcome for a key, or nullptr.  Thread-safe.
   [[nodiscard]] const runtime::MeasuredRun* find(std::uint64_t key) const;

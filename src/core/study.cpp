@@ -118,13 +118,4 @@ Summary summarize(const report::Table& t, const runtime::Placement& recommended)
   return s;
 }
 
-report::Table merge(std::vector<report::Table> tables) {
-  report::Table out;
-  for (auto& t : tables) {
-    if (out.compilers.empty()) out.compilers = t.compilers;
-    for (auto& r : t.rows) out.rows.push_back(std::move(r));
-  }
-  return out;
-}
-
 }  // namespace a64fxcc::core

@@ -121,7 +121,4 @@ class Study {
 [[nodiscard]] Summary summarize(const report::Table& t,
                                 const runtime::Placement& recommended = {4, 12});
 
-/// Merge rows of several tables (same compiler columns).
-[[nodiscard]] report::Table merge(std::vector<report::Table> tables);
-
 }  // namespace a64fxcc::core

@@ -44,10 +44,6 @@ struct ReduceStats {
     const std::vector<kernels::Benchmark>& suite,
     const core::StudyOptions& opt);
 
-/// Name tag of the result shard a degraded supervisor drains inline
-/// (`shard-<k>-inline.jsonl`; a worker's is `shard-<k>.jsonl`).
-inline constexpr char kInlineShardTag[] = "-inline";
-
 /// One shard file as a load found it.
 struct LoadedShard {
   std::string path;
@@ -56,7 +52,10 @@ struct LoadedShard {
 
 class Reducer {
  public:
-  /// Every `shard-*.jsonl` under `dir`, sorted by name (= merge order).
+  /// Every `shard-*.jsonl` under `dir`, sorted by name (= merge order):
+  /// the workers' `shard-<k>.jsonl`, and the `shard-<k>-inline.jsonl`
+  /// that supervisors which drained rows themselves left in older
+  /// directories.
   [[nodiscard]] static std::vector<std::string> shard_files(
       const std::string& dir);
 
@@ -79,10 +78,10 @@ class Reducer {
 
   /// The canonical table for `suite` under `opt`, with each cell's
   /// outcome moved out of `j` (the suite's cell keys are distinct, as
-  /// the work queue requires).  Cells absent from `j` (a degraded run
-  /// that lost work) come out as CellStatus::Crashed with an explicit
-  /// diagnostic, and are counted in stats->missing — never silently
-  /// blank.
+  /// the work queue requires).  Cells absent from `j` (a run whose
+  /// last workers died before the queue drained) come out as
+  /// CellStatus::Crashed with an explicit diagnostic, and are counted in
+  /// stats->missing — never silently blank.
   [[nodiscard]] static report::Table assemble(
       core::Journal& j, const std::vector<kernels::Benchmark>& suite,
       const core::StudyOptions& opt, ReduceStats* stats = nullptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <string_view>
 #include <system_error>
 
 #include "distrib/reducer.hpp"
@@ -34,10 +33,7 @@ std::optional<StudyStatus> read_status(const std::string& dir,
   std::sort(st.owners.begin(), st.owners.end());
   st.owners.erase(std::unique(st.owners.begin(), st.owners.end()),
                   st.owners.end());
-  for (std::string_view shard : Reducer::shard_files(dir)) {
-    shard.remove_suffix(std::string_view(".jsonl").size());
-    ++(shard.ends_with(kInlineShardTag) ? st.inline_shards : st.worker_shards);
-  }
+  st.shards = Reducer::shard_files(dir).size();
   st.phase = st.cells_done == st.cells_total ? "done"
              : st.cells_leased > 0           ? "running"
                                              : "stopped";
@@ -66,8 +62,7 @@ std::string render_status(const StudyStatus& st) {
                 st.owners.empty() ? "" : ")", st.cells_expired,
                 st.max_generation);
   out += buf;
-  std::snprintf(buf, sizeof buf, "  shards  %zu worker, %zu inline\n",
-                st.worker_shards, st.inline_shards);
+  std::snprintf(buf, sizeof buf, "  shards  %zu\n", st.shards);
   out += buf;
   return out;
 }

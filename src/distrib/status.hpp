@@ -2,7 +2,7 @@
 // Progress of a multi-process study, read from the files the study
 // already writes: its lease log (`<shard-dir>/leases.jsonl`), replayed
 // against the study's cell keys exactly as a resuming supervisor
-// replays it, and the names of its result shards.  Nothing is published
+// replays it, and the count of its result shards.  Nothing is published
 // for this view, so it reads the same during a run, after it, and after
 // every process of the study was killed.
 //
@@ -29,8 +29,7 @@ struct StudyStatus {
   std::vector<int> owners;        ///< their owner pids, ascending
   std::size_t cells_expired = 0;  ///< leased past their deadline
   int max_generation = 0;         ///< highest lease generation granted
-  std::size_t worker_shards = 0;
-  std::size_t inline_shards = 0;  ///< a degraded supervisor's inline drain
+  std::size_t shards = 0;  ///< result shards (Reducer::shard_files)
 };
 
 /// Replay `<dir>/leases.jsonl` against `keys` and count the result

@@ -32,9 +32,9 @@ core::StudyOptions worker_options(const core::StudyOptions& base) {
   return o;
 }
 
-std::string shard_name(int index, const char* tag = "") {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "shard-%04d%s.jsonl", index, tag);
+std::string shard_name(int index) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "shard-%04d.jsonl", index);
   return buf;
 }
 
@@ -44,7 +44,9 @@ std::string shard_name(int index, const char* tag = "") {
 /// and the telemetry aggregator keep the last line for a key in sorted
 /// file order, and a resumed cell's new outcome must beat its stale one.
 /// Names are zero-padded to four digits, so that holds for the first
-/// 10,000 shards of a directory.
+/// 10,000 shards of a directory.  Directories written before the
+/// supervisor stopped draining rows itself may hold a
+/// `shard-<k>-inline.jsonl`; its index counts like any other.
 int next_shard_index(const std::string& dir) {
   int next = 0;
   std::error_code ec;
@@ -64,21 +66,9 @@ int next_shard_index(const std::string& dir) {
 
 void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
 
-/// Deterministic pause before respawn `n` (0-based): 1 ms x 2^n x a
-/// jitter in [0.5, 1.5) hashed from n, capped at 50 ms — never a
-/// function of the clock or of scheduling.
-double respawn_pause(int n) {
-  const std::uint64_t h = runtime::cell_stream("distrib", "respawn") ^
-                          (0xBAC0FF00ULL + static_cast<std::uint64_t>(n));
-  const double jitter = 0.5 + runtime::hash_u01(h);
-  return std::min(0.001 * static_cast<double>(1ULL << std::min(n, 20)) *
-                      jitter,
-                  0.05);
-}
-
-/// How many generations past its lease the inline drain skips for a
-/// cell whose every generation crashes; it then records that
-/// generation's classified crash.
+/// How far past its lease generation a worker that skips injected
+/// crashes goes for a cell whose every generation crashes; it then
+/// records that generation's classified crash.
 constexpr int kMaxSkippedGenerations = 32;
 
 /// Where one process persists the rows it evaluates.
@@ -88,7 +78,8 @@ struct RowSink {
   LeaseQueue& queue;
   int self = 0;
   /// The shard a worker tears before dying of an injected crash; null
-  /// for the inline drain, which cannot die.
+  /// for a replacement forked once the respawn budget is spent, which
+  /// skips injected crashes instead of dying.
   const std::string* crash_shard = nullptr;
   /// Held across each row's shard append, and by an injected crash
   /// from its torn write until the process is gone: another thread's
@@ -120,9 +111,10 @@ struct RowSink {
 /// generation).
 ///
 /// At a generation whose deterministic decision is an injected crash, a
-/// worker dies.  The inline drain cannot die: it skips to the next
-/// generation, converging to the generation a worker death + re-lease
-/// would have reached.
+/// worker dies.  A worker without a `crash_shard` skips to the next
+/// generation instead, converging to the generation a worker death +
+/// re-lease would have reached.  A row whose outcomes do not reach the
+/// shard throws before its leases complete.
 void run_row(const std::vector<Claim>& row,
              const std::vector<kernels::Benchmark>& suite,
              const runtime::Harness& h, const core::StudyOptions& opt,
@@ -168,7 +160,8 @@ void run_row(const std::vector<Claim>& row,
   }
   {
     const std::lock_guard<std::mutex> lock(out.append_mu);
-    out.shard.record(entries);
+    if (!out.shard.record(entries))
+      throw std::runtime_error("distrib: shard append failed");
   }
   if (!telemetry.empty()) out.metrics.append(telemetry);
   out.queue.complete(keys, out.self);
@@ -177,14 +170,15 @@ void run_row(const std::vector<Claim>& row,
 /// Entry point of one forked worker: each of its `threads` threads
 /// leases one row -> evaluates -> records -> marks it done, until the
 /// queue drains.  `queue` is the supervisor's, inherited across fork()
-/// with its replayed state.  Exit codes: 0 = drained; 111 = a row
-/// threw; 112/113 = could not reopen the queue / open the shard
-/// (infrastructure; the supervisor sees no progress from this pid and
-/// re-leases its cells).
+/// with its replayed state.  A worker with `skip_crashes` set skips
+/// injected crashes instead of dying of them (see run_row).  Exit codes:
+/// 0 = drained; 111 = a row threw; 112/113 = could not reopen the queue
+/// / open the shard (infrastructure; the supervisor sees no progress
+/// from this pid and re-leases its cells).
 int worker_main(LeaseQueue& queue, const std::string& shard_path,
                 const std::vector<kernels::Benchmark>& suite,
                 const core::StudyOptions& wopt, double lease_deadline,
-                int threads, bool telemetry,
+                int threads, bool skip_crashes, bool telemetry,
                 std::chrono::steady_clock::time_point epoch,
                 const std::string& trace_path,
                 const std::string& metrics_path) {
@@ -214,7 +208,8 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
     (void)metrics_out.open(metrics_path);
   }
   core::Study study(topt);
-  const RowSink out{shard, metrics_out, queue, self, &shard_path};
+  const RowSink out{shard, metrics_out, queue, self,
+                    skip_crashes ? nullptr : &shard_path};
   // One job per thread, each running its own lease loop.
   exec::for_each_job(
       static_cast<std::size_t>(threads), threads, [&](std::size_t, int) {
@@ -228,9 +223,10 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
             nap();
             continue;
           }
-          // A row that throws (shard IO, ...) ends this thread's loop,
-          // and the worker exits 111 once its other threads stop: the
-          // supervisor then releases its leases like any dead worker's.
+          // A row that throws (a failed shard append, ...) ends this
+          // thread's loop, and the worker exits 111 once its other
+          // threads stop: the supervisor then releases its leases like
+          // any dead worker's.
           run_row(claims, suite, study.harness(), topt, out);
         }
       });
@@ -327,11 +323,12 @@ report::Table Supervisor::run_suite(
   struct LiveWorker {
     int spawn_index = 0;
     int pid = 0;
+    bool skips_crashes = false;
   };
   std::vector<LiveWorker> live;
   // Spawn indices name the shards, continuing after any earlier pass's.
   int spawn_seq = next_shard_index(opt_.shard_dir);
-  const auto spawn_worker = [&]() -> bool {
+  const auto spawn_worker = [&](bool skip_crashes) -> bool {
     const auto spawn_sp = obs::scoped(tracer, "sup:spawn");
     const int idx = spawn_seq++;
     const std::string shard_path = opt_.shard_dir + "/" + shard_name(idx);
@@ -340,85 +337,42 @@ report::Table Supervisor::run_suite(
     const std::string metrics_path =
         opt_.shard_dir + "/" + obs::metrics_shard_name(idx);
     const bool telem = opt_.telemetry;
-    const int pid =
-        exec::spawn_process([&, shard_path, trace_path, metrics_path, telem] {
+    const int pid = exec::spawn_process(
+        [&, shard_path, trace_path, metrics_path, skip_crashes, telem] {
           return worker_main(queue, shard_path, suite, wopt,
-                             opt_.lease_deadline_seconds, threads, telem,
-                             epoch, trace_path, metrics_path);
+                             opt_.lease_deadline_seconds, threads,
+                             skip_crashes, telem, epoch, trace_path,
+                             metrics_path);
         });
     if (pid < 0) return false;
-    live.push_back({idx, pid});
+    live.push_back({idx, pid, skip_crashes});
     ++stats_.workers_spawned;
     emit_worker(exec::EventKind::WorkerSpawned, idx, pid, "");
     return true;
   };
 
-  // Replacements after crashes; once they are spent, the parent drains
-  // the remaining rows inline instead of forking again.
+  // Replacements after crashes.  Once they are spent, a crashed worker's
+  // replacement skips injected crashes instead of dying of them, and is
+  // not replaced itself.
   int respawn_budget = 4 + 3 * opt_.procs;
   // A resume that restored every cell forks nobody: the loop below
   // sees the queue drained and goes straight to the reduce.
   for (int i = 0; i < opt_.procs && !queue.drained(); ++i) {
-    if (!spawn_worker()) stats_.degraded = true;  // fork failed / no fork
+    if (!spawn_worker(false)) stats_.degraded = true;  // fork failed
   }
-
-  const auto inline_drain = [&]() {
-    // Degraded endgame: every worker is gone and the budget is spent —
-    // the parent drains what remains, skipping generations whose
-    // deterministic decision is an injected crash (a worker would have
-    // died and been re-leased at gen+1; we converge to the same
-    // surviving generation without dying).
-    const auto drain_sp = obs::scoped(tracer, "sup:inline-drain");
-    // The parent's tracer observes the inline cells (they land on the
-    // supervisor's trace row); results and cell records go to shards
-    // numbered after every worker's, so in a merge the inline outcomes
-    // win (duplicates are byte-identical anyway).
-    core::StudyOptions iopt = wopt;
-    iopt.tracer = tracer;
-    core::Study study(iopt);
-    const int idx = spawn_seq++;
-    core::Journal shard;
-    if (!shard.open(opt_.shard_dir + "/" + shard_name(idx, kInlineShardTag)))
-      return;
-    exec::LineLog metrics_out;
-    if (opt_.telemetry) {
-      (void)metrics_out.open(opt_.shard_dir + "/metrics-" +
-                             shard_name(idx, kInlineShardTag));
-    }
-    const int self = exec::current_pid();
-    const RowSink out{shard, metrics_out, queue, self};
-    int stuck_rounds = 0;
-    while (true) {
-      const auto claims = queue.acquire(self, 1e9);
-      if (claims.empty()) {
-        if (queue.drained()) break;
-        // Unexpired leases of dead owners: force-release and retry.
-        bool released = false;
-        for (const auto& l : queue.active_leases()) {
-          if (l.owner != self && queue.release(l.key, l.owner)) {
-            released = true;
-            ++stats_.cells_released;
-          }
-        }
-        if (!released && ++stuck_rounds > 3) break;  // cannot progress
-        continue;
-      }
-      stuck_rounds = 0;
-      run_row(claims, suite, study.harness(), iopt, out);
-      stats_.inline_cells += claims.size();
-    }
-    if (stats_.inline_cells > 0) stats_.degraded = true;
-  };
 
   // Idle waiting shows up in the trace as one sup:lease-wait span per
   // contiguous idle stretch (not one per 2ms poll), opened lazily and
-  // closed by the next supervisor action.
+  // closed by the next supervisor action.  With no worker left (every
+  // fork failed, or the last replacements died) the loop stops waiting:
+  // the reduce reports the unfinished cells as missing, and a re-run
+  // over the directory reopens them.
   obs::Span wait_span;
-  while (true) {
+  while (!live.empty()) {
     queue.poll();
     if (queue.drained()) break;
     bool acted = false;
-    // Reap the dead: release their leases, respawn while budget lasts.
+    // Reap the dead: release their leases, and replace a crashed one.
     for (auto it = live.begin(); it != live.end();) {
       const auto ex = exec::try_reap(it->pid);
       if (!ex) {
@@ -435,25 +389,24 @@ report::Table Supervisor::run_suite(
         stats_.cells_released += released;
         emit_released(released, it->pid);
       }
-      const bool crashed = !ex->clean();
+      // A clean exit saw the queue drained.  A worker that skipped
+      // crashes died of something else (a signal, an expired lease, a
+      // row that threw), and the budget to replace it is spent.
+      const bool replace = !ex->clean() && !it->skips_crashes;
       it = live.erase(it);
-      if (!crashed) continue;  // drained from its point of view
+      if (!replace) continue;
       queue.poll();
       if (queue.drained()) continue;
-      if (respawn_budget > 0) {
+      const bool skip_crashes = respawn_budget == 0;
+      if (skip_crashes) {
+        stats_.degraded = true;
+      } else {
         --respawn_budget;
-        {
-          const auto backoff_sp = obs::scoped(tracer, "sup:respawn-backoff");
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              respawn_pause(stats_.worker_respawns)));
-        }
-        if (spawn_worker()) {
-          ++stats_.worker_respawns;
-          emit_worker(exec::EventKind::WorkerRespawned,
-                      live.back().spawn_index, live.back().pid, "");
-        } else {
-          stats_.degraded = true;
-        }
+      }
+      if (spawn_worker(skip_crashes)) {
+        ++stats_.worker_respawns;
+        emit_worker(exec::EventKind::WorkerRespawned,
+                    live.back().spawn_index, live.back().pid, "");
       } else {
         stats_.degraded = true;
       }
@@ -478,13 +431,6 @@ report::Table Supervisor::run_suite(
         ++stats_.cells_released;
         emit_released(1, l.owner);
       }
-    }
-    if (live.empty()) {
-      queue.poll();
-      if (queue.drained()) break;
-      wait_span.end();
-      inline_drain();
-      break;
     }
     if (!acted && tracer != nullptr && !wait_span)
       wait_span = obs::scoped(tracer, "sup:lease-wait");
@@ -531,10 +477,6 @@ report::Table Supervisor::run_suite(
   // an interrupted earlier run still appending): merge afresh.
   stats_.reduce = {};
   return Reducer::merge(opt_.shard_dir, suite, sopt, &stats_.reduce);
-}
-
-report::Table Supervisor::run_all() {
-  return run_suite(kernels::all_benchmarks(opt_.study.scale));
 }
 
 bool Supervisor::load_telemetry(obs::Aggregator& agg) const {

@@ -14,14 +14,23 @@
 // the log from the start.  Each pass numbers its shards after the
 // highest index already in the directory, so sorted file order (the
 // merge's last-line-wins order) is creation order across resumed
-// passes.  The supervisor reaps dead workers (waitpid), SIGKILLs hung
-// ones (lease-deadline expiry), releases their leases for re-lease, and
-// respawns replacements after a deterministic pause — degrading to an
-// inline drain in the parent once 4 + 3 * procs respawns have died
-// too.  A Reducer pass then merges the shards into the canonical
-// table.  The lease log and the result shards record all of a study's
-// progress; `a64fxcc status` reads it back from them
-// (distrib/status.hpp).
+// passes.  The supervisor never evaluates a cell: it forks workers,
+// reaps dead ones (waitpid), SIGKILLs hung ones (lease-deadline
+// expiry), releases their leases for re-lease, forks a replacement for
+// each crashed worker at once, and reduces.  Once 4 + 3 * procs
+// replacements are spent, a crashed worker's replacement skips injected
+// crashes instead of dying of them, and is not replaced if it dies
+// anyway; with no worker left, cells nobody finished reduce as missing
+// (XX), and a re-run over the directory reopens them.  A Reducer pass
+// merges the shards into the canonical table.  The lease log and the
+// result shards record all of a study's progress; `a64fxcc status`
+// reads it back from them (distrib/status.hpp).
+//
+// run_suite forks, so a caller should start no other thread before it:
+// a child inherits every lock such a thread holds at the fork (a malloc
+// arena's, a stdio stream's) with no thread to release it.  The kill -9
+// tests' watcher thread is the known exception, and the likely cause of
+// a worker once seen blocked on a futex while it held the lease lock.
 //
 // Determinism contract: every cell's measurement is a pure function of
 // (seed, benchmark, compiler) — the lease generation feeds only the
@@ -78,13 +87,13 @@ struct SupervisorStats {
   int workers_spawned = 0;  ///< initial forks + respawns
   int worker_respawns = 0;
   std::size_t cells_released = 0;  ///< leases returned after death/expiry
-  std::size_t inline_cells = 0;    ///< drained by the degraded parent
   /// Done before this run started, and restored from the shards.
   std::size_t resumed_cells = 0;
   /// Done before this run started, but crashed (XX) or missing from
   /// every shard: reopened for this run to evaluate.
   std::size_t reopened_cells = 0;
-  bool degraded = false;           ///< respawn budget ran out
+  /// The respawn budget ran out, or a fork failed.
+  bool degraded = false;
   ReduceStats reduce;
 };
 
@@ -97,9 +106,6 @@ class Supervisor {
   /// (unwritable shard dir, or a platform without fork).
   [[nodiscard]] report::Table run_suite(
       const std::vector<kernels::Benchmark>& suite);
-
-  /// All 108 benchmarks (Figure 2) at the configured scale.
-  [[nodiscard]] report::Table run_all();
 
   /// Fold the finished run's telemetry into `agg`: every worker
   /// trace/metrics shard in the shard dir, plus the supervisor's own

@@ -5,20 +5,16 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "cache/fingerprint.hpp"
+
 namespace a64fxcc::interp {
 
 namespace {
 
-/// splitmix64 — deterministic per-element default initializer.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+/// Deterministic per-element default initializer.
 double default_init(std::uint64_t seed, ir::TensorId t, std::size_t flat) {
-  const std::uint64_t h = mix(seed ^ mix(static_cast<std::uint64_t>(t) * 0x10001 + flat));
+  const std::uint64_t h = cache::mix64(
+      seed ^ cache::mix64(static_cast<std::uint64_t>(t) * 0x10001 + flat));
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // [0,1)
 }
 

@@ -4,36 +4,29 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "cache/fingerprint.hpp"
 #include "runtime/harness.hpp"
 
 namespace a64fxcc::runtime {
 
 namespace {
 
-// splitmix64 finalizer — same mixer family as the harness noise streams.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Salt so a crash schedule never correlates with measurement noise
 /// drawn from the same cell stream.
 constexpr std::uint64_t kSalt = 0xFA017ULL;
 
-}  // namespace
-
+/// Uniform [0,1) from a 64-bit hash: its top 53 mixed bits.
 double hash_u01(std::uint64_t h) {
-  // 53 mantissa bits -> [0, 1).
-  return static_cast<double>(mix(h) >> 11) * 0x1.0p-53;
+  return static_cast<double>(cache::mix64(h) >> 11) * 0x1.0p-53;
 }
+
+}  // namespace
 
 bool FaultPlan::crashes(std::uint64_t seed, const std::string& benchmark,
                         const std::string& compiler, int attempt) const {
   if (!enabled()) return false;
   const std::uint64_t stream = cell_stream(benchmark, compiler);
-  return hash_u01(mix(seed ^ kSalt) ^ stream ^
+  return hash_u01(cache::mix64(seed ^ kSalt) ^ stream ^
                   (0xA77E0000ULL + static_cast<std::uint64_t>(attempt))) <
          crash;
 }

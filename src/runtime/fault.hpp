@@ -8,8 +8,9 @@
 // wall-clock — so an injected study is exactly as reproducible as a
 // clean one.  Inside a `--procs` worker a crash is a real process death
 // (the supervisor re-leases the cell at the next generation, which is
-// the next attempt); evaluated in-process it is a classified
-// CellStatus::Crashed outcome.
+// the next attempt; a replacement forked once the respawn budget is
+// spent skips to that generation without dying); evaluated in-process
+// it is a classified CellStatus::Crashed outcome.
 //
 // RunContext carries one attempt into the harness: whether it crashes,
 // its attempt index (named in the crash diagnostic) and an optional
@@ -24,11 +25,6 @@ class Tracer;  // forward: keeps this header dependency-light
 }
 
 namespace a64fxcc::runtime {
-
-/// Uniform [0,1) from a 64-bit hash — shared by the crash decision and
-/// the supervisor's respawn jitter, so both stay a pure function of
-/// their inputs.
-[[nodiscard]] double hash_u01(std::uint64_t h);
 
 struct FaultPlan {
   /// Probability that one evaluation attempt of a cell crashes.  Inside

@@ -461,13 +461,16 @@ TEST(Supervisor, InjectedCrashFaultsConvergeToTheCleanTable) {
   }
 }
 
-TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
+TEST(Supervisor, SpentRespawnBudgetForksReplacementsThatSkipCrashes) {
   // At crash:0.5 a row of five cells survives a lease generation with
   // probability 1/32, so a worker dies at about 31 generations of each
   // row before one completes it.  Two workers and their 4 + 3 * 2
   // replacements afford 12 deaths.  The crash decisions are
   // deterministic, so count the deaths the 8 rows need: more than the
-  // fleet affords makes degradation certain, not likely.
+  // fleet affords makes it certain that the budget is spent and that a
+  // worker dies after that.  Its replacement skips injected crashes,
+  // so the study still finishes every cell, and no process but a
+  // worker evaluates one.
   const auto suite = small_suite();
   auto base = small_options();
   const std::string clean_csv =
@@ -489,8 +492,10 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
     deaths_needed += gen;
   }
   ASSERT_GT(deaths_needed, procs + respawn_budget);
+  exec::CollectingSink sink;
   distrib::SupervisorOptions sopt;
   sopt.study = base;
+  sopt.study.sink = &sink;
   sopt.procs = procs;
   const std::string dir = fresh_dir("degraded");
   sopt.shard_dir = dir;
@@ -498,14 +503,17 @@ TEST(Supervisor, ExhaustedRespawnBudgetDegradesToInlineDrain) {
   const auto t = sup.run_suite(suite);
   EXPECT_EQ(report::render_csv(t), clean_csv);
   EXPECT_TRUE(sup.stats().degraded);
-  EXPECT_GT(sup.stats().inline_cells, 0u);
-  EXPECT_EQ(sup.stats().worker_respawns, respawn_budget);
+  EXPECT_GT(sup.stats().worker_respawns, respawn_budget);
+  EXPECT_EQ(sink.count(exec::EventKind::WorkerRespawned),
+            static_cast<std::uint64_t>(sup.stats().worker_respawns));
   EXPECT_EQ(sup.stats().reduce.missing, 0u);
-  // The inline drain's shard is what the status read shows of it.
   const auto st = distrib::read_status(dir, distrib::cell_keys(suite, base));
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->phase, "done");
-  EXPECT_GE(st->inline_shards, 1u);
+  for (const auto& f : std::filesystem::directory_iterator(dir))
+    EXPECT_EQ(f.path().filename().string().find("-inline"),
+              std::string::npos)
+        << f.path();
 }
 
 // ---- supervisor: real kill -9 ----------------------------------------------
@@ -760,11 +768,12 @@ TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
 
 TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
   // A first pass where every generation crashes: the workers die until
-  // the respawn budget is spent, and the inline drain records every
-  // remaining cell as XX.  A resume pass without faults reopens exactly
-  // those and re-evaluates them.  Its shards must sort after the first
-  // pass's: the merge keeps the last line for a key in file order, and
-  // a new valid line must never lose to its stale failure.
+  // the respawn budget is spent, and their replacements skip the crashes
+  // and record every remaining cell as XX.  A resume pass without
+  // faults reopens exactly those and re-evaluates them.  Its shards must
+  // sort after the first pass's: the merge keeps the last line for a
+  // key in file order, and a new valid line must never lose to its
+  // stale failure.
   const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
   auto base = small_options();
   base.seed = 7;
@@ -784,7 +793,8 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
       resumed = sup.run_suite(suite);
       if (pass == 0) {
         EXPECT_TRUE(sup.stats().degraded) << "procs=" << procs;
-        EXPECT_GT(sup.stats().inline_cells, 0u) << "procs=" << procs;
+        EXPECT_GT(sup.stats().worker_respawns, 4 + 3 * procs)
+            << "procs=" << procs;
         // Every cell failed: quirk failures as before, the rest as XX.
         std::size_t failed = 0;
         for (const auto& row : resumed.rows)
@@ -1225,7 +1235,7 @@ TEST(Telemetry, Kill9RunMergesTraceAndCounters) {
   EXPECT_EQ(st->phase, "done");
   EXPECT_EQ(st->cells_total, cells);
   EXPECT_EQ(st->cells_done, cells);
-  EXPECT_GE(st->worker_shards, 5u);
+  EXPECT_GE(st->shards, 5u);
   EXPECT_GE(st->max_generation, 1);
   EXPECT_NE(distrib::render_status(*st).find("study done"),
             std::string::npos);
@@ -1283,7 +1293,8 @@ TEST(StudyStatus, ReadsTheLeaseLogAndShardNames) {
   EXPECT_EQ(st.cells_expired, 0u);
   EXPECT_EQ(st.owners, std::vector<int>{4444});
 
-  // Every cell done; result shards counted by kind, telemetry shards not.
+  // Every cell done; result shards counted, telemetry shards not.  An
+  // inline-drain shard of an older build counts like a worker's.
   ASSERT_TRUE(q.complete({13, 14}, 4444));
   for (const char* name :
        {"shard-0000.jsonl", "shard-0001.jsonl", "shard-0002-inline.jsonl",
@@ -1293,8 +1304,7 @@ TEST(StudyStatus, ReadsTheLeaseLogAndShardNames) {
   EXPECT_EQ(st.phase, "done");
   EXPECT_EQ(st.cells_done, 4u);
   EXPECT_EQ(st.max_generation, 1);
-  EXPECT_EQ(st.worker_shards, 2u);
-  EXPECT_EQ(st.inline_shards, 1u);
+  EXPECT_EQ(st.shards, 3u);
   EXPECT_NE(distrib::render_status(st).find("study done — 4/4"),
             std::string::npos);
 

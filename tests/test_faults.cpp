@@ -386,6 +386,34 @@ TEST(Journal, ResumeOpenTerminatesATornTailBeforeRecording) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, RecordReportsAFailedAppend) {
+  // A distrib worker completes a row's leases only after its shard
+  // lines reached the file, so record() must say when they did not.
+  core::JournalEntry e;
+  e.key = 41;
+  e.run.benchmark = "atax";
+  e.run.compiler = "GNU";
+  e.run.status = runtime::CellStatus::RuntimeError;
+  e.run.diagnostic = "recorded";
+  {
+    core::Journal full;  // every write fails with ENOSPC
+    if (!full.open("/dev/full")) GTEST_SKIP() << "cannot open /dev/full";
+    EXPECT_FALSE(full.record(e));
+    EXPECT_FALSE(full.record(std::vector<core::JournalEntry>{e, e}));
+  }
+  const std::string path = testing::TempDir() + "a64fxcc_journal_record.jsonl";
+  std::remove(path.c_str());
+  core::Journal j;
+  EXPECT_FALSE(j.record(e));  // not open
+  ASSERT_TRUE(j.open(path));
+  EXPECT_TRUE(j.record(e));
+  EXPECT_TRUE(j.record(std::vector<core::JournalEntry>{}));
+  j.close();
+  core::Journal back;
+  EXPECT_EQ(back.load(path), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(Journal, MissingFileLoadsZeroEntries) {
   core::Journal j;
   EXPECT_EQ(j.load(testing::TempDir() + "a64fxcc_no_such_journal.jsonl"), 0u);

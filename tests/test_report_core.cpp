@@ -86,18 +86,6 @@ TEST(Report, Fig1RendersBars) {
   EXPECT_NE(s.find("1.00x"), std::string::npos);
 }
 
-TEST(Core, MergeConcatenatesRows) {
-  const auto study = small_study();
-  auto t1 = study.run_suite(kernels::top500_suite(0.01));
-  auto t2 = study.run_suite(kernels::fiber_suite(0.01));
-  std::vector<report::Table> v;
-  v.push_back(std::move(t1));
-  v.push_back(std::move(t2));
-  const auto m = core::merge(std::move(v));
-  EXPECT_EQ(m.rows.size(), 3u + 8u);
-  EXPECT_EQ(m.compilers.size(), 5u);
-}
-
 TEST(Core, EventSinkReplacesProgressCallback) {
   core::StudyOptions opt;
   opt.scale = 0.01;
