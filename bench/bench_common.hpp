@@ -37,13 +37,14 @@ inline void claim(const char* id, const char* paper, double measured,
 inline void print_summary(const a64fxcc::core::Summary& s,
                           const std::vector<std::string>& compilers) {
   std::printf("\nSuite summary (%d benchmarks):\n", s.benchmarks);
-  std::printf("  best-compiler gain over FJtrad: mean %.3fx, median %.3fx, peak %.3fx\n",
+  std::printf("  best-compiler gain over FJtrad: mean %.3fx (quirk cells included), "
+              "median %.3fx, peak %.3fx\n",
               s.mean_best_gain, s.median_best_gain, s.max_best_gain);
   std::printf("  FJtrad already (near-)optimal on %d benchmarks\n", s.fjtrad_wins);
   std::printf("  wins per compiler:");
   for (std::size_t c = 0; c < compilers.size(); ++c)
     std::printf(" %s=%d", compilers[c].c_str(), s.wins_per_compiler[c]);
-  std::printf("\n  non-recommended placement chosen: %d\n",
+  std::printf("\n  non-recommended placement chosen (exploration-eligible): %d\n",
               s.nonrecommended_placements);
 }
 

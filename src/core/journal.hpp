@@ -1,19 +1,19 @@
 #pragma once
-// The result-shard format of a `--procs` study: one JSONL line per
+// The outcome format of a `--procs` study: one JSON object per
 // terminally-evaluated (benchmark x compiler) cell, keyed by the
-// fingerprints of the compiler spec and the source kernel.  Workers
-// record into it, and the Reducer loads it, both to decide what a
-// re-run over the same --shard-dir restores and to merge the shards
-// into the table (distrib/supervisor.hpp).
+// fingerprints of the compiler spec and the source kernel.  A worker
+// encodes each cell's outcome into the `done` record of the lease log
+// (distrib/work_queue.hpp), and the supervisor decodes it, both to
+// decide what a re-run over the same --shard-dir restores and to
+// assemble the table (distrib/reducer.hpp).  Doubles are printed in the
+// shortest text that reads back to the same bits, so a restored
+// MeasuredRun is bit-identical to the one that was measured — resuming
+// never perturbs the determinism contract.
 //
-// Crash-safety model: the file is an exec::LineLog.  The writer appends
-// complete lines as soon as a worker's row of cells finishes, one write
-// per batch, so after an interrupt the file is a prefix of valid lines
-// plus at most one torn line, which load() skips and open()
-// newline-terminates.  Doubles are printed in the shortest
-// text that reads back to the same bits, so a restored MeasuredRun is
-// bit-identical to the one that was measured — resuming never perturbs
-// the determinism contract.
+// The Journal class also keeps the format's file form, one line per
+// cell in an exec::LineLog: record() appends a batch in one write, and
+// load() skips a torn last line.  The study itself no longer writes such
+// files; an outside replay of the study's I/O does.
 //
 // The key covers (seed, compiler spec fingerprint + name, kernel
 // fingerprint, quirk mode): any change to the study configuration —
@@ -63,8 +63,8 @@ class Journal {
   /// fingerprints of the compiler spec (compilers::fingerprint) and the
   /// kernel (`kernel_fp` = ir::content_fingerprint: IR + bound
   /// parameters + metadata) plus the study seed and quirk mode.
-  /// Persisted in every journal, shard and lease log, so its values
-  /// must never drift.
+  /// Persisted in every outcome and lease log, so its values must never
+  /// drift.
   /// Study paths pass kernels::Benchmark::fingerprint().
   [[nodiscard]] static std::uint64_t cell_key(std::uint64_t seed,
                                               const compilers::CompilerSpec& spec,
@@ -87,9 +87,8 @@ class Journal {
   /// it in fixed-size blocks (memory does not grow with the file); a
   /// last line without its newline is decoded too.
   /// Duplicate keys — within the file or against entries already
-  /// loaded from earlier files (shard merges) — dedupe
-  /// deterministically: the last complete line wins, in file order and
-  /// load-call order.  Returns the number of *distinct* keys this call
+  /// loaded from earlier files — dedupe deterministically: the last
+  /// complete line wins, in file order and load-call order.  Returns the number of *distinct* keys this call
   /// added; a missing file loads 0 (fresh start, not an error).  When
   /// `deduped` is non-null it is incremented by the number of valid
   /// lines that overwrote an existing key.
@@ -108,13 +107,8 @@ class Journal {
   /// the journal is not open or the write fails (ENOSPC, EIO); an empty
   /// batch is trivially recorded.  The in-memory index is left alone —
   /// it holds what load() read, and find() never sees a recorded entry.
-  /// Thread-safe (called concurrently from a worker's threads).  A
-  /// crash mid-write leaves a prefix of the batch's lines plus at most
-  /// one torn line — the same file shape as a crash between
-  /// single-entry records — so callers that complete work only after
-  /// record() returns true (the distrib workers: shard lines first,
-  /// `done` leases second) never mark an outcome done that is not on
-  /// disk.
+  /// Thread-safe.  A crash mid-write leaves a prefix of the batch's
+  /// lines plus at most one torn line.
   bool record(std::span<const JournalEntry> entries);
   /// One entry: the same as a batch of one.
   bool record(const JournalEntry& e);

@@ -22,7 +22,7 @@ report::Table Study::run_suite(
   std::vector<std::string> names;
   names.reserve(opt_.compilers.size());
   for (const auto& spec : opt_.compilers) names.push_back(spec.name);
-  report::Table t = report::make_table(std::move(names), suite);
+  report::Table t = report::make_table(std::move(names), suite, opt_.machine);
 
   // One job per benchmark row, each writing its own preallocated
   // slots: rows come out in suite order no matter when jobs finish, and
@@ -83,7 +83,7 @@ report::Table Study::run_all() const {
   return run_suite(kernels::all_benchmarks(opt_.scale));
 }
 
-Summary summarize(const report::Table& t, const runtime::Placement& recommended) {
+Summary summarize(const report::Table& t) {
   Summary s;
   s.wins_per_compiler.assign(t.compilers.size(), 0);
   for (const auto& row : t.rows) {
@@ -104,9 +104,10 @@ Summary summarize(const report::Table& t, const runtime::Placement& recommended)
     s.best_gains.push_back(best_gain);
     if (best_gain <= 1.02) s.fjtrad_wins += 1;
     s.wins_per_compiler[winner] += 1;
-    // Placement is only meaningful on valid cells.
-    if (row.cells[winner].valid() &&
-        !(row.cells[winner].placement == recommended)) {
+    // Placement is only meaningful on valid cells, and a choice only
+    // where the exploration phase ran.
+    if (row.explores_placements && row.cells[winner].valid() &&
+        !(row.cells[winner].placement == row.recommended)) {
       s.nonrecommended_placements += 1;
     }
   }

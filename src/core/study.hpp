@@ -80,7 +80,9 @@ struct Summary {
   int fjtrad_wins = 0;
   /// Per-column win counts (who is fastest).
   std::vector<int> wins_per_compiler;
-  /// Benchmarks where the recommended 4x12 placement was not chosen.
+  /// Exploration-eligible benchmarks (report::Row::explores_placements)
+  /// whose winner ran at another placement than the one recommended for
+  /// it (report::Row::recommended).
   int nonrecommended_placements = 0;
 };
 
@@ -118,7 +120,6 @@ class Study {
 };
 
 /// Compute the Section-3 aggregates for a table.
-[[nodiscard]] Summary summarize(const report::Table& t,
-                                const runtime::Placement& recommended = {4, 12});
+[[nodiscard]] Summary summarize(const report::Table& t);
 
 }  // namespace a64fxcc::core

@@ -1,40 +1,32 @@
 #pragma once
-// Shard-journal merge: folds every `shard-*.jsonl` a multi-process
-// study wrote into one canonical result table.
+// The reduce of a multi-process study: the canonical result table, read
+// from the outcomes the lease log's done records carry.
 //
-// Determinism: shards are loaded in sorted filename order and duplicate
-// keys dedupe last-complete-line-wins (Journal::load), so the merge is
-// a pure function of the shard directory contents.  Duplicates arise
-// two ways.  Lease-expiry or crash re-evaluation within a pass is
-// byte-identical (measurements are pure functions of (seed, benchmark,
-// compiler) — see core/cell.hpp), so which line wins is value-invisible
-// and the merged table is byte-identical to a clean single-process run.
-// A resume pass re-evaluates crashed cells at a later lease generation,
-// whose outcome may differ (the injected crash decides anew); the
-// Supervisor numbers each pass's shards after the previous pass's, so
-// file order is creation order and the newer outcome wins.
-//
-// A resumed pass reads each shard once: load_new_shards loads the
-// earlier passes' shards for its resume decision, loads only the shards
-// the pass itself wrote at reduce time, and assemble builds the table
-// from that one journal.
+// Determinism: each cell's outcome is the one its last done record in
+// log order carries (LeaseQueue::outcome), so the reduce is a pure
+// function of the lease log.  Duplicates arise two ways.  Lease-expiry
+// or crash re-evaluation within a pass is byte-identical (measurements
+// are pure functions of (seed, benchmark, compiler) — see
+// core/cell.hpp), so which done wins is value-invisible and the table is
+// byte-identical to a clean single-process run.  A resume pass reopens
+// crashed cells and re-evaluates them at a later lease generation, whose
+// outcome may differ (the injected crash decides anew); its done records
+// come later in the log, so the newer outcome wins.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/journal.hpp"
 #include "core/study.hpp"
+#include "distrib/work_queue.hpp"
 #include "kernels/benchmark.hpp"
 #include "report/figure2.hpp"
 
 namespace a64fxcc::distrib {
 
 struct ReduceStats {
-  std::size_t shards = 0;      ///< shard files merged
-  std::size_t entries = 0;     ///< distinct cells restored
-  std::size_t duplicates = 0;  ///< lines that overwrote an earlier key
-  std::size_t missing = 0;     ///< table cells found in no shard
+  std::size_t entries = 0;  ///< cells whose outcome the log carries
+  std::size_t missing = 0;  ///< table cells with no outcome in the log
 };
 
 /// The study's cell keys (Journal::cell_key), row-major: one row per
@@ -44,49 +36,28 @@ struct ReduceStats {
     const std::vector<kernels::Benchmark>& suite,
     const core::StudyOptions& opt);
 
-/// One shard file as a load found it.
-struct LoadedShard {
-  std::string path;
-  std::uintmax_t bytes = 0;  ///< its size just before it was read
-};
-
 class Reducer {
  public:
-  /// Every `shard-*.jsonl` under `dir`, sorted by name (= merge order):
-  /// the workers' `shard-<k>.jsonl`, and the `shard-<k>-inline.jsonl`
-  /// that supervisors which drained rows themselves left in older
-  /// directories.
+  /// Every `shard-*.jsonl` under `dir`, sorted by name: the result
+  /// shards older builds wrote next to their lease log (`shard-<k>` and
+  /// `shard-<k>-inline`).  Nothing reads them any more; a resume ignores
+  /// them.
   [[nodiscard]] static std::vector<std::string> shard_files(
       const std::string& dir);
 
-  /// Load all shards of `dir` into `j` (tolerating torn tails, v1
-  /// lines, and empty files — Journal::load semantics).  Returns the
-  /// number of distinct keys added.
-  static std::size_t load_shards(const std::string& dir, core::Journal& j,
-                                 ReduceStats* stats = nullptr);
-
-  /// Bring `j` from the shards `loaded` lists up to every shard of
-  /// `dir`: load only the files it does not list yet, in merge order,
-  /// and list them.  Starting from an empty journal and list, any
-  /// sequence of calls leaves `j` and `stats` as one load_shards of the
-  /// directory would.  Returns false, loading nothing, when that cannot
-  /// hold: a listed file changed size or vanished, or a new file sorts
-  /// before a listed one.
-  static bool load_new_shards(const std::string& dir, core::Journal& j,
-                              std::vector<LoadedShard>& loaded,
-                              ReduceStats* stats = nullptr);
-
-  /// The canonical table for `suite` under `opt`, with each cell's
-  /// outcome moved out of `j` (the suite's cell keys are distinct, as
-  /// the work queue requires).  Cells absent from `j` (a run whose
-  /// last workers died before the queue drained) come out as
-  /// CellStatus::Crashed with an explicit diagnostic, and are counted in
-  /// stats->missing — never silently blank.
+  /// The canonical table for `suite` under `opt`, each cell decoded
+  /// from its outcome in `queue` (replayed over `cell_keys(suite, opt)`).
+  /// Cells with no outcome that decodes (a run whose last workers died
+  /// before the queue drained) come out as CellStatus::Crashed with an
+  /// explicit diagnostic, and are counted in stats->missing — never
+  /// silently blank.
   [[nodiscard]] static report::Table assemble(
-      core::Journal& j, const std::vector<kernels::Benchmark>& suite,
+      const LeaseQueue& queue, const std::vector<kernels::Benchmark>& suite,
       const core::StudyOptions& opt, ReduceStats* stats = nullptr);
 
-  /// load_shards of `dir` into a fresh journal, then assemble.
+  /// Replay `dir/leases.jsonl` against `cell_keys(suite, opt)`, then
+  /// assemble.  A directory without a readable log reduces to missing
+  /// cells.
   [[nodiscard]] static report::Table merge(
       const std::string& dir, const std::vector<kernels::Benchmark>& suite,
       const core::StudyOptions& opt, ReduceStats* stats = nullptr);

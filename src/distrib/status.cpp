@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <system_error>
 
-#include "distrib/reducer.hpp"
 #include "distrib/work_queue.hpp"
 
 namespace a64fxcc::distrib {
@@ -33,7 +32,6 @@ std::optional<StudyStatus> read_status(const std::string& dir,
   std::sort(st.owners.begin(), st.owners.end());
   st.owners.erase(std::unique(st.owners.begin(), st.owners.end()),
                   st.owners.end());
-  st.shards = Reducer::shard_files(dir).size();
   st.phase = st.cells_done == st.cells_total ? "done"
              : st.cells_leased > 0           ? "running"
                                              : "stopped";
@@ -61,8 +59,6 @@ std::string render_status(const StudyStatus& st) {
   std::snprintf(buf, sizeof buf, "%s, %zu expired, max generation %d\n",
                 st.owners.empty() ? "" : ")", st.cells_expired,
                 st.max_generation);
-  out += buf;
-  std::snprintf(buf, sizeof buf, "  shards  %zu\n", st.shards);
   out += buf;
   return out;
 }

@@ -1,10 +1,10 @@
 #pragma once
-// Progress of a multi-process study, read from the files the study
+// Progress of a multi-process study, read from the file the study
 // already writes: its lease log (`<shard-dir>/leases.jsonl`), replayed
 // against the study's cell keys exactly as a resuming supervisor
-// replays it, and the count of its result shards.  Nothing is published
-// for this view, so it reads the same during a run, after it, and after
-// every process of the study was killed.
+// replays it.  Nothing is published for this view, so it reads the same
+// during a run, after it, and after every process of the study was
+// killed.
 //
 // The lease log does not record the cell universe (records for unknown
 // keys are ignored), so the reader supplies the keys: distrib::cell_keys
@@ -29,12 +29,10 @@ struct StudyStatus {
   std::vector<int> owners;        ///< their owner pids, ascending
   std::size_t cells_expired = 0;  ///< leased past their deadline
   int max_generation = 0;         ///< highest lease generation granted
-  std::size_t shards = 0;  ///< result shards (Reducer::shard_files)
 };
 
-/// Replay `<dir>/leases.jsonl` against `keys` and count the result
-/// shards of `dir`.  nullopt when there is no lease log (none is
-/// created) or it cannot be opened.
+/// Replay `<dir>/leases.jsonl` against `keys`.  nullopt when there is
+/// no lease log (none is created) or it cannot be opened.
 [[nodiscard]] std::optional<StudyStatus> read_status(
     const std::string& dir, std::vector<std::uint64_t> keys);
 

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "core/cell.hpp"
+#include "core/journal.hpp"
 #include "exec/engine.hpp"
 #include "exec/events.hpp"
 #include "exec/line_log.hpp"
@@ -22,8 +21,8 @@ namespace a64fxcc::distrib {
 namespace {
 
 /// Study options as seen inside a worker process: observability belongs
-/// to the parent; the worker's output channel is its shard journal,
-/// nothing else.
+/// to the parent; the worker's output channel is the lease log's done
+/// records, nothing else.
 core::StudyOptions worker_options(const core::StudyOptions& base) {
   core::StudyOptions o = base;
   o.sink = nullptr;
@@ -32,21 +31,15 @@ core::StudyOptions worker_options(const core::StudyOptions& base) {
   return o;
 }
 
-std::string shard_name(int index) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "shard-%04d.jsonl", index);
-  return buf;
-}
-
-/// One past the highest shard index in `dir` (result, trace and metrics
-/// shards alike; 0 when there are none).  A pass numbers its shards from
-/// here so that file order is creation order across passes: the reducer
-/// and the telemetry aggregator keep the last line for a key in sorted
-/// file order, and a resumed cell's new outcome must beat its stale one.
-/// Names are zero-padded to four digits, so that holds for the first
-/// 10,000 shards of a directory.  Directories written before the
-/// supervisor stopped draining rows itself may hold a
-/// `shard-<k>-inline.jsonl`; its index counts like any other.
+/// One past the highest shard index in `dir` (trace and metrics shards,
+/// and the result shards of older builds; 0 when there are none).  A
+/// pass numbers its telemetry shards from here so that file order is
+/// creation order across passes: the telemetry aggregator keeps the last
+/// record for a cell in sorted file order, and a resumed cell's new
+/// record must beat its stale one.  Names are zero-padded to four
+/// digits, so that holds for the first 10,000 shards of a directory.
+/// Directories of older builds may hold a `shard-<k>-inline.jsonl`; its
+/// index counts like any other.
 int next_shard_index(const std::string& dir) {
   int next = 0;
   std::error_code ec;
@@ -73,58 +66,36 @@ constexpr int kMaxSkippedGenerations = 32;
 
 /// Where one process persists the rows it evaluates.
 struct RowSink {
-  core::Journal& shard;
   exec::LineLog& metrics;  ///< telemetry; closed when disabled
   LeaseQueue& queue;
   int self = 0;
-  /// The shard a worker tears before dying of an injected crash; null
-  /// for a replacement forked once the respawn budget is spent, which
-  /// skips injected crashes instead of dying.
-  const std::string* crash_shard = nullptr;
-  /// Held across each row's shard append, and by an injected crash
-  /// from its torn write until the process is gone: another thread's
-  /// row lands whole before the fragment or not at all, never glued
-  /// behind it (which would lose the row's first line after its leases
-  /// completed).
-  mutable std::mutex append_mu{};
+  /// A replacement forked once the respawn budget is spent skips
+  /// injected crashes instead of dying of them.
+  bool skip_crashes = false;
 };
 
-/// Injected process death: leave a torn line in the shard — what a real
-/// crash mid-append does — then die without unwinding, flushing stdio,
-/// or completing the row's leases.
-[[noreturn]] void die_mid_append(const RowSink& out) {
-  out.append_mu.lock();  // never released: the process ends holding it
-  std::FILE* f = std::fopen(out.crash_shard->c_str(), "a");
-  if (f != nullptr) {
-    std::fprintf(f, "{\"v\":%d,\"key\":\"00", core::kJournalFormatVersion);
-    std::fflush(f);
-  }
-  exec::hard_exit(139);
-}
-
 /// Evaluate one leased row cell by cell through core::evaluate_cell and
-/// one runtime::RowMemo, then persist it in the crash-safe order: the
-/// row's result lines in one shard append, its telemetry records in
-/// another, and last one `done` append for all its leases — so a `done`
-/// record implies the result is on disk, and a death before it loses
-/// this row only (its leases are released and re-granted at the next
+/// one runtime::RowMemo, append its telemetry records (best-effort),
+/// then complete its leases: one `done` line per cell carrying the
+/// cell's outcome, all in one write, so a death before it loses this
+/// row only (its leases are released and re-granted at the next
 /// generation).
 ///
 /// At a generation whose deterministic decision is an injected crash, a
-/// worker dies.  A worker without a `crash_shard` skips to the next
-/// generation instead, converging to the generation a worker death +
-/// re-lease would have reached.  A row whose outcomes do not reach the
-/// shard throws before its leases complete.
+/// worker dies on the spot, writing nothing.  A worker that skips
+/// crashes moves to the next generation instead, converging to the
+/// generation a worker death + re-lease would have reached.  A row whose
+/// outcomes do not reach the log throws.
 void run_row(const std::vector<Claim>& row,
              const std::vector<kernels::Benchmark>& suite,
              const runtime::Harness& h, const core::StudyOptions& opt,
              const RowSink& out) {
   const std::size_t cols = opt.compilers.size();
-  std::vector<core::JournalEntry> entries;
-  std::string telemetry;
   std::vector<std::uint64_t> keys;
-  entries.reserve(row.size());
+  std::vector<std::string> runs;
+  std::string telemetry;
   keys.reserve(row.size());
+  runs.reserve(row.size());
   runtime::RowMemo memo;
   for (const Claim& cl : row) {
     const auto& bench = suite[cl.index / cols];
@@ -135,13 +106,12 @@ void run_row(const std::vector<Claim>& row,
     {
       const auto sp = obs::scoped(opt.tracer, "cell", bench.name(), spec.name);
       while (opt.faults.crashes(opt.seed, bench.name(), spec.name, gen)) {
-        if (out.crash_shard != nullptr) die_mid_append(out);
+        if (!out.skip_crashes) exec::hard_exit(139);
         if (gen - cl.gen >= kMaxSkippedGenerations) break;
         ++gen;
       }
       res = core::evaluate_cell(h, opt, bench, spec, memo, gen);
     }
-    entries.push_back({cl.key, res.run});
     keys.push_back(cl.key);
     if (out.metrics.is_open()) {
       telemetry += obs::encode_cell(
@@ -157,14 +127,11 @@ void run_row(const std::vector<Claim>& row,
            .metrics = std::move(res.metrics)});
       telemetry += '\n';
     }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(out.append_mu);
-    if (!out.shard.record(entries))
-      throw std::runtime_error("distrib: shard append failed");
+    runs.push_back(core::Journal::encode({cl.key, std::move(res.run)}));
   }
   if (!telemetry.empty()) out.metrics.append(telemetry);
-  out.queue.complete(keys, out.self);
+  if (!out.queue.complete(keys, out.self, runs))
+    throw std::runtime_error("distrib: cannot record the row's outcomes");
 }
 
 /// Entry point of one forked worker: each of its `threads` threads
@@ -172,10 +139,10 @@ void run_row(const std::vector<Claim>& row,
 /// queue drains.  `queue` is the supervisor's, inherited across fork()
 /// with its replayed state.  A worker with `skip_crashes` set skips
 /// injected crashes instead of dying of them (see run_row).  Exit codes:
-/// 0 = drained; 111 = a row threw; 112/113 = could not reopen the queue
-/// / open the shard (infrastructure; the supervisor sees no progress
-/// from this pid and re-leases its cells).
-int worker_main(LeaseQueue& queue, const std::string& shard_path,
+/// 0 = drained; 111 = a row threw; 112 = could not reopen the queue
+/// (infrastructure; the supervisor sees no progress from this pid and
+/// re-leases its cells).
+int worker_main(LeaseQueue& queue,
                 const std::vector<kernels::Benchmark>& suite,
                 const core::StudyOptions& wopt, double lease_deadline,
                 int threads, bool skip_crashes, bool telemetry,
@@ -183,11 +150,9 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
                 const std::string& trace_path,
                 const std::string& metrics_path) {
   if (!queue.reopen_after_fork()) return 112;
-  core::Journal shard;
-  if (!shard.open(shard_path)) return 113;
   const int self = exec::current_pid();
   // Telemetry shards are best-effort: a worker that cannot open one
-  // still evaluates cells (results are the contract, telemetry is
+  // still evaluates cells (outcomes are the contract, telemetry is
   // diagnostics).  Spans stream to disk the moment they close, so a
   // SIGKILL loses only the span in flight; cell records append before
   // the row's leases complete, making them at-least-once — the
@@ -208,8 +173,7 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
     (void)metrics_out.open(metrics_path);
   }
   core::Study study(topt);
-  const RowSink out{shard, metrics_out, queue, self,
-                    skip_crashes ? nullptr : &shard_path};
+  const RowSink out{metrics_out, queue, self, skip_crashes};
   // One job per thread, each running its own lease loop.
   exec::for_each_job(
       static_cast<std::size_t>(threads), threads, [&](std::size_t, int) {
@@ -223,7 +187,7 @@ int worker_main(LeaseQueue& queue, const std::string& shard_path,
             nap();
             continue;
           }
-          // A row that throws (a failed shard append, ...) ends this
+          // A row that throws (a failed done write, ...) ends this
           // thread's loop, and the worker exits 111 once its other
           // threads stop: the supervisor then releases its leases like
           // any dead worker's.
@@ -283,22 +247,19 @@ report::Table Supervisor::run_suite(
   };
 
   // Resume: a cell is a pure function of its key, so a cell done in a
-  // previous run keeps its shard outcome, compile and runtime errors
-  // included.  Only a crash (XX, which a later lease generation may
-  // survive) and a done cell with no outcome (a lost shard file)
-  // reopen.  The earlier passes' shards load once, into the journal the
-  // reduce completes with this pass's.
-  core::Journal outcomes;
-  std::vector<LoadedShard> loaded;
+  // previous run keeps the outcome its done record carries, compile and
+  // runtime errors included.  Only a crash (XX, which a later lease
+  // generation may survive) and a done cell whose outcome does not decode
+  // reopen: none recorded (older builds kept it in result shards, which
+  // nothing reads), another noise generator's, or a retired injected
+  // CE/RE (core::Journal::decode).
   {
     const auto resume_sp = obs::scoped(tracer, "sup:resume");
-    (void)Reducer::load_new_shards(opt_.shard_dir, outcomes, loaded,
-                                   &stats_.reduce);
     std::vector<std::uint64_t> reopen;
     for (const std::uint64_t key : keys) {
       if (!queue.done(key)) continue;
-      const runtime::MeasuredRun* run = outcomes.find(key);
-      if (run != nullptr && run->status != runtime::CellStatus::Crashed) {
+      const auto e = core::Journal::decode(queue.outcome(key));
+      if (e && e->run.status != runtime::CellStatus::Crashed) {
         ++stats_.resumed_cells;
       } else {
         reopen.push_back(key);
@@ -326,20 +287,20 @@ report::Table Supervisor::run_suite(
     bool skips_crashes = false;
   };
   std::vector<LiveWorker> live;
-  // Spawn indices name the shards, continuing after any earlier pass's.
+  // Spawn indices name the telemetry shards, continuing after any earlier
+  // pass's.
   int spawn_seq = next_shard_index(opt_.shard_dir);
   const auto spawn_worker = [&](bool skip_crashes) -> bool {
     const auto spawn_sp = obs::scoped(tracer, "sup:spawn");
     const int idx = spawn_seq++;
-    const std::string shard_path = opt_.shard_dir + "/" + shard_name(idx);
     const std::string trace_path =
         opt_.shard_dir + "/" + obs::trace_shard_name(idx);
     const std::string metrics_path =
         opt_.shard_dir + "/" + obs::metrics_shard_name(idx);
     const bool telem = opt_.telemetry;
     const int pid = exec::spawn_process(
-        [&, shard_path, trace_path, metrics_path, skip_crashes, telem] {
-          return worker_main(queue, shard_path, suite, wopt,
+        [&, trace_path, metrics_path, skip_crashes, telem] {
+          return worker_main(queue, suite, wopt,
                              opt_.lease_deadline_seconds, threads,
                              skip_crashes, telem, epoch, trace_path,
                              metrics_path);
@@ -470,13 +431,8 @@ report::Table Supervisor::run_suite(
   }
 
   const auto reduce_sp = obs::scoped(tracer, "sup:reduce");
-  if (Reducer::load_new_shards(opt_.shard_dir, outcomes, loaded,
-                               &stats_.reduce))
-    return Reducer::assemble(outcomes, suite, sopt, &stats_.reduce);
-  // A shard loaded for the resume decision changed since (a worker of
-  // an interrupted earlier run still appending): merge afresh.
-  stats_.reduce = {};
-  return Reducer::merge(opt_.shard_dir, suite, sopt, &stats_.reduce);
+  queue.poll();  // the done records of the workers' last rows
+  return Reducer::assemble(queue, suite, sopt, &stats_.reduce);
 }
 
 bool Supervisor::load_telemetry(obs::Aggregator& agg) const {

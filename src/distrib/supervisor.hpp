@@ -7,30 +7,29 @@
 // through the exact same core::evaluate_cell path the in-process
 // study uses — one row against one set of per-benchmark caches, so a
 // worker does the same compile/plan/evaluate work the in-process study
-// does — appends each row's outcomes to its own shard journal
-// (`shard-<k>.jsonl`, the standard JSONL journal format) in one write,
-// and then marks the row done in one lease-log write.  Workers inherit
-// the supervisor's replayed queue across fork() rather than replaying
-// the log from the start.  Each pass numbers its shards after the
-// highest index already in the directory, so sorted file order (the
-// merge's last-line-wins order) is creation order across resumed
-// passes.  The supervisor never evaluates a cell: it forks workers,
+// does — and marks the row done in one lease-log write whose done
+// records carry the cells' outcomes (distrib/work_queue.hpp).  Workers
+// inherit the supervisor's replayed queue across fork() rather than
+// replaying the log from the start.  The supervisor never evaluates a
+// cell: it forks workers,
 // reaps dead ones (waitpid), SIGKILLs hung ones (lease-deadline
 // expiry), releases their leases for re-lease, forks a replacement for
 // each crashed worker at once, and reduces.  Once 4 + 3 * procs
 // replacements are spent, a crashed worker's replacement skips injected
 // crashes instead of dying of them, and is not replaced if it dies
 // anyway; with no worker left, cells nobody finished reduce as missing
-// (XX), and a re-run over the directory reopens them.  A Reducer pass
-// merges the shards into the canonical table.  The lease log and the
-// result shards record all of a study's progress; `a64fxcc status`
-// reads it back from them (distrib/status.hpp).
+// (XX), and a re-run over the directory reopens them.  The Reducer
+// assembles the canonical table from the outcomes of the log's done
+// records.  The lease log is a study's one durable file: it records all
+// of its progress and results, and `a64fxcc status` reads it back
+// (distrib/status.hpp).
 //
 // run_suite forks, so a caller should start no other thread before it:
 // a child inherits every lock such a thread holds at the fork (a malloc
-// arena's, a stdio stream's) with no thread to release it.  The kill -9
-// tests' watcher thread is the known exception, and the likely cause of
-// a worker once seen blocked on a futex while it held the lease lock.
+// arena's, a stdio stream's) with no thread to release it.  Such an
+// inherited lock is the likely cause of a worker once seen blocked on a
+// futex while it held the lease lock; the kill -9 tests' watcher is a
+// process for that reason.
 //
 // Determinism contract: every cell's measurement is a pure function of
 // (seed, benchmark, compiler) — the lease generation feeds only the
@@ -53,8 +52,7 @@ namespace a64fxcc::distrib {
 
 struct SupervisorOptions {
   /// Study configuration.  The sink/tracer (if any) observe only the
-  /// parent: workers run silent and report through their shard
-  /// journals.  `jobs` becomes the per-worker thread count, each
+  /// parent: workers run silent and report through the lease log.  `jobs` becomes the per-worker thread count, each
   /// thread leasing its own rows (<= 0 resolves to 1 — with multiple
   /// processes the default is one thread each, not
   /// hardware_concurrency per worker).
@@ -62,10 +60,11 @@ struct SupervisorOptions {
   core::StudyOptions study;
   /// Worker processes to fork (>= 1).
   int procs = 2;
-  /// Directory for leases.jsonl + the per-worker shard journals.
-  /// Created if missing; an existing directory resumes: a done cell
-  /// restores its shard outcome unless that is a crash (XX) or missing,
-  /// and a pass that finds every cell restored forks no worker.
+  /// Directory for leases.jsonl (and the telemetry shards).  Created if
+  /// missing; an existing directory resumes: a done cell restores the
+  /// outcome its done record carries unless that is a crash (XX) or does
+  /// not decode, and a pass that finds every cell restored forks no
+  /// worker.
   std::string shard_dir = "a64fxcc-shards";
   /// Lease validity.  A worker that holds a lease past its deadline is
   /// presumed hung: the supervisor SIGKILLs it and re-leases its
@@ -77,7 +76,7 @@ struct SupervisorOptions {
   /// Worker telemetry: each worker streams `trace-shard-<k>.jsonl`
   /// (one line per completed span, on the parent tracer's time axis)
   /// and `metrics-shard-<k>.jsonl` (one line per completed cell) next
-  /// to its result shard, for cross-process aggregation via
+  /// to the lease log, for cross-process aggregation via
   /// `load_telemetry`.  Independently, the supervisor's own lifecycle
   /// spans (sup:*) record on `study.tracer` whenever one is set.
   bool telemetry = false;
@@ -87,10 +86,10 @@ struct SupervisorStats {
   int workers_spawned = 0;  ///< initial forks + respawns
   int worker_respawns = 0;
   std::size_t cells_released = 0;  ///< leases returned after death/expiry
-  /// Done before this run started, and restored from the shards.
+  /// Done before this run started, and restored from the lease log.
   std::size_t resumed_cells = 0;
-  /// Done before this run started, but crashed (XX) or missing from
-  /// every shard: reopened for this run to evaluate.
+  /// Done before this run started, but crashed (XX) or with no outcome
+  /// that decodes: reopened for this run to evaluate.
   std::size_t reopened_cells = 0;
   /// The respawn budget ran out, or a fork failed.
   bool degraded = false;
@@ -101,7 +100,7 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions opt);
 
-  /// Run one suite across the worker fleet and merge the shards.
+  /// Run one suite across the worker fleet and reduce its lease log.
   /// Throws std::runtime_error when the work queue cannot be opened
   /// (unwritable shard dir, or a platform without fork).
   [[nodiscard]] report::Table run_suite(

@@ -57,7 +57,7 @@ LeaseQueue::LeaseQueue(std::string path, std::vector<std::uint64_t> keys,
 
 std::string LeaseQueue::encode(const LeaseRecord& rec) {
   std::string out;
-  out.reserve(128);
+  out.reserve(128 + rec.run.size());
   out += "{\"v\":1,";
   jsonio::field_str(out, "op", op_name(rec.op));
   out += ',';
@@ -68,16 +68,20 @@ std::string LeaseQueue::encode(const LeaseRecord& rec) {
   jsonio::field_num(out, "gen", rec.gen);
   out += ",\"deadline\":";
   append_fixed9(out, rec.deadline);
+  if (!rec.run.empty()) {
+    out += ",\"run\":";
+    out += rec.run;
+  }
   out += '}';
   return out;
 }
 
 std::optional<LeaseRecord> LeaseQueue::decode(std::string_view line) {
-  static constexpr std::string_view kKeys[] = {"v",     "op",  "key",
-                                               "owner", "gen", "deadline"};
+  static constexpr std::string_view kKeys[] = {
+      "v", "op", "key", "owner", "gen", "deadline", "run"};
   std::string_view f[std::size(kKeys)];
   if (!jsonio::pick(line, kKeys, f)) return std::nullopt;
-  const auto& [v, op, key, owner, gen, deadline] = f;
+  const auto& [v, op, key, owner, gen, deadline, run] = f;
   if (jsonio::num(v) != 1) return std::nullopt;
   std::string op_label;  // fits the small-string buffer
   if (!jsonio::str(op, op_label)) return std::nullopt;
@@ -90,6 +94,7 @@ std::optional<LeaseRecord> LeaseQueue::decode(std::string_view line) {
   rec.owner = static_cast<int>(jsonio::num(owner).value_or(0));
   rec.gen = static_cast<int>(jsonio::num(gen).value_or(0));
   rec.deadline = jsonio::num(deadline).value_or(0);
+  rec.run = run;
   return rec;
 }
 
@@ -118,6 +123,7 @@ void LeaseQueue::apply(const LeaseRecord& rec) {
         ++done_;
       }
       st.leased = false;
+      st.run.assign(rec.run);  // the last done's outcome wins
       break;
     case LeaseRecord::Op::Release:
       // Owner-matched: a release the supervisor wrote for a dead worker
@@ -130,6 +136,7 @@ void LeaseQueue::apply(const LeaseRecord& rec) {
         --done_;
       }
       st.leased = false;
+      st.run.clear();
       break;
   }
 }
@@ -198,7 +205,7 @@ std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds) {
         const CellState& st = cells_[i];
         if (st.done || (st.leased && st.deadline > t)) continue;
         recs.push_back({LeaseRecord::Op::Lease, keys_[i], owner, st.gen,
-                        t + deadline_seconds});
+                        t + deadline_seconds, {}});
         out.push_back({i, keys_[i], st.gen});
       }
     }
@@ -207,12 +214,15 @@ std::vector<Claim> LeaseQueue::acquire(int owner, double deadline_seconds) {
   return out;
 }
 
-bool LeaseQueue::complete(const std::vector<std::uint64_t>& keys, int owner) {
+bool LeaseQueue::complete(const std::vector<std::uint64_t>& keys, int owner,
+                          const std::vector<std::string>& runs) {
+  if (!runs.empty() && runs.size() != keys.size()) return false;
   return transact([&](std::vector<LeaseRecord>& recs) {
            for (const std::uint64_t key : keys)
              if (index_.find(key) == index_.end()) return;
-           for (const std::uint64_t key : keys)
-             recs.push_back({LeaseRecord::Op::Done, key, owner, 0, 0});
+           for (std::size_t i = 0; i < keys.size(); ++i)
+             recs.push_back({LeaseRecord::Op::Done, keys[i], owner, 0, 0,
+                             runs.empty() ? std::string_view() : runs[i]});
          }).size() == keys.size();
 }
 
@@ -221,7 +231,8 @@ std::size_t LeaseQueue::release_owner(int owner) {
            for (std::size_t i = 0; i < keys_.size(); ++i) {
              const CellState& st = cells_[i];
              if (st.done || !st.leased || st.owner != owner) continue;
-             recs.push_back({LeaseRecord::Op::Release, keys_[i], owner, 0, 0});
+             recs.push_back(
+                 {LeaseRecord::Op::Release, keys_[i], owner, 0, 0, {}});
            }
          })
       .size();
@@ -233,7 +244,7 @@ bool LeaseQueue::release(std::uint64_t key, int owner) {
             if (it == index_.end()) return;
             const CellState& st = cells_[it->second];
             if (st.leased && !st.done && st.owner == owner)
-              recs.push_back({LeaseRecord::Op::Release, key, owner, 0, 0});
+              recs.push_back({LeaseRecord::Op::Release, key, owner, 0, 0, {}});
           }).empty();
 }
 
@@ -242,7 +253,7 @@ bool LeaseQueue::reopen(const std::vector<std::uint64_t>& keys) {
            for (const std::uint64_t key : keys)
              if (index_.find(key) == index_.end()) return;
            for (const std::uint64_t key : keys)
-             recs.push_back({LeaseRecord::Op::Reopen, key, 0, 0, 0});
+             recs.push_back({LeaseRecord::Op::Reopen, key, 0, 0, 0, {}});
          }).size() == keys.size();
 }
 
@@ -265,6 +276,12 @@ bool LeaseQueue::done(std::uint64_t key) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   return it != index_.end() && cells_[it->second].done;
+}
+
+std::string LeaseQueue::outcome(std::uint64_t key) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  return it != index_.end() ? cells_[it->second].run : std::string();
 }
 
 int LeaseQueue::max_generation() const {

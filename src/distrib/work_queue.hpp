@@ -2,10 +2,10 @@
 // Durable on-disk work queue for multi-process studies: one JSONL
 // operation log (`leases.jsonl`) shared by the supervisor and every
 // worker process, replayed into an in-memory cell table.  Cells are
-// identified by the same Journal::cell_key fingerprints the result
-// shards use, so the queue survives crashes for the same reason the
-// shards do: appends are whole lines, readers skip torn tails, and a
-// restart replays the log instead of trusting volatile state.
+// identified by their Journal::cell_key fingerprints.  The log is a
+// `--procs` study's one durable record: appends are whole lines, readers
+// skip torn tails, and a restart replays the log instead of trusting
+// volatile state.
 //
 // Protocol (all records tagged "v":1, one record per cell per line):
 //   lease   — `owner` (worker pid) claims the cell until the absolute
@@ -13,14 +13,17 @@
 //             (0 = first lease).  The generation is the attempt index
 //             of the deterministic crash decision, so a re-leased cell
 //             sees a fresh one.
-//   done    — `owner` finished the cell terminally (its MeasuredRun is
-//             in that worker's shard journal).
+//   done    — `owner` finished the cell terminally; `run` carries the
+//             cell's outcome, one core::Journal::encode object with its
+//             own "v" and "key".  Older builds wrote done lines without
+//             it, and a reader that does not know the field skips it.
 //   release — the supervisor returned `owner`'s unexpired leases to the
 //             pool after reaping its death; matched against the current
 //             lease owner so a stale release can never clobber a newer
 //             lease.
 //   reopen  — the supervisor undid a `done` (resume found the recorded
-//             outcome crashed or missing), so the cell re-evaluates.
+//             outcome crashed or undecodable), so the cell re-evaluates;
+//             the replay forgets the outcome.
 //
 // The queue knows the grid: keys are row-major with a fixed row width
 // (the supervisor's rows are benchmarks, its columns compilers), and
@@ -33,8 +36,10 @@
 // Mutating operations hold an exclusive flock() on the log for a
 // read-decide-append transaction and write all of its records with one
 // write(); flock dies with the process, so a kill -9 mid-transaction can
-// never wedge the queue.  The log is an exec::LineLog, the file rule of
-// the result shards and the telemetry shards too: a scan reads
+// never wedge the queue.  A row's `complete` writes every cell's done
+// line and outcome in that one write, so a done record implies its
+// outcome is on disk.  The log is an exec::LineLog, the file rule of the
+// telemetry shards too: a scan reads
 // complete lines only and leaves a torn trailing line (a writer killed
 // mid-append) pending, and an append newline-terminates such a tail
 // first.  The flock sits on the LineLog's descriptor.
@@ -60,6 +65,10 @@ struct LeaseRecord {
   int owner = 0;        ///< worker pid (Lease/Done/Release)
   int gen = 0;          ///< generation granted (Lease only)
   double deadline = 0;  ///< absolute steady-clock seconds (Lease only)
+  /// The cell's outcome payload (Done only; empty = none).  A view: of
+  /// the line decode() read, or of the text a caller handed to
+  /// complete().
+  std::string_view run;
 };
 
 /// One granted lease, as returned to a worker.
@@ -126,9 +135,13 @@ class LeaseQueue {
   [[nodiscard]] std::vector<Claim> acquire(int owner, double deadline_seconds);
 
   /// Record terminal completion of leased cells: one `done` line per
-  /// key, all in one transaction and one write.  False (and nothing
-  /// written) if a key is unknown, or if the write fails.
-  bool complete(const std::vector<std::uint64_t>& keys, int owner);
+  /// key, carrying `runs[i]` (keys[i]'s core::Journal::encode line) as
+  /// its outcome, all in one transaction and one write.  Empty `runs`
+  /// writes bare done lines, as older builds did.  False (and nothing
+  /// written) if a key is unknown, `runs` is neither empty nor parallel
+  /// to `keys`, or the write fails.
+  bool complete(const std::vector<std::uint64_t>& keys, int owner,
+                const std::vector<std::string>& runs = {});
 
   /// Release every lease currently held by `owner` (reaped worker).
   /// Returns the number of cells returned to the pool.
@@ -138,7 +151,7 @@ class LeaseQueue {
   bool release(std::uint64_t key, int owner);
 
   /// Undo the `done` of cells so they re-evaluate (resume found their
-  /// recorded outcomes crashed or missing): one `reopen` line per key,
+  /// recorded outcomes crashed or undecodable): one `reopen` line per key,
   /// all in one transaction and one write.  False (and nothing written)
   /// if a key is unknown, or if the write fails.
   bool reopen(const std::vector<std::uint64_t>& keys);
@@ -154,6 +167,9 @@ class LeaseQueue {
   [[nodiscard]] std::size_t done_count() const;
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
   [[nodiscard]] bool done(std::uint64_t key) const;
+  /// The outcome payload of `key`'s last done record in log order; empty
+  /// when the cell is not done, or its done line carried none.
+  [[nodiscard]] std::string outcome(std::uint64_t key) const;
   /// Highest generation granted to any cell (0 when none was leased).
   [[nodiscard]] int max_generation() const;
 
@@ -169,6 +185,7 @@ class LeaseQueue {
     int owner = 0;
     int gen = 0;  ///< leases granted so far == next generation
     double deadline = 0;
+    std::string run;  ///< outcome payload of the last done
   };
 
   /// One read-decide-append transaction: under mu_ and the flock, catch

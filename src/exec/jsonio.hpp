@@ -1,8 +1,8 @@
 #pragma once
 // Line-oriented JSON codec shared by every durable log and telemetry
-// writer in the tree: the result shards (core/journal.cpp), the lease
-// queue op log (distrib/work_queue.cpp), the telemetry shards
-// (obs/shard.cpp) and the `obs report` parser.  Their file I/O is the
+// writer in the tree: the lease queue op log (distrib/work_queue.cpp)
+// and the cell outcomes its done records carry (core/journal.cpp), the
+// telemetry shards (obs/shard.cpp) and the `obs report` parser.  Their file I/O is the
 // one exec::LineLog (exec/line_log.hpp).  One codec, one escaping
 // convention:
 //

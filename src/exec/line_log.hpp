@@ -1,8 +1,8 @@
 #pragma once
 // The one crash-safe rule for every durable JSONL file of a study: the
-// result shards (core/journal.cpp), the telemetry shards
-// (obs/shard.hpp), their aggregator (obs/aggregate.cpp) and the lease
-// log (distrib/work_queue.cpp).  exec/jsonio.hpp is their line codec;
+// lease log (distrib/work_queue.cpp), the telemetry shards
+// (obs/shard.hpp), their aggregator (obs/aggregate.cpp) and the
+// journal file an outside replay writes (core/journal.cpp).  exec/jsonio.hpp is their line codec;
 // this is their file I/O.
 //
 //   * A writer appends whole lines, a batch of them in one write() to a

@@ -53,8 +53,7 @@ bool Aggregator::load_dir(const std::string& dir) {
     if (has_prefix(name, "metrics-shard-")) metrics_files.push_back(name);
   }
   if (ec) return false;
-  // Sorted filename order = the dedupe order (last record wins), same
-  // as the Reducer over result shards.
+  // Sorted filename order = the dedupe order (last record wins).
   std::sort(trace_files.begin(), trace_files.end());
   std::sort(metrics_files.begin(), metrics_files.end());
   for (const auto& name : trace_files) {

@@ -2,7 +2,7 @@
 // Cross-process telemetry aggregation.
 //
 // A multi-process study leaves one trace shard + one metrics shard per
-// worker spawn next to the result shards (see obs/shard.hpp), plus the
+// worker spawn next to its lease log (see obs/shard.hpp), plus the
 // supervisor's own in-memory tracer (lifecycle spans) and MetricsSink
 // (worker lifecycle counters).  The Aggregator merges all of it into
 //
@@ -11,9 +11,9 @@
 //     process_name metadata events), spans interleaved on the shared
 //     steady-clock time axis the supervisor forked the workers with;
 //   * one metrics Registry: per-cell telemetry records deduped
-//     last-wins by cell key in sorted filename order — the identical
-//     semantics the Reducer applies to result shards, which is what
-//     makes the deterministic counters (cells by status, cache
+//     last-wins by cell key in sorted filename order — as the Reducer
+//     keeps each cell's last done record, which is what makes the
+//     deterministic counters (cells by status, cache
 //     hits/misses) of a crash-recovered N-process run equal the
 //     single-process run's — folded through Registry::add_cell, the
 //     same fold the in-process MetricsSink applies, then any explicitly

@@ -2,7 +2,7 @@
 // Per-process telemetry shards for multi-process studies.
 //
 // Under `--procs=N` each worker writes two append-only JSONL files next
-// to its result shard:
+// to the study's lease log:
 //
 //   trace-shard-<k>.jsonl    one line per completed span (streamed by a
 //                            Tracer record hook the moment each span
@@ -12,14 +12,14 @@
 //                            lease generation, wall time and
 //                            runtime::RunMetrics (per-cache hits and
 //                            misses, phase seconds), keyed by the same
-//                            Journal::cell_key fingerprint the result
-//                            shards use
+//                            Journal::cell_key fingerprint the lease
+//                            log uses
 //
 // The cell records are the exactly-once layer: a cell whose owner died
 // mid-evaluation re-leases and re-evaluates elsewhere, producing a
 // second record for the same key — the Aggregator dedupes last-wins in
-// sorted filename order, the identical semantics the Reducer applies to
-// result shards.  Since every per-cell field is a pure function of
+// sorted filename order, as the Reducer keeps each cell's last done
+// record in log order.  Since every per-cell field is a pure function of
 // (seed, benchmark, compiler) on clean runs, merged counters equal the
 // single-process run's no matter how cells were partitioned or how many
 // times workers were killed.
@@ -42,8 +42,8 @@ namespace a64fxcc::obs {
 inline constexpr int kTelemetryFormatVersion = 1;
 
 /// Shard filenames for spawn index k.  The "trace-"/"metrics-" prefixes
-/// keep them invisible to the Reducer's result-shard scan (prefix
-/// "shard-").
+/// set them apart from the result shards of older builds (prefix
+/// "shard-", Reducer::shard_files).
 [[nodiscard]] std::string trace_shard_name(int spawn_index);
 [[nodiscard]] std::string metrics_shard_name(int spawn_index);
 

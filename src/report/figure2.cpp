@@ -7,7 +7,8 @@
 namespace a64fxcc::report {
 
 Table make_table(std::vector<std::string> compilers,
-                 const std::vector<kernels::Benchmark>& suite) {
+                 const std::vector<kernels::Benchmark>& suite,
+                 const machine::Machine& m) {
   Table t;
   t.compilers = std::move(compilers);
   t.rows.resize(suite.size());
@@ -17,6 +18,12 @@ Table make_table(std::vector<std::string> compilers,
     row.suite = suite[i].suite();
     row.language = ir::to_string(suite[i].kernel.meta().language);
     row.cells.resize(t.compilers.size());
+    const auto& traits = suite[i].traits;
+    const ir::ParallelModel model = suite[i].kernel.meta().parallel;
+    row.explores_placements = traits.explore_placements &&
+                              !traits.single_core &&
+                              model != ir::ParallelModel::Serial;
+    row.recommended = runtime::recommended_for(m, model, traits);
   }
   return t;
 }

@@ -24,6 +24,12 @@ struct Row {
   std::string suite;
   std::string language;
   std::vector<runtime::MeasuredRun> cells;
+  /// Whether the placement exploration phase chose the row's placements
+  /// (explore_placements, neither single-core nor serial), and the
+  /// placement the paper's recommendation implies for the benchmark
+  /// (runtime::recommended_for): what core::summarize judges winners by.
+  bool explores_placements = false;
+  runtime::Placement recommended;
 };
 
 struct Table {
@@ -31,12 +37,13 @@ struct Table {
   std::vector<Row> rows;
 };
 
-/// Preallocated table skeleton for `suite`: row metadata filled in
-/// suite order, every cell default-initialized.  The execution engine
+/// Preallocated table skeleton for `suite` on machine `m`: row metadata
+/// filled in suite order, every cell default-initialized.  The execution engine
 /// writes completed cells by (row, col) index, so rows keep a stable
 /// (suite) order no matter in which order jobs finish.
 [[nodiscard]] Table make_table(std::vector<std::string> compilers,
-                               const std::vector<kernels::Benchmark>& suite);
+                               const std::vector<kernels::Benchmark>& suite,
+                               const machine::Machine& m);
 
 /// Relative gain of cell c over the baseline (column 0): >1 is faster
 /// than FJtrad.  Infinity/0 propagate for invalid cells.

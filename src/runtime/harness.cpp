@@ -57,12 +57,17 @@ Placement Harness::recommended_placement() const {
   return {machine_.domains, machine_.cores_per_domain};
 }
 
+Placement recommended_for(const machine::Machine& m, ir::ParallelModel model,
+                          const kernels::BenchmarkTraits& traits) {
+  if (traits.single_core || model == ir::ParallelModel::Serial) return {1, 1};
+  if (traits.one_cmg) return {1, m.cores_per_domain};
+  if (model == ir::ParallelModel::OpenMP) return {1, m.total_cores()};
+  return {m.domains, m.cores_per_domain};
+}
+
 Placement Harness::recommended_for(ir::ParallelModel model,
                                    const kernels::BenchmarkTraits& traits) const {
-  if (traits.single_core || model == ir::ParallelModel::Serial) return {1, 1};
-  if (traits.one_cmg) return {1, machine_.cores_per_domain};
-  if (model == ir::ParallelModel::OpenMP) return {1, machine_.total_cores()};
-  return recommended_placement();
+  return runtime::recommended_for(machine_, model, traits);
 }
 
 std::vector<Placement> Harness::candidate_placements(

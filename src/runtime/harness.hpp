@@ -74,6 +74,14 @@ struct Placement {
   friend bool operator==(const Placement&, const Placement&) = default;
 };
 
+/// The reference placement the paper's recommendation implies for a
+/// benchmark on `m`: one rank per domain x its cores (4x12 on A64FX) for
+/// MPI+OpenMP, 1 x all cores for pure OpenMP, 1 x one domain's cores for
+/// one-CMG codes, and 1x1 for serial and single-core ones.
+[[nodiscard]] Placement recommended_for(const machine::Machine& m,
+                                        ir::ParallelModel model,
+                                        const kernels::BenchmarkTraits& traits);
+
 /// Map a compile-stage status onto the cell taxonomy (Crashed can only
 /// originate in the execution layer).
 [[nodiscard]] constexpr CellStatus cell_status(
@@ -177,8 +185,7 @@ class Harness {
       const kernels::BenchmarkTraits& traits,
       ir::ParallelModel model = ir::ParallelModel::MpiOpenMP) const;
 
-  /// The reference placement the paper's recommendation implies for this
-  /// parallel model: 4x12 for MPI+OpenMP, 1 x all-cores for pure OpenMP.
+  /// runtime::recommended_for on this harness's machine.
   [[nodiscard]] Placement recommended_for(
       ir::ParallelModel model, const kernels::BenchmarkTraits& traits) const;
 

@@ -1,9 +1,10 @@
 // Heap allocations per layer of a cold paper-scale study: the whole
 // study, its 540 compiles and its 356 distinct plans, a re-study under
 // a new seed on the tier the first study warmed, plus the durable
-// logs' line codec over that study's 540 journal lines and 1,080 lease
-// lines (what a `--procs` run writes and reads back), and a worker's
-// shard journal recording those 540 entries row by row.  This binary
+// logs' line codec over that study's 540 outcome lines and 1,080 lease
+// lines (what a `--procs` run writes and reads back: every done line
+// carries its cell's outcome), and a journal file recording those 540
+// entries row by row.  This binary
 // replaces the global operator new with a counter over std::malloc and
 // counts only inside count_allocs() windows, so nothing in the library
 // becomes a knob.  Each budget sits at most 10% above the count of the
@@ -175,9 +176,9 @@ TEST(Allocations, DistinctPlans) {
   EXPECT_LE(c.allocs, 23'900u);
 }
 
-/// The seed-42 paper-scale table's 540 journal lines, and one lease and
-/// one done line per cell: the lines a `--procs` study's shards and lease
-/// log hold, built in process.
+/// The seed-42 paper-scale table's 540 outcome lines, and one lease and
+/// one done line (carrying the outcome) per cell: the lines a `--procs`
+/// study's lease log holds, built in process.
 struct PaperLines {
   std::vector<core::JournalEntry> entries;
   std::vector<std::string> journal;
@@ -202,9 +203,9 @@ const PaperLines& paper_lines() {
         l.journal.push_back(core::Journal::encode(l.entries.back()));
         using Op = distrib::LeaseRecord::Op;
         l.leases.push_back(distrib::LeaseQueue::encode(
-            {Op::Lease, key, 4242, 0, 3522.867064023}));
-        l.leases.push_back(
-            distrib::LeaseQueue::encode({Op::Done, key, 4242, 0, 0}));
+            {Op::Lease, key, 4242, 0, 3522.867064023, {}}));
+        l.leases.push_back(distrib::LeaseQueue::encode(
+            {Op::Done, key, 4242, 0, 0, l.journal.back()}));
       }
     }
     return l;
@@ -236,8 +237,8 @@ TEST(Allocations, JournalDecode) {
 }
 
 TEST(Allocations, JournalRecord) {
-  // What a `--procs` worker's shard journal does with the table: one
-  // record() per benchmark row of five entries, into an open file.
+  // A journal file recording the table: one record() per benchmark row
+  // of five entries, into an open file.
   const PaperLines& l = paper_lines();
   const std::string path = testing::TempDir() + "a64fxcc_alloc_record.jsonl";
   std::remove(path.c_str());

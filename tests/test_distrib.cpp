@@ -1,5 +1,6 @@
-// Multi-process studies: durable work-queue leases, per-worker shard
-// journals, supervisor crash recovery, and the reducer merge.
+// Multi-process studies: durable work-queue leases whose done records
+// carry the cells' outcomes, supervisor crash recovery, resume, and the
+// reduce.
 //
 // The headline guarantee (the PR's acceptance criterion): kill -9 of a
 // worker mid-study yields, after re-lease and merge, a table
@@ -10,10 +11,12 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/file.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
+
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -75,6 +78,17 @@ report::Table clean_single_process(const core::StudyOptions& opt,
 
 // ---- lease record codec ----------------------------------------------------
 
+/// One cell's outcome payload, as a worker's done record carries it.
+std::string outcome_line(std::uint64_t key, const char* diagnostic) {
+  core::JournalEntry e;
+  e.key = key;
+  e.run.benchmark = "k1";
+  e.run.compiler = "GNU";
+  e.run.status = runtime::CellStatus::RuntimeError;
+  e.run.diagnostic = diagnostic;
+  return core::Journal::encode(e);
+}
+
 TEST(LeaseRecord, EncodeDecodeRoundTripsEveryOp) {
   using Op = distrib::LeaseRecord::Op;
   for (const Op op : {Op::Lease, Op::Done, Op::Release, Op::Reopen}) {
@@ -91,7 +105,19 @@ TEST(LeaseRecord, EncodeDecodeRoundTripsEveryOp) {
     EXPECT_EQ(back->owner, rec.owner);
     EXPECT_EQ(back->gen, rec.gen);
     EXPECT_NEAR(back->deadline, rec.deadline, 1e-6);
+    EXPECT_TRUE(back->run.empty());
   }
+  // A done record carries its cell's outcome byte for byte, after the
+  // lease fields, and the line stays "v":1.
+  const std::string run = outcome_line(7, "a \"quoted\" {brace}");
+  const distrib::LeaseRecord done{Op::Done, 7, 4242, 0, 0, run};
+  const std::string line = distrib::LeaseQueue::encode(done);
+  EXPECT_EQ(line.rfind("{\"v\":1,", 0), 0u) << line;
+  EXPECT_EQ(line.substr(line.size() - run.size() - 1), run + "}") << line;
+  const auto back = distrib::LeaseQueue::decode(line);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->run, run);
+  EXPECT_EQ(distrib::LeaseQueue::encode(*back), line);
 }
 
 TEST(LeaseRecord, DecodeRejectsTornForeignAndFutureLines) {
@@ -106,6 +132,11 @@ TEST(LeaseRecord, DecodeRejectsTornForeignAndFutureLines) {
   EXPECT_TRUE(distrib::LeaseQueue::decode(line).has_value());
   EXPECT_FALSE(
       distrib::LeaseQueue::decode(line.substr(0, line.size() / 2)).has_value());
+  // A done line cut inside its outcome is torn, not a bare done.
+  const std::string done = distrib::LeaseQueue::encode(
+      {distrib::LeaseRecord::Op::Done, 7, 1, 0, 0, outcome_line(7, "x")});
+  EXPECT_FALSE(distrib::LeaseQueue::decode(done.substr(0, done.size() - 2))
+                   .has_value());
 }
 
 // ---- lease queue semantics -------------------------------------------------
@@ -188,8 +219,14 @@ TEST(LeaseQueue, ReopenUndoesDoneForResume) {
   distrib::LeaseQueue q(path, {5, 6, 7}, 3);  // one row of three
   ASSERT_TRUE(q.open());
   ASSERT_EQ(q.acquire(111, 60.0).size(), 3u);
-  ASSERT_TRUE(q.complete({5, 6, 7}, 111));
+  ASSERT_TRUE(q.complete({5, 6, 7}, 111,
+                         {outcome_line(5, "a"), outcome_line(6, "a"),
+                          outcome_line(7, "a")}));
   EXPECT_TRUE(q.drained());
+  EXPECT_EQ(q.outcome(6), outcome_line(6, "a"));
+  // `runs` must be parallel to the keys: otherwise nothing is written.
+  EXPECT_FALSE(q.complete({5, 6}, 111, {outcome_line(5, "b")}));
+  EXPECT_EQ(q.outcome(5), outcome_line(5, "a"));
   // A batch naming an unknown key writes nothing.
   const auto before = std::filesystem::file_size(path);
   EXPECT_FALSE(q.reopen({5, 99}));
@@ -200,6 +237,16 @@ TEST(LeaseQueue, ReopenUndoesDoneForResume) {
   EXPECT_FALSE(q.drained());
   EXPECT_EQ(q.done_count(), 1u);
   EXPECT_TRUE(q.done(6));
+  // A reopen drops the outcome it replays over, here and on a fresh
+  // replay of the log.
+  EXPECT_EQ(q.outcome(5), "");
+  EXPECT_EQ(q.outcome(6), outcome_line(6, "a"));
+  {
+    distrib::LeaseQueue replay(path, {5, 6, 7});
+    ASSERT_TRUE(replay.open());
+    EXPECT_EQ(replay.outcome(5), "");
+    EXPECT_EQ(replay.outcome(6), outcome_line(6, "a"));
+  }
   std::ifstream log(path);
   std::size_t reopens = 0;
   for (std::string line; std::getline(log, line);) {
@@ -214,6 +261,46 @@ TEST(LeaseQueue, ReopenUndoesDoneForResume) {
   EXPECT_EQ(again[0].gen, 1);
   EXPECT_EQ(again[1].key, 7u);
   EXPECT_EQ(again[1].gen, 1);
+  // The last done in log order carries the cell's outcome; a bare done
+  // (an older build's) carries none.
+  ASSERT_TRUE(q.complete({5}, 222, {outcome_line(5, "b")}));
+  ASSERT_TRUE(q.complete({7}, 222));
+  distrib::LeaseQueue replay(path, {5, 6, 7});
+  ASSERT_TRUE(replay.open());
+  EXPECT_EQ(replay.outcome(5), outcome_line(5, "b"));
+  EXPECT_TRUE(replay.done(7));
+  EXPECT_EQ(replay.outcome(7), "");
+}
+
+TEST(LeaseQueue, CompleteThatCannotWriteLeavesItsCellsNotDone) {
+  // A forked child whose file-size limit is the log's current size: its
+  // done write fails (SIGXFSZ ignored, so write() returns EFBIG), and
+  // complete reports it and leaves the cells leased, here and in the log.
+  const std::string dir = fresh_dir("queue_cannot_write");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/leases.jsonl";
+  distrib::LeaseQueue q(path, {1, 2}, 2);
+  ASSERT_TRUE(q.open());
+  const int self = exec::current_pid();
+  ASSERT_EQ(q.acquire(self, 60.0).size(), 2u);
+  const auto size = std::filesystem::file_size(path);
+  const int pid = exec::spawn_process([&] {
+    if (!q.reopen_after_fork()) return 2;
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit lim{static_cast<rlim_t>(size), static_cast<rlim_t>(size)};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) return 3;
+    if (q.complete({1, 2}, self, {outcome_line(1, "a"), outcome_line(2, "a")}))
+      return 4;
+    return q.done(1) || q.done(2) || q.outcome(1) != "" ? 5 : 0;
+  });
+  ASSERT_GT(pid, 0);
+  const auto ex = exec::reap(pid);
+  ASSERT_TRUE(ex.has_value());
+  EXPECT_TRUE(ex->clean()) << ex->describe();
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  q.poll();
+  EXPECT_FALSE(q.done(1));
+  EXPECT_EQ(q.active_leases().size(), 2u);
 }
 
 TEST(LeaseQueue, StateIsDurableAcrossReopenAndToleratesTornTail) {
@@ -296,10 +383,10 @@ TEST(LeaseQueue, RowAcquireTakesTheClaimableCellsOfTheFirstOpenRow) {
     using Op = distrib::LeaseRecord::Op;
     std::ofstream f(path, std::ios::app);
     for (const distrib::LeaseRecord& rec :
-         {distrib::LeaseRecord{Op::Lease, 106, 222, 0, now + 60},
-          distrib::LeaseRecord{Op::Done, 106, 222, 0, 0},
-          distrib::LeaseRecord{Op::Lease, 108, 333, 0, now + 3600},
-          distrib::LeaseRecord{Op::Lease, 109, 444, 0, now - 1}})
+         {distrib::LeaseRecord{Op::Lease, 106, 222, 0, now + 60, {}},
+          distrib::LeaseRecord{Op::Done, 106, 222, 0, 0, {}},
+          distrib::LeaseRecord{Op::Lease, 108, 333, 0, now + 3600, {}},
+          distrib::LeaseRecord{Op::Lease, 109, 444, 0, now - 1, {}}})
       f << distrib::LeaseQueue::encode(rec) << "\n";
   }
   // acquire() takes exactly row 1's claimable cells, never row 2's.
@@ -455,8 +542,8 @@ TEST(Supervisor, InjectedCrashFaultsConvergeToTheCleanTable) {
         << "jobs=" << jobs;
     EXPECT_GT(sink.count(exec::EventKind::CellReleased), 0u)
         << "jobs=" << jobs;
-    // Crashed workers left torn shard lines behind; the reducer loaded
-    // the shards anyway.
+    // A dying worker wrote nothing, so every cell's outcome came from a
+    // complete done write.
     EXPECT_EQ(sup.stats().reduce.missing, 0u) << "jobs=" << jobs;
   }
 }
@@ -511,41 +598,51 @@ TEST(Supervisor, SpentRespawnBudgetForksReplacementsThatSkipCrashes) {
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->phase, "done");
   for (const auto& f : std::filesystem::directory_iterator(dir))
-    EXPECT_EQ(f.path().filename().string().find("-inline"),
-              std::string::npos)
-        << f.path();
+    EXPECT_EQ(f.path().filename(), "leases.jsonl");
 }
 
 // ---- supervisor: real kill -9 ----------------------------------------------
 
-/// The kill -9 fault injector: a thread that polls the lease log and
-/// SIGKILLs one worker mid-study — a worker that has finished at least
-/// one cell (so it has left results and spans behind) and still holds a
-/// lease (so it dies holding the row it was evaluating).  It reads and
-/// kills under the log's flock, so no worker can complete or take a
-/// lease meanwhile.  A worker idle between rows, or waiting for the last
-/// cells, holds none and would leave nothing to release.
+/// The kill -9 fault injector: a child process that polls the lease log
+/// and SIGKILLs one worker mid-study — a worker that has finished at
+/// least one cell (so it has left results and spans behind) and still
+/// holds a lease (so it dies holding the row it was evaluating).  It
+/// reads and kills under the log's flock, so no worker can complete or
+/// take a lease meanwhile, and exits 0 right after its kill.  A worker
+/// idle between rows, or waiting for the last cells, holds none and would
+/// leave nothing to release.  It is a process, forked before the study,
+/// so that no forked worker inherits a lock held by a thread of it.
 class Kill9Watcher {
  public:
-  explicit Kill9Watcher(std::string lease_path)
-      : thread_([this, path = std::move(lease_path)] { watch(path); }) {}
+  explicit Kill9Watcher(const std::string& lease_path)
+      : pid_(exec::spawn_process(
+            [&lease_path, parent = exec::current_pid()] {
+              return watch(lease_path, parent);
+            })) {}
   ~Kill9Watcher() { stop(); }
   Kill9Watcher(const Kill9Watcher&) = delete;
   Kill9Watcher& operator=(const Kill9Watcher&) = delete;
 
+  /// SIGKILL the watcher if it is still running, and reap it: one that
+  /// never killed a worker reads as not killed.
   void stop() {
-    stop_.store(true);
-    if (thread_.joinable()) thread_.join();
+    if (pid_ <= 0) return;
+    auto ex = exec::try_reap(pid_);
+    if (!ex) {
+      exec::kill_process(pid_);
+      ex = exec::reap(pid_);
+    }
+    killed_ = ex.has_value() && ex->clean();
+    pid_ = 0;
   }
-  [[nodiscard]] bool killed() const { return killed_.load(); }
+  [[nodiscard]] bool killed() const { return killed_; }
 
  private:
-  void watch(const std::string& path) {
-    const int self = exec::current_pid();
+  static int watch(const std::string& path, int parent) {
     std::map<std::uint64_t, int> holder;  // cell key -> lease owner
     std::set<int> finished;               // owners with a done cell
     std::uint64_t offset = 0;             // log bytes replayed so far
-    while (!stop_.load() && !killed_.load()) {
+    while (true) {
       const int fd = ::open(path.c_str(), O_RDONLY);
       if (fd >= 0 && ::flock(fd, LOCK_EX) == 0) {
         // Replay only the complete lines appended since the last poll.
@@ -571,12 +668,9 @@ class Kill9Watcher {
         }
         offset += start;
         for (const auto& [key, owner] : holder) {
-          if (owner == self || owner <= 0 || finished.count(owner) == 0)
+          if (owner == parent || owner <= 0 || finished.count(owner) == 0)
             continue;
-          if (exec::kill_process(owner)) {
-            killed_.store(true);
-            break;
-          }
+          if (exec::kill_process(owner)) return 0;  // exit releases the lock
         }
         ::flock(fd, LOCK_UN);
       }
@@ -585,13 +679,12 @@ class Kill9Watcher {
     }
   }
 
-  std::atomic<bool> killed_{false};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  int pid_ = 0;
+  bool killed_ = false;
 };
 
 TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
-  // The acceptance criterion, with a real SIGKILL: a watcher thread
+  // The acceptance criterion, with a real SIGKILL: a watcher process
   // reads leases.jsonl until a worker holds a live lease, kill -9s it
   // mid-cell, and the supervisor re-leases + respawns its way to a
   // table byte-identical to the clean single-process run.
@@ -620,19 +713,31 @@ TEST(Supervisor, Kill9MidStudyYieldsByteIdenticalTable) {
 
 // ---- supervisor: resume ----------------------------------------------------
 
-/// Rewrite every result shard in `dir` line by line through `edit`.
-void edit_shard_lines(const std::string& dir,
-                      const std::function<void(std::string&)>& edit) {
-  for (const auto& path : distrib::Reducer::shard_files(dir)) {
-    std::ifstream in(path);
-    std::ostringstream out;
-    for (std::string line; std::getline(in, line);) {
-      edit(line);
-      out << line << "\n";
+/// Rewrite the outcome of every done record in `dir`'s lease log through
+/// `edit` (an emptied outcome leaves a bare done, as older builds wrote
+/// them); other lines stay as they are.
+void edit_done_payloads(const std::string& dir,
+                        const std::function<void(std::string&)>& edit) {
+  const std::string path = dir + "/leases.jsonl";
+  std::ostringstream out;
+  for (std::string line : log_lines(path)) {
+    auto rec = distrib::LeaseQueue::decode(line);
+    if (rec && rec->op == distrib::LeaseRecord::Op::Done) {
+      std::string run(rec->run);
+      edit(run);
+      rec->run = run;
+      line = distrib::LeaseQueue::encode(*rec);
     }
-    in.close();
-    std::ofstream(path, std::ios::trunc) << out.str();
+    out << line << "\n";
   }
+  std::ofstream(path, std::ios::trunc) << out.str();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
@@ -650,8 +755,8 @@ TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
   }
   // Every cell is done and none crashed: its quirk failures (CE/RE)
   // are pure functions of their cells, so they restore like the valid
-  // cells.  The pass reopens nothing, forks no worker and writes no
-  // file.
+  // cells.  The pass reopens nothing, forks no worker and writes
+  // nothing: the lease log stays byte-identical.
   std::size_t failed = 0;
   for (const auto& row : first.rows)
     for (const auto& cell : row.cells)
@@ -664,6 +769,7 @@ TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
     return sizes;
   };
   const auto before = listing();
+  const std::string log_before = read_file(dir + "/leases.jsonl");
   distrib::SupervisorOptions sopt;
   sopt.study = base;
   sopt.procs = 2;
@@ -675,6 +781,7 @@ TEST(Supervisor, ResumeOverCompletedShardDirReEvaluatesNothing) {
   EXPECT_EQ(sup.stats().resumed_cells, suite.size() * 5);
   EXPECT_EQ(sup.stats().workers_spawned, 0);
   EXPECT_EQ(listing(), before);
+  EXPECT_EQ(read_file(dir + "/leases.jsonl"), log_before);
 }
 
 TEST(Supervisor, ResumeReopensARetiredInjectedCompileFault) {
@@ -705,10 +812,10 @@ TEST(Supervisor, ResumeReopensARetiredInjectedCompileFault) {
   stale.run.status = runtime::CellStatus::CompileError;
   stale.run.diagnostic = "injected compile fault (attempt 0)";
   std::size_t replaced = 0;
-  edit_shard_lines(dir, [&](std::string& line) {
-    const auto e = core::Journal::decode(line);
+  edit_done_payloads(dir, [&](std::string& run) {
+    const auto e = core::Journal::decode(run);
     if (!e || e->key != key) return;
-    line = core::Journal::encode(stale);
+    run = core::Journal::encode(stale);
     ++replaced;
   });
   ASSERT_EQ(replaced, 1u);
@@ -724,33 +831,33 @@ TEST(Supervisor, ResumeReopensARetiredInjectedCompileFault) {
   EXPECT_EQ(report::render_csv(t), report::render_csv(clean));
 }
 
-TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
-  // A shard directory whose lines carry the previous format version
-  // (measured with the previous noise generator) must not restore a
-  // single cell: every done cell reopens, and the table equals a fresh
-  // run's.
+TEST(Supervisor, ResumeOverATornDoneTailReEvaluatesOnlyItsCell) {
+  // A study killed in the middle of its last done write leaves the log
+  // cut inside a done line.  The resume pass restores every other cell,
+  // re-evaluates only the one whose done was lost, and reaches the clean
+  // table; its first append newline-terminates the torn tail, so every
+  // later line decodes.
   const auto suite = small_suite();
   const auto base = small_options();
-  const std::string dir = fresh_dir("resume_v2");
-  report::Table fresh;
+  const std::size_t cells = suite.size() * base.compilers.size();
+  const std::string dir = fresh_dir("resume_torn_done");
+  const std::string path = dir + "/leases.jsonl";
   {
     distrib::SupervisorOptions sopt;
     sopt.study = base;
     sopt.procs = 2;
     sopt.shard_dir = dir;
     distrib::Supervisor sup(std::move(sopt));
-    fresh = sup.run_suite(suite);
+    (void)sup.run_suite(suite);
   }
-  char cur[16];
-  std::snprintf(cur, sizeof cur, "{\"v\":%d,", core::kJournalFormatVersion);
-  std::size_t rewritten = 0;
-  edit_shard_lines(dir, [&](std::string& line) {
-    ASSERT_EQ(line.rfind(cur, 0), 0u) << line;
-    line = "{\"v\":2," + line.substr(std::strlen(cur));
-    ++rewritten;
-  });
-  const std::size_t cells = suite.size() * base.compilers.size();
-  ASSERT_EQ(rewritten, cells);
+  const std::string log = read_file(path);
+  const std::size_t last = log.rfind('\n', log.size() - 2) + 1;
+  const std::string last_line = log.substr(last, log.size() - 1 - last);
+  const auto rec = distrib::LeaseQueue::decode(last_line);
+  ASSERT_TRUE(rec.has_value());
+  ASSERT_EQ(rec->op, distrib::LeaseRecord::Op::Done);
+  const std::string fragment = last_line.substr(0, last_line.size() / 2);
+  std::filesystem::resize_file(path, last + fragment.size());
 
   distrib::SupervisorOptions sopt;
   sopt.study = base;
@@ -758,22 +865,82 @@ TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
   sopt.shard_dir = dir;
   distrib::Supervisor sup(std::move(sopt));
   const auto t = sup.run_suite(suite);
-  EXPECT_EQ(sup.stats().resumed_cells, 0u);
-  EXPECT_EQ(sup.stats().reopened_cells, cells);
-  EXPECT_EQ(sup.stats().reduce.missing, 0u);
-  EXPECT_EQ(report::render_csv(t), report::render_csv(fresh));
   EXPECT_EQ(report::render_csv(t),
             report::render_csv(clean_single_process(base, suite)));
+  EXPECT_EQ(sup.stats().resumed_cells, cells - 1);
+  EXPECT_EQ(sup.stats().reopened_cells, 0u);
+  EXPECT_GE(sup.stats().workers_spawned, 1);
+  const auto lines = log_lines(path);
+  std::size_t undecodable = 0, redone = 0;
+  for (const std::string& line : lines) {
+    const auto r = distrib::LeaseQueue::decode(line);
+    if (!r) {
+      ++undecodable;
+      EXPECT_EQ(line, fragment);
+    } else if (r->op == distrib::LeaseRecord::Op::Done && r->key == rec->key) {
+      ++redone;
+      EXPECT_EQ(r->run, rec->run);
+    }
+  }
+  EXPECT_EQ(undecodable, 1u);
+  EXPECT_EQ(redone, 1u);
+}
+
+TEST(Supervisor, ResumeOverOlderFormatShardsReEvaluatesEveryCell) {
+  // Two kinds of stale done record must not restore a single cell: one
+  // whose outcome carries the previous format version (measured with the
+  // previous noise generator), and a bare done as builds that kept
+  // outcomes in result shards wrote it.  Either way every done cell
+  // reopens, and the table equals a fresh run's.
+  const auto suite = small_suite();
+  const auto base = small_options();
+  const std::size_t cells = suite.size() * base.compilers.size();
+  char cur[16];
+  std::snprintf(cur, sizeof cur, "{\"v\":%d,", core::kJournalFormatVersion);
+  for (const bool bare : {false, true}) {
+    const std::string kind = bare ? "bare done" : "v2 outcome";
+    const std::string dir = fresh_dir(bare ? "resume_bare" : "resume_v2");
+    report::Table fresh;
+    {
+      distrib::SupervisorOptions sopt;
+      sopt.study = base;
+      sopt.procs = 2;
+      sopt.shard_dir = dir;
+      distrib::Supervisor sup(std::move(sopt));
+      fresh = sup.run_suite(suite);
+    }
+    std::size_t rewritten = 0;
+    edit_done_payloads(dir, [&](std::string& run) {
+      ASSERT_EQ(run.rfind(cur, 0), 0u) << run;
+      run = bare ? "" : "{\"v\":2," + run.substr(std::strlen(cur));
+      ++rewritten;
+    });
+    ASSERT_EQ(rewritten, cells) << kind;
+
+    distrib::SupervisorOptions sopt;
+    sopt.study = base;
+    sopt.procs = 2;
+    sopt.shard_dir = dir;
+    distrib::Supervisor sup(std::move(sopt));
+    const auto t = sup.run_suite(suite);
+    EXPECT_EQ(sup.stats().resumed_cells, 0u) << kind;
+    EXPECT_EQ(sup.stats().reopened_cells, cells) << kind;
+    EXPECT_EQ(sup.stats().reduce.missing, 0u) << kind;
+    EXPECT_EQ(report::render_csv(t), report::render_csv(fresh)) << kind;
+    EXPECT_EQ(report::render_csv(t),
+              report::render_csv(clean_single_process(base, suite)))
+        << kind;
+  }
 }
 
 TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
   // A first pass where every generation crashes: the workers die until
   // the respawn budget is spent, and their replacements skip the crashes
   // and record every remaining cell as XX.  A resume pass without
-  // faults reopens exactly those and re-evaluates them.  Its shards must
-  // sort after the first pass's: the merge keeps the last line for a
-  // key in file order, and a new valid line must never lose to its
-  // stale failure.
+  // faults reopens exactly those and re-evaluates them.  Its done
+  // records come after the first pass's in the log: the reduce keeps
+  // each cell's last outcome in log order, and a new valid outcome must
+  // never lose to its stale failure.
   const auto suite = kernels::microkernel_suite(0.05);  // 110 cells
   auto base = small_options();
   base.seed = 7;
@@ -811,13 +978,11 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
       }
     }
     std::map<std::string, bool> has_valid_line;  // "bench/compiler"
-    for (const auto& path : distrib::Reducer::shard_files(dir)) {
-      std::ifstream f(path);
-      for (std::string line; std::getline(f, line);) {
-        const auto e = core::Journal::decode(line);
-        if (e && e->run.valid())
-          has_valid_line[e->run.benchmark + "/" + e->run.compiler] = true;
-      }
+    for (const std::string& line : log_lines(dir + "/leases.jsonl")) {
+      const auto rec = distrib::LeaseQueue::decode(line);
+      const auto e = rec ? core::Journal::decode(rec->run) : std::nullopt;
+      if (e && e->run.valid())
+        has_valid_line[e->run.benchmark + "/" + e->run.compiler] = true;
     }
     std::size_t stale = 0;
     for (const auto& row : resumed.rows)
@@ -831,12 +996,11 @@ TEST(Supervisor, ResumedOutcomesSupersedeStaleFailuresAtAnyProcs) {
 }
 
 TEST(Supervisor, ResumePassReducesAsAFreshMergeOfTheDirectory) {
-  // A resume pass loads the earlier passes' shards once, for its resume
-  // decision, and at reduce time adds only the shards it wrote.  Its
-  // reduce stats must still be a merge of the whole directory's: every
-  // shard, every distinct cell and every duplicate line — here the
-  // shards of a first pass where every generation crashes, and the new
-  // outcomes of the XX cells the resume reopens.
+  // A resume pass decides from the lease log it replayed at start, and
+  // reduces from the same queue after its workers appended theirs.  Its
+  // table and reduce stats must still be a fresh merge of the whole
+  // directory's — here the log of a first pass where every generation
+  // crashes, and the new outcomes of the XX cells the resume reopens.
   const auto suite = small_suite();
   const auto base = small_options();
   const std::string clean_csv =
@@ -860,21 +1024,19 @@ TEST(Supervisor, ResumePassReducesAsAFreshMergeOfTheDirectory) {
     EXPECT_GT(sup.stats().reopened_cells, 0u);
     const distrib::ReduceStats& got = sup.stats().reduce;
     distrib::ReduceStats want;
-    (void)distrib::Reducer::merge(dir, suite, base, &want);
-    EXPECT_GT(want.shards,
-              static_cast<std::size_t>(sup.stats().workers_spawned));
-    EXPECT_GT(want.duplicates, 0u);
-    EXPECT_EQ(got.shards, want.shards);
+    EXPECT_EQ(report::render_csv(distrib::Reducer::merge(dir, suite, base, &want)),
+              clean_csv);
+    EXPECT_EQ(want.entries, suite.size() * base.compilers.size());
     EXPECT_EQ(got.entries, want.entries);
-    EXPECT_EQ(got.duplicates, want.duplicates);
     EXPECT_EQ(got.missing, want.missing);
   }
 }
 
 TEST(Supervisor, ShardDirHoldsOnlyTheLeaseLogAndShards) {
-  // The lease log and the shards are all a study writes: no status
-  // document or other side file, after a fresh pass and after a resume
-  // pass, with telemetry off and on.
+  // The lease log, and with telemetry its trace and metrics shards, are
+  // all a study writes: no result shard, status document or other side
+  // file, after a fresh pass and after a resume pass.  Every done record
+  // carries its cell's outcome.
   const auto suite = small_suite();
   for (const bool telemetry : {false, true}) {
     const std::string dir = fresh_dir(telemetry ? "files_telemetry" : "files");
@@ -886,125 +1048,69 @@ TEST(Supervisor, ShardDirHoldsOnlyTheLeaseLogAndShards) {
       sopt.telemetry = telemetry;
       distrib::Supervisor sup(std::move(sopt));
       (void)sup.run_suite(suite);
-      std::size_t shards = 0;
       std::vector<std::string> other;
       for (const auto& f : std::filesystem::directory_iterator(dir)) {
         const std::string name = f.path().filename().string();
-        const bool jsonl = name.ends_with(".jsonl");
-        if (jsonl && name.starts_with("shard-")) {
-          ++shards;
-        } else if (name != "leases.jsonl" &&
-                   !(telemetry && jsonl &&
-                     (name.starts_with("trace-shard-") ||
-                      name.starts_with("metrics-shard-")))) {
+        if (name != "leases.jsonl" &&
+            !(telemetry && name.ends_with(".jsonl") &&
+              (name.starts_with("trace-shard-") ||
+               name.starts_with("metrics-shard-"))))
           other.push_back(name);
-        }
       }
       const std::string run = "telemetry=" + std::to_string(telemetry) +
                               " pass " + std::to_string(pass);
-      EXPECT_GE(shards, 1u) << run;
-      EXPECT_TRUE(std::filesystem::exists(dir + "/leases.jsonl")) << run;
       EXPECT_EQ(other, std::vector<std::string>{}) << run;
+      std::size_t done = 0;
+      for (const std::string& line : log_lines(dir + "/leases.jsonl")) {
+        const auto rec = distrib::LeaseQueue::decode(line);
+        ASSERT_TRUE(rec.has_value()) << line;
+        if (rec->op != distrib::LeaseRecord::Op::Done) continue;
+        ++done;
+        EXPECT_TRUE(core::Journal::decode(rec->run).has_value()) << line;
+      }
+      EXPECT_EQ(done, suite.size() * 5) << run;
     }
   }
 }
 
 // ---- reducer ---------------------------------------------------------------
 
-TEST(Reducer, MergesMixedShardsTornTailsAndDuplicates) {
-  // One merge over: a current-format shard with a torn tail, a shard of
-  // older-format lines (v1 untagged, v2 tagged — skipped, their noise
-  // is not this build's), an empty shard, and a duplicate key across
-  // files (last shard wins, in sorted filename order).
+TEST(Reducer, MergesTheLastOutcomeOfEachDoneCell) {
+  // One merge over a hand-written lease log: a cell done twice (the last
+  // done in log order wins), a bare done (an older build's), a done whose
+  // outcome carries the previous format version, a done undone by a
+  // reopen, and a done line torn in the middle of its outcome.  Only the
+  // first cell has an outcome; the others reduce as missing XX.
+  const auto suite = small_suite();
+  const auto opt = small_options();
+  const std::vector<std::uint64_t> keys = distrib::cell_keys(suite, opt);
   const std::string dir = fresh_dir("mixed_merge");
   std::filesystem::create_directories(dir);
-  core::JournalEntry a;
-  a.key = 1;
-  a.run.benchmark = "k1";
-  a.run.compiler = "GNU";
-  a.run.status = runtime::CellStatus::RuntimeError;
-  a.run.diagnostic = "from shard-a";
-  {
-    std::ofstream f(dir + "/shard-0000.jsonl");
-    f << core::Journal::encode(a) << "\n";
-    f << core::Journal::encode(a).substr(0, 25);  // torn tail
-  }
-  {
-    // v1 line (no "v" tag) and v2 line: both skipped by the version gate.
-    std::ofstream f(dir + "/shard-0001.jsonl");
-    f << "{\"key\":\"0000000000000002\",\"benchmark\":\"k2\","
-         "\"compiler\":\"LLVM\",\"status\":\"crash\","
-         "\"diagnostic\":\"legacy\"}\n";
-    f << "{\"v\":2,\"key\":\"0000000000000003\",\"benchmark\":\"k3\","
-         "\"compiler\":\"LLVM\",\"status\":\"crash\","
-         "\"diagnostic\":\"legacy\"}\n";
-  }
-  { std::ofstream f(dir + "/shard-0002.jsonl"); }  // empty (fresh worker)
-  {
-    core::JournalEntry later = a;
-    later.run.diagnostic = "from shard-0003, wins";
-    std::ofstream f(dir + "/shard-0003.jsonl");
-    f << core::Journal::encode(later) << "\n";
-  }
-  {
-    std::ofstream f(dir + "/not-a-shard.txt");
-    f << "ignored\n";
-  }
-
-  core::Journal j;
-  distrib::ReduceStats stats;
-  EXPECT_EQ(distrib::Reducer::load_shards(dir, j, &stats), 1u);
-  EXPECT_EQ(stats.shards, 4u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.duplicates, 1u);
-  ASSERT_NE(j.find(1), nullptr);
-  EXPECT_EQ(j.find(1)->diagnostic, "from shard-0003, wins");
-  EXPECT_EQ(j.find(2), nullptr);
-  EXPECT_EQ(j.find(3), nullptr);
-}
-
-TEST(Reducer, LoadNewShardsAddsOnlyNewFilesAndRefusesChangedOnes) {
-  const std::string dir = fresh_dir("load_new_shards");
-  std::filesystem::create_directories(dir);
-  const auto entry = [](std::uint64_t key, const char* diagnostic) {
-    core::JournalEntry e;
-    e.key = key;
-    e.run.benchmark = "k1";
-    e.run.compiler = "GNU";
-    e.run.status = runtime::CellStatus::RuntimeError;
-    e.run.diagnostic = diagnostic;
-    return core::Journal::encode(e) + "\n";
+  using Op = distrib::LeaseRecord::Op;
+  const auto done = [](std::uint64_t key, const std::string& run) {
+    return distrib::LeaseQueue::encode({Op::Done, key, 1, 0, 0, run}) + "\n";
   };
-  std::ofstream(dir + "/shard-0000.jsonl") << entry(1, "a") << entry(2, "a");
-  std::ofstream(dir + "/shard-0001.jsonl") << entry(2, "b");
-  core::Journal j;
-  std::vector<distrib::LoadedShard> loaded;
+  std::string v2 = outcome_line(keys[3], "legacy");
+  v2.replace(0, v2.find(','), "{\"v\":2");
+  const std::string torn = done(keys[5], outcome_line(keys[5], "torn"));
+  std::ofstream(dir + "/leases.jsonl")
+      << done(keys[0], outcome_line(keys[0], "first"))
+      << done(keys[0], outcome_line(keys[0], "last, wins"))
+      << done(keys[1], outcome_line(keys[1], "reopened"))
+      << distrib::LeaseQueue::encode({Op::Reopen, keys[1], 0, 0, 0, {}})
+      << "\n"
+      << done(keys[2], "") << done(keys[3], v2)
+      << torn.substr(0, torn.size() / 2);
   distrib::ReduceStats stats;
-  ASSERT_TRUE(distrib::Reducer::load_new_shards(dir, j, loaded, &stats));
-  EXPECT_EQ(loaded.size(), 2u);
-  // A later pass's shard sorts after them: only it loads.
-  std::ofstream(dir + "/shard-0002-inline.jsonl") << entry(1, "c")
-                                                  << entry(3, "c");
-  ASSERT_TRUE(distrib::Reducer::load_new_shards(dir, j, loaded, &stats));
-  EXPECT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(j.find(1)->diagnostic, "c");
-  EXPECT_EQ(j.find(2)->diagnostic, "b");
-  core::Journal fresh;
-  distrib::ReduceStats want;
-  EXPECT_EQ(distrib::Reducer::load_shards(dir, fresh, &want), 3u);
-  EXPECT_EQ(stats.shards, want.shards);
-  EXPECT_EQ(stats.entries, want.entries);
-  EXPECT_EQ(stats.duplicates, want.duplicates);
-  // A listed shard that grew since it loaded, or a new shard that sorts
-  // before a listed one, cannot be added incrementally: nothing loads.
-  std::ofstream(dir + "/shard-0001.jsonl", std::ios::app) << entry(4, "d");
-  EXPECT_FALSE(distrib::Reducer::load_new_shards(dir, j, loaded, &stats));
-  EXPECT_EQ(j.find(4), nullptr);
-  EXPECT_EQ(stats.shards, want.shards);
-  std::vector<distrib::LoadedShard> without_first(loaded.begin() + 1,
-                                                  loaded.end());
-  EXPECT_FALSE(
-      distrib::Reducer::load_new_shards(dir, j, without_first, &stats));
+  const auto t = distrib::Reducer::merge(dir, suite, opt, &stats);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.missing, keys.size() - 1);
+  EXPECT_EQ(t.rows[0].cells[0].diagnostic, "last, wins");
+  for (std::size_t c = 1; c < 5; ++c) {
+    EXPECT_EQ(t.rows[0].cells[c].status, runtime::CellStatus::Crashed) << c;
+    EXPECT_EQ(t.rows[0].cells[c].diagnostic, "no outcome in the lease log");
+  }
+  EXPECT_EQ(t.rows[1].cells[0].status, runtime::CellStatus::Crashed);
 }
 
 TEST(Reducer, MissingCellsSurfaceAsCrashedNotBlank) {
@@ -1012,20 +1118,20 @@ TEST(Reducer, MissingCellsSurfaceAsCrashedNotBlank) {
   const auto opt = small_options();
   const std::string dir = fresh_dir("missing_cells");
   std::filesystem::create_directories(dir);
-  { std::ofstream f(dir + "/shard-0000.jsonl"); }  // no outcomes at all
+  { std::ofstream f(dir + "/leases.jsonl"); }  // no outcomes at all
   distrib::ReduceStats stats;
   const auto t = distrib::Reducer::merge(dir, suite, opt, &stats);
   EXPECT_EQ(stats.missing, suite.size() * opt.compilers.size());
   for (const auto& row : t.rows)
     for (const auto& cell : row.cells) {
       EXPECT_EQ(cell.status, runtime::CellStatus::Crashed);
-      EXPECT_NE(cell.diagnostic.find("missing"), std::string::npos);
+      EXPECT_EQ(cell.diagnostic, "no outcome in the lease log");
     }
 }
 
 TEST(Reducer, ShardOutputMatchesSingleProcessJournal) {
-  // A 1-proc supervisor run's shards, merged by a Reducer of their own,
-  // equal the table the supervisor returned.
+  // A 1-proc supervisor run's lease log, merged by a Reducer of its own,
+  // equals the table the supervisor returned.
   const auto suite = small_suite();
   const auto base = small_options();
   const std::string dir = fresh_dir("shard_vs_journal");
@@ -1152,7 +1258,7 @@ TEST(Telemetry, Kill9RunMergesTraceAndCounters) {
   // merged trace whose spans come from several worker pids plus the
   // supervisor lifecycle row and satisfy the Chrome viewer invariants,
   // (c) merged deterministic counters equal to the single-process
-  // run's, and (d) a lease log and shards that read back as done.
+  // run's, and (d) a lease log that reads back as done.
   const auto suite = kernels::all_benchmarks(0.05);  // 540 cells, 108 rows
   const auto base = small_options();
   const std::string clean_csv =
@@ -1227,23 +1333,23 @@ TEST(Telemetry, Kill9RunMergesTraceAndCounters) {
   }
   EXPECT_EQ(merged.histograms.at("cell_wall_seconds").count, cells);
 
-  // The lease log and shards read back as a finished study: four
-  // workers plus at least one respawn, and the killed worker's row
-  // re-leased at the next generation.
+  // The lease log reads back as a finished study, the killed worker's
+  // row re-leased at the next generation; four workers plus at least
+  // one respawn left metrics shards.
   const auto st = distrib::read_status(dir, distrib::cell_keys(suite, base));
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->phase, "done");
   EXPECT_EQ(st->cells_total, cells);
   EXPECT_EQ(st->cells_done, cells);
-  EXPECT_GE(st->shards, 5u);
+  EXPECT_GE(agg.stats().metrics_shards, 5u);
   EXPECT_GE(st->max_generation, 1);
   EXPECT_NE(distrib::render_status(*st).find("study done"),
             std::string::npos);
 }
 
-// ---- study status read from the lease log and shards ----------------------
+// ---- study status read from the lease log ----------------------------------
 
-TEST(StudyStatus, ReadsTheLeaseLogAndShardNames) {
+TEST(StudyStatus, ReadsTheLeaseLog) {
   const std::string dir = fresh_dir("status_read");
   const std::string log = dir + "/leases.jsonl";
   const std::vector<std::uint64_t> keys = {11, 12, 13, 14};  // 2 rows of 2
@@ -1293,20 +1399,18 @@ TEST(StudyStatus, ReadsTheLeaseLogAndShardNames) {
   EXPECT_EQ(st.cells_expired, 0u);
   EXPECT_EQ(st.owners, std::vector<int>{4444});
 
-  // Every cell done; result shards counted, telemetry shards not.  An
-  // inline-drain shard of an older build counts like a worker's.
+  // Every cell done.  The result shards an older build left next to the
+  // log change nothing.
   ASSERT_TRUE(q.complete({13, 14}, 4444));
-  for (const char* name :
-       {"shard-0000.jsonl", "shard-0001.jsonl", "shard-0002-inline.jsonl",
-        "trace-shard-0000.jsonl", "metrics-shard-0002-inline.jsonl"})
+  for (const char* name : {"shard-0000.jsonl", "shard-0002-inline.jsonl"})
     std::ofstream(dir + "/" + name).put('\n');
   st = read(keys);
   EXPECT_EQ(st.phase, "done");
   EXPECT_EQ(st.cells_done, 4u);
   EXPECT_EQ(st.max_generation, 1);
-  EXPECT_EQ(st.shards, 3u);
-  EXPECT_NE(distrib::render_status(st).find("study done — 4/4"),
-            std::string::npos);
+  EXPECT_EQ(distrib::render_status(st),
+            "study done — 4/4 cells done (100.0%)\n"
+            "  leases  0 live, 0 expired, max generation 1\n");
 
   // Another configuration's keys: the log records none of its cells.
   st = read({21, 22, 23});

@@ -52,6 +52,33 @@ TEST(Summarize, ComputesGainsAndWins) {
   EXPECT_EQ(total_wins, 22);
 }
 
+TEST(Summarize, CountsNonRecommendedPlacementsOfExplorationEligibleRowsOnly) {
+  // Each row's winner (its second cell, faster than FJtrad) is judged
+  // against that row's own recommendation, and only where the
+  // exploration phase chose placements.
+  const auto row = [](bool explores, runtime::Placement rec,
+                      runtime::Placement won) {
+    report::Row r;
+    r.explores_placements = explores;
+    r.recommended = rec;
+    runtime::MeasuredRun base;
+    base.best_seconds = 2.0;
+    base.placement = rec;
+    runtime::MeasuredRun fast;
+    fast.best_seconds = 1.0;
+    fast.placement = won;
+    r.cells = {base, fast};
+    return r;
+  };
+  report::Table t;
+  t.compilers = {"FJtrad", "X"};
+  t.rows = {row(true, {1, 48}, {1, 48}),   // at its recommendation
+            row(false, {1, 1}, {2, 2}),    // not exploration-eligible
+            row(true, {4, 12}, {8, 6}),    // elsewhere: counts
+            row(true, {1, 12}, {4, 12})};  // a fixed 4x12 would miss it
+  EXPECT_EQ(core::summarize(t).nonrecommended_placements, 2);
+}
+
 TEST(Report, GainVsBaseline) {
   report::Row row;
   runtime::MeasuredRun base;

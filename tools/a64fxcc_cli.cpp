@@ -411,7 +411,7 @@ int run_study(double scale, const std::vector<kernels::Benchmark>& suite,
     const auto& st = sup->stats();
     if (st.resumed_cells + st.reopened_cells > 0)
       std::fprintf(stderr,
-                   "resume: %zu cells restored from shards, %zu reopened\n",
+                   "resume: %zu cells restored, %zu reopened\n",
                    st.resumed_cells, st.reopened_cells);
   } else {
     study.emplace(std::move(opt));
@@ -580,8 +580,8 @@ int cmd_explain(const std::string& name, const std::string& compiler_name,
 }
 
 /// Progress of the `--procs` study of `name` (the suite or benchmark
-/// that `table` or `run` took) at --scale, read from its lease log and
-/// shards: the log names cells only by key, so the keys come from here.
+/// that `table` or `run` took) at --scale, read from its lease log: the
+/// log names cells only by key, so the keys come from here.
 int cmd_status(const std::string& name, int argc, char** argv) {
   if (!flags_known(argc, argv, kStatusFlags)) return 1;
   double scale = 0.25;
@@ -719,7 +719,7 @@ void usage() {
       "  status <suite|benchmark> [--scale=f] [--shard-dir=DIR]\n"
       "                                   # progress of the --procs study of\n"
       "                                   # that table or run, read from its\n"
-      "                                   # lease log and shards: cells done,\n"
+      "                                   # lease log: cells done,\n"
       "                                   # live leases and their pids, and\n"
       "                                   # done, running or stopped\n"
       "  obs report <A.json> [B.json]\n"
